@@ -7,7 +7,7 @@
 //! refit, charged to the ledger, runs every 4,000 rows, and every tenth batch
 //! the client reads 2,048 rows of the newest generation over its kept-alive
 //! connection. A cycle takes one tenant from empty to the whole table on a
-//! freshly started server; the loop runs whole cycles.
+//! freshly started server; a run is a fixed number of cycles.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use privbayes::conditionals::NoisyModel;
 use privbayes_data::csv::write_csv;
 use privbayes_data::{Dataset, Schema};
 use privbayes_marginals::CountEngine;
@@ -33,7 +34,9 @@ use rand::SeedableRng;
 use crate::harness::{delta, delta_ms, Harness, REQUESTS};
 use crate::http::{one_shot, Session};
 use crate::inputs::{mix, rendered, Seeds, Shape};
-use crate::report::{describe, mean_or_zero, peak_rss_mb, write_trace, OpLog, Outcome};
+use crate::report::{
+    describe, gated_percentile, mean_or_zero, peak_rss_mb, write_trace, OpLog, Outcome,
+};
 use crate::stats::{self, overhead_pct};
 use crate::trace::Tracer;
 use crate::{replay, RunConfig};
@@ -47,13 +50,16 @@ const READ_ROWS: usize = 2_048;
 const REFIT_ROWS: u64 = 4_000;
 const REFIT_EPSILON: f64 = 1.0;
 const BUDGET: f64 = 1e6;
-/// Set-ups before the first cycle, beside each cycle's own; `setup_s` is the
-/// median of all of them.
+/// Cycles per run. A cycle takes about nine seconds on two vCPUs; whole
+/// cycles, unlike a time limit, give every batch position the same number of
+/// repeats.
+const CYCLES: usize = 4;
+/// Set-ups before the first cycle. Beside them and each cycle's own, a spare
+/// instance is set up and stopped before every `SETUP_EVERY`-th batch, so the
+/// run's 123 set-ups sample all of it and leave ten beyond their 90th
+/// percentile.
 const EXTRA_SETUPS: usize = 3;
-/// Seconds of `--seconds` per cycle of the run.
-const CYCLE_SECONDS: f64 = 5.0;
-/// Refit generations per run whose model is checked against a cold fit.
-const GENERATION_CHECKS: usize = 3;
+const SETUP_EVERY: usize = 4;
 /// How long a read waits for the tenant's first generation.
 const FIRST_GENERATION_WAIT: Duration = Duration::from_secs(60);
 /// The warm-up tenant each set-up journals one batch for.
@@ -218,7 +224,6 @@ struct Layers {
 /// Figures of one cycle.
 #[derive(Default)]
 struct Cycle {
-    setup_s: f64,
     rows: f64,
     ack_ms: f64,
     /// Acknowledgement time of each batch, by its position in the sequence.
@@ -241,7 +246,13 @@ struct Run<'a> {
     tracer: Tracer,
     layers: Layers,
     seeds: Seeds,
-    generation_checks: usize,
+    /// Every set-up's seconds, in run order.
+    setups: Vec<f64>,
+    /// Cold fits by row-prefix length, each made once per run: a refit of
+    /// the same prefix with the same seed must give the same model in any
+    /// cycle.
+    cold: BTreeMap<usize, NoisyModel>,
+    generations_checked: usize,
     op: u64,
 }
 
@@ -266,7 +277,8 @@ impl Run<'_> {
         let dir = self.cfg.work.join(format!("cycle{index}"));
         let (tenant, model) = (format!("t{index}"), format!("m{index}"));
         let (setup_s, harness) = set_up(&dir, &tenant, inputs)?;
-        let mut cycle = Cycle { setup_s, traced, ..Cycle::default() };
+        self.setups.push(setup_s);
+        let mut cycle = Cycle { traced, ..Cycle::default() };
         let schema = inputs.data.schema().clone();
         let spec = inputs.spec(&model);
         let mut shadows = if traced {
@@ -287,6 +299,9 @@ impl Run<'_> {
         let first_body = inputs.first_body(&model);
         for (i, (rows, kind)) in inputs.batches.iter().enumerate() {
             let kind = *kind;
+            if i > 0 && i % SETUP_EVERY == 0 {
+                self.spare_set_up(index, i)?;
+            }
             self.op += 1;
             let body = if i == 0 { &first_body } else { &inputs.bodies[i] };
             let started = Instant::now();
@@ -384,10 +399,6 @@ impl Run<'_> {
             }
         }
         for (_, entry) in generations {
-            if self.generation_checks == GENERATION_CHECKS {
-                break;
-            }
-            self.generation_checks += 1;
             self.check_generation(&entry)?;
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -508,6 +519,17 @@ impl Run<'_> {
         Ok(())
     }
 
+    /// Sets up and stops a spare instance in the middle of a cycle, so the
+    /// set-ups sample the whole run.
+    fn spare_set_up(&mut self, cycle: usize, batch: usize) -> Result<(), String> {
+        let dir = self.cfg.work.join(format!("spare{cycle}-{batch}"));
+        let (secs, harness) = set_up(&dir, "t", self.inputs)?;
+        self.setups.push(secs);
+        harness.stop()?;
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
     fn check_journal(&mut self, dir: &Path, tenant: &str) -> Result<(), String> {
         let store = DatasetStore::open(dir).map_err(|e| format!("reopen journal: {e}"))?;
         let data = &self.inputs.data;
@@ -525,16 +547,20 @@ impl Run<'_> {
 
     fn check_generation(&mut self, entry: &ModelEntry) -> Result<(), String> {
         let rows = entry.artifact.metadata.source_rows;
-        let prefix = self.inputs.data.select_rows(&(0..rows).collect::<Vec<_>>());
-        let cold = fit_method(
-            Method::PrivBayes,
-            &prefix,
-            REFIT_EPSILON,
-            self.inputs.refit_seed,
-            &FitSettings::default(),
-        )
-        .map_err(|e| format!("cold fit: {e}"))?;
-        if cold.artifact.model != entry.artifact.model {
+        if !self.cold.contains_key(&rows) {
+            let prefix = self.inputs.data.select_rows(&(0..rows).collect::<Vec<_>>());
+            let cold = fit_method(
+                Method::PrivBayes,
+                &prefix,
+                REFIT_EPSILON,
+                self.inputs.refit_seed,
+                &FitSettings::default(),
+            )
+            .map_err(|e| format!("cold fit: {e}"))?;
+            self.cold.insert(rows, cold.artifact.model);
+        }
+        self.generations_checked += 1;
+        if self.cold[&rows] != entry.artifact.model {
             self.problems.push(format!(
                 "refit generation {} over {rows} rows differs from a cold fit",
                 entry.generation
@@ -606,21 +632,22 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         tracer: Tracer::new(),
         layers: Layers::default(),
         seeds: Seeds::new(cfg.seed, 0x4EAD),
-        generation_checks: 0,
+        setups,
+        cold: BTreeMap::new(),
+        generations_checked: 0,
         op: 0,
     };
-    // A cycle takes several seconds, so a run's length is set in whole
-    // cycles: a time limit would end runs after different cycle counts.
-    let count = (cfg.seconds.as_secs_f64() / CYCLE_SECONDS).ceil().max(2.0) as usize;
-    let mut cycles: Vec<Cycle> = Vec::with_capacity(count);
-    for index in 0..count {
+    let mut cycles: Vec<Cycle> = Vec::with_capacity(CYCLES);
+    for index in 0..CYCLES {
         let traced = cfg.trace && index % 2 == 0;
         cycles.push(run.cycle(index, traced)?);
     }
     let peak_rss = peak_rss_mb();
-    setups.extend(cycles.iter().map(|c| c.setup_s));
 
-    let Run { ops, problems, tracer, layers, .. } = run;
+    let Run { ops, mut problems, tracer, layers, setups, generations_checked, .. } = run;
+    if generations_checked == 0 {
+        problems.push("no refit generation was served".to_string());
+    }
     let mut out = Outcome { ops, problems, ..Outcome::default() };
     let mut detail = BTreeMap::new();
     for kind in ["batch100", "batch2000", "read"] {
@@ -647,17 +674,16 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     detail.insert("ingest_rows_per_s.cycle_median".into(), stats::median(&cycle_rates));
     detail.insert("ingest_ms_p50".into(), stats::percentile(small, 50));
     detail.insert("cycles".into(), cycles.len() as f64);
+    detail.insert("generations_checked".into(), generations_checked as f64);
     detail.insert("input_gen_s".into(), input_gen_s);
     detail.insert("server.refit.count".into(), per_cycle(|c| c.refits));
     detail.insert("server.refit.fit_ms".into(), per_cycle(|c| c.fit_ms));
     detail.insert("server.refit.visible_ms".into(), mean_or_zero(&visible));
     detail.insert("server.ledger.charges".into(), per_cycle(|c| c.charges));
     detail.insert("marginals.engine.cached_tables".into(), per_cycle(|c| c.cached_tables));
-    for (i, s) in setups.iter().enumerate() {
-        detail.insert(format!("setup_s.{i}"), *s);
-    }
+    describe(&mut detail, "setup", &setups.iter().map(|s| s * 1e3).collect::<Vec<_>>());
     out.detail = detail;
-    out.e2e.insert("setup_s", stats::median(&setups));
+    out.e2e.insert("setup_s", gated_percentile("set-up", &setups, stats::SLOW_PERCENTILE)?);
     out.e2e.insert("peak_rss_mb", peak_rss);
     out.e2e.insert("rows_per_s", typical_rows_per_s);
     out.e2e.insert("op_ms", typical_small_ms);

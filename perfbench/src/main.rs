@@ -49,7 +49,9 @@ const WORKLOADS: [&str; 3] = ["stream", "ingest", "publish"];
 pub struct RunConfig {
     pub workload: String,
     pub seed: u64,
-    /// How long the timed loop runs; it always finishes the round it is in.
+    /// The run length the command line names, recorded with the run. Each
+    /// workload runs a fixed number of rounds or cycles instead, sized to
+    /// about `run_seconds` of `BENCHMARK.json` (`NOTES.md`).
     pub seconds: Duration,
     pub trace: bool,
     /// This run's scratch directory, removed when the run ends.

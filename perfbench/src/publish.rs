@@ -6,7 +6,7 @@
 //! NLTCS (21,574 × 16) and ACS (47,461 × 23) are binary, so their count scans
 //! take the engine's bit backend; Adult (45,222 × 15) and BR2000
 //! (38,000 × 14) are mixed and take the radix backend. A round fits and
-//! releases all four; the loop runs whole rounds.
+//! releases all four; a run is a fixed number of rounds.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -29,7 +29,9 @@ use rand::SeedableRng;
 use crate::harness::{delta, delta_ms, Harness, REQUESTS};
 use crate::http::{one_shot, Session};
 use crate::inputs::{mix, rendered, Seeds, Shape};
-use crate::report::{describe, mean_or_zero, peak_rss_mb, write_trace, OpLog, Outcome};
+use crate::report::{
+    describe, gated_percentile, mean_or_zero, peak_rss_mb, write_trace, OpLog, Outcome,
+};
 use crate::stats::{self, overhead_pct};
 use crate::trace::Tracer;
 use crate::RunConfig;
@@ -39,8 +41,13 @@ const EPSILON: f64 = 1.0;
 const CHECK_ROWS: usize = 2_048;
 /// Rows of the NLTCS prefix each set-up publishes as its warm-up.
 const WARMUP_ROWS: usize = 2_000;
-/// Seconds of `--seconds` per round of the run.
-const ROUND_SECONDS: f64 = 2.0;
+/// Rounds per run, each fitting and releasing all four tables. A round takes
+/// about three seconds on two vCPUs; a fixed count, unlike a time limit,
+/// gives every run the same number of fits per table.
+const ROUNDS: usize = 10;
+/// Second instances set up and stopped before every fit, so the run's 121
+/// set-ups sample all of it and leave ten beyond their 90th percentile.
+const SETUPS_PER_FIT: usize = 3;
 
 /// One dataset's files.
 struct Input {
@@ -136,7 +143,6 @@ impl Layers {
             greedy_bayes_adaptive_engine(&engine, settings.theta, eps2, false, &greedy, &mut rng)
         });
         let network = network.map_err(|e| e.to_string())?;
-        let greedy_scan_ms = engine.stats().scan_micros as f64 / 1e3;
         let (model, conditionals_ms) = tracer.time("core.conditionals", op, Some(parent), || {
             noisy_conditionals_general_engine(&engine, &network, Some(eps2), &mut rng)
         });
@@ -152,10 +158,32 @@ impl Layers {
         saved.map_err(|e| e.to_string())?;
         tracer.end(parent);
 
+        // The engine sums its scan time over the scoring threads, so the
+        // search's own time is split off a second search on one thread over a
+        // fresh engine, where search and scans share one clock. The learned
+        // network does not depend on the thread count.
+        let single = CountEngine::new(&data);
+        let one_thread = GreedySettings { threads: Some(1), ..greedy };
+        let (again, one_thread_ms) = tracer.time("core.greedy.one_thread", op, None, || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            greedy_bayes_adaptive_engine(
+                &single,
+                settings.theta,
+                eps2,
+                false,
+                &one_thread,
+                &mut rng,
+            )
+        });
+        if again.map_err(|e| e.to_string())? != network {
+            problems.push(format!("{name}: greedy on one thread learned another network"));
+        }
+        let single_scan_ms = single.stats().scan_micros as f64 / 1e3;
+
         self.csv_rows += data.n() as f64;
         self.csv_ms += read_ms;
         self.engine.insert(name, engine.stats());
-        self.greedy_self_ms.entry(name).or_default().push(greedy_ms - greedy_scan_ms);
+        self.greedy_self_ms.entry(name).or_default().push(one_thread_ms - single_scan_ms);
         self.conditionals_ms.entry(name).or_default().push(conditionals_ms);
         self.write_ms.push(write_ms);
         let claimed = [read_ms, new_ms, greedy_ms, conditionals_ms, write_ms];
@@ -260,13 +288,15 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut rounds: Vec<(bool, f64)> = Vec::new();
     let mut requests = harness.scrape().sum(REQUESTS);
     let mut op = 0u64;
-    // A round takes seconds, so a run's length is set in whole rounds: a time
-    // limit would end runs after different round counts.
-    let count = (cfg.seconds.as_secs_f64() / ROUND_SECONDS).ceil().max(2.0) as usize;
-    for round in 0..count {
+    for round in 0..ROUNDS {
         let traced = cfg.trace && round % 2 == 1;
         let mut round_ms = 0.0;
         for input in &inputs {
+            for _ in 0..SETUPS_PER_FIT {
+                let (secs, extra) = set_up(&warmup, fit_seed)?;
+                setups.push(secs);
+                extra.stop()?;
+            }
             op += 1;
             let started = Instant::now();
             let result = privbayes_cli::run(input.fit_args(fit_seed));
@@ -301,11 +331,6 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
             }
         }
         rounds.push((traced, round_ms));
-        // A second instance set up and stopped between rounds, so the
-        // set-ups sample the whole run.
-        let (secs, extra) = set_up(&warmup, fit_seed)?;
-        setups.push(secs);
-        extra.stop()?;
     }
     let peak_rss = peak_rss_mb();
 
@@ -371,11 +396,9 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     detail.insert("fit_general_ms".into(), general_ms);
     detail.insert("rounds".into(), rounds.len() as f64);
     detail.insert("input_gen_s".into(), input_gen_s);
-    for (i, s) in setups.iter().enumerate() {
-        detail.insert(format!("setup_s.{i}"), *s);
-    }
+    describe(&mut detail, "setup", &setups.iter().map(|s| s * 1e3).collect::<Vec<_>>());
     out.detail = detail;
-    out.e2e.insert("setup_s", stats::median(&setups));
+    out.e2e.insert("setup_s", gated_percentile("set-up", &setups, stats::SLOW_PERCENTILE)?);
     out.e2e.insert("peak_rss_mb", peak_rss);
     out.e2e.insert("rows_per_s", rows * 1e3 / fit_total);
     out.e2e.insert("op_ms", release_total);

@@ -189,6 +189,19 @@ pub fn describe(detail: &mut BTreeMap<String, f64>, prefix: &str, ms: &[f64]) {
     }
 }
 
+/// Percentile `p` (one of [`stats::LADDER`]) of `values` for a gated metric;
+/// an error, and so a run without a result, when fewer than ten samples lie
+/// beyond it.
+pub fn gated_percentile(name: &str, values: &[f64], p: usize) -> Result<f64, String> {
+    if stats::tail_percentile(values.len(), 10) < Some(p) {
+        return Err(format!(
+            "{} {name} samples leave fewer than ten beyond their {p}th percentile",
+            values.len()
+        ));
+    }
+    Ok(stats::percentile(values, p))
+}
+
 /// Mean of `values`, or 0 for none (a layer the run did not exercise).
 pub fn mean_or_zero(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -340,6 +353,15 @@ mod tests {
         let layers: Vec<(String, String)> =
             per_layer().into_iter().map(|(n, u)| (n, u.to_string())).collect();
         assert_eq!(listed(&benchmark, "per_layer"), layers);
+    }
+
+    #[test]
+    fn gated_percentiles_need_ten_samples_beyond() {
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(gated_percentile("x", &v, 90), Ok(90.0));
+        assert!(gated_percentile("x", &v[..99], 90).is_err());
+        assert!(gated_percentile("x", &v, 95).is_err());
+        assert!(gated_percentile("x", &[], 50).is_err());
     }
 
     #[test]

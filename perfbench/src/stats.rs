@@ -6,6 +6,13 @@
 /// The percentiles the tail rule chooses from, ascending, in percent.
 pub const LADDER: [usize; 5] = [50, 75, 90, 95, 99];
 
+/// The percentile a gated time statistic takes when its samples mix the
+/// host's two speeds. The host runs the same work at two speeds in stretches
+/// of about a second, and the share of a run each speed gets varies, so a
+/// median flips between them from run to run while the 90th percentile stays
+/// in the slow speed (`NOTES.md`).
+pub const SLOW_PERCENTILE: usize = 90;
+
 /// 0-based nearest-rank index of percentile `p` among `n` sorted samples:
 /// the smallest rank at or below which at least `p` percent of them lie.
 fn rank(n: usize, p: usize) -> usize {

@@ -27,7 +27,9 @@ use rand::SeedableRng;
 use crate::harness::{delta, delta_ms, Harness, REQUESTS};
 use crate::http::Session;
 use crate::inputs::{rendered, Seeds, Shape};
-use crate::report::{describe, mean_or_zero, peak_rss_mb, write_trace, OpLog, Outcome};
+use crate::report::{
+    describe, gated_percentile, mean_or_zero, peak_rss_mb, write_trace, OpLog, Outcome,
+};
 use crate::stats::{self, MixPart};
 use crate::trace::Tracer;
 use crate::{replay, RunConfig};
@@ -41,11 +43,12 @@ const STREAM_ROWS: usize = 20_000;
 const INNER_ROWS: usize = 2_000;
 const WARMUP_ROWS: usize = 1_024;
 const WARMUP_SEED: u64 = 7;
-/// Besides the set-up of the served instance, every this many rounds a
-/// second instance is set up and stopped between rounds; `setup_s` is the
-/// median of all set-ups, spread over the run so they sample the host's
-/// slow and fast stretches alike.
-const SETUP_EVERY: usize = 8;
+/// Rounds per run, so every request kind has at least 100 samples and ten
+/// beyond its 90th percentile. A round takes about a third of a second on
+/// two vCPUs; a fixed count, unlike a time limit, gives every run the same
+/// number of requests. After every round a second instance is set up and
+/// stopped, so the set-ups sample the whole run.
+const ROUNDS: usize = 100;
 /// ε of the served release.
 const EPSILON: f64 = 1.0;
 /// Seed of the served fit. It is fixed, so every workload seed serves a
@@ -54,11 +57,6 @@ const EPSILON: f64 = 1.0;
 const FIT_SEED: u64 = 0x5EED_AD01;
 /// Answered pairs checked against the reference θ-projection per run.
 const QUERY_CHECKS: usize = 8;
-/// Percentile of a stream kind's request times behind its rows/s. The host
-/// runs requests at two speeds in stretches of about a second, and how much
-/// of a run each speed gets varies; the 90th percentile stays in the slow
-/// speed on every run (`NOTES.md`).
-const RATE_PERCENTILE: usize = 90;
 /// Percentile of the CSV stream time reported as `op_ms`.
 const OP_PERCENTILE: usize = 95;
 
@@ -72,7 +70,7 @@ enum Kind {
 }
 
 /// One round of the closed loop.
-const ROUND: [Kind; 9] = [
+const ROUND: [Kind; 8] = [
     Kind::Csv,
     Kind::Query,
     Kind::Jsonl,
@@ -81,7 +79,6 @@ const ROUND: [Kind; 9] = [
     Kind::Csv,
     Kind::CohortInner,
     Kind::Csv,
-    Kind::Query,
 ];
 
 impl Kind {
@@ -424,9 +421,8 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let start = harness.scrape();
     let mut requests = start.sum(REQUESTS);
     let mut op = 0u64;
-    let deadline = Instant::now() + cfg.seconds;
-    while rounds.is_empty() || Instant::now() < deadline {
-        let traced = cfg.trace && rounds.len() % 2 == 0;
+    for round in 0..ROUNDS {
+        let traced = cfg.trace && round % 2 == 0;
         let mut before = traced.then(|| harness.scrape_after(requests));
         let mut round_ms = 0.0;
         for kind in ROUND {
@@ -477,11 +473,9 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
             }
         }
         rounds.push((traced, round_ms));
-        if rounds.len() % SETUP_EVERY == 0 {
-            let (secs, extra, _, _) = set_up(&data)?;
-            setups.push(secs);
-            extra.stop()?;
-        }
+        let (secs, extra, _, _) = set_up(&data)?;
+        setups.push(secs);
+        extra.stop()?;
     }
     let peak_rss = peak_rss_mb();
     let end = harness.scrape_after(requests);
@@ -516,7 +510,8 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     }
     let mut parts = Vec::new();
     for kind in Kind::STREAMS {
-        let ms = stats::percentile(out.ops.require(kind.name())?, RATE_PERCENTILE);
+        let times = out.ops.times(kind.name());
+        let ms = gated_percentile(kind.name(), times, stats::SLOW_PERCENTILE)?;
         let rows = kind.rows() as f64;
         parts.push(MixPart { rows, per_round: kind.per_round() as f64, ms });
         let name = match kind {
@@ -527,18 +522,16 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         };
         detail.insert(name.to_string(), rows * 1e3 / ms);
     }
-    let csv = out.ops.require("csv")?;
+    let csv_tail = gated_percentile("csv", out.ops.times("csv"), OP_PERCENTILE)?;
     let query_mix_ms: f64 = pair_ms.values().map(|ms| stats::median(ms)).sum();
-    detail.insert("stream_csv_ms_p95".into(), stats::percentile(csv, 95));
+    detail.insert("stream_csv_ms_p95".into(), csv_tail);
     detail.insert("query_per_s".into(), pair_ms.len() as f64 * 1e3 / query_mix_ms);
     detail.insert("query.mix_pairs".into(), plan.pairs.len() as f64);
     detail.insert("query.pairs_answered".into(), pair_ms.len() as f64);
     detail.insert("query.refused_pairs".into(), plan.refused as f64);
     detail.insert("rounds".into(), rounds.len() as f64);
     detail.insert("input_gen_s".into(), input_gen_s);
-    for (i, s) in setups.iter().enumerate() {
-        detail.insert(format!("setup_s.{i}"), *s);
-    }
+    describe(&mut detail, "setup", &setups.iter().map(|s| s * 1e3).collect::<Vec<_>>());
     let counter = |name: &str| delta(&end, &start, name, &[]);
     let loop_counters = [
         ("server.worker.connections_reused", counter("privbayes_connections_reused_total")),
@@ -551,10 +544,10 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         out.layers.insert(name.to_string(), value);
     }
     out.detail = detail;
-    out.e2e.insert("setup_s", stats::median(&setups));
+    out.e2e.insert("setup_s", gated_percentile("set-up", &setups, stats::SLOW_PERCENTILE)?);
     out.e2e.insert("peak_rss_mb", peak_rss);
     out.e2e.insert("rows_per_s", stats::mix_rows_per_s(&parts));
-    out.e2e.insert("op_ms", stats::percentile(csv, OP_PERCENTILE));
+    out.e2e.insert("op_ms", csv_tail);
 
     if cfg.trace {
         layers.into_metrics(&mut out.layers);
