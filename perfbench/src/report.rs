@@ -193,13 +193,26 @@ pub fn describe(detail: &mut BTreeMap<String, f64>, prefix: &str, ms: &[f64]) {
 /// an error, and so a run without a result, when fewer than ten samples lie
 /// beyond it.
 pub fn gated_percentile(name: &str, values: &[f64], p: usize) -> Result<f64, String> {
-    if stats::tail_percentile(values.len(), 10) < Some(p) {
+    gated_block_percentile(name, values, 1, p)
+}
+
+/// [`stats::block_percentile`] for a gated metric; an error when a block
+/// leaves fewer than ten samples beyond its percentile `p`.
+pub fn gated_block_percentile(
+    name: &str,
+    values: &[f64],
+    blocks: usize,
+    p: usize,
+) -> Result<f64, String> {
+    let len = values.len() / blocks.max(1);
+    if stats::tail_percentile(len, 10) < Some(p) {
         return Err(format!(
-            "{} {name} samples leave fewer than ten beyond their {p}th percentile",
+            "{} {name} samples in {blocks} blocks leave fewer than ten beyond a block's {p}th \
+             percentile",
             values.len()
         ));
     }
-    Ok(stats::percentile(values, p))
+    Ok(stats::block_percentile(values, blocks, p))
 }
 
 /// Mean of `values`, or 0 for none (a layer the run did not exercise).
@@ -290,7 +303,8 @@ pub fn json_str(s: &str) -> String {
     format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
-/// Peak resident set size of this process so far, in MB (`VmHWM`).
+/// Peak resident set size of this process since the last
+/// [`reset_peak_rss`], in MB (`VmHWM`).
 pub fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     status
@@ -298,6 +312,14 @@ pub fn peak_rss_mb() -> f64 {
         .find_map(|line| line.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Resets the peak resident set size to the current one (Linux 4.0 and
+/// later), so that [`peak_rss_mb`] covers only what runs after the reset:
+/// the workloads reset it when their timed loop starts, which leaves the
+/// transient memory of the benchmark's own input generation out.
+pub fn reset_peak_rss() -> Result<(), String> {
+    std::fs::write("/proc/self/clear_refs", "5").map_err(|e| format!("reset peak RSS: {e}"))
 }
 
 /// The checked-out commit, read from `.git` when the working directory is a
@@ -362,6 +384,10 @@ mod tests {
         assert!(gated_percentile("x", &v[..99], 90).is_err());
         assert!(gated_percentile("x", &v, 95).is_err());
         assert!(gated_percentile("x", &[], 50).is_err());
+        let run: Vec<f64> = (1..=400).map(f64::from).collect();
+        // Block p90s 90, 190, 290, 390: the median of the middle two.
+        assert_eq!(gated_block_percentile("x", &run, 4, 90), Ok(240.0));
+        assert!(gated_block_percentile("x", &run[..399], 4, 90).is_err());
     }
 
     #[test]

@@ -34,6 +34,22 @@ pub fn percentile(values: &[f64], p: usize) -> f64 {
     sorted(values)[rank(values.len(), p)]
 }
 
+/// Median over `blocks` consecutive, equal blocks of `values` (in run order)
+/// of each block's percentile `p`. Host contention that lasts a few seconds
+/// lifts the high percentiles of the blocks it falls in; unless it covers
+/// half of them, the median over blocks stays put. Trailing samples that do
+/// not fill a block are left out.
+///
+/// # Panics
+/// Panics when there are fewer samples than blocks.
+pub fn block_percentile(values: &[f64], blocks: usize, p: usize) -> f64 {
+    let len = values.len() / blocks.max(1);
+    assert!(len > 0, "{} samples cannot fill {blocks} blocks", values.len());
+    let per_block: Vec<f64> =
+        values.chunks_exact(len).take(blocks).map(|block| percentile(block, p)).collect();
+    median(&per_block)
+}
+
 /// The highest ladder percentile that leaves at least `beyond` of `n`
 /// samples above it, or `None` when not even the median does.
 pub fn tail_percentile(n: usize, beyond: usize) -> Option<usize> {
@@ -166,6 +182,23 @@ mod tests {
         assert_eq!(tail_percentile(20, 10), Some(50));
         assert_eq!(tail_percentile(19, 10), None);
         assert_eq!(tail_percentile(0, 10), None);
+    }
+
+    #[test]
+    fn block_percentile_ignores_a_burst_in_one_block() {
+        // Four blocks of 100 in run order; a burst makes the whole third
+        // block slow, which moves its p90 but not the median over blocks.
+        let steady: Vec<f64> = (1..=100).map(f64::from).collect();
+        let burst: Vec<f64> = (1..=100).map(|v| f64::from(v) + 1000.0).collect();
+        let run: Vec<f64> = [&steady[..], &steady, &burst, &steady].concat();
+        assert_eq!(percentile(&run, 90), 1060.0);
+        assert_eq!(block_percentile(&run, 4, 90), 90.0);
+        // Blocks 80 and 85 at p90 give a median of their mean; the trailing
+        // sample fills no block and is left out.
+        let uneven: Vec<f64> = [vec![80.0; 10], vec![85.0; 10], vec![1e6]].concat();
+        assert_eq!(block_percentile(&uneven, 2, 90), 82.5);
+        // One block is the plain percentile.
+        assert_eq!(block_percentile(&steady, 1, 90), percentile(&steady, 90));
     }
 
     #[test]
