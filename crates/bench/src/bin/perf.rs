@@ -35,15 +35,6 @@
 //! gates the estimated per-request instrumentation share of mean latency.
 //! Those numbers land in `BENCH_PR8.json`.
 //!
-//! The **scaling** workload (PR 9) measures the keep-alive + row-block-cache
-//! serving stack against the PR 3-era discipline (a fresh `Connection:
-//! close` per request, every stream sampled cold). After gating that the
-//! close-connection, cold keep-alive, cached keep-alive, and direct batch
-//! paths are all byte-identical for a fixed `(model, seed, rows, format)`,
-//! it *asserts* that 8 keep-alive clients replaying a warmed stream beat the
-//! one-client cold baseline by [`SCALING_GATE_RATIO`]. Those numbers land in
-//! `BENCH_PR9.json`.
-//!
 //! Every BENCH_*.json records the machine's available parallelism, the
 //! server worker count, and the quick/full harness mode, so the perf
 //! trajectory across PRs never silently compares unlike environments.
@@ -51,8 +42,6 @@
 //! Usage: `perf [--quick] [--reps N] [--scale F] [--out DIR]`. The JSON is
 //! written to `--out` (or the working directory).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -706,205 +695,6 @@ fn run_observability(cfg: &HarnessConfig, artifact: &ReleasedModel) -> ObsBench 
     }
 }
 
-/// PR 9 scaling measurements: the keep-alive + row-block-cache serving
-/// stack against the PR 3-era per-request-connection discipline.
-struct ScalingBench {
-    rows_per_request: usize,
-    requests_per_client: usize,
-    /// One client, fresh `Connection: close` per request, unique seed per
-    /// request (every stream sampled cold) — the PR 3 stack.
-    cold_close_rows_per_sec: f64,
-    /// Same single client and cold seeds, but one kept-alive connection —
-    /// isolates the keep-alive win from the cache win.
-    keepalive_cold_rows_per_sec: f64,
-    /// Eight keep-alive clients replaying one warmed stream — the full
-    /// tentpole.
-    hot8_rows_per_sec: f64,
-    /// `hot8 / cold_close`: the gated number.
-    scaling_ratio: f64,
-    /// `keepalive_cold / cold_close`: the honest connection-reuse-only win.
-    keepalive_ratio: f64,
-    cache_hits: f64,
-    connections_reused: f64,
-}
-
-/// The scaling gate: aggregate throughput of 8 keep-alive clients replaying
-/// a cached stream must beat one PR 3-style client (fresh `Connection:
-/// close` + cold sampling per request) by at least this factor. The
-/// comparison deliberately spans the whole tentpole — connection reuse *and*
-/// block replay — so it holds on any core count, including 1-core CI
-/// runners where parallelism alone could never deliver it but skipping the
-/// per-request connection, sampling, and formatting work can.
-const SCALING_GATE_RATIO: f64 = 3.0;
-
-/// Connects a raw measurement socket (`TCP_NODELAY`, like the real client).
-fn raw_connect(addr: std::net::SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect measurement socket");
-    stream.set_nodelay(true).expect("set TCP_NODELAY");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
-    stream
-}
-
-/// Writes one GET by hand and drains the response with a constant-cost tail
-/// scan — no chunked reassembly, no string building — so the timed loops
-/// measure the serving stack rather than client-side parsing. Returns the
-/// bytes read. `keep` picks the `Connection` header; a close response is
-/// drained to EOF, a keep-alive one to the chunked terminator (`0\r\n\r\n`,
-/// unambiguous here because CSV/NDJSON bodies never contain `\r`).
-fn raw_get(stream: &mut TcpStream, buf: &mut [u8], path: &str, keep: bool) -> usize {
-    let connection = if keep { "keep-alive" } else { "close" };
-    let request = format!("GET {path} HTTP/1.1\r\nConnection: {connection}\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut total = 0usize;
-    let mut tail = [0u8; 7];
-    loop {
-        let n = stream.read(buf).expect("read response");
-        if n == 0 {
-            assert!(!keep, "server closed a keep-alive response mid-stream");
-            return total;
-        }
-        total += n;
-        if n >= 7 {
-            tail.copy_from_slice(&buf[n - 7..n]);
-        } else {
-            tail.copy_within(n.., 0);
-            tail[7 - n..].copy_from_slice(&buf[..n]);
-        }
-        if keep && &tail == b"\r\n0\r\n\r\n" {
-            return total;
-        }
-    }
-}
-
-/// Gates byte-identity across the four serving paths, then measures the
-/// PR 3-era baseline (fresh connection + cold sampling per request) against
-/// keep-alive alone and against the full 8-client keep-alive + warmed-cache
-/// stack, asserting [`SCALING_GATE_RATIO`].
-fn run_scaling(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) -> ScalingBench {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load("adult", artifact.clone()).unwrap();
-    let entry = registry.get("adult").unwrap();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig { workers: 8, fit_threads: None, ..ServerConfig::default() },
-        Arc::clone(&registry),
-        Arc::new(BudgetLedger::in_memory()),
-    )
-    .unwrap();
-    let handle = server.spawn();
-    let addr = handle.addr();
-    let client = Client::new(addr.to_string());
-
-    // Byte-identity gates: for one fixed (model, seed, rows, format) the
-    // batch sampler, a fresh `Connection: close` stream, a first (cold)
-    // keep-alive stream, and a replayed (cached) keep-alive stream must all
-    // produce the same bytes — the throughput numbers below must never come
-    // from a diverging fast path.
-    let check_rows = 3_000.min(data.n());
-    let direct = entry
-        .sampler()
-        .unwrap()
-        .sample_dataset(check_rows, None, &mut StdRng::seed_from_u64(7))
-        .unwrap();
-    let mut expected = Vec::new();
-    write_csv(&direct, &mut expected).unwrap();
-    let check_path = format!("/models/adult/synth?rows={check_rows}&seed=7&format=csv");
-    // `Client::request` is always a fresh `Connection: close` exchange.
-    let closed = client.request("GET", &check_path, None).unwrap();
-    assert_eq!(closed.code, 200);
-    assert_eq!(closed.body, expected, "close-connection stream must match the batch path");
-    // `Client::synth` rides the pooled keep-alive path: first cold, then
-    // replayed from the row-block cache.
-    let cold = client.synth("adult", check_rows, 7, "csv").unwrap();
-    assert_eq!(cold.as_bytes(), &expected[..], "cold keep-alive stream must match the batch path");
-    let cached = client.synth("adult", check_rows, 7, "csv").unwrap();
-    assert_eq!(cached.as_bytes(), &expected[..], "cached replay must match the batch path");
-    let warmup_hits =
-        client.metrics().unwrap().value("privbayes_rowblock_cache_hits_total", &[]).unwrap_or(0.0);
-    assert!(warmup_hits > 0.0, "the replay must actually have come from the row-block cache");
-
-    let rows_per_request = if cfg.quick { 2_000 } else { 8_000 };
-    let requests = if cfg.quick { 4 } else { 8 };
-    let hot_seed = 7_777u64;
-    // Warm the cache for the hot scenario.
-    let warm = client.synth("adult", rows_per_request, hot_seed, "csv").unwrap();
-    assert_eq!(warm.lines().count(), rows_per_request + 1);
-
-    let mut buf = vec![0u8; 64 * 1024];
-    // PR 3-era baseline: one client, a fresh connection per request, a
-    // unique seed per request so every stream is sampled and formatted cold.
-    let start = Instant::now();
-    for r in 0..requests {
-        let seed = 100_000 + r as u64;
-        let path = format!("/models/adult/synth?rows={rows_per_request}&seed={seed}&format=csv");
-        let mut stream = raw_connect(addr);
-        let n = raw_get(&mut stream, &mut buf, &path, false);
-        assert!(n > rows_per_request, "a streamed response is at least a byte per row");
-    }
-    let cold_close = (requests * rows_per_request) as f64 / start.elapsed().as_secs_f64();
-
-    // Keep-alive alone: same single client and cold seeds, one connection.
-    let start = Instant::now();
-    {
-        let mut stream = raw_connect(addr);
-        for r in 0..requests {
-            let seed = 200_000 + r as u64;
-            let path =
-                format!("/models/adult/synth?rows={rows_per_request}&seed={seed}&format=csv");
-            let n = raw_get(&mut stream, &mut buf, &path, true);
-            assert!(n > rows_per_request);
-        }
-    }
-    let keepalive_cold = (requests * rows_per_request) as f64 / start.elapsed().as_secs_f64();
-
-    // The full stack: 8 keep-alive clients replaying the warmed stream.
-    let hot_clients = 8usize;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..hot_clients {
-            scope.spawn(|| {
-                let mut buf = vec![0u8; 64 * 1024];
-                let mut stream = raw_connect(addr);
-                let path = format!(
-                    "/models/adult/synth?rows={rows_per_request}&seed={hot_seed}&format=csv"
-                );
-                for _ in 0..requests {
-                    let n = raw_get(&mut stream, &mut buf, &path, true);
-                    assert!(n > rows_per_request);
-                }
-            });
-        }
-    });
-    let hot8 = (hot_clients * requests * rows_per_request) as f64 / start.elapsed().as_secs_f64();
-
-    let snapshot = client.metrics().unwrap();
-    let cache_hits = snapshot.value("privbayes_rowblock_cache_hits_total", &[]).unwrap_or(0.0);
-    let connections_reused =
-        snapshot.value("privbayes_connections_reused_total", &[]).unwrap_or(0.0);
-    assert!(connections_reused > 0.0, "keep-alive requests must count as reused connections");
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-
-    let scaling_ratio = hot8 / cold_close;
-    let keepalive_ratio = keepalive_cold / cold_close;
-    assert!(
-        scaling_ratio >= SCALING_GATE_RATIO,
-        "8 keep-alive clients on the warmed cache must beat the one-client cold baseline \
-         {SCALING_GATE_RATIO}x; got {scaling_ratio:.2}x ({hot8:.0} vs {cold_close:.0} rows/s)"
-    );
-    ScalingBench {
-        rows_per_request,
-        requests_per_client: requests,
-        cold_close_rows_per_sec: cold_close,
-        keepalive_cold_rows_per_sec: keepalive_cold,
-        hot8_rows_per_sec: hot8,
-        scaling_ratio,
-        keepalive_ratio,
-        cache_hits,
-        connections_reused,
-    }
-}
-
 struct IngestBench {
     rows: usize,
     batches: usize,
@@ -1037,7 +827,6 @@ fn main() {
     let overload = run_overload(&cfg, &adult_artifact);
     let query = run_query(&cfg);
     let obs = run_observability(&cfg, &adult_artifact);
-    let scaling = run_scaling(&cfg, &adult_data, &adult_artifact);
     let ingest = run_ingestion(&cfg, &adult_data);
 
     for w in &workloads {
@@ -1095,25 +884,6 @@ fn main() {
         "  hot-path cost           counter {:.1} ns | histogram {:.1} ns | overhead {:.5}% of \
          {:.1} ms mean (gate {OBS_OVERHEAD_GATE_PERCENT}%)",
         obs.counter_inc_ns, obs.histogram_observe_ns, obs.overhead_percent, obs.mean_request_ms,
-    );
-
-    println!(
-        "== scaling ({} rows/req x {} req/client) ==",
-        scaling.rows_per_request, scaling.requests_per_client
-    );
-    println!(
-        "  1 client cold+close {:>9.0} rows/s | 1 client keep-alive {:>9.0} rows/s ({:.2}x)",
-        scaling.cold_close_rows_per_sec,
-        scaling.keepalive_cold_rows_per_sec,
-        scaling.keepalive_ratio,
-    );
-    println!(
-        "  8 clients keep-alive + cache {:>9.0} rows/s | {:.2}x cold baseline \
-         (gate {SCALING_GATE_RATIO}x) | {} cache hits | {} conns reused",
-        scaling.hot8_rows_per_sec,
-        scaling.scaling_ratio,
-        scaling.cache_hits,
-        scaling.connections_reused,
     );
 
     println!(
@@ -1248,35 +1018,6 @@ fn main() {
     );
     let path = out_path("BENCH_PR8.json");
     std::fs::write(&path, obs_json).expect("write BENCH_PR8.json");
-    println!("wrote {}", path.display());
-
-    let scaling_json = format!(
-        concat!(
-            "{{\n  \"pr\": 9,\n  {},\n",
-            "  \"scaling\": {{\"rows_per_request\": {}, \"requests_per_client\": {}, ",
-            "\"hot_clients\": 8, ",
-            "\"cold_close_rows_per_sec\": {:.0}, \"keepalive_cold_rows_per_sec\": {:.0}, ",
-            "\"hot8_keepalive_cached_rows_per_sec\": {:.0}, ",
-            "\"keepalive_ratio\": {:.2}, \"scaling_ratio\": {:.2}, ",
-            "\"gate_ratio\": {}, \"pass\": true}},\n",
-            "  \"cache\": {{\"hits\": {:.0}, \"connections_reused\": {:.0}}},\n",
-            "  \"byte_identity\": ",
-            "\"close == keepalive == cached replay == batch sample_dataset\"\n}}\n"
-        ),
-        env_json(&cfg, 8),
-        scaling.rows_per_request,
-        scaling.requests_per_client,
-        scaling.cold_close_rows_per_sec,
-        scaling.keepalive_cold_rows_per_sec,
-        scaling.hot8_rows_per_sec,
-        scaling.keepalive_ratio,
-        scaling.scaling_ratio,
-        SCALING_GATE_RATIO,
-        scaling.cache_hits,
-        scaling.connections_reused,
-    );
-    let path = out_path("BENCH_PR9.json");
-    std::fs::write(&path, scaling_json).expect("write BENCH_PR9.json");
     println!("wrote {}", path.display());
 
     let ingest_json = format!(

@@ -30,6 +30,8 @@ use privbayes_dp::geometric::sample_two_sided_geometric;
 use privbayes_dp::laplace::sample_laplace;
 use privbayes_dp::stats::sample_discrete;
 use privbayes_marginals::{clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable};
+use privbayes_model::Json;
+use privbayes_synth::RowFormat;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
 
@@ -763,6 +765,53 @@ pub fn reference_theta_projection(
     }
     let axes: Vec<Axis> = attrs.iter().map(|&a| Axis::raw(a)).collect();
     ContingencyTable::from_parts(axes, out_dims, values)
+}
+
+/// Reference row renderer: the per-cell `RowFormat::render` that predates
+/// the pre-rendered `RowRenderer` — one `Domain::label` string per cell for
+/// CSV, one `Json` object per row for JSONL. `tests/query_api.rs` asserts
+/// the served renderer's bytes equal this oracle's.
+///
+/// # Panics
+/// Panics if a tuple is narrower than the projection or holds a code
+/// outside its attribute's domain.
+#[must_use]
+pub fn reference_render(
+    format: RowFormat,
+    schema: &Schema,
+    projection: Option<&[usize]>,
+    rows: &[Vec<u32>],
+) -> String {
+    let attrs: Vec<usize> = match projection {
+        Some(keep) => keep.to_vec(),
+        None => (0..schema.len()).collect(),
+    };
+    let mut out = String::new();
+    for tuple in rows {
+        match format {
+            RowFormat::Csv => {
+                for (slot, &attr) in attrs.iter().enumerate() {
+                    if slot > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&schema.attribute(attr).domain().label(tuple[slot]));
+                }
+            }
+            RowFormat::Jsonl => {
+                let fields: Vec<(String, Json)> = attrs
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &attr)| {
+                        let a = schema.attribute(attr);
+                        (a.name().to_string(), Json::String(a.domain().label(tuple[slot])))
+                    })
+                    .collect();
+                out.push_str(&Json::Object(fields).to_string_compact().expect("labels are finite"));
+            }
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use privbayes_model::{
 use privbayes_obs::Span;
 use privbayes_server::{BudgetLedger, ModelRegistry, RefitPolicy, Server, ServerConfig};
 use privbayes_synth::{
-    fit_method, Cursor, FitSettings, MarginalQuery, Method, RowFormat, SynthSpec,
+    fit_method, Cursor, FitSettings, MarginalQuery, Method, RowFormat, RowRenderer, SynthSpec,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -104,7 +104,6 @@ commands:
            [--read-deadline-ms N=30000] [--write-deadline-ms N=30000]
            [--handler-deadline-ms N=120000] [--queue-depth N=64]
            [--keepalive-requests N=1000] [--idle-deadline-ms N=5000]
-           [--cache-bytes N=67108864]
            [--access-log PATH] [--metrics on|off=on]
            [--data-dir DIR] [--refit-rows N] [--refit-staleness-ms N]
            Run the synthesis service: model registry, per-tenant privacy
@@ -116,12 +115,11 @@ commands:
            pending connections, with overflow answered 503 + Retry-After.
            Connections are kept alive for up to --keepalive-requests
            requests each, idle ones closed after --idle-deadline-ms.
-           --cache-bytes budgets the preformatted row-block cache (0
-           disables it); --ledger-stripes sets the tenant-ledger lock
-           stripe count. --access-log appends one JSON line per request;
-           --metrics off disables the GET /metrics Prometheus exposition
-           (counters still run and back GET /healthz). --data-dir journals
-           ingested per-tenant datasets there (crash-durable, recovered on
+           --ledger-stripes sets the tenant-ledger lock stripe count.
+           --access-log appends one JSON line per request; --metrics off
+           disables the GET /metrics Prometheus exposition (counters still
+           run and back GET /healthz). --data-dir journals ingested
+           per-tenant datasets there (crash-durable, recovered on
            restart); --refit-rows / --refit-staleness-ms enable background
            refits once a tenant has that many pending rows, or any pending
            rows that old — each refit debits the tenant's ε like POST /fit
@@ -387,14 +385,15 @@ fn synth(args: &ParsedArgs) -> Result<String, CliError> {
     let stream = sampler.stream_spec(&resolved.sample_spec(rows), &mut rng)?;
     let schema = sampler.schema();
     let projection = resolved.projection.as_deref();
-    let mut text = String::new();
+    let renderer = RowRenderer::new(resolved.format, schema, projection);
+    let mut text = Vec::new();
     if resolved.start_row == 0 {
-        text.push_str(&resolved.format.header(schema, projection));
+        text.extend_from_slice(resolved.format.header(schema, projection).as_bytes());
     }
     let mut yielded = 0usize;
     for chunk in stream {
         yielded += chunk.len();
-        text.push_str(&resolved.format.render(schema, projection, &chunk));
+        renderer.render_into(&chunk, &mut text);
     }
     span.mark("sample");
     fs::write(out, text).map_err(|e| CliError::Io { path: out.into(), message: e.to_string() })?;
@@ -679,7 +678,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         "queue-depth",
         "keepalive-requests",
         "idle-deadline-ms",
-        "cache-bytes",
         "access-log",
         "metrics",
         "data-dir",
@@ -760,7 +758,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
             n
         },
         idle_deadline: deadline("idle-deadline-ms", defaults.idle_deadline)?,
-        cache_bytes: args.parse_or("cache-bytes", defaults.cache_bytes)?,
         metrics_enabled,
         access_log: args.optional("access-log").map(std::path::PathBuf::from),
         data_dir: args.optional("data-dir").map(std::path::PathBuf::from),

@@ -237,7 +237,7 @@ impl Json {
     /// duplicate object keys, nesting beyond [`MAX_DEPTH`], or trailing
     /// non-whitespace.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -254,7 +254,10 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted, escaped JSON string literal: the one
+/// escaper behind every document this module writes, and behind the
+/// pre-rendered JSONL fragments of the synthesis row renderer.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -275,6 +278,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -399,6 +403,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next `"`, `\` or control
+            // byte in one step. The delimiters are ASCII, so the run ends on
+            // a char boundary of the input and slicing there cannot panic.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -426,17 +439,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -618,6 +621,31 @@ mod tests {
     #[test]
     fn rejects_unescaped_control_characters() {
         assert!(Json::parse("\"a\nb\"").is_err());
+        let e = Json::parse("{\"a\":\n  \"xy\u{1}z\"}").unwrap_err();
+        assert!(e.message.contains("control character"), "{e}");
+        assert_eq!((e.line, e.col), (2, 6), "{e}");
+    }
+
+    #[test]
+    fn multi_byte_characters_decode_inside_strings() {
+        // 2-, 3- and 4-byte UTF-8 sequences, alone and between plain bytes.
+        for s in ["é", "€", "😀", "aé", "€b", "a😀b", "é€😀"] {
+            let doc = format!("\"{s}\"");
+            assert_eq!(Json::parse(&doc).unwrap(), Json::String(s.into()), "{doc}");
+        }
+    }
+
+    #[test]
+    fn escapes_next_to_multi_byte_characters() {
+        let doc = r#""é\n€\"😀\\é😀x\t""#;
+        assert_eq!(Json::parse(doc).unwrap(), Json::String("é\n€\"😀\\é😀x\t".into()));
+    }
+
+    #[test]
+    fn long_multi_byte_string_round_trips() {
+        let s = "é€😀 \"q\" \\ \n".repeat(20_000);
+        let doc = Json::String(s.clone()).to_string_compact().unwrap();
+        assert_eq!(Json::parse(&doc).unwrap(), Json::String(s));
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //! the batch `sample_synthetic` path for the same seed — regardless of how
 //! many requests are in flight, which worker serves the connection, how
 //! many workers the server runs, whether the connection is fresh or
-//! reused, whether the chunks were replayed from the preformatted
-//! [`RowBlockCache`] or sampled cold, or whether the model was evicted and
-//! reloaded in between. The registry and ledger never participate in row
+//! reused, or whether the model was evicted and reloaded in between. The registry and ledger never participate in row
 //! generation; they only decide *whether* a request runs.
 //!
 //! [`CompiledSampler`]: privbayes::CompiledSampler
@@ -68,7 +66,6 @@
 //! handle.join().unwrap();
 //! ```
 
-pub mod cache;
 pub mod client;
 pub mod error;
 #[cfg(any(test, feature = "fault-injection"))]
@@ -81,7 +78,6 @@ pub mod registry;
 pub mod server;
 pub mod stream;
 
-pub use cache::{BlockKey, CacheMetrics, RowBlockCache};
 pub use client::{Client, RetryPolicy};
 pub use error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]

@@ -60,12 +60,6 @@ pub struct ServerMetrics {
     pub(crate) alias_build_seconds: Arc<Histogram>,
     /// Requests served over an already-used (kept-alive) connection.
     pub(crate) connections_reused: Arc<Counter>,
-    /// Row-block cache hits (chunks served as preformatted bytes).
-    pub(crate) rowblock_cache_hits: Arc<Counter>,
-    /// Row-block cache misses (chunks sampled and formatted on demand).
-    pub(crate) rowblock_cache_misses: Arc<Counter>,
-    /// Bytes evicted from the row-block cache to stay under its budget.
-    pub(crate) rowblock_cache_evicted_bytes: Arc<Counter>,
     events: EventLog,
     access_log: Option<Mutex<File>>,
     id_base: u64,
@@ -185,18 +179,6 @@ impl ServerMetrics {
             "privbayes_connections_reused_total",
             "Requests served over an already-used (kept-alive) connection",
         );
-        let rowblock_cache_hits = describe_counter(
-            "privbayes_rowblock_cache_hits_total",
-            "Stream chunks served from the preformatted row-block cache",
-        );
-        let rowblock_cache_misses = describe_counter(
-            "privbayes_rowblock_cache_misses_total",
-            "Stream chunks sampled and formatted on demand (cache miss or bypass)",
-        );
-        let rowblock_cache_evicted_bytes = describe_counter(
-            "privbayes_rowblock_cache_evicted_bytes_total",
-            "Bytes evicted from the row-block cache to stay under its budget",
-        );
         registry.describe(
             "privbayes_ledger_stripe_contention_total",
             MetricKind::Counter,
@@ -221,9 +203,6 @@ impl ServerMetrics {
             fit_seconds,
             alias_build_seconds,
             connections_reused,
-            rowblock_cache_hits,
-            rowblock_cache_misses,
-            rowblock_cache_evicted_bytes,
             events: EventLog::new(EVENT_RING),
             access_log: access_log.map(Mutex::new),
             id_base: mix64(seed),
@@ -455,9 +434,6 @@ mod tests {
             "privbayes_rows_streamed_total",
             "privbayes_bytes_streamed_total",
             "privbayes_connections_reused_total",
-            "privbayes_rowblock_cache_hits_total",
-            "privbayes_rowblock_cache_misses_total",
-            "privbayes_rowblock_cache_evicted_bytes_total",
         ] {
             assert!(snapshot.has(name), "missing {name} in:\n{text}");
         }

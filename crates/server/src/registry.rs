@@ -51,8 +51,8 @@ pub fn validate_id(id: &str) -> Result<(), ServerError> {
     Ok(())
 }
 
-/// Stamps every loaded entry with a process-unique generation, so caches
-/// keyed on it can never confuse a reloaded model with its predecessor
+/// Stamps every loaded entry with a process-unique generation, so a cursor
+/// pinned to it can never confuse a reloaded model with its predecessor
 /// (even when both carried the same id).
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 

@@ -59,12 +59,9 @@
 //! one HTTP chunk — so a fixed request is **byte-identical** no matter how
 //! many other streams are in flight, which worker serves it, whether the
 //! connection is fresh or reused, or how often the model was evicted and
-//! reloaded in between. Unconditioned, unprojected streams are additionally
-//! served through the [`RowBlockCache`]: formatted chunks are keyed by
-//! `(model generation, seed, format, chunk index, rows)` and replayed as a
-//! memcpy on repeat — the bytes are identical by construction, and the
-//! generation key means a reloaded model can never replay its predecessor's
-//! blocks. The legacy `GET` route desugars to a `SynthSpec` with no
+//! reloaded in between. Each stream pre-renders its cell labels once
+//! ([`RowRenderer`]) and renders every chunk into one reused buffer. The
+//! legacy `GET` route desugars to a `SynthSpec` with no
 //! evidence, no projection, and no cursor, whose bytes are the pre-v1 bytes
 //! exactly; a cursor-resumed stream yields exactly the suffix of its
 //! uninterrupted counterpart. Shutdown closes the accept loop first, then
@@ -73,10 +70,11 @@
 //!
 //! [`SynthSpec`]: privbayes_synth::SynthSpec
 //! [`MarginalQuery`]: privbayes_synth::MarginalQuery
+//! [`RowRenderer`]: privbayes_synth::RowRenderer
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -84,17 +82,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
-use privbayes::CHUNK_ROWS;
 use privbayes_data::csv::read_csv;
 use privbayes_model::{schema_from_json, Json, ReleasedModel};
 use privbayes_synth::{
     fit_method, fit_method_with_engine, Cursor, EngineStats, FitSettings, MarginalQuery, Method,
-    ResolvedSynth, SpecError, SynthSpec,
+    ResolvedSynth, RowRenderer, SpecError, SynthSpec,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::cache::{BlockKey, CacheMetrics, RowBlockCache};
 use crate::error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::{Fault, FaultPlan, FaultSite, FaultStream};
@@ -150,10 +146,6 @@ pub struct ServerConfig {
     /// before the server closes it. Idle connections are parked, not
     /// pinned — this bounds parked-state lifetime, not worker time.
     pub idle_deadline: Duration,
-    /// Byte budget for the preformatted row-block cache ([`RowBlockCache`]).
-    /// `0` disables caching; every stream then samples and formats from
-    /// scratch.
-    pub cache_bytes: usize,
     /// Whether `GET /metrics` is served (the registry itself always runs —
     /// `/healthz` and [`ServerHandle::stats`] read it regardless).
     pub metrics_enabled: bool,
@@ -182,7 +174,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             max_conn_requests: 1000,
             idle_deadline: Duration::from_secs(5),
-            cache_bytes: 64 << 20,
             metrics_enabled: true,
             access_log: None,
             data_dir: None,
@@ -227,7 +218,6 @@ struct Shared {
     addr: SocketAddr,
     shutdown: AtomicBool,
     metrics: Arc<ServerMetrics>,
-    cache: RowBlockCache,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: FaultSlot,
 }
@@ -284,14 +274,6 @@ impl Server {
                 })
                 .collect(),
         }));
-        let cache = RowBlockCache::new(
-            config.cache_bytes,
-            CacheMetrics {
-                hits: Arc::clone(&metrics.rowblock_cache_hits),
-                misses: Arc::clone(&metrics.rowblock_cache_misses),
-                evicted_bytes: Arc::clone(&metrics.rowblock_cache_evicted_bytes),
-            },
-        );
         // The dataset store recovers every journaled tenant before the
         // first request is accepted, so a post-restart append lands on the
         // full recovered history.
@@ -307,7 +289,6 @@ impl Server {
             addr,
             shutdown: AtomicBool::new(false),
             metrics,
-            cache,
             #[cfg(any(test, feature = "fault-injection"))]
             fault: Arc::new(RwLock::new(None)),
         });
@@ -384,6 +365,10 @@ impl Server {
                 }
             })
         });
+        // Rejected connections linger on their own thread, so a slow peer
+        // never stalls the acceptor.
+        let (linger_tx, linger_rx) = mpsc::channel::<TcpStream>();
+        let lingerer = std::thread::spawn(move || linger_loop(&linger_rx));
         let mut next_worker = 0usize;
         loop {
             let (stream, _) = match self.listener.accept() {
@@ -430,11 +415,13 @@ impl Server {
             }
             match pending {
                 None => {}
-                Some(stream) if any_alive => reject_overloaded(&shared, stream),
+                Some(stream) if any_alive => reject_overloaded(&shared, stream, &linger_tx),
                 Some(_) => break, // every worker queue is gone: bail
             }
         }
         drop(senders);
+        drop(linger_tx);
+        let _ = lingerer.join();
         if let Some(handle) = janitor {
             let _ = handle.join();
         }
@@ -769,18 +756,24 @@ impl Drop for RespawnGuard {
 }
 
 /// Answers an over-capacity connection from the acceptor thread: an
-/// immediate 503 with `Retry-After`, without reading the request — the
+/// immediate 503 with `Retry-After`, without parsing the request — the
 /// whole point is to spend no worker time on it. The rejection still goes
 /// through the normal instrumentation path, so overload shows up in the
 /// request counters and the access log (under `endpoint="acceptor"`), not
 /// just in `queue_rejected`.
-fn reject_overloaded(shared: &Shared, stream: TcpStream) {
+///
+/// The close lingers: after the response the write side is shut down and
+/// the socket goes to [`linger_loop`], which discards the request bytes
+/// until the peer closes. Closing with unread bytes would make the kernel
+/// reset the connection, and the reset can destroy the 503 before the
+/// client reads it.
+fn reject_overloaded(shared: &Shared, stream: TcpStream, linger: &mpsc::Sender<TcpStream>) {
     let metrics = &shared.metrics;
     metrics.queue_rejected.inc();
     let ctx = RequestCtx::new(metrics, metrics.request_id(None));
     ctx.endpoint.set("acceptor");
     let _ = stream.set_write_timeout(Some(shared.config.write_deadline));
-    let mut writer = TrackedWriter::new(BufWriter::new(stream));
+    let mut writer = TrackedWriter::new(BufWriter::new(&stream));
     let body = Json::object(vec![
         ("error", Json::String("overloaded".into())),
         ("message", Json::String("pending-connection queue is full; retry shortly".into())),
@@ -796,6 +789,51 @@ fn reject_overloaded(shared: &Shared, stream: TcpStream) {
         text.as_bytes(),
     );
     metrics.finish_request(&ctx, "-", "-", writer.request_bytes());
+    drop(writer);
+    if stream.shutdown(Shutdown::Write).is_ok() {
+        let _ = linger.send(stream);
+    }
+}
+
+/// How long a rejected connection is drained before it is closed anyway.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Connections lingering at once; past this a rejected connection is closed
+/// without draining, so a flood of rejections cannot exhaust descriptors.
+const MAX_LINGERING: usize = 256;
+
+/// Drains rejected connections: reads and discards until each peer closes
+/// or its [`LINGER`] deadline passes, then drops the socket. Returns once
+/// the acceptor has hung up and nothing lingers.
+fn linger_loop(rx: &mpsc::Receiver<TcpStream>) {
+    let mut lingering: Vec<(TcpStream, Instant)> = Vec::new();
+    let mut sink = vec![0u8; 64 * 1024];
+    loop {
+        // Block for work only when nothing lingers.
+        let first = if lingering.is_empty() {
+            match rx.recv() {
+                Ok(stream) => Some(stream),
+                Err(_) => return,
+            }
+        } else {
+            None
+        };
+        for stream in first.into_iter().chain(rx.try_iter()) {
+            if lingering.len() < MAX_LINGERING && stream.set_nonblocking(true).is_ok() {
+                lingering.push((stream, Instant::now() + LINGER));
+            }
+        }
+        let now = Instant::now();
+        lingering.retain_mut(|(stream, until)| match stream.read(&mut sink) {
+            Ok(0) => false,
+            Ok(_) => now < *until,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => now < *until,
+            Err(_) => false,
+        });
+        if !lingering.is_empty() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
 }
 
 /// A writer that counts response bytes per request on a persistent
@@ -1210,7 +1248,7 @@ fn stream_synth<W: Write>(
         Err(e) => return respond_error(out, ctx, 500, "internal", &e.to_string()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let stream = match sampler.stream_spec(&resolved.sample_spec(rows), &mut rng) {
+    let mut stream = match sampler.stream_spec(&resolved.sample_spec(rows), &mut rng) {
         Ok(stream) => stream,
         Err(e) => return respond_error(out, ctx, 400, "invalid-spec", &e.to_string()),
     };
@@ -1289,110 +1327,32 @@ fn stream_synth<W: Write>(
         bytes_out += header.len() as u64;
         chunked.write(header.as_bytes())?;
     }
+    // One renderer and one buffer serve every chunk of the stream.
+    let renderer = RowRenderer::new(resolved.format, schema, projection);
+    let mut rendered = Vec::new();
     write_time += write_started.elapsed();
-    // Unconditioned, unprojected, from-the-start streams are pure functions
-    // of `(model generation, seed, format, rows)` chunk by chunk, so they
-    // route through the row-block cache: each chunk is either replayed from
-    // cache or sampled, formatted, and published for the next request.
-    // Everything else (evidence, projection, cursor resume) streams cold.
-    let cacheable = shared.cache.enabled()
-        && resolved.evidence.is_empty()
-        && resolved.projection.is_none()
-        && resolved.start_row == 0;
-    if cacheable {
-        // Chunks are absolute-aligned and per-chunk seeded, so a segment
-        // stream started at any chunk boundary yields exactly the chunks
-        // of the full stream — cache hits and misses interleave freely
-        // without changing a byte.
-        let mut segment = Some(stream);
-        let mut next_row = 0usize;
-        while next_row < rows {
-            // Deadline at chunk boundaries: once the response has started
-            // the only honest way to stop is to truncate the chunked
-            // stream (no terminating chunk), which the client decodes as
-            // an interrupted transfer and may resume via the cursor.
-            if Instant::now() >= deadline {
-                finalize(sample_time, write_time, rows_out, bytes_out);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "handler deadline expired mid-stream",
-                ));
-            }
-            let chunk_rows = CHUNK_ROWS.min(rows - next_row);
-            let key = BlockKey {
-                generation: entry.generation,
-                seed,
-                format: resolved.format,
-                chunk_index: next_row / CHUNK_ROWS,
-                rows: chunk_rows,
-            };
-            if let Some(block) = shared.cache.get(&key) {
-                // The sampler position is now stale; rebuild on next miss.
-                segment = None;
-                let write_started = Instant::now();
-                rows_out += chunk_rows as u64;
-                bytes_out += block.len() as u64;
-                chunked.write(block.as_bytes())?;
-                write_time += write_started.elapsed();
-            } else {
-                let sample_started = Instant::now();
-                if segment.is_none() {
-                    let seg = ResolvedSynth {
-                        rows: resolved.rows,
-                        seed: resolved.seed,
-                        format: resolved.format,
-                        projection: None,
-                        evidence: Vec::new(),
-                        start_row: next_row,
-                        generation: resolved.generation,
-                    };
-                    let mut seg_rng = StdRng::seed_from_u64(seed);
-                    match sampler.stream_spec(&seg.sample_spec(rows), &mut seg_rng) {
-                        Ok(s) => segment = Some(s),
-                        Err(e) => {
-                            // The spec already validated once; mid-response
-                            // there is no clean error channel left, so fail
-                            // like a deadline overrun: truncate.
-                            finalize(sample_time, write_time, rows_out, bytes_out);
-                            return Err(std::io::Error::other(e.to_string()));
-                        }
-                    }
-                }
-                let Some(chunk) = segment.as_mut().expect("created above").next() else { break };
-                sample_time += sample_started.elapsed();
-                let write_started = Instant::now();
-                let rendered = resolved.format.render(schema, projection, &chunk);
-                rows_out += chunk.len() as u64;
-                bytes_out += rendered.len() as u64;
-                let block: Arc<str> = Arc::from(rendered);
-                shared.cache.insert(key, Arc::clone(&block));
-                chunked.write(block.as_bytes())?;
-                write_time += write_started.elapsed();
-            }
-            next_row += chunk_rows;
+    loop {
+        let sample_started = Instant::now();
+        let Some(chunk) = stream.next() else { break };
+        sample_time += sample_started.elapsed();
+        // The deadline is checked at chunk boundaries. Once the response has
+        // started the only honest way to stop is to truncate the chunked
+        // stream (no terminating chunk), which the client decodes as an
+        // interrupted transfer and may resume via the cursor.
+        if Instant::now() >= deadline {
+            finalize(sample_time, write_time, rows_out, bytes_out);
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "handler deadline expired mid-stream",
+            ));
         }
-    } else {
-        let mut stream = stream;
-        loop {
-            let sample_started = Instant::now();
-            let Some(chunk) = stream.next() else { break };
-            sample_time += sample_started.elapsed();
-            // Same truncation contract as above: the deadline is checked
-            // at chunk boundaries only.
-            if Instant::now() >= deadline {
-                finalize(sample_time, write_time, rows_out, bytes_out);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "handler deadline expired mid-stream",
-                ));
-            }
-            let write_started = Instant::now();
-            let rendered = resolved.format.render(schema, projection, &chunk);
-            rows_out += chunk.len() as u64;
-            bytes_out += rendered.len() as u64;
-            chunked.write(rendered.as_bytes())?;
-            write_time += write_started.elapsed();
-        }
+        let write_started = Instant::now();
+        rendered.clear();
+        renderer.render_into(&chunk, &mut rendered);
+        rows_out += chunk.len() as u64;
+        bytes_out += rendered.len() as u64;
+        chunked.write(&rendered)?;
+        write_time += write_started.elapsed();
     }
     let write_started = Instant::now();
     let result = chunked.finish();

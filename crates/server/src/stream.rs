@@ -1,11 +1,15 @@
 //! Row rendering for streamed synthesis responses.
 //!
 //! The synthesis endpoints deliver rows in the sampler's 1024-row chunk
-//! scheme ([`privbayes::CHUNK_ROWS`]); each chunk is rendered to text and
-//! written as one HTTP chunk. The renderer itself — [`RowFormat`] — lives in
-//! `privbayes_synth::spec` alongside the request specs (this module
-//! re-exports it): the format is part of the typed request surface, shared
-//! by the server, the bundled client, and the CLI.
+//! scheme ([`privbayes::CHUNK_ROWS`]); each chunk is rendered into one
+//! buffer the stream reuses and written as one HTTP chunk. The format —
+//! [`RowFormat`] — and its renderer — [`privbayes_synth::RowRenderer`] —
+//! live in `privbayes_synth::spec` alongside the request specs (this module
+//! re-exports the format): the format is part of the typed request
+//! surface, shared by the server, the bundled client, and the CLI. A stream
+//! builds its renderer once, before its first row: every label its
+//! projected columns can take is rendered up front, so a row costs one
+//! slice copy per cell.
 //!
 //! CSV output is byte-compatible with `privbayes_data::csv::write_csv`
 //! restricted to the projected columns — the header line plus one

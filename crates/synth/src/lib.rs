@@ -62,7 +62,8 @@ pub use methods::MwemOptions;
 // [`FittedArtifact::stats`] without a direct `privbayes-marginals` edge.
 pub use privbayes_marginals::EngineStats;
 pub use spec::{
-    AttrRef, Cursor, MarginalQuery, ResolvedSynth, RowFormat, SpecError, SynthSpec, ValueRef,
+    AttrRef, Cursor, MarginalQuery, ResolvedSynth, RowFormat, RowRenderer, SpecError, SynthSpec,
+    ValueRef,
 };
 
 /// The synthesis methods the suite can fit and serve.

@@ -304,6 +304,13 @@ impl RowFormat {
     /// projected attributes (full schema width when `projection` is
     /// `None`). CSV output is byte-compatible with
     /// `privbayes_data::csv::write_csv` restricted to those columns.
+    ///
+    /// Builds a [`RowRenderer`] per call; a stream that renders many chunks
+    /// builds one and reuses it.
+    ///
+    /// # Panics
+    /// Panics if a tuple is narrower than the projection or holds a code
+    /// outside its attribute's domain.
     #[must_use]
     pub fn render(
         self,
@@ -311,35 +318,99 @@ impl RowFormat {
         projection: Option<&[usize]>,
         rows: &[Vec<u32>],
     ) -> String {
-        let attrs: Vec<usize> = projected_attrs(schema, projection).collect();
-        let mut out = String::new();
-        for tuple in rows {
-            match self {
-                RowFormat::Csv => {
-                    for (slot, &attr) in attrs.iter().enumerate() {
-                        if slot > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&schema.attribute(attr).domain().label(tuple[slot]));
+        let mut out = Vec::new();
+        RowRenderer::new(self, schema, projection).render_into(rows, &mut out);
+        String::from_utf8(out).expect("fragments are whole UTF-8 strings")
+    }
+}
+
+/// A row renderer for one `(format, schema, projection)`: every cell a
+/// projected column can hold is rendered once, up front, so rendering a row
+/// appends one pre-rendered slice per cell.
+///
+/// A CSV cell is its label, after a `,` for every column but the first. A
+/// JSONL cell is its `"name":"label"` member, after a `,` for every column
+/// but the first, escaped by the artifact writer
+/// ([`privbayes_model::json::write_escaped`]); each JSONL row is wrapped in
+/// `{` … `}`. Unlabelled domains render the `v{code}` labels of
+/// [`privbayes_data::Domain::label`].
+#[derive(Debug)]
+pub struct RowRenderer {
+    /// Bytes that open every row (`{` for JSONL).
+    open: &'static [u8],
+    /// Bytes that close every row (`}\n` for JSONL, `\n` for CSV).
+    close: &'static [u8],
+    /// Every cell fragment of every projected column, back to back.
+    fragments: Vec<u8>,
+    /// Per projected column, the offset in `fragments` where each code's
+    /// fragment starts, plus one final end offset.
+    starts: Vec<Vec<usize>>,
+}
+
+impl RowRenderer {
+    /// Pre-renders the cells of the projected attributes (every attribute
+    /// in schema order when `projection` is `None`).
+    #[must_use]
+    pub fn new(format: RowFormat, schema: &Schema, projection: Option<&[usize]>) -> Self {
+        use std::fmt::Write as _;
+        let mut fragments = String::new();
+        let mut starts = Vec::new();
+        let mut label = String::new();
+        for (slot, attr) in projected_attrs(schema, projection).enumerate() {
+            let attribute = schema.attribute(attr);
+            let domain = attribute.domain();
+            let mut member = String::new();
+            if format == RowFormat::Jsonl {
+                privbayes_model::json::write_escaped(attribute.name(), &mut member);
+                member.push(':');
+            }
+            let mut column = Vec::with_capacity(domain.size() + 1);
+            for code in domain.codes() {
+                column.push(fragments.len());
+                if slot > 0 {
+                    fragments.push(',');
+                }
+                let text = match domain.labels() {
+                    Some(labels) => labels[code as usize].as_str(),
+                    None => {
+                        label.clear();
+                        write!(label, "v{code}").expect("writing to a String cannot fail");
+                        label.as_str()
+                    }
+                };
+                match format {
+                    RowFormat::Csv => fragments.push_str(text),
+                    RowFormat::Jsonl => {
+                        fragments.push_str(&member);
+                        privbayes_model::json::write_escaped(text, &mut fragments);
                     }
                 }
-                RowFormat::Jsonl => {
-                    let fields: Vec<(String, Json)> = attrs
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &attr)| {
-                            let a = schema.attribute(attr);
-                            (a.name().to_string(), Json::String(a.domain().label(tuple[slot])))
-                        })
-                        .collect();
-                    out.push_str(
-                        &Json::Object(fields).to_string_compact().expect("labels are finite"),
-                    );
-                }
             }
-            out.push('\n');
+            column.push(fragments.len());
+            starts.push(column);
         }
-        out
+        let (open, close): (&[u8], &[u8]) = match format {
+            RowFormat::Csv => (b"", b"\n"),
+            RowFormat::Jsonl => (b"{", b"}\n"),
+        };
+        Self { open, close, fragments: fragments.into_bytes(), starts }
+    }
+
+    /// Appends the rendering of `rows` — tuples whose columns are the
+    /// projected attributes, in projection order — to `out`.
+    ///
+    /// # Panics
+    /// Panics if a tuple is narrower than the projection or holds a code
+    /// outside its attribute's domain.
+    pub fn render_into(&self, rows: &[Vec<u32>], out: &mut Vec<u8>) {
+        for tuple in rows {
+            out.extend_from_slice(self.open);
+            for (column, &code) in self.starts.iter().zip(&tuple[..self.starts.len()]) {
+                let code = code as usize;
+                out.extend_from_slice(&self.fragments[column[code]..column[code + 1]]);
+            }
+            out.extend_from_slice(self.close);
+        }
     }
 }
 

@@ -366,16 +366,46 @@ fn read_all(stream: &mut TcpStream) -> String {
     text
 }
 
+/// Writes `request` to a fresh connection, then reads the whole answer. A
+/// reset at any point fails the caller's assertion with the I/O error.
+fn exchange_over_capacity(addr: std::net::SocketAddr, request: &[u8]) -> Result<String, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(request).map_err(|e| format!("write: {e}"))?;
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).map_err(|e| format!("read: {e}"))?;
+    String::from_utf8(bytes).map_err(|e| format!("utf-8: {e}"))
+}
+
+/// Checks that `text` is one complete 503 with `Retry-After: 1`: the body
+/// is exactly as long as its `Content-Length` says.
+fn assert_complete_503(text: &str) {
+    assert!(text.starts_with("HTTP/1.1 503"), "overflow must be rejected: {text}");
+    assert!(text.contains("Retry-After: 1\r\n"), "503 must carry a retry hint: {text}");
+    let (head, body) = text.split_once("\r\n\r\n").expect("a complete head");
+    let length: usize = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .expect("a Content-Length header")
+        .parse()
+        .unwrap();
+    assert_eq!(body.len(), length, "the whole body must arrive: {text}");
+    assert!(body.contains("overloaded"), "{text}");
+}
+
 /// With one worker and a one-slot queue, connections beyond capacity get an
 /// immediate 503 with `Retry-After` from the acceptor — not an unbounded
 /// queue, not a hang — and the server serves normally once load drops.
+/// Over-capacity clients that send a whole request before reading, with or
+/// without a body, still read the complete 503: the acceptor drains what
+/// they sent instead of resetting the connection.
 #[test]
 fn overload_answers_503_with_retry_after_instead_of_queueing() {
     let config = ServerConfig {
         workers: 1,
         fit_threads: Some(1),
         queue_depth: 1,
-        read_deadline: Duration::from_secs(2),
+        read_deadline: Duration::from_secs(20),
         ..ServerConfig::default()
     };
     let (handle, client, _slot) = start_server(config);
@@ -392,10 +422,20 @@ fn overload_answers_503_with_retry_after_instead_of_queueing() {
     for _ in 0..2 {
         let mut over = TcpStream::connect(addr).unwrap();
         over.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let text = read_all(&mut over);
-        assert!(text.starts_with("HTTP/1.1 503"), "overflow must be rejected: {text}");
-        assert!(text.contains("Retry-After: 1"), "503 must carry a retry hint: {text}");
-        assert!(text.contains("overloaded"), "{text}");
+        assert_complete_503(&read_all(&mut over));
+    }
+    // Clients that write a whole request first: a bare head, then a head
+    // with a 64 KiB body.
+    let head_only = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_vec();
+    let mut with_body = b"POST /fit HTTP/1.1\r\nHost: x\r\nContent-Length: 65536\r\n\r\n".to_vec();
+    with_body.resize(with_body.len() + 65_536, b'x');
+    for (kind, request) in [("head only", &head_only), ("64 KiB body", &with_body)] {
+        for i in 0..25 {
+            match exchange_over_capacity(addr, request) {
+                Ok(text) => assert_complete_503(&text),
+                Err(e) => panic!("{kind} client {i} must read the 503, got {e}"),
+            }
+        }
     }
 
     // Release capacity; the reaped/freed worker serves normally again.
@@ -408,7 +448,7 @@ fn overload_answers_503_with_retry_after_instead_of_queueing() {
     let client = Client::new(addr.to_string());
     client.shutdown().unwrap();
     let stats = handle.join().unwrap();
-    assert!(stats.queue_rejected >= 2, "rejections must be counted: {stats:?}");
+    assert!(stats.queue_rejected >= 52, "rejections must be counted: {stats:?}");
 }
 
 /// A peer that sends half a request line and stalls is answered 408 when

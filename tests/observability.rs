@@ -7,9 +7,9 @@
 //!    (v0.0.4) listing every family, with the correct content type and the
 //!    per-tenant ε gauges mirroring the ledger.
 //! 2. **Exact deltas** — N requests move the request counter by exactly N;
-//!    row and byte counters equal what was actually streamed; the scaling
-//!    counters (connection reuse, row-block cache hits/misses/evictions)
-//!    move exactly with a known keep-alive workload.
+//!    row and byte counters equal what was actually streamed; the
+//!    connection-reuse counter moves exactly with a known keep-alive
+//!    workload.
 //! 3. **Coherence under load** — scrapes taken *during* a storm parse and
 //!    stay monotone; the post-storm totals are exact.
 //! 4. **Request ids** — every response shape (200/400/402/404/405/408/500/
@@ -198,9 +198,6 @@ fn the_exposition_is_conformant_and_lists_every_family() {
         "privbayes_engine_scans_total",
         "privbayes_engine_bytes_materialized_total",
         "privbayes_connections_reused_total",
-        "privbayes_rowblock_cache_hits_total",
-        "privbayes_rowblock_cache_misses_total",
-        "privbayes_rowblock_cache_evicted_bytes_total",
         "privbayes_ledger_stripe_contention_total",
         "privbayes_tenant_epsilon_spent",
         "privbayes_tenant_epsilon_remaining",
@@ -218,7 +215,6 @@ fn the_exposition_is_conformant_and_lists_every_family() {
     assert_eq!(snapshot.types["privbayes_model_generation"], "gauge");
     assert_eq!(snapshot.types["privbayes_request_seconds"], "histogram");
     assert_eq!(snapshot.types["privbayes_connections_reused_total"], "counter");
-    assert_eq!(snapshot.types["privbayes_rowblock_cache_hits_total"], "counter");
 
     // Histograms follow the bucket/sum/count convention with an +Inf bucket.
     assert!(text.contains("privbayes_request_seconds_bucket"), "{text}");
@@ -308,52 +304,36 @@ fn counter_deltas_match_a_known_workload_exactly() {
     handle.join().unwrap();
 }
 
-/// The scaling-tier counters are exact, not merely monotone. One pooled
+/// The connection-reuse counter is exact, not merely monotone. One pooled
 /// client issues five sequential requests on a single kept-alive
 /// connection: every request after the first counts exactly one
 /// `privbayes_connections_reused_total` (the reuse is counted when the
-/// request is *read*, so a scrape includes its own); a cold two-chunk
-/// synth records exactly one row-block cache miss per chunk and zero
-/// hits; replaying the identical synth turns each miss into exactly one
-/// hit while the body stays byte-identical and nothing is evicted.
+/// request is *read*, so a scrape includes its own), and a repeated
+/// two-chunk synth on the reused connection returns the same bytes.
 #[test]
-fn connection_reuse_and_rowblock_cache_counters_are_exact() {
+fn connection_reuse_counters_are_exact() {
     let (handle, client, _registry, _slot) =
         start_server(ServerConfig { workers: 2, fit_threads: Some(1), ..ServerConfig::default() });
 
     // Request 1 parks the pooled connection; everything below rides it.
     let before = client.metrics().unwrap();
     assert_eq!(counter(&before, "privbayes_connections_reused_total", &[]), 0.0);
-    assert_eq!(counter(&before, "privbayes_rowblock_cache_hits_total", &[]), 0.0);
-    assert_eq!(counter(&before, "privbayes_rowblock_cache_misses_total", &[]), 0.0);
 
-    // Request 2: a cold synth spanning a full chunk plus a remainder.
+    // Request 2: a synth spanning a full chunk plus a remainder.
     let rows = privbayes_suite::core::CHUNK_ROWS + 123;
-    let cold = client.synth("m", rows, 31, "csv").unwrap();
-    assert_eq!(cold.lines().count(), rows + 1);
+    let first = client.synth("m", rows, 31, "csv").unwrap();
+    assert_eq!(first.lines().count(), rows + 1);
 
-    // Request 3: the scrape sees one miss per block and no hits yet.
+    // Request 3: the scrape counts requests 2 and 3 as reuses.
     let mid = client.metrics().unwrap();
-    assert_eq!(counter(&mid, "privbayes_rowblock_cache_hits_total", &[]), 0.0);
-    assert_eq!(
-        counter(&mid, "privbayes_rowblock_cache_misses_total", &[]),
-        2.0,
-        "a cold two-chunk stream must record exactly one miss per block"
-    );
+    assert_eq!(counter(&mid, "privbayes_connections_reused_total", &[]), 2.0);
 
-    // Request 4: the identical synth replays from cache, byte-identical.
-    let warm = client.synth("m", rows, 31, "csv").unwrap();
-    assert_eq!(warm, cold, "a cache replay must not change a single byte");
+    // Request 4: the identical synth, byte-identical.
+    let again = client.synth("m", rows, 31, "csv").unwrap();
+    assert_eq!(again, first, "a repeated stream must not change a single byte");
 
-    // Request 5: each block hit exactly once; misses and evictions frozen.
+    // Request 5.
     let after = client.metrics().unwrap();
-    assert_eq!(
-        counter(&after, "privbayes_rowblock_cache_hits_total", &[]),
-        2.0,
-        "the replay must hit exactly once per block"
-    );
-    assert_eq!(counter(&after, "privbayes_rowblock_cache_misses_total", &[]), 2.0);
-    assert_eq!(counter(&after, "privbayes_rowblock_cache_evicted_bytes_total", &[]), 0.0);
     assert_eq!(
         counter(&after, "privbayes_connections_reused_total", &[]),
         4.0,

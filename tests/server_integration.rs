@@ -6,9 +6,9 @@
 //! 2. **Ledger** — budget exhaustion returns the structured 402 exactly at
 //!    the ε boundary, and a rejected request mutates nothing.
 //! 3. **Registry** — eviction under load never drops an in-flight request.
-//! 4. **Keep-alive** — back-to-back requests on one connection (the second
-//!    a row-block cache replay of the first) are each completely framed and
-//!    byte-identical to the batch path; `Connection: close` stays honored.
+//! 4. **Keep-alive** — back-to-back streams on one connection are each
+//!    completely framed and byte-identical to the batch path;
+//!    `Connection: close` stays honored.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -284,41 +284,49 @@ fn read_chunked_response(stream: &mut TcpStream) -> (String, String) {
     (head, body)
 }
 
-/// Two requests on one kept-alive connection — the first sampled cold, the
-/// second replayed from the row-block cache — are each a complete,
-/// correctly framed `Connection: keep-alive` response whose dechunked body
-/// is byte-identical to the direct batch sampler; a `Connection: close`
-/// fetch of the same request still closes and carries the same bytes.
+/// Two cold streams on one kept-alive connection, each with its own seed,
+/// are each a complete, correctly framed `Connection: keep-alive` response
+/// whose dechunked body is byte-identical to the direct batch sampler; a
+/// `Connection: close` fetch of the same request still closes and carries
+/// the same bytes.
 #[test]
 fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
     let (handle, client, registry, _ledger) = start_server(2);
     let rows = privbayes_suite::core::CHUNK_ROWS + 201;
-    let seed = 13u64;
 
     let entry = registry.get("m").unwrap();
-    let direct = entry
-        .sampler()
-        .unwrap()
-        .sample_dataset(rows, None, &mut StdRng::seed_from_u64(seed))
-        .unwrap();
-    let mut expected = Vec::new();
-    write_csv(&direct, &mut expected).unwrap();
-    let expected = String::from_utf8(expected).unwrap();
+    let expected = |seed: u64| {
+        let direct = entry
+            .sampler()
+            .unwrap()
+            .sample_dataset(rows, None, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let mut bytes = Vec::new();
+        write_csv(&direct, &mut bytes).unwrap();
+        String::from_utf8(bytes).unwrap()
+    };
+    let path = |seed: u64| format!("/models/m/synth?rows={rows}&seed={seed}&format=csv");
 
-    let path = format!("/models/m/synth?rows={rows}&seed={seed}&format=csv");
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
-    for pass in ["cold", "cached"] {
+    for seed in [13u64, 14] {
+        let path = path(seed);
         write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n").unwrap();
         let (head, body) = read_chunked_response(&mut stream);
-        assert!(head.starts_with("HTTP/1.1 200"), "{pass}: {head}");
+        assert!(head.starts_with("HTTP/1.1 200"), "seed {seed}: {head}");
         assert!(
             head.to_ascii_lowercase().contains("connection: keep-alive"),
-            "a kept-alive response must say so ({pass}): {head}"
+            "a kept-alive response must say so (seed {seed}): {head}"
         );
-        assert_eq!(body, expected, "the {pass} keep-alive stream must equal the batch path");
+        assert_eq!(
+            body,
+            expected(seed),
+            "the seed-{seed} keep-alive stream must equal the batch path"
+        );
     }
     drop(stream);
+    let path = path(13);
+    let expected = expected(13);
 
     // `Connection: close` is still honored per request, bytes unchanged.
     let closed = client.request("GET", &path, None).unwrap();
