@@ -240,7 +240,7 @@ fn main() {
     }
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 8, fit_threads: None, ..ServerConfig::default() },
+        ServerConfig { fit_threads: None, ..ServerConfig::default() },
         Arc::clone(&registry),
         Arc::new(BudgetLedger::in_memory()),
     )
@@ -299,7 +299,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"pr\": 4,\n  \"quick\": {},\n  \"mode\": \"{}\",\n  \"reps\": {},\n  \
-         \"threads\": {},\n  \"available_parallelism\": {},\n  \"workers\": 8,\n  \
+         \"threads\": {},\n  \"available_parallelism\": {},\n  \"workers\": {},\n  \
          \"rows\": {},\n  \"attrs\": {},\n  \"workload\": {},\n  \
          \"equivalence\": \"all baselines bit-identical to scan references\",\n  \
          \"mwem\": {{\"scan_ms\": {:.2}, \"engine_ms\": {:.2}, \"speedup\": {:.2}, \"engine\": {}}},\n  \
@@ -309,6 +309,7 @@ fn main() {
         cfg.reps,
         threads,
         threads,
+        ServerConfig::default().workers,
         data.n(),
         data.d(),
         workload.len(),

@@ -253,7 +253,7 @@ fn run_serve(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) -> S
     let entry = registry.get("adult").unwrap();
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 8, fit_threads: None, ..ServerConfig::default() },
+        ServerConfig { fit_threads: None, ..ServerConfig::default() },
         Arc::clone(&registry),
         Arc::new(BudgetLedger::in_memory()),
     )
@@ -309,11 +309,10 @@ fn run_serve(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) -> S
     ServeBench { model_rows: data.n(), attrs: data.d(), points }
 }
 
-/// Measured behavior at 2× queue capacity (PR 7's hardened admission
-/// control): latency of the accepted requests and the 503 rejection rate.
+/// Measured behavior at 2× the connection cap: latency of the accepted
+/// requests and the 503 rejection rate.
 struct OverloadBench {
     workers: usize,
-    queue_depth: usize,
     clients: usize,
     requests: usize,
     ok: usize,
@@ -322,14 +321,14 @@ struct OverloadBench {
     p99_ms: f64,
 }
 
-/// Drives a deliberately small pool (2 workers, 4-deep queue) with twice
-/// its total capacity in concurrent clients, none of them retrying: the
-/// accepted requests must stream correctly (counted + latency-profiled) and
-/// every overflow connection must get an immediate 503 carrying a
-/// `Retry-After` hint — graceful degradation, not collapse.
+/// Drives a deliberately small connection cap (6) with twice that many
+/// concurrent clients, none of them retrying: the accepted requests must
+/// stream correctly (counted + latency-profiled) and every overflow
+/// connection must get an immediate 503 carrying a `Retry-After` hint —
+/// graceful degradation, not collapse.
 fn run_overload(cfg: &HarnessConfig, artifact: &ReleasedModel) -> OverloadBench {
-    let (workers, queue_depth) = (2usize, 4usize);
-    let clients = 2 * (workers + queue_depth);
+    let workers = 6usize;
+    let clients = 2 * workers;
     let requests_per_client = if cfg.quick { 2 } else { 4 };
     let rows_per_request = if cfg.quick { 2_000 } else { 8_000 };
 
@@ -337,7 +336,7 @@ fn run_overload(cfg: &HarnessConfig, artifact: &ReleasedModel) -> OverloadBench 
     registry.load("adult", artifact.clone()).unwrap();
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers, queue_depth, fit_threads: Some(1), ..ServerConfig::default() },
+        ServerConfig { workers, fit_threads: Some(1), ..ServerConfig::default() },
         registry,
         Arc::new(BudgetLedger::in_memory()),
     )
@@ -353,11 +352,16 @@ fn run_overload(cfg: &HarnessConfig, artifact: &ReleasedModel) -> OverloadBench 
                     let mut local = Vec::with_capacity(requests_per_client);
                     for r in 0..requests_per_client {
                         let seed = (c * requests_per_client + r) as u64;
-                        let path = format!(
-                            "/models/adult/synth?rows={rows_per_request}&seed={seed}&format=csv"
-                        );
+                        let spec = SynthSpec::new().with_rows(rows_per_request).with_seed(seed);
+                        let body = spec.to_json().to_string_compact().unwrap();
                         let start = Instant::now();
-                        let response = client.request("GET", &path, None).unwrap();
+                        let response = client
+                            .request(
+                                "POST",
+                                "/v1/models/adult/synth",
+                                Some(("application/json", body.as_bytes())),
+                            )
+                            .unwrap();
                         let ms = start.elapsed().as_secs_f64() * 1e3;
                         let has_retry_after = response.header("retry-after").is_some();
                         if response.code == 200 {
@@ -401,7 +405,6 @@ fn run_overload(cfg: &HarnessConfig, artifact: &ReleasedModel) -> OverloadBench 
     };
     OverloadBench {
         workers,
-        queue_depth,
         clients,
         requests: outcomes.len(),
         ok,
@@ -457,7 +460,7 @@ fn run_query(cfg: &HarnessConfig) -> QueryBench {
     registry.load("nltcs", artifact).unwrap();
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 4, fit_threads: None, ..ServerConfig::default() },
+        ServerConfig { fit_threads: None, ..ServerConfig::default() },
         Arc::clone(&registry),
         Arc::new(BudgetLedger::in_memory()),
     )
@@ -579,7 +582,7 @@ fn run_observability(cfg: &HarnessConfig, artifact: &ReleasedModel) -> ObsBench 
     registry.load("adult", artifact.clone()).unwrap();
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 8, fit_threads: None, ..ServerConfig::default() },
+        ServerConfig { fit_threads: None, ..ServerConfig::default() },
         registry,
         Arc::new(BudgetLedger::in_memory()),
     )
@@ -727,7 +730,7 @@ fn run_ingestion(cfg: &HarnessConfig, data: &Dataset) -> IngestBench {
     // alone; the refit cost is measured separately below.
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 4, data_dir: Some(dir.clone()), ..ServerConfig::default() },
+        ServerConfig { data_dir: Some(dir.clone()), ..ServerConfig::default() },
         Arc::new(ModelRegistry::new()),
         Arc::new(BudgetLedger::in_memory()),
     )
@@ -804,8 +807,8 @@ fn run_ingestion(cfg: &HarnessConfig, data: &Dataset) -> IngestBench {
 }
 
 /// The common environment stanza every BENCH_*.json carries: harness mode,
-/// the machine's available parallelism, and the server worker count the
-/// scenario ran with.
+/// the machine's available parallelism, and the server connection cap
+/// (`ServerConfig::workers`) the scenario ran with.
 fn env_json(cfg: &HarnessConfig, workers: usize) -> String {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     format!(
@@ -851,10 +854,7 @@ fn main() {
         );
     }
 
-    println!(
-        "== overload ({} workers, queue {}, {} clients) ==",
-        overload.workers, overload.queue_depth, overload.clients
-    );
+    println!("== overload (cap {} connections, {} clients) ==", overload.workers, overload.clients);
     println!(
         "  {} requests: {} ok, {} rejected 503 | accepted p50 {:>7.1} ms | p99 {:>7.1} ms",
         overload.requests, overload.ok, overload.rejected_503, overload.p50_ms, overload.p99_ms,
@@ -925,7 +925,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"pr\": 3,\n  {},\n  \"reps\": {},\n  \"threads\": {},\n  \"workloads\": [\n{}\n  ],\n  \"serve\": {{\n    \"model_rows\": {},\n    \"attrs\": {},\n    \"format\": \"csv\",\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
-        env_json(&cfg, 8),
+        env_json(&cfg, ServerConfig::default().workers),
         cfg.reps,
         threads,
         workload_json.join(",\n"),
@@ -955,7 +955,7 @@ fn main() {
             "  \"synth_throughput\": {{\"rows_per_request\": {}, ",
             "\"unconditional_rows_per_sec\": {:.0}, \"conditional_rows_per_sec\": {:.0}}}\n}}\n"
         ),
-        env_json(&cfg, 4),
+        env_json(&cfg, ServerConfig::default().workers),
         threads,
         query.marginal_requests,
         query.marginal_p50_ms,
@@ -971,14 +971,13 @@ fn main() {
     let overload_json = format!(
         concat!(
             "{{\n  \"pr\": 7,\n  {},\n  \"threads\": {},\n",
-            "  \"overload\": {{\"workers\": {}, \"queue_depth\": {}, \"clients\": {}, ",
+            "  \"overload\": {{\"workers\": {}, \"clients\": {}, ",
             "\"requests\": {}, \"ok\": {}, \"rejected_503\": {}, ",
             "\"accepted_p50_ms\": {:.2}, \"accepted_p99_ms\": {:.2}}}\n}}\n"
         ),
         env_json(&cfg, overload.workers),
         threads,
         overload.workers,
-        overload.queue_depth,
         overload.clients,
         overload.requests,
         overload.ok,
@@ -1001,7 +1000,7 @@ fn main() {
             "\"mean_request_ms\": {:.3}, \"overhead_percent\": {:.6}, ",
             "\"gate_percent\": {}, \"pass\": true}}\n}}\n"
         ),
-        env_json(&cfg, 8),
+        env_json(&cfg, ServerConfig::default().workers),
         threads,
         obs.clients,
         obs.requests,
@@ -1030,7 +1029,7 @@ fn main() {
             "  \"byte_identity\": ",
             "\"refit over appended engine == cold fit over concatenated data\"\n}}\n"
         ),
-        env_json(&cfg, 4),
+        env_json(&cfg, ServerConfig::default().workers),
         ingest.rows,
         ingest.batches,
         ingest.batch_rows,

@@ -96,26 +96,24 @@ commands:
   methods  List every synthesis method `fit --method` accepts, one line per
            method with a short description.
 
-  serve    [--addr A=127.0.0.1:0] [--workers N=4] [--threads N]
+  serve    [--addr A=127.0.0.1:0] [--workers N=64] [--threads N]
            [--max-rows N=10000000] [--ledger LEDGER.json]
-           [--ledger-stripes N=8]
            [--model MODEL.json [--model-id ID=default]]
            [--tenant NAME --budget F]
            [--read-deadline-ms N=30000] [--write-deadline-ms N=30000]
-           [--handler-deadline-ms N=120000] [--queue-depth N=64]
-           [--keepalive-requests N=1000] [--idle-deadline-ms N=5000]
+           [--handler-deadline-ms N=120000] [--idle-deadline-ms N=5000]
            [--access-log PATH] [--metrics on|off=on]
            [--data-dir DIR] [--refit-rows N] [--refit-staleness-ms N]
            Run the synthesis service: model registry, per-tenant privacy
            ledger (persisted at --ledger, crash-durable), and streaming
            synthesis endpoints. Prints the bound address, then blocks until
-           a client sends POST /shutdown. --threads bounds the worker
-           threads used inside fit requests. Peers slower than the
-           read/write deadlines are reaped with 408; --queue-depth bounds
-           pending connections, with overflow answered 503 + Retry-After.
-           Connections are kept alive for up to --keepalive-requests
-           requests each, idle ones closed after --idle-deadline-ms.
-           --ledger-stripes sets the tenant-ledger lock stripe count.
+           a client sends POST /shutdown. Each open connection is served
+           on its own thread; --workers caps the open connections (idle
+           kept-alive ones included), and a connection beyond the cap is
+           answered 503 + Retry-After. Idle connections are closed after
+           --idle-deadline-ms. --threads bounds the worker threads used
+           inside fit requests. Peers slower than the read/write deadlines
+           are reaped with 408.
            --access-log appends one JSON line per request; --metrics off
            disables the GET /metrics Prometheus exposition (counters still
            run and back GET /healthz). --data-dir journals ingested
@@ -667,7 +665,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         "threads",
         "max-rows",
         "ledger",
-        "ledger-stripes",
         "model",
         "model-id",
         "tenant",
@@ -675,8 +672,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         "read-deadline-ms",
         "write-deadline-ms",
         "handler-deadline-ms",
-        "queue-depth",
-        "keepalive-requests",
         "idle-deadline-ms",
         "access-log",
         "metrics",
@@ -696,13 +691,9 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         }
         (None, None) => {}
     }
-    let stripes = args.parse_or("ledger-stripes", privbayes_server::DEFAULT_LEDGER_STRIPES)?;
-    if stripes == 0 {
-        return Err(CliError::Usage("--ledger-stripes must be positive".into()));
-    }
     let ledger = match args.optional("ledger") {
-        Some(path) => BudgetLedger::with_persistence_striped(path, stripes)?,
-        None => BudgetLedger::in_memory_striped(stripes),
+        Some(path) => BudgetLedger::with_persistence(path)?,
+        None => BudgetLedger::in_memory(),
     };
     match (args.optional("tenant"), args.parse_opt::<f64>("budget")?) {
         (Some(tenant), Some(budget)) => {
@@ -749,14 +740,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         read_deadline: deadline("read-deadline-ms", defaults.read_deadline)?,
         write_deadline: deadline("write-deadline-ms", defaults.write_deadline)?,
         handler_deadline: deadline("handler-deadline-ms", defaults.handler_deadline)?,
-        queue_depth: args.parse_or("queue-depth", defaults.queue_depth)?,
-        max_conn_requests: {
-            let n = args.parse_or("keepalive-requests", defaults.max_conn_requests)?;
-            if n == 0 {
-                return Err(CliError::Usage("--keepalive-requests must be positive".into()));
-            }
-            n
-        },
         idle_deadline: deadline("idle-deadline-ms", defaults.idle_deadline)?,
         metrics_enabled,
         access_log: args.optional("access-log").map(std::path::PathBuf::from),
@@ -1136,6 +1119,11 @@ mod tests {
                 matches!(run_cli(&["serve", flag, "0"]), Err(CliError::Usage(_))),
                 "{flag}=0 must be rejected"
             );
+        }
+        // Flags the server no longer has are usage errors (exit code 2).
+        for flag in ["--queue-depth", "--keepalive-requests", "--ledger-stripes"] {
+            let e = run_cli(&["serve", flag, "4"]).unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)) && e.exit_code() == 2, "{flag}: {e}");
         }
         // A bad address is a server error (exit code 5), not a usage error.
         assert!(matches!(

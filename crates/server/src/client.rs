@@ -9,7 +9,7 @@
 //! the connection is pooled for the next request, so a request/response
 //! ping-pong pays one TCP handshake total instead of one per request. A
 //! pooled connection can always have gone stale behind our back (the
-//! server's idle deadline, its per-connection request cap, a crashed peer),
+//! server's idle deadline, a shutdown, a crashed peer),
 //! so a failure on a *reused* connection is retried once on a fresh
 //! connection before it counts as a real failure — this costs nothing
 //! semantically precisely because only idempotent requests ever reuse.
@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use privbayes_model::{Json, ReleasedModel};
 use privbayes_obs::Snapshot;
-use privbayes_synth::{Cursor, MarginalQuery, SynthSpec};
+use privbayes_synth::{Cursor, MarginalQuery, RowFormat, SynthSpec};
 
 use crate::error::ServerError;
 use crate::http::Response;
@@ -405,12 +405,14 @@ impl Client {
         Ok(())
     }
 
-    /// `GET /models/{id}/synth` — the full streamed body as text.
-    /// Idempotent (sampling a released model is deterministic, free
+    /// `POST /v1/models/{id}/synth` with the default spec for `rows`,
+    /// `seed` and `format` (`csv` or `jsonl`) — the full streamed body as
+    /// text. Idempotent (sampling a released model is deterministic, free
     /// post-processing), so retried under the policy.
     ///
     /// # Errors
-    /// Socket and status errors.
+    /// [`ServerError::Protocol`] for an unknown format; socket and status
+    /// errors.
     pub fn synth(
         &self,
         id: &str,
@@ -418,8 +420,10 @@ impl Client {
         seed: u64,
         format: &str,
     ) -> Result<String, ServerError> {
-        let path = format!("/models/{id}/synth?rows={rows}&seed={seed}&format={format}");
-        Ok(Self::expect_success(self.request_retrying("GET", &path, None, true)?)?.text())
+        let format =
+            RowFormat::parse(Some(format)).map_err(|e| ServerError::Protocol(e.to_string()))?;
+        let spec = SynthSpec::new().with_rows(rows).with_seed(seed).with_format(format);
+        Ok(self.synth_with(id, &spec)?.text())
     }
 
     /// `POST /v1/models/{id}/synth` with a typed [`SynthSpec`] — the v1

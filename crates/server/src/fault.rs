@@ -23,10 +23,10 @@
 //! * **Network pathology** on connection IO ([`Fault::Reset`],
 //!   [`Fault::ShortWrite`], [`Fault::DelayMs`]): the wrapped stream
 //!   ([`FaultStream`]) errors, truncates, or stalls — the server must
-//!   degrade per-connection, never per-worker.
+//!   degrade per-connection, never server-wide.
 //! * **Code defects** in handlers ([`Fault::Panic`]): a forced panic inside
-//!   request handling — the worker must isolate it, answer a structured
-//!   500 when possible, and keep serving.
+//!   request handling — the connection's thread must isolate it, answer a
+//!   structured 500 when possible, and free its slot.
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -228,7 +228,7 @@ pub fn reason(code: u16) -> &'static str {
 ///
 /// # Errors
 /// Propagates socket write failures.
-pub fn write_response<W: Write>(
+pub fn write_response<W: Write + ?Sized>(
     out: &mut W,
     code: u16,
     content_type: &str,
@@ -250,7 +250,10 @@ pub fn write_response<W: Write>(
     out.flush()
 }
 
-fn write_connection_header<W: Write>(out: &mut W, keep_alive: bool) -> std::io::Result<()> {
+fn write_connection_header<W: Write + ?Sized>(
+    out: &mut W,
+    keep_alive: bool,
+) -> std::io::Result<()> {
     if keep_alive {
         out.write_all(b"Connection: keep-alive\r\n\r\n")
     } else {

@@ -391,7 +391,7 @@ impl DatasetStore {
                     &state.refit,
                     state.fitted_rows,
                 );
-                if let Err(f) = self.persist(&Self::tenant_path(dir, tenant), &render(&inner)) {
+                if let Err(f) = self.persist(&Self::tenant_path(dir, tenant), &render(inner)) {
                     if !f.durable {
                         return Err(f.error);
                     }
@@ -469,7 +469,7 @@ impl DatasetStore {
                         &state.refit,
                         state.fitted_rows,
                     );
-                    let _ = self.persist(&Self::tenant_path(dir, tenant), &render(&inner));
+                    let _ = self.persist(&Self::tenant_path(dir, tenant), &render(inner));
                 }
             }
             None => state.pending_since = Some(Instant::now()),
@@ -661,13 +661,17 @@ fn dataset_json(
     ])
 }
 
-fn render(inner: &Json) -> String {
+/// Renders the journal file around `inner`, taking it by value: the tree
+/// holds a node per stored cell, so a copy would double each batch's
+/// transient memory.
+fn render(inner: Json) -> String {
     let canonical = inner.to_string_compact().expect("codes are finite");
     let crc = crc32(canonical.as_bytes());
+    drop(canonical);
     Json::object(vec![
         ("format", Json::String(DATASET_FORMAT.to_string())),
         ("crc", Json::String(format!("{crc:08x}"))),
-        ("dataset", inner.clone()),
+        ("dataset", inner),
     ])
     .to_string_pretty()
     .expect("codes are finite")

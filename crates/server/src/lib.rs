@@ -3,11 +3,9 @@
 //!
 //! The library crates fit, release, and sample models in-process; this crate
 //! turns them into a *system*: a std-only HTTP/1.1 service (no async
-//! runtime — a hand-rolled accept loop with persistent keep-alive
-//! connections and per-worker sharded queues on
-//! [`std::net::TcpListener`], in the same spirit as the scoped-thread
-//! parallelism in `privbayes`'s greedy learner and sampler) with three
-//! pieces:
+//! runtime — a hand-rolled accept loop on [`std::net::TcpListener`] that
+//! serves each persistent keep-alive connection on a thread of its own, up
+//! to a connection cap) with three pieces:
 //!
 //! * **Model registry** ([`ModelRegistry`]): released models are loaded
 //!   once, their alias-table [`CompiledSampler`]s compiled once, and shared
@@ -15,7 +13,8 @@
 //!   from the map without touching requests already streaming from it.
 //! * **Budget ledger** ([`BudgetLedger`]): one `privbayes-dp`
 //!   [`PrivacyBudget`] per tenant, debited atomically by fit requests and
-//!   persisted as JSON so accounting survives restarts bit-for-bit. An
+//!   persisted as checksummed JSON so accounting survives restarts
+//!   bit-for-bit. An
 //!   over-budget request is rejected with a structured `402` body and no
 //!   state change.
 //! * **Streaming synthesis**: `POST /v1/models/{id}/synth` takes a typed
@@ -23,8 +22,7 @@
 //!   cursor-resumable streams) and streams CSV or NDJSON rows with chunked
 //!   transfer encoding, one HTTP chunk per sampler chunk;
 //!   `POST /v1/models/{id}/query` answers [`MarginalQuery`]s exactly from
-//!   the released θ. The legacy `GET /models/{id}/synth` is kept as an
-//!   alias that desugars to a default spec with unchanged bytes.
+//!   the released θ.
 //!
 //! # The determinism contract
 //!
@@ -33,10 +31,11 @@
 //! ([`privbayes::CHUNK_ROWS`]), each chunk's RNG stream derived from
 //! `(seed, chunk index)` alone, so the streamed bytes are **identical** to
 //! the batch `sample_synthetic` path for the same seed — regardless of how
-//! many requests are in flight, which worker serves the connection, how
-//! many workers the server runs, whether the connection is fresh or
-//! reused, or whether the model was evicted and reloaded in between. The registry and ledger never participate in row
-//! generation; they only decide *whether* a request runs.
+//! many requests are in flight, how many connections the server admits,
+//! whether the connection is fresh or reused, or whether the model was
+//! evicted and reloaded in between. The registry and ledger never
+//! participate in row generation; they only decide *whether* a request
+//! runs.
 //!
 //! [`CompiledSampler`]: privbayes::CompiledSampler
 //! [`PrivacyBudget`]: privbayes_dp::PrivacyBudget
@@ -87,10 +86,7 @@ pub use ingest::{
     parse_batch, BatchFormat, DatasetStore, IngestReceipt, RefitJob, RefitPolicy, RefitSpec,
     TenantIngest, DATASET_FORMAT,
 };
-pub use ledger::{
-    BudgetLedger, LedgerError, LedgerObserver, TenantBudget, DEFAULT_LEDGER_STRIPES, LEDGER_FORMAT,
-    LEDGER_FORMAT_V2,
-};
+pub use ledger::{BudgetLedger, LedgerError, LedgerObserver, TenantBudget, LEDGER_FORMAT_V2};
 pub use metrics::{ServerMetrics, REQUEST_ID_HEADER};
 pub use registry::{GenerationLookup, ModelEntry, ModelRegistry, RETAINED_GENERATIONS};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

@@ -40,9 +40,10 @@ pub const STAGES: &[&str] = &["parse", "ledger", "lookup", "sample", "write"];
 #[derive(Debug)]
 pub struct ServerMetrics {
     registry: Registry,
-    /// Connections accepted but not yet claimed by a worker.
-    pub(crate) queue_depth: Arc<Gauge>,
-    /// Connections answered 503 by the acceptor because the queue was full.
+    /// Open connections, idle kept-alive ones included: the count the
+    /// admission cap checks.
+    pub(crate) open_connections: Arc<Gauge>,
+    /// Connections answered 503 by the acceptor because the cap was reached.
     pub(crate) queue_rejected: Arc<Counter>,
     /// Handler panics caught and isolated.
     pub(crate) panics: Arc<Counter>,
@@ -148,13 +149,13 @@ impl ServerMetrics {
             registry.describe(name, MetricKind::Histogram, help);
             registry.histogram(name, &[])
         };
-        let queue_depth = describe_gauge(
-            "privbayes_queue_depth",
-            "Connections accepted but not yet claimed by a worker",
+        let open_connections = describe_gauge(
+            "privbayes_open_connections",
+            "Open client connections, idle kept-alive ones included (the count the cap checks)",
         );
         let queue_rejected = describe_counter(
             "privbayes_queue_rejected_total",
-            "Connections answered 503 because the pending queue was full",
+            "Connections answered 503 because the connection cap was reached",
         );
         let panics =
             describe_counter("privbayes_worker_panics_total", "Handler panics caught and isolated");
@@ -179,11 +180,6 @@ impl ServerMetrics {
             "privbayes_connections_reused_total",
             "Requests served over an already-used (kept-alive) connection",
         );
-        registry.describe(
-            "privbayes_ledger_stripe_contention_total",
-            MetricKind::Counter,
-            "Ledger lock acquisitions that found their stripe already held, by stripe",
-        );
         // A process-stable base for generated request ids: wall-clock nanos
         // folded with the pid, SplitMix64-mixed so ids from two servers
         // started in the same nanosecond still differ.
@@ -193,7 +189,7 @@ impl ServerMetrics {
             ^ (u64::from(std::process::id()) << 32);
         Self {
             registry,
-            queue_depth,
+            open_connections,
             queue_rejected,
             panics,
             active_streams,
@@ -427,7 +423,7 @@ mod tests {
         let text = metrics.render(&[]);
         let snapshot = parse_text(&text).expect("fresh exposition parses");
         for name in [
-            "privbayes_queue_depth",
+            "privbayes_open_connections",
             "privbayes_queue_rejected_total",
             "privbayes_worker_panics_total",
             "privbayes_active_streams",
@@ -440,7 +436,6 @@ mod tests {
         for family in [
             "privbayes_requests_total",
             "privbayes_stage_seconds",
-            "privbayes_ledger_stripe_contention_total",
             "privbayes_tenant_epsilon_spent",
             "privbayes_tenant_epsilon_remaining",
             "privbayes_ingest_rows_total",

@@ -1,10 +1,11 @@
-//! The HTTP service: accept loop, worker pool, and route handlers.
+//! The HTTP service: accept loop, one thread per connection, and route
+//! handlers.
 //!
 //! # Endpoints
 //!
 //! | method & path | effect |
 //! |---|---|
-//! | `GET /healthz` | liveness + registry/ledger counts (live, from the metric registry) |
+//! | `GET /healthz` | liveness + registry/ledger/connection counts (live, from the metric registry) |
 //! | `GET /metrics` | Prometheus text exposition (v0.0.4) of every server metric |
 //! | `GET /models` | list loaded models |
 //! | `PUT /models/{id}` | load a release artifact (body: `privbayes-model/1` JSON) |
@@ -12,12 +13,16 @@
 //! | `DELETE /models/{id}` | evict from the registry |
 //! | `POST /v1/models/{id}/synth` | stream rows per a [`SynthSpec`] JSON body (evidence, projection, cursor resume) |
 //! | `POST /v1/models/{id}/query` | answer a [`MarginalQuery`] exactly from the released θ |
-//! | `GET /models/{id}/synth?rows=N&seed=S&format=csv\|jsonl` | legacy alias: desugars to a default spec |
+//! | `GET /v1/models/{id}/generations` | the retained generation chain, newest first |
+//! | `POST /v1/tenants/{id}/ingest` | append a batch to the tenant's journaled dataset |
 //! | `POST /fit` | fit + register a model, debiting the tenant's ε |
 //! | `GET /tenants` | ledger snapshot |
 //! | `PUT /tenants/{id}?budget=E` | register a tenant |
 //! | `GET /tenants/{id}` | one tenant's budget |
 //! | `POST /shutdown` | drain in-flight requests and stop |
+//!
+//! In code the table is `ROUTES`: one list that yields both the handler and
+//! the endpoint label a request is counted under.
 //!
 //! Every response — fixed, chunked, success, or error — carries a
 //! `Content-Type`, an `X-PrivBayes-Api: v1` header, and an
@@ -41,44 +46,40 @@
 //!
 //! # Concurrency and determinism
 //!
-//! One acceptor thread round-robins accepted sockets (with `TCP_NODELAY`
-//! set) across per-worker bounded queues — workers never contend on a
-//! shared receiver lock. Connections are **persistent**: each worker runs a
-//! keep-alive loop per connection, serving requests until the client asks
-//! `Connection: close`, the per-connection request cap
-//! ([`ServerConfig::max_conn_requests`]) is reached, the idle deadline
-//! expires, or the response failed mid-write (a truncated chunked stream
-//! must be followed by a close, so the client sees the interruption). An
-//! idle kept-alive connection is *parked*, not pinned: the worker polls
-//! parked connections between new ones, so a quiet client never starves
-//! the queue.
+//! One acceptor thread admits each accepted socket (with `TCP_NODELAY`
+//! set) while fewer than [`ServerConfig::workers`] connections are open,
+//! and serves it on a thread of its own; beyond the cap it answers 503 with
+//! `Retry-After`. Connections are **persistent**: a connection's thread
+//! serves requests until the client asks `Connection: close`, the response
+//! failed mid-write (a truncated chunked stream must be followed by a
+//! close, so the client sees the interruption), or the connection sits idle
+//! past [`ServerConfig::idle_deadline`] — between requests the thread
+//! blocks on the socket for at most that long. Idle connections count
+//! toward the cap.
 //!
 //! A synthesis response is computed entirely from `(model, seed, spec)` —
 //! the per-request RNG is seeded from the request, rows are generated in
 //! the sampler's fixed 1024-row chunk scheme, and each chunk is written as
 //! one HTTP chunk — so a fixed request is **byte-identical** no matter how
-//! many other streams are in flight, which worker serves it, whether the
-//! connection is fresh or reused, or how often the model was evicted and
-//! reloaded in between. Each stream pre-renders its cell labels once
-//! ([`RowRenderer`]) and renders every chunk into one reused buffer. The
-//! legacy `GET` route desugars to a `SynthSpec` with no
-//! evidence, no projection, and no cursor, whose bytes are the pre-v1 bytes
-//! exactly; a cursor-resumed stream yields exactly the suffix of its
-//! uninterrupted counterpart. Shutdown closes the accept loop first, then
-//! lets every queued and in-flight request complete (idle parked
-//! connections are simply closed).
+//! many other streams are in flight, whether the connection is fresh or
+//! reused, or how often the model was evicted and reloaded in between. Each
+//! stream pre-renders its cell labels once ([`RowRenderer`]) and renders
+//! every chunk into one reused buffer. A cursor-resumed stream yields
+//! exactly the suffix of its uninterrupted counterpart. Shutdown stops
+//! accepting, lets every in-flight request complete, and closes idle
+//! connections at once.
 //!
 //! [`SynthSpec`]: privbayes_synth::SynthSpec
 //! [`MarginalQuery`]: privbayes_synth::MarginalQuery
 //! [`RowRenderer`]: privbayes_synth::RowRenderer
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
@@ -99,7 +100,6 @@ use crate::ingest::{parse_batch, BatchFormat, DatasetStore, RefitJob, RefitPolic
 use crate::ledger::{BudgetLedger, LedgerError, LedgerObserver, TenantBudget};
 use crate::metrics::{RequestCtx, ServerMetrics, REQUEST_ID_HEADER};
 use crate::registry::{GenerationLookup, ModelEntry, ModelRegistry};
-use crate::stream::RowFormat;
 #[cfg(any(test, feature = "fault-injection"))]
 use std::sync::RwLock;
 
@@ -113,38 +113,29 @@ pub type FaultSlot = Arc<RwLock<Option<Arc<FaultPlan>>>>;
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Request-handler threads (the accept loop runs on the caller's
-    /// thread). Minimum 1.
+    /// Connections open at once, idle kept-alive ones included. Each open
+    /// connection is served by a thread of its own (the accept loop runs on
+    /// the caller's thread); a connection beyond the cap is answered 503 +
+    /// `Retry-After` by the acceptor. Minimum 1.
     pub workers: usize,
     /// Worker threads used *inside* a fit request (candidate scoring and
     /// synthesis); `None` uses [`std::thread::available_parallelism`].
     pub fit_threads: Option<usize>,
     /// Upper bound on `rows` per synthesis request; larger requests get a
-    /// structured 400. Bounds how long one request can pin a worker.
+    /// structured 400. Bounds how long one request can hold its connection.
     pub max_rows: usize,
-    /// How long a worker waits for request bytes before answering 408 — a
-    /// slow-loris peer is reaped instead of pinning the worker.
+    /// How long a connection waits for request bytes before answering 408
+    /// — a slow-loris peer is reaped instead of holding its slot.
     pub read_deadline: Duration,
     /// Socket write timeout: a peer that stops draining its response frees
-    /// the worker after this long.
+    /// its slot after this long.
     pub write_deadline: Duration,
     /// Budget for handler work after the request is read. Checked between
     /// stream chunks (an overrunning stream is truncated) and before
     /// starting a fit.
     pub handler_deadline: Duration,
-    /// Bound on connections accepted but not yet claimed by a worker
-    /// (split evenly across the per-worker queues). Overflow is answered
-    /// immediately with 503 + `Retry-After` — graceful degradation instead
-    /// of unbounded queueing. Minimum 1.
-    pub queue_depth: usize,
-    /// Requests served per kept-alive connection before the server closes
-    /// it (`Connection: close` on the final response). Bounds how long one
-    /// client can monopolise connection state. Minimum 1 (every response
-    /// closes).
-    pub max_conn_requests: usize,
     /// How long a kept-alive connection may sit idle between requests
-    /// before the server closes it. Idle connections are parked, not
-    /// pinned — this bounds parked-state lifetime, not worker time.
+    /// before the server closes it. An idle connection keeps its slot.
     pub idle_deadline: Duration,
     /// Whether `GET /metrics` is served (the registry itself always runs —
     /// `/healthz` and [`ServerHandle::stats`] read it regardless).
@@ -165,14 +156,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: 4,
+            workers: 64,
             fit_threads: None,
             max_rows: 10_000_000,
             read_deadline: Duration::from_secs(30),
             write_deadline: Duration::from_secs(30),
             handler_deadline: Duration::from_secs(120),
-            queue_depth: 64,
-            max_conn_requests: 1000,
             idle_deadline: Duration::from_secs(5),
             metrics_enabled: true,
             access_log: None,
@@ -194,7 +183,8 @@ pub struct ServerStats {
     /// Handler panics caught and isolated (each also answered 500 when the
     /// response had not started). Zero in a healthy server.
     pub panics: u64,
-    /// Connections rejected with 503 because the pending queue was full.
+    /// Connections rejected with 503 because `workers` connections were
+    /// already open.
     pub queue_rejected: u64,
 }
 
@@ -209,7 +199,7 @@ impl ServerStats {
     }
 }
 
-/// Shared state visible to every worker.
+/// Shared state visible to every connection thread.
 struct Shared {
     registry: Arc<ModelRegistry>,
     ledger: Arc<BudgetLedger>,
@@ -218,8 +208,91 @@ struct Shared {
     addr: SocketAddr,
     shutdown: AtomicBool,
     metrics: Arc<ServerMetrics>,
+    /// The open connections: what admission counts and shutdown closes.
+    connections: Mutex<Connections>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: FaultSlot,
+}
+
+/// The open-connection table, keyed by slot id.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    open: HashMap<u64, OpenConnection>,
+}
+
+/// One open connection as admission and shutdown see it.
+struct OpenConnection {
+    /// A handle on the socket, so shutdown can close the connection while
+    /// its thread waits between requests.
+    socket: TcpStream,
+    /// Whether the thread is waiting between requests.
+    idle: bool,
+}
+
+impl Shared {
+    /// The connection table. Every update to it is a single insert, remove
+    /// or flag store, so the table is valid even after a panic elsewhere
+    /// poisoned the lock, and the guard is recovered.
+    fn connections(&self) -> MutexGuard<'_, Connections> {
+        self.connections.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Closes every idle connection; busy ones close after their request.
+    /// Runs after the shutdown flag is set, so no connection goes idle
+    /// afterwards (see [`Slot::set_idle`]).
+    fn close_idle_connections(&self) {
+        for connection in self.connections().open.values().filter(|c| c.idle) {
+            let _ = connection.socket.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// A connection's claim on one of the [`ServerConfig::workers`] slots.
+/// Dropping it — also while its thread unwinds — frees the slot.
+struct Slot<'s> {
+    shared: &'s Shared,
+    id: u64,
+}
+
+impl<'s> Slot<'s> {
+    /// Claims a slot for `stream`; `None` when the cap is reached.
+    fn claim(shared: &'s Shared, stream: &TcpStream) -> Option<Self> {
+        let socket = stream.try_clone().ok()?;
+        let mut connections = shared.connections();
+        if connections.open.len() >= shared.config.workers.max(1) {
+            return None;
+        }
+        let id = connections.next_id;
+        connections.next_id += 1;
+        connections.open.insert(id, OpenConnection { socket, idle: false });
+        shared.metrics.open_connections.set(connections.open.len() as i64);
+        Some(Self { shared, id })
+    }
+
+    /// Marks the connection idle (waiting between requests) or busy.
+    /// Returns false once the server is shutting down: the connection then
+    /// closes instead of waiting or serving. The flag is read under the
+    /// table lock, which orders it against [`Shared::close_idle_connections`].
+    fn set_idle(&self, idle: bool) -> bool {
+        let mut connections = self.shared.connections();
+        if let Some(connection) = connections.open.get_mut(&self.id) {
+            connection.idle = idle;
+        }
+        !self.shared.shutdown.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // A panic escaped the per-request `catch_unwind`.
+            self.shared.metrics.panics.inc();
+        }
+        let mut connections = self.shared.connections();
+        connections.open.remove(&self.id);
+        self.shared.metrics.open_connections.set(connections.open.len() as i64);
+    }
 }
 
 /// A bound-but-not-yet-running synthesis service.
@@ -265,14 +338,6 @@ impl Server {
             durable_failure: metrics
                 .registry()
                 .counter("privbayes_ledger_persist_total", &[("outcome", "durable_failure")]),
-            stripe_contention: (0..ledger.stripe_count())
-                .map(|i| {
-                    metrics.registry().counter(
-                        "privbayes_ledger_stripe_contention_total",
-                        &[("stripe", &i.to_string())],
-                    )
-                })
-                .collect(),
         }));
         // The dataset store recovers every journaled tenant before the
         // first request is accepted, so a post-restart append lands on the
@@ -289,6 +354,7 @@ impl Server {
             addr,
             shutdown: AtomicBool::new(false),
             metrics,
+            connections: Mutex::new(Connections::default()),
             #[cfg(any(test, feature = "fault-injection"))]
             fault: Arc::new(RwLock::new(None)),
         });
@@ -325,117 +391,79 @@ impl Server {
         Arc::clone(&self.shared.fault)
     }
 
-    /// Serves until a `POST /shutdown` request arrives, then drains every
-    /// queued and in-flight request and returns. Blocks the calling thread;
-    /// use [`Server::spawn`] to run in the background.
+    /// Serves until a `POST /shutdown` request arrives, then lets every
+    /// in-flight request finish, closes idle connections, and returns.
+    /// Blocks the calling thread; use [`Server::spawn`] to run in the
+    /// background.
     ///
     /// # Errors
     /// Returns [`ServerError::Io`] if the accept loop fails fatally.
+    ///
+    /// # Panics
+    /// Re-raises, once every thread has stopped, a panic that escaped a
+    /// connection's per-request isolation (a bug in this crate).
     pub fn run(self) -> Result<ServerStats, ServerError> {
-        let shared = self.shared;
-        let workers = shared.config.workers.max(1);
-        let queue_depth = shared.config.queue_depth.max(1);
-        // Bounded *per-worker* queues are the admission-control valve: the
-        // total capacity stays `queue_depth`, but each worker drains its
-        // own channel, so claiming a connection never contends on a shared
-        // receiver lock. When every queue is full the acceptor answers 503
-        // instead of queueing without limit.
-        let per_worker = queue_depth.div_ceil(workers).max(1);
-        let handles = Arc::new(Mutex::new(Vec::new()));
-        let mut senders = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<TcpStream>(per_worker);
-            senders.push(tx);
-            spawn_worker(&shared, &Arc::new(Mutex::new(rx)), &handles);
-        }
-        // The refit janitor: polls the dataset store for tenants the policy
-        // says are due and runs each refit with the same ledger discipline
-        // as `POST /fit` (charge first, refund on failure). It runs beside
-        // the workers so a long fit never blocks request serving; the store
-        // single-flights per tenant, so at most one refit per tenant is in
-        // flight regardless of poll cadence.
-        let janitor = shared.config.refit.is_enabled().then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    for job in shared.store.due_refits(&shared.config.refit) {
-                        run_refit(&shared, &job);
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            })
-        });
+        let shared = &*self.shared;
         // Rejected connections linger on their own thread, so a slow peer
         // never stalls the acceptor.
         let (linger_tx, linger_rx) = mpsc::channel::<TcpStream>();
-        let lingerer = std::thread::spawn(move || linger_loop(&linger_rx));
-        let mut next_worker = 0usize;
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-                Err(_) => {
-                    // Transient accept failure (e.g. fd exhaustion):
-                    // back off briefly instead of hot-looping; the
-                    // condition clears as in-flight connections close.
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // The wake-up connection from the shutdown handler (or a
-                // straggler racing it): stop accepting. Dropping the
-                // stream closes it; queued requests still complete.
-                break;
-            }
-            // Small responses must not sit in the kernel waiting for an ACK
-            // under Nagle — a keep-alive ping-pong would otherwise pay up
-            // to one RTT-with-delay per request.
-            let _ = stream.set_nodelay(true);
-            // Round-robin across worker queues, skipping full ones; a full
-            // scan with no slot means the whole tier is saturated.
-            let mut pending = Some(stream);
-            let mut any_alive = false;
-            for offset in 0..workers {
-                let w = (next_worker + offset) % workers;
-                match senders[w].try_send(pending.take().expect("stream present")) {
-                    Ok(()) => {
-                        shared.metrics.queue_depth.add(1);
-                        next_worker = (w + 1) % workers;
-                        break;
+        // Every thread is scoped: the scope ends once each connection has
+        // finished its request and closed, the janitor has stopped, and
+        // nothing lingers.
+        std::thread::scope(|scope| {
+            // The refit janitor: polls the dataset store for tenants the
+            // policy says are due and runs each refit with the same ledger
+            // discipline as `POST /fit` (charge first, refund on failure).
+            // It runs beside the connections so a long fit never blocks
+            // request serving; the store single-flights per tenant, so at
+            // most one refit per tenant is in flight regardless of poll
+            // cadence.
+            if shared.config.refit.is_enabled() {
+                scope.spawn(|| {
+                    while !shared.shutdown.load(Ordering::SeqCst) {
+                        for job in shared.store.due_refits(&shared.config.refit) {
+                            run_refit(shared, &job);
+                        }
+                        std::thread::sleep(Duration::from_millis(20));
                     }
-                    Err(mpsc::TrySendError::Full(s)) => {
-                        any_alive = true;
-                        pending = Some(s);
+                });
+            }
+            scope.spawn(move || linger_loop(&linger_rx));
+            loop {
+                let (stream, _) = match self.listener.accept() {
+                    Ok(accepted) => accepted,
+                    Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
+                    Err(_) => {
+                        // Transient accept failure (e.g. fd exhaustion):
+                        // back off briefly instead of hot-looping; the
+                        // condition clears as open connections close.
+                        std::thread::sleep(Duration::from_millis(20));
+                        continue;
                     }
-                    // Unreachable while respawn holds the pool at `workers`
-                    // threads; skip rather than spin if it somehow isn't.
-                    Err(mpsc::TrySendError::Disconnected(s)) => pending = Some(s),
+                };
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    // The wake-up connection from the shutdown handler (or a
+                    // straggler racing it): stop accepting. Dropping the
+                    // stream closes it; in-flight requests still complete.
+                    break;
+                }
+                // Small responses must not sit in the kernel waiting for an
+                // ACK under Nagle — a keep-alive ping-pong would otherwise
+                // pay up to one RTT-with-delay per request.
+                let _ = stream.set_nodelay(true);
+                match Slot::claim(shared, &stream) {
+                    // A failed spawn drops the closure, which closes the
+                    // stream and frees the slot.
+                    Some(slot) => {
+                        let _ = std::thread::Builder::new()
+                            .spawn_scoped(scope, move || serve_connection(&slot, stream));
+                    }
+                    None => reject_overloaded(shared, stream, &linger_tx),
                 }
             }
-            match pending {
-                None => {}
-                Some(stream) if any_alive => reject_overloaded(&shared, stream, &linger_tx),
-                Some(_) => break, // every worker queue is gone: bail
-            }
-        }
-        drop(senders);
-        drop(linger_tx);
-        let _ = lingerer.join();
-        if let Some(handle) = janitor {
-            let _ = handle.join();
-        }
-        // Join every worker, including any respawned after a panic (the
-        // vector grows while we drain it, hence the loop-and-pop).
-        loop {
-            let handle = handles.lock().expect("worker handles lock poisoned").pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
+            drop(linger_tx);
+            shared.close_idle_connections();
+        });
         Ok(ServerStats::snapshot(&shared.metrics))
     }
 
@@ -489,100 +517,13 @@ impl ServerHandle {
     }
 }
 
-/// Starts one pool worker over its own connection queue; its handle is
-/// recorded in `handles` so shutdown can join the *current* pool even
-/// after respawns.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-    handles: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    let shared = Arc::clone(shared);
-    let rx = Arc::clone(rx);
-    let handles_slot = Arc::clone(handles);
-    let handle = std::thread::spawn(move || {
-        let guard = RespawnGuard {
-            shared: Arc::clone(&shared),
-            rx: Arc::clone(&rx),
-            handles: Arc::clone(&handles_slot),
-        };
-        worker_loop(&shared, &rx);
-        // Clean exit: disarm the guard so no replacement is spawned.
-        std::mem::forget(guard);
-    });
-    handles.lock().expect("worker handles lock poisoned").push(handle);
-}
-
-/// How long a worker waits on one socket probe while it has parked
-/// connections to rotate through. Small enough that a request landing on
-/// any parked connection (or the worker's queue) is picked up promptly;
-/// large enough not to spin.
-const IDLE_POLL: Duration = Duration::from_millis(25);
-
-/// One worker: drains its queue, serving each connection's requests until
-/// the connection goes idle — idle connections are *parked* and polled
-/// between new ones, so a quiet keep-alive client never pins the worker.
-fn worker_loop(shared: &Shared, rx: &Mutex<mpsc::Receiver<TcpStream>>) {
-    let mut parked: VecDeque<Conn> = VecDeque::new();
-    loop {
-        // New connections take priority; block on the queue only when no
-        // parked connection could become ready behind our back.
-        let incoming = if parked.is_empty() {
-            match rx.lock().expect("worker queue lock poisoned").recv() {
-                Ok(stream) => Some(stream),
-                Err(_) => return, // acceptor closed the channel: drain done
-            }
-        } else {
-            match rx.lock().expect("worker queue lock poisoned").try_recv() {
-                Ok(stream) => Some(stream),
-                Err(mpsc::TryRecvError::Empty) => None,
-                // Shutdown: parked connections are idle by definition —
-                // dropping them closes them with no request in flight.
-                Err(mpsc::TryRecvError::Disconnected) => return,
-            }
-        };
-        if let Some(stream) = incoming {
-            // The connection has left the pending queue and owns this
-            // worker now.
-            shared.metrics.queue_depth.sub(1);
-            if let Some(conn) = Conn::new(shared, stream) {
-                drive(shared, conn, &mut parked);
-            }
-            continue;
-        }
-        // Nothing new: give the longest-parked connection a poll window.
-        let mut conn = parked.pop_front().expect("checked non-empty above");
-        match conn.poll(IDLE_POLL) {
-            Poll::Ready => drive(shared, conn, &mut parked),
-            Poll::Idle if conn.parked_at.elapsed() >= shared.config.idle_deadline => {
-                // Idle past the deadline: close silently (there is no
-                // request to answer).
-            }
-            Poll::Idle => parked.push_back(conn),
-            Poll::Closed => {} // peer hung up between requests
-        }
-    }
-}
-
-/// Serves requests on `conn` for as long as they keep coming, then parks
-/// it (keep-alive, no data ready) or drops it (close).
-fn drive(shared: &Shared, mut conn: Conn, parked: &mut VecDeque<Conn>) {
-    loop {
-        if !serve_request(shared, &mut conn) {
-            return; // dropping the connection closes it
-        }
-        // Linger briefly: a pipelining or ping-pong client's next request
-        // lands within the window and is served with zero handoff.
-        match conn.poll(IDLE_POLL) {
-            Poll::Ready => continue,
-            Poll::Closed => return,
-            Poll::Idle => {
-                conn.parked_at = Instant::now();
-                parked.push_back(conn);
-                return;
-            }
-        }
-    }
+/// One connection's thread: serves requests until the peer closes or asks
+/// `Connection: close`, the connection idles past the idle deadline, or
+/// the server shuts down.
+fn serve_connection(slot: &Slot<'_>, stream: TcpStream) {
+    let shared = slot.shared;
+    let Some(mut conn) = Conn::new(shared, stream) else { return };
+    while serve_request(shared, &mut conn) && conn.await_request(shared, slot) {}
 }
 
 /// The connection's IO type: faultable in test builds, bare TCP otherwise.
@@ -591,17 +532,7 @@ type ConnIo = FaultStream<TcpStream>;
 #[cfg(not(any(test, feature = "fault-injection")))]
 type ConnIo = TcpStream;
 
-/// Outcome of probing a connection for buffered request bytes.
-enum Poll {
-    /// Request bytes are buffered: serve now.
-    Ready,
-    /// No data within the window; the socket is still open.
-    Idle,
-    /// EOF or a socket error between requests: nothing left to serve.
-    Closed,
-}
-
-/// One accepted connection with its buffered halves and keep-alive state.
+/// One accepted connection with its buffered halves.
 struct Conn {
     /// A plain handle on the socket, kept for timeout control (the file
     /// description — and thus `SO_RCVTIMEO` — is shared with both halves).
@@ -610,8 +541,6 @@ struct Conn {
     writer: TrackedWriter<BufWriter<ConnIo>>,
     /// Requests already answered on this connection.
     served: u64,
-    /// When the connection was last parked (for the idle deadline).
-    parked_at: Instant,
 }
 
 impl Conn {
@@ -633,25 +562,21 @@ impl Conn {
         #[cfg(not(any(test, feature = "fault-injection")))]
         let (reader, writer) =
             (BufReader::new(read_half), TrackedWriter::new(BufWriter::new(stream)));
-        Some(Self { socket, reader, writer, served: 0, parked_at: Instant::now() })
+        Some(Self { socket, reader, writer, served: 0 })
     }
 
-    /// Probes for buffered request bytes, waiting at most `window`.
-    fn poll(&mut self, window: Duration) -> Poll {
-        let _ = self.socket.set_read_timeout(Some(window));
-        match self.reader.fill_buf() {
-            Ok([]) => Poll::Closed,
-            Ok(_) => Poll::Ready,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Poll::Idle
-            }
-            Err(_) => Poll::Closed,
+    /// Waits for the next request on a kept-alive connection, blocking for
+    /// at most the idle deadline. False when the peer closed, the deadline
+    /// passed, or the server is shutting down: the connection then closes
+    /// without a response, since there is no request to answer.
+    fn await_request(&mut self, shared: &Shared, slot: &Slot<'_>) -> bool {
+        if !slot.set_idle(true) {
+            return false;
         }
+        let _ = self.socket.set_read_timeout(Some(shared.config.idle_deadline));
+        let ready = matches!(self.reader.fill_buf(), Ok(bytes) if !bytes.is_empty());
+        let _ = self.socket.set_read_timeout(Some(shared.config.read_deadline));
+        slot.set_idle(false) && ready
     }
 }
 
@@ -667,9 +592,6 @@ impl Conn {
 /// so idle churn never skews the request counters.
 fn serve_request(shared: &Shared, conn: &mut Conn) -> bool {
     let metrics = &shared.metrics;
-    // `poll` may have shrunk the socket timeout; requests get the full
-    // read deadline (the head may still be in flight behind the probe).
-    let _ = conn.socket.set_read_timeout(Some(shared.config.read_deadline));
     conn.writer.begin_request();
     let parsed = Request::read_from(&mut conn.reader);
     let reused = conn.served > 0;
@@ -691,11 +613,8 @@ fn serve_request(shared: &Shared, conn: &mut Conn) -> bool {
                 metrics.connections_reused.inc();
             }
             conn.served += 1;
-            ctx.keep_alive.set(
-                request.wants_keep_alive()
-                    && conn.served < shared.config.max_conn_requests.max(1) as u64
-                    && !shared.shutdown.load(Ordering::SeqCst),
-            );
+            ctx.keep_alive
+                .set(request.wants_keep_alive() && !shared.shutdown.load(Ordering::SeqCst));
             let deadline = Instant::now() + shared.config.handler_deadline;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 route(shared, &request, &mut conn.writer, deadline, &ctx)
@@ -735,32 +654,12 @@ fn serve_request(shared: &Shared, conn: &mut Conn) -> bool {
     keep
 }
 
-/// Insurance against pool decay: per-request `catch_unwind` already stops
-/// panics from unwinding the worker loop, but if one ever escapes anyway
-/// (e.g. a panic inside the response-error path itself), this guard spawns
-/// a replacement worker as the dying thread unwinds, so pool capacity never
-/// shrinks.
-struct RespawnGuard {
-    shared: Arc<Shared>,
-    rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-    handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.metrics.panics.inc();
-            spawn_worker(&self.shared, &self.rx, &self.handles);
-        }
-    }
-}
-
 /// Answers an over-capacity connection from the acceptor thread: an
 /// immediate 503 with `Retry-After`, without parsing the request — the
-/// whole point is to spend no worker time on it. The rejection still goes
-/// through the normal instrumentation path, so overload shows up in the
-/// request counters and the access log (under `endpoint="acceptor"`), not
-/// just in `queue_rejected`.
+/// whole point is to spend no connection thread on it. The rejection still
+/// goes through the normal instrumentation path, so overload shows up in
+/// the request counters and the access log (under `endpoint="acceptor"`),
+/// not just in `queue_rejected`.
 ///
 /// The close lingers: after the response the write side is shut down and
 /// the socket goes to [`linger_loop`], which discards the request bytes
@@ -776,7 +675,7 @@ fn reject_overloaded(shared: &Shared, stream: TcpStream, linger: &mpsc::Sender<T
     let mut writer = TrackedWriter::new(BufWriter::new(&stream));
     let body = Json::object(vec![
         ("error", Json::String("overloaded".into())),
-        ("message", Json::String("pending-connection queue is full; retry shortly".into())),
+        ("message", Json::String("the server's connections are all in use; retry shortly".into())),
     ]);
     let text = body.to_string_compact().expect("static body");
     ctx.status.set(503);
@@ -879,12 +778,48 @@ impl<W: Write> Write for TrackedWriter<W> {
     }
 }
 
-/// Dispatches on `(method, path)`. Each arm labels `ctx.endpoint` before
-/// doing any work, so even a response that fails mid-write is attributed.
-fn route<W: Write>(
+/// A routed request as its handler sees it.
+#[derive(Clone, Copy)]
+struct Call<'a> {
+    req: &'a Request,
+    /// The path segment the route's `*` matched — a model or tenant id;
+    /// empty for routes without one.
+    id: &'a str,
+    deadline: Instant,
+    ctx: &'a RequestCtx<'a>,
+}
+
+/// Answers one routed request on the writer.
+type Handler = fn(&Shared, Call<'_>, &mut dyn Write) -> std::io::Result<()>;
+
+/// The route table: method, path (`*` matches any one segment), the
+/// endpoint label requests are counted under, and the handler. A listed
+/// path with an unlisted method is answered 405 and counted under the
+/// path's label; an unlisted path is 404.
+const ROUTES: &[(&str, &[&str], &str, Handler)] = &[
+    ("GET", &["healthz"], "healthz", healthz),
+    ("GET", &["metrics"], "metrics", scrape),
+    ("GET", &["models"], "models", list_models),
+    ("PUT", &["models", "*"], "models", load_model),
+    ("GET", &["models", "*"], "models", get_model),
+    ("DELETE", &["models", "*"], "models", evict_model),
+    ("POST", &["v1", "models", "*", "synth"], "synth", synth_v1),
+    ("POST", &["v1", "models", "*", "query"], "query", query_v1),
+    ("GET", &["v1", "models", "*", "generations"], "generations", generations_v1),
+    ("POST", &["v1", "tenants", "*", "ingest"], "ingest", ingest_v1),
+    ("POST", &["fit"], "fit", fit),
+    ("GET", &["tenants"], "tenants", list_tenants),
+    ("PUT", &["tenants", "*"], "tenants", register_tenant),
+    ("GET", &["tenants", "*"], "tenants", get_tenant),
+    ("POST", &["shutdown"], "shutdown", shutdown),
+];
+
+/// Dispatches through [`ROUTES`]. The endpoint label is set before the
+/// handler runs, so even a response that fails mid-write is attributed.
+fn route(
     shared: &Shared,
     req: &Request,
-    out: &mut W,
+    out: &mut dyn Write,
     deadline: Instant,
     ctx: &RequestCtx<'_>,
 ) -> std::io::Result<()> {
@@ -895,197 +830,74 @@ fn route<W: Write>(
         }
     }
     let segments = req.segments();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => {
-            ctx.endpoint.set("healthz");
-            let metrics = &shared.metrics;
-            respond_json(
-                out,
-                ctx,
-                200,
-                &Json::object(vec![
-                    ("status", Json::String("ok".into())),
-                    ("models", Json::from_usize(shared.registry.len())),
-                    ("tenants", Json::from_usize(shared.ledger.snapshot().len())),
-                    (
-                        "requests",
-                        Json::from_usize(
-                            metrics.registry().counter_total("privbayes_requests_total") as usize,
-                        ),
-                    ),
-                    ("panics", Json::from_usize(metrics.panics.get() as usize)),
-                    ("queue_rejected", Json::from_usize(metrics.queue_rejected.get() as usize)),
-                    ("queue_depth", Json::from_usize(metrics.queue_depth.get().max(0) as usize)),
-                    (
-                        "active_streams",
-                        Json::from_usize(metrics.active_streams.get().max(0) as usize),
-                    ),
-                ]),
-            )
-        }
-        ("GET", ["metrics"]) => {
-            ctx.endpoint.set("metrics");
-            if !shared.config.metrics_enabled {
-                return respond_error(
-                    out,
-                    ctx,
-                    404,
-                    "not-found",
-                    "metrics exposition is disabled on this server",
-                );
-            }
-            let body = shared.metrics.render(&shared.ledger.snapshot());
-            ctx.status.set(200);
-            ctx.stage("write");
-            write_response(
-                out,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &[API_HEADER, (REQUEST_ID_HEADER, &ctx.id)],
-                ctx.keep_alive.get(),
-                body.as_bytes(),
-            )
-        }
-        ("GET", ["models"]) => {
-            ctx.endpoint.set("models");
-            let models: Vec<Json> = shared.registry.list().iter().map(|e| model_json(e)).collect();
-            respond_json(out, ctx, 200, &Json::Array(models))
-        }
-        ("PUT", ["models", id]) => load_model(shared, id, &req.body, out, ctx),
-        ("GET", ["models", id]) => {
-            ctx.endpoint.set("models");
-            ctx.stage("lookup");
-            match shared.registry.get(id) {
-                Some(entry) => respond_json(out, ctx, 200, &model_json(&entry)),
-                None => respond_error(out, ctx, 404, "model-not-found", id),
-            }
-        }
-        ("DELETE", ["models", id]) => {
-            ctx.endpoint.set("models");
-            if shared.registry.evict(id) {
-                respond_json(
-                    out,
-                    ctx,
-                    200,
-                    &Json::object(vec![("evicted", Json::String((*id).to_string()))]),
-                )
-            } else {
-                respond_error(out, ctx, 404, "model-not-found", id)
-            }
-        }
-        ("GET", ["models", id, "synth"]) => synth_legacy(shared, id, req, out, deadline, ctx),
-        ("POST", ["v1", "models", id, "synth"]) => synth_v1(shared, id, req, out, deadline, ctx),
-        ("POST", ["v1", "models", id, "query"]) => query_v1(shared, id, req, out, ctx),
-        ("GET", ["v1", "models", id, "generations"]) => generations_v1(shared, id, out, ctx),
-        ("POST", ["v1", "tenants", tenant, "ingest"]) => ingest_v1(shared, tenant, req, out, ctx),
-        ("POST", ["fit"]) => fit(shared, req, out, deadline, ctx),
-        ("GET", ["tenants"]) => {
-            ctx.endpoint.set("tenants");
-            let tenants: Vec<Json> = shared.ledger.snapshot().iter().map(tenant_json).collect();
-            respond_json(out, ctx, 200, &Json::Array(tenants))
-        }
-        ("PUT", ["tenants", id]) => {
-            ctx.endpoint.set("tenants");
-            let Some(raw) = req.query("budget") else {
-                return respond_error(
-                    out,
-                    ctx,
-                    400,
-                    "bad-request",
-                    "missing `budget` query parameter",
-                );
-            };
-            let Ok(total) = raw.parse::<f64>() else {
-                return respond_error(out, ctx, 400, "bad-request", "unparsable `budget`");
-            };
-            match shared.ledger.register(id, total) {
-                Ok(()) => {
-                    let row = shared.ledger.budget(id).expect("registered above");
-                    respond_json(out, ctx, 201, &tenant_json(&row))
-                }
-                Err(ServerError::Conflict(msg)) => {
-                    respond_error(out, ctx, 409, "tenant-exists", &msg)
-                }
-                Err(e @ ServerError::Ledger(_)) => {
-                    respond_error(out, ctx, 500, "ledger-error", &e.to_string())
-                }
-                Err(e) => respond_error(out, ctx, 400, "bad-request", &e.to_string()),
-            }
-        }
-        ("GET", ["tenants", id]) => {
-            ctx.endpoint.set("tenants");
-            match shared.ledger.budget(id) {
-                Some(row) => respond_json(out, ctx, 200, &tenant_json(&row)),
-                None => respond_error(out, ctx, 404, "tenant-not-found", id),
-            }
-        }
-        ("POST", ["shutdown"]) => {
-            ctx.endpoint.set("shutdown");
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // The final response on a draining server always closes.
-            ctx.keep_alive.set(false);
-            let result = respond_json(
-                out,
-                ctx,
-                200,
-                &Json::object(vec![("status", Json::String("shutting-down".into()))]),
-            );
-            // Wake the acceptor, which is blocked in `accept`; it sees the
-            // flag and stops. Errors are moot — if the connect fails the
-            // listener is already gone.
-            let _ = TcpStream::connect(shared.addr);
-            result
-        }
-        // A known path with the wrong method is 405; an unknown path is 404.
-        (
-            _,
-            ["healthz"]
-            | ["metrics"]
-            | ["models"]
-            | ["models", _]
-            | ["models", _, "synth"]
-            | ["v1", "models", _, "synth" | "query" | "generations"]
-            | ["v1", "tenants", _, "ingest"]
-            | ["fit"]
-            | ["tenants"]
-            | ["tenants", _]
-            | ["shutdown"],
-        ) => {
-            ctx.endpoint.set(endpoint_label(&segments));
-            respond_error(out, ctx, 405, "method-not-allowed", &req.method)
-        }
-        _ => respond_error(out, ctx, 404, "not-found", &req.path),
-    }
+    let matches = |path: &[&str]| {
+        path.len() == segments.len() && path.iter().zip(&segments).all(|(p, s)| *p == "*" || p == s)
+    };
+    let mut known = ROUTES.iter().filter(|(_, path, _, _)| matches(path)).peekable();
+    let Some(&&(_, _, endpoint, _)) = known.peek() else {
+        return respond_error(out, ctx, 404, "not-found", &req.path);
+    };
+    ctx.endpoint.set(endpoint);
+    let Some(&(_, path, _, handler)) = known.find(|(method, ..)| *method == req.method) else {
+        return respond_error(out, ctx, 405, "method-not-allowed", &req.method);
+    };
+    let id = path.iter().position(|p| *p == "*").map_or("", |i| segments[i]);
+    handler(shared, Call { req, id, deadline, ctx }, out)
 }
 
-/// The metric endpoint label for a known path, so wrong-method 405s are
-/// counted under the endpoint they aimed at instead of `unknown`.
-fn endpoint_label(segments: &[&str]) -> &'static str {
-    match segments {
-        ["healthz"] => "healthz",
-        ["metrics"] => "metrics",
-        ["models"] | ["models", _] => "models",
-        ["models", _, "synth"] | ["v1", "models", _, "synth"] => "synth",
-        ["v1", "models", _, "query"] => "query",
-        ["v1", "models", _, "generations"] => "generations",
-        ["v1", "tenants", _, "ingest"] => "ingest",
-        ["fit"] => "fit",
-        ["tenants"] | ["tenants", _] => "tenants",
-        ["shutdown"] => "shutdown",
-        _ => "unknown",
+/// `GET /healthz`: liveness plus registry, ledger and connection counts.
+fn healthz(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let metrics = &shared.metrics;
+    let count = |n: u64| Json::from_usize(n as usize);
+    let gauge = |n: i64| Json::from_usize(n.max(0) as usize);
+    let body = Json::object(vec![
+        ("status", Json::String("ok".into())),
+        ("models", Json::from_usize(shared.registry.len())),
+        ("tenants", Json::from_usize(shared.ledger.snapshot().len())),
+        ("requests", count(metrics.registry().counter_total("privbayes_requests_total"))),
+        ("panics", count(metrics.panics.get())),
+        ("queue_rejected", count(metrics.queue_rejected.get())),
+        ("open_connections", gauge(metrics.open_connections.get())),
+        ("active_streams", gauge(metrics.active_streams.get())),
+    ]);
+    respond_json(out, call.ctx, 200, &body)
+}
+
+/// `GET /metrics`: the Prometheus text exposition (404 when disabled).
+fn scrape(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let ctx = call.ctx;
+    if !shared.config.metrics_enabled {
+        return respond_error(
+            out,
+            ctx,
+            404,
+            "not-found",
+            "metrics exposition is disabled on this server",
+        );
     }
+    let body = shared.metrics.render(&shared.ledger.snapshot());
+    ctx.status.set(200);
+    ctx.stage("write");
+    write_response(
+        out,
+        200,
+        "text/plain; version=0.0.4; charset=utf-8",
+        &[API_HEADER, (REQUEST_ID_HEADER, &ctx.id)],
+        ctx.keep_alive.get(),
+        body.as_bytes(),
+    )
+}
+
+/// `GET /models`: every loaded model's metadata.
+fn list_models(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let models: Vec<Json> = shared.registry.list().iter().map(|e| model_json(e)).collect();
+    respond_json(out, call.ctx, 200, &Json::Array(models))
 }
 
 /// `PUT /models/{id}`: parse, validate, compile, register.
-fn load_model<W: Write>(
-    shared: &Shared,
-    id: &str,
-    body: &[u8],
-    out: &mut W,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("models");
-    let Ok(text) = std::str::from_utf8(body) else {
+fn load_model(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { req, id, ctx, .. } = call;
+    let Ok(text) = std::str::from_utf8(&req.body) else {
         return respond_error(out, ctx, 400, "bad-request", "artifact body is not UTF-8");
     };
     let artifact = match ReleasedModel::from_json_string(text) {
@@ -1107,64 +919,85 @@ fn load_model<W: Write>(
     }
 }
 
-/// `GET /models/{id}/synth`: the legacy route, kept as an alias that
-/// desugars the query parameters into a default [`SynthSpec`] (no evidence,
-/// no projection, no cursor). Its bytes for a fixed `(model, seed, rows,
-/// format)` are the pre-v1 bytes exactly.
-///
-/// [`SynthSpec`]: privbayes_synth::SynthSpec
-fn synth_legacy<W: Write>(
-    shared: &Shared,
-    id: &str,
-    req: &Request,
-    out: &mut W,
-    deadline: Instant,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("synth");
+/// `GET /models/{id}`: one model's metadata.
+fn get_model(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { id, ctx, .. } = call;
     ctx.stage("lookup");
-    let Some(entry) = shared.registry.get(id) else {
-        return respond_error(out, ctx, 404, "model-not-found", id);
+    match shared.registry.get(id) {
+        Some(entry) => respond_json(out, ctx, 200, &model_json(&entry)),
+        None => respond_error(out, ctx, 404, "model-not-found", id),
+    }
+}
+
+/// `DELETE /models/{id}`: evict from the registry.
+fn evict_model(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { id, ctx, .. } = call;
+    if shared.registry.evict(id) {
+        let body = Json::object(vec![("evicted", Json::String(id.to_string()))]);
+        respond_json(out, ctx, 200, &body)
+    } else {
+        respond_error(out, ctx, 404, "model-not-found", id)
+    }
+}
+
+/// `GET /tenants`: the ledger snapshot.
+fn list_tenants(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let tenants: Vec<Json> = shared.ledger.snapshot().iter().map(tenant_json).collect();
+    respond_json(out, call.ctx, 200, &Json::Array(tenants))
+}
+
+/// `PUT /tenants/{id}?budget=E`: register a tenant.
+fn register_tenant(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { req, id, ctx, .. } = call;
+    let Some(raw) = req.query("budget") else {
+        return respond_error(out, ctx, 400, "bad-request", "missing `budget` query parameter");
     };
-    let format = match RowFormat::parse(req.query("format")) {
-        Ok(format) => format,
-        Err(e) => return respond_error(out, ctx, 400, "bad-request", &e.to_string()),
+    let Ok(total) = raw.parse::<f64>() else {
+        return respond_error(out, ctx, 400, "bad-request", "unparsable `budget`");
     };
-    let rows = match req.query("rows").map(str::parse::<usize>) {
-        None => None,
-        Some(Ok(rows)) => Some(rows),
-        Some(Err(_)) => return respond_error(out, ctx, 400, "bad-request", "unparsable `rows`"),
-    };
-    let seed = match req.query("seed").map(str::parse::<u64>) {
-        None => None,
-        Some(Ok(seed)) => Some(seed),
-        Some(Err(_)) => return respond_error(out, ctx, 400, "bad-request", "unparsable `seed`"),
-    };
-    let resolved = ResolvedSynth {
-        rows,
-        seed,
-        format,
-        projection: None,
-        evidence: Vec::new(),
-        start_row: 0,
-        generation: None,
-    };
-    stream_synth(shared, &entry, &resolved, out, deadline, ctx)
+    match shared.ledger.register(id, total) {
+        Ok(()) => {
+            let row = shared.ledger.budget(id).expect("registered above");
+            respond_json(out, ctx, 201, &tenant_json(&row))
+        }
+        Err(ServerError::Conflict(msg)) => respond_error(out, ctx, 409, "tenant-exists", &msg),
+        Err(e @ ServerError::Ledger(_)) => {
+            respond_error(out, ctx, 500, "ledger-error", &e.to_string())
+        }
+        Err(e) => respond_error(out, ctx, 400, "bad-request", &e.to_string()),
+    }
+}
+
+/// `GET /tenants/{id}`: one tenant's budget.
+fn get_tenant(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { id, ctx, .. } = call;
+    match shared.ledger.budget(id) {
+        Some(row) => respond_json(out, ctx, 200, &tenant_json(&row)),
+        None => respond_error(out, ctx, 404, "tenant-not-found", id),
+    }
+}
+
+/// `POST /shutdown`: stop accepting; in-flight requests still complete.
+fn shutdown(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let ctx = call.ctx;
+    shared.shutdown.store(true, Ordering::SeqCst);
+    // The final response on a draining server always closes.
+    ctx.keep_alive.set(false);
+    let body = Json::object(vec![("status", Json::String("shutting-down".into()))]);
+    let result = respond_json(out, ctx, 200, &body);
+    // Wake the acceptor, which is blocked in `accept`; it sees the flag
+    // and stops. Errors are moot — if the connect fails the listener is
+    // already gone.
+    let _ = TcpStream::connect(shared.addr);
+    result
 }
 
 /// `POST /v1/models/{id}/synth`: parse the [`SynthSpec`] body, resolve it
 /// against the model's schema, stream rows.
 ///
 /// [`SynthSpec`]: privbayes_synth::SynthSpec
-fn synth_v1<W: Write>(
-    shared: &Shared,
-    id: &str,
-    req: &Request,
-    out: &mut W,
-    deadline: Instant,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("synth");
+fn synth_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { req, id, deadline, ctx } = call;
     let json = match parse_json_body(&req.body) {
         Ok(json) => json,
         Err(e) => return respond_error(out, ctx, 400, "bad-request", &e.to_string()),
@@ -1210,17 +1043,16 @@ fn synth_v1<W: Write>(
     stream_synth(shared, &entry, &resolved, out, deadline, ctx)
 }
 
-/// Streams one resolved synthesis request: the shared tail of the legacy
-/// alias and the `/v1` spec route. The response carries `X-PrivBayes-Seed`
+/// Streams one resolved synthesis request. The response carries `X-PrivBayes-Seed`
 /// (the effective seed, also when the server drew it) and
 /// `X-PrivBayes-Cursor` (the stream's own resume token), and skips the CSV
 /// header on resumed streams so `prefix + resumed` is byte-identical to an
 /// uninterrupted stream.
-fn stream_synth<W: Write>(
+fn stream_synth(
     shared: &Shared,
     entry: &ModelEntry,
     resolved: &ResolvedSynth,
-    out: &mut W,
+    out: &mut dyn Write,
     deadline: Instant,
     ctx: &RequestCtx<'_>,
 ) -> std::io::Result<()> {
@@ -1376,14 +1208,8 @@ impl Drop for StreamGuard<'_> {
 /// privacy cost (post-processing), bit-reproducible values.
 ///
 /// [`MarginalQuery`]: privbayes_synth::MarginalQuery
-fn query_v1<W: Write>(
-    shared: &Shared,
-    id: &str,
-    req: &Request,
-    out: &mut W,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("query");
+fn query_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { req, id, ctx, .. } = call;
     ctx.stage("lookup");
     let Some(entry) = shared.registry.get(id) else {
         return respond_error(out, ctx, 404, "model-not-found", id);
@@ -1417,13 +1243,8 @@ fn query_v1<W: Write>(
 
 /// `GET /v1/models/{id}/generations`: the retained generation chain,
 /// newest first — what a pinned cursor can still resume against.
-fn generations_v1<W: Write>(
-    shared: &Shared,
-    id: &str,
-    out: &mut W,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("generations");
+fn generations_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { id, ctx, .. } = call;
     ctx.stage("lookup");
     match shared.registry.generations(id) {
         Some(entries) => {
@@ -1449,14 +1270,8 @@ fn generations_v1<W: Write>(
 /// batches may omit both. Rows ride in `csv` (the `POST /fit` layout) or
 /// `jsonl` (one object or array per line). Appending spends no budget —
 /// ε is debited by the background refit the appended rows trigger.
-fn ingest_v1<W: Write>(
-    shared: &Shared,
-    tenant: &str,
-    req: &Request,
-    out: &mut W,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("ingest");
+fn ingest_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { req, id: tenant, ctx, .. } = call;
     let json = match parse_json_body(&req.body) {
         Ok(json) => json,
         Err(e) => return respond_error(out, ctx, 400, "bad-request", &e.to_string()),
@@ -1637,8 +1452,8 @@ fn parse_json_body(body: &[u8]) -> Result<Json, ServerError> {
 
 /// Answers a spec-validation failure: `400` with the `invalid-spec` error
 /// code and the typed error's message.
-fn respond_invalid_spec<W: Write>(
-    out: &mut W,
+fn respond_invalid_spec(
+    out: &mut dyn Write,
     ctx: &RequestCtx<'_>,
     e: &SpecError,
 ) -> std::io::Result<()> {
@@ -1651,14 +1466,8 @@ fn respond_invalid_spec<W: Write>(
 /// rejected or failed request never leaks budget, and an over-budget request
 /// never touches the data. Methods that spend no budget (`uniform`) skip the
 /// charge entirely, but the tenant must still be registered.
-fn fit<W: Write>(
-    shared: &Shared,
-    req: &Request,
-    out: &mut W,
-    deadline: Instant,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("fit");
+fn fit(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
+    let Call { req, deadline, ctx, .. } = call;
     let parsed = match parse_fit_body(&req.body) {
         Ok(parsed) => parsed,
         Err(e) => return respond_error(out, ctx, 400, "bad-request", &e.to_string()),
@@ -1869,8 +1678,8 @@ fn tenant_json(row: &TenantBudget) -> Json {
 /// [`API_HEADER`] and the request id (errors included), and records its
 /// status on the [`RequestCtx`] so the access log and counters agree with
 /// what hit the wire.
-fn respond_json<W: Write>(
-    out: &mut W,
+fn respond_json(
+    out: &mut dyn Write,
     ctx: &RequestCtx<'_>,
     code: u16,
     body: &Json,
@@ -1889,8 +1698,8 @@ fn respond_json<W: Write>(
 }
 
 /// Writes a structured error: `{"error": CODE, "message": …}`.
-fn respond_error<W: Write>(
-    out: &mut W,
+fn respond_error(
+    out: &mut dyn Write,
     ctx: &RequestCtx<'_>,
     code: u16,
     error: &str,

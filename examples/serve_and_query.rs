@@ -59,7 +59,7 @@ fn main() {
     let ledger = Arc::new(BudgetLedger::in_memory());
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 4, fit_threads: Some(1), ..ServerConfig::default() },
+        ServerConfig { fit_threads: Some(1), ..ServerConfig::default() },
         Arc::clone(&registry),
         Arc::clone(&ledger),
     )

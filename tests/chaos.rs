@@ -7,34 +7,38 @@
 //!
 //! 1. **Ledger durability** — killing the persist sequence at every step
 //!    leaves the on-disk ledger either wholly pre- or wholly post-mutation,
-//!    and a restart always recovers it (v1 files included).
-//! 2. **Worker isolation** — a panicking handler costs one request, never a
-//!    worker; the pool keeps its full capacity afterwards.
+//!    and a restart always recovers it; a file in the retired v1 format is
+//!    refused at startup.
+//! 2. **Panic isolation** — a panicking handler costs one request, never a
+//!    connection slot; the server keeps its full capacity afterwards.
 //! 3. **Byte-exact recovery** — a client resuming a truncated stream via
 //!    cursors reassembles exactly the bytes of an uninterrupted stream.
-//! 4. **Graceful overload** — beyond `queue_depth` the server answers 503 +
-//!    `Retry-After` instead of queueing without bound; slow-loris peers are
-//!    reaped with 408.
+//! 4. **Graceful overload** — beyond `workers` open connections the server
+//!    answers 503 + `Retry-After` instead of queueing; idle kept-alive
+//!    connections hold their slot until the idle deadline, shutdown does
+//!    not wait for them, and slow-loris peers are reaped with 408.
 //! 5. **Retry discipline** — idempotent requests retry; `POST /fit` (which
 //!    spends privacy budget) never auto-retries.
 //! 6. **Keep-alive survival** — registry eviction and ledger persistence
 //!    churn never tear a stream on a reused connection, and an injected
-//!    reset on a parked connection fails the next request cleanly, with the
-//!    pooled client recovering byte-exactly on a fresh connection.
+//!    reset on an idle kept-alive connection fails the next request
+//!    cleanly, with the pooled client recovering byte-exactly on a fresh
+//!    connection.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use privbayes_suite::core::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
+use privbayes_suite::server::http::Response;
 use privbayes_suite::server::{
-    BudgetLedger, Client, Fault, FaultPlan, FaultSite, LedgerStep, ModelRegistry, RetryPolicy,
-    Server, ServerConfig, ServerError, SynthSpec, LEDGER_FORMAT_V2,
+    parse_text, BudgetLedger, Client, Fault, FaultPlan, FaultSite, LedgerStep, ModelRegistry,
+    RetryPolicy, Server, ServerConfig, ServerError, ServerHandle, SynthSpec, LEDGER_FORMAT_V2,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,7 +100,7 @@ fn fixture_model(seed: u64) -> ReleasedModel {
 /// (non-retrying) client, and the live fault slot.
 fn start_server(
     config: ServerConfig,
-) -> (privbayes_suite::server::ServerHandle, Client, privbayes_suite::server::server::FaultSlot) {
+) -> (ServerHandle, Client, privbayes_suite::server::server::FaultSlot) {
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m", fixture_model(1)).unwrap();
     let ledger = Arc::new(BudgetLedger::in_memory());
@@ -105,6 +109,24 @@ fn start_server(
     let handle = server.spawn();
     let client = Client::new(handle.addr().to_string());
     (handle, client, slot)
+}
+
+/// The server's open-connection gauge, read in-process.
+fn open_connections(handle: &ServerHandle) -> f64 {
+    let text = handle.metrics().render(&[]);
+    parse_text(&text).unwrap().value("privbayes_open_connections", &[]).unwrap_or(0.0)
+}
+
+/// Polls `cond` for up to five seconds.
+fn eventually(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        if cond() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    false
 }
 
 /// A fast-but-persistent retry policy for tests (real delays stay in the
@@ -177,45 +199,38 @@ fn killing_persistence_at_every_step_recovers_a_consistent_ledger() {
     }
 }
 
-/// A ledger written by the v1 (pre-CRC) format still loads, and its first
-/// mutation upgrades the file to the checksummed v2 format in place.
+/// A ledger in the retired v1 (pre-CRC) format is refused at startup, like
+/// any unknown format, and the file is left untouched.
 #[test]
-fn v1_ledger_files_load_and_upgrade_to_v2() {
-    let path = temp_path("v1-upgrade");
-    std::fs::write(
-        &path,
-        r#"{"format": "privbayes-ledger/1", "tenants": {"acme": {"total": 1.5, "spent": 0.25}}}"#,
-    )
-    .unwrap();
+fn v1_ledger_files_are_refused_at_startup() {
+    let path = temp_path("v1-refused");
+    let v1 =
+        r#"{"format": "privbayes-ledger/1", "tenants": {"acme": {"total": 1.5, "spent": 0.25}}}"#;
+    std::fs::write(&path, v1).unwrap();
 
-    let ledger = BudgetLedger::with_persistence(&path).unwrap();
-    let budget = ledger.budget("acme").unwrap();
-    assert_eq!(budget.total.to_bits(), 1.5f64.to_bits());
-    assert_eq!(budget.spent.to_bits(), 0.25f64.to_bits());
-
-    ledger.charge("acme", 0.25).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains(LEDGER_FORMAT_V2), "first mutation must upgrade the file: {text}");
-    assert!(text.contains("\"crc\""), "v2 files carry a checksum: {text}");
-
-    let reopened = BudgetLedger::with_persistence(&path).unwrap();
-    assert_eq!(reopened.budget("acme").unwrap().spent.to_bits(), 0.5f64.to_bits());
+    let err = BudgetLedger::with_persistence(&path).unwrap_err();
+    assert!(err.to_string().contains("unsupported ledger format"), "{err}");
+    assert!(err.to_string().contains(LEDGER_FORMAT_V2), "the error names the format: {err}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), v1, "a refused file is left as is");
     let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------
-// 2. Worker isolation under handler panics
+// 2. Panic isolation
 // ---------------------------------------------------------------------------
 
-/// A panicking handler answers a structured 500 and costs nothing else: the
-/// full pool then serves `workers` concurrent requests, and shutdown joins
-/// every worker (a wedged pool would hang the join).
+/// A panicking handler answers a structured 500 and costs nothing else: its
+/// connection frees its slot, every slot then serves a concurrent stream,
+/// and shutdown returns (a wedged connection would hang it).
 #[test]
 fn a_handler_panic_is_isolated_and_the_pool_keeps_its_capacity() {
     quiet_injected_panics();
-    let config = ServerConfig::default();
+    let config = ServerConfig { workers: 4, ..ServerConfig::default() };
     let workers = config.workers;
     let (handle, client, slot) = start_server(config);
+    let addr = handle.addr().to_string();
+    // Dropping this client closes its kept-alive connection.
+    let reference = Client::new(addr.clone()).synth("m", 200, 9, "csv").unwrap();
 
     // The very next dispatched request panics inside its handler.
     *slot.write().unwrap() =
@@ -224,22 +239,28 @@ fn a_handler_panic_is_isolated_and_the_pool_keeps_its_capacity() {
     assert_eq!(response.code, 500, "{}", response.text());
     let body = Json::parse(&response.text()).unwrap();
     assert_eq!(body.get("error").and_then(Json::as_str), Some("internal"));
-
-    // Afterwards: every worker still serves, concurrently and correctly.
     *slot.write().unwrap() = None;
-    let reference = client.synth("m", 200, 9, "csv").unwrap();
-    let bodies: Vec<String> = std::thread::scope(|scope| {
+    assert!(eventually(|| open_connections(&handle) == 0.0), "the panicked slot is freed");
+
+    // Afterwards: every slot still serves. Each client keeps its connection
+    // open until all are done, so the last needs all `workers` slots.
+    let served: Vec<(Client, String)> = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..workers)
             .map(|_| {
-                let client = client.clone();
-                scope.spawn(move || client.synth("m", 200, 9, "csv").unwrap())
+                let client = Client::new(addr.clone());
+                scope.spawn(move || {
+                    let body = client.synth("m", 200, 9, "csv").unwrap();
+                    (client, body)
+                })
             })
             .collect();
         threads.into_iter().map(|t| t.join().unwrap()).collect()
     });
-    for body in &bodies {
+    for (_, body) in &served {
         assert_eq!(body, &reference, "a post-panic stream must be intact");
     }
+    drop(served);
+    assert!(eventually(|| open_connections(&handle) == 0.0));
 
     // The panic is visible in the stats and on /healthz.
     let health = client.health().unwrap();
@@ -290,13 +311,13 @@ fn a_truncated_stream_resumes_to_the_exact_uninterrupted_bytes() {
 
 /// Eight concurrent clients against a seeded storm of handler panics,
 /// connection resets, and read stalls: every request is eventually answered
-/// with exactly the right bytes, and the pool ends the run at full
-/// capacity with zero wedged workers.
+/// with exactly the right bytes, and the server ends the run serving
+/// concurrently with zero wedged connections.
 #[test]
 fn every_request_survives_a_seeded_storm_of_panics_resets_and_stalls() {
     quiet_injected_panics();
-    let config = ServerConfig { workers: 4, fit_threads: Some(1), ..ServerConfig::default() };
-    let workers = config.workers;
+    let clients = 8;
+    let config = ServerConfig { fit_threads: Some(1), ..ServerConfig::default() };
     let (handle, client, slot) = start_server(config);
     let reference = client.synth("m", 300, 11, "csv").unwrap();
 
@@ -321,7 +342,7 @@ fn every_request_survives_a_seeded_storm_of_panics_resets_and_stalls() {
 
     // 8 clients × 4 requests, all retrying: every one must end correct.
     let bodies: Vec<String> = std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..8)
+        let threads: Vec<_> = (0..clients)
             .map(|_| {
                 let client = client.clone().with_retry(fast_retry(12));
                 scope.spawn(move || {
@@ -337,10 +358,10 @@ fn every_request_survives_a_seeded_storm_of_panics_resets_and_stalls() {
     }
     assert!(plan.fired() >= 2, "the storm must have exercised faults, fired {}", plan.fired());
 
-    // Calm after the storm: the full pool still serves concurrently.
+    // Calm after the storm: the server still serves concurrently.
     *slot.write().unwrap() = None;
     std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..workers)
+        let threads: Vec<_> = (0..clients)
             .map(|_| {
                 let client = client.clone();
                 scope.spawn(move || client.synth("m", 300, 11, "csv").unwrap())
@@ -393,32 +414,30 @@ fn assert_complete_503(text: &str) {
     assert!(body.contains("overloaded"), "{text}");
 }
 
-/// With one worker and a one-slot queue, connections beyond capacity get an
-/// immediate 503 with `Retry-After` from the acceptor — not an unbounded
-/// queue, not a hang — and the server serves normally once load drops.
-/// Over-capacity clients that send a whole request before reading, with or
-/// without a body, still read the complete 503: the acceptor drains what
-/// they sent instead of resetting the connection.
+/// With a cap of two connections, connections beyond capacity get an
+/// immediate 503 with `Retry-After` from the acceptor — not a queue, not a
+/// hang — and the server serves normally once load drops. Over-capacity
+/// clients that send a whole request before reading, with or without a
+/// body, still read the complete 503: the acceptor drains what they sent
+/// instead of resetting the connection.
 #[test]
 fn overload_answers_503_with_retry_after_instead_of_queueing() {
     let config = ServerConfig {
-        workers: 1,
+        workers: 2,
         fit_threads: Some(1),
-        queue_depth: 1,
         read_deadline: Duration::from_secs(20),
         ..ServerConfig::default()
     };
     let (handle, client, _slot) = start_server(config);
     let addr = handle.addr();
 
-    // Occupy the worker (a), then the queue slot (b): both connect and send
-    // nothing, pinning capacity until the read deadline reaps them.
+    // Occupy both slots: `a` and `b` connect and send nothing, pinning
+    // capacity until the read deadline reaps them.
     let a = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(200)); // worker picks `a` up
     let b = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(200)); // `b` lands in the queue
+    assert!(eventually(|| open_connections(&handle) == 2.0));
 
-    // Beyond capacity: immediate 503 + Retry-After, no worker time spent.
+    // Beyond capacity: immediate 503 + Retry-After, no thread spent.
     for _ in 0..2 {
         let mut over = TcpStream::connect(addr).unwrap();
         over.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -438,10 +457,10 @@ fn overload_answers_503_with_retry_after_instead_of_queueing() {
         }
     }
 
-    // Release capacity; the reaped/freed worker serves normally again.
+    // Release capacity; the freed slots serve normally again.
     drop(a);
     drop(b);
-    std::thread::sleep(Duration::from_millis(100));
+    assert!(eventually(|| open_connections(&handle) == 0.0));
     let body = client.with_retry(fast_retry(6)).synth("m", 50, 3, "csv").unwrap();
     assert_eq!(body.lines().count(), 51);
 
@@ -452,11 +471,11 @@ fn overload_answers_503_with_retry_after_instead_of_queueing() {
 }
 
 /// A peer that sends half a request line and stalls is answered 408 when
-/// the read deadline expires, freeing the worker for the next request.
+/// the read deadline expires, freeing its slot for the next request.
 #[test]
 fn a_slow_loris_peer_is_reaped_with_408() {
     let config = ServerConfig {
-        workers: 1,
+        workers: 2,
         fit_threads: Some(1),
         read_deadline: Duration::from_millis(300),
         ..ServerConfig::default()
@@ -470,12 +489,84 @@ fn a_slow_loris_peer_is_reaped_with_408() {
     assert!(text.starts_with("HTTP/1.1 408"), "stalled peers get 408: {text}");
     assert!(text.contains("request-timeout"), "{text}");
 
-    // The single worker is free again immediately afterwards.
+    // The loris's slot is free again right afterwards.
+    assert!(eventually(|| open_connections(&handle) == 0.0));
     let health = client.health().unwrap();
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// An idle kept-alive connection holds its slot: with a cap of two, one
+/// idle client and one silent socket make the next connection get a 503.
+/// Once the idle deadline passes the server closes the idle connection,
+/// and a new client is served.
+#[test]
+fn an_idle_kept_alive_connection_holds_its_slot_until_the_idle_deadline() {
+    let idle_deadline = Duration::from_millis(1500);
+    let config = ServerConfig {
+        workers: 2,
+        fit_threads: Some(1),
+        read_deadline: Duration::from_secs(20),
+        idle_deadline,
+        ..ServerConfig::default()
+    };
+    let (handle, client, _slot) = start_server(config);
+    let addr = handle.addr();
+
+    // One kept-alive client, idle after its request, and one silent socket.
+    // The server's idle wait starts after `asked`.
+    let idle = Client::new(addr.to_string());
+    let asked = Instant::now();
+    idle.health().unwrap();
+    let silent = TcpStream::connect(addr).unwrap();
+    assert!(eventually(|| open_connections(&handle) == 2.0));
+
+    let text = exchange_over_capacity(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap_or_else(|e| panic!("the over-capacity client must read the 503, got {e}"));
+    assert_complete_503(&text);
+    assert!(asked.elapsed() < idle_deadline, "the 503 must come before the idle deadline");
+
+    // Past the idle deadline the idle connection is closed and its slot is
+    // free; the silent socket still holds the other.
+    assert!(eventually(|| open_connections(&handle) == 1.0));
+    assert!(asked.elapsed() >= idle_deadline, "closed only after the idle deadline");
+    let fresh = Client::new(addr.to_string());
+    assert_eq!(fresh.health().unwrap().get("status").and_then(Json::as_str), Some("ok"));
+
+    drop((fresh, silent));
+    assert!(eventually(|| open_connections(&handle) == 0.0));
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap();
+    assert_eq!(stats.queue_rejected, 1, "{stats:?}");
+}
+
+/// Shutdown does not wait out the idle deadline: with a kept-alive
+/// connection idle, `join` returns well inside it, and the idle connection
+/// is closed.
+#[test]
+fn join_returns_promptly_while_a_kept_alive_connection_idles() {
+    let idle_deadline = Duration::from_secs(30);
+    let config = ServerConfig { idle_deadline, ..ServerConfig::default() };
+    let (handle, client, _slot) = start_server(config);
+
+    let mut idle = TcpStream::connect(handle.addr()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let mut reader = std::io::BufReader::new(idle.try_clone().unwrap());
+    let response = Response::read_from(&mut reader).unwrap();
+    assert_eq!(response.code, 200);
+    assert_eq!(response.header("connection"), Some("keep-alive"));
+
+    let started = Instant::now();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(2), "join waited {waited:?} on an idle connection");
+    // The server closed the idle connection: EOF (or a reset), no bytes.
+    let mut buf = [0u8; 64];
+    assert_eq!(reader.read(&mut buf).unwrap_or(0), 0, "the idle connection must be closed");
 }
 
 // ---------------------------------------------------------------------------
@@ -486,16 +577,16 @@ fn a_slow_loris_peer_is_reaped_with_408() {
 /// connections mid-stream: every streamed request on a reused connection
 /// either completes byte-identically to the reference or fails with a clean
 /// 404 (an eviction gap) — never a torn stream — and the same connections
-/// keep serving once the churn stops. The ledger, persisted (striped)
-/// throughout the race, holds every charge.
+/// keep serving once the churn stops. The ledger, persisted throughout the
+/// race, holds every charge.
 #[test]
 fn eviction_and_ledger_churn_never_tear_a_keepalive_stream() {
     let path = temp_path("keepalive-churn");
     let _ = std::fs::remove_file(&path);
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m", fixture_model(1)).unwrap();
-    let ledger = Arc::new(BudgetLedger::with_persistence_striped(&path, 8).unwrap());
-    let config = ServerConfig { workers: 2, fit_threads: Some(1), ..ServerConfig::default() };
+    let ledger = Arc::new(BudgetLedger::with_persistence(&path).unwrap());
+    let config = ServerConfig { fit_threads: Some(1), ..ServerConfig::default() };
     let server =
         Server::bind("127.0.0.1:0", config, Arc::clone(&registry), Arc::clone(&ledger)).unwrap();
     let handle = server.spawn();
@@ -568,8 +659,8 @@ fn eviction_and_ledger_churn_never_tear_a_keepalive_stream() {
     }
     assert!(completed >= 2, "streams must have completed during the churn");
 
-    // The connections really were reused, and the striped ledger persisted
-    // every charge through the race.
+    // The connections really were reused, and the ledger persisted every
+    // charge through the race.
     let reused =
         client.metrics().unwrap().value("privbayes_connections_reused_total", &[]).unwrap_or(0.0);
     assert!(reused > 0.0, "the streamers must have ridden kept-alive connections");
@@ -584,7 +675,7 @@ fn eviction_and_ledger_churn_never_tear_a_keepalive_stream() {
 }
 
 /// An injected reset on a *reused* connection (`ConnRead` step 1: the first
-/// read after the first request's head) kills the parked connection. The
+/// read after the first request) kills the idle kept-alive connection. The
 /// next request on that raw socket fails cleanly — EOF or a reset, never a
 /// partial response — and a pooled client then recovers byte-exactly on a
 /// fresh connection.
@@ -593,19 +684,23 @@ fn a_reset_on_a_reused_connection_fails_cleanly_and_recovery_is_byte_exact() {
     let (handle, client, slot) = start_server(ServerConfig::default());
     let addr = handle.addr();
     let rows = 2 * privbayes_suite::core::CHUNK_ROWS + 57;
-    let path = format!("/models/m/synth?rows={rows}&seed=5&format=csv");
+    let body = format!(r#"{{"rows": {rows}, "seed": 5}}"#);
+    let request = format!(
+        "POST /v1/models/m/synth HTTP/1.1\r\nConnection: keep-alive\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
 
     // Install the plan before any connection exists: each connection
     // captures the live plan at accept time.
     let plan = Arc::new(FaultPlan::new().inject(FaultSite::ConnRead, 1, Fault::Reset));
     *slot.write().unwrap() = Some(Arc::clone(&plan));
 
-    // Request 1 on a raw keep-alive connection: head read is ConnRead step
-    // 0, clean — the full response arrives.
+    // Request 1 on a raw keep-alive connection, written in one piece: its
+    // read is ConnRead step 0, clean — the full response arrives.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    raw.write_all(format!("GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n").as_bytes())
-        .unwrap();
+    raw.write_all(request.as_bytes()).unwrap();
     let mut response = Vec::new();
     let mut buf = [0u8; 8192];
     while !response.ends_with(b"\r\n0\r\n\r\n") {
@@ -615,15 +710,14 @@ fn a_reset_on_a_reused_connection_fails_cleanly_and_recovery_is_byte_exact() {
     }
     assert!(response.starts_with(b"HTTP/1.1 200"), "first keep-alive response must be 200");
 
-    // The server's next read on this connection — its idle poll — consumes
-    // ConnRead step 1 and dies on the injected reset.
+    // The server's next read on this connection — its wait for the next
+    // request — consumes ConnRead step 1 and dies on the injected reset.
     std::thread::sleep(Duration::from_millis(120));
     assert!(plan.fired() >= 1, "the injected reset must have fired");
 
     // Request 2 on the dead connection fails *cleanly*: the write may be
     // buffered, but no partial second response ever arrives.
-    let _ =
-        raw.write_all(format!("GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n").as_bytes());
+    let _ = raw.write_all(request.as_bytes());
     // EOF and ECONNRESET are equally clean — both read as "no bytes".
     let after = raw.read(&mut buf).unwrap_or_default();
     assert_eq!(after, 0, "a killed connection must never deliver a partial response");
@@ -639,7 +733,10 @@ fn a_reset_on_a_reused_connection_fails_cleanly_and_recovery_is_byte_exact() {
 
     client.shutdown().unwrap();
     let stats = handle.join().unwrap();
-    assert_eq!(stats.panics, 0, "an injected reset must never panic a worker: {stats:?}");
+    assert_eq!(
+        stats.panics, 0,
+        "an injected reset must never panic a connection thread: {stats:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

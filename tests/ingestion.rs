@@ -11,7 +11,7 @@
 //!    the `pbc2` cursor and resume byte-identically across the swap, while
 //!    unpinned requests see the new generation. Aged-out generations answer
 //!    a structured `410`.
-//! 3. **Accounting** — every refit debits ε through the striped ledger
+//! 3. **Accounting** — every refit debits ε through the ledger
 //!    exactly like `POST /fit`: success spends exactly the spec's ε,
 //!    failure refunds it, and an exhausted tenant is refused with no state
 //!    change.
@@ -198,11 +198,8 @@ fn a_refit_model_streams_the_same_bytes_as_a_cold_fit() {
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m-live", live).unwrap();
     registry.load("m-cold", cold).unwrap();
-    let (handle, client) = start_server(
-        ServerConfig { workers: 2, ..ServerConfig::default() },
-        registry,
-        Arc::new(BudgetLedger::in_memory()),
-    );
+    let (handle, client) =
+        start_server(ServerConfig::default(), registry, Arc::new(BudgetLedger::in_memory()));
     for format in ["csv", "ndjson"] {
         assert_eq!(
             client.synth("m-live", CHUNK_ROWS + 321, 9, format).unwrap(),
@@ -229,7 +226,6 @@ fn ingest_triggers_ledger_accounted_refits_and_new_generations() {
     let ledger = Arc::new(BudgetLedger::in_memory());
     ledger.register("acme", 2.0).unwrap();
     let config = ServerConfig {
-        workers: 2,
         fit_threads: Some(1),
         data_dir: Some(dir.clone()),
         refit: RefitPolicy { min_rows: 1, max_staleness: None },
@@ -351,7 +347,7 @@ fn pinned_cursors_survive_hot_swap_and_aged_out_generations_answer_410() {
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m", cold_artifact(&rows(0..400), 1.0, 1)).unwrap();
     let (handle, client) = start_server(
-        ServerConfig { workers: 2, ..ServerConfig::default() },
+        ServerConfig::default(),
         Arc::clone(&registry),
         Arc::new(BudgetLedger::in_memory()),
     );
@@ -434,7 +430,6 @@ fn an_exhausted_tenant_is_refused_without_any_ledger_movement() {
     let ledger = Arc::new(BudgetLedger::in_memory());
     ledger.register("poor", 0.25).unwrap();
     let config = ServerConfig {
-        workers: 2,
         fit_threads: Some(1),
         refit: RefitPolicy { min_rows: 1, max_staleness: None },
         ..ServerConfig::default()
@@ -488,7 +483,6 @@ fn a_failed_refit_refunds_its_charge() {
     let ledger = Arc::new(BudgetLedger::in_memory());
     ledger.register("acme", 2.0).unwrap();
     let config = ServerConfig {
-        workers: 2,
         fit_threads: Some(1),
         refit: RefitPolicy { min_rows: 1, max_staleness: None },
         ..ServerConfig::default()

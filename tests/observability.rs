@@ -32,7 +32,7 @@ use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
 use privbayes_suite::server::{
     BudgetLedger, Client, Fault, FaultPlan, FaultSite, ModelRegistry, RetryPolicy, Server,
-    ServerConfig, ServerError, Snapshot,
+    ServerConfig, ServerError, ServerHandle, Snapshot,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,12 +94,7 @@ fn fixture_model(seed: u64) -> ReleasedModel {
 /// (non-retrying) client, the registry, and the live fault slot.
 fn start_server(
     config: ServerConfig,
-) -> (
-    privbayes_suite::server::ServerHandle,
-    Client,
-    Arc<ModelRegistry>,
-    privbayes_suite::server::server::FaultSlot,
-) {
+) -> (ServerHandle, Client, Arc<ModelRegistry>, privbayes_suite::server::server::FaultSlot) {
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m", fixture_model(1)).unwrap();
     let ledger = Arc::new(BudgetLedger::in_memory());
@@ -139,6 +134,15 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// The server's open-connection gauge, read in-process.
+fn open_connections(handle: &ServerHandle) -> f64 {
+    let text = handle.metrics().render(&[]);
+    privbayes_suite::server::parse_text(&text)
+        .unwrap()
+        .value("privbayes_open_connections", &[])
+        .unwrap_or(0.0)
+}
+
 /// Sends raw `bytes`, half-closes the write side, and returns the full
 /// response text.
 fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
@@ -161,7 +165,7 @@ fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
 #[test]
 fn the_exposition_is_conformant_and_lists_every_family() {
     let (handle, client, _registry, _slot) =
-        start_server(ServerConfig { workers: 2, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
     client.register_tenant("acme", 2.0).unwrap();
     assert_eq!(client.synth("m", 400, 7, "csv").unwrap().lines().count(), 401);
     // The synth increment lands just after its bytes leave the wire.
@@ -183,7 +187,7 @@ fn the_exposition_is_conformant_and_lists_every_family() {
         "privbayes_requests_total",
         "privbayes_request_seconds",
         "privbayes_stage_seconds",
-        "privbayes_queue_depth",
+        "privbayes_open_connections",
         "privbayes_queue_rejected_total",
         "privbayes_worker_panics_total",
         "privbayes_active_streams",
@@ -198,7 +202,6 @@ fn the_exposition_is_conformant_and_lists_every_family() {
         "privbayes_engine_scans_total",
         "privbayes_engine_bytes_materialized_total",
         "privbayes_connections_reused_total",
-        "privbayes_ledger_stripe_contention_total",
         "privbayes_tenant_epsilon_spent",
         "privbayes_tenant_epsilon_remaining",
         "privbayes_ingest_rows_total",
@@ -209,7 +212,7 @@ fn the_exposition_is_conformant_and_lists_every_family() {
         assert!(snapshot.types.contains_key(family), "no TYPE line for {family} in:\n{text}");
     }
     assert_eq!(snapshot.types["privbayes_requests_total"], "counter");
-    assert_eq!(snapshot.types["privbayes_queue_depth"], "gauge");
+    assert_eq!(snapshot.types["privbayes_open_connections"], "gauge");
     assert_eq!(snapshot.types["privbayes_ingest_rows_total"], "counter");
     assert_eq!(snapshot.types["privbayes_ingest_batch_rows"], "histogram");
     assert_eq!(snapshot.types["privbayes_model_generation"], "gauge");
@@ -247,7 +250,7 @@ fn the_exposition_is_conformant_and_lists_every_family() {
 #[test]
 fn counter_deltas_match_a_known_workload_exactly() {
     let (handle, client, _registry, _slot) =
-        start_server(ServerConfig { workers: 4, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
     let requests = 5usize;
     let rows = 400usize;
 
@@ -313,7 +316,7 @@ fn counter_deltas_match_a_known_workload_exactly() {
 #[test]
 fn connection_reuse_counters_are_exact() {
     let (handle, client, _registry, _slot) =
-        start_server(ServerConfig { workers: 2, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
 
     // Request 1 parks the pooled connection; everything below rides it.
     let before = client.metrics().unwrap();
@@ -354,7 +357,7 @@ fn connection_reuse_counters_are_exact() {
 #[test]
 fn a_concurrent_scrape_during_a_storm_stays_coherent() {
     let (handle, client, _registry, _slot) =
-        start_server(ServerConfig { workers: 8, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
     let clients = 8usize;
     let per_client = 4usize;
     let rows = 1200usize;
@@ -425,7 +428,7 @@ fn a_concurrent_scrape_during_a_storm_stays_coherent() {
 fn every_response_shape_carries_a_request_id() {
     quiet_injected_panics();
     let (handle, client, _registry, slot) =
-        start_server(ServerConfig { workers: 2, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
     client.register_tenant("tiny", 0.05).unwrap();
 
     let schema_json =
@@ -444,11 +447,15 @@ fn every_response_shape_carries_a_request_id() {
         ("csv", Json::String(csv)),
     ]);
 
+    let synth = |model: &str, body: &str| {
+        let path = format!("/v1/models/{model}/synth");
+        client.request("POST", &path, Some(("application/json", body.as_bytes()))).unwrap()
+    };
     let shapes: Vec<(u16, privbayes_suite::server::http::Response)> = vec![
         (200, client.request("GET", "/healthz", None).unwrap()),
-        (400, client.request("GET", "/models/m/synth?rows=abc", None).unwrap()),
+        (400, synth("m", r#"{"rows": "abc"}"#)),
         (402, client.fit_raw(&over_budget).unwrap()),
-        (404, client.request("GET", "/models/ghost/synth?rows=5&seed=1", None).unwrap()),
+        (404, synth("ghost", r#"{"rows": 5, "seed": 1}"#)),
         (405, client.request("POST", "/healthz", None).unwrap()),
     ];
     for (expected, response) in &shapes {
@@ -503,7 +510,7 @@ fn every_response_shape_carries_a_request_id() {
 #[test]
 fn inbound_ids_are_echoed_and_hostile_ids_replaced() {
     let (handle, client, _registry, _slot) =
-        start_server(ServerConfig { workers: 1, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
     let addr = handle.addr();
 
     let text = raw_exchange(
@@ -548,20 +555,18 @@ fn inbound_ids_are_echoed_and_hostile_ids_replaced() {
 #[test]
 fn timeouts_and_overload_are_counted_with_ids() {
     let config = ServerConfig {
-        workers: 1,
+        workers: 2,
         fit_threads: Some(1),
-        queue_depth: 1,
         read_deadline: Duration::from_millis(400),
         ..ServerConfig::default()
     };
     let (handle, client, _registry, _slot) = start_server(config);
     let addr = handle.addr();
 
-    // Occupy the worker (a) and the queue slot (b) with silent peers.
+    // Occupy both connection slots with silent peers.
     let a = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
     let b = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    assert!(eventually(|| open_connections(&handle) == 2.0));
 
     // Beyond capacity: the acceptor's 503 carries an id like any response.
     let mut over = TcpStream::connect(addr).unwrap();
@@ -579,10 +584,9 @@ fn timeouts_and_overload_are_counted_with_ids() {
     assert!(text.starts_with("HTTP/1.1 408"), "{text}");
     assert!(text.contains("X-PrivBayes-Request-Id: "), "408s carry ids: {text}");
 
-    // All answered connections land in the one request counter. Scrapes
-    // issued while `b` still pins capacity get 503s themselves, so the
-    // condition tolerates scrape failures until the queue drains and `b`
-    // is reaped in turn.
+    // All answered connections land in the one request counter. A scrape
+    // that races the reaping can still meet a full server and get a 503,
+    // so the condition tolerates scrape failures until `b` is reaped too.
     let retrying = client.clone().with_retry(fast_retry(8));
     assert!(eventually(|| {
         let Ok(snap) = retrying.metrics() else { return false };
@@ -622,7 +626,7 @@ fn timeouts_and_overload_are_counted_with_ids() {
 #[test]
 fn stats_healthz_and_metrics_are_one_surface() {
     let (handle, client, _registry, _slot) =
-        start_server(ServerConfig { workers: 2, fit_threads: Some(1), ..ServerConfig::default() });
+        start_server(ServerConfig { fit_threads: Some(1), ..ServerConfig::default() });
     for seed in 0..3u64 {
         client.synth("m", 200, seed, "csv").unwrap();
     }
@@ -657,7 +661,6 @@ fn instrumented_streaming_is_byte_identical_and_logged() {
     let log_path = temp_path("access");
     let _ = std::fs::remove_file(&log_path);
     let config = ServerConfig {
-        workers: 2,
         fit_threads: Some(1),
         access_log: Some(log_path.clone()),
         ..ServerConfig::default()
@@ -718,12 +721,8 @@ fn instrumented_streaming_is_byte_identical_and_logged() {
 #[test]
 fn disabled_metrics_and_retries_interact_cleanly_with_instrumentation() {
     quiet_injected_panics();
-    let config = ServerConfig {
-        workers: 2,
-        fit_threads: Some(1),
-        metrics_enabled: false,
-        ..ServerConfig::default()
-    };
+    let config =
+        ServerConfig { fit_threads: Some(1), metrics_enabled: false, ..ServerConfig::default() };
     let (handle, client, _registry, slot) = start_server(config);
     let retrying = client.clone().with_retry(fast_retry(5));
 

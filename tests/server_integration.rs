@@ -19,7 +19,7 @@ use privbayes_suite::data::csv::write_csv;
 use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
 use privbayes_suite::server::{
-    BudgetLedger, Client, ModelRegistry, Server, ServerConfig, ServerError,
+    BudgetLedger, Client, ModelRegistry, Server, ServerConfig, ServerError, ServerHandle,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,15 +57,13 @@ fn fixture_model(seed: u64) -> ReleasedModel {
 
 /// Starts a server with the fixture model loaded as `m` and a fresh
 /// registry/ledger; returns (handle, client, registry, ledger).
-fn start_server(
-    workers: usize,
-) -> (privbayes_suite::server::ServerHandle, Client, Arc<ModelRegistry>, Arc<BudgetLedger>) {
+fn start_server() -> (ServerHandle, Client, Arc<ModelRegistry>, Arc<BudgetLedger>) {
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m", fixture_model(1)).unwrap();
     let ledger = Arc::new(BudgetLedger::in_memory());
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers, fit_threads: Some(1), ..ServerConfig::default() },
+        ServerConfig { fit_threads: Some(1), ..ServerConfig::default() },
         Arc::clone(&registry),
         Arc::clone(&ledger),
     )
@@ -77,7 +75,7 @@ fn start_server(
 
 #[test]
 fn concurrent_streams_are_byte_identical_to_the_batch_path() {
-    let (handle, client, registry, _ledger) = start_server(6);
+    let (handle, client, registry, _ledger) = start_server();
     // 2 chunks + a remainder, so chunk framing is exercised.
     let rows = 2 * privbayes_suite::core::CHUNK_ROWS + 137;
     let seed = 42u64;
@@ -139,7 +137,7 @@ fn concurrent_streams_are_byte_identical_to_the_batch_path() {
 
 #[test]
 fn budget_exhaustion_is_structured_and_exact() {
-    let (handle, client, _registry, ledger) = start_server(4);
+    let (handle, client, _registry, ledger) = start_server();
     client.register_tenant("acme", 1.0).unwrap();
 
     let schema_json =
@@ -207,7 +205,7 @@ fn budget_exhaustion_is_structured_and_exact() {
 
 #[test]
 fn eviction_under_load_never_drops_inflight_requests() {
-    let (handle, client, registry, _ledger) = start_server(6);
+    let (handle, client, registry, _ledger) = start_server();
     let rows = 4 * privbayes_suite::core::CHUNK_ROWS; // a stream long enough to race
     let reference = client.synth("m", rows, 9, "csv").unwrap();
 
@@ -291,7 +289,7 @@ fn read_chunked_response(stream: &mut TcpStream) -> (String, String) {
 /// the same bytes.
 #[test]
 fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
-    let (handle, client, registry, _ledger) = start_server(2);
+    let (handle, client, registry, _ledger) = start_server();
     let rows = privbayes_suite::core::CHUNK_ROWS + 201;
 
     let entry = registry.get("m").unwrap();
@@ -305,13 +303,19 @@ fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
         write_csv(&direct, &mut bytes).unwrap();
         String::from_utf8(bytes).unwrap()
     };
-    let path = |seed: u64| format!("/models/m/synth?rows={rows}&seed={seed}&format=csv");
+    let body = |seed: u64| format!(r#"{{"rows": {rows}, "seed": {seed}}}"#);
 
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
     for seed in [13u64, 14] {
-        let path = path(seed);
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let body = body(seed);
+        write!(
+            stream,
+            "POST /v1/models/m/synth HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
         let (head, body) = read_chunked_response(&mut stream);
         assert!(head.starts_with("HTTP/1.1 200"), "seed {seed}: {head}");
         assert!(
@@ -325,11 +329,13 @@ fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
         );
     }
     drop(stream);
-    let path = path(13);
+    let body = body(13);
     let expected = expected(13);
 
     // `Connection: close` is still honored per request, bytes unchanged.
-    let closed = client.request("GET", &path, None).unwrap();
+    let closed = client
+        .request("POST", "/v1/models/m/synth", Some(("application/json", body.as_bytes())))
+        .unwrap();
     assert_eq!(closed.code, 200);
     assert_eq!(closed.header("connection"), Some("close"));
     assert_eq!(closed.text(), expected);
@@ -353,7 +359,7 @@ fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
 
 #[test]
 fn malformed_requests_get_structured_errors_and_never_wedge_workers() {
-    let (handle, client, _registry, _ledger) = start_server(2);
+    let (handle, client, _registry, _ledger) = start_server();
     let addr = handle.addr();
 
     // A request line cut off before the headers arrive: clean 400.
@@ -362,7 +368,7 @@ fn malformed_requests_get_structured_errors_and_never_wedge_workers() {
     assert!(text.contains("bad-request"), "{text}");
 
     // Nothing at all (connect, immediately hang up): no response expected,
-    // and crucially no stuck worker.
+    // and crucially no stuck connection thread.
     let text = raw_exchange(addr, b"");
     assert!(text.is_empty() || text.starts_with("HTTP/1.1 400"), "{text}");
 
@@ -384,21 +390,24 @@ fn malformed_requests_get_structured_errors_and_never_wedge_workers() {
     assert!(text.contains("truncated"), "{text}");
 
     // A client that disconnects mid-way through a long chunked synthesis:
-    // the server's next write fails and the worker moves on.
+    // the server's next write fails and the connection closes.
     {
         let mut stream = TcpStream::connect(addr).unwrap();
-        let rows = 8 * privbayes_suite::core::CHUNK_ROWS;
-        write!(stream, "GET /models/m/synth?rows={rows}&seed=1&format=csv HTTP/1.1\r\n\r\n")
-            .unwrap();
+        let body = format!(r#"{{"rows": {}, "seed": 1}}"#, 8 * privbayes_suite::core::CHUNK_ROWS);
+        write!(
+            stream,
+            "POST /v1/models/m/synth HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
         let mut first = [0u8; 256];
         let n = stream.read(&mut first).unwrap();
         assert!(n > 0, "the stream must have started before the disconnect");
         drop(stream); // vanish mid-stream
     }
 
-    // Both workers still serve: as many concurrent requests as the pool has
-    // threads, all correct, then a clean shutdown (which would hang on a
-    // wedged worker).
+    // The server still serves: concurrent requests, all correct, then a
+    // clean shutdown (which would hang on a wedged connection).
     let reference = client.synth("m", 100, 5, "csv").unwrap();
     let bodies: Vec<String> = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..2)
@@ -420,7 +429,7 @@ fn malformed_requests_get_structured_errors_and_never_wedge_workers() {
 
 #[test]
 fn registry_and_tenant_endpoints_round_trip() {
-    let (handle, client, _registry, _ledger) = start_server(2);
+    let (handle, client, _registry, _ledger) = start_server();
 
     // Load a second model over HTTP and list both.
     client.load_model("extra", &fixture_model(2)).unwrap();
@@ -459,14 +468,21 @@ fn registry_and_tenant_endpoints_round_trip() {
     assert_eq!(resp.code, 405);
     let resp = client.request("DELETE", "/tenants/t1", None).unwrap();
     assert_eq!(resp.code, 405);
-    let resp = client.request("GET", "/models/m/synth?rows=abc", None).unwrap();
-    assert_eq!(resp.code, 400);
-    // An absurd row count is rejected up front instead of pinning a worker.
-    let resp = client.request("GET", "/models/m/synth?rows=18446744073709551615", None).unwrap();
+    let synth = |body: &str| {
+        let body = Some(("application/json", body.as_bytes()));
+        client.request("POST", "/v1/models/m/synth", body).unwrap()
+    };
+    assert_eq!(synth(r#"{"rows": "abc"}"#).code, 400);
+    // A row count beyond the per-request cap is rejected up front instead
+    // of pinning a thread.
+    let resp = synth(r#"{"rows": 20000000}"#);
     assert_eq!(resp.code, 400);
     assert!(resp.text().contains("too-many-rows"), "{}", resp.text());
-    let resp = client.request("GET", "/models/m/synth?seed=1&format=xml", None).unwrap();
-    assert_eq!(resp.code, 400);
+    assert_eq!(synth(r#"{"seed": 1, "format": "xml"}"#).code, 400);
+    // The retired `GET /models/{id}/synth` alias is an unknown path.
+    assert_eq!(client.request("GET", "/models/m/synth?rows=5&seed=1", None).unwrap().code, 404);
+    // A wrong method on a known path is 405, counted under its endpoint.
+    assert_eq!(client.request("GET", "/v1/models/m/synth", None).unwrap().code, 405);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

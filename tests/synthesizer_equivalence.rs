@@ -183,7 +183,7 @@ fn every_method_fits_serves_and_streams_round_trip() {
 
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig { workers: 4, ..ServerConfig::default() },
+        ServerConfig::default(),
         Arc::clone(&registry),
         Arc::new(BudgetLedger::in_memory()),
     )
