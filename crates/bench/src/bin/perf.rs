@@ -698,114 +698,6 @@ fn run_observability(cfg: &HarnessConfig, artifact: &ReleasedModel) -> ObsBench 
     }
 }
 
-struct IngestBench {
-    rows: usize,
-    batches: usize,
-    batch_rows: usize,
-    /// Accepted rows/s through journaled `POST /v1/tenants/{t}/ingest`
-    /// (CSV parse + schema validation + write-temp/fsync/rename included).
-    ingest_rows_per_sec: f64,
-    /// Fit over the long-lived appended engine, cache warm from the
-    /// previous generation — what a background refit actually costs.
-    warm_refit_ms: f64,
-    /// Fresh engine + fit from scratch over the same rows — what a
-    /// restart-and-refit-cold deployment would pay per generation.
-    cold_fit_ms: f64,
-    /// `cold_fit / warm_refit`.
-    refit_speedup: f64,
-}
-
-/// Drives the online-ingestion path end to end: journaled ingest batches
-/// over a live server (timing accepted rows/s with every fsync on the
-/// path), then a refit over the long-lived appended engine against a
-/// from-scratch cold fit of the same rows — asserting first that the two
-/// artifacts serialise **bit-identically**, so the refit speedup can never
-/// come from diverging semantics.
-fn run_ingestion(cfg: &HarnessConfig, data: &Dataset) -> IngestBench {
-    let dir = std::env::temp_dir().join(format!("privbayes-perf-ingest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create ingest journal dir");
-
-    // The refit policy stays disabled so the timed loop measures ingest
-    // alone; the refit cost is measured separately below.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig { data_dir: Some(dir.clone()), ..ServerConfig::default() },
-        Arc::new(ModelRegistry::new()),
-        Arc::new(BudgetLedger::in_memory()),
-    )
-    .expect("bind ingest server");
-    let store = server.store();
-    let handle = server.spawn();
-    let client = Client::new(handle.addr().to_string());
-
-    let n = data.n();
-    let batches = 16usize;
-    let batch_rows = n.div_ceil(batches);
-    let mut bodies: Vec<Json> = Vec::new();
-    for (index, start) in (0..n).step_by(batch_rows).enumerate() {
-        let rows: Vec<usize> = (start..(start + batch_rows).min(n)).collect();
-        let mut csv = Vec::new();
-        write_csv(&data.select_rows(&rows), &mut csv).expect("render batch CSV");
-        let csv = Json::String(String::from_utf8(csv).expect("CSV is UTF-8"));
-        bodies.push(if index == 0 {
-            Json::object(vec![
-                ("schema", privbayes_model::schema_to_json(data.schema())),
-                ("model_id", Json::String("adult-inc".into())),
-                ("epsilon", Json::Number(1.0)),
-                ("seed", Json::Number(4242.0)),
-                ("csv", csv),
-            ])
-        } else {
-            Json::object(vec![("csv", csv)])
-        });
-    }
-    let start = Instant::now();
-    for body in &bodies {
-        let response = client.ingest("acme", body).expect("ingest batch");
-        assert_eq!(response.code, 200, "{}", response.text());
-    }
-    let ingest_secs = start.elapsed().as_secs_f64();
-    client.shutdown().expect("shutdown ingest server");
-    handle.join().expect("join ingest server");
-
-    // Generation 1 warms the engine cache (untimed), then warm-vs-cold.
-    let settings = privbayes_synth::FitSettings::default();
-    let refit = |engine: &privbayes_marginals::CountEngine| {
-        privbayes_synth::fit_method_with_engine(
-            privbayes_synth::Method::PrivBayes,
-            engine,
-            1.0,
-            4242,
-            &settings,
-        )
-        .expect("refit over appended engine")
-    };
-    let _generation1 = store.with_engine("acme", refit).expect("tenant exists");
-    let (warm_refit_ms, warm) =
-        time_min_ms(cfg.reps, || store.with_engine("acme", refit).expect("tenant exists"));
-    let (cold_fit_ms, cold) = time_min_ms(cfg.reps, || {
-        privbayes_synth::fit_method(privbayes_synth::Method::PrivBayes, data, 1.0, 4242, &settings)
-            .expect("cold fit")
-    });
-    assert_eq!(
-        warm.artifact.to_json_string().unwrap(),
-        cold.artifact.to_json_string().unwrap(),
-        "a refit over the appended engine must serialise bit-identically to a cold fit"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    IngestBench {
-        rows: n,
-        batches: bodies.len(),
-        batch_rows,
-        ingest_rows_per_sec: n as f64 / ingest_secs,
-        warm_refit_ms,
-        cold_fit_ms,
-        refit_speedup: cold_fit_ms / warm_refit_ms,
-    }
-}
-
 /// The common environment stanza every BENCH_*.json carries: harness mode,
 /// the machine's available parallelism, and the server connection cap
 /// (`ServerConfig::workers`) the scenario ran with.
@@ -830,7 +722,6 @@ fn main() {
     let overload = run_overload(&cfg, &adult_artifact);
     let query = run_query(&cfg);
     let obs = run_observability(&cfg, &adult_artifact);
-    let ingest = run_ingestion(&cfg, &adult_data);
 
     for w in &workloads {
         println!("== {} (n = {}, d = {}) ==", w.name, w.rows, w.attrs);
@@ -884,16 +775,6 @@ fn main() {
         "  hot-path cost           counter {:.1} ns | histogram {:.1} ns | overhead {:.5}% of \
          {:.1} ms mean (gate {OBS_OVERHEAD_GATE_PERCENT}%)",
         obs.counter_inc_ns, obs.histogram_observe_ns, obs.overhead_percent, obs.mean_request_ms,
-    );
-
-    println!(
-        "== ingestion ({} rows in {} batches of {}) ==",
-        ingest.rows, ingest.batches, ingest.batch_rows
-    );
-    println!(
-        "  journaled ingest {:>9.0} rows/s | warm refit {:>8.1} ms | cold fit {:>8.1} ms \
-         ({:.2}x)",
-        ingest.ingest_rows_per_sec, ingest.warm_refit_ms, ingest.cold_fit_ms, ingest.refit_speedup,
     );
 
     let workload_json: Vec<String> = workloads
@@ -1017,28 +898,5 @@ fn main() {
     );
     let path = out_path("BENCH_PR8.json");
     std::fs::write(&path, obs_json).expect("write BENCH_PR8.json");
-    println!("wrote {}", path.display());
-
-    let ingest_json = format!(
-        concat!(
-            "{{\n  \"pr\": 10,\n  {},\n",
-            "  \"ingest\": {{\"rows\": {}, \"batches\": {}, \"batch_rows\": {}, ",
-            "\"journaled_rows_per_sec\": {:.0}}},\n",
-            "  \"refit\": {{\"warm_refit_ms\": {:.2}, \"cold_fit_ms\": {:.2}, ",
-            "\"speedup\": {:.2}}},\n",
-            "  \"byte_identity\": ",
-            "\"refit over appended engine == cold fit over concatenated data\"\n}}\n"
-        ),
-        env_json(&cfg, ServerConfig::default().workers),
-        ingest.rows,
-        ingest.batches,
-        ingest.batch_rows,
-        ingest.ingest_rows_per_sec,
-        ingest.warm_refit_ms,
-        ingest.cold_fit_ms,
-        ingest.refit_speedup,
-    );
-    let path = out_path("BENCH_PR10.json");
-    std::fs::write(&path, ingest_json).expect("write BENCH_PR10.json");
     println!("wrote {}", path.display());
 }

@@ -1,25 +1,27 @@
 //! Deterministic fault injection for the serving tier.
 //!
 //! A [`FaultPlan`] is a step-indexed schedule of faults: every injection
-//! *site* (ledger persistence, connection reads, connection writes, request
-//! handlers) keeps a monotonically increasing operation counter, and a rule
-//! fires when its site's counter reaches the rule's step. Plans are either
+//! *site* (ledger persistence, dataset-log writes, connection reads,
+//! connection writes, request handlers) keeps a monotonically increasing
+//! operation counter, and a rule fires when its site's counter reaches the
+//! rule's step. Plans are either
 //! built explicitly ([`FaultPlan::inject`]) for kill-at-every-step style
 //! tests, or sampled from a seed ([`FaultPlan::seeded`]) for randomized
 //! chaos storms that are nevertheless reproducible run to run.
 //!
 //! The whole module — and every hook that consults it in `ledger`,
-//! `server`, and `http` — only exists under
+//! `durable`, `ingest`, `server`, and `http` — only exists under
 //! `#[cfg(any(test, feature = "fault-injection"))]`. A release build
 //! (`cargo build --release`) contains none of it: the hooks are not
 //! "cheap", they are *absent*.
 //!
 //! Faults model three distinct failure families:
 //!
-//! * **Process death** during ledger persistence ([`Fault::CrashAt`],
-//!   [`Fault::ShortWrite`]): the persist sequence stops at the named step,
-//!   leaving the on-disk state exactly as a `kill -9` at that instant
-//!   would. Tests then "restart" by re-opening the ledger from the path.
+//! * **Process death** during ledger or dataset-log persistence
+//!   ([`Fault::CrashAt`], [`Fault::ShortWrite`]): the persist sequence
+//!   stops at the named [`PersistStep`], leaving the on-disk state exactly
+//!   as a `kill -9` at that instant would. Tests then "restart" by
+//!   re-opening the ledger or the data directory.
 //! * **Network pathology** on connection IO ([`Fault::Reset`],
 //!   [`Fault::ShortWrite`], [`Fault::DelayMs`]): the wrapped stream
 //!   ([`FaultStream`]) errors, truncates, or stalls — the server must
@@ -37,7 +39,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// One [`crate::BudgetLedger`] persistence attempt (one counter tick
-    /// per persist call, faults name a [`LedgerStep`] inside it).
+    /// per persist call, faults name a [`PersistStep`] inside it).
     LedgerPersist,
     /// One `read` call on a connection's socket.
     ConnRead,
@@ -45,9 +47,9 @@ pub enum FaultSite {
     ConnWrite,
     /// One request dispatched to a handler.
     Handler,
-    /// One per-tenant dataset-journal persistence attempt (same step
-    /// anatomy as [`FaultSite::LedgerPersist`]: faults name a
-    /// [`LedgerStep`] inside the write-temp→fsync→rename sequence).
+    /// One write to a tenant's dataset log: a batch or refit frame, or the
+    /// header and first batch that create the file (faults name a
+    /// [`PersistStep`] inside it).
     DatasetPersist,
 }
 
@@ -71,37 +73,43 @@ impl FaultSite {
     }
 }
 
-/// A step inside the ledger persist sequence. [`Fault::CrashAt`] aborts the
-/// sequence *immediately before* executing the named step, so the five
-/// possible crash points are: before anything is written (`WriteTmp`),
-/// after the temp file is written but not yet synced (`SyncTmp`), after the
-/// sync but before the rename (`Rename`), and after the rename but before
-/// the parent directory entry is made durable (`SyncDir`). `ShortWrite`
-/// covers the fifth: death in the middle of writing the temp file.
+/// A step inside a persist sequence; [`Fault::CrashAt`] aborts the sequence
+/// immediately before the named step.
+///
+/// The ledger rewrites its whole file: it writes a sibling temp file
+/// (`Write`), `fsync`s it (`Sync`), renames it over the target (`Rename`)
+/// and `fsync`s the parent directory (`SyncDir`). A dataset-log append
+/// writes its frames at the end of the log (`Write`) and `fsync`s them
+/// (`Sync`); the append that creates a tenant's log then `fsync`s the
+/// directory (`SyncDir`). [`Fault::ShortWrite`] covers death in the middle
+/// of a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LedgerStep {
-    /// Writing the sibling temp file.
-    WriteTmp,
-    /// `fsync` of the temp file.
-    SyncTmp,
-    /// The atomic rename over the target.
+pub enum PersistStep {
+    /// Writing the ledger's temp file, or a log's frames.
+    Write,
+    /// `fsync` of what was written.
+    Sync,
+    /// The ledger's atomic rename over its target.
     Rename,
-    /// `fsync` of the parent directory (makes the rename durable).
+    /// `fsync` of the parent directory (makes a rename or a new file's
+    /// name durable).
     SyncDir,
 }
 
 /// What happens when a rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Report a clean I/O error without touching any state (exercises
-    /// rollback paths).
+    /// Report a clean I/O error (exercises rollback paths): the ledger
+    /// fails before writing anything, a dataset log when it syncs the
+    /// frames it has written.
     Fail,
     /// Write roughly half the bytes, then die. On the ledger this tears the
-    /// temp file; on a connection it truncates the response mid-stream.
+    /// temp file, on a dataset log the final frame; on a connection it
+    /// truncates the response mid-stream.
     ShortWrite,
-    /// Ledger only: abort the persist sequence immediately before `step`,
-    /// as a `kill -9` at that instant would.
-    CrashAt(LedgerStep),
+    /// Persistence only: abort the persist sequence immediately before
+    /// `step`, as a `kill -9` at that instant would.
+    CrashAt(PersistStep),
     /// Connection IO only: stall this operation for the given milliseconds
     /// before letting it proceed (slow peer / slow disk).
     DelayMs(u64),

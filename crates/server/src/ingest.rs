@@ -1,35 +1,44 @@
-//! Per-tenant online ingestion: durable dataset journals feeding live
+//! Per-tenant online ingestion: durable dataset logs feeding live
 //! incremental count engines.
 //!
-//! [`DatasetStore`] holds one state per tenant: the full coded dataset,
-//! journaled as CRC-tagged `privbayes-dataset/1` JSON, and a live
-//! [`CountEngine`] the rows have been appended into. An append batch is
-//! validated against the tenant's schema, journaled with the same
-//! write-temp → `fsync` → rename → directory-sync sequence the budget
-//! ledger uses (one `FaultSite::DatasetPersist` step per persist under
-//! fault injection), and only then merged into the engine — a persist
-//! failure before the rename rolls the whole append back, so the journal
-//! and the engine can never disagree about which rows exist, and a crash
-//! at any instant leaves the file as either the complete old dataset or
-//! the complete new one.
+//! [`DatasetStore`] holds one state per tenant: a live [`CountEngine`]
+//! holding every row accepted for it, and, in a data directory, the
+//! tenant's `{tenant}.dataset.log` (the append-only log of `durable.rs`).
+//! The log is a sequence of CRC-framed records:
+//!
+//! * a header: the `privbayes-dataset/2` format, the tenant, its schema and
+//!   its refit target, as compact JSON;
+//! * one record per accepted batch: the row count, then the batch's codes
+//!   column by column as little-endian `u32`;
+//! * one record per finished refit: the rows the new generation covers.
+//!
+//! An append batch is validated against the tenant's schema, written as
+//! one record and `fsync`ed, and only then appended to the engine: the log
+//! is the commit point. A failed write or sync cuts the log back and
+//! refuses the append, so the log and the engine never disagree about
+//! which rows exist. The record holds the batch alone, so an append costs
+//! the same whatever the tenant's history. A tenant's first batch creates
+//! its log: header and batch in one write, one file sync and one directory
+//! sync. Recovery replays the records, cuts a torn final record (the only
+//! kind a crash or power loss can leave), and refuses damage to any
+//! earlier one. It also refuses a `*.dataset.json` journal from the
+//! retired `privbayes-dataset/1` format: there is no upgrade path.
 //!
 //! Because [`CountEngine::append`] integer-adds batch counts into cached
 //! tables, an engine grown by appends is bit-identical to one cold-built
 //! over the concatenated data. A refit over the live engine therefore
 //! produces exactly the network a from-scratch fit over all rows would —
-//! the journal is only ever replayed at recovery.
+//! the log is only ever replayed at recovery.
 //!
 //! The store also owns the *when* of refitting: [`RefitPolicy`] names the
 //! row-count and staleness triggers, [`DatasetStore::due_refits`] hands
 //! out at most one in-flight [`RefitJob`] per tenant, and
 //! [`DatasetStore::refit_finished`] records how many rows the new model
-//! generation covers (journaled best-effort: losing that metadata can
-//! only cause one extra — correctly ε-charged — refit after a restart,
-//! never a missed charge).
+//! generation covers (journaled best-effort: losing that record can only
+//! cause one extra — correctly ε-charged — refit after a restart, never a
+//! missed charge).
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -40,14 +49,23 @@ use privbayes_marginals::CountEngine;
 use privbayes_model::{schema_from_json, schema_to_json, Json};
 use privbayes_synth::Method;
 
+use crate::durable::{push_frame, Injected, Log};
 use crate::error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
-use crate::fault::{Fault, FaultPlan, FaultSite, LedgerStep};
-use crate::ledger::crc32;
+use crate::fault::{FaultPlan, FaultSite};
 use crate::registry::validate_id;
 
-/// The dataset journal file format identifier.
-pub const DATASET_FORMAT: &str = "privbayes-dataset/1";
+/// The dataset log format identifier, carried in each log's header.
+pub const DATASET_FORMAT: &str = "privbayes-dataset/2";
+
+/// The file name suffix of a tenant's dataset log.
+const LOG_SUFFIX: &str = ".dataset.log";
+
+/// The first payload byte of a batch record.
+const BATCH: u8 = b'B';
+
+/// The first payload byte of a finished-refit record.
+const REFIT: u8 = b'R';
 
 /// When a tenant's accumulated rows trigger a background refit.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,7 +213,7 @@ fn parse_jsonl(schema: &Schema, text: &str) -> Result<Dataset, ServerError> {
 }
 
 /// Everything the store tracks for one tenant. The engine owns the only
-/// copy of the coded columns; the journal is rendered from it on demand.
+/// in-memory copy of the coded columns.
 #[derive(Debug)]
 struct TenantState {
     engine: CountEngine,
@@ -208,20 +226,15 @@ struct TenantState {
     /// Set while a [`RefitJob`] for this tenant is outstanding, so a slow
     /// refit is never doubled up.
     refit_inflight: bool,
+    /// The tenant's log: absent in a store without a directory, and until
+    /// the tenant's first non-empty batch creates the file.
+    log: Option<Log>,
 }
 
 impl TenantState {
     fn pending_rows(&self) -> u64 {
         (self.engine.n() as u64).saturating_sub(self.fitted_rows)
     }
-}
-
-/// Why a journal persist did not complete cleanly — same semantics as the
-/// ledger's: after the rename the new dataset *is* the file, so the
-/// mutation is kept; before it, nothing landed and the append rolls back.
-struct PersistFailure {
-    durable: bool,
-    error: ServerError,
 }
 
 /// The per-tenant dataset store. See the module docs for the durability
@@ -235,28 +248,34 @@ pub struct DatasetStore {
 }
 
 impl DatasetStore {
-    /// A store with no journal directory: appends feed live engines but
+    /// A store with no data directory: appends feed live engines but
     /// nothing survives a restart.
     #[must_use]
     pub fn in_memory() -> Self {
+        Self::build(None, BTreeMap::new())
+    }
+
+    fn build(dir: Option<PathBuf>, tenants: BTreeMap<String, Arc<Mutex<TenantState>>>) -> Self {
         Self {
-            dir: None,
-            tenants: Mutex::new(BTreeMap::new()),
+            dir,
+            tenants: Mutex::new(tenants),
             #[cfg(any(test, feature = "fault-injection"))]
             fault: Mutex::new(None),
         }
     }
 
-    /// Opens (creating if needed) a journal directory and recovers every
-    /// `*.dataset.json` file in it: CRC-validated, schema-validated, and
-    /// rebuilt into a live engine. Stray `*.tmp` debris from a crash
-    /// mid-persist is ignored — the rename never landed, so the target
-    /// file still holds the pre-crash dataset.
+    /// Opens (creating if needed) a data directory and recovers every
+    /// `*.dataset.log` in it into a live engine: records CRC-checked, a
+    /// torn final record cut, the header's tenant and schema validated.
+    /// An empty log (a first append that died before its header reached
+    /// the disk) holds no tenant.
     ///
     /// # Errors
-    /// Returns [`ServerError::Dataset`] if a journal file is unreadable,
-    /// corrupt, or fails its checksum — a dataset that cannot be trusted
-    /// must never be silently dropped or guessed at.
+    /// Returns [`ServerError::Dataset`], naming the file, if a log is
+    /// unreadable or damaged before its final record, or if the directory
+    /// holds a `*.dataset.json` journal of the retired format — a dataset
+    /// that cannot be trusted must never be silently dropped or guessed
+    /// at.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, ServerError> {
         let dir = dir.into();
         let io = |e: std::io::Error| ServerError::Dataset(format!("{}: {e}", dir.display()));
@@ -265,32 +284,38 @@ impl DatasetStore {
         for entry in std::fs::read_dir(&dir).map_err(io)? {
             let path = entry.map_err(io)?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let Some(tenant) = name.strip_suffix(".dataset.json") else { continue };
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| ServerError::Dataset(format!("{}: {e}", path.display())))?;
-            let (named, state) = parse_journal(&text)
-                .map_err(|e| ServerError::Dataset(format!("{}: {e}", path.display())))?;
-            if named != tenant {
-                return Err(ServerError::Dataset(format!(
-                    "{}: journal names tenant `{named}`",
-                    path.display()
+            let failed = |e: String| ServerError::Dataset(format!("{}: {e}", path.display()));
+            if name.ends_with(".dataset.json") {
+                return Err(failed(format!(
+                    "a `privbayes-dataset/1` journal; this version reads only `{DATASET_FORMAT}` \
+                     logs (`*{LOG_SUFFIX}`) and cannot upgrade it"
                 )));
             }
-            tenants.insert(tenant.to_string(), Arc::new(Mutex::new(state)));
+            let Some(tenant) = name.strip_suffix(LOG_SUFFIX) else { continue };
+            if let Some(state) = recover(&path, tenant).map_err(failed)? {
+                tenants.insert(tenant.to_string(), Arc::new(Mutex::new(state)));
+            }
         }
-        Ok(Self {
-            dir: Some(dir),
-            tenants: Mutex::new(tenants),
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: Mutex::new(None),
-        })
+        Ok(Self::build(Some(dir), tenants))
     }
 
-    /// Installs (or clears) a fault plan consulted on every journal
-    /// persist. Test-only: absent from release builds.
+    /// Installs (or clears) a fault plan consulted on every log write.
+    /// Test-only: absent from release builds.
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         *self.fault.lock().expect("fault lock poisoned") = plan;
+    }
+
+    /// The fault the installed plan aims at the next log write.
+    #[cfg(any(test, feature = "fault-injection"))]
+    fn injected(&self) -> Injected {
+        let plan = self.fault.lock().expect("fault lock poisoned").clone();
+        Injected(plan.and_then(|p| p.take(FaultSite::DatasetPersist)))
+    }
+
+    #[cfg(not(any(test, feature = "fault-injection")))]
+    fn injected(&self) -> Injected {
+        Injected::default()
     }
 
     /// The registered tenants, in name order.
@@ -331,9 +356,9 @@ impl DatasetStore {
         Some(f(&state.engine))
     }
 
-    /// Appends a schema-validated batch to `tenant`'s dataset: journal
-    /// first (durably), engine second — a persist failure before the
-    /// rename returns the error with *nothing* appended.
+    /// Appends a schema-validated batch to `tenant`'s dataset: log first
+    /// (durably), engine second — a failed log write returns the error
+    /// with *nothing* appended.
     ///
     /// The first batch for a tenant must carry the [`RefitSpec`] naming
     /// what its refits produce; later batches may repeat it (it must
@@ -341,13 +366,30 @@ impl DatasetStore {
     ///
     /// # Errors
     /// [`ServerError::Protocol`] for a bad tenant name,
-    /// [`ServerError::Dataset`] for a schema/refit mismatch or a
-    /// non-durable journal failure.
+    /// [`ServerError::Dataset`] for a schema/refit mismatch or a failed
+    /// log write.
     pub fn append(
         &self,
         tenant: &str,
         batch: &Dataset,
         refit: Option<&RefitSpec>,
+    ) -> Result<IngestReceipt, ServerError> {
+        self.append_staged(tenant, batch, refit, &mut |_| {})
+    }
+
+    /// [`DatasetStore::append`], calling `stage` as each stage of a
+    /// non-empty batch closes: `"journal"` once its log write has synced
+    /// or failed (stores with a directory only), then `"append"` once the
+    /// engine holds its rows. The server records them as request stages.
+    ///
+    /// # Errors
+    /// As [`DatasetStore::append`].
+    pub(crate) fn append_staged(
+        &self,
+        tenant: &str,
+        batch: &Dataset,
+        refit: Option<&RefitSpec>,
+        stage: &mut dyn FnMut(&'static str),
     ) -> Result<IngestReceipt, ServerError> {
         validate_id(tenant)?;
         if let Some(spec) = refit {
@@ -380,24 +422,12 @@ impl DatasetStore {
         }
         if batch.n() > 0 {
             if let Some(dir) = &self.dir {
-                // Render the *post-append* dataset and persist it before
-                // touching the engine: the journal is the commit point.
-                let columns = appended_columns(&state.engine, batch);
-                let inner = dataset_json(
-                    tenant,
-                    state.engine.schema(),
-                    &columns,
-                    state.engine.n() + batch.n(),
-                    &state.refit,
-                    state.fitted_rows,
-                );
-                if let Err(f) = self.persist(&Self::tenant_path(dir, tenant), &render(inner)) {
-                    if !f.durable {
-                        return Err(f.error);
-                    }
-                }
+                let journaled = self.journal(dir, tenant, &mut state, batch);
+                stage("journal");
+                journaled?;
             }
             state.engine.append(batch);
+            stage("append");
             if state.pending_since.is_none() {
                 state.pending_since = Some(Instant::now());
             }
@@ -407,6 +437,45 @@ impl DatasetStore {
             total_rows: state.engine.n() as u64,
             pending_rows: state.pending_rows(),
         })
+    }
+
+    /// Writes `batch` to the tenant's log as one synced record, after the
+    /// header in the same write when the batch creates the file.
+    fn journal(
+        &self,
+        dir: &Path,
+        tenant: &str,
+        state: &mut TenantState,
+        batch: &Dataset,
+    ) -> Result<(), ServerError> {
+        let path = dir.join(format!("{tenant}{LOG_SUFFIX}"));
+        let failed = |e: std::io::Error| ServerError::Dataset(format!("{}: {e}", path.display()));
+        let rows = u32::try_from(batch.n())
+            .map_err(|_| failed(std::io::Error::other("a batch holds at most u32::MAX rows")))?;
+        let mut frames = Vec::new();
+        if state.log.is_none() {
+            let header = header_json(tenant, state.engine.schema(), &state.refit)
+                .to_string_compact()
+                .expect("refit epsilon is finite");
+            push_frame(&mut frames, |out| out.extend_from_slice(header.as_bytes()))
+                .map_err(failed)?;
+        }
+        push_frame(&mut frames, |out| {
+            out.push(BATCH);
+            out.extend_from_slice(&rows.to_le_bytes());
+            for a in 0..batch.d() {
+                for &code in batch.column(a) {
+                    out.extend_from_slice(&code.to_le_bytes());
+                }
+            }
+        })
+        .map_err(failed)?;
+        let injected = self.injected();
+        match state.log.as_mut() {
+            Some(log) => log.append(&frames, injected),
+            None => Log::create(&path, &frames, injected).map(|log| state.log = Some(log)),
+        }
+        .map_err(failed)
     }
 
     /// Cuts a [`RefitJob`] for every tenant the policy says is due, and
@@ -454,22 +523,18 @@ impl DatasetStore {
             Some(rows) => {
                 state.fitted_rows = state.fitted_rows.max(rows);
                 state.pending_since = (state.pending_rows() > 0).then(Instant::now);
-                // Best-effort metadata persist: if it fails, a restart
-                // re-pends these rows and refits once more — an extra,
-                // correctly charged fit, never a forgotten one.
-                if let Some(dir) = &self.dir {
-                    let columns: Vec<Vec<u32>> = (0..state.engine.schema().len())
-                        .map(|a| state.engine.column(a).to_vec())
-                        .collect();
-                    let inner = dataset_json(
-                        tenant,
-                        state.engine.schema(),
-                        &columns,
-                        state.engine.n(),
-                        &state.refit,
-                        state.fitted_rows,
-                    );
-                    let _ = self.persist(&Self::tenant_path(dir, tenant), &render(inner));
+                // Best-effort record: if it is lost, a restart re-pends
+                // these rows and refits once more — an extra, correctly
+                // charged fit, never a forgotten one.
+                let mut frame = Vec::new();
+                let fitted = state.fitted_rows;
+                push_frame(&mut frame, |out| {
+                    out.push(REFIT);
+                    out.extend_from_slice(&fitted.to_le_bytes());
+                })
+                .expect("a refit record is nine bytes");
+                if let Some(log) = state.log.as_mut() {
+                    let _ = log.append(&frame, self.injected());
                 }
             }
             None => state.pending_since = Some(Instant::now()),
@@ -505,136 +570,20 @@ impl DatasetStore {
             fitted_rows: 0,
             pending_since: None,
             refit_inflight: false,
+            log: None,
         };
         let slot = Arc::new(Mutex::new(state));
         map.insert(tenant.to_string(), Arc::clone(&slot));
         Ok(slot)
     }
-
-    fn tenant_path(dir: &Path, tenant: &str) -> PathBuf {
-        // `validate_id` admits only `[A-Za-z0-9._-]`, so the name can
-        // never smuggle a path separator.
-        dir.join(format!("{tenant}.dataset.json"))
-    }
-
-    /// The ledger's crash-durable persist sequence, verbatim, against the
-    /// dataset journal: write sibling temp, `fsync` it, rename over the
-    /// target, `fsync` the parent directory. One
-    /// `FaultSite::DatasetPersist` step is consumed per call under fault
-    /// injection; `CrashAt(step)` aborts immediately before the named
-    /// step, exactly as `kill -9` at that instant would.
-    fn persist(&self, path: &Path, body: &str) -> Result<(), PersistFailure> {
-        let io_err = |e: std::io::Error| ServerError::Dataset(format!("{}: {e}", path.display()));
-        let fail = |durable: bool, error: ServerError| -> PersistFailure {
-            PersistFailure { durable, error }
-        };
-        let tmp = path.with_extension("tmp");
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        let injected: Option<Fault> = self
-            .fault
-            .lock()
-            .expect("fault lock poisoned")
-            .as_ref()
-            .map(Arc::clone)
-            .and_then(|p| p.take(FaultSite::DatasetPersist));
-        #[cfg(any(test, feature = "fault-injection"))]
-        let crashed = |step: LedgerStep| -> Option<PersistFailure> {
-            match injected {
-                Some(Fault::CrashAt(s)) if s == step => Some(PersistFailure {
-                    durable: step == LedgerStep::SyncDir,
-                    error: ServerError::Dataset(format!("injected crash before {step:?}")),
-                }),
-                _ => None,
-            }
-        };
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            if let Some(f) = crashed(LedgerStep::WriteTmp) {
-                return Err(f);
-            }
-            match injected {
-                Some(Fault::Fail) => {
-                    return Err(fail(
-                        false,
-                        ServerError::Dataset("injected persist failure".to_string()),
-                    ))
-                }
-                Some(Fault::ShortWrite) => {
-                    // Die halfway through writing the temp file: the
-                    // target is untouched, the temp file is torn garbage.
-                    let _ = std::fs::write(&tmp, &body.as_bytes()[..body.len() / 2]);
-                    return Err(fail(
-                        false,
-                        ServerError::Dataset("injected crash mid temp-file write".to_string()),
-                    ));
-                }
-                _ => {}
-            }
-        }
-
-        let mut file = File::create(&tmp).map_err(|e| fail(false, io_err(e)))?;
-        file.write_all(body.as_bytes()).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncTmp) {
-            return Err(f);
-        }
-
-        file.sync_all().map_err(|e| fail(false, io_err(e)))?;
-        drop(file);
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::Rename) {
-            return Err(f);
-        }
-
-        std::fs::rename(&tmp, path).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncDir) {
-            return Err(f);
-        }
-
-        // Make the rename itself durable; past it the file already holds
-        // the new dataset, so the caller keeps the append.
-        #[cfg(unix)]
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = File::open(parent).and_then(|dir| dir.sync_all()) {
-                return Err(fail(true, io_err(e)));
-            }
-        }
-        Ok(())
-    }
 }
 
-/// The tenant's full column set with `batch` appended — rendered before
-/// the engine is touched, so the journal is always post-state.
-fn appended_columns(engine: &CountEngine, batch: &Dataset) -> Vec<Vec<u32>> {
-    (0..engine.schema().len())
-        .map(|a| {
-            let mut col = Vec::with_capacity(engine.n() + batch.n());
-            col.extend_from_slice(engine.column(a));
-            col.extend_from_slice(batch.column(a));
-            col
-        })
-        .collect()
-}
-
-/// The canonical inner object the journal CRC is computed over.
-fn dataset_json(
-    tenant: &str,
-    schema: &Schema,
-    columns: &[Vec<u32>],
-    rows: usize,
-    refit: &RefitSpec,
-    fitted_rows: u64,
-) -> Json {
+/// The header record's content.
+fn header_json(tenant: &str, schema: &Schema, refit: &RefitSpec) -> Json {
     Json::object(vec![
+        ("format", Json::String(DATASET_FORMAT.to_string())),
         ("tenant", Json::String(tenant.to_string())),
-        ("rows", Json::from_usize(rows)),
-        ("fitted_rows", Json::from_usize(fitted_rows as usize)),
+        ("schema", schema_to_json(schema)),
         (
             "refit",
             Json::object(vec![
@@ -646,118 +595,118 @@ fn dataset_json(
                 ("seed", Json::String(format!("{:016x}", refit.seed))),
             ]),
         ),
-        ("schema", schema_to_json(schema)),
-        (
-            "columns",
-            Json::Array(
-                columns
-                    .iter()
-                    .map(|col| {
-                        Json::Array(col.iter().map(|&c| Json::from_usize(c as usize)).collect())
-                    })
-                    .collect(),
-            ),
-        ),
     ])
 }
 
-/// Renders the journal file around `inner`, taking it by value: the tree
-/// holds a node per stored cell, so a copy would double each batch's
-/// transient memory.
-fn render(inner: Json) -> String {
-    let canonical = inner.to_string_compact().expect("codes are finite");
-    let crc = crc32(canonical.as_bytes());
-    drop(canonical);
-    Json::object(vec![
-        ("format", Json::String(DATASET_FORMAT.to_string())),
-        ("crc", Json::String(format!("{crc:08x}"))),
-        ("dataset", inner),
-    ])
-    .to_string_pretty()
-    .expect("codes are finite")
-}
-
-/// Parses and CRC-validates one journal file into a recovered tenant
-/// state. The checksum is recomputed over the canonical re-rendering of
-/// the parsed content (exactly like the v2 ledger), so whitespace is
-/// irrelevant but any value corruption is caught.
-fn parse_journal(text: &str) -> Result<(String, TenantState), String> {
-    let json = Json::parse(text).map_err(|e| e.to_string())?;
-    match json.get("format").and_then(Json::as_str) {
-        Some(DATASET_FORMAT) => {}
-        other => return Err(format!("unsupported format {other:?}, expected `{DATASET_FORMAT}`")),
-    }
-    let dataset = json.get("dataset").ok_or("missing `dataset` object")?;
-    let field = |name: &str| format!("missing or mistyped `{name}`");
-    let tenant = dataset.get("tenant").and_then(Json::as_str).ok_or_else(|| field("tenant"))?;
-    let rows = dataset.get("rows").and_then(Json::as_usize).ok_or_else(|| field("rows"))?;
-    let fitted_rows =
-        dataset.get("fitted_rows").and_then(Json::as_usize).ok_or_else(|| field("fitted_rows"))?
-            as u64;
-    let refit_json = dataset.get("refit").ok_or_else(|| field("refit"))?;
-    let method_name =
-        refit_json.get("method").and_then(Json::as_str).ok_or_else(|| field("method"))?;
-    let refit = RefitSpec {
-        model_id: refit_json
-            .get("model_id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field("model_id"))?
-            .to_string(),
-        method: Method::parse(method_name)
-            .ok_or_else(|| format!("unknown refit method `{method_name}`"))?,
-        epsilon: refit_json
-            .get("epsilon")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| field("epsilon"))?,
-        seed: refit_json
-            .get("seed")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| field("seed"))?,
-    };
-    let schema = schema_from_json(dataset.get("schema").ok_or_else(|| field("schema"))?)
-        .map_err(|e| e.to_string())?;
-    let column_json =
-        dataset.get("columns").and_then(Json::as_array).ok_or_else(|| field("columns"))?;
-    let mut columns: Vec<Vec<u32>> = Vec::with_capacity(column_json.len());
-    for (a, col) in column_json.iter().enumerate() {
-        let items = col.as_array().ok_or_else(|| format!("column {a} is not an array"))?;
-        let mut out = Vec::with_capacity(items.len());
-        for v in items {
-            let raw = v.as_usize().ok_or_else(|| format!("column {a} holds a non-code value"))?;
-            out.push(u32::try_from(raw).map_err(|_| format!("column {a} code exceeds the range"))?);
+/// Replays one tenant's log into a live state; `None` for an empty log.
+fn recover(path: &Path, tenant: &str) -> Result<Option<TenantState>, String> {
+    let mut replay: Option<Replay> = None;
+    let log = Log::open(path, |payload| match &mut replay {
+        None => {
+            replay = Some(Replay::from_header(payload, tenant)?);
+            Ok(())
         }
-        columns.push(out);
-    }
-    let stored = json.get("crc").and_then(Json::as_str).ok_or("journal is missing `crc`")?;
-    let canonical = dataset_json(tenant, &schema, &columns, rows, &refit, fitted_rows)
-        .to_string_compact()
-        .expect("codes are finite");
-    let expected = format!("{:08x}", crc32(canonical.as_bytes()));
-    if stored != expected {
-        return Err(format!(
-            "crc mismatch: file says {stored}, content hashes to {expected} \
-             (corrupt dataset journal; refusing to guess at rows)"
-        ));
-    }
-    let data = Dataset::from_columns(schema, columns).map_err(|e| e.to_string())?;
-    if data.n() != rows {
-        return Err(format!("journal says {rows} rows but columns hold {}", data.n()));
-    }
-    let fitted_rows = fitted_rows.min(rows as u64);
-    let state = TenantState {
-        pending_since: ((data.n() as u64) > fitted_rows).then(Instant::now),
+        Some(replay) => replay.record(payload),
+    })
+    .map_err(|e| e.to_string())?;
+    let Some(replay) = replay else { return Ok(None) };
+    let data = Dataset::from_columns(replay.schema, replay.columns).map_err(|e| e.to_string())?;
+    let rows = data.n() as u64;
+    let fitted_rows = replay.fitted_rows.min(rows);
+    Ok(Some(TenantState {
+        pending_since: (rows > fitted_rows).then(Instant::now),
         engine: CountEngine::new(&data),
-        refit,
+        refit: replay.refit,
         fitted_rows,
         refit_inflight: false,
-    };
-    Ok((tenant.to_string(), state))
+        log: Some(log),
+    }))
+}
+
+/// A tenant's dataset as its log's records rebuild it.
+struct Replay {
+    schema: Schema,
+    refit: RefitSpec,
+    columns: Vec<Vec<u32>>,
+    fitted_rows: u64,
+}
+
+impl Replay {
+    fn from_header(payload: &[u8], tenant: &str) -> Result<Self, String> {
+        let text = std::str::from_utf8(payload).map_err(|e| format!("header: {e}"))?;
+        let json = Json::parse(text).map_err(|e| format!("header: {e}"))?;
+        match json.get("format").and_then(Json::as_str) {
+            Some(DATASET_FORMAT) => {}
+            other => {
+                return Err(format!("unsupported format {other:?}, expected `{DATASET_FORMAT}`"))
+            }
+        }
+        let field = |name: &str| format!("header: missing or mistyped `{name}`");
+        let named = json.get("tenant").and_then(Json::as_str).ok_or_else(|| field("tenant"))?;
+        if named != tenant {
+            return Err(format!("log names tenant `{named}`"));
+        }
+        let refit_json = json.get("refit").ok_or_else(|| field("refit"))?;
+        let method_name =
+            refit_json.get("method").and_then(Json::as_str).ok_or_else(|| field("method"))?;
+        let refit = RefitSpec {
+            model_id: refit_json
+                .get("model_id")
+                .and_then(Json::as_str)
+                .ok_or_else(|| field("model_id"))?
+                .to_string(),
+            method: Method::parse(method_name)
+                .ok_or_else(|| format!("unknown refit method `{method_name}`"))?,
+            epsilon: refit_json
+                .get("epsilon")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| field("epsilon"))?,
+            seed: refit_json
+                .get("seed")
+                .and_then(Json::as_str)
+                .and_then(|s| u64::from_str_radix(s, 16).ok())
+                .ok_or_else(|| field("seed"))?,
+        };
+        let schema = schema_from_json(json.get("schema").ok_or_else(|| field("schema"))?)
+            .map_err(|e| format!("header: {e}"))?;
+        let columns = vec![Vec::new(); schema.len()];
+        Ok(Self { schema, refit, columns, fitted_rows: 0 })
+    }
+
+    /// Applies one batch or refit record.
+    fn record(&mut self, payload: &[u8]) -> Result<(), String> {
+        match payload.split_first() {
+            Some((&BATCH, body)) if body.len() >= 4 => {
+                let (count, codes) = body.split_at(4);
+                let rows = u32::from_le_bytes([count[0], count[1], count[2], count[3]]) as usize;
+                let d = self.columns.len();
+                if rows.checked_mul(d * 4) != Some(codes.len()) {
+                    return Err(format!(
+                        "batch record holds {} code bytes, not {rows} rows of {d} codes",
+                        codes.len()
+                    ));
+                }
+                for (a, column) in self.columns.iter_mut().enumerate() {
+                    let bytes = &codes[a * rows * 4..(a + 1) * rows * 4];
+                    column.extend(
+                        bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                    );
+                }
+                Ok(())
+            }
+            Some((&REFIT, &[a, b, c, d, e, f, g, h])) => {
+                self.fitted_rows = u64::from_le_bytes([a, b, c, d, e, f, g, h]);
+                Ok(())
+            }
+            _ => Err("neither a batch nor a refit record".to_string()),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Fault, FaultPlan, FaultSite};
     use privbayes_data::Attribute;
     use privbayes_marginals::{Axis, ContingencyTable};
 
@@ -850,13 +799,32 @@ mod tests {
     fn corrupt_journals_are_refused() {
         let dir = temp_dir("corrupt");
         let store = DatasetStore::open(&dir).unwrap();
-        store.append("acme", &batch(&[[0, 0]]), Some(&spec())).unwrap();
+        store.append("acme", &batch(&[[0, 0], [1, 1]]), Some(&spec())).unwrap();
+        let path = dir.join("acme.dataset.log");
+        let first = std::fs::read(&path).unwrap().len();
+        store.append("acme", &batch(&[[1, 2]]), None).unwrap();
         drop(store);
+        // Flip the last code of the first batch record: a record with more
+        // after it, so damage rather than a torn write.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[first - 1] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = DatasetStore::open(&dir).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("damaged frame"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn leftover_json_journals_are_refused() {
+        let dir = temp_dir("retired");
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("acme.dataset.json");
-        let flipped = std::fs::read_to_string(&path).unwrap().replace("\"rows\": 1", "\"rows\": 2");
-        std::fs::write(&path, flipped).unwrap();
-        let err = DatasetStore::open(&dir).unwrap_err();
-        assert!(err.to_string().contains("crc mismatch"), "{err}");
+        std::fs::write(&path, "{\"format\": \"privbayes-dataset/1\"}").unwrap();
+        let err = DatasetStore::open(&dir).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("privbayes-dataset/1"), "{err}");
+        assert!(path.exists(), "a refused journal is left as it is");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -864,17 +832,51 @@ mod tests {
     fn persist_failure_rolls_the_append_back() {
         let dir = temp_dir("rollback");
         let store = DatasetStore::open(&dir).unwrap();
+        // A failed first write leaves no log behind.
+        let plan = Arc::new(FaultPlan::new().inject(FaultSite::DatasetPersist, 0, Fault::Fail));
+        store.set_fault_plan(Some(plan));
+        assert!(store.append("acme", &batch(&[[0, 0]]), Some(&spec())).is_err());
+        store.set_fault_plan(None);
+        let path = dir.join("acme.dataset.log");
+        assert!(!path.exists(), "a refused first batch must leave no file");
+
         store.append("acme", &batch(&[[0, 0]]), Some(&spec())).unwrap();
+        let committed = std::fs::read(&path).unwrap();
         let plan = Arc::new(FaultPlan::new().inject(FaultSite::DatasetPersist, 0, Fault::Fail));
         store.set_fault_plan(Some(plan));
         let err = store.append("acme", &batch(&[[1, 1]]), None).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
         assert_eq!(store.snapshot()[0].total_rows, 1, "failed append must not land");
         store.set_fault_plan(None);
-        // The journal still holds exactly the pre-failure dataset.
+        assert_eq!(std::fs::read(&path).unwrap(), committed, "a rolled-back batch leaves no bytes");
+        // The log still holds exactly the pre-failure dataset.
         drop(store);
         let recovered = DatasetStore::open(&dir).unwrap();
         assert_eq!(recovered.snapshot()[0].total_rows, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_append_grows_the_log_by_one_record_sized_by_its_batch() {
+        let dir = temp_dir("growth");
+        let store = DatasetStore::open(&dir).unwrap();
+        let path = dir.join("acme.dataset.log");
+        let rows: Vec<[u32; 2]> = (0..100u32).map(|i| [i % 2, i % 3]).collect();
+        let record = crate::durable::FRAME_HEADER + 1 + 4 + rows.len() * 2 * 4;
+        let mut before = Vec::new();
+        for i in 0..200 {
+            store.append("acme", &batch(&rows), Some(&spec())).unwrap();
+            let after = std::fs::read(&path).unwrap();
+            assert!(after.starts_with(&before), "batch {}: the log is append-only", i + 1);
+            let grown = after.len() - before.len();
+            if i == 0 {
+                assert!(grown > record, "the first batch also carries the header");
+            } else {
+                assert_eq!(grown, record, "batch {}: one record, sized by the batch alone", i + 1);
+            }
+            before = after;
+        }
+        assert_eq!(store.snapshot()[0].total_rows, 200 * 100);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,9 +34,10 @@ use privbayes_dp::{DpError, PrivacyBudget};
 use privbayes_model::{budget_from_json, budget_to_json, Json};
 use privbayes_obs::{Counter, Histogram};
 
+use crate::durable::crc32;
 use crate::error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
-use crate::fault::{Fault, FaultPlan, FaultSite, LedgerStep};
+use crate::fault::{Fault, FaultPlan, FaultSite, PersistStep};
 use crate::registry::validate_id;
 use std::sync::Arc;
 
@@ -309,10 +310,10 @@ impl BudgetLedger {
             .map(Arc::clone)
             .and_then(|p| p.take(FaultSite::LedgerPersist));
         #[cfg(any(test, feature = "fault-injection"))]
-        let crashed = |step: LedgerStep| -> Option<PersistFailure> {
+        let crashed = |step: PersistStep| -> Option<PersistFailure> {
             match injected {
                 Some(Fault::CrashAt(s)) if s == step => Some(PersistFailure {
-                    durable: step == LedgerStep::SyncDir,
+                    durable: step == PersistStep::SyncDir,
                     error: ServerError::Ledger(format!("injected crash before {step:?}")),
                 }),
                 _ => None,
@@ -321,7 +322,7 @@ impl BudgetLedger {
 
         #[cfg(any(test, feature = "fault-injection"))]
         {
-            if let Some(f) = crashed(LedgerStep::WriteTmp) {
+            if let Some(f) = crashed(PersistStep::Write) {
                 return Err(f);
             }
             match injected {
@@ -348,7 +349,7 @@ impl BudgetLedger {
         file.write_all(body.as_bytes()).map_err(|e| fail(false, io_err(e)))?;
 
         #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncTmp) {
+        if let Some(f) = crashed(PersistStep::Sync) {
             return Err(f);
         }
 
@@ -356,14 +357,14 @@ impl BudgetLedger {
         drop(file);
 
         #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::Rename) {
+        if let Some(f) = crashed(PersistStep::Rename) {
             return Err(f);
         }
 
         std::fs::rename(&tmp, path).map_err(|e| fail(false, io_err(e)))?;
 
         #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncDir) {
+        if let Some(f) = crashed(PersistStep::SyncDir) {
             return Err(f);
         }
 
@@ -492,21 +493,6 @@ impl BudgetLedger {
             })
             .collect()
     }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), bitwise — the ledger is tiny
-/// and rewritten rarely, so a lookup table would be wasted space.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Translates a [`DpError`] into the tenant-scoped ledger error.
@@ -673,15 +659,15 @@ mod tests {
 
     #[test]
     fn kill_at_every_persist_step_recovers_pre_or_post_state() {
-        use crate::fault::{Fault, FaultPlan, FaultSite, LedgerStep};
+        use crate::fault::{Fault, FaultPlan, FaultSite, PersistStep};
 
         // (fault, does the mutation survive the crash?)
         let cases: &[(Fault, bool)] = &[
-            (Fault::CrashAt(LedgerStep::WriteTmp), false),
+            (Fault::CrashAt(PersistStep::Write), false),
             (Fault::ShortWrite, false),
-            (Fault::CrashAt(LedgerStep::SyncTmp), false),
-            (Fault::CrashAt(LedgerStep::Rename), false),
-            (Fault::CrashAt(LedgerStep::SyncDir), true),
+            (Fault::CrashAt(PersistStep::Sync), false),
+            (Fault::CrashAt(PersistStep::Rename), false),
+            (Fault::CrashAt(PersistStep::SyncDir), true),
             (Fault::Fail, false),
         ];
         for (i, &(fault, survives)) in cases.iter().enumerate() {

@@ -66,6 +66,7 @@
 //! ```
 
 pub mod client;
+mod durable;
 pub mod error;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod fault;
@@ -80,7 +81,7 @@ pub mod stream;
 pub use client::{Client, RetryPolicy};
 pub use error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
-pub use fault::{Fault, FaultPlan, FaultSite, FaultStream, LedgerStep};
+pub use fault::{Fault, FaultPlan, FaultSite, FaultStream, PersistStep};
 pub use http::{Request, Response};
 pub use ingest::{
     parse_batch, BatchFormat, DatasetStore, IngestReceipt, RefitJob, RefitPolicy, RefitSpec,

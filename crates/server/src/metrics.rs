@@ -33,7 +33,7 @@ pub const REQUEST_ID_HEADER: &str = "X-PrivBayes-Request-Id";
 const EVENT_RING: usize = 1024;
 
 /// All request stages recorded under `privbayes_stage_seconds`.
-pub const STAGES: &[&str] = &["parse", "ledger", "lookup", "sample", "write"];
+pub const STAGES: &[&str] = &["parse", "ledger", "lookup", "journal", "append", "sample", "write"];
 
 /// Pre-registered handles over one [`Registry`] — the process-wide metric
 /// surface of a server instance.
@@ -89,7 +89,8 @@ impl ServerMetrics {
         registry.describe(
             "privbayes_stage_seconds",
             MetricKind::Histogram,
-            "Per-request stage wall time (parse, ledger, lookup, sample, write)",
+            "Per-request stage wall time (parse, ledger, lookup, journal, append, sample, \
+             write)",
         );
         registry.describe(
             "privbayes_ledger_persist_total",

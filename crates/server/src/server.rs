@@ -1303,7 +1303,7 @@ fn ingest_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::R
         Err(e) => return respond_error(out, ctx, 400, "bad-batch", &e.to_string()),
     };
     ctx.stage("parse");
-    match shared.store.append(tenant, &batch, spec.as_ref()) {
+    match shared.store.append_staged(tenant, &batch, spec.as_ref(), &mut |stage| ctx.stage(stage)) {
         Ok(receipt) => {
             shared.metrics.record_ingest(tenant, receipt.batch_rows);
             respond_json(

@@ -37,7 +37,7 @@ use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
 use privbayes_suite::server::http::Response;
 use privbayes_suite::server::{
-    parse_text, BudgetLedger, Client, Fault, FaultPlan, FaultSite, LedgerStep, ModelRegistry,
+    parse_text, BudgetLedger, Client, Fault, FaultPlan, FaultSite, ModelRegistry, PersistStep,
     RetryPolicy, Server, ServerConfig, ServerError, ServerHandle, SynthSpec, LEDGER_FORMAT_V2,
 };
 use rand::rngs::StdRng;
@@ -151,11 +151,11 @@ fn fast_retry(max_retries: u32) -> RetryPolicy {
 #[test]
 fn killing_persistence_at_every_step_recovers_a_consistent_ledger() {
     let cases: &[(Fault, bool, &str)] = &[
-        (Fault::CrashAt(LedgerStep::WriteTmp), false, "before-write"),
+        (Fault::CrashAt(PersistStep::Write), false, "before-write"),
         (Fault::ShortWrite, false, "mid-write"),
-        (Fault::CrashAt(LedgerStep::SyncTmp), false, "before-tmp-sync"),
-        (Fault::CrashAt(LedgerStep::Rename), false, "before-rename"),
-        (Fault::CrashAt(LedgerStep::SyncDir), true, "before-dir-sync"),
+        (Fault::CrashAt(PersistStep::Sync), false, "before-tmp-sync"),
+        (Fault::CrashAt(PersistStep::Rename), false, "before-rename"),
+        (Fault::CrashAt(PersistStep::SyncDir), true, "before-dir-sync"),
         (Fault::Fail, false, "clean-io-error"),
     ];
     for &(fault, survives, tag) in cases {

@@ -15,11 +15,12 @@
 //!    exactly like `POST /fit`: success spends exactly the spec's ε,
 //!    failure refunds it, and an exhausted tenant is refused with no state
 //!    change.
-//! 4. **Durability** — the dataset journal survives a crash at every step
-//!    of its write-temp → fsync → rename → fsync-dir sequence: non-durable
-//!    failures roll the append back (the live engine and the on-disk
-//!    journal both still show the pre-append rows), while a crash after
-//!    the rename is durable and the batch is recovered on reopen.
+//! 4. **Durability** — the dataset log survives a crash at every step of
+//!    its write (an I/O error cuts the log back and refuses the batch; a
+//!    crash leaves nothing or a whole record that a restart recovers), and
+//!    a power loss at any byte of its final record: a reopen gives exactly
+//!    the acknowledged rows and accepts the retried batch, while damage
+//!    to any earlier record refuses the reopen.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,8 +32,8 @@ use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::marginals::{Axis, ContingencyTable, CountEngine, EngineDelta};
 use privbayes_suite::model::{Json, ReleasedModel};
 use privbayes_suite::server::{
-    BudgetLedger, Client, Cursor, DatasetStore, Fault, FaultPlan, FaultSite, LedgerStep,
-    ModelRegistry, RefitPolicy, RefitSpec, Server, ServerConfig, ServerError, ServerHandle,
+    BudgetLedger, Client, Cursor, DatasetStore, Fault, FaultPlan, FaultSite, ModelRegistry,
+    PersistStep, RefitPolicy, RefitSpec, Server, ServerConfig, ServerError, ServerHandle,
     SynthSpec, RETAINED_GENERATIONS,
 };
 use privbayes_suite::synth::{fit_method, fit_method_with_engine, FitSettings, Method, SynthError};
@@ -516,74 +517,164 @@ fn a_failed_refit_refunds_its_charge() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Journal durability: a crash at every persist step
+// 5. Journal durability: a crash at every persist step, power loss at every
+//    byte
 // ---------------------------------------------------------------------------
 
-/// The dataset journal inherits the ledger's crash contract: a fault at
-/// any point up to (and including the instant before) the rename rolls the
-/// append back — live engine untouched, a reopened store sees only the
-/// first batch — while a crash before the final directory fsync is already
-/// durable. A retried append always lands, and the recovered engine
-/// answers the exact cold counts either way.
+/// Rows `0..n` of the fixture as the tenant's exact cold counts.
+fn cold_counts(n: u32) -> Vec<f64> {
+    let axes = [Axis::raw(0), Axis::raw(1), Axis::raw(2)];
+    ContingencyTable::from_dataset(&dataset(&rows(0..n)), &axes).values().to_vec()
+}
+
+/// The recovered tenant's row count and joint counts (`None` when the
+/// store holds no tenant).
+fn recovered(store: &DatasetStore) -> Option<(u64, Vec<f64>)> {
+    let axes = [Axis::raw(0), Axis::raw(1), Axis::raw(2)];
+    let total = store.snapshot().first()?.total_rows;
+    Some((total, store.with_engine("acme", |e| e.joint(&axes))?))
+}
+
+/// The dataset log keeps the journal's crash contract at each step of its
+/// write: an I/O error cuts the log back and the batch is refused with no
+/// bytes left; a crash before the write, or half-way through it, leaves
+/// nothing a restart recovers; a crash after the write but before its
+/// fsync leaves the whole record in the page cache, so a restart recovers
+/// the batch the client never saw acknowledged (power loss at that instant
+/// is the next test's subject); and a crash before the directory sync of
+/// a tenant's first batch leaves a synced file a restart recovers. A
+/// retried append always lands, and the recovered engine answers the
+/// exact cold counts.
 #[test]
 fn the_dataset_journal_survives_a_crash_at_every_persist_step() {
     let spec = refit_spec("acme-model", 1.0, 7);
-    let cases: &[(&str, Fault, bool)] = &[
-        ("fail", Fault::Fail, false),
-        ("torn", Fault::ShortWrite, false),
-        ("crash-write", Fault::CrashAt(LedgerStep::WriteTmp), false),
-        ("crash-sync", Fault::CrashAt(LedgerStep::SyncTmp), false),
-        ("crash-rename", Fault::CrashAt(LedgerStep::Rename), false),
-        ("crash-syncdir", Fault::CrashAt(LedgerStep::SyncDir), true),
+    // (tag, fault, is the faulted append the tenant's first, does a
+    // restart recover the faulted batch)
+    let cases: &[(&str, Fault, bool, bool)] = &[
+        ("fail", Fault::Fail, false, false),
+        ("fail-first", Fault::Fail, true, false),
+        ("torn", Fault::ShortWrite, false, false),
+        ("torn-first", Fault::ShortWrite, true, false),
+        ("crash-write", Fault::CrashAt(PersistStep::Write), false, false),
+        ("crash-sync", Fault::CrashAt(PersistStep::Sync), false, true),
+        ("crash-syncdir", Fault::CrashAt(PersistStep::SyncDir), true, true),
     ];
-    for &(tag, fault, durable) in cases {
+    for &(tag, fault, first, survives) in cases {
         let dir = temp_dir(&format!("crash-{tag}"));
+        let log = dir.join("acme.dataset.log");
         let store = DatasetStore::open(&dir).unwrap();
-        store.append("acme", &dataset(&rows(0..5)), Some(&spec)).unwrap();
+        let committed: u32 = if first { 0 } else { 5 };
+        if !first {
+            store.append("acme", &dataset(&rows(0..5)), Some(&spec)).unwrap();
+        }
+        let before = std::fs::read(&log).unwrap_or_default();
 
         store.set_fault_plan(Some(Arc::new(FaultPlan::new().inject(
             FaultSite::DatasetPersist,
             0,
             fault,
         ))));
-        let outcome = store.append("acme", &dataset(&rows(5..8)), None);
+        let outcome = store.append("acme", &dataset(&rows(committed..8)), Some(&spec));
         store.set_fault_plan(None);
+        // No fault lets the append be acknowledged, and none touches the
+        // live engine.
+        assert!(outcome.is_err(), "{tag}: a faulted append must be refused");
+        let live = store.with_engine("acme", CountEngine::n).unwrap_or(0);
+        assert_eq!(live, committed as usize, "{tag}: the live engine must be untouched");
 
-        if durable {
-            // The rename happened: the batch is on disk and in the engine
-            // even though the process "died" before the directory fsync.
-            let receipt = outcome.unwrap_or_else(|e| panic!("{tag}: {e}"));
-            assert_eq!(receipt.total_rows, 8, "{tag}");
+        let store = if fault == Fault::Fail {
+            // An I/O error is not a crash: the process lives on, the log is
+            // cut back to its committed bytes, and the retry goes to the
+            // same store.
+            assert_eq!(std::fs::read(&log).unwrap_or_default(), before, "{tag}: bytes left");
+            store
         } else {
-            // The journal is the commit point: no journal, no append.
-            assert!(outcome.is_err(), "{tag}: a non-durable fault must fail the append");
-            assert_eq!(
-                store.with_engine("acme", CountEngine::n),
-                Some(5),
-                "{tag}: the live engine must be untouched after rollback"
-            );
-            let midway = DatasetStore::open(&dir).unwrap();
-            assert_eq!(
-                midway.snapshot()[0].total_rows,
-                5,
-                "{tag}: a reopened store must see only the committed batch"
-            );
-            // The client retries the rejected batch; it lands cleanly.
-            let receipt = store.append("acme", &dataset(&rows(5..8)), None).unwrap();
+            // A crash: restart from whatever the dead process left.
+            drop(store);
+            let restarted = DatasetStore::open(&dir)
+                .unwrap_or_else(|e| panic!("{tag}: restart must recover, got {e}"));
+            let expected = if survives { 8 } else { committed };
+            let got = recovered(&restarted).map_or(0, |(total, _)| total);
+            assert_eq!(got, u64::from(expected), "{tag}: rows after the restart");
+            restarted
+        };
+        if !survives {
+            // The client retries the refused batch; it lands cleanly.
+            let receipt = store.append("acme", &dataset(&rows(committed..8)), Some(&spec)).unwrap();
             assert_eq!(receipt.total_rows, 8, "{tag}");
         }
+        drop(store);
 
-        // Either way the journal now holds all 8 rows, bit-exact.
-        let recovered = DatasetStore::open(&dir).unwrap();
-        let tenants = recovered.snapshot();
-        assert_eq!(tenants[0].total_rows, 8, "{tag}");
-        assert_eq!(tenants[0].refit, spec, "{tag}");
-        let axes = [Axis::raw(0), Axis::raw(1), Axis::raw(2)];
-        assert_eq!(
-            recovered.with_engine("acme", |e| e.joint(&axes)).unwrap(),
-            ContingencyTable::from_dataset(&dataset(&rows(0..8)), &axes).values().to_vec(),
-            "{tag}: the recovered engine must answer the exact cold counts"
-        );
+        // Either way the log now holds all 8 rows, bit-exact.
+        let reopened = DatasetStore::open(&dir).unwrap();
+        assert_eq!(reopened.snapshot()[0].refit, spec, "{tag}");
+        assert_eq!(recovered(&reopened), Some((8, cold_counts(8))), "{tag}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Power loss can keep any prefix of an unsynced write, but never loses a
+/// synced one. So after each acknowledged append, the log is cut at every
+/// byte from the previous acknowledgement's length to the new one — every
+/// state a power loss during that append could leave. Reopening must give
+/// exactly the rows acknowledged by then (the new batch only once its
+/// whole record is there), cold-count equal, and must accept the retried
+/// batch. A flipped byte inside any record but the last makes the reopen
+/// fail, naming the file.
+#[test]
+fn acknowledged_rows_survive_power_loss_at_every_byte_of_the_final_record() {
+    let spec = refit_spec("acme-model", 1.0, 7);
+    let dir = temp_dir("power");
+    let scratch = temp_dir("power-cut");
+    let log = dir.join("acme.dataset.log");
+    let cut_log = scratch.join("acme.dataset.log");
+    let store = DatasetStore::open(&dir).unwrap();
+    let bounds = [0u32, 5, 8, 15, 17];
+    let mut synced = 0usize;
+    let mut record_starts = Vec::new();
+    for pair in bounds.windows(2) {
+        let (acked, next) = (pair[0], pair[1]);
+        store.append("acme", &dataset(&rows(acked..next)), Some(&spec)).unwrap();
+        let bytes = std::fs::read(&log).unwrap();
+        for cut in synced..=bytes.len() {
+            let _ = std::fs::remove_dir_all(&scratch);
+            std::fs::create_dir_all(&scratch).unwrap();
+            std::fs::write(&cut_log, &bytes[..cut]).unwrap();
+            let reopened = DatasetStore::open(&scratch)
+                .unwrap_or_else(|e| panic!("cut at byte {cut}: reopen failed: {e}"));
+            let whole = if cut == bytes.len() { next } else { acked };
+            let expected = (whole > 0).then(|| (u64::from(whole), cold_counts(whole)));
+            // A cut inside a first write's batch record may keep its header,
+            // which registers the tenant with no rows.
+            let got = recovered(&reopened).filter(|&(total, _)| total > 0);
+            assert_eq!(got, expected, "cut at byte {cut} of {}", bytes.len());
+            if cut < bytes.len() {
+                let receipt =
+                    reopened.append("acme", &dataset(&rows(acked..next)), Some(&spec)).unwrap();
+                assert_eq!(receipt.total_rows, u64::from(next), "cut at byte {cut}");
+                drop(reopened);
+                let again = DatasetStore::open(&scratch).unwrap();
+                assert_eq!(
+                    recovered(&again),
+                    Some((u64::from(next), cold_counts(next))),
+                    "cut at byte {cut}: the retried batch must recover"
+                );
+            }
+        }
+        record_starts.push(synced);
+        synced = bytes.len();
+    }
+    drop(store);
+
+    let whole = std::fs::read(&log).unwrap();
+    for &start in &record_starts[..record_starts.len() - 1] {
+        // The first byte after each record's 8-byte length and checksum.
+        let mut flipped = whole.clone();
+        flipped[start + 8] ^= 0x40;
+        std::fs::write(&log, &flipped).unwrap();
+        let err = DatasetStore::open(&dir).unwrap_err().to_string();
+        assert!(err.contains(&log.display().to_string()), "byte {}: {err}", start + 8);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -7,7 +7,8 @@
 //!    (v0.0.4) listing every family, with the correct content type and the
 //!    per-tenant ε gauges mirroring the ledger.
 //! 2. **Exact deltas** — N requests move the request counter by exactly N;
-//!    row and byte counters equal what was actually streamed; the
+//!    row and byte counters equal what was actually streamed; N journaled
+//!    ingests close exactly N `journal` and N `append` stages; the
 //!    connection-reuse counter moves exactly with a known keep-alive
 //!    workload.
 //! 3. **Coherence under load** — scrapes taken *during* a storm parse and
@@ -305,6 +306,73 @@ fn counter_deltas_match_a_known_workload_exactly() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// A journaled ingest records its log write under a `journal` stage and
+/// its engine append under an `append` stage, so the `write` stage holds
+/// only the response: N ingests raise the `journal` and `append` counts by
+/// exactly N, and the stages a request closes never add up to more than
+/// its wall time.
+#[test]
+fn journaled_ingests_record_journal_and_append_stages() {
+    let dir = std::env::temp_dir().join(format!("privbayes-obs-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, client, _registry, _slot) = start_server(ServerConfig {
+        fit_threads: Some(1),
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let schema = fixture_model(1).schema.clone();
+    let batch = |start: u32| {
+        let rows: Vec<Vec<u32>> =
+            (start..start + 50).map(|i| vec![i % 2, (i / 2) % 3, i % 2]).collect();
+        let mut csv = Vec::new();
+        write_csv(&Dataset::from_rows(schema.clone(), &rows).unwrap(), &mut csv).unwrap();
+        Json::String(String::from_utf8(csv).unwrap())
+    };
+    // Scrapes render in-process, so the ingests are the only requests.
+    let scrape = || privbayes_suite::server::parse_text(&handle.metrics().render(&[])).unwrap();
+    let before = scrape();
+    let ingests = 5u32;
+    for i in 0..ingests {
+        let mut fields = vec![("csv", batch(i * 50))];
+        if i == 0 {
+            fields.push(("schema", privbayes_suite::model::schema_to_json(&schema)));
+            fields.push(("model_id", Json::String("acme-model".into())));
+            fields.push(("epsilon", Json::Number(1.0)));
+        }
+        let response = client.ingest("acme", &Json::object(fields)).unwrap();
+        assert_eq!(response.code, 200, "{}", response.text());
+    }
+    let finished =
+        |s: &Snapshot| counter(s, "privbayes_request_seconds_count", &[("endpoint", "ingest")]);
+    assert!(eventually(|| finished(&scrape()) - finished(&before) >= f64::from(ingests)));
+    let after = scrape();
+    let delta = |name: &str, labels: &[(&str, &str)]| {
+        counter(&after, name, labels) - counter(&before, name, labels)
+    };
+
+    for stage in ["journal", "append"] {
+        assert_eq!(
+            delta("privbayes_stage_seconds_count", &[("stage", stage)]),
+            f64::from(ingests),
+            "every journaled ingest closes exactly one {stage} stage"
+        );
+    }
+    let staged: f64 = privbayes_suite::server::metrics::STAGES
+        .iter()
+        .map(|stage| delta("privbayes_stage_seconds_sum", &[("stage", stage)]))
+        .sum();
+    let requests = delta("privbayes_request_seconds_sum", &[("endpoint", "ingest")]);
+    assert!(staged > 0.0, "the ingests closed no stage time");
+    assert!(
+        staged <= requests + 1e-9,
+        "stage seconds {staged} exceed the requests' wall seconds {requests}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The connection-reuse counter is exact, not merely monotone. One pooled
