@@ -39,9 +39,8 @@
 //!    by at most `2t` with probability ≥ 1 − δ. A breach therefore means a
 //!    real privacy bug (at confidence 1 − δ), not estimator noise.
 //!
-//! Utility (α = 2 workload TVD, the `methods` bench's metric) is measured
-//! side by side so the audit table reads as the privacy column of the
-//! method-vs-ε comparison.
+//! Utility (α = 2 workload TVD) is measured side by side so the audit
+//! table reads as the privacy column of a method-vs-ε comparison.
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
 use privbayes_data::Dataset;
@@ -399,8 +398,8 @@ fn sample_rng(seed: u64) -> rand::rngs::StdRng {
 /// via [`fit_method`].
 ///
 /// Fits run single-threaded (the repetitions already fan out across cores);
-/// `uniform` is fitted with a placeholder ε = 1 exactly as the `methods`
-/// bench does — its recorded spend stays 0, so its bound is 0 too.
+/// `uniform` is fitted with a placeholder ε = 1 — its recorded spend stays
+/// 0, so its bound is 0 too.
 ///
 /// # Errors
 /// Propagates fit/scoring failures as [`AuditError`].

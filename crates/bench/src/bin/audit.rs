@@ -4,9 +4,8 @@
 //! For each method × ε point this fits shadow models on replace-one
 //! neighbour worlds over seeded repetitions, runs the calibrated
 //! likelihood-ratio attack of `privbayes_bench::audit`, and prints utility
-//! (α = 2 workload TVD, the `methods` table's metric) **side by side** with
-//! the measured leakage and its analytic ε-DP ceiling — the privacy column
-//! the method-vs-ε comparison was missing.
+//! (α = 2 workload TVD) **side by side** with the measured leakage and its
+//! analytic ε-DP ceiling.
 //!
 //! The run is a regression test, not just a report: any point whose
 //! measured advantage exceeds `(e^ε − 1)/(e^ε + 1)` beyond the seeded

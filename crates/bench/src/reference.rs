@@ -1,21 +1,18 @@
 //! Reference (pre-engine) implementations of the hot paths, kept as the
-//! baseline for the `perf` / `methods` binaries and as the oracle for the
-//! equivalence test tiers.
+//! oracle for the equivalence test tiers.
 //!
 //! These reproduce, through public APIs only, the exact semantics the suite
-//! had before the shared `CountEngine` and the compiled sampler: one fresh
-//! contingency-table scan per candidate / marginal (with the bit-packed
-//! popcount path for all-binary data), sequential scoring, and
-//! tuple-at-a-time ancestral sampling via a linear scan per draw. Given the
-//! same seed they must select identical networks — and the marginal
-//! baselines must produce **bit-identical** tables — as the engine-backed
-//! implementations, which `tests/engine_equivalence.rs` and
-//! `tests/synthesizer_equivalence.rs` assert.
+//! had before the shared `CountEngine`: one fresh contingency-table scan
+//! per candidate / marginal (with the bit-packed popcount path for
+//! all-binary data) and sequential scoring. Given the same seed they must
+//! select identical networks — and the marginal baselines must produce
+//! **bit-identical** tables — as the engine-backed implementations, which
+//! `tests/engine_equivalence.rs` and `tests/synthesizer_equivalence.rs`
+//! assert.
 //!
 //! This module is the one sanctioned home of
 //! [`ContingencyTable::from_dataset`] row scans outside the `marginals`
-//! crate: the references exist precisely to measure and pin the pre-engine
-//! behaviour.
+//! crate: the references exist precisely to pin the pre-engine behaviour.
 
 use privbayes::conditionals::NoisyModel;
 use privbayes::greedy::GreedySettings;
@@ -28,7 +25,6 @@ use privbayes_data::{Dataset, Schema};
 use privbayes_dp::exponential::{exponential_mechanism, select_with_scale};
 use privbayes_dp::geometric::sample_two_sided_geometric;
 use privbayes_dp::laplace::sample_laplace;
-use privbayes_dp::stats::sample_discrete;
 use privbayes_marginals::{clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable};
 use privbayes_model::Json;
 use privbayes_synth::RowFormat;
@@ -315,55 +311,6 @@ pub fn reference_greedy_adaptive<R: Rng + ?Sized>(
     BayesianNetwork::new(pairs, data.schema())
 }
 
-/// Pre-engine ancestral sampling: tuple at a time, one linear weight scan per
-/// draw (`sample_discrete`), no compilation, no chunking.
-///
-/// # Errors
-/// As `privbayes::sampler::sample_synthetic`.
-pub fn reference_sample_synthetic<R: Rng + ?Sized>(
-    model: &NoisyModel,
-    schema: &Schema,
-    rows: usize,
-    rng: &mut R,
-) -> Result<Dataset, PrivBayesError> {
-    let d = schema.len();
-    if model.conditionals.len() != d {
-        return Err(PrivBayesError::InvalidNetwork(format!(
-            "model covers {} attributes, schema has {d}",
-            model.conditionals.len()
-        )));
-    }
-
-    let mut columns: Vec<Vec<u32>> = vec![vec![0u32; rows]; d];
-    let mut tuple = vec![0u32; d];
-    let mut parent_codes: Vec<usize> = Vec::with_capacity(8);
-
-    #[allow(clippy::needless_range_loop)] // `row` indexes every column
-    for row in 0..rows {
-        for cond in &model.conditionals {
-            parent_codes.clear();
-            for axis in &cond.parents {
-                let raw = tuple[axis.attr];
-                let code = if axis.level == 0 {
-                    raw
-                } else {
-                    schema
-                        .attribute(axis.attr)
-                        .taxonomy()
-                        .expect("validated by BayesianNetwork::new")
-                        .generalize(raw, axis.level)
-                };
-                parent_codes.push(code as usize);
-            }
-            let slice = cond.child_distribution(cond.parent_index(&parent_codes));
-            let value = sample_discrete(slice, rng) as u32;
-            tuple[cond.child] = value;
-            columns[cond.child][row] = value;
-        }
-    }
-    Ok(Dataset::from_columns(schema.clone(), columns)?)
-}
-
 /// Pre-engine Laplace baseline: one fresh row scan per workload marginal.
 /// Must be bit-identical to `privbayes_baselines::laplace_marginals` over a
 /// `CountEngine` for the same seed.
@@ -440,8 +387,8 @@ pub fn reference_contingency_marginals<R: Rng + ?Sized>(
 /// [`ContingencyTable::from_dataset`] scan per marginal, then the identical
 /// multiplicative-weights loop. Consumes the same RNG stream as the
 /// engine-backed `mwem_marginals` (truth computation draws no randomness),
-/// so the outputs must match bit for bit — the `methods` bench binary
-/// asserts exactly that before reporting a speedup.
+/// so the outputs must match bit for bit, as
+/// `tests/synthesizer_equivalence.rs` asserts.
 #[must_use]
 pub fn reference_mwem_marginals<R: Rng + ?Sized>(
     data: &Dataset,

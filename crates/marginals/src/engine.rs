@@ -12,8 +12,9 @@
 //! 2. **Bit-packed popcount fast path.** When every requested axis is a raw
 //!    binary attribute the joint comes from AND + popcount chains over
 //!    bit-packed columns plus a Möbius transform — the strategy that makes
-//!    full-size NLTCS/ACS learning tractable. Both strategies sit behind the
-//!    same [`CountBackend`] trait, so callers have one entry point.
+//!    full-size NLTCS/ACS learning tractable. The engine picks the bit
+//!    backend whenever it supports the axes and the radix pass otherwise,
+//!    so callers have one entry point.
 //! 3. **Joint memoisation.** Materialised tables are cached keyed by the
 //!    *sorted* axis set. A request that is a subset of an already-counted
 //!    joint is answered by integer projection instead of a row scan — in
@@ -188,17 +189,6 @@ impl CountTable {
     }
 }
 
-/// A strategy that can materialise integer joint counts straight from rows.
-/// Both engine backends (radix scan, bit-packed popcount) implement this, so
-/// the engine — and through it `greedy.rs` — has a single entry point.
-pub trait CountBackend: Sync {
-    /// Whether this backend can count the given axis set.
-    fn supports(&self, axes: &[Axis]) -> bool;
-
-    /// Materialises the joint counts of `axes` (last axis fastest).
-    fn materialise(&self, axes: &[Axis]) -> CountTable;
-}
-
 /// The general-domain backend: one fused radix pass over pre-encoded dense
 /// `u32` code columns. Owns its columns (cloned from the source dataset)
 /// so a long-lived engine — e.g. one per ingesting tenant — does not
@@ -265,13 +255,8 @@ impl RadixBackend {
         }
         self.n += delta_n;
     }
-}
 
-impl CountBackend for RadixBackend {
-    fn supports(&self, _axes: &[Axis]) -> bool {
-        true
-    }
-
+    /// Materialises the joint counts of `axes` (last axis fastest).
     fn materialise(&self, axes: &[Axis]) -> CountTable {
         let schema = &self.schema;
         let dims: Vec<usize> = axes.iter().map(|a| a.size(schema)).collect();
@@ -370,9 +355,9 @@ impl BitBackend {
         }
         self.n += delta_n;
     }
-}
 
-impl CountBackend for BitBackend {
+    /// Whether every axis is a raw binary attribute and there are at most
+    /// `MAX_ARITY` of them.
     fn supports(&self, axes: &[Axis]) -> bool {
         axes.len() <= Self::MAX_ARITY
             && axes.iter().all(|a| a.level == 0 && !self.cols[a.attr].is_empty())
@@ -435,12 +420,11 @@ impl CountBackend for BitBackend {
 
 /// Cache effectiveness and fit-phase cost counters (see
 /// [`CountEngine::stats`]). The engine fills the cache counters,
-/// `bytes_materialized`, and `scan_micros`; `score_micros` and
-/// `alias_micros` are slots for the layers that own those phases (the
-/// synthesizers time candidate scoring, serving layers time alias-table
-/// compilation) so one struct carries the whole fit-phase picture. All
-/// fields are integers with zero defaults, keeping the struct `Eq` and a
-/// no-work fit equal to `EngineStats::default()`.
+/// `bytes_materialized`, and `scan_micros`; `score_micros` is a slot for the
+/// layer that owns candidate scoring (the synthesizers time it) so one
+/// struct carries the whole fit-phase picture. All fields are integers with
+/// zero defaults, keeping the struct `Eq` and a no-work fit equal to
+/// `EngineStats::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Requests answered from the cache without any computation.
@@ -464,9 +448,6 @@ pub struct EngineStats {
     /// microseconds. Filled by the fitting layer, zero for methods without
     /// a scoring phase.
     pub score_micros: u64,
-    /// Wall time compiling the released model's alias tables, in
-    /// microseconds. Filled by whichever layer triggers compilation.
-    pub alias_micros: u64,
 }
 
 /// A schema-tagged batch of encoded rows, ready to fold into a
@@ -703,7 +684,6 @@ impl CountEngine {
             rows_appended: self.rows_appended,
             scan_micros: self.scan_nanos.load(Ordering::Relaxed) / 1_000,
             score_micros: 0,
-            alias_micros: 0,
         }
     }
 
@@ -728,12 +708,11 @@ impl CountEngine {
             Arc::new(superset.project(&positions))
         } else {
             self.scans.fetch_add(1, Ordering::Relaxed);
-            let backend: &dyn CountBackend = match &self.bits {
-                Some(bits) if bits.supports(canonical) => bits,
-                _ => &self.radix,
-            };
             let started = std::time::Instant::now();
-            let fresh = Arc::new(backend.materialise(canonical));
+            let fresh = Arc::new(match &self.bits {
+                Some(bits) if bits.supports(canonical) => bits.materialise(canonical),
+                _ => self.radix.materialise(canonical),
+            });
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.scan_nanos.fetch_add(nanos, Ordering::Relaxed);
             self.bytes_materialized.fetch_add(fresh.cell_count() as u64 * 8, Ordering::Relaxed);

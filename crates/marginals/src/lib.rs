@@ -34,7 +34,7 @@ pub mod query;
 pub mod table;
 
 pub use consistency::{clamp_and_normalize, mutual_consistency, shared_axes};
-pub use engine::{CountBackend, CountEngine, CountTable, EngineDelta, EngineStats, MarginalSource};
+pub use engine::{CountEngine, CountTable, EngineDelta, EngineStats, MarginalSource};
 pub use metrics::{average_workload_tvd, total_variation};
 pub use query::AlphaWayWorkload;
 pub use table::{Axis, ContingencyTable};

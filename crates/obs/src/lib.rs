@@ -18,11 +18,11 @@
 //!   and then touch only atomics.
 //! - [`Span`]: request-scoped stage timing over [`std::time::Instant`]
 //!   (monotonic, cheap), feeding per-stage histograms.
-//! - [`EventLog`]: a bounded ring buffer of structured (JSON-line) events,
-//!   so the most recent activity is inspectable without unbounded memory.
+//! - [`json_escape`]: string escaping for the structured (JSON-line) access
+//!   log the server writes.
 //! - [`parse_text`] / [`Snapshot`]: the matching exposition parser, used by
-//!   the bundled client (`Client::metrics`) and the perf harness to assert
-//!   on counter deltas.
+//!   the bundled client (`Client::metrics`), the tests and the benchmark
+//!   (`perfbench/`) to assert on counter deltas.
 //!
 //! Scrapes are coherent per metric (each sample is one atomic load) and
 //! monotone for counters: a scrape concurrent with writers can only observe
@@ -34,6 +34,6 @@ mod log;
 mod metrics;
 mod span;
 
-pub use log::{json_escape, EventLog};
+pub use log::json_escape;
 pub use metrics::{parse_text, Counter, Gauge, Histogram, MetricKind, Registry, Sample, Snapshot};
 pub use span::Span;

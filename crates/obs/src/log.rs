@@ -1,53 +1,4 @@
-//! A bounded ring buffer of structured (JSON-line) events.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-/// A fixed-capacity ring of event lines: appends past the capacity evict
-/// the oldest entry, so memory stays bounded however long the process runs.
-/// One short mutex hold per append — this sits at request *completion*, not
-/// on the per-chunk streaming path.
-#[derive(Debug)]
-pub struct EventLog {
-    capacity: usize,
-    inner: Mutex<VecDeque<String>>,
-}
-
-impl EventLog {
-    /// A ring holding at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self { capacity, inner: Mutex::new(VecDeque::with_capacity(capacity)) }
-    }
-
-    /// Appends one event line, evicting the oldest when full.
-    pub fn append(&self, line: String) {
-        let mut ring = self.inner.lock().expect("event log lock poisoned");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(line);
-    }
-
-    /// The buffered events, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<String> {
-        self.inner.lock().expect("event log lock poisoned").iter().cloned().collect()
-    }
-
-    /// How many events are currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("event log lock poisoned").len()
-    }
-
-    /// Whether the ring is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+//! JSON string escaping for structured (JSON-line) log events.
 
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, control characters).
@@ -71,17 +22,6 @@ pub fn json_escape(value: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let log = EventLog::new(3);
-        assert!(log.is_empty());
-        for i in 0..5 {
-            log.append(format!("event-{i}"));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.snapshot(), vec!["event-2", "event-3", "event-4"]);
-    }
 
     #[test]
     fn escaping_covers_json_specials() {

@@ -1,6 +1,6 @@
 //! A tiny std-only client for the service — used by the integration tests,
-//! the perf harness, the `serve_and_query` example, and scripting against a
-//! running server.
+//! the benchmark (`perfbench/`), the `serve_and_query` example, and
+//! scripting against a running server.
 //!
 //! # Connection reuse
 //!

@@ -93,7 +93,7 @@ pub use registry::{GenerationLookup, ModelEntry, ModelRegistry, RETAINED_GENERAT
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
 pub use stream::RowFormat;
 // The metric-snapshot surface, re-exported so scrape consumers (tests, the
-// perf harness) can parse `/metrics` without a separate `privbayes-obs`
+// benchmark) can parse `/metrics` without a separate `privbayes-obs`
 // dependency.
 pub use privbayes_obs::{parse_text, Snapshot};
 // The typed request surface of the query API, re-exported so client code

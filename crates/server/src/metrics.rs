@@ -20,17 +20,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use privbayes_obs::{json_escape, Counter, EventLog, Gauge, Histogram, MetricKind, Registry};
+use privbayes_obs::{json_escape, Counter, Gauge, Histogram, MetricKind, Registry};
 
 use crate::ledger::TenantBudget;
 
 /// The response header carrying the request id (echoed from the request
 /// when the client sent a valid one, generated otherwise).
 pub const REQUEST_ID_HEADER: &str = "X-PrivBayes-Request-Id";
-
-/// Events kept in the in-memory access-log ring (the file, when configured,
-/// keeps everything).
-const EVENT_RING: usize = 1024;
 
 /// All request stages recorded under `privbayes_stage_seconds`.
 pub const STAGES: &[&str] = &["parse", "ledger", "lookup", "journal", "append", "sample", "write"];
@@ -61,7 +57,6 @@ pub struct ServerMetrics {
     pub(crate) alias_build_seconds: Arc<Histogram>,
     /// Requests served over an already-used (kept-alive) connection.
     pub(crate) connections_reused: Arc<Counter>,
-    events: EventLog,
     access_log: Option<Mutex<File>>,
     id_base: u64,
     id_seq: AtomicU64,
@@ -70,8 +65,8 @@ pub struct ServerMetrics {
 impl ServerMetrics {
     /// A fresh registry with every metric family described up front, so a
     /// scrape before the first request already lists the full catalogue.
-    /// `access_log` is an already-opened sink for JSON access lines (the
-    /// in-memory ring is always kept regardless).
+    /// `access_log` is an already-opened sink for JSON access lines; `None`
+    /// writes no access log.
     #[must_use]
     pub fn new(access_log: Option<File>) -> Self {
         let registry = Registry::new();
@@ -121,12 +116,6 @@ impl ServerMetrics {
             "privbayes_ingest_rows_total",
             MetricKind::Counter,
             "Rows accepted by POST /v1/tenants/{t}/ingest, by tenant",
-        );
-        registry.describe(
-            "privbayes_ingest_batch_rows",
-            MetricKind::Histogram,
-            "Rows per accepted ingest batch (power-of-two buckets; one \
-             \"microsecond\" stands for one row)",
         );
         registry.describe(
             "privbayes_refits_total",
@@ -200,7 +189,6 @@ impl ServerMetrics {
             fit_seconds,
             alias_build_seconds,
             connections_reused,
-            events: EventLog::new(EVENT_RING),
             access_log: access_log.map(Mutex::new),
             id_base: mix64(seed),
             id_seq: AtomicU64::new(0),
@@ -211,12 +199,6 @@ impl ServerMetrics {
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The in-memory ring of recent access-log lines, oldest first.
-    #[must_use]
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// The full `/metrics` exposition: every registered family plus the
@@ -282,16 +264,9 @@ impl ServerMetrics {
             .add(stats.bytes_materialized);
     }
 
-    /// Records one accepted ingest batch: the per-tenant row counter and
-    /// the batch-size histogram.
+    /// Records one accepted ingest batch into the per-tenant row counter.
     pub fn record_ingest(&self, tenant: &str, rows: u64) {
         self.registry.counter("privbayes_ingest_rows_total", &[("tenant", tenant)]).add(rows);
-        // The histogram buckets are powers of two over "microseconds"; by
-        // feeding one row as one microsecond the family doubles as a
-        // batch-size distribution without a second histogram type.
-        self.registry
-            .histogram("privbayes_ingest_batch_rows", &[])
-            .observe_ns(rows.saturating_mul(1000));
     }
 
     /// Counts one finished background refit under its outcome label.
@@ -306,9 +281,9 @@ impl ServerMetrics {
     }
 
     /// Finishes one request: the by-endpoint/status counter, the
-    /// per-endpoint latency histogram, and a JSON access line into the ring
-    /// (and the file sink when configured). `bytes` is what actually
-    /// reached the wire, so torn responses are visible in the log.
+    /// per-endpoint latency histogram, and, when an access-log sink is
+    /// configured, one JSON line into it. `bytes` is what actually reached
+    /// the wire, so torn responses are visible in the log.
     pub fn finish_request(&self, ctx: &RequestCtx<'_>, method: &str, path: &str, bytes: u64) {
         let endpoint = ctx.endpoint.get();
         let status = ctx.status.get();
@@ -322,6 +297,9 @@ impl ServerMetrics {
         self.registry
             .histogram("privbayes_request_seconds", &[("endpoint", endpoint)])
             .observe(elapsed);
+        let Some(sink) = &self.access_log else {
+            return;
+        };
         let ts = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
         let line = format!(
             "{{\"ts\":{ts},\"id\":\"{}\",\"method\":\"{}\",\"path\":\"{}\",\
@@ -332,14 +310,10 @@ impl ServerMetrics {
             json_escape(path),
             elapsed.as_micros()
         );
-        self.events.append(line.clone());
-        if let Some(sink) = &self.access_log {
-            let mut file = sink.lock().expect("access log lock poisoned");
-            // Log-sink failures must never fail the request that triggered
-            // them; the in-memory ring still has the line.
-            let _ = writeln!(file, "{line}");
-            let _ = file.flush();
-        }
+        let mut file = sink.lock().expect("access log lock poisoned");
+        // Log-sink failures must never fail the request that triggered them.
+        let _ = writeln!(file, "{line}");
+        let _ = file.flush();
     }
 }
 
@@ -440,7 +414,6 @@ mod tests {
             "privbayes_tenant_epsilon_spent",
             "privbayes_tenant_epsilon_remaining",
             "privbayes_ingest_rows_total",
-            "privbayes_ingest_batch_rows",
             "privbayes_refits_total",
             "privbayes_model_generation",
         ] {
@@ -468,7 +441,6 @@ mod tests {
             snapshot.value("privbayes_ingest_rows_total", &[("tenant", "globex")]),
             Some(1.0)
         );
-        assert_eq!(snapshot.value("privbayes_ingest_batch_rows_count", &[]), Some(3.0));
         assert_eq!(snapshot.value("privbayes_refits_total", &[("status", "ok")]), Some(2.0));
         assert_eq!(snapshot.value("privbayes_refits_total", &[("status", "failed")]), Some(1.0));
         assert_eq!(snapshot.value("privbayes_model_generation", &[("model", "census")]), Some(7.0));
@@ -511,7 +483,12 @@ mod tests {
 
     #[test]
     fn finish_request_counts_and_logs() {
-        let metrics = ServerMetrics::new(None);
+        let dir = std::env::temp_dir()
+            .join(format!("privbayes-metrics-access-log-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("access.log");
+        let sink = File::create(&path).unwrap();
+        let metrics = ServerMetrics::new(Some(sink));
         let ctx = RequestCtx::new(&metrics, "req-test".into());
         ctx.endpoint.set("healthz");
         ctx.status.set(200);
@@ -527,10 +504,12 @@ mod tests {
             snapshot.value("privbayes_request_seconds_count", &[("endpoint", "healthz")]),
             Some(1.0)
         );
-        let events = metrics.events().snapshot();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].contains("\"id\":\"req-test\""), "{}", events[0]);
-        assert!(events[0].contains("\"status\":200"), "{}", events[0]);
-        assert!(events[0].contains("\"bytes\":42"), "{}", events[0]);
+        let log = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 1, "{log}");
+        assert!(lines[0].contains("\"id\":\"req-test\""), "{}", lines[0]);
+        assert!(lines[0].contains("\"status\":200"), "{}", lines[0]);
+        assert!(lines[0].contains("\"bytes\":42"), "{}", lines[0]);
     }
 }

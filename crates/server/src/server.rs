@@ -141,7 +141,7 @@ pub struct ServerConfig {
     /// `/healthz` and [`ServerHandle::stats`] read it regardless).
     pub metrics_enabled: bool,
     /// File appended with one JSON line per finished request. `None`
-    /// disables the file sink; the in-memory ring is always kept.
+    /// writes no access log.
     pub access_log: Option<PathBuf>,
     /// Directory for the per-tenant dataset journals behind
     /// `POST /v1/tenants/{t}/ingest`. `None` keeps ingested data in memory
