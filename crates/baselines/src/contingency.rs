@@ -6,7 +6,7 @@
 
 use privbayes_dp::laplace::sample_laplace;
 use privbayes_marginals::{
-    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, MarginalSource,
+    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, CountEngine,
 };
 use rand::Rng;
 
@@ -15,30 +15,30 @@ pub const MAX_CELLS: usize = 1 << 26;
 
 /// Releases the full contingency table under ε-DP (per-cell noise
 /// `Lap(2/(n·ε))`, sensitivity 2/n) and projects every workload marginal.
-/// The exact full-domain table comes from `source` (normally a shared
-/// [`privbayes_marginals::CountEngine`]); only the noise consumes `rng`.
+/// The exact full-domain table comes from the shared `engine`; only the
+/// noise consumes `rng`.
 ///
 /// # Panics
 /// Panics if the domain exceeds [`MAX_CELLS`], `epsilon <= 0`, or the data
 /// is empty.
 #[must_use]
-pub fn contingency_marginals<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
+pub fn contingency_marginals<R: Rng + ?Sized>(
+    engine: &CountEngine,
     workload: &AlphaWayWorkload,
     epsilon: f64,
     rng: &mut R,
 ) -> Vec<ContingencyTable> {
     assert!(epsilon > 0.0 && epsilon.is_finite(), "epsilon must be positive");
-    assert!(source.n() > 0, "empty dataset");
-    let cells: usize = source.schema().domain_sizes().iter().product();
+    assert!(engine.n() > 0, "empty dataset");
+    let cells: usize = engine.schema().domain_sizes().iter().product();
     assert!(
         cells <= MAX_CELLS,
         "domain has {cells} cells; the Contingency baseline is only applicable to small domains"
     );
 
-    let axes: Vec<Axis> = (0..source.schema().len()).map(Axis::raw).collect();
-    let mut full = source.joint_table(&axes);
-    let scale = 2.0 / (source.n() as f64 * epsilon);
+    let axes: Vec<Axis> = (0..engine.schema().len()).map(Axis::raw).collect();
+    let mut full = engine.joint_table(&axes);
+    let scale = 2.0 / (engine.n() as f64 * epsilon);
     for v in full.values_mut() {
         *v += sample_laplace(scale, rng);
     }

@@ -8,15 +8,15 @@
 
 use privbayes_dp::geometric::sample_two_sided_geometric;
 use privbayes_marginals::{
-    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, MarginalSource,
+    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, CountEngine,
 };
 use rand::Rng;
 
 /// Releases every workload marginal under ε-DP with per-cell two-sided
 /// geometric noise at count scale, then applies the consistency
 /// post-processing and renormalisation back to probability scale. The exact
-/// marginals come from `source` (normally a shared
-/// [`privbayes_marginals::CountEngine`]); only the noise consumes `rng`.
+/// marginals come from the shared
+/// `engine`; only the noise consumes `rng`.
 ///
 /// One tuple contributes one count to every marginal, so releasing all
 /// `|Q_α|` count-scale marginals has L1 sensitivity `2·|Q_α|`; each marginal
@@ -25,14 +25,14 @@ use rand::Rng;
 /// # Panics
 /// Panics if `epsilon <= 0` or the dataset is empty.
 #[must_use]
-pub fn geometric_marginals<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
+pub fn geometric_marginals<R: Rng + ?Sized>(
+    engine: &CountEngine,
     workload: &AlphaWayWorkload,
     epsilon: f64,
     rng: &mut R,
 ) -> Vec<ContingencyTable> {
     assert!(epsilon > 0.0 && epsilon.is_finite(), "epsilon must be positive");
-    let n = source.n();
+    let n = engine.n();
     assert!(n > 0, "empty dataset");
     let alpha = (-epsilon / (2.0 * workload.len() as f64)).exp();
     workload
@@ -40,7 +40,7 @@ pub fn geometric_marginals<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
         .iter()
         .map(|subset| {
             let axes: Vec<Axis> = subset.iter().map(|&a| Axis::raw(a)).collect();
-            let mut table = source.joint_table(&axes);
+            let mut table = engine.joint_table(&axes);
             for v in table.values_mut() {
                 // Probability-scale cells are exact multiples of 1/n; recover
                 // the integer count, perturb, and return to probability scale.

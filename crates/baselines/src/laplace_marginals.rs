@@ -7,34 +7,34 @@
 
 use privbayes_dp::laplace::sample_laplace;
 use privbayes_marginals::{
-    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, MarginalSource,
+    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, CountEngine,
 };
 use rand::Rng;
 
 /// Releases every workload marginal under ε-DP with per-cell Laplace noise
 /// `Lap(2|W|/(n·ε))`, then applies the consistency post-processing. The
-/// exact marginals come from `source` (normally a shared
-/// [`privbayes_marginals::CountEngine`]) and are bit-identical to a direct
+/// exact marginals come from the shared
+/// `engine` and are bit-identical to a direct
 /// row scan; only the noise consumes `rng`.
 ///
 /// # Panics
 /// Panics if `epsilon <= 0` or the dataset is empty.
 #[must_use]
-pub fn laplace_marginals<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
+pub fn laplace_marginals<R: Rng + ?Sized>(
+    engine: &CountEngine,
     workload: &AlphaWayWorkload,
     epsilon: f64,
     rng: &mut R,
 ) -> Vec<ContingencyTable> {
     assert!(epsilon > 0.0 && epsilon.is_finite(), "epsilon must be positive");
-    assert!(source.n() > 0, "empty dataset");
-    let scale = 2.0 * workload.len() as f64 / (source.n() as f64 * epsilon);
+    assert!(engine.n() > 0, "empty dataset");
+    let scale = 2.0 * workload.len() as f64 / (engine.n() as f64 * epsilon);
     workload
         .subsets()
         .iter()
         .map(|subset| {
             let axes: Vec<Axis> = subset.iter().map(|&a| Axis::raw(a)).collect();
-            let mut table = source.joint_table(&axes);
+            let mut table = engine.joint_table(&axes);
             for v in table.values_mut() {
                 *v += sample_laplace(scale, rng);
             }

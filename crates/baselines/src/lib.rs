@@ -15,9 +15,8 @@
 //! (consistency post-processing applied), so they share the accuracy metric
 //! with PrivBayes.
 //!
-//! Since PR 4, every baseline draws its **exact** marginals through the
-//! shared [`privbayes_marginals::MarginalSource`] abstraction (normally a
-//! [`privbayes_marginals::CountEngine`]) instead of re-scanning the dataset
+//! Since PR 4, every baseline draws its **exact** marginals from a shared
+//! [`privbayes_marginals::CountEngine`] instead of re-scanning the dataset
 //! per marginal; Fourier, which works in the binarised domain, builds its
 //! own engine over the binarised table. Engine joints are bit-identical to
 //! `ContingencyTable::from_dataset`, so outputs are unchanged for a fixed

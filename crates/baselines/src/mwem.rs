@@ -15,7 +15,7 @@
 use privbayes_dp::exponential::exponential_mechanism;
 use privbayes_dp::laplace::sample_laplace;
 use privbayes_marginals::{
-    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, MarginalSource,
+    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, CountEngine,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -107,8 +107,8 @@ impl MwemFit {
 /// Runs MWEM and returns the final full-domain weights (see
 /// [`mwem_marginals`] for the workload-answer wrapper).
 ///
-/// The exact workload answers ("truths") come from `source`: when the full
-/// domain is small enough for the source's cache, the full-domain joint is
+/// The exact workload answers ("truths") come from `engine`: when the full
+/// domain is small enough for the engine's cache, the full-domain joint is
 /// counted **once** and every workload truth is served by exact integer
 /// projection instead of a fresh row scan — the superset-projection fast
 /// path that makes engine-backed MWEM faster than the scan baseline while
@@ -118,8 +118,8 @@ impl MwemFit {
 /// Panics if the domain exceeds [`MAX_CELLS`], `epsilon <= 0`,
 /// `iterations == 0`, or the data is empty.
 #[must_use]
-pub fn mwem_fit<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
+pub fn mwem_fit<R: Rng + ?Sized>(
+    engine: &CountEngine,
     workload: &AlphaWayWorkload,
     epsilon: f64,
     options: MwemOptions,
@@ -127,22 +127,22 @@ pub fn mwem_fit<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
 ) -> MwemFit {
     assert!(epsilon > 0.0 && epsilon.is_finite(), "epsilon must be positive");
     assert!(options.iterations > 0, "need at least one round");
-    assert!(source.n() > 0, "empty dataset");
-    let dims = source.schema().domain_sizes();
+    assert!(engine.n() > 0, "empty dataset");
+    let dims = engine.schema().domain_sizes();
     let cells: usize = dims.iter().product();
     assert!(cells <= MAX_CELLS, "domain has {cells} cells; MWEM needs a small domain");
 
-    let n = source.n() as f64;
+    let n = engine.n() as f64;
     let projector = Projector::new(&dims);
 
-    // Warm the source with the full-domain joint when its cache would retain
+    // Warm the engine with the full-domain joint when its cache would retain
     // it: every workload truth below then comes from one integer projection
     // rather than a row scan. Skipped when the table would not be retained
-    // (projection would cost more than re-counting; the source already
+    // (projection would cost more than re-counting; the engine already
     // optimises that trade-off per request).
-    if source.retains(cells) {
+    if engine.retains(cells) {
         let all_axes: Vec<Axis> = (0..dims.len()).map(Axis::raw).collect();
-        let _ = source.joint_table(&all_axes);
+        let _ = engine.joint_table(&all_axes);
     }
 
     // Exact workload answers (probability scale).
@@ -151,7 +151,7 @@ pub fn mwem_fit<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
         .iter()
         .map(|subset| {
             let axes: Vec<Axis> = subset.iter().map(|&a| Axis::raw(a)).collect();
-            source.joint_table(&axes).values().to_vec()
+            engine.joint_table(&axes).values().to_vec()
         })
         .collect();
 
@@ -226,14 +226,14 @@ pub fn mwem_fit<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
 /// # Panics
 /// As [`mwem_fit`].
 #[must_use]
-pub fn mwem_marginals<S: MarginalSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
+pub fn mwem_marginals<R: Rng + ?Sized>(
+    engine: &CountEngine,
     workload: &AlphaWayWorkload,
     epsilon: f64,
     options: MwemOptions,
     rng: &mut R,
 ) -> Vec<ContingencyTable> {
-    let fit = mwem_fit(source, workload, epsilon, options, rng);
+    let fit = mwem_fit(engine, workload, epsilon, options, rng);
     workload.subsets().iter().map(|subset| fit.marginal(subset)).collect()
 }
 

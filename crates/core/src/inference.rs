@@ -3,14 +3,17 @@
 //! questions could be answered directly from the materialized model and its
 //! parameters, rather than via random sampling."*
 //!
-//! [`model_marginal`] computes the **exact** marginal distribution of the
-//! model `Pr*_N[·]` over any attribute subset by variable elimination: the
-//! query's non-ancestors are pruned (their conditionals integrate to one),
-//! each remaining AP pair becomes a CPT factor, and the non-query variables
-//! are summed out in a greedy smallest-intermediate-factor order. This
-//! removes the sampling error from query answers; the privacy cost is
-//! unchanged because the model is already differentially private
-//! (post-processing).
+//! [`model_conditional`] computes the **exact** distribution
+//! `Pr*_N[targets | evidence]` of the model by variable elimination (with no
+//! evidence it is the marginal, [`model_marginal`]): the query's
+//! non-ancestors are pruned (their conditionals integrate to one), each
+//! remaining AP pair becomes a CPT factor with the evidence sliced out, and
+//! the other attributes are summed out in a greedy
+//! smallest-intermediate-factor order. The same elimination's buckets let the
+//! sampler draw evidence cohorts exactly
+//! ([`crate::sampler::CompiledSampler::stream_spec`]). This removes the
+//! sampling error from query answers; the privacy cost is unchanged because
+//! the model is already differentially private (post-processing).
 
 use privbayes_data::Schema;
 use privbayes_marginals::{Axis, ContingencyTable};
@@ -21,105 +24,36 @@ use crate::error::PrivBayesError;
 /// Default cap on the intermediate factor size (cells).
 pub const DEFAULT_CELL_CAP: usize = 1 << 22;
 
-/// Computes the exact model marginal `Pr*_N[attrs]`.
+/// Computes the exact model marginal `Pr*_N[attrs]`: [`model_conditional`]
+/// with no evidence.
 ///
 /// Attributes appear in the returned table in the order given. Only the
-/// query's **ancestral closure** is materialised: a pair whose child is
-/// neither queried nor an ancestor of a queried attribute integrates to one
-/// (its conditional is normalised per parent configuration) and is skipped
-/// exactly. The closure's variables are then eliminated greedily, smallest
-/// intermediate factor first; if any intermediate factor would exceed
-/// `cell_cap` cells, an error suggests falling back to sampling.
+/// query's **ancestral closure** is materialised, and a query that needs an
+/// intermediate factor above `cell_cap` cells is refused.
 ///
 /// # Errors
-/// Returns [`PrivBayesError::InvalidConfig`] for an empty/duplicated/out-of-
-/// range query or when `cell_cap` is exceeded, and
-/// [`PrivBayesError::InvalidNetwork`] if the model does not cover the schema.
+/// As [`model_conditional`].
 pub fn model_marginal(
     model: &NoisyModel,
     schema: &Schema,
     attrs: &[usize],
     cell_cap: usize,
 ) -> Result<ContingencyTable, PrivBayesError> {
-    let d = schema.len();
-    if model.conditionals.len() != d {
-        return Err(PrivBayesError::InvalidNetwork(format!(
-            "model covers {} attributes, schema has {d}",
-            model.conditionals.len()
-        )));
-    }
-    if attrs.is_empty() {
-        return Err(PrivBayesError::InvalidConfig("empty query".into()));
-    }
-    for (i, &a) in attrs.iter().enumerate() {
-        if a >= d {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} out of range")));
-        }
-        if attrs[..i].contains(&a) {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} repeated")));
-        }
-    }
-
-    // Ancestral closure of the query. Parents precede their children in the
-    // conditional list, so one reverse sweep marks every ancestor.
-    let mut needed = vec![false; d];
-    for &a in attrs {
-        needed[a] = true;
-    }
-    for cond in model.conditionals.iter().rev() {
-        if needed[cond.child] {
-            for axis in &cond.parents {
-                needed[axis.attr] = true;
-            }
-        }
-    }
-
-    // One factor per needed pair, expanded over RAW parent domains so that
-    // factors mentioning an attribute at different generalisation levels
-    // still join on the raw code.
-    let mut factors: Vec<Factor> = Vec::new();
-    for cond in model.conditionals.iter().filter(|c| needed[c.child]) {
-        factors.push(Factor::from_conditional(cond, schema, cell_cap)?);
-    }
-
-    // Greedy min-size variable elimination of every non-query attribute in
-    // the closure: repeatedly eliminate the variable whose bucket join
-    // produces the smallest intermediate factor.
-    let mut to_eliminate: Vec<usize> =
-        (0..d).filter(|&a| needed[a] && !attrs.contains(&a)).collect();
-    while !to_eliminate.is_empty() {
-        let best = to_eliminate
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                elimination_cost(&factors, *a.1).total_cmp(&elimination_cost(&factors, *b.1))
-            })
-            .map(|(i, _)| i)
-            .expect("nonempty elimination set");
-        let var = to_eliminate.swap_remove(best);
-        eliminate(&mut factors, var, cell_cap)?;
-    }
-
-    // Join the survivors (all scoped within the query attributes).
-    let mut result = Factor::unit();
-    for f in factors {
-        result = result.join(&f, cell_cap)?;
-    }
-    let axes: Vec<Axis> = result.scope.iter().map(|&a| Axis::raw(a)).collect();
-    let table = ContingencyTable::from_parts(axes, result.dims, result.values);
-    Ok(table.project_attrs(attrs))
+    model_conditional(model, schema, attrs, &[], cell_cap)
 }
 
 /// Computes the exact model conditional `Pr*_N[targets | evidence]`.
 ///
 /// Evidence is a list of `(attribute, observed code)` pairs; the result is a
 /// distribution over the target attributes in the order given, normalised
-/// within the evidence slice. Computation is the same pruned variable
-/// elimination as [`model_marginal`] with the evidence variables *reduced*
-/// (their factors sliced at the observed code) instead of eliminated — so
-/// conditioning on evidence is never more expensive than the corresponding
-/// marginal. Like everything computed from the released model, this is
-/// post-processing: no privacy budget is consumed.
+/// within the evidence slice. Only the ancestral closure of the targets and
+/// the evidence is materialised: a pair whose child is outside it integrates
+/// to one (its conditional is normalised per parent configuration) and is
+/// skipped exactly. Evidence variables are *reduced* (their factors sliced at
+/// the observed code) instead of eliminated, so conditioning on evidence is
+/// never more expensive than the corresponding marginal. Like everything
+/// computed from the released model, this is post-processing: no privacy
+/// budget is consumed.
 ///
 /// # Errors
 /// Returns [`PrivBayesError::InvalidConfig`] for an empty/duplicated/out-of-
@@ -134,15 +68,46 @@ pub fn model_conditional(
     evidence: &[(usize, u32)],
     cell_cap: usize,
 ) -> Result<ContingencyTable, PrivBayesError> {
+    if targets.is_empty() {
+        return Err(PrivBayesError::InvalidConfig("empty target set".into()));
+    }
+    let (posterior, _) = eliminate_closure(model, schema, targets, evidence, cell_cap)?;
+    let axes: Vec<Axis> = posterior.scope.iter().map(|&a| Axis::raw(a)).collect();
+    let table = ContingencyTable::from_parts(axes, posterior.dims, posterior.values);
+    Ok(table.project_attrs(targets))
+}
+
+/// Greedy variable elimination over the ancestral closure of `targets` and
+/// the evidence: the one routine behind [`model_conditional`] and the
+/// sampler's evidence cohorts.
+///
+/// Each closure pair becomes a CPT factor with the evidence sliced out at its
+/// observed code; every closure attribute that is neither target nor
+/// evidence is then eliminated, smallest intermediate factor first. Returns
+/// `Pr*[targets | evidence]` (scoped within `targets`, in join order) and
+/// each eliminated attribute's **bucket** — the product of the factors that
+/// mentioned it, before the sum — in elimination order. A bucket's last
+/// (fastest) axis is its eliminated attribute; its other attributes are all
+/// eliminated later or are targets, so a bucket read as a table of
+/// conditionals is `Pr*[attribute | later attributes, evidence]` up to one
+/// normalising constant per slice.
+///
+/// # Errors
+/// As [`model_conditional`], apart from the empty-target check (cohorts keep
+/// no targets).
+pub(crate) fn eliminate_closure(
+    model: &NoisyModel,
+    schema: &Schema,
+    targets: &[usize],
+    evidence: &[(usize, u32)],
+    cell_cap: usize,
+) -> Result<(Factor, Vec<Factor>), PrivBayesError> {
     let d = schema.len();
     if model.conditionals.len() != d {
         return Err(PrivBayesError::InvalidNetwork(format!(
             "model covers {} attributes, schema has {d}",
             model.conditionals.len()
         )));
-    }
-    if targets.is_empty() {
-        return Err(PrivBayesError::InvalidConfig("empty target set".into()));
     }
     for (i, &a) in targets.iter().enumerate() {
         if a >= d {
@@ -173,12 +138,10 @@ pub fn model_conditional(
         }
     }
 
-    // Closure of targets ∪ evidence.
+    // Closure of targets ∪ evidence. Parents precede their children in the
+    // conditional list, so one reverse sweep marks every ancestor.
     let mut needed = vec![false; d];
-    for &a in targets {
-        needed[a] = true;
-    }
-    for &(a, _) in evidence {
+    for &a in targets.iter().chain(evidence.iter().map(|(a, _)| a)) {
         needed[a] = true;
     }
     for cond in model.conditionals.iter().rev() {
@@ -189,8 +152,10 @@ pub fn model_conditional(
         }
     }
 
-    // Build factors and slice out the evidence immediately: reducing shrinks
-    // every factor before any join happens.
+    // One factor per needed pair, expanded over RAW parent domains so that
+    // factors mentioning an attribute at different generalisation levels
+    // still join on the raw code. Evidence is sliced out immediately:
+    // reducing shrinks every factor before any join happens.
     let mut factors: Vec<Factor> = Vec::new();
     for cond in model.conditionals.iter().filter(|c| needed[c.child]) {
         let mut factor = Factor::from_conditional(cond, schema, cell_cap)?;
@@ -202,11 +167,13 @@ pub fn model_conditional(
         factors.push(factor);
     }
 
-    // Eliminate everything that is neither target nor evidence (evidence is
-    // already gone from every scope).
+    // Repeatedly eliminate the attribute whose bucket join produces the
+    // smallest intermediate factor (evidence is already gone from every
+    // scope).
     let mut to_eliminate: Vec<usize> = (0..d)
         .filter(|&a| needed[a] && !targets.contains(&a) && !evidence.iter().any(|&(e, _)| e == a))
         .collect();
+    let mut buckets = Vec::with_capacity(to_eliminate.len());
     while !to_eliminate.is_empty() {
         let best = to_eliminate
             .iter()
@@ -217,27 +184,25 @@ pub fn model_conditional(
             .map(|(i, _)| i)
             .expect("nonempty elimination set");
         let var = to_eliminate.swap_remove(best);
-        eliminate(&mut factors, var, cell_cap)?;
+        buckets.push(eliminate(&mut factors, var, cell_cap)?);
     }
 
-    let mut result = Factor::unit();
+    // Join the survivors (all scoped within the targets): the unnormalised
+    // Pr*[targets, evidence], normalised by the evidence probability.
+    let mut posterior = Factor::unit();
     for f in factors {
-        result = result.join(&f, cell_cap)?;
+        posterior = posterior.join(&f, cell_cap)?;
     }
-    // `result` carries the unnormalised Pr*[targets, evidence]; normalise by
-    // the evidence probability.
-    let total: f64 = result.values.iter().sum();
+    let total: f64 = posterior.values.iter().sum();
     if total <= 0.0 || !total.is_finite() {
         return Err(PrivBayesError::InvalidConfig(
             "evidence has probability zero under the model".into(),
         ));
     }
-    for v in &mut result.values {
+    for v in &mut posterior.values {
         *v /= total;
     }
-    let axes: Vec<Axis> = result.scope.iter().map(|&a| Axis::raw(a)).collect();
-    let table = ContingencyTable::from_parts(axes, result.dims, result.values);
-    Ok(table.project_attrs(targets))
+    Ok((posterior, buckets))
 }
 
 /// Computes the exact model marginal `Pr*_N[attrs]` by **θ-projection**: a
@@ -389,16 +354,14 @@ pub fn theta_projection(
 
 /// A dense factor over raw attributes (row-major, last axis fastest).
 #[derive(Debug, Clone)]
-struct Factor {
-    scope: Vec<usize>,
-    dims: Vec<usize>,
-    values: Vec<f64>,
+pub(crate) struct Factor {
+    pub(crate) scope: Vec<usize>,
+    pub(crate) dims: Vec<usize>,
+    pub(crate) values: Vec<f64>,
 }
 
 fn cap_error(cells: usize, cap: usize) -> PrivBayesError {
-    PrivBayesError::InvalidConfig(format!(
-        "inference factor would need {cells} cells (cap {cap}); use sampling for this query"
-    ))
+    PrivBayesError::InvalidConfig(format!("inference factor would need {cells} cells (cap {cap})"))
 }
 
 impl Factor {
@@ -551,29 +514,43 @@ impl Factor {
     }
 }
 
-/// Size (cells) of the factor produced by eliminating `var`, as f64 to avoid
-/// overflow while comparing candidate orders.
-fn elimination_cost(factors: &[Factor], var: usize) -> f64 {
+/// The attributes that share a factor with `var`, with their dims, in
+/// first-mention order: the scope of `var`'s bucket without `var`.
+fn bucket_context(factors: &[Factor], var: usize) -> (Vec<usize>, Vec<usize>) {
     let mut scope: Vec<usize> = Vec::new();
-    let mut cost = 1.0f64;
-    for f in factors {
-        if !f.scope.contains(&var) {
-            continue;
-        }
+    let mut dims: Vec<usize> = Vec::new();
+    for f in factors.iter().filter(|f| f.scope.contains(&var)) {
         for (&v, &dim) in f.scope.iter().zip(&f.dims) {
             if v != var && !scope.contains(&v) {
                 scope.push(v);
-                cost *= dim as f64;
+                dims.push(dim);
             }
         }
     }
-    cost
+    (scope, dims)
 }
 
-/// Joins every factor mentioning `var`, sums `var` out, and pushes the
-/// result back.
-fn eliminate(factors: &mut Vec<Factor>, var: usize, cell_cap: usize) -> Result<(), PrivBayesError> {
-    let mut bucket = Factor::unit();
+/// Size (cells) of the factor produced by eliminating `var`, as f64 to avoid
+/// overflow while comparing candidate orders.
+fn elimination_cost(factors: &[Factor], var: usize) -> f64 {
+    bucket_context(factors, var).1.iter().map(|&dim| dim as f64).product()
+}
+
+/// Joins every factor mentioning `var` into its bucket, pushes the bucket
+/// with `var` summed out back, and returns the bucket. The bucket starts as
+/// an all-ones factor over its other attributes, so `var` joins as its last
+/// (fastest) axis; multiplying by one is exact.
+fn eliminate(
+    factors: &mut Vec<Factor>,
+    var: usize,
+    cell_cap: usize,
+) -> Result<Factor, PrivBayesError> {
+    let (scope, dims) = bucket_context(factors, var);
+    let cells = dims.iter().fold(1usize, |acc, &dim| acc.saturating_mul(dim));
+    if cells > cell_cap {
+        return Err(cap_error(cells, cell_cap));
+    }
+    let mut bucket = Factor { values: vec![1.0; cells], scope, dims };
     let mut rest = Vec::with_capacity(factors.len());
     for f in factors.drain(..) {
         if f.scope.contains(&var) {
@@ -583,10 +560,8 @@ fn eliminate(factors: &mut Vec<Factor>, var: usize, cell_cap: usize) -> Result<(
         }
     }
     *factors = rest;
-    if bucket.scope.contains(&var) {
-        factors.push(bucket.sum_out(var));
-    }
-    Ok(())
+    factors.push(bucket.sum_out(var));
+    Ok(bucket)
 }
 
 #[cfg(test)]

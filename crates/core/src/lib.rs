@@ -64,6 +64,6 @@ pub use network::{ApPair, BayesianNetwork};
 pub use pipeline::{PrivBayes, PrivBayesOptions, SynthesisResult};
 pub use sampler::{
     sample_synthetic, sample_synthetic_with_threads, CompiledSampler, RowStream, SampleSpec,
-    CHUNK_ROWS, LW_CANDIDATES,
+    CHUNK_ROWS,
 };
 pub use score::ScoreKind;

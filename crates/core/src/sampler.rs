@@ -11,15 +11,20 @@
 //! are then generated in fixed-size chunks, each chunk from its own RNG
 //! stream derived from the caller's seed, so the output is **identical for
 //! every worker count** — including the sequential path.
+//!
+//! Evidence cohorts ([`CompiledSampler::stream_spec`]) are drawn exactly:
+//! the variable-elimination buckets of the evidence's ancestral closure are
+//! compiled into alias tables the same way.
 
 use privbayes_data::{Dataset, Schema};
 use privbayes_dp::AliasTable;
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::conditionals::NoisyModel;
 use crate::error::PrivBayesError;
 use crate::greedy::resolve_threads;
+use crate::inference::{eliminate_closure, DEFAULT_CELL_CAP};
 
 /// Rows per sampling chunk. Each chunk owns an RNG stream seeded from
 /// `(base, chunk index)` only, which makes the output independent of how
@@ -28,16 +33,6 @@ use crate::greedy::resolve_threads;
 /// one by one ([`CompiledSampler::stream_rows`]). Fixed: changing it changes
 /// which stream generates which row.
 pub const CHUNK_ROWS: usize = 1024;
-
-/// Candidate rows drawn per output row in likelihood-weighted conditional
-/// sampling (evidence with non-evidence ancestors). Fixed: part of the
-/// determinism contract — changing it changes which rows a given seed
-/// produces.
-pub const LW_CANDIDATES: usize = 64;
-
-/// Rounds of [`LW_CANDIDATES`] retried when every candidate weight is zero
-/// before giving up on the row and emitting the last clamped candidate.
-const LW_MAX_ROUNDS: usize = 16;
 
 /// A sampling request against a [`CompiledSampler`]: how many rows of the
 /// underlying stream exist, which attributes are clamped as evidence, which
@@ -54,9 +49,8 @@ pub struct SampleSpec {
     /// Total rows of the (unresumed) stream.
     pub rows: usize,
     /// Clamped `(attribute, code)` evidence; sampled rows all carry these
-    /// values and the remaining attributes follow the model conditioned on
-    /// them (exactly for ancestrally-closed evidence, by likelihood-weighted
-    /// resampling otherwise — see [`CompiledSampler::stream_spec`]).
+    /// values and the remaining attributes are drawn exactly from the model
+    /// conditioned on them — see [`CompiledSampler::stream_spec`].
     pub evidence: Vec<(usize, u32)>,
     /// Columns to yield, in order (`None` = every attribute in schema
     /// order). Sampling always computes full tuples — ancestors are needed —
@@ -96,7 +90,8 @@ impl SampleSpec {
     }
 }
 
-/// One conditional compiled for the sampling hot loop.
+/// One conditional — a network pair's, or an evidence cohort's bucket —
+/// compiled for the sampling hot loop.
 #[derive(Debug, Clone)]
 struct CompiledConditional {
     child: usize,
@@ -113,12 +108,6 @@ struct CompiledConditional {
     /// slice is actually drawn from, matching the lazy `sample_discrete`
     /// behaviour.
     tables: Vec<Option<AliasTable>>,
-    /// Domain size of the child.
-    child_dim: usize,
-    /// The raw conditional probabilities (row-major over parent slices),
-    /// kept alongside the alias tables so conditional sampling can read
-    /// `Pr[child = v | parents]` for evidence weights without a table walk.
-    probs: Vec<f64>,
 }
 
 /// A [`NoisyModel`] compiled into alias tables, reusable across sampling
@@ -126,7 +115,25 @@ struct CompiledConditional {
 #[derive(Debug, Clone)]
 pub struct CompiledSampler {
     schema: Schema,
+    /// The model itself, for compiling evidence cohorts.
+    model: NoisyModel,
     conditionals: Vec<CompiledConditional>,
+}
+
+/// An evidence cohort compiled for one stream; see
+/// [`CompiledSampler::stream_spec`].
+#[derive(Debug)]
+struct Posterior {
+    /// The evidence, written into each chunk's tuple once.
+    evidence: Vec<(usize, u32)>,
+    /// One draw per free attribute of the evidence's ancestral closure, from
+    /// its variable-elimination bucket, in reverse elimination order: a
+    /// bucket's other attributes are eliminated later, so they are drawn
+    /// first.
+    buckets: Vec<CompiledConditional>,
+    /// The sampler's conditionals (indices) for the attributes outside the
+    /// closure, in network order.
+    rest: Vec<usize>,
 }
 
 impl NoisyModel {
@@ -166,11 +173,9 @@ impl NoisyModel {
                     .collect(),
                 parent_dims: cond.parent_dims.clone(),
                 tables: cond.probs.chunks_exact(cond.child_dim).map(AliasTable::try_new).collect(),
-                child_dim: cond.child_dim,
-                probs: cond.probs.clone(),
             })
             .collect();
-        Ok(CompiledSampler { schema: schema.clone(), conditionals })
+        Ok(CompiledSampler { schema: schema.clone(), model: self.clone(), conditionals })
     }
 }
 
@@ -192,6 +197,36 @@ impl CompiledConditional {
         }
         idx
     }
+
+    /// Draws the child for the parent values currently in `tuple`.
+    // `always`: left to the optimiser, this call stayed out of line and
+    // unconditional sampling measured ~20% slower.
+    #[inline(always)]
+    fn draw<R: Rng + ?Sized>(&self, tuple: &mut [u32], rng: &mut R) {
+        let table = self.tables[self.slice_index(tuple)]
+            .as_ref()
+            .expect("sampled a degenerate conditional slice (invalid weights)");
+        tuple[self.child] = table.sample(rng) as u32;
+    }
+}
+
+impl Posterior {
+    /// Fills the free attributes of `tuple` (whose evidence is already set)
+    /// with one row of the cohort.
+    #[inline]
+    fn sample_row<R: Rng + ?Sized>(
+        &self,
+        conditionals: &[CompiledConditional],
+        tuple: &mut [u32],
+        rng: &mut R,
+    ) {
+        for bucket in &self.buckets {
+            bucket.draw(tuple, rng);
+        }
+        for &i in &self.rest {
+            conditionals[i].draw(tuple, rng);
+        }
+    }
 }
 
 impl CompiledSampler {
@@ -205,43 +240,51 @@ impl CompiledSampler {
     #[inline]
     fn sample_row<R: Rng + ?Sized>(&self, tuple: &mut [u32], rng: &mut R) {
         for cond in &self.conditionals {
-            let idx = cond.slice_index(tuple);
-            let table = cond.tables[idx]
-                .as_ref()
-                .expect("sampled a degenerate conditional slice (invalid weights)");
-            tuple[cond.child] = table.sample(rng) as u32;
+            cond.draw(tuple, rng);
         }
     }
 
-    /// Fills `tuple` with one row where every evidence attribute is clamped
-    /// to its observed code, and returns the row's likelihood weight — the
-    /// product of `Pr[eᵢ = vᵢ | parents(eᵢ)]` over the evidence attributes
-    /// under the sampled parent values. Free attributes draw from their
-    /// conditionals exactly as [`CompiledSampler::sample_row`] does.
-    #[inline]
-    fn sample_row_clamped<R: Rng + ?Sized>(
+    /// Compiles `evidence` into a [`Posterior`]: the greedy variable
+    /// elimination of the evidence's ancestral closure (see
+    /// [`crate::inference::model_conditional`]), with each eliminated
+    /// attribute's bucket turned into one alias table per configuration of
+    /// the bucket's other attributes.
+    ///
+    /// A bucket slice of zero mass is never drawn from: its configuration
+    /// carries zero weight in every bucket drawn before it.
+    ///
+    /// # Errors
+    /// Returns [`PrivBayesError::InvalidConfig`] for evidence out of range,
+    /// outside its domain or repeated, evidence with probability zero under
+    /// the model, or a bucket above `cell_cap` cells.
+    fn posterior(
         &self,
-        tuple: &mut [u32],
-        evidence: &[Option<u32>],
-        rng: &mut R,
-    ) -> f64 {
-        let mut weight = 1.0f64;
-        for cond in &self.conditionals {
-            let idx = cond.slice_index(tuple);
-            match evidence[cond.child] {
-                Some(code) => {
-                    tuple[cond.child] = code;
-                    weight *= cond.probs[idx * cond.child_dim + code as usize];
-                }
-                None => {
-                    let table = cond.tables[idx]
-                        .as_ref()
-                        .expect("sampled a degenerate conditional slice (invalid weights)");
-                    tuple[cond.child] = table.sample(rng) as u32;
-                }
-            }
+        evidence: &[(usize, u32)],
+        cell_cap: usize,
+    ) -> Result<Posterior, PrivBayesError> {
+        let (_, buckets) = eliminate_closure(&self.model, &self.schema, &[], evidence, cell_cap)?;
+        let mut in_closure = vec![false; self.schema.len()];
+        for &(attr, _) in evidence {
+            in_closure[attr] = true;
         }
-        weight
+        let mut draws = Vec::with_capacity(buckets.len());
+        for bucket in buckets.iter().rev() {
+            let (&child, context) =
+                bucket.scope.split_last().expect("a bucket holds its attribute");
+            let (&child_dim, context_dims) = bucket.dims.split_last().expect("dims match scope");
+            in_closure[child] = true;
+            draws.push(CompiledConditional {
+                child,
+                parent_attrs: context.to_vec(),
+                generalisers: vec![None; context.len()],
+                parent_dims: context_dims.to_vec(),
+                tables: bucket.values.chunks_exact(child_dim).map(AliasTable::try_new).collect(),
+            });
+        }
+        let rest = (0..self.conditionals.len())
+            .filter(|&i| !in_closure[self.conditionals[i].child])
+            .collect();
+        Ok(Posterior { evidence: evidence.to_vec(), buckets: draws, rest })
     }
 
     /// Samples `rows` synthetic tuples. `threads = None` uses
@@ -323,8 +366,7 @@ impl CompiledSampler {
             base: rng.next_u64(),
             rows,
             next_row: 0,
-            evidence: Vec::new(),
-            weighted: false,
+            posterior: None,
             projection: None,
         }
     }
@@ -338,50 +380,40 @@ impl CompiledSampler {
     ///
     /// # Conditioning semantics
     ///
-    /// Evidence attributes are clamped to their observed codes in every row.
-    /// When the evidence set is **ancestrally closed** (every ancestor of an
-    /// evidence attribute is itself evidence — e.g. evidence on network
-    /// roots), clamped ancestral sampling draws *exactly* from
-    /// `Pr*[free | evidence]`. Otherwise the sampler falls back to
-    /// likelihood-weighted resampling: per output row it draws
-    /// [`LW_CANDIDATES`] clamped candidates, weights each by
-    /// `∏ Pr[eᵢ = vᵢ | parents]`, and picks one proportionally — an exact
-    /// scheme in the limit, with O(1/[`LW_CANDIDATES`]) resampling bias. Both
-    /// modes are deterministic for a fixed `(model, seed, spec)` and use the
-    /// same per-chunk RNG streams, so resumed conditional streams are also
-    /// suffix-identical.
+    /// Evidence attributes carry their observed codes in every row, and the
+    /// other attributes are drawn exactly from `Pr*[free | evidence]`. Each
+    /// call runs the greedy variable elimination of
+    /// [`crate::inference::model_conditional`] over the evidence's ancestral
+    /// closure (the evidence plus all its ancestors) and keeps each
+    /// eliminated attribute's bucket — the product of the factors that
+    /// mentioned it, before the sum. Each row then draws the closure's free
+    /// attributes from alias tables over their buckets in reverse
+    /// elimination order, and every other free attribute from its own
+    /// conditional in network order. That is exact because attributes
+    /// outside the closure depend on the evidence only through the closure.
+    /// Evidence whose closure is just the evidence (network roots, for
+    /// example) has no free closure attributes: its rows are ancestral
+    /// samples with the evidence clamped. Conditional streams use the same
+    /// per-chunk RNG streams as unconditional ones, so they are
+    /// deterministic for a fixed `(model, seed, spec)` and resume
+    /// suffix-identically.
     ///
     /// # Errors
     /// Returns [`PrivBayesError::InvalidConfig`] for evidence or projection
     /// attributes out of range or repeated, evidence codes outside their
-    /// domains, an empty projection list, or (in the ancestrally-closed
-    /// mode, where it is exactly computable) evidence with probability zero
-    /// under the model.
+    /// domains, an empty projection list, evidence with probability zero
+    /// under the model, or a closure bucket above
+    /// [`DEFAULT_CELL_CAP`] cells.
     pub fn stream_spec<R: Rng + ?Sized>(
         &self,
         spec: &SampleSpec,
         rng: &mut R,
     ) -> Result<RowStream<'_>, PrivBayesError> {
-        let d = self.schema.len();
-        let mut evidence: Vec<Option<u32>> = vec![None; d];
-        for (i, &(attr, code)) in spec.evidence.iter().enumerate() {
-            if attr >= d {
-                return Err(PrivBayesError::InvalidConfig(format!(
-                    "evidence attribute {attr} out of range"
-                )));
-            }
-            if !self.schema.attribute(attr).domain().contains(code) {
-                return Err(PrivBayesError::InvalidConfig(format!(
-                    "evidence code {code} outside the domain of attribute {attr}"
-                )));
-            }
-            if spec.evidence[..i].iter().any(|&(a, _)| a == attr) {
-                return Err(PrivBayesError::InvalidConfig(format!(
-                    "evidence attribute {attr} repeated"
-                )));
-            }
-            evidence[attr] = Some(code);
-        }
+        let posterior = if spec.evidence.is_empty() {
+            None
+        } else {
+            Some(self.posterior(&spec.evidence, DEFAULT_CELL_CAP)?)
+        };
         if let Some(projection) = &spec.projection {
             if projection.is_empty() {
                 return Err(PrivBayesError::InvalidConfig(
@@ -389,7 +421,7 @@ impl CompiledSampler {
                 ));
             }
             for (i, &attr) in projection.iter().enumerate() {
-                if attr >= d {
+                if attr >= self.schema.len() {
                     return Err(PrivBayesError::InvalidConfig(format!(
                         "projected attribute {attr} out of range"
                     )));
@@ -401,55 +433,12 @@ impl CompiledSampler {
                 }
             }
         }
-
-        // Classify the evidence: `free[a]` marks attributes that are
-        // non-evidence or have a non-evidence ancestor. Evidence whose
-        // parents are all non-free is fully determined by other evidence, so
-        // clamping is exact; any evidence with a free ancestor forces the
-        // likelihood-weighted mode. Parents precede children in the
-        // conditional list, so one forward sweep settles every attribute.
-        let mut weighted = false;
-        if !spec.evidence.is_empty() {
-            let mut free = vec![false; d];
-            for cond in &self.conditionals {
-                let parents_free = cond.parent_attrs.iter().any(|&p| free[p]);
-                if evidence[cond.child].is_none() {
-                    free[cond.child] = true;
-                } else {
-                    free[cond.child] = parents_free;
-                    weighted = weighted || parents_free;
-                }
-            }
-            if !weighted {
-                // Ancestrally closed: every evidence parent value is itself
-                // evidence, so the evidence probability is an exact product —
-                // reject impossible evidence up front.
-                let mut tuple = vec![0u32; d];
-                for &(attr, code) in &spec.evidence {
-                    tuple[attr] = code;
-                }
-                let mut mass = 1.0f64;
-                for cond in &self.conditionals {
-                    if let Some(code) = evidence[cond.child] {
-                        let idx = cond.slice_index(&tuple);
-                        mass *= cond.probs[idx * cond.child_dim + code as usize];
-                    }
-                }
-                if !mass.is_finite() || mass <= 0.0 {
-                    return Err(PrivBayesError::InvalidConfig(
-                        "evidence has probability zero under the model".into(),
-                    ));
-                }
-            }
-        }
-
         Ok(RowStream {
             sampler: self,
             base: rng.next_u64(),
             rows: spec.rows,
             next_row: spec.start_row,
-            evidence: if spec.evidence.is_empty() { Vec::new() } else { evidence },
-            weighted,
+            posterior,
             projection: spec.projection.clone(),
         })
     }
@@ -490,11 +479,8 @@ pub struct RowStream<'a> {
     base: u64,
     rows: usize,
     next_row: usize,
-    /// Per-attribute clamped codes; empty for unconditional streams.
-    evidence: Vec<Option<u32>>,
-    /// Whether conditioning needs likelihood-weighted resampling (evidence
-    /// with a non-evidence ancestor) instead of exact clamping.
-    weighted: bool,
+    /// The compiled evidence cohort; `None` for unconditional streams.
+    posterior: Option<Posterior>,
     /// Columns each yielded tuple carries, in order (`None` = all).
     projection: Option<Vec<usize>>,
 }
@@ -513,61 +499,12 @@ impl RowStream<'_> {
         self.rows.saturating_sub(self.next_row)
     }
 
-    /// Whether this stream conditions by likelihood-weighted resampling
-    /// (evidence with a non-evidence ancestor) rather than exact clamping.
-    /// In this mode impossible evidence is not detectable up front — the
-    /// serving layer uses this to decide when to run the exact
-    /// evidence-mass guard.
-    #[must_use]
-    pub fn is_likelihood_weighted(&self) -> bool {
-        self.weighted
-    }
-
     /// Copies the projected columns of `tuple` into an owned row.
     fn project(&self, tuple: &[u32]) -> Vec<u32> {
         match &self.projection {
             Some(keep) => keep.iter().map(|&attr| tuple[attr]).collect(),
             None => tuple.to_vec(),
         }
-    }
-
-    /// One likelihood-weighted output row: draws [`LW_CANDIDATES`] clamped
-    /// candidates into `cand`/`weights`, then copies one — picked with
-    /// probability proportional to its weight — into `out`. Retries up to
-    /// [`LW_MAX_ROUNDS`] rounds when every weight is zero (or non-finite),
-    /// then falls back to the last clamped candidate so a stream over
-    /// (near-)impossible evidence degrades to clamped rows instead of
-    /// panicking a serving worker mid-response.
-    fn weighted_row<R: Rng + ?Sized>(
-        &self,
-        tuple: &mut [u32],
-        cand: &mut [u32],
-        weights: &mut [f64],
-        out: &mut [u32],
-        rng: &mut R,
-    ) {
-        let d = tuple.len();
-        for _ in 0..LW_MAX_ROUNDS {
-            for c in 0..LW_CANDIDATES {
-                weights[c] = self.sampler.sample_row_clamped(tuple, &self.evidence, rng);
-                cand[c * d..(c + 1) * d].copy_from_slice(tuple);
-            }
-            let total: f64 = weights.iter().sum();
-            if total > 0.0 && total.is_finite() {
-                let mut u = rng.random::<f64>() * total;
-                let mut pick = LW_CANDIDATES - 1;
-                for (c, &w) in weights.iter().enumerate() {
-                    if u < w {
-                        pick = c;
-                        break;
-                    }
-                    u -= w;
-                }
-                out.copy_from_slice(&cand[pick * d..(pick + 1) * d]);
-                return;
-            }
-        }
-        out.copy_from_slice(&cand[(LW_CANDIDATES - 1) * d..]);
     }
 }
 
@@ -592,28 +529,21 @@ impl Iterator for RowStream<'_> {
         let mut tuple = vec![0u32; d];
         let mut rng = StdRng::seed_from_u64(chunk_seed(self.base, chunk_index));
         let mut chunk = Vec::with_capacity(len - skip);
-        if self.evidence.is_empty() {
-            for i in 0..len {
-                self.sampler.sample_row(&mut tuple, &mut rng);
-                if i >= skip {
-                    chunk.push(self.project(&tuple));
-                }
+        if let Some(posterior) = &self.posterior {
+            for &(attr, code) in &posterior.evidence {
+                tuple[attr] = code;
             }
-        } else if !self.weighted {
             for i in 0..len {
-                let _ = self.sampler.sample_row_clamped(&mut tuple, &self.evidence, &mut rng);
+                posterior.sample_row(&self.sampler.conditionals, &mut tuple, &mut rng);
                 if i >= skip {
                     chunk.push(self.project(&tuple));
                 }
             }
         } else {
-            let mut cand = vec![0u32; LW_CANDIDATES * d];
-            let mut weights = vec![0.0f64; LW_CANDIDATES];
-            let mut out = vec![0u32; d];
             for i in 0..len {
-                self.weighted_row(&mut tuple, &mut cand, &mut weights, &mut out, &mut rng);
+                self.sampler.sample_row(&mut tuple, &mut rng);
                 if i >= skip {
-                    chunk.push(self.project(&out));
+                    chunk.push(self.project(&tuple));
                 }
             }
         }
@@ -923,6 +853,38 @@ mod tests {
         let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
         let compiled = model.compile(data.schema()).unwrap();
         assert_eq!(compiled.stream_rows(0, &mut rng).count(), 0);
+    }
+
+    #[test]
+    fn posterior_refuses_a_bucket_above_the_cell_cap() {
+        // Evidence on e leaves a, b, c and d pairwise joined by the
+        // conditionals, so whichever is eliminated first, its bucket spans
+        // all four: 16 cells, while no conditional exceeds 8.
+        let schema =
+            Schema::new(["a", "b", "c", "d", "e"].into_iter().map(Attribute::binary).collect())
+                .unwrap();
+        let rows: Vec<Vec<u32>> =
+            (0..32u32).map(|i| (0..5).map(|bit| (i >> bit) & 1).collect()).collect();
+        let data = Dataset::from_rows(schema, &rows).unwrap();
+        let net = BayesianNetwork::new(
+            vec![
+                ApPair::new(0, vec![]),
+                ApPair::new(1, vec![0]),
+                ApPair::new(2, vec![0, 1]),
+                ApPair::new(3, vec![0, 2]),
+                ApPair::new(4, vec![1, 3]),
+            ],
+            data.schema(),
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(10);
+        let model = noisy_conditionals_general(&data, &net, Some(1.0), &mut rng).unwrap();
+        let compiled = model.compile(data.schema()).unwrap();
+        match compiled.posterior(&[(4, 1)], 8) {
+            Err(PrivBayesError::InvalidConfig(msg)) => assert!(msg.contains("16 cells"), "{msg}"),
+            other => panic!("want InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(compiled.posterior(&[(4, 1)], 16).unwrap().buckets.len(), 4);
     }
 
     #[test]

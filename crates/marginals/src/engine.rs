@@ -39,45 +39,6 @@ use privbayes_data::{Dataset, Schema};
 
 use crate::table::{Axis, ContingencyTable};
 
-/// A provider of exact joint distributions over attribute subsets — the
-/// abstraction every marginal-consuming algorithm (GreedyBayes, the noisy
-/// conditionals, the §6 baselines, the relational fact model) is written
-/// against, so none of them re-scans the dataset's rows itself.
-///
-/// The canonical implementation is [`CountEngine`], which memoises integer
-/// count tables and answers subset requests by exact projection. The
-/// contract every implementation must honour:
-///
-/// * [`joint_table`](MarginalSource::joint_table) is **bit-identical** to
-///   [`ContingencyTable::from_dataset`] with the same axes on the underlying
-///   data — same counts, same `count · (1/n)` scaling expression — no matter
-///   how the answer was produced (fresh count, cache hit, projection).
-/// * Requests are pure: a `MarginalSource` consumes no randomness and its
-///   answers do not depend on request order or thread interleaving.
-pub trait MarginalSource: Sync {
-    /// Number of rows in the underlying dataset.
-    fn n(&self) -> usize;
-
-    /// Schema of the underlying dataset.
-    fn schema(&self) -> &Schema;
-
-    /// The joint distribution over `axes` (probability scale), laid out like
-    /// [`ContingencyTable::from_dataset`]: row-major, last axis fastest.
-    fn joint_table(&self, axes: &[Axis]) -> ContingencyTable;
-
-    /// Whether a table of `cells` cells would be retained by this source's
-    /// cache (callers use this to decide whether pre-warming a superset
-    /// joint pays off). Sources without a cache return `false`.
-    fn retains(&self, _cells: usize) -> bool {
-        false
-    }
-
-    /// Cache effectiveness counters (zero for sources without a cache).
-    fn stats(&self) -> EngineStats {
-        EngineStats::default()
-    }
-}
-
 /// A dense joint **count** table (row-major, last axis fastest) — the integer
 /// twin of [`ContingencyTable`]. Counts are exact, so any two ways of
 /// computing the same table agree bit-for-bit.
@@ -499,9 +460,19 @@ impl EngineDelta {
 /// The shared count engine: one per dataset, used by every greedy round (and
 /// safe to share across scoring threads). Owns its encoded columns, so an
 /// engine can outlive the `Dataset` it was built from and keep growing via
-/// [`CountEngine::append`].
+/// [`CountEngine::append`]. Every marginal-consuming algorithm (GreedyBayes,
+/// the noisy conditionals, the §6 baselines, the relational fact model)
+/// reads its joints from an engine, so none of them re-scans the dataset's
+/// rows itself.
 ///
-/// See the module docs for the caching and determinism contract.
+/// The contract, detailed in the module docs:
+///
+/// * [`joint_table`](CountEngine::joint_table) is **bit-identical** to
+///   [`ContingencyTable::from_dataset`] with the same axes on the underlying
+///   data — same counts, same `count · (1/n)` scaling expression — no matter
+///   how the answer was produced (fresh count, cache hit, projection).
+/// * Requests are pure: an engine consumes no randomness and its answers do
+///   not depend on request order or thread interleaving.
 #[derive(Debug)]
 pub struct CountEngine {
     n: usize,
@@ -732,6 +703,14 @@ impl CountEngine {
         Arc::clone(cache.entry(canonical.to_vec()).or_insert(table))
     }
 
+    /// Whether a table of `cells` cells would be retained by the cache
+    /// (callers use this to decide whether pre-warming a superset joint pays
+    /// off).
+    #[must_use]
+    pub fn retains(&self, cells: usize) -> bool {
+        cells <= self.cell_budget()
+    }
+
     /// Cell bound shared by caching and projection: a table past it costs
     /// more to hold or to project than the O(n·k) row scan it would save.
     fn cell_budget(&self) -> usize {
@@ -768,28 +747,6 @@ impl CountEngine {
                 .collect();
             (key.clone(), positions)
         })
-    }
-}
-
-impl MarginalSource for CountEngine {
-    fn n(&self) -> usize {
-        CountEngine::n(self)
-    }
-
-    fn schema(&self) -> &Schema {
-        CountEngine::schema(self)
-    }
-
-    fn joint_table(&self, axes: &[Axis]) -> ContingencyTable {
-        CountEngine::joint_table(self, axes)
-    }
-
-    fn retains(&self, cells: usize) -> bool {
-        cells <= self.cell_budget()
-    }
-
-    fn stats(&self) -> EngineStats {
-        CountEngine::stats(self)
     }
 }
 

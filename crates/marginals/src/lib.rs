@@ -13,8 +13,8 @@
 //! [`engine::CountEngine`] is the shared, memoising source of joints for
 //! every marginal-consuming algorithm in the suite — network learning, the
 //! noisy conditionals, the §6 baselines, and the relational fact model all
-//! consume it through the [`engine::MarginalSource`] trait. Its contract,
-//! relied on by the parallel scoring and equivalence tests in `privbayes`:
+//! read their joints from it. Its contract, relied on by the parallel
+//! scoring and equivalence tests in `privbayes`:
 //!
 //! * **Caching.** Tables are cached keyed by the *sorted* (attr, level) axis
 //!   set; a request whose axis set is a subset of a cached joint is answered
@@ -34,7 +34,7 @@ pub mod query;
 pub mod table;
 
 pub use consistency::{clamp_and_normalize, mutual_consistency, shared_axes};
-pub use engine::{CountEngine, CountTable, EngineDelta, EngineStats, MarginalSource};
+pub use engine::{CountEngine, CountTable, EngineDelta, EngineStats};
 pub use metrics::{average_workload_tvd, total_variation};
 pub use query::AlphaWayWorkload;
 pub use table::{Axis, ContingencyTable};

@@ -144,7 +144,11 @@ fn taxonomy_from_json(json: &Json, index: usize) -> Result<TaxonomyTree, ModelEr
         let entries = level.as_array().ok_or_else(|| path("parent_maps[*]"))?;
         let map: Vec<u32> = entries
             .iter()
-            .map(|e| e.as_usize().map(|v| v as u32).ok_or_else(|| path("parent_maps[*][*]")))
+            .map(|e| {
+                e.as_usize()
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| path("parent_maps[*][*]"))
+            })
             .collect::<Result<_, _>>()?;
         maps.push(map);
     }
@@ -256,6 +260,20 @@ mod tests {
         .unwrap();
         // Identity parent map is not coarser — the data crate rejects it.
         assert!(matches!(schema_from_json(&json), Err(ModelError::Invalid(_))));
+    }
+
+    #[test]
+    fn rejects_parent_map_entries_above_u32_max() {
+        // 4294967297 would wrap to 1 and load as the valid map [0, 0, 1, 1].
+        let json = Json::parse(
+            r#"[{"name": "a", "kind": "categorical", "size": 4,
+                 "taxonomy": {"leaf_count": 4, "parent_maps": [[0, 0, 1, 4294967297]]}}]"#,
+        )
+        .unwrap();
+        assert_eq!(
+            schema_from_json(&json).unwrap_err(),
+            ModelError::Field("schema[0].taxonomy.parent_maps[*][*]".into())
+        );
     }
 
     #[test]

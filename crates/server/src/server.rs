@@ -1084,32 +1084,6 @@ fn stream_synth(
         Ok(stream) => stream,
         Err(e) => return respond_error(out, ctx, 400, "invalid-spec", &e.to_string()),
     };
-    // Ancestrally-closed evidence was already mass-checked exactly inside
-    // `stream_spec`; only the likelihood-weighted mode cannot detect
-    // impossible evidence itself, so only it pays for the exact
-    // evidence-marginal guard (skipped when the closure exceeds the cell
-    // cap — the stream then degrades to clamped rows rather than erroring).
-    if stream.is_likelihood_weighted() {
-        let attrs: Vec<usize> = resolved.evidence.iter().map(|&(a, _)| a).collect();
-        if let Ok(table) = theta_projection(
-            &entry.artifact.model,
-            &entry.artifact.schema,
-            &attrs,
-            DEFAULT_CELL_CAP,
-        ) {
-            let coords: Vec<usize> =
-                resolved.evidence.iter().map(|&(_, code)| code as usize).collect();
-            if table.get(&coords) <= 0.0 {
-                return respond_error(
-                    out,
-                    ctx,
-                    400,
-                    "invalid-spec",
-                    "evidence has probability zero under the model",
-                );
-            }
-        }
-    }
     let schema = sampler.schema();
     let projection = resolved.projection.as_deref();
     let seed_text = seed.to_string();

@@ -42,9 +42,8 @@
 //!   the composed sensitivity. `uniform` touches no data and spends nothing
 //!   — [`FittedArtifact::epsilon_spent`] records the actual spend, which
 //!   serving layers use for ledger debits.
-//! * **One count engine.** Every method draws its exact marginals through a
-//!   shared [`privbayes_marginals::CountEngine`] (via the
-//!   [`privbayes_marginals::MarginalSource`] trait); no method re-scans the
+//! * **One count engine.** Every method draws its exact marginals from a
+//!   shared [`privbayes_marginals::CountEngine`]; no method re-scans the
 //!   dataset's rows itself. [`FittedArtifact::stats`] exposes the engine's
 //!   cache counters for observability.
 

@@ -21,9 +21,7 @@ use privbayes_baselines::{geometric_marginals, laplace_marginals, mwem_fit};
 use privbayes_data::encoding::EncodingKind;
 use privbayes_data::{Dataset, Schema};
 use privbayes_dp::budget::BudgetSplit;
-use privbayes_marginals::{
-    AlphaWayWorkload, ContingencyTable, CountEngine, EngineStats, MarginalSource,
-};
+use privbayes_marginals::{AlphaWayWorkload, ContingencyTable, CountEngine, EngineStats};
 use privbayes_model::{ModelMetadata, ReleasedModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -304,7 +302,7 @@ impl Synthesizer for MwemMethod {
             conditionals.push(conditional_from_joint(&joint, child));
         }
         let network = BayesianNetwork::new(pairs, schema)?;
-        let stats = MarginalSource::stats(engine);
+        let stats = engine.stats();
         release(
             schema,
             engine.n(),

@@ -212,12 +212,19 @@ impl ValueRef {
         }
     }
 
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
+    /// Parses the evidence value given for attribute `attr`: a label or a
+    /// non-negative integer code.
+    fn from_json(attr: &str, json: &Json) -> Result<Self, SpecError> {
         if let Some(label) = json.as_str() {
             return Ok(ValueRef::Label(label.to_string()));
         }
         if let Some(code) = json.as_usize() {
-            return Ok(ValueRef::Code(code as u32));
+            // A code above u32::MAX is outside every domain; it must not wrap
+            // onto a valid one.
+            return u32::try_from(code).map(ValueRef::Code).map_err(|_| SpecError::UnknownValue {
+                attr: attr.to_string(),
+                value: code.to_string(),
+            });
         }
         Err(SpecError::BadField("evidence values must be labels or codes".into()))
     }
@@ -673,7 +680,9 @@ impl SynthSpec {
                     })?;
                     spec.evidence = pairs
                         .iter()
-                        .map(|(attr, v)| Ok((AttrRef::Name(attr.clone()), ValueRef::from_json(v)?)))
+                        .map(|(attr, v)| {
+                            Ok((AttrRef::Name(attr.clone()), ValueRef::from_json(attr, v)?))
+                        })
                         .collect::<Result<_, SpecError>>()?;
                 }
                 "cursor" => {

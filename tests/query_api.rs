@@ -3,8 +3,9 @@
 //! 1. **Conditional sampling** — `CompiledSampler` draws conditioned on
 //!    evidence are cross-checked against the exact conditionals of
 //!    `privbayes::inference` on small networks (TVD below tolerance at a
-//!    fixed seed), in both the ancestrally-closed (clamp-exact) and the
-//!    likelihood-weighted mode.
+//!    fixed seed), for evidence on roots, inner attributes and leaves, and
+//!    against the θ-projection ratios `Pr[t, e] / Pr[e]`, which enumerate
+//!    the closure and share no code with the sampler's variable elimination.
 //! 2. **Projection** — projected streams are byte-equivalent to sampling
 //!    everything and dropping columns afterwards.
 //! 3. **Cursor resume** — an interrupted `/v1` stream resumed from a cursor
@@ -20,10 +21,10 @@ use std::sync::Arc;
 
 use privbayes_bench::reference::reference_theta_projection;
 use privbayes_suite::core::conditionals::{noisy_conditionals_general, Conditional, NoisyModel};
-use privbayes_suite::core::inference::{model_conditional, DEFAULT_CELL_CAP};
+use privbayes_suite::core::inference::{model_conditional, theta_projection, DEFAULT_CELL_CAP};
 use privbayes_suite::core::network::{ApPair, BayesianNetwork};
-use privbayes_suite::core::{SampleSpec, CHUNK_ROWS};
-use privbayes_suite::data::{Attribute, Dataset, Schema};
+use privbayes_suite::core::{PrivBayesError, SampleSpec, CHUNK_ROWS};
+use privbayes_suite::data::{Attribute, Dataset, Schema, TaxonomyTree};
 use privbayes_suite::marginals::{total_variation, Axis, ContingencyTable};
 use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
 use privbayes_suite::server::{
@@ -76,12 +77,9 @@ fn chain_artifact(seed: u64) -> ReleasedModel {
     .unwrap()
 }
 
-/// A hand-built two-attribute model `a → b` where the leaf value `b = 1`
-/// is rare: `Pr[b = 1] = 0.7·0.002 + 0.3·0.022 = 0.008`, below the
-/// `1/LW_CANDIDATES = 1/64 ≈ 0.0156` threshold where most candidate
-/// batches in the likelihood-weighted sampler carry tiny total weight.
-/// The exact posterior is `Pr[a = 1 | b = 1] = 0.0066/0.008 = 0.825`.
-fn rare_leaf_artifact() -> ReleasedModel {
+/// A hand-built two-attribute model `a → b` with `Pr[a]` = `root` and
+/// `Pr[b | a]` = `child` (the `a = 0` slice first).
+fn a_to_b_artifact(root: [f64; 2], child: [f64; 4], comment: &str) -> ReleasedModel {
     let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
     let net = BayesianNetwork::new(vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0])], &schema)
         .unwrap();
@@ -93,14 +91,14 @@ fn rare_leaf_artifact() -> ReleasedModel {
                 parents: vec![],
                 parent_dims: vec![],
                 child_dim: 2,
-                probs: vec![0.7, 0.3],
+                probs: root.to_vec(),
             },
             Conditional {
                 child: 1,
                 parents: vec![Axis::raw(0)],
                 parent_dims: vec![2],
                 child_dim: 2,
-                probs: vec![0.998, 0.002, 0.978, 0.022],
+                probs: child.to_vec(),
             },
         ],
     };
@@ -113,7 +111,7 @@ fn rare_leaf_artifact() -> ReleasedModel {
             score: "R".into(),
             encoding: "vanilla".into(),
             source_rows: 100,
-            comment: "rare-evidence fixture".into(),
+            comment: comment.into(),
         },
         schema,
         model,
@@ -121,46 +119,54 @@ fn rare_leaf_artifact() -> ReleasedModel {
     .unwrap()
 }
 
-/// A hand-built model where `Pr[a = 1] = 0` exactly — for the
-/// zero-probability-evidence error shape.
+/// `a → b` where the leaf value `b = 1` is rare:
+/// `Pr[b = 1] = 0.7·0.002 + 0.3·0.022 = 0.008`. The exact posterior is
+/// `Pr[a = 1 | b = 1] = 0.0066/0.008 = 0.825`.
+fn rare_leaf_artifact() -> ReleasedModel {
+    a_to_b_artifact([0.7, 0.3], [0.998, 0.002, 0.978, 0.022], "rare-evidence fixture")
+}
+
+/// `a → b` where `Pr[a = 1] = 0` exactly and `b = 1` only follows `a = 1`,
+/// so both `a = 1` (a root) and `b = 1` (a child) have probability zero —
+/// for the zero-probability-evidence error shape.
 fn zero_mass_artifact() -> ReleasedModel {
-    let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
-    let net = BayesianNetwork::new(vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0])], &schema)
-        .unwrap();
-    let model = NoisyModel {
-        network: net,
-        conditionals: vec![
-            Conditional {
-                child: 0,
-                parents: vec![],
-                parent_dims: vec![],
-                child_dim: 2,
-                probs: vec![1.0, 0.0],
-            },
-            Conditional {
-                child: 1,
-                parents: vec![Axis::raw(0)],
-                parent_dims: vec![2],
-                child_dim: 2,
-                probs: vec![0.5, 0.5, 0.5, 0.5],
-            },
+    a_to_b_artifact([1.0, 0.0], [1.0, 0.0, 0.5, 0.5], "zero-mass fixture")
+}
+
+/// A model with a generalised parent: `g` (4 values, binary taxonomy) →
+/// `y` through `g`'s level-1 group, and `y` → `c`, fit with noise on
+/// correlated data.
+fn generalised_parent_model() -> (Schema, NoisyModel) {
+    let schema = Schema::new(vec![
+        Attribute::categorical("g", 4)
+            .unwrap()
+            .with_taxonomy(TaxonomyTree::balanced_binary(4).unwrap())
+            .unwrap(),
+        Attribute::binary("y"),
+        Attribute::categorical("c", 3).unwrap(),
+    ])
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(41);
+    let rows: Vec<Vec<u32>> = (0..4000)
+        .map(|_| {
+            let g = rng.random_range(0..4u32);
+            let y = u32::from(g >= 2) ^ u32::from(rng.random::<f64>() < 0.2);
+            let c = (y + u32::from(rng.random::<f64>() < 0.4) + g % 2) % 3;
+            vec![g, y, c]
+        })
+        .collect();
+    let data = Dataset::from_rows(schema, &rows).unwrap();
+    let net = BayesianNetwork::new(
+        vec![
+            ApPair::new(0, vec![]),
+            ApPair::generalized(1, vec![Axis { attr: 0, level: 1 }]),
+            ApPair::new(2, vec![1]),
         ],
-    };
-    ReleasedModel::new(
-        ModelMetadata {
-            method: "privbayes".into(),
-            epsilon: 1.0,
-            beta: 0.3,
-            theta: 4.0,
-            score: "R".into(),
-            encoding: "vanilla".into(),
-            source_rows: 100,
-            comment: "zero-mass fixture".into(),
-        },
-        schema,
-        model,
+        data.schema(),
     )
-    .unwrap()
+    .unwrap();
+    let model = noisy_conditionals_general(&data, &net, Some(2.0), &mut rng).unwrap();
+    (data.schema().clone(), model)
 }
 
 fn start_server() -> (privbayes_suite::server::ServerHandle, Client) {
@@ -198,10 +204,10 @@ fn clamped_conditional_draws_match_exact_inference() {
 }
 
 #[test]
-fn weighted_conditional_draws_match_exact_inference() {
+fn posterior_conditional_draws_match_exact_inference() {
     // Evidence on the leaf conditions its ancestors — the Bayes-inversion
-    // direction needs likelihood-weighted resampling (bias O(1/LW_CANDIDATES)
-    // plus Monte-Carlo error).
+    // direction, drawn from the closure's elimination buckets; only
+    // Monte-Carlo error remains.
     let artifact = chain_artifact(7);
     let sampler = artifact.compiled().unwrap();
     let sample =
@@ -212,36 +218,24 @@ fn weighted_conditional_draws_match_exact_inference() {
         model_conditional(&artifact.model, &artifact.schema, &[0, 1], &[(2, 2)], DEFAULT_CELL_CAP)
             .unwrap();
     let tvd = total_variation(got.values(), want.values());
-    assert!(tvd < 0.05, "weighted conditional must track inference, tvd = {tvd}");
+    assert!(tvd < 0.02, "posterior conditional must track inference, tvd = {tvd}");
 }
 
 #[test]
-fn weighted_conditional_stays_calibrated_under_rare_evidence() {
-    // Regression guard for the likelihood-weighted sampler when the
-    // conditioning event itself is rarer than one expected hit per
-    // candidate batch: Pr[evidence] < 1/LW_CANDIDATES. In that regime the
-    // per-row resampling step often sees 64 candidates whose weights are
-    // all small, and any bug that falls back to an unweighted candidate
-    // (or renormalises incorrectly) would silently return the *prior*
-    // over the ancestors instead of the posterior. Here those two
+fn posterior_stays_calibrated_under_rare_evidence() {
+    // The conditioning event is rare (Pr[b = 1] = 0.008), so a sampler that
+    // fell back to unconditioned draws of the ancestors would return the
+    // *prior* over them instead of the posterior. Here those two
     // distributions are far apart — prior Pr[a = 1] = 0.3 vs posterior
     // Pr[a = 1 | b = 1] = 0.825, a TVD of 0.525 — so drifting toward the
-    // prior trips the tolerance immediately.
-    //
-    // The self-normalised importance-sampling bias is O(1/LW_CANDIDATES)
-    // ≈ 0.016 and Monte-Carlo error at 40 000 rows is ~0.004, so 0.05 is
-    // a comfortable-but-discriminating tolerance. (ROADMAP's posterior
-    // compilation item will eventually make this draw exact; this test
-    // then simply gets easier.)
+    // prior trips the tolerance immediately. Monte-Carlo error at 40 000
+    // rows is ~0.002.
     let artifact = rare_leaf_artifact();
     // Confirm the fixture really is in the rare regime.
     let marginal =
         model_conditional(&artifact.model, &artifact.schema, &[1], &[], DEFAULT_CELL_CAP).unwrap();
     let p_evidence = marginal.values()[1];
-    assert!(
-        p_evidence < 1.0 / privbayes_suite::core::LW_CANDIDATES as f64,
-        "fixture must be rarer than one hit per candidate batch, Pr = {p_evidence}"
-    );
+    assert!(p_evidence < 0.01, "fixture evidence must be rare, Pr = {p_evidence}");
 
     let sampler = artifact.compiled().unwrap();
     let sample =
@@ -252,9 +246,9 @@ fn weighted_conditional_stays_calibrated_under_rare_evidence() {
         model_conditional(&artifact.model, &artifact.schema, &[0], &[(1, 1)], DEFAULT_CELL_CAP)
             .unwrap();
     let tvd = total_variation(got.values(), want.values());
-    assert!(tvd < 0.05, "rare-evidence conditional must track the posterior, tvd = {tvd}");
+    assert!(tvd < 0.02, "rare-evidence conditional must track the posterior, tvd = {tvd}");
     // And specifically: the draw must be much closer to the posterior than
-    // to the unconditioned prior it would collapse to under a weighting bug.
+    // to the unconditioned prior.
     let prior =
         model_conditional(&artifact.model, &artifact.schema, &[0], &[], DEFAULT_CELL_CAP).unwrap();
     let tvd_prior = total_variation(got.values(), prior.values());
@@ -262,6 +256,93 @@ fn weighted_conditional_stays_calibrated_under_rare_evidence() {
         tvd_prior > 10.0 * tvd.max(0.01),
         "draws must not drift toward the prior: tvd(posterior) = {tvd}, tvd(prior) = {tvd_prior}"
     );
+}
+
+#[test]
+fn exact_posterior_recovers_a_rare_cause() {
+    // Pr[a = 1] = 0.001, Pr[b = 1 | a = 1] = 1, Pr[b = 1 | a = 0] = 0.0005:
+    // the rare evidence b = 1 is mostly explained by the rarer cause,
+    // Pr[a = 1 | b = 1] = 0.001 / 0.0014995 ≈ 0.667. A sampler that draws
+    // the cause from its prior and weights the draws afterwards rarely sees
+    // a = 1 at all, and lands far below.
+    let artifact = a_to_b_artifact([0.999, 0.001], [0.9995, 0.0005, 0.0, 1.0], "rare cause");
+    let exact =
+        model_conditional(&artifact.model, &artifact.schema, &[0], &[(1, 1)], DEFAULT_CELL_CAP)
+            .unwrap()
+            .values()[1];
+    assert!((exact - 0.667).abs() < 0.001, "fixture posterior {exact}");
+    let rows = 20_000;
+    let sample = artifact
+        .compiled()
+        .unwrap()
+        .sample_conditional(rows, &[(1, 1)], &mut StdRng::seed_from_u64(17))
+        .unwrap();
+    let share = sample.column(0).iter().filter(|&&v| v == 1).count() as f64 / rows as f64;
+    assert!((share - exact).abs() < 0.02, "Pr[a = 1 | b = 1]: sampled {share}, exact {exact}");
+}
+
+#[test]
+fn zero_mass_child_evidence_is_refused() {
+    // b = 1 needs a = 1, which has probability zero: the evidence sits on a
+    // child whose ancestor is free, and is still refused up front.
+    let artifact = zero_mass_artifact();
+    let sampler = artifact.compiled().unwrap();
+    let spec = SampleSpec::rows(10).with_evidence(vec![(1, 1)]);
+    match sampler.stream_spec(&spec, &mut StdRng::seed_from_u64(1)) {
+        Err(PrivBayesError::InvalidConfig(msg)) => {
+            assert!(msg.contains("probability zero"), "{msg}");
+        }
+        other => panic!("want InvalidConfig, got {other:?}"),
+    }
+}
+
+/// Draws a 100 000-row cohort on `evidence` and checks each free
+/// attribute's sampled marginal against the θ-projection ratio
+/// `Pr[t, e] / Pr[e]` (TVD < 0.01). θ-projection enumerates the closure
+/// directly and shares no code with the sampler's variable elimination.
+fn assert_cohort_matches_theta_projection(
+    model: &NoisyModel,
+    schema: &Schema,
+    evidence: &[(usize, u32)],
+    seed: u64,
+) {
+    let sample = model
+        .compile(schema)
+        .unwrap()
+        .sample_conditional(100_000, evidence, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    for &(attr, code) in evidence {
+        assert!(sample.column(attr).iter().all(|&v| v == code), "evidence must clamp");
+    }
+    for t in (0..schema.len()).filter(|&t| evidence.iter().all(|&(e, _)| e != t)) {
+        let attrs: Vec<usize> =
+            std::iter::once(t).chain(evidence.iter().map(|&(e, _)| e)).collect();
+        let joint = theta_projection(model, schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+        let slice: Vec<f64> = (0..schema.attribute(t).domain_size())
+            .map(|v| {
+                let coords: Vec<usize> =
+                    std::iter::once(v).chain(evidence.iter().map(|&(_, c)| c as usize)).collect();
+                joint.get(&coords)
+            })
+            .collect();
+        let mass: f64 = slice.iter().sum();
+        let want: Vec<f64> = slice.iter().map(|p| p / mass).collect();
+        let got = ContingencyTable::from_dataset(&sample, &[Axis::raw(t)]);
+        let tvd = total_variation(got.values(), &want);
+        assert!(tvd < 0.01, "evidence {evidence:?}, attribute {t}: tvd = {tvd}");
+    }
+}
+
+#[test]
+fn cohorts_match_theta_projection_ratios() {
+    let artifact = chain_artifact(5);
+    let (model, schema) = (&artifact.model, &artifact.schema);
+    assert_cohort_matches_theta_projection(model, schema, &[(2, 2)], 1); // leaf
+    assert_cohort_matches_theta_projection(model, schema, &[(1, 0)], 2); // inner
+    assert_cohort_matches_theta_projection(model, schema, &[(1, 1), (2, 0)], 3); // two attributes
+    let (schema, model) = generalised_parent_model();
+    assert_cohort_matches_theta_projection(&model, &schema, &[(2, 1)], 4); // leaf
+    assert_cohort_matches_theta_projection(&model, &schema, &[(1, 0)], 5); // generalised child
 }
 
 #[test]
@@ -425,11 +506,30 @@ fn spec_failures_are_structured_invalid_spec_responses() {
     assert_eq!(response.code, 400);
     assert!(response.text().contains("\"invalid-spec\""), "{}", response.text());
 
-    // Evidence with probability zero under the model.
-    let err = client.synth_with("z", &SynthSpec::new().where_eq("a", 1u32)).unwrap_err();
-    let ServerError::Status { code, body } = err else { panic!("want status, got {err}") };
-    assert_eq!(code, 400);
-    assert!(body.contains("probability zero"), "{body}");
+    // Evidence with probability zero under the model, on a root and on a
+    // child whose ancestor is free.
+    for attr in ["a", "b"] {
+        let err = client.synth_with("z", &SynthSpec::new().where_eq(attr, 1u32)).unwrap_err();
+        let ServerError::Status { code, body } = err else { panic!("want status, got {err}") };
+        assert_eq!(code, 400, "{attr}");
+        assert!(body.contains("\"invalid-spec\""), "{body}");
+        assert!(body.contains("probability zero"), "{body}");
+    }
+
+    // An evidence code above u32::MAX is out of the domain, not wrapped
+    // (4294967297 would wrap to the valid code 1).
+    let response = client
+        .request(
+            "POST",
+            "/v1/models/m/synth",
+            Some((
+                "application/json",
+                br#"{"rows": 5, "evidence": {"smoker": 4294967297}}"# as &[u8],
+            )),
+        )
+        .unwrap();
+    assert_eq!(response.code, 400, "{}", response.text());
+    assert!(response.text().contains("\"invalid-spec\""), "{}", response.text());
 
     // Error responses carry the content-type and API headers too.
     let response = client.request("GET", "/models/nope/synth", None).unwrap();
