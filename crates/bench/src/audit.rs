@@ -394,7 +394,7 @@ fn sample_rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed ^ 0x5AD0_11CE)
 }
 
-/// Audits one [`Method`] of the `Synthesizer` layer at one requested budget
+/// Audits one [`Method`] of the synthesis layer at one requested budget
 /// via [`fit_method`].
 ///
 /// Fits run single-threaded (the repetitions already fan out across cores);

@@ -13,7 +13,7 @@ use privbayes_data::encoding::EncodingKind;
 use privbayes_data::{Dataset, Schema};
 use privbayes_marginals::average_workload_tvd;
 use privbayes_model::{
-    schema_from_json, schema_to_json, Json, ReleasedModel, ReleasedRelationalModel,
+    schema_from_json, schema_to_json, seed_to_json, Json, ReleasedModel, ReleasedRelationalModel,
 };
 use privbayes_obs::Span;
 use privbayes_server::{BudgetLedger, ModelRegistry, RefitPolicy, Server, ServerConfig};
@@ -804,7 +804,7 @@ fn ingest(args: &ParsedArgs) -> Result<String, CliError> {
                 fields.push(("method", Json::String(method.to_string())));
             }
             if let Some(seed) = args.parse_opt::<u64>("seed")? {
-                fields.push(("seed", Json::from_usize(seed as usize)));
+                fields.push(("seed", seed_to_json(seed)));
             }
         }
         (Some(_), None) => return Err(CliError::Usage("--model-id needs --epsilon".into())),

@@ -19,7 +19,9 @@
 //!    *sorted* axis set. A request that is a subset of an already-counted
 //!    joint is answered by integer projection instead of a row scan — in
 //!    round r+1 of greedy learning almost every candidate was already
-//!    counted in round r.
+//!    counted in round r. The memo serves one fit: an
+//!    [`append`](CountEngine::append) drops it, and the next fit counts
+//!    the grown columns afresh.
 //!
 //! # Determinism contract
 //!
@@ -193,28 +195,17 @@ impl RadixBackend {
         })
     }
 
-    /// Appends `delta_n` rows of level-0 code columns. Generalised columns
-    /// that were already encoded are extended through the same taxonomy
-    /// lookup they were built with, so `codes` stays consistent; ones never
-    /// requested stay lazy.
-    fn extend(&mut self, columns: &[Vec<u32>], delta_n: usize) {
-        for (attr, levels) in self.generalised.iter_mut().enumerate() {
-            for (li, slot) in levels.iter_mut().enumerate() {
-                if let Some(col) = slot.get_mut() {
-                    let lookup = self
-                        .schema
-                        .attribute(attr)
-                        .taxonomy()
-                        .expect("generalised column exists")
-                        .level_lookup(li + 1);
-                    col.extend(columns[attr].iter().map(|&v| lookup[v as usize]));
-                }
-            }
+    /// Appends a batch's level-0 code columns. Encoded generalised columns
+    /// are dropped rather than extended; the next request re-encodes them
+    /// over every row.
+    fn extend(&mut self, batch: &Dataset) {
+        for slot in self.generalised.iter_mut().flatten() {
+            slot.take();
         }
-        for (col, add) in self.columns.iter_mut().zip(columns) {
-            col.extend_from_slice(add);
+        for (attr, col) in self.columns.iter_mut().enumerate() {
+            col.extend_from_slice(batch.column(attr));
         }
-        self.n += delta_n;
+        self.n += batch.n();
     }
 
     /// Materialises the joint counts of `axes` (last axis fastest).
@@ -298,23 +289,23 @@ impl BitBackend {
         Self { cols, n }
     }
 
-    /// Appends `delta_n` rows to the bit masks (binary attributes only —
-    /// `schema` decides, since an empty mask can also mean "no rows yet").
-    fn extend(&mut self, schema: &Schema, columns: &[Vec<u32>], delta_n: usize) {
-        let words = (self.n + delta_n).div_ceil(64);
+    /// Appends a batch's rows to the bit masks (binary attributes only —
+    /// the schema decides, since an empty mask can also mean "no rows yet").
+    fn extend(&mut self, batch: &Dataset) {
+        let words = (self.n + batch.n()).div_ceil(64);
         for (a, mask) in self.cols.iter_mut().enumerate() {
-            if !schema.attribute(a).is_binary() {
+            if !batch.schema().attribute(a).is_binary() {
                 continue;
             }
             mask.resize(words, 0);
-            for (i, &v) in columns[a].iter().enumerate() {
+            for (i, &v) in batch.column(a).iter().enumerate() {
                 if v == 1 {
                     let row = self.n + i;
                     mask[row / 64] |= 1 << (row % 64);
                 }
             }
         }
-        self.n += delta_n;
+        self.n += batch.n();
     }
 
     /// Whether every axis is a raw binary attribute and there are at most
@@ -398,63 +389,12 @@ pub struct EngineStats {
     pub cached_tables: usize,
     /// Bytes of count tables materialized by scans (8 bytes per cell).
     pub bytes_materialized: u64,
-    /// Incremental batches folded in via [`CountEngine::append`] /
-    /// [`CountEngine::merge`].
-    pub appends: usize,
-    /// Total rows delivered by those batches.
-    pub rows_appended: u64,
     /// Wall time spent materializing scan tables, in microseconds.
     pub scan_micros: u64,
     /// Wall time of the candidate-scoring (structure learning) phase, in
     /// microseconds. Filled by the fitting layer, zero for methods without
     /// a scoring phase.
     pub score_micros: u64,
-}
-
-/// A schema-tagged batch of encoded rows, ready to fold into a
-/// [`CountEngine`] — the unit of incremental ingestion. Deltas combine
-/// associatively ([`EngineDelta::merge`]), so per-shard batches can be
-/// concatenated in any grouping before they reach the engine and the final
-/// counts are identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineDelta {
-    schema: Schema,
-    columns: Vec<Vec<u32>>,
-    n: usize,
-}
-
-impl EngineDelta {
-    /// Captures a dataset's rows as a delta (columns are cloned; the
-    /// dataset is not borrowed).
-    #[must_use]
-    pub fn from_dataset(data: &Dataset) -> Self {
-        let columns = (0..data.d()).map(|a| data.column(a).to_vec()).collect();
-        Self { schema: data.schema().clone(), columns, n: data.n() }
-    }
-
-    /// Concatenates `other` after this delta.
-    ///
-    /// # Panics
-    /// Panics if the schemas differ.
-    pub fn merge(&mut self, other: EngineDelta) {
-        assert_eq!(self.schema, other.schema, "delta schemas must match");
-        for (col, add) in self.columns.iter_mut().zip(&other.columns) {
-            col.extend_from_slice(add);
-        }
-        self.n += other.n;
-    }
-
-    /// Rows carried by this delta.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Schema the rows are encoded against.
-    #[must_use]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
 }
 
 /// The shared count engine: one per dataset, used by every greedy round (and
@@ -485,8 +425,6 @@ pub struct CountEngine {
     scans: AtomicUsize,
     bytes_materialized: AtomicU64,
     scan_nanos: AtomicU64,
-    appends: usize,
-    rows_appended: u64,
 }
 
 impl CountEngine {
@@ -496,13 +434,9 @@ impl CountEngine {
     /// encoded lazily on first use.
     #[must_use]
     pub fn new(data: &Dataset) -> Self {
-        Self::from_delta(EngineDelta::from_dataset(data))
-    }
-
-    /// Builds an engine directly from a delta's columns.
-    #[must_use]
-    pub fn from_delta(delta: EngineDelta) -> Self {
-        let EngineDelta { schema, columns, n } = delta;
+        let schema = data.schema().clone();
+        let columns: Vec<Vec<u32>> = (0..data.d()).map(|a| data.column(a).to_vec()).collect();
+        let n = data.n();
         let any_binary = schema.attributes().iter().any(privbayes_data::Attribute::is_binary);
         let bits = any_binary.then(|| BitBackend::new(&schema, &columns, n));
         Self {
@@ -515,55 +449,28 @@ impl CountEngine {
             scans: AtomicUsize::new(0),
             bytes_materialized: AtomicU64::new(0),
             scan_nanos: AtomicU64::new(0),
-            appends: 0,
-            rows_appended: 0,
         }
     }
 
-    /// Folds a batch of rows into the engine: every cached table is
-    /// advanced by the batch's exact integer counts and the backends'
-    /// columns grow in place, so subsequent requests are **bit-identical**
-    /// to a cold engine over the concatenated data. (Counting is exact
-    /// integer arithmetic and probabilities are always derived as
-    /// `count · (1/n)`, so incremental addition commutes with scanning.)
+    /// Appends a batch of rows: the backends' columns grow in place, and
+    /// every cached table and encoded generalised column is dropped. The
+    /// next request counts the concatenated rows afresh, so the engine
+    /// answers **bit-identically** to a cold engine over the concatenated
+    /// data. A table a reader still holds keeps its pre-append counts.
     ///
     /// # Panics
     /// Panics if the batch's schema differs from the engine's.
     pub fn append(&mut self, batch: &Dataset) {
-        self.merge(EngineDelta::from_dataset(batch));
-    }
-
-    /// As [`append`](Self::append), from an already-captured delta.
-    ///
-    /// # Panics
-    /// Panics if the delta's schema differs from the engine's.
-    pub fn merge(&mut self, delta: EngineDelta) {
-        assert_eq!(self.radix.schema, delta.schema, "append schema must match the engine's");
-        self.appends += 1;
-        self.rows_appended += delta.n as u64;
-        if delta.n == 0 {
+        assert_eq!(&self.radix.schema, batch.schema(), "append schema must match the engine's");
+        if batch.n() == 0 {
             return;
         }
-        // Advance every cached table by the delta's own counts before the
-        // columns grow: a scratch backend over just the delta rows counts
-        // each cached axis set, and exact integer addition folds it in.
-        // `Arc::make_mut` clones a table another thread still holds, so an
-        // in-flight reader keeps its pre-append snapshot.
-        let scratch = RadixBackend::new(delta.schema, delta.columns, delta.n);
-        let cache = self.cache.get_mut().expect("cache lock poisoned");
-        for (key, table) in cache.iter_mut() {
-            let add = scratch.materialise(key);
-            let base = Arc::make_mut(table);
-            for (c, &a) in base.counts.iter_mut().zip(add.counts()) {
-                *c += a;
-            }
-        }
-        let RadixBackend { columns, n: delta_n, .. } = scratch;
         if let Some(bits) = &mut self.bits {
-            bits.extend(&self.radix.schema, &columns, delta_n);
+            bits.extend(batch);
         }
-        self.radix.extend(&columns, delta_n);
-        self.n += delta_n;
+        self.radix.extend(batch);
+        self.cache.get_mut().expect("cache lock poisoned").clear();
+        self.n += batch.n();
     }
 
     /// Number of rows in the underlying dataset.
@@ -651,8 +558,6 @@ impl CountEngine {
             scans: self.scans.load(Ordering::Relaxed),
             cached_tables: self.cache.read().expect("cache lock poisoned").len(),
             bytes_materialized: self.bytes_materialized.load(Ordering::Relaxed),
-            appends: self.appends,
-            rows_appended: self.rows_appended,
             scan_micros: self.scan_nanos.load(Ordering::Relaxed) / 1_000,
             score_micros: 0,
         }
@@ -992,8 +897,8 @@ mod tests {
             let (head, tail) = split_rows(&full, 128);
             let mut engine = CountEngine::new(&head);
             // Warm the cache (including a generalised level where available)
-            // so the append path must advance cached tables, not just
-            // columns.
+            // so a stale table or generalised column would show after the
+            // append.
             let _ = engine.joint(&warm_axes);
             if full.schema().attribute(1).taxonomy().is_some() {
                 let _ = engine.joint(&[Axis { attr: 1, level: 1 }, Axis::raw(0)]);
@@ -1015,30 +920,23 @@ mod tests {
                     &[Axis { attr: 1, level: 1 }, Axis::raw(0)],
                 );
             }
-            let stats = engine.stats();
-            assert_eq!(stats.appends, 1);
-            assert_eq!(stats.rows_appended, (full.n() - 128) as u64);
         }
     }
 
     #[test]
-    fn delta_merge_is_associative() {
+    fn append_drops_cached_tables() {
         let full = mixed_dataset(300, 13);
-        let (head, rest) = split_rows(&full, 100);
-        let (mid, tail) = split_rows(&rest, 100);
+        let (head, tail) = split_rows(&full, 100);
+        let mut engine = CountEngine::new(&head);
+        let generalised = [Axis { attr: 3, level: 1 }, Axis::raw(0)];
+        let _ = engine.joint(&[Axis::raw(1), Axis::raw(2)]);
+        let _ = engine.joint(&generalised);
+        assert_eq!(engine.stats().cached_tables, 2);
 
-        // (head ⊕ mid) ⊕ tail vs head ⊕ (mid ⊕ tail): identical counts.
-        let mut left = EngineDelta::from_dataset(&head);
-        left.merge(EngineDelta::from_dataset(&mid));
-        left.merge(EngineDelta::from_dataset(&tail));
-        let mut right_tail = EngineDelta::from_dataset(&mid);
-        right_tail.merge(EngineDelta::from_dataset(&tail));
-        let mut right = EngineDelta::from_dataset(&head);
-        right.merge(right_tail);
-        assert_eq!(left, right);
-
-        let engine = CountEngine::from_delta(left);
-        assert_matches_from_dataset(&full, &engine, &[Axis::raw(0), Axis::raw(1), Axis::raw(3)]);
+        engine.append(&tail);
+        assert_eq!(engine.stats().cached_tables, 0, "an append must drop every cached table");
+        let cold = CountEngine::new(&full);
+        assert_eq!(engine.joint_counts(&generalised), cold.joint_counts(&generalised));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * **Caching.** Tables are cached keyed by the *sorted* (attr, level) axis
 //!   set; a request whose axis set is a subset of a cached joint is answered
 //!   by integer projection instead of a fresh row scan. The cache is
-//!   thread-safe and lives for the engine's lifetime (one greedy run).
+//!   thread-safe and lives until the engine's next `append`, which drops
+//!   it.
 //! * **Determinism.** Every materialisation strategy — radix row scan,
 //!   bit-packed popcount, cached projection — produces identical integer
 //!   counts, and probabilities are always `count · (1/n)`, the exact
@@ -34,7 +35,7 @@ pub mod query;
 pub mod table;
 
 pub use consistency::{clamp_and_normalize, mutual_consistency, shared_axes};
-pub use engine::{CountEngine, CountTable, EngineDelta, EngineStats};
+pub use engine::{CountEngine, CountTable, EngineStats};
 pub use metrics::{average_workload_tvd, total_variation};
 pub use query::AlphaWayWorkload;
 pub use table::{Axis, ContingencyTable};

@@ -248,6 +248,27 @@ impl Json {
     }
 }
 
+/// A `u64` seed as JSON: a number below 2^53, where an `f64` holds it
+/// exactly, and a decimal string otherwise. [`seed_from_json`] reads both.
+#[must_use]
+pub fn seed_to_json(seed: u64) -> Json {
+    if seed < (1 << 53) {
+        Json::Number(seed as f64)
+    } else {
+        Json::String(seed.to_string())
+    }
+}
+
+/// Reads a seed in either form [`seed_to_json`] writes: an exact integer
+/// below 2^53, or a decimal string of any `u64`. `None` for anything else.
+#[must_use]
+pub fn seed_from_json(value: &Json) -> Option<u64> {
+    match value {
+        Json::String(text) => text.parse().ok(),
+        other => other.as_usize().map(|seed| seed as u64),
+    }
+}
+
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -540,6 +561,20 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap(), Json::Number(42.0));
         assert_eq!(Json::parse("-0.5e2").unwrap(), Json::Number(-50.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::String("hi".into()));
+    }
+
+    #[test]
+    fn seeds_round_trip_as_numbers_below_2_53_and_strings_above() {
+        for seed in [0, 7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let json = seed_to_json(seed);
+            assert_eq!(matches!(json, Json::Number(_)), seed < (1 << 53), "{seed}");
+            let text = json.to_string_compact().unwrap();
+            assert_eq!(seed_from_json(&Json::parse(&text).unwrap()), Some(seed), "{seed}");
+        }
+        assert_eq!(seed_from_json(&Json::String("12".into())), Some(12));
+        for bad in ["-1", "1.5", "\"x\"", "\"18446744073709551616\"", "9007199254740992", "null"] {
+            assert_eq!(seed_from_json(&Json::parse(bad).unwrap()), None, "{bad}");
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod schema_io;
 
 pub use budget_io::{budget_from_json, budget_to_json};
 pub use error::ModelError;
-pub use json::{Json, JsonError};
+pub use json::{seed_from_json, seed_to_json, Json, JsonError};
 pub use model_io::{ModelMetadata, ReleasedModel, FORMAT};
 pub use relational_io::{RelationalMetadata, ReleasedRelationalModel, RELATIONAL_FORMAT};
 pub use schema_io::{schema_from_json, schema_to_json};

@@ -24,11 +24,11 @@
 //! earlier one. It also refuses a `*.dataset.json` journal from the
 //! retired `privbayes-dataset/1` format: there is no upgrade path.
 //!
-//! Because [`CountEngine::append`] integer-adds batch counts into cached
-//! tables, an engine grown by appends is bit-identical to one cold-built
-//! over the concatenated data. A refit over the live engine therefore
-//! produces exactly the network a from-scratch fit over all rows would —
-//! the log is only ever replayed at recovery.
+//! [`CountEngine::append`] grows the engine's columns and drops its cached
+//! tables, so a refit counts every row afresh and the engine answers
+//! exactly as one cold-built over the concatenated data would. A refit over
+//! the live engine therefore produces exactly the network a from-scratch
+//! fit over all rows would — the log is only ever replayed at recovery.
 //!
 //! The store also owns the *when* of refitting: [`RefitPolicy`] names the
 //! row-count and staleness triggers, [`DatasetStore::due_refits`] hands
@@ -128,9 +128,6 @@ pub struct RefitJob {
     pub tenant: String,
     /// What to fit and at what price.
     pub spec: RefitSpec,
-    /// Rows the engine held when the job was cut — what the new
-    /// generation will cover.
-    pub total_rows: u64,
 }
 
 /// One row of [`DatasetStore::snapshot`].
@@ -500,21 +497,19 @@ impl DatasetStore {
             });
             if pending >= policy.min_rows || stale {
                 state.refit_inflight = true;
-                jobs.push(RefitJob {
-                    tenant,
-                    spec: state.refit.clone(),
-                    total_rows: state.engine.n() as u64,
-                });
+                jobs.push(RefitJob { tenant, spec: state.refit.clone() });
             }
         }
         jobs
     }
 
     /// Reports a [`RefitJob`]'s outcome. On success, `fitted_rows` is the
-    /// job's `total_rows` — rows appended *during* the fit stay pending
-    /// and re-trigger normally. On failure (`None`), the staleness clock
-    /// restarts so a persistently failing refit retries at the staleness
-    /// cadence instead of spinning.
+    /// row count the new generation was fitted over (its artifact's
+    /// `source_rows`), which includes rows appended between the job's cut
+    /// and the fit; rows appended after the fit stay pending and re-trigger
+    /// normally. On failure (`None`), the staleness clock restarts so a
+    /// persistently failing refit retries at the staleness cadence instead
+    /// of spinning.
     pub fn refit_finished(&self, tenant: &str, fitted_rows: Option<u64>) {
         let Some(slot) = self.slot_of(tenant) else { return };
         let mut state = slot.lock().expect("tenant state lock poisoned");
@@ -890,7 +885,6 @@ mod tests {
         let jobs = store.due_refits(&rows_policy);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].tenant, "acme");
-        assert_eq!(jobs[0].total_rows, 3);
         assert!(store.due_refits(&rows_policy).is_empty(), "in-flight jobs never double up");
         store.refit_finished("acme", Some(3));
         assert!(store.due_refits(&rows_policy).is_empty(), "nothing pending after success");

@@ -39,9 +39,10 @@
 //! never drift. Requests are counted by endpoint and status (including
 //! acceptor-level 503 rejections, under `endpoint="acceptor"`), stage wall
 //! time is recorded per request (`parse → ledger → lookup → sample →
-//! write`), and every finished request appends one JSON line to the
-//! access-log ring (and file sink, when configured). The cost discipline
-//! is one relaxed atomic add per event, with no locks on the per-chunk
+//! write` for fits and streams, `parse → journal → append → write` for
+//! ingest batches), and, when an access-log file is configured, every
+//! finished request appends one JSON line to it. The cost discipline is
+//! one relaxed atomic add per event, with no locks on the per-chunk
 //! streaming path.
 //!
 //! # Concurrency and determinism
@@ -84,7 +85,7 @@ use std::time::{Duration, Instant};
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
 use privbayes_data::csv::read_csv;
-use privbayes_model::{schema_from_json, Json, ReleasedModel};
+use privbayes_model::{schema_from_json, seed_from_json, Json, ReleasedModel};
 use privbayes_synth::{
     fit_method, fit_method_with_engine, Cursor, EngineStats, FitSettings, MarginalQuery, Method,
     ResolvedSynth, RowRenderer, SpecError, SynthSpec,
@@ -1325,7 +1326,7 @@ fn parse_ingest_body(json: &Json) -> Result<(Option<RefitSpec>, BatchFormat, Str
                 json.get("epsilon").and_then(Json::as_f64).ok_or_else(|| field("epsilon"))?;
             let seed = match json.get("seed") {
                 None => 0,
-                Some(v) => v.as_usize().ok_or_else(|| field("seed"))? as u64,
+                Some(v) => seed_from_json(v).ok_or_else(|| field("seed"))?,
             };
             Some(RefitSpec { model_id, method, epsilon, seed })
         }
@@ -1391,21 +1392,24 @@ fn run_refit(shared: &Shared, job: &RefitJob) {
                     .saturating_sub(before.bytes_materialized),
                 ..after
             });
+            // The rows the fit saw, which include any appended after the
+            // job was cut.
+            let fitted_rows = fitted.artifact.metadata.source_rows as u64;
             let compile_started = Instant::now();
             let loaded = shared.registry.load(&spec.model_id, fitted.artifact);
             shared.metrics.alias_build_seconds.observe(compile_started.elapsed());
-            loaded.map(|_| ())
+            loaded.map(|_| fitted_rows)
         }
         Some((_, Err(e))) => Err(ServerError::Model(e.to_string())),
         None => Err(ServerError::Dataset(format!("tenant `{}` vanished mid-refit", job.tenant))),
     };
     match loaded {
-        Ok(()) => {
+        Ok(fitted_rows) => {
             if let Some(entry) = shared.registry.get(&spec.model_id) {
                 shared.metrics.set_model_generation(&spec.model_id, entry.generation);
             }
             shared.metrics.record_refit("ok");
-            shared.store.refit_finished(&job.tenant, Some(job.total_rows));
+            shared.store.refit_finished(&job.tenant, Some(fitted_rows));
         }
         Err(_) => {
             if spends {
@@ -1576,7 +1580,7 @@ fn parse_fit_body(body: &[u8]) -> Result<FitRequest, ServerError> {
         k: opt_usize("k")?,
         seed: match json.get("seed") {
             None => None,
-            Some(v) => Some(v.as_usize().ok_or_else(|| field("seed"))? as u64),
+            Some(v) => Some(seed_from_json(v).ok_or_else(|| field("seed"))?),
         },
         schema: json.get("schema").ok_or_else(|| field("schema"))?.clone(),
         csv: str_field("csv")?,
@@ -1684,4 +1688,112 @@ fn respond_error(
         ("message", Json::String(message.to_string())),
     ]);
     respond_json(out, ctx, code, &body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use privbayes_data::{Attribute, Dataset, Schema};
+    use privbayes_model::schema_to_json;
+
+    fn schema() -> Schema {
+        Schema::new(vec![Attribute::binary("a"), Attribute::binary("b"), Attribute::binary("c")])
+            .unwrap()
+    }
+
+    /// Rows `range` of a deterministic correlated table over [`schema`].
+    fn rows(range: std::ops::Range<u32>) -> Dataset {
+        let rows: Vec<Vec<u32>> =
+            range.map(|i| vec![i % 2, (i / 2) % 2, u32::from(i % 3 == 0)]).collect();
+        Dataset::from_rows(schema(), &rows).unwrap()
+    }
+
+    fn bind(config: ServerConfig, ledger: Arc<BudgetLedger>) -> Server {
+        Server::bind("127.0.0.1:0", config, Arc::new(ModelRegistry::new()), ledger).unwrap()
+    }
+
+    /// Rows appended between a job's cut and its fit are fitted, so the
+    /// finished refit must cover them: no second job, no second charge.
+    #[test]
+    fn a_refit_records_the_rows_it_fitted() {
+        let ledger = Arc::new(BudgetLedger::in_memory());
+        ledger.register("acme", 2.0).unwrap();
+        let config = ServerConfig { fit_threads: Some(1), ..ServerConfig::default() };
+        let server = bind(config, Arc::clone(&ledger));
+        let shared = &*server.shared;
+        let spec = RefitSpec {
+            model_id: "acme-model".into(),
+            method: Method::PrivBayes,
+            epsilon: 0.5,
+            seed: 9,
+        };
+        let policy = RefitPolicy { min_rows: 1, max_staleness: None };
+
+        shared.store.append("acme", &rows(0..40), Some(&spec)).unwrap();
+        let jobs = shared.store.due_refits(&policy);
+        assert_eq!(jobs.len(), 1);
+        shared.store.append("acme", &rows(40..70), None).unwrap();
+        run_refit(shared, &jobs[0]);
+
+        let entry = shared.registry.get("acme-model").unwrap();
+        assert_eq!(entry.artifact.metadata.source_rows, 70);
+        assert_eq!(shared.store.snapshot()[0].fitted_rows, 70);
+        assert!(shared.store.due_refits(&policy).is_empty(), "every row is fitted");
+        assert_eq!(ledger.budget("acme").unwrap().spent, 0.5);
+    }
+
+    /// Spawns a server whose ledger grants tenant `acme` ε = 2, and a
+    /// client for it.
+    fn serve() -> (Arc<DatasetStore>, ServerHandle, Client) {
+        let ledger = Arc::new(BudgetLedger::in_memory());
+        ledger.register("acme", 2.0).unwrap();
+        let server = bind(ServerConfig::default(), ledger);
+        let store = server.store();
+        let handle = server.spawn();
+        let client = Client::new(handle.addr().to_string());
+        (store, handle, client)
+    }
+
+    /// A seed at or above 2^53, as a decimal string: how `SynthSpec` sends
+    /// one.
+    fn max_seed() -> Json {
+        Json::String(u64::MAX.to_string())
+    }
+
+    const CSV: &str = "a,b,c\n0,0,1\n1,0,0\n0,1,0\n1,1,1\n";
+
+    #[test]
+    fn ingest_accepts_a_string_seed() {
+        let (store, handle, client) = serve();
+        let body = Json::object(vec![
+            ("schema", schema_to_json(&schema())),
+            ("model_id", Json::String("acme-model".into())),
+            ("epsilon", Json::Number(0.5)),
+            ("seed", max_seed()),
+            ("csv", Json::String(CSV.into())),
+        ]);
+        let response = client.ingest("acme", &body).unwrap();
+        assert_eq!(response.code, 200, "{}", response.text());
+        assert_eq!(store.snapshot()[0].refit.seed, u64::MAX);
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn fit_accepts_a_string_seed() {
+        let (_, handle, client) = serve();
+        let body = Json::object(vec![
+            ("tenant", Json::String("acme".into())),
+            ("model_id", Json::String("fitted".into())),
+            ("epsilon", Json::Number(0.5)),
+            ("seed", max_seed()),
+            ("schema", schema_to_json(&schema())),
+            ("csv", Json::String(CSV.into())),
+        ]);
+        let response = client.fit_raw(&body).unwrap();
+        assert_eq!(response.code, 201, "{}", response.text());
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors surfaced by [`crate::Synthesizer::fit`].
+/// Errors surfaced by [`crate::fit_method`].
 #[derive(Debug)]
 pub enum SynthError {
     /// Bad parameters or data shape for the chosen method.

@@ -1,12 +1,12 @@
-//! The unified `Synthesizer` layer: one trait, one count engine, every
-//! method fittable and servable.
+//! The unified synthesis layer: one fit entry point, one count engine,
+//! every method fittable and servable.
 //!
 //! The paper's evaluation (§6) is a head-to-head of PrivBayes against the
 //! marginal-based baselines, and the statistical theory of this algorithm
 //! family treats them as one class: *measure noisy marginals, post-process,
-//! sample*. This crate gives that class one programmatic shape. A
-//! [`Synthesizer`] fits a private generative model on a dataset; the result
-//! is always a [`FittedArtifact`] wrapping a
+//! sample*. This crate gives that class one programmatic shape:
+//! [`fit_method`] fits any [`Method`]'s private generative model on a
+//! dataset, and the result is always a [`FittedArtifact`] wrapping a
 //! [`privbayes_model::ReleasedModel`] — a Bayesian network with noisy
 //! conditionals — so **every** method's output samples through the same
 //! compiled alias-table pipeline, serialises through the same
@@ -29,26 +29,15 @@
 //! weights), so publishing it costs no additional privacy budget — exactly
 //! the argument Theorem 3.2 makes for PrivBayes itself.
 //!
-//! # The Synthesizer contract
-//!
-//! * **Determinism.** `fit(data, epsilon, seed, settings)` is a pure
-//!   function of its arguments: the same five inputs produce a bit-identical
-//!   artifact, regardless of worker-thread count or engine cache state. All
-//!   randomness flows from one `StdRng::seed_from_u64(seed)`.
-//! * **Budget semantics.** `epsilon` is the *total* budget of the fit.
-//!   PrivBayes methods split it β/(1−β) between structure and distribution
-//!   learning; MWEM splits ε/T per round, half selection half measurement;
-//!   the Laplace/geometric releases perturb every pairwise marginal under
-//!   the composed sensitivity. `uniform` touches no data and spends nothing
-//!   — [`FittedArtifact::epsilon_spent`] records the actual spend, which
-//!   serving layers use for ledger debits.
-//! * **One count engine.** Every method draws its exact marginals from a
-//!   shared [`privbayes_marginals::CountEngine`]; no method re-scans the
-//!   dataset's rows itself. [`FittedArtifact::stats`] exposes the engine's
-//!   cache counters for observability.
+//! [`fit_method`] documents the determinism and budget contract every
+//! method honours. Every method draws its exact marginals from a shared
+//! [`privbayes_marginals::CountEngine`]; no method re-scans the dataset's
+//! rows itself. [`FittedArtifact::stats`] exposes the engine's cache
+//! counters for observability.
 
 use privbayes_data::encoding::EncodingKind;
 use privbayes_data::Dataset;
+use privbayes_marginals::CountEngine;
 use privbayes_model::ReleasedModel;
 
 mod error;
@@ -141,12 +130,6 @@ impl Method {
     pub fn spends_budget(self) -> bool {
         self != Method::Uniform
     }
-
-    /// The [`Synthesizer`] implementation for this method.
-    #[must_use]
-    pub fn synthesizer(self) -> Box<dyn Synthesizer> {
-        methods::synthesizer(self)
-    }
 }
 
 impl std::fmt::Display for Method {
@@ -209,7 +192,7 @@ impl Default for FitSettings {
     }
 }
 
-/// The output of a [`Synthesizer::fit`]: a servable release artifact plus
+/// The output of [`fit_method`]: a servable release artifact plus
 /// fit observability.
 #[derive(Debug)]
 pub struct FittedArtifact {
@@ -226,54 +209,27 @@ pub struct FittedArtifact {
     pub epsilon_spent: f64,
 }
 
-/// A fittable synthesis method. See the crate docs for the determinism and
-/// budget contract every implementation honours.
-pub trait Synthesizer {
-    /// The method this synthesizer implements.
-    fn method(&self) -> Method;
-
-    /// Fits a private model on `data` under total budget `epsilon`,
-    /// deterministically in `seed`. The default builds a fresh
-    /// [`CountEngine`](privbayes_marginals::CountEngine) over `data` and
-    /// delegates to [`Synthesizer::fit_with_engine`].
-    ///
-    /// # Errors
-    /// Returns [`SynthError::InvalidConfig`] for bad parameters (non-positive
-    /// ε on a budget-spending method, empty data, fewer than two attributes,
-    /// an MWEM domain beyond the materialisation cap) and propagates core /
-    /// artifact-validation failures.
-    fn fit(
-        &self,
-        data: &Dataset,
-        epsilon: f64,
-        seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        self.fit_with_engine(&privbayes_marginals::CountEngine::new(data), epsilon, seed, settings)
-    }
-
-    /// Fits through an existing engine — the path the ingestion subsystem
-    /// takes with a long-lived, incrementally-appended per-tenant engine.
-    /// The engine's determinism contract (every answer bit-identical to a
-    /// cold scan, regardless of cache state or append history) makes a
-    /// refit over an appended engine produce the **same artifact bits** as
-    /// a cold fit over the concatenated data.
-    ///
-    /// # Errors
-    /// As [`Synthesizer::fit`].
-    fn fit_with_engine(
-        &self,
-        engine: &privbayes_marginals::CountEngine,
-        epsilon: f64,
-        seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError>;
-}
-
-/// Convenience: fit `method` in one call.
+/// Fits `method`'s private model on `data`: a fresh [`CountEngine`] over
+/// `data`, then [`fit_method_with_engine`]. `uniform` reads no data and
+/// builds no engine.
+///
+/// * **Determinism.** The result is a pure function of the five
+///   arguments: the same inputs produce a bit-identical artifact,
+///   regardless of worker-thread count or engine cache state. All
+///   randomness flows from one `StdRng::seed_from_u64(seed)`.
+/// * **Budget semantics.** `epsilon` is the *total* budget of the fit.
+///   PrivBayes methods split it β/(1−β) between structure and distribution
+///   learning; MWEM splits ε/T per round, half selection half measurement;
+///   the Laplace/geometric releases perturb every pairwise marginal under
+///   the composed sensitivity. `uniform` spends nothing —
+///   [`FittedArtifact::epsilon_spent`] records the actual spend, which
+///   serving layers use for ledger debits.
 ///
 /// # Errors
-/// As [`Synthesizer::fit`].
+/// Returns [`SynthError::InvalidConfig`] for bad parameters (non-positive
+/// ε on a budget-spending method, empty data, fewer than two attributes,
+/// an MWEM domain beyond the materialisation cap) and propagates core /
+/// artifact-validation failures.
 pub fn fit_method(
     method: Method,
     data: &Dataset,
@@ -281,22 +237,37 @@ pub fn fit_method(
     seed: u64,
     settings: &FitSettings,
 ) -> Result<FittedArtifact, SynthError> {
-    method.synthesizer().fit(data, epsilon, seed, settings)
+    if method == Method::Uniform {
+        return methods::uniform(data.schema(), data.n(), settings);
+    }
+    fit_method_with_engine(method, &CountEngine::new(data), epsilon, seed, settings)
 }
 
-/// Convenience: fit `method` through an existing engine (see
-/// [`Synthesizer::fit_with_engine`]).
+/// As [`fit_method`], through an existing engine — the path the ingestion
+/// subsystem takes with its per-tenant engine. The engine's determinism
+/// contract (every answer bit-identical to a cold scan, whatever its cache
+/// state or append history) makes a fit through it produce the **same
+/// artifact bits** as [`fit_method`] over the engine's rows.
 ///
 /// # Errors
-/// As [`Synthesizer::fit`].
+/// As [`fit_method`].
 pub fn fit_method_with_engine(
     method: Method,
-    engine: &privbayes_marginals::CountEngine,
+    engine: &CountEngine,
     epsilon: f64,
     seed: u64,
     settings: &FitSettings,
 ) -> Result<FittedArtifact, SynthError> {
-    method.synthesizer().fit_with_engine(engine, epsilon, seed, settings)
+    match method {
+        Method::PrivBayes | Method::PrivBayesK => {
+            methods::privbayes(method, engine, epsilon, seed, settings)
+        }
+        Method::Mwem => methods::mwem(engine, epsilon, seed, settings),
+        Method::Laplace | Method::Geometric => {
+            methods::pairwise(method, engine, epsilon, seed, settings)
+        }
+        Method::Uniform => methods::uniform(engine.schema(), engine.n(), settings),
+    }
 }
 
 #[cfg(test)]

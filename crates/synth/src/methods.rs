@@ -1,10 +1,11 @@
-//! The [`Synthesizer`] implementations, one per [`Method`].
+//! The fits behind [`crate::fit_method_with_engine`], one per [`Method`]
+//! (the two PrivBayes methods share one).
 //!
-//! Every fit follows the same shape: build one
-//! [`CountEngine`](privbayes_marginals::CountEngine) over the data, run the
-//! method's private mechanism with all exact marginals drawn through the
-//! engine, post-process the release into a Bayesian-network model, and wrap
-//! it in a validated [`ReleasedModel`]. The post-processing constructions
+//! Every fit follows the same shape: run the method's private mechanism
+//! with all exact marginals drawn through one
+//! [`CountEngine`](privbayes_marginals::CountEngine), post-process the
+//! release into a Bayesian-network model, and wrap it in a validated
+//! [`ReleasedModel`]. The post-processing constructions
 //! (the MWEM Markov factorisation, the pairwise chain models) touch only the
 //! already-released noisy quantities, so they cost no extra privacy budget.
 
@@ -19,7 +20,7 @@ use privbayes::network::{ApPair, BayesianNetwork};
 use privbayes::ScoreKind;
 use privbayes_baselines::{geometric_marginals, laplace_marginals, mwem_fit};
 use privbayes_data::encoding::EncodingKind;
-use privbayes_data::{Dataset, Schema};
+use privbayes_data::Schema;
 use privbayes_dp::budget::BudgetSplit;
 use privbayes_marginals::{AlphaWayWorkload, ContingencyTable, CountEngine, EngineStats};
 use privbayes_model::{ModelMetadata, ReleasedModel};
@@ -29,19 +30,7 @@ use std::time::Instant;
 
 pub use privbayes_baselines::MwemOptions;
 
-use crate::{FitSettings, FittedArtifact, Method, SynthError, Synthesizer};
-
-/// The implementation behind [`Method::synthesizer`].
-pub(crate) fn synthesizer(method: Method) -> Box<dyn Synthesizer> {
-    match method {
-        Method::PrivBayes => Box::new(PrivBayesAdaptive),
-        Method::PrivBayesK => Box::new(PrivBayesFixedK),
-        Method::Mwem => Box::new(MwemMethod),
-        Method::Laplace => Box::new(PairwiseMethod { geometric: false }),
-        Method::Geometric => Box::new(PairwiseMethod { geometric: true }),
-        Method::Uniform => Box::new(UniformMethod),
-    }
-}
+use crate::{FitSettings, FittedArtifact, Method, SynthError};
 
 /// Shared validation: data shape and (for budget-spending methods) ε.
 fn validate(n: usize, d: usize, epsilon: f64, spends: bool) -> Result<(), SynthError> {
@@ -96,157 +85,90 @@ fn release(
     })
 }
 
-/// `privbayes`: Algorithm 4 structure learning + Algorithm 3 distribution
-/// learning over one shared engine — the same fit the core pipeline runs,
-/// minus the sampling phase (the artifact samples on demand).
-struct PrivBayesAdaptive;
-
-impl Synthesizer for PrivBayesAdaptive {
-    fn method(&self) -> Method {
-        Method::PrivBayes
-    }
-
-    fn fit_with_engine(
-        &self,
-        engine: &CountEngine,
-        epsilon: f64,
-        seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        validate(engine.n(), engine.schema().len(), epsilon, true)?;
-        let use_taxonomy = match settings.encoding {
-            EncodingKind::Vanilla => false,
-            EncodingKind::Hierarchical => true,
-            other => {
-                return Err(SynthError::InvalidConfig(format!(
-                    "the release artifact needs the model over the original schema; \
-                     encoding `{}` is not supported (use vanilla or hierarchical)",
-                    other.name()
-                )))
-            }
-        };
-        if !(settings.theta > 0.0 && settings.theta.is_finite()) {
-            return Err(SynthError::InvalidConfig(format!(
-                "theta must be positive, got {}",
-                settings.theta
-            )));
-        }
-        let split = BudgetSplit::new(settings.beta)
-            .map_err(|e| SynthError::InvalidConfig(e.to_string()))?;
-        let (eps1, eps2) = split.split(epsilon);
-        let greedy = GreedySettings {
-            score: ScoreKind::R,
-            epsilon1: Some(eps1),
-            max_degree: settings.max_degree,
-            threads: settings.threads,
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let score_started = Instant::now();
-        let network = greedy_bayes_adaptive_engine(
-            engine,
-            settings.theta,
-            eps2,
-            use_taxonomy,
-            &greedy,
-            &mut rng,
-        )?;
-        let score_micros = u64::try_from(score_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let model = if settings.consistency_rounds > 0 {
-            noisy_conditionals_consistent_engine(
-                engine,
-                &network,
-                Some(eps2),
-                settings.consistency_rounds,
-                &mut rng,
-            )?
-        } else {
-            noisy_conditionals_general_engine(engine, &network, Some(eps2), &mut rng)?
-        };
-        let mut stats = engine.stats();
-        stats.score_micros = score_micros;
-        release(
-            engine.schema(),
-            engine.n(),
-            model,
-            settings,
-            Provenance {
-                method: self.method(),
-                epsilon_spent: epsilon,
-                stats,
-                score: ScoreKind::R.name(),
-                encoding: settings.encoding.name(),
-            },
-        )
-    }
-}
-
-/// `privbayes-k`: Algorithm 2's fixed-degree structure search over the
-/// vanilla domain (score `R`, which supports general domains) with
-/// Algorithm 3's distribution learning.
-struct PrivBayesFixedK;
-
-impl Synthesizer for PrivBayesFixedK {
-    fn method(&self) -> Method {
-        Method::PrivBayesK
-    }
-
-    fn fit_with_engine(
-        &self,
-        engine: &CountEngine,
-        epsilon: f64,
-        seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        validate(engine.n(), engine.schema().len(), epsilon, true)?;
+/// `privbayes` and `privbayes-k`: structure learning over one shared
+/// engine — Algorithm 4 (θ-usefulness) for `privbayes`, Algorithm 2's
+/// fixed-degree search over the vanilla domain for `privbayes-k`, both
+/// with score `R`, which supports general domains — then Algorithm 3's
+/// distribution learning. The same fit the core pipeline runs, minus the
+/// sampling phase (the artifact samples on demand).
+pub(crate) fn privbayes(
+    method: Method,
+    engine: &CountEngine,
+    epsilon: f64,
+    seed: u64,
+    settings: &FitSettings,
+) -> Result<FittedArtifact, SynthError> {
+    validate(engine.n(), engine.schema().len(), epsilon, true)?;
+    let fixed_k = method == Method::PrivBayesK;
+    let use_taxonomy = match settings.encoding {
+        EncodingKind::Vanilla => false,
+        EncodingKind::Hierarchical if !fixed_k => true,
         // Algorithm 2 enumerates raw-attribute parent sets: the fixed-k
         // method is vanilla-domain only, and says so rather than silently
         // ignoring a requested encoding.
-        if settings.encoding != EncodingKind::Vanilla {
+        other if fixed_k => {
             return Err(SynthError::InvalidConfig(format!(
                 "privbayes-k runs over the vanilla domain; encoding `{}` is not supported",
-                settings.encoding.name()
-            )));
+                other.name()
+            )))
         }
-        let split = BudgetSplit::new(settings.beta)
-            .map_err(|e| SynthError::InvalidConfig(e.to_string()))?;
-        let (eps1, eps2) = split.split(epsilon);
-        let greedy = GreedySettings {
-            score: ScoreKind::R,
-            epsilon1: Some(eps1),
-            max_degree: settings.max_degree,
-            threads: settings.threads,
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let score_started = Instant::now();
-        let network = greedy_bayes_fixed_k_engine(engine, settings.fixed_k, &greedy, &mut rng)?;
-        let score_micros = u64::try_from(score_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let model = if settings.consistency_rounds > 0 {
-            noisy_conditionals_consistent_engine(
-                engine,
-                &network,
-                Some(eps2),
-                settings.consistency_rounds,
-                &mut rng,
-            )?
-        } else {
-            noisy_conditionals_general_engine(engine, &network, Some(eps2), &mut rng)?
-        };
-        let mut stats = engine.stats();
-        stats.score_micros = score_micros;
-        release(
-            engine.schema(),
-            engine.n(),
-            model,
-            settings,
-            Provenance {
-                method: self.method(),
-                epsilon_spent: epsilon,
-                stats,
-                score: ScoreKind::R.name(),
-                encoding: EncodingKind::Vanilla.name(),
-            },
-        )
+        other => {
+            return Err(SynthError::InvalidConfig(format!(
+                "the release artifact needs the model over the original schema; \
+                 encoding `{}` is not supported (use vanilla or hierarchical)",
+                other.name()
+            )))
+        }
+    };
+    if method == Method::PrivBayes && !(settings.theta > 0.0 && settings.theta.is_finite()) {
+        return Err(SynthError::InvalidConfig(format!(
+            "theta must be positive, got {}",
+            settings.theta
+        )));
     }
+    let split =
+        BudgetSplit::new(settings.beta).map_err(|e| SynthError::InvalidConfig(e.to_string()))?;
+    let (eps1, eps2) = split.split(epsilon);
+    let greedy = GreedySettings {
+        score: ScoreKind::R,
+        epsilon1: Some(eps1),
+        max_degree: settings.max_degree,
+        threads: settings.threads,
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let score_started = Instant::now();
+    let network = if fixed_k {
+        greedy_bayes_fixed_k_engine(engine, settings.fixed_k, &greedy, &mut rng)?
+    } else {
+        greedy_bayes_adaptive_engine(engine, settings.theta, eps2, use_taxonomy, &greedy, &mut rng)?
+    };
+    let score_micros = u64::try_from(score_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let model = if settings.consistency_rounds > 0 {
+        noisy_conditionals_consistent_engine(
+            engine,
+            &network,
+            Some(eps2),
+            settings.consistency_rounds,
+            &mut rng,
+        )?
+    } else {
+        noisy_conditionals_general_engine(engine, &network, Some(eps2), &mut rng)?
+    };
+    let mut stats = engine.stats();
+    stats.score_micros = score_micros;
+    release(
+        engine.schema(),
+        engine.n(),
+        model,
+        settings,
+        Provenance {
+            method,
+            epsilon_spent: epsilon,
+            stats,
+            score: ScoreKind::R.name(),
+            encoding: settings.encoding.name(),
+        },
+    )
 }
 
 /// `mwem`: the MWEM loop over the full domain, released as the order-`k`
@@ -257,118 +179,95 @@ impl Synthesizer for PrivBayesFixedK {
 /// the artifact's privacy guarantee is exactly MWEM's. With
 /// `k ≥ d − 1` the factorisation is exact and the artifact samples the MWEM
 /// distribution itself.
-struct MwemMethod;
-
-impl Synthesizer for MwemMethod {
-    fn method(&self) -> Method {
-        Method::Mwem
+pub(crate) fn mwem(
+    engine: &CountEngine,
+    epsilon: f64,
+    seed: u64,
+    settings: &FitSettings,
+) -> Result<FittedArtifact, SynthError> {
+    let schema = engine.schema();
+    validate(engine.n(), schema.len(), epsilon, true)?;
+    let dims = schema.domain_sizes();
+    let cells: usize = dims.iter().product();
+    if cells > privbayes_baselines::mwem::MAX_CELLS {
+        return Err(SynthError::InvalidConfig(format!(
+            "domain has {cells} cells; MWEM materialises the full domain and is capped at {}",
+            privbayes_baselines::mwem::MAX_CELLS
+        )));
     }
-
-    fn fit_with_engine(
-        &self,
-        engine: &CountEngine,
-        epsilon: f64,
-        seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        let schema = engine.schema();
-        validate(engine.n(), schema.len(), epsilon, true)?;
-        let dims = schema.domain_sizes();
-        let cells: usize = dims.iter().product();
-        if cells > privbayes_baselines::mwem::MAX_CELLS {
-            return Err(SynthError::InvalidConfig(format!(
-                "domain has {cells} cells; MWEM materialises the full domain and is capped at {}",
-                privbayes_baselines::mwem::MAX_CELLS
-            )));
-        }
-        if settings.mwem.iterations == 0 {
-            return Err(SynthError::InvalidConfig("mwem needs at least one round".into()));
-        }
-        let d = schema.len();
-        let alpha = settings.alpha.clamp(1, d);
-        let workload = AlphaWayWorkload::new(d, alpha);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let fit = mwem_fit(engine, &workload, epsilon, settings.mwem, &mut rng);
-
-        // Order-k Markov factorisation of the final weights.
-        let order = settings.max_degree.max(1);
-        let mut pairs = Vec::with_capacity(d);
-        let mut conditionals = Vec::with_capacity(d);
-        for child in 0..d {
-            let lo = child.saturating_sub(order);
-            let subset: Vec<usize> = (lo..=child).collect();
-            let joint = fit.marginal(&subset);
-            pairs.push(ApPair::new(child, subset[..subset.len() - 1].to_vec()));
-            conditionals.push(conditional_from_joint(&joint, child));
-        }
-        let network = BayesianNetwork::new(pairs, schema)?;
-        let stats = engine.stats();
-        release(
-            schema,
-            engine.n(),
-            NoisyModel { network, conditionals },
-            settings,
-            Provenance {
-                method: self.method(),
-                epsilon_spent: epsilon,
-                stats,
-                score: "-",
-                encoding: EncodingKind::Vanilla.name(),
-            },
-        )
+    if settings.mwem.iterations == 0 {
+        return Err(SynthError::InvalidConfig("mwem needs at least one round".into()));
     }
+    let d = schema.len();
+    let alpha = settings.alpha.clamp(1, d);
+    let workload = AlphaWayWorkload::new(d, alpha);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let fit = mwem_fit(engine, &workload, epsilon, settings.mwem, &mut rng);
+
+    // Order-k Markov factorisation of the final weights.
+    let order = settings.max_degree.max(1);
+    let mut pairs = Vec::with_capacity(d);
+    let mut conditionals = Vec::with_capacity(d);
+    for child in 0..d {
+        let lo = child.saturating_sub(order);
+        let subset: Vec<usize> = (lo..=child).collect();
+        let joint = fit.marginal(&subset);
+        pairs.push(ApPair::new(child, subset[..subset.len() - 1].to_vec()));
+        conditionals.push(conditional_from_joint(&joint, child));
+    }
+    let network = BayesianNetwork::new(pairs, schema)?;
+    let stats = engine.stats();
+    release(
+        schema,
+        engine.n(),
+        NoisyModel { network, conditionals },
+        settings,
+        Provenance {
+            method: Method::Mwem,
+            epsilon_spent: epsilon,
+            stats,
+            score: "-",
+            encoding: EncodingKind::Vanilla.name(),
+        },
+    )
 }
 
 /// `laplace` / `geometric`: release every pairwise marginal with the
 /// respective mechanism, then assemble a chain model `Pr[X₀] ·
 /// Πᵢ Pr[Xᵢ | Xᵢ₋₁]` from the consecutive released pairs — pure
 /// post-processing of the noisy release.
-struct PairwiseMethod {
-    geometric: bool,
-}
-
-impl Synthesizer for PairwiseMethod {
-    fn method(&self) -> Method {
-        if self.geometric {
-            Method::Geometric
-        } else {
-            Method::Laplace
-        }
-    }
-
-    fn fit_with_engine(
-        &self,
-        engine: &CountEngine,
-        epsilon: f64,
-        seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        let schema = engine.schema();
-        validate(engine.n(), schema.len(), epsilon, true)?;
-        let d = schema.len();
-        let workload = AlphaWayWorkload::new(d, 2.min(d));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tables = if self.geometric {
-            geometric_marginals(engine, &workload, epsilon, &mut rng)
-        } else {
-            laplace_marginals(engine, &workload, epsilon, &mut rng)
-        };
-        let model = chain_from_pairs(schema, &workload, &tables)?;
-        let stats = engine.stats();
-        release(
-            schema,
-            engine.n(),
-            model,
-            settings,
-            Provenance {
-                method: self.method(),
-                epsilon_spent: epsilon,
-                stats,
-                score: "-",
-                encoding: EncodingKind::Vanilla.name(),
-            },
-        )
-    }
+pub(crate) fn pairwise(
+    method: Method,
+    engine: &CountEngine,
+    epsilon: f64,
+    seed: u64,
+    settings: &FitSettings,
+) -> Result<FittedArtifact, SynthError> {
+    let schema = engine.schema();
+    validate(engine.n(), schema.len(), epsilon, true)?;
+    let d = schema.len();
+    let workload = AlphaWayWorkload::new(d, 2.min(d));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tables = if method == Method::Geometric {
+        geometric_marginals(engine, &workload, epsilon, &mut rng)
+    } else {
+        laplace_marginals(engine, &workload, epsilon, &mut rng)
+    };
+    let model = chain_from_pairs(schema, &workload, &tables)?;
+    let stats = engine.stats();
+    release(
+        schema,
+        engine.n(),
+        model,
+        settings,
+        Provenance {
+            method,
+            epsilon_spent: epsilon,
+            stats,
+            score: "-",
+            encoding: EncodingKind::Vanilla.name(),
+        },
+    )
 }
 
 /// Builds the chain model from a released α = 2 workload: the root marginal
@@ -402,80 +301,48 @@ fn chain_from_pairs(
 }
 
 /// `uniform`: every attribute independent and uniform. Touches no data, so
-/// it spends no budget and reports zero engine stats.
-struct UniformMethod;
-
-impl UniformMethod {
-    fn fit_from_shape(
-        &self,
-        schema: &Schema,
-        n: usize,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        validate(n, schema.len(), 0.0, false)?;
-        let d = schema.len();
-        let mut pairs = Vec::with_capacity(d);
-        let mut conditionals = Vec::with_capacity(d);
-        for child in 0..d {
-            let dim = schema.attribute(child).domain_size();
-            pairs.push(ApPair::new(child, vec![]));
-            conditionals.push(Conditional {
-                child,
-                parents: vec![],
-                parent_dims: vec![],
-                child_dim: dim,
-                probs: vec![1.0 / dim as f64; dim],
-            });
-        }
-        let network = BayesianNetwork::new(pairs, schema)?;
-        release(
-            schema,
-            n,
-            NoisyModel { network, conditionals },
-            settings,
-            Provenance {
-                method: Method::Uniform,
-                epsilon_spent: 0.0,
-                stats: EngineStats::default(),
-                score: "-",
-                encoding: EncodingKind::Vanilla.name(),
-            },
-        )
+/// it needs only the schema and row count, spends no budget and reports
+/// zero engine stats.
+pub(crate) fn uniform(
+    schema: &Schema,
+    n: usize,
+    settings: &FitSettings,
+) -> Result<FittedArtifact, SynthError> {
+    validate(n, schema.len(), 0.0, false)?;
+    let d = schema.len();
+    let mut pairs = Vec::with_capacity(d);
+    let mut conditionals = Vec::with_capacity(d);
+    for child in 0..d {
+        let dim = schema.attribute(child).domain_size();
+        pairs.push(ApPair::new(child, vec![]));
+        conditionals.push(Conditional {
+            child,
+            parents: vec![],
+            parent_dims: vec![],
+            child_dim: dim,
+            probs: vec![1.0 / dim as f64; dim],
+        });
     }
-}
-
-impl Synthesizer for UniformMethod {
-    fn method(&self) -> Method {
-        Method::Uniform
-    }
-
-    // Overridden (instead of the engine-building default) because uniform
-    // touches no data: it needs only the schema and row count.
-    fn fit(
-        &self,
-        data: &Dataset,
-        _epsilon: f64,
-        _seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        self.fit_from_shape(data.schema(), data.n(), settings)
-    }
-
-    fn fit_with_engine(
-        &self,
-        engine: &CountEngine,
-        _epsilon: f64,
-        _seed: u64,
-        settings: &FitSettings,
-    ) -> Result<FittedArtifact, SynthError> {
-        self.fit_from_shape(engine.schema(), engine.n(), settings)
-    }
+    let network = BayesianNetwork::new(pairs, schema)?;
+    release(
+        schema,
+        n,
+        NoisyModel { network, conditionals },
+        settings,
+        Provenance {
+            method: Method::Uniform,
+            epsilon_spent: 0.0,
+            stats: EngineStats::default(),
+            score: "-",
+            encoding: EncodingKind::Vanilla.name(),
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privbayes_data::Attribute;
+    use privbayes_data::{Attribute, Dataset};
     use privbayes_marginals::Axis;
     use rand::RngExt;
 

@@ -28,7 +28,7 @@ use std::fmt;
 
 use privbayes::sampler::SampleSpec;
 use privbayes_data::Schema;
-use privbayes_model::Json;
+use privbayes_model::{seed_from_json, seed_to_json, Json};
 
 /// A spec-validation failure. Each variant names exactly what the client
 /// got wrong; the server surfaces the family as `400` with a JSON body
@@ -598,15 +598,8 @@ impl SynthSpec {
             fields.push(("rows".into(), Json::from_usize(rows)));
         }
         if let Some(seed) = self.seed {
-            // f64-backed JSON numbers are exact only below 2^53; larger
-            // seeds (e.g. ones the server drew and reported back) travel as
-            // decimal strings.
-            let json = if seed < (1 << 53) {
-                Json::from_usize(seed as usize)
-            } else {
-                Json::String(seed.to_string())
-            };
-            fields.push(("seed".into(), json));
+            // Seeds the server drew and reported back can exceed 2^53.
+            fields.push(("seed".into(), seed_to_json(seed)));
         }
         if self.format != RowFormat::default() {
             fields.push(("format".into(), Json::String(self.format.name().to_string())));
@@ -652,15 +645,9 @@ impl SynthSpec {
                         Some(value.as_usize().ok_or_else(|| SpecError::BadField("rows".into()))?);
                 }
                 "seed" => {
-                    // Numbers for the common case, decimal strings for
-                    // seeds at or above 2^53 (exactness past f64).
-                    spec.seed = Some(match (value.as_usize(), value.as_str()) {
-                        (Some(seed), _) => seed as u64,
-                        (None, Some(text)) => {
-                            text.parse::<u64>().map_err(|_| SpecError::BadField("seed".into()))?
-                        }
-                        (None, None) => return Err(SpecError::BadField("seed".into())),
-                    });
+                    spec.seed = Some(
+                        seed_from_json(value).ok_or_else(|| SpecError::BadField("seed".into()))?,
+                    );
                 }
                 "format" => {
                     let name =

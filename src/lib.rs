@@ -16,7 +16,7 @@
 //! | [`obs`] | `privbayes-obs` (metrics, span timing, exposition format) |
 //! | [`relational`] | `privbayes-relational` |
 //! | [`server`] | `privbayes-server` (serving layer: registry, ledger, streaming) |
-//! | [`synth`] | `privbayes-synth` (the unified `Synthesizer` layer) |
+//! | [`synth`] | `privbayes-synth` (the unified synthesis layer: `fit_method`) |
 //!
 //! Library users should depend on the individual crates directly; this crate
 //! exists for the workspace's own `tests/` and `examples/` targets (see

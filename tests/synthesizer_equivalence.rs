@@ -1,6 +1,6 @@
 //! Synthesizer-equivalence tier (PR 4).
 //!
-//! Two families of guarantees behind the unified `Synthesizer` layer:
+//! Two families of guarantees behind the unified synthesis layer:
 //!
 //! 1. **Engine/reference bit-identity.** Every engine-routed baseline
 //!    (Laplace, geometric, Contingency, Fourier, MWEM) produces tables
