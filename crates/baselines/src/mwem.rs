@@ -9,8 +9,9 @@
 //! to NLTCS/ACS-scale data (§6.5). For large workloads, scoring every
 //! candidate marginal each round dominates the cost;
 //! [`MwemOptions::max_candidates`] optionally subsamples the candidate
-//! marginals per round (a documented deviation used for ACS-scale workloads
-//! — see DESIGN.md §1).
+//! marginals per round — a deviation from MWEM as published, used only for
+//! ACS-scale workloads, where scoring every candidate over a 2²³-cell domain
+//! each round is prohibitive.
 
 use privbayes_dp::exponential::exponential_mechanism;
 use privbayes_dp::laplace::sample_laplace;

@@ -1,5 +1,5 @@
 //! Ablation task runners — design-choice experiments beyond the paper's
-//! figures (DESIGN.md §"Ablations"):
+//! figures, one per `abl*` binary:
 //!
 //! * **Consistency** (`abl01`): the §3 footnote-1 cross-marginal
 //!   reconciliation, on vs off.

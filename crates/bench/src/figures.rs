@@ -1,5 +1,6 @@
 //! Figure/table composition: one function per evaluation artefact, shared by
-//! the `src/bin/fig*.rs` binaries (experiment index: DESIGN.md §3).
+//! the `src/bin/fig*.rs` binaries, each named after the paper figure or
+//! table it reproduces.
 
 use privbayes::pipeline::PrivBayesOptions;
 use privbayes::score::ScoreKind;
@@ -330,7 +331,8 @@ pub fn fig_marginals_panel(cfg: &HarnessConfig, pick: DatasetPick, alpha: usize)
         let mwem = MwemOptions {
             iterations: 10,
             // Scoring every candidate marginal over a 2²³-cell domain each
-            // round is prohibitive for ACS; subsample (DESIGN.md §1).
+            // round is prohibitive for ACS; subsample the candidates (a
+            // deviation from MWEM as published, ACS only).
             max_candidates: if pick == DatasetPick::Acs { Some(100) } else { None },
             update_passes: if pick == DatasetPick::Acs { 2 } else { 8 },
         };
@@ -429,7 +431,8 @@ fn encoding_methods() -> Vec<(&'static str, EncodingKind, ScoreKind)> {
 }
 
 /// Options for an explicit encoding; bitwise encodings on wide mixed data get
-/// a tighter degree cap to keep the candidate space tractable (DESIGN.md §4).
+/// a tighter degree cap to keep the candidate space tractable: the candidate
+/// parent sets grow combinatorially with the degree.
 fn encoded_options(
     data: &privbayes_data::Dataset,
     eps: f64,

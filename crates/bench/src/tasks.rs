@@ -22,7 +22,9 @@ use privbayes_ml::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The harness degree cap (DESIGN.md §4); the paper's algorithm is unbounded.
+/// The harness degree cap, which keeps the candidate parent sets tractable
+/// (they grow combinatorially with the degree); the paper's algorithm is
+/// unbounded.
 pub const MAX_DEGREE: usize = 4;
 
 /// The encoding the paper recommends per dataset class: plain binary data

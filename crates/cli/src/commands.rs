@@ -43,18 +43,18 @@ commands:
            methods: privbayes, privbayes-k, mwem, laplace, geometric, uniform
            (`methods` prints one line per method; uniform ignores --epsilon).
 
-  synth    --model MODEL.json --out D.csv [--rows N] [--seed N] [--threads N]
+  synth    --model MODEL.json --out D.csv [--rows N] [--seed N]
            [--where a=v[,b=w...]] [--select c1[,c2...]] [--resume CURSOR]
            [--format csv|jsonl] [--verbose]
            Sample synthetic rows from a released model (no privacy cost).
            --where clamps attribute values (labels or codes) and samples the
            rest of each row conditioned on them; --select writes only the
            named columns, in order; --resume continues an interrupted
-           stream from a cursor token (pbc1-..., skipping the header) so
+           stream from a cursor token (pbc2-..., skipping the header) so
            prefix + resumed output is byte-identical to an uninterrupted
            run with the same seed. Spec mistakes (unknown attribute or
-           value, bad cursor) exit with code 4. Spec-driven requests stream
-           single-threaded; --threads applies to the plain batch path only.
+           value, bad cursor) exit with code 4. The output is the bytes a
+           server streams for the same request.
 
   query    --model MODEL.json --attrs a[,b...]
            [--server ADDR --id MODEL-ID] [--verbose]
@@ -136,8 +136,8 @@ commands:
            (see serve --refit-rows). Prints the server's receipt (batch,
            total, and pending row counts).
 
-The --threads flag on fit/synth pins the scoring/sampling worker count
-(default: all cores); outputs are identical for every value.
+The --threads flag on fit pins the scoring worker count (default: all
+cores); outputs are identical for every value.
 
 The schema file is a JSON array of attributes, e.g.
   [{\"name\": \"age\", \"kind\": \"continuous\", \"min\": 0, \"max\": 90, \"bins\": 16},
@@ -274,14 +274,13 @@ fn fit(args: &ParsedArgs) -> Result<String, CliError> {
         let s = fitted.stats;
         report.push_str(&format!(
             "\nengine: {} scans, {} projections, {} cache hits, {} tables cached, \
-             {} bytes materialized\nengine time: scan {}µs, score {}µs\n{}",
+             {} bytes materialized\nengine time: scan {}µs\n{}",
             s.scans,
             s.projections,
             s.hits,
             s.cached_tables,
             s.bytes_materialized,
             s.scan_micros,
-            s.score_micros,
             stage_report(&span),
         ));
     }
@@ -302,7 +301,7 @@ fn stage_report(span: &Span) -> String {
 
 fn synth(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_only(&[
-        "model", "out", "rows", "seed", "threads", "where", "select", "resume", "format", "verbose",
+        "model", "out", "rows", "seed", "where", "select", "resume", "format", "verbose",
     ])?;
     let mut span = Span::start();
     let model_path = args.required("model")?;
@@ -341,37 +340,6 @@ fn synth(args: &ParsedArgs) -> Result<String, CliError> {
     let rows = resolved.rows.unwrap_or(artifact.metadata.source_rows);
     if rows == 0 {
         return Err(CliError::Usage("--rows must be at least 1".into()));
-    }
-
-    // The plain batch request keeps the original parallel path (identical
-    // bytes, --threads applies); any evidence/projection/cursor/format goes
-    // through the spec-driven stream renderer.
-    let plain = resolved.evidence.is_empty()
-        && resolved.projection.is_none()
-        && resolved.start_row == 0
-        && resolved.format == RowFormat::Csv;
-    if !plain && args.optional("threads").is_some() {
-        return Err(CliError::Usage(
-            "--threads applies only to plain batch synthesis; requests with \
-             --where/--select/--resume/--format jsonl stream single-threaded"
-                .into(),
-        ));
-    }
-    if plain {
-        let mut rng = match resolved.seed {
-            Some(seed) => StdRng::seed_from_u64(seed),
-            None => make_rng(None),
-        };
-        let synthetic =
-            artifact.sample_with_threads(rows, args.parse_opt::<usize>("threads")?, &mut rng)?;
-        span.mark("sample");
-        save_csv(&synthetic, out)?;
-        span.mark("write");
-        let mut report = format!("sampled {rows} rows from {model_path}\nwrote {out}");
-        if args.verbose() {
-            report.push_str(&format!("\n{}", stage_report(&span)));
-        }
-        return Ok(report);
     }
 
     let seed = match resolved.seed {
@@ -1016,11 +984,10 @@ mod tests {
                 "--out",
                 &model,
             ];
-            let mut synth_args =
-                vec!["synth", "--model", &model, "--rows", "150", "--seed", "12", "--out", &synth];
+            let synth_args =
+                ["synth", "--model", &model, "--rows", "150", "--seed", "12", "--out", &synth];
             if !threads.is_empty() {
                 fit_args.extend(["--threads", threads]);
-                synth_args.extend(["--threads", threads]);
             }
             run_cli(&fit_args).unwrap();
             run_cli(&synth_args).unwrap();
@@ -1460,7 +1427,7 @@ mod tests {
         let e = run_cli(&["synth", "--model", &model_path, "--out", &out, "--where", "smoker"])
             .unwrap_err();
         assert!(matches!(e, CliError::Usage(_)), "{e}");
-        // --threads with a spec-driven request is rejected, not ignored.
+        // synth has no --threads: the flag is a usage error, not ignored.
         let e = run_cli(&[
             "synth",
             "--model",

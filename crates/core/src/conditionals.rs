@@ -5,13 +5,15 @@
 //! valid distribution, and conditioned on the parents. Algorithm 1 (binary
 //! encodings, fixed degree `k`) additionally derives the first `k`
 //! conditionals from the noisy joint of pair `k+1` at no extra privacy cost;
-//! Algorithm 3 (general domains) materialises all `d` joints directly.
+//! Algorithm 3 (general domains) materialises all `d` joints directly, and
+//! [`noisy_conditionals_consistent_engine`] is its one body: zero
+//! consistency rounds is the paper's Algorithm 3.
 //!
 //! All joints are served by a [`CountEngine`]: the `*_engine` entry points
-//! take a caller-owned engine (the pipeline shares one across structure and
-//! distribution learning, so AP-pair joints already counted during scoring
-//! are answered from the cache), while the `&Dataset` forms build a
-//! throwaway engine. Engine joints are bit-identical to a fresh
+//! take a caller-owned engine ([`crate::PrivBayes::fit`] shares one across
+//! structure and distribution learning, so AP-pair joints already counted
+//! during scoring are answered from the cache), while the `&Dataset` forms
+//! build a throwaway engine. Engine joints are bit-identical to a fresh
 //! `ContingencyTable::from_dataset` scan, so which form is used never
 //! changes the output.
 
@@ -143,7 +145,8 @@ pub fn noisy_conditionals_general<R: Rng + ?Sized>(
 }
 
 /// [`noisy_conditionals_general`] over a caller-owned engine (joints already
-/// counted during structure learning come straight from the cache).
+/// counted during structure learning come straight from the cache):
+/// [`noisy_conditionals_consistent_engine`] with zero rounds.
 ///
 /// # Errors
 /// As [`noisy_conditionals_general`].
@@ -153,29 +156,7 @@ pub fn noisy_conditionals_general_engine<R: Rng + ?Sized>(
     epsilon2: Option<f64>,
     rng: &mut R,
 ) -> Result<NoisyModel, PrivBayesError> {
-    let n = engine.n();
-    if n == 0 {
-        return Err(PrivBayesError::InvalidConfig("empty dataset".into()));
-    }
-    let d = network.len() as f64;
-    let scale = match epsilon2 {
-        Some(e) if e > 0.0 => Some(2.0 * d / (n as f64 * e)),
-        Some(e) => {
-            return Err(PrivBayesError::InvalidConfig(format!(
-                "epsilon2 must be positive, got {e}"
-            )))
-        }
-        None => None,
-    };
-    let conditionals = network
-        .pairs()
-        .iter()
-        .map(|pair| {
-            let joint = noisy_joint(engine, pair.child, &pair.parents, scale, rng);
-            conditional_from_joint(&joint, pair.child)
-        })
-        .collect();
-    Ok(NoisyModel { network: network.clone(), conditionals })
+    noisy_conditionals_consistent_engine(engine, network, epsilon2, 0, rng)
 }
 
 /// Algorithm 3 plus the §3 footnote-1 optimisation: after all `d` noisy
@@ -185,10 +166,11 @@ pub fn noisy_conditionals_general_engine<R: Rng + ?Sized>(
 /// of the Laplace output — the privacy guarantee is exactly that of
 /// [`noisy_conditionals_general`].
 ///
-/// With `rounds == 0` this is equivalent to [`noisy_conditionals_general`]
-/// (modulo RNG call order). Reconciliation averages independent noise draws
+/// With `rounds == 0` this is Algorithm 3 itself — every noisy joint is
+/// clamped and renormalised on its own — and [`noisy_conditionals_general`]
+/// is exactly that call. Reconciliation averages independent noise draws
 /// of the same sub-marginal, which reduces its variance — the ablation bench
-/// `ablation_consistency` quantifies the effect.
+/// `abl01_consistency` quantifies the effect.
 ///
 /// # Errors
 /// Returns [`PrivBayesError::InvalidConfig`] for a non-positive ε₂ or empty
@@ -249,9 +231,8 @@ pub fn noisy_conditionals_consistent_engine<R: Rng + ?Sized>(
         let variances = vec![1.0; tables.len()];
         mutual_consistency(&mut tables, &variances, rounds);
     } else if scale.is_some() {
-        // No reconciliation requested: replay Algorithm 3's per-joint
-        // clamp+renormalise so rounds=0 is bit-identical to
-        // `noisy_conditionals_general`.
+        // No reconciliation requested: Algorithm 3's per-joint
+        // clamp+renormalise.
         for table in &mut tables {
             clamp_and_normalize(table.values_mut(), 1.0);
         }

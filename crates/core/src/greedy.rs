@@ -36,8 +36,9 @@ pub struct GreedySettings {
     /// which implements the paper's NoPrivacy and BestNetwork lines.
     pub epsilon1: Option<f64>,
     /// Cap on parent-set cardinality. `usize::MAX` is the paper-faithful
-    /// setting; the experiment harness uses a small cap for tractability
-    /// (documented in DESIGN.md §4).
+    /// setting; the experiment harness uses a small cap for tractability,
+    /// because the candidate parent sets of a child grow combinatorially
+    /// with their size.
     pub max_degree: usize,
     /// Scoring worker threads; `None` uses
     /// [`std::thread::available_parallelism`]. The learned network is
@@ -87,25 +88,6 @@ pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
 struct Candidate {
     child: usize,
     parents: Vec<Axis>,
-}
-
-/// Scores `Pr[X, Π]` for one AP pair through the shared engine — the same
-/// entry point the greedy rounds use, exposed for callers scoring a single
-/// ad-hoc pair.
-///
-/// # Errors
-/// Propagates score errors (e.g. `F` on a non-binary child).
-pub fn score_candidate(
-    engine: &CountEngine,
-    child: usize,
-    parents: &[Axis],
-    score: ScoreKind,
-) -> Result<f64, PrivBayesError> {
-    let mut axes: Vec<Axis> = parents.to_vec();
-    axes.push(Axis::raw(child));
-    let table = engine.joint_table(&axes);
-    let child_dim = engine.schema().attribute(child).domain_size();
-    score.compute(table.values(), child_dim, engine.n())
 }
 
 /// Scores every candidate through the engine, preserving candidate order.

@@ -569,7 +569,6 @@ mod tests {
     use super::*;
     use crate::conditionals::noisy_conditionals_general;
     use crate::network::{ApPair, BayesianNetwork};
-    use crate::sampler::sample_synthetic;
     use privbayes_data::{Attribute, Dataset, TaxonomyTree};
     use privbayes_marginals::total_variation;
     use rand::rngs::StdRng;
@@ -618,7 +617,8 @@ mod tests {
     fn inference_agrees_with_large_sample_monte_carlo() {
         let (data, model) = chain_model();
         let mut rng = StdRng::seed_from_u64(3);
-        let sample = sample_synthetic(&model, data.schema(), 100_000, &mut rng).unwrap();
+        let sample =
+            model.compile(data.schema()).unwrap().sample_dataset(100_000, None, &mut rng).unwrap();
         let inferred = model_marginal(&model, data.schema(), &[1, 2], DEFAULT_CELL_CAP).unwrap();
         let empirical = ContingencyTable::from_dataset(&sample, &[Axis::raw(1), Axis::raw(2)]);
         let tvd = total_variation(inferred.values(), empirical.values());

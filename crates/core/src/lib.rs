@@ -16,8 +16,10 @@
 //! 3. **Data synthesis** ([`sampler`]): ancestral sampling from the noisy
 //!    conditionals — no access to the input, hence no further budget.
 //!
-//! [`pipeline`] wires the phases together for all four attribute encodings
-//! (§5.1) and exposes the `BestNetwork` / `BestMarginal` ablations of §6.4.
+//! [`PrivBayes::fit`] runs phases 1 and 2 over one count engine, for all four
+//! attribute encodings (§5.1); it is the one fit behind every PrivBayes
+//! model in the suite. [`PrivBayes::synthesize`] adds phase 3, and
+//! [`pipeline`] exposes the `BestNetwork` / `BestMarginal` ablations of §6.4.
 //!
 //! # Quickstart
 //!
@@ -62,8 +64,5 @@ pub mod theta;
 pub use error::PrivBayesError;
 pub use network::{ApPair, BayesianNetwork};
 pub use pipeline::{PrivBayes, PrivBayesOptions, SynthesisResult};
-pub use sampler::{
-    sample_synthetic, sample_synthetic_with_threads, CompiledSampler, RowStream, SampleSpec,
-    CHUNK_ROWS,
-};
+pub use sampler::{CompiledSampler, RowStream, SampleSpec, CHUNK_ROWS};
 pub use score::ScoreKind;

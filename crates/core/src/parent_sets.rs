@@ -8,8 +8,9 @@
 //!
 //! Both accept an additional `max_size` cap on the number of parents; the
 //! paper's algorithms correspond to `max_size = usize::MAX`. The cap is a
-//! documented tractability knob for the experiment harness (DESIGN.md §4):
-//! maximality is then defined with respect to *both* constraints.
+//! tractability knob for the experiment harness (on a large τ the number of
+//! maximal sets grows combinatorially with their size): maximality is then
+//! defined with respect to *both* constraints.
 
 use std::collections::HashMap;
 use std::rc::Rc;

@@ -1,12 +1,21 @@
-//! The end-to-end PrivBayes pipeline (§3) for all four encodings (§5.1).
+//! PrivBayes (§3): one fit for all four encodings (§5.1).
 //!
-//! * **Binary / Gray**: binarise → choose `k` by θ-usefulness (Lemma 4.8) →
+//! [`PrivBayes::fit`] is the method: split ε by β, learn the network, then
+//! learn the noisy conditionals, all over one [`CountEngine`].
+//!
+//! * **Binary / Gray**: choose `k` by θ-usefulness (Lemma 4.8) →
 //!   GreedyBayes (Algorithm 2, default score `F`) → NoisyConditionals
-//!   (Algorithm 1) → sample → decode.
+//!   (Algorithm 1), over the binarised rows.
 //! * **Vanilla / Hierarchical**: GreedyBayes with maximal parent sets
 //!   (Algorithm 4, default score `R`; the hierarchical variant additionally
 //!   generalises parents through taxonomy trees) → NoisyConditionals
-//!   (Algorithm 3) → sample.
+//!   (Algorithm 3). A fixed `k` on the vanilla encoding runs Algorithm 2
+//!   over the raw attributes instead.
+//!
+//! [`PrivBayes::synthesize`] wraps the fit with the data phase: binarise
+//! (bitwise encodings), fit, sample, debinarise. The synthesizer layer's
+//! `privbayes` and `privbayes-k` methods call the same fit and release the
+//! model instead of sampling it.
 //!
 //! The ablations of §6.4 are exposed via [`PrivBayesOptions::best_network`]
 //! (noise-free structure learning) and [`PrivBayesOptions::best_marginal`]
@@ -19,13 +28,10 @@ use privbayes_marginals::CountEngine;
 use rand::Rng;
 
 use crate::conditionals::{
-    noisy_conditionals_binary_k_engine, noisy_conditionals_consistent_engine,
-    noisy_conditionals_general_engine, NoisyModel,
+    noisy_conditionals_binary_k_engine, noisy_conditionals_consistent_engine, NoisyModel,
 };
 use crate::error::PrivBayesError;
 use crate::greedy::{greedy_bayes_adaptive_engine, greedy_bayes_fixed_k_engine, GreedySettings};
-use crate::network::BayesianNetwork;
-use crate::sampler::sample_synthetic_with_threads;
 use crate::score::ScoreKind;
 use crate::theta::choose_degree_binary;
 
@@ -43,10 +49,15 @@ pub struct PrivBayesOptions {
     /// Score function; `None` selects the paper's per-encoding default
     /// (`F` for binary/Gray, `R` for vanilla/hierarchical — §6.2/§6.3).
     pub score: Option<ScoreKind>,
-    /// Cap on parent-set cardinality — a tractability knob for the harness
-    /// (DESIGN.md §4). `usize::MAX` is the paper-faithful setting.
+    /// Cap on parent-set cardinality. The candidate parent sets of a child
+    /// grow combinatorially with their size, so the experiments cap it to
+    /// stay tractable; `usize::MAX` is the paper-faithful setting.
     pub max_degree: usize,
-    /// Override the θ-derived degree `k` for binary encodings.
+    /// Fixed degree `k` for Algorithm 2. On the bitwise encodings it
+    /// overrides the θ-derived `k`; on the vanilla encoding it runs
+    /// Algorithm 2 over the raw attributes instead of Algorithm 4. The
+    /// hierarchical encoding refuses it (Algorithm 2 has no generalised
+    /// parents).
     pub fixed_k: Option<usize>,
     /// Number of synthetic rows; `None` = same as the input (§3).
     pub synthetic_rows: Option<usize>,
@@ -131,13 +142,6 @@ impl PrivBayesOptions {
         self
     }
 
-    /// Removes the harness degree cap (paper-faithful, possibly slow).
-    #[must_use]
-    pub fn paper_faithful(mut self) -> Self {
-        self.max_degree = usize::MAX;
-        self
-    }
-
     /// BestNetwork ablation (§6.4): structure learned without noise,
     /// marginals still private with ε₂.
     #[must_use]
@@ -182,6 +186,13 @@ impl PrivBayesOptions {
                 self.theta
             )));
         }
+        if self.fixed_k.is_some() && self.encoding == EncodingKind::Hierarchical {
+            return Err(PrivBayesError::InvalidConfig(
+                "a fixed degree k runs Algorithm 2 over raw attributes; the hierarchical \
+                 encoding is not supported"
+                    .into(),
+            ));
+        }
         if self.consistency_rounds > 0 && self.encoding.is_bitwise() {
             return Err(PrivBayesError::InvalidConfig(format!(
                 "consistency rounds require the vanilla or hierarchical encoding, got {}",
@@ -197,12 +208,10 @@ impl PrivBayesOptions {
 pub struct SynthesisResult {
     /// The synthetic dataset `D*` over the original schema.
     pub synthetic: Dataset,
-    /// The learned network (over bit attributes for binary/Gray encodings).
-    pub network: BayesianNetwork,
-    /// The noisy model (network + conditionals) used for sampling.
+    /// The noisy model (network + conditionals) used for sampling; its
+    /// network is over bit attributes for the binary/Gray encodings.
     pub model: NoisyModel,
-    /// The degree used (θ-derived `k` for binary encodings, observed degree
-    /// otherwise).
+    /// The degree used (`k` for Algorithm 2, the learned degree otherwise).
     pub degree: usize,
     /// Privacy spent on network learning (0 for ablations).
     pub epsilon1_spent: f64,
@@ -229,7 +238,75 @@ impl PrivBayes {
         &self.options
     }
 
-    /// Runs the full three-phase pipeline on `data`.
+    /// Learns the noisy model from the rows `engine` counts (the binarised
+    /// rows for the bitwise encodings): splits ε by β, learns the network
+    /// (Algorithm 2 for the bitwise encodings or a fixed `k`, Algorithm 4
+    /// otherwise), then the noisy conditionals (Algorithm 1 for the bitwise
+    /// encodings, Algorithm 3 with the configured consistency rounds
+    /// otherwise). One engine serves both phases, so AP-pair joints counted
+    /// while scoring are cache hits when the conditionals materialise them.
+    ///
+    /// Returns the model and its degree: `k` for Algorithm 2, the learned
+    /// degree for Algorithm 4. Randomness is drawn from `rng` in that order
+    /// (structure, then conditionals), so a seeded `rng` fixes the model bit
+    /// for bit.
+    ///
+    /// # Errors
+    /// Returns [`PrivBayesError`] on invalid options, score/encoding
+    /// mismatches, no rows or fewer than two attributes.
+    pub fn fit<R: Rng + ?Sized>(
+        &self,
+        engine: &CountEngine,
+        rng: &mut R,
+    ) -> Result<(NoisyModel, usize), PrivBayesError> {
+        let o = &self.options;
+        o.validate()?;
+        let (n, d) = (engine.n(), engine.schema().len());
+        if n == 0 {
+            return Err(PrivBayesError::InvalidConfig("empty dataset".into()));
+        }
+        if d < 2 {
+            return Err(PrivBayesError::InvalidConfig("need at least two attributes".into()));
+        }
+        let (eps1, eps2) = BudgetSplit::new(o.beta)?.split(o.epsilon);
+        let settings = GreedySettings {
+            score: o.effective_score(),
+            epsilon1: o.private_network.then_some(eps1),
+            max_degree: o.max_degree,
+            threads: o.threads,
+        };
+        let bitwise = o.encoding.is_bitwise();
+        let (network, degree) = if bitwise || o.fixed_k.is_some() {
+            let k = o
+                .fixed_k
+                .unwrap_or_else(|| choose_degree_binary(n, d, eps2, o.theta))
+                .min(o.max_degree)
+                .min(d - 1);
+            (greedy_bayes_fixed_k_engine(engine, k, &settings, rng)?, k)
+        } else {
+            let use_taxonomy = o.encoding == EncodingKind::Hierarchical;
+            let network =
+                greedy_bayes_adaptive_engine(engine, o.theta, eps2, use_taxonomy, &settings, rng)?;
+            let degree = network.degree();
+            (network, degree)
+        };
+        let epsilon2 = o.private_marginals.then_some(eps2);
+        let model = if bitwise {
+            noisy_conditionals_binary_k_engine(engine, &network, degree, epsilon2, rng)?
+        } else {
+            noisy_conditionals_consistent_engine(
+                engine,
+                &network,
+                epsilon2,
+                o.consistency_rounds,
+                rng,
+            )?
+        };
+        Ok((model, degree))
+    }
+
+    /// Runs the whole pipeline on `data`: binarise (bitwise encodings),
+    /// [`PrivBayes::fit`], sample, debinarise.
     ///
     /// # Errors
     /// Returns [`PrivBayesError`] on invalid configuration, score/encoding
@@ -240,92 +317,30 @@ impl PrivBayes {
         rng: &mut R,
     ) -> Result<SynthesisResult, PrivBayesError> {
         let o = &self.options;
-        o.validate()?;
-        if data.n() == 0 {
-            return Err(PrivBayesError::InvalidConfig("empty dataset".into()));
-        }
+        // `fit` counts the attributes it learns over, and binarising a single
+        // attribute can give several bits.
         if data.d() < 2 {
             return Err(PrivBayesError::InvalidConfig("need at least two attributes".into()));
         }
-        let split = BudgetSplit::new(o.beta).map_err(PrivBayesError::Dp)?;
-        let (eps1, eps2) = split.split(o.epsilon);
         let rows = o.synthetic_rows.unwrap_or(data.n());
-        let score = o.effective_score();
-        let settings = GreedySettings {
-            score,
-            epsilon1: o.private_network.then_some(eps1),
-            max_degree: o.max_degree,
-            threads: o.threads,
-        };
-
-        if o.encoding.is_bitwise() {
-            let (bin_data, map) = binarize(data, o.encoding)?;
-            if bin_data.d() < 2 {
-                return Err(PrivBayesError::InvalidConfig(
-                    "binarised dataset has fewer than two bit attributes".into(),
-                ));
-            }
-            let k = o
-                .fixed_k
-                .unwrap_or_else(|| choose_degree_binary(bin_data.n(), bin_data.d(), eps2, o.theta))
-                .min(o.max_degree)
-                .min(bin_data.d() - 1);
-            // One engine spans both learning phases: AP-pair joints counted
-            // while scoring candidates are cache hits when the noisy
-            // conditionals materialise them again.
-            let engine = CountEngine::new(&bin_data);
-            let network = greedy_bayes_fixed_k_engine(&engine, k, &settings, rng)?;
-            let model = noisy_conditionals_binary_k_engine(
-                &engine,
-                &network,
-                k,
-                o.private_marginals.then_some(eps2),
-                rng,
-            )?;
-            let bin_synth =
-                sample_synthetic_with_threads(&model, bin_data.schema(), rows, o.threads, rng)?;
-            let synthetic = debinarize(&bin_synth, &map, data.schema())?;
-            Ok(SynthesisResult {
-                synthetic,
-                network,
-                model,
-                degree: k,
-                epsilon1_spent: if o.private_network { eps1 } else { 0.0 },
-                epsilon2_spent: if o.private_marginals { eps2 } else { 0.0 },
-            })
+        let (model, degree, synthetic) = if o.encoding.is_bitwise() {
+            let (bits, map) = binarize(data, o.encoding)?;
+            let (model, degree) = self.fit(&CountEngine::new(&bits), rng)?;
+            let sample = model.compile(bits.schema())?.sample_dataset(rows, o.threads, rng)?;
+            (model, degree, debinarize(&sample, &map, data.schema())?)
         } else {
-            let use_taxonomy = o.encoding == EncodingKind::Hierarchical;
-            let engine = CountEngine::new(data);
-            let network =
-                greedy_bayes_adaptive_engine(&engine, o.theta, eps2, use_taxonomy, &settings, rng)?;
-            let model = if o.consistency_rounds > 0 {
-                noisy_conditionals_consistent_engine(
-                    &engine,
-                    &network,
-                    o.private_marginals.then_some(eps2),
-                    o.consistency_rounds,
-                    rng,
-                )?
-            } else {
-                noisy_conditionals_general_engine(
-                    &engine,
-                    &network,
-                    o.private_marginals.then_some(eps2),
-                    rng,
-                )?
-            };
-            let synthetic =
-                sample_synthetic_with_threads(&model, data.schema(), rows, o.threads, rng)?;
-            let degree = network.degree();
-            Ok(SynthesisResult {
-                synthetic,
-                network,
-                model,
-                degree,
-                epsilon1_spent: if o.private_network { eps1 } else { 0.0 },
-                epsilon2_spent: if o.private_marginals { eps2 } else { 0.0 },
-            })
-        }
+            let (model, degree) = self.fit(&CountEngine::new(data), rng)?;
+            let synthetic = model.compile(data.schema())?.sample_dataset(rows, o.threads, rng)?;
+            (model, degree, synthetic)
+        };
+        let (eps1, eps2) = BudgetSplit::new(o.beta)?.split(o.epsilon);
+        Ok(SynthesisResult {
+            synthetic,
+            model,
+            degree,
+            epsilon1_spent: if o.private_network { eps1 } else { 0.0 },
+            epsilon2_spent: if o.private_marginals { eps2 } else { 0.0 },
+        })
     }
 }
 
@@ -471,7 +486,7 @@ mod tests {
         opts.fixed_k = Some(1);
         let r = PrivBayes::new(opts).synthesize(&data, &mut rng).unwrap();
         assert_eq!(r.degree, 1);
-        assert!(r.network.degree() <= 1);
+        assert!(r.model.network.degree() <= 1);
     }
 
     #[test]
@@ -524,6 +539,17 @@ mod tests {
         ] {
             assert!(PrivBayes::new(opts).synthesize(&data, &mut rng).is_err());
         }
+    }
+
+    #[test]
+    fn hierarchical_refuses_a_fixed_k() {
+        let data = mixed_data(200, 23);
+        let mut opts = PrivBayesOptions::new(1.0).with_encoding(EncodingKind::Hierarchical);
+        opts.fixed_k = Some(2);
+        let err = PrivBayes::new(opts)
+            .synthesize(&data, &mut StdRng::seed_from_u64(24))
+            .expect_err("Algorithm 2 has no generalised parents");
+        assert!(err.to_string().contains("hierarchical"), "{err}");
     }
 
     #[test]

@@ -81,13 +81,6 @@ impl SampleSpec {
         self.projection = Some(projection);
         self
     }
-
-    /// Sets the resume offset.
-    #[must_use]
-    pub fn with_start_row(mut self, start_row: usize) -> Self {
-        self.start_row = start_row;
-        self
-    }
 }
 
 /// One conditional — a network pair's, or an evidence cohort's bucket —
@@ -105,8 +98,7 @@ struct CompiledConditional {
     /// slice (zero-sum / negative / non-finite weights): compilation
     /// tolerates it — a hand-built model may contain structurally
     /// unreachable parent combinations — and sampling panics only if the
-    /// slice is actually drawn from, matching the lazy `sample_discrete`
-    /// behaviour.
+    /// slice is actually drawn from.
     tables: Vec<Option<AliasTable>>,
 }
 
@@ -486,17 +478,11 @@ pub struct RowStream<'a> {
 }
 
 impl RowStream<'_> {
-    /// Total rows of the unresumed stream (resumed streams yield
-    /// [`RowStream::remaining_rows`] of them).
+    /// Total rows of the unresumed stream (a resumed stream yields the
+    /// rows from its start row on).
     #[must_use]
     pub fn total_rows(&self) -> usize {
         self.rows
-    }
-
-    /// Rows still to be yielded.
-    #[must_use]
-    pub fn remaining_rows(&self) -> usize {
-        self.rows.saturating_sub(self.next_row)
     }
 
     /// Copies the projected columns of `tuple` into an owned row.
@@ -558,41 +544,6 @@ fn chunk_seed(base: u64, c: usize) -> u64 {
     base.wrapping_add((c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Samples `rows` synthetic tuples from `model`.
-///
-/// Generalised parents are handled by generalising the already-sampled raw
-/// parent value through the attribute's taxonomy at sampling time (§5.2).
-/// Sampling is chunk-parallel; see [`sample_synthetic_with_threads`] to pin
-/// the worker count. Given a fixed `rng` state the output is identical for
-/// every worker count.
-///
-/// # Errors
-/// Returns [`PrivBayesError::InvalidNetwork`] if the model does not cover all
-/// attributes of `schema`.
-pub fn sample_synthetic<R: Rng + ?Sized>(
-    model: &NoisyModel,
-    schema: &Schema,
-    rows: usize,
-    rng: &mut R,
-) -> Result<Dataset, PrivBayesError> {
-    sample_synthetic_with_threads(model, schema, rows, None, rng)
-}
-
-/// As [`sample_synthetic`], with an explicit worker count (`None` uses
-/// [`std::thread::available_parallelism`]).
-///
-/// # Errors
-/// As [`sample_synthetic`].
-pub fn sample_synthetic_with_threads<R: Rng + ?Sized>(
-    model: &NoisyModel,
-    schema: &Schema,
-    rows: usize,
-    threads: Option<usize>,
-    rng: &mut R,
-) -> Result<Dataset, PrivBayesError> {
-    model.compile(schema)?.sample_dataset(rows, threads, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,7 +575,8 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
-        let synth = sample_synthetic(&model, data.schema(), 500, &mut rng).unwrap();
+        let synth =
+            model.compile(data.schema()).unwrap().sample_dataset(500, None, &mut rng).unwrap();
         assert_eq!(synth.n(), 500);
         // Every sampled row must satisfy a == b == c (the chain is a copy).
         for row in 0..synth.n() {
@@ -647,7 +599,8 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
-        let synth = sample_synthetic(&model, data.schema(), 20_000, &mut rng).unwrap();
+        let synth =
+            model.compile(data.schema()).unwrap().sample_dataset(20_000, None, &mut rng).unwrap();
         let truth = ContingencyTable::from_dataset(&data, &[Axis::raw(0), Axis::raw(1)]);
         let got = ContingencyTable::from_dataset(&synth, &[Axis::raw(0), Axis::raw(1)]);
         let tvd = privbayes_marginals::total_variation(truth.values(), got.values());
@@ -668,7 +621,10 @@ mod tests {
         let rows = 2 * CHUNK_ROWS + 137;
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(99);
-            sample_synthetic_with_threads(&model, data.schema(), rows, Some(threads), &mut rng)
+            model
+                .compile(data.schema())
+                .unwrap()
+                .sample_dataset(rows, Some(threads), &mut rng)
                 .unwrap()
         };
         let reference = run(1);
@@ -701,7 +657,8 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
-        let synth = sample_synthetic(&model, data.schema(), 2000, &mut rng).unwrap();
+        let synth =
+            model.compile(data.schema()).unwrap().sample_dataset(2000, None, &mut rng).unwrap();
         for row in 0..synth.n() {
             let r = synth.row(row);
             assert_eq!(r[1], u32::from(r[0] >= 2), "b must track c's level-1 group");
@@ -718,7 +675,8 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
-        let synth = sample_synthetic(&model, data.schema(), 0, &mut rng).unwrap();
+        let synth =
+            model.compile(data.schema()).unwrap().sample_dataset(0, None, &mut rng).unwrap();
         assert_eq!(synth.n(), 0);
     }
 
@@ -732,7 +690,6 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
-        assert!(sample_synthetic(&model, data.schema(), 10, &mut rng).is_err());
         assert!(model.compile(data.schema()).is_err());
     }
 
@@ -765,7 +722,7 @@ mod tests {
             ],
         };
         let mut rng = StdRng::seed_from_u64(8);
-        let synth = sample_synthetic(&model, &schema, 300, &mut rng).unwrap();
+        let synth = model.compile(&schema).unwrap().sample_dataset(300, None, &mut rng).unwrap();
         assert!(synth.column(0).iter().all(|&v| v == 0));
     }
 
@@ -792,14 +749,11 @@ mod tests {
         };
         let rows = 3 * CHUNK_ROWS + 17;
         let run = |threads: usize| {
-            sample_synthetic_with_threads(
-                &model,
-                &schema,
-                rows,
-                Some(threads),
-                &mut StdRng::seed_from_u64(9),
-            )
-            .unwrap()
+            model
+                .compile(&schema)
+                .unwrap()
+                .sample_dataset(rows, Some(threads), &mut StdRng::seed_from_u64(9))
+                .unwrap()
         };
         let sequential = run(1);
         assert!(sequential.column(1).iter().all(|&v| v == 0), "uncovered column must be zero");

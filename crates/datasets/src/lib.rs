@@ -5,7 +5,8 @@
 //! cardinality, dimensionality, attribute kinds, domain sizes, and taxonomy
 //! trees — and samples tuples from a hidden ground-truth Bayesian network
 //! with Dirichlet-distributed CPTs, so realistic low-order correlation exists
-//! for PrivBayes to discover (substitution rationale: DESIGN.md §1).
+//! for PrivBayes to discover. The paper's comparisons depend on these shape
+//! parameters and on correlation being present, not on the real records.
 //!
 //! | Dataset | Cardinality | Dimensionality | Domain size |
 //! |---------|-------------|----------------|-------------|

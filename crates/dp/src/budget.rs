@@ -140,12 +140,6 @@ impl BudgetSplit {
         Ok(Self { beta })
     }
 
-    /// The paper's default split.
-    #[must_use]
-    pub fn default_paper() -> Self {
-        Self { beta: Self::DEFAULT_BETA }
-    }
-
     /// β itself.
     #[must_use]
     pub fn beta(&self) -> f64 {
@@ -241,7 +235,7 @@ mod tests {
 
     #[test]
     fn split_default_beta() {
-        let s = BudgetSplit::default_paper();
+        let s = BudgetSplit::new(BudgetSplit::DEFAULT_BETA).unwrap();
         let (e1, e2) = s.split(1.6);
         assert!((e1 - 0.48).abs() < 1e-12);
         assert!((e2 - 1.12).abs() < 1e-12);

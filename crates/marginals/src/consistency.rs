@@ -42,16 +42,6 @@ pub fn clamp_and_normalize(values: &mut [f64], target: f64) {
     }
 }
 
-/// Non-negativity only (the paper's first boosting technique, used on its own
-/// for count-scale releases where renormalisation is not wanted).
-pub fn clamp_negatives(values: &mut [f64]) {
-    for v in values.iter_mut() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
-
 /// The axes two tables share (matching attribute **and** generalisation
 /// level), in `a`'s axis order.
 #[must_use]
@@ -187,13 +177,6 @@ mod tests {
         let mut v = vec![1.0, 1.0];
         clamp_and_normalize(&mut v, 10.0);
         assert!((v.iter().sum::<f64>() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clamp_negatives_only() {
-        let mut v = vec![-0.5, 2.0];
-        clamp_negatives(&mut v);
-        assert_eq!(v, vec![0.0, 2.0]);
     }
 
     fn table(axes: Vec<Axis>, dims: Vec<usize>, values: Vec<f64>) -> ContingencyTable {

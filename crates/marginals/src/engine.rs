@@ -370,12 +370,9 @@ impl BitBackend {
     }
 }
 
-/// Cache effectiveness and fit-phase cost counters (see
-/// [`CountEngine::stats`]). The engine fills the cache counters,
-/// `bytes_materialized`, and `scan_micros`; `score_micros` is a slot for the
-/// layer that owns candidate scoring (the synthesizers time it) so one
-/// struct carries the whole fit-phase picture. All fields are integers with
-/// zero defaults, keeping the struct `Eq` and a no-work fit equal to
+/// Cache effectiveness and count-scan cost counters (see
+/// [`CountEngine::stats`]). All fields are integers with zero defaults,
+/// keeping the struct `Eq` and a no-work fit equal to
 /// `EngineStats::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
@@ -391,10 +388,6 @@ pub struct EngineStats {
     pub bytes_materialized: u64,
     /// Wall time spent materializing scan tables, in microseconds.
     pub scan_micros: u64,
-    /// Wall time of the candidate-scoring (structure learning) phase, in
-    /// microseconds. Filled by the fitting layer, zero for methods without
-    /// a scoring phase.
-    pub score_micros: u64,
 }
 
 /// The shared count engine: one per dataset, used by every greedy round (and
@@ -559,7 +552,6 @@ impl CountEngine {
             cached_tables: self.cache.read().expect("cache lock poisoned").len(),
             bytes_materialized: self.bytes_materialized.load(Ordering::Relaxed),
             scan_micros: self.scan_nanos.load(Ordering::Relaxed) / 1_000,
-            score_micros: 0,
         }
     }
 

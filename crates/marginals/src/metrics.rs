@@ -19,15 +19,6 @@ pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
     0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
-/// L1 distance between two distributions.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[must_use]
-pub fn l1_distance(p: &[f64], q: &[f64]) -> f64 {
-    2.0 * total_variation(p, q)
-}
-
 /// Average total-variation distance over all α-way marginals between the
 /// true dataset and a synthetic dataset — the paper's count-query error
 /// metric ("average variation distance").
@@ -97,7 +88,6 @@ mod tests {
         assert_eq!(total_variation(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
         assert_eq!(total_variation(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
         assert!((total_variation(&[0.7, 0.3], &[0.5, 0.5]) - 0.2).abs() < 1e-12);
-        assert!((l1_distance(&[0.7, 0.3], &[0.5, 0.5]) - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!   (required by PrivateERM's analysis);
 //! * [`svm`] — a linear hinge-loss C-SVM trained by Pegasos-style projected
 //!   sub-gradient descent (the paper uses LIBSVM's linear C-SVM with C = 1;
-//!   see the substitution note in DESIGN.md);
+//!   this dependency-free solver minimises the same objective);
 //! * [`private_erm`] — PrivateERM, the objective-perturbation ERM of
 //!   Chaudhuri, Monteleoni & Sarwate \[8\] with Huber loss;
 //! * [`privgene`] — PrivGene, genetic model fitting with an exponential-

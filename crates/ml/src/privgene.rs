@@ -6,10 +6,10 @@
 //! tuples, sensitivity 1) and the next generation is bred from it by
 //! crossover and Gaussian mutation. The per-generation budget is ε/r.
 //!
-//! Faithful simplifications (documented per DESIGN.md): one parent per
-//! generation (the original selects two and pairs offspring) and a fixed
-//! mutation schedule — both preserve the method's budget/iteration trade-off,
-//! which is what the evaluation exercises.
+//! Faithful simplifications: one parent per generation (the original
+//! selects two and pairs offspring) and a fixed mutation schedule — both
+//! preserve the method's budget/iteration trade-off, which is what the
+//! evaluation exercises.
 
 use privbayes_dp::exponential::exponential_mechanism;
 use privbayes_dp::stats::sample_normal;

@@ -1,6 +1,7 @@
 //! Linear hinge-loss C-SVM trained with Pegasos-style projected sub-gradient
 //! descent (Shalev-Shwartz et al.), standing in for LIBSVM's linear C-SVM
-//! with C = 1 (§6.1; substitution note in DESIGN.md).
+//! with C = 1 (§6.1): the same objective, minimised without a native
+//! library.
 //!
 //! Objective: `min_w λ/2·‖w‖² + (1/n)·Σ max(0, 1 − yᵢ·w·xᵢ)` with
 //! `λ = 1/(C·n)`.

@@ -307,23 +307,8 @@ impl ReleasedModel {
     /// Propagates sampler errors as [`ModelError::Invalid`] (these indicate
     /// artifact corruption that validation could not detect).
     pub fn sample<R: Rng + ?Sized>(&self, rows: usize, rng: &mut R) -> Result<Dataset, ModelError> {
-        self.sample_with_threads(rows, None, rng)
-    }
-
-    /// As [`ReleasedModel::sample`], with an explicit sampling worker count
-    /// (`None` uses [`std::thread::available_parallelism`]). The output
-    /// depends only on `rng`'s state, never on the worker count.
-    ///
-    /// # Errors
-    /// As [`ReleasedModel::sample`].
-    pub fn sample_with_threads<R: Rng + ?Sized>(
-        &self,
-        rows: usize,
-        threads: Option<usize>,
-        rng: &mut R,
-    ) -> Result<Dataset, ModelError> {
         self.compiled()?
-            .sample_dataset(rows, threads, rng)
+            .sample_dataset(rows, None, rng)
             .map_err(|e| ModelError::Invalid(e.to_string()))
     }
 

@@ -290,9 +290,11 @@ impl ReleasedRelationalModel {
         rng: &mut R,
     ) -> Result<RelationalDataset, ModelError> {
         let flattened = self.schema.flattened();
-        let flat =
-            privbayes::sampler::sample_synthetic(&self.entity_model, flattened, n_entities, rng)
-                .map_err(|e| ModelError::Invalid(e.to_string()))?;
+        let flat = self
+            .entity_model
+            .compile(flattened)
+            .and_then(|sampler| sampler.sample_dataset(n_entities, None, rng))
+            .map_err(|e| ModelError::Invalid(e.to_string()))?;
         let e_arity = self.schema.entity_arity();
         let m = self.schema.max_fanout();
         let mut entity_rows = Vec::with_capacity(n_entities);

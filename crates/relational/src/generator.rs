@@ -3,10 +3,9 @@
 //! The paper's datasets are single-table; no public multi-table benchmark
 //! with per-individual privacy semantics exists in this offline environment,
 //! so experiments use a generated clinic-style database whose ground-truth
-//! correlations are known by construction (see DESIGN.md's substitution
-//! notes): smoking status drives both how *often* an individual generates
-//! visit facts and *what* those facts contain, giving the synthesiser a real
-//! cross-table signal to preserve.
+//! correlations are known by construction: smoking status drives both how
+//! *often* an individual generates visit facts and *what* those facts
+//! contain, giving the synthesiser a real cross-table signal to preserve.
 
 use privbayes_data::{Attribute, Dataset, Schema};
 use rand::rngs::StdRng;

@@ -2,12 +2,12 @@
 //!
 //! The build environment is offline and std-only, so this is a hand-rolled
 //! implementation covering exactly what the service needs: request lines
-//! with query strings, `Content-Length` bodies, fixed responses, and
-//! `Transfer-Encoding: chunked` responses for row streaming. Connections
-//! are persistent by default (HTTP/1.1 keep-alive): every response is
-//! explicitly framed (`Content-Length` or chunked) and carries an explicit
-//! `Connection:` header, so the peer always knows whether another request
-//! may follow on the same socket.
+//! with query strings, `Content-Length` or chunked request bodies, fixed
+//! responses, and `Transfer-Encoding: chunked` responses for row
+//! streaming. Connections are persistent by default (HTTP/1.1 keep-alive):
+//! every response is explicitly framed (`Content-Length` or chunked) and
+//! carries an explicit `Connection:` header, so the peer always knows
+//! whether another request may follow on the same socket.
 
 use std::io::{BufRead, Read, Write};
 
@@ -30,7 +30,7 @@ pub struct Request {
     pub query: Vec<(String, String)>,
     /// Headers with lower-cased names, in arrival order.
     pub headers: Vec<(String, String)>,
-    /// The body (empty unless `Content-Length` was sent).
+    /// The body (empty unless `Content-Length` or a chunked body was sent).
     pub body: Vec<u8>,
     /// `true` for `HTTP/1.1` requests (persistent by default), `false` for
     /// `HTTP/1.0` (close by default).
@@ -38,11 +38,15 @@ pub struct Request {
 }
 
 impl Request {
-    /// Reads one request from `reader`.
+    /// Reads one request from `reader`. A body is framed by
+    /// `Content-Length` or by `Transfer-Encoding: chunked`, each bounded by
+    /// [`MAX_BODY_BYTES`]. Any other transfer coding, and a transfer coding
+    /// together with `Content-Length` (the request-smuggling shape of
+    /// RFC 9112 §6.3), is refused.
     ///
     /// # Errors
-    /// Returns [`ServerError::Protocol`] on malformed or oversized input and
-    /// [`ServerError::Io`] on socket failure.
+    /// Returns [`ServerError::Protocol`] on malformed, oversized or refused
+    /// framing and [`ServerError::Io`] on socket failure.
     pub fn read_from<R: BufRead>(reader: &mut R) -> Result<Self, ServerError> {
         let line = read_crlf_line(reader)?;
         let mut parts = line.split(' ');
@@ -69,8 +73,25 @@ impl Request {
             None => Vec::new(),
         };
         let headers = read_headers(reader)?;
-        let body = match header_value(&headers, "content-length") {
-            Some(raw) => {
+        let mut body = Vec::new();
+        match (
+            header_value(&headers, "transfer-encoding"),
+            header_value(&headers, "content-length"),
+        ) {
+            (Some(_), Some(_)) => {
+                return Err(ServerError::Protocol(
+                    "Transfer-Encoding together with Content-Length is refused".into(),
+                ))
+            }
+            (Some(coding), None) if coding.trim().eq_ignore_ascii_case("chunked") => {
+                read_chunked_into(reader, &mut body)?;
+            }
+            (Some(coding), None) => {
+                return Err(ServerError::Protocol(format!(
+                    "unsupported transfer coding `{coding}`"
+                )))
+            }
+            (None, Some(raw)) => {
                 let len: usize = raw
                     .trim()
                     .parse()
@@ -80,12 +101,10 @@ impl Request {
                         "body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
                     )));
                 }
-                let mut body = Vec::new();
                 read_exact_into(reader, &mut body, len)?;
-                body
             }
-            None => Vec::new(),
-        };
+            (None, None) => {}
+        }
         Ok(Self { method, path, query, headers, body, http11 })
     }
 
@@ -488,6 +507,27 @@ mod tests {
         assert_eq!(req.body, b"hello");
         assert!(req.http11);
         assert!(req.wants_keep_alive(), "HTTP/1.1 is persistent by default");
+    }
+
+    #[test]
+    fn chunked_request_bodies_are_decoded_and_ambiguous_framing_is_refused() {
+        let raw = b"POST /v1/models/m/synth HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    6\r\n{\"rows\r\n5;ext=1\r\n\": 5}\r\n0\r\n\r\n\
+                    GET /healthz HTTP/1.1\r\n\r\n";
+        let mut reader = &raw[..];
+        let req = Request::read_from(&mut reader).unwrap();
+        assert_eq!(req.body, b"{\"rows\": 5}");
+        // The chunk lines were consumed: the next request parses cleanly.
+        assert_eq!(Request::read_from(&mut reader).unwrap().path, "/healthz");
+        for framing in [
+            "Transfer-Encoding: chunked\r\nContent-Length: 5",
+            "Content-Length: 5\r\nTransfer-Encoding: chunked",
+            "Transfer-Encoding: gzip, chunked",
+        ] {
+            let raw = format!("POST / HTTP/1.1\r\n{framing}\r\n\r\n0\r\n\r\n");
+            let err = Request::read_from(&mut raw.as_bytes()).unwrap_err();
+            assert!(matches!(err, ServerError::Protocol(_)), "{framing}: {err}");
+        }
     }
 
     #[test]

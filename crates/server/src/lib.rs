@@ -30,7 +30,8 @@
 //! Rows are generated in the sampler's fixed 1024-row chunk scheme
 //! ([`privbayes::CHUNK_ROWS`]), each chunk's RNG stream derived from
 //! `(seed, chunk index)` alone, so the streamed bytes are **identical** to
-//! the batch `sample_synthetic` path for the same seed — regardless of how
+//! the batch sampler, [`privbayes::CompiledSampler::sample_dataset`], for
+//! the same seed — regardless of how
 //! many requests are in flight, how many connections the server admits,
 //! whether the connection is fresh or reused, or whether the model was
 //! evicted and reloaded in between. The registry and ledger never

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use privbayes_obs::{json_escape, Counter, Gauge, Histogram, MetricKind, Registry};
 
 use crate::ledger::TenantBudget;
+use crate::registry::ModelEntry;
 
 /// The response header carrying the request id (echoed from the request
 /// when the client sent a valid one, generated otherwise).
@@ -121,11 +122,6 @@ impl ServerMetrics {
             "privbayes_refits_total",
             MetricKind::Counter,
             "Background refits by outcome (ok, failed, exhausted, charge-failed)",
-        );
-        registry.describe(
-            "privbayes_model_generation",
-            MetricKind::Gauge,
-            "Newest registry generation serving each model id",
         );
         let describe_gauge = |name: &str, help: &str| {
             registry.describe(name, MetricKind::Gauge, help);
@@ -274,12 +270,6 @@ impl ServerMetrics {
         self.registry.counter("privbayes_refits_total", &[("status", status)]).inc();
     }
 
-    /// Mirrors the newest generation serving `model` after a (re)load.
-    pub fn set_model_generation(&self, model: &str, generation: u64) {
-        let clamped = i64::try_from(generation).unwrap_or(i64::MAX);
-        self.registry.gauge("privbayes_model_generation", &[("model", model)]).set(clamped);
-    }
-
     /// Finishes one request: the by-endpoint/status counter, the
     /// per-endpoint latency histogram, and, when an access-log sink is
     /// configured, one JSON line into it. `bytes` is what actually reached
@@ -374,6 +364,23 @@ impl<'m> RequestCtx<'m> {
     }
 }
 
+/// Appends the `privbayes_model_generation` family to a `/metrics` body: one
+/// sample per loaded model id, at the generation it serves. Rendered from
+/// the registry at scrape time, as [`ServerMetrics::render`] renders the
+/// tenant ε gauges from the ledger, so it lists exactly the ids loaded now —
+/// `serve --model` loads and evictions included.
+pub(crate) fn render_model_generations(out: &mut String, models: &[Arc<ModelEntry>]) {
+    out.push_str("# HELP privbayes_model_generation Registry generation serving each model id (mirrors the registry)\n");
+    out.push_str("# TYPE privbayes_model_generation gauge\n");
+    for entry in models {
+        out.push_str(&format!(
+            "privbayes_model_generation{{model=\"{}\"}} {}\n",
+            escape_label(&entry.id),
+            entry.generation
+        ));
+    }
+}
+
 /// Escapes a Prometheus label value (backslash, quote, newline).
 fn escape_label(value: &str) -> String {
     value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
@@ -415,7 +422,6 @@ mod tests {
             "privbayes_tenant_epsilon_remaining",
             "privbayes_ingest_rows_total",
             "privbayes_refits_total",
-            "privbayes_model_generation",
         ] {
             assert!(snapshot.types.contains_key(family), "no TYPE line for {family}");
         }
@@ -430,8 +436,6 @@ mod tests {
         metrics.record_refit("ok");
         metrics.record_refit("ok");
         metrics.record_refit("failed");
-        metrics.set_model_generation("census", 3);
-        metrics.set_model_generation("census", 7);
         let snapshot = parse_text(&metrics.render(&[])).unwrap();
         assert_eq!(
             snapshot.value("privbayes_ingest_rows_total", &[("tenant", "acme")]),
@@ -443,7 +447,6 @@ mod tests {
         );
         assert_eq!(snapshot.value("privbayes_refits_total", &[("status", "ok")]), Some(2.0));
         assert_eq!(snapshot.value("privbayes_refits_total", &[("status", "failed")]), Some(1.0));
-        assert_eq!(snapshot.value("privbayes_model_generation", &[("model", "census")]), Some(7.0));
     }
 
     #[test]

@@ -133,30 +133,34 @@ impl ModelRegistry {
     /// Loads `artifact` under `id`, eagerly compiling its sampler so the
     /// cost is paid at load time, not on the first synthesis request. The
     /// new entry becomes the id's current generation; previous ones stay
-    /// in the chain up to [`RETAINED_GENERATIONS`]. Returns `true` if the
-    /// id was new.
+    /// in the chain up to [`RETAINED_GENERATIONS`]. Returns the installed
+    /// entry and `true` if the id was new.
     ///
     /// # Errors
     /// Returns [`ServerError::Protocol`] for an invalid id and
     /// [`ServerError::Model`] if the artifact fails to compile.
-    pub fn load(&self, id: &str, artifact: ReleasedModel) -> Result<bool, ServerError> {
+    pub fn load(
+        &self,
+        id: &str,
+        artifact: ReleasedModel,
+    ) -> Result<(Arc<ModelEntry>, bool), ServerError> {
         validate_id(id)?;
-        let entry = ModelEntry {
-            id: id.to_string(),
-            artifact,
-            generation: GENERATION.fetch_add(1, Ordering::Relaxed),
-        };
+        let mut entry = ModelEntry { id: id.to_string(), artifact, generation: 0 };
         entry.sampler()?; // compile once, up front
         let mut entries = self.entries.write().expect("registry lock poisoned");
+        // Numbered under the lock, so every chain is newest first even when
+        // two loads of one id race.
+        entry.generation = GENERATION.fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::new(entry);
         let mut next = BTreeMap::clone(&entries);
-        let mut chain = vec![Arc::new(entry)];
+        let mut chain = vec![Arc::clone(&entry)];
         if let Some(previous) = next.get(id) {
             chain.extend(previous.entries.iter().cloned());
         }
         chain.truncate(RETAINED_GENERATIONS);
         let was_new = next.insert(id.to_string(), Arc::new(Chain { entries: chain })).is_none();
         *entries = Arc::new(next);
-        Ok(was_new)
+        Ok((entry, was_new))
     }
 
     /// The current map snapshot; walked lock-free by the caller.
@@ -224,9 +228,8 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privbayes::pipeline::{PrivBayes, PrivBayesOptions};
     use privbayes_data::{Attribute, Dataset, Schema};
-    use privbayes_model::ModelMetadata;
+    use privbayes_synth::{fit_method, FitSettings, Method};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -234,32 +237,18 @@ mod tests {
         let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
         let rows: Vec<Vec<u32>> = (0..120).map(|i| vec![i % 2, (i + 1) % 2]).collect();
         let data = Dataset::from_rows(schema, &rows).unwrap();
-        let options = PrivBayesOptions::new(1.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let result = PrivBayes::new(options.clone()).synthesize(&data, &mut rng).unwrap();
-        ReleasedModel::new(
-            ModelMetadata {
-                method: "privbayes".into(),
-                epsilon: options.epsilon,
-                beta: options.beta,
-                theta: options.theta,
-                score: options.effective_score().name().to_string(),
-                encoding: options.encoding.name().to_string(),
-                source_rows: data.n(),
-                comment: String::new(),
-            },
-            data.schema().clone(),
-            result.model,
-        )
-        .unwrap()
+        fit_method(Method::PrivBayes, &data, 1.0, 3, &FitSettings::default()).unwrap().artifact
     }
 
     #[test]
     fn load_get_evict_cycle() {
         let registry = ModelRegistry::new();
         assert!(registry.is_empty());
-        assert!(registry.load("m1", tiny_model()).unwrap(), "first load is new");
-        assert!(!registry.load("m1", tiny_model()).unwrap(), "reload replaces");
+        let (first, created) = registry.load("m1", tiny_model()).unwrap();
+        assert!(created, "first load is new");
+        let (second, created) = registry.load("m1", tiny_model()).unwrap();
+        assert!(!created, "reload replaces");
+        assert!(second.generation > first.generation, "the reload is the newer generation");
         assert_eq!(registry.len(), 1);
         assert!(registry.get("m1").is_some());
         assert!(registry.get("m2").is_none());

@@ -99,7 +99,7 @@ use crate::fault::{Fault, FaultPlan, FaultSite, FaultStream};
 use crate::http::{write_response, ChunkedResponse, Request};
 use crate::ingest::{parse_batch, BatchFormat, DatasetStore, RefitJob, RefitPolicy, RefitSpec};
 use crate::ledger::{BudgetLedger, LedgerError, LedgerObserver, TenantBudget};
-use crate::metrics::{RequestCtx, ServerMetrics, REQUEST_ID_HEADER};
+use crate::metrics::{render_model_generations, RequestCtx, ServerMetrics, REQUEST_ID_HEADER};
 use crate::registry::{GenerationLookup, ModelEntry, ModelRegistry};
 #[cfg(any(test, feature = "fault-injection"))]
 use std::sync::RwLock;
@@ -876,7 +876,8 @@ fn scrape(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Resu
             "metrics exposition is disabled on this server",
         );
     }
-    let body = shared.metrics.render(&shared.ledger.snapshot());
+    let mut body = shared.metrics.render(&shared.ledger.snapshot());
+    render_model_generations(&mut body, &shared.registry.list());
     ctx.status.set(200);
     ctx.stage("write");
     write_response(
@@ -911,9 +912,7 @@ fn load_model(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::
     let loaded = shared.registry.load(id, artifact);
     ctx.metrics.alias_build_seconds.observe(compile_started.elapsed());
     match loaded {
-        Ok(created) => {
-            let entry = shared.registry.get(id).expect("loaded above");
-            shared.metrics.set_model_generation(id, entry.generation);
+        Ok((entry, created)) => {
             respond_json(out, ctx, if created { 201 } else { 200 }, &model_json(&entry))
         }
         Err(e) => respond_error(out, ctx, 400, "invalid-model", &e.to_string()),
@@ -1405,9 +1404,6 @@ fn run_refit(shared: &Shared, job: &RefitJob) {
     };
     match loaded {
         Ok(fitted_rows) => {
-            if let Some(entry) = shared.registry.get(&spec.model_id) {
-                shared.metrics.set_model_generation(&spec.model_id, entry.generation);
-            }
             shared.metrics.record_refit("ok");
             shared.store.refit_finished(&job.tenant, Some(fitted_rows));
         }
@@ -1622,9 +1618,7 @@ fn run_fit(shared: &Shared, fit: &FitRequest) -> Result<Arc<ModelEntry>, ServerE
     let compile_started = Instant::now();
     let loaded = shared.registry.load(&fit.model_id, fitted.artifact);
     shared.metrics.alias_build_seconds.observe(compile_started.elapsed());
-    loaded?;
-    let entry = shared.registry.get(&fit.model_id).expect("loaded above");
-    shared.metrics.set_model_generation(&fit.model_id, entry.generation);
+    let (entry, _) = loaded?;
     Ok(entry)
 }
 

@@ -24,6 +24,11 @@
 //! | `geometric` | noisy pairwise marginals (geometric, count scale) | chain model over consecutive pairs |
 //! | `uniform` | nothing (spends no budget) | independent uniform attributes |
 //!
+//! The two PrivBayes rows are one fit: the core's
+//! [`privbayes::PrivBayes::fit`], which `PrivBayes::synthesize` also runs
+//! for the paper figures. This layer maps [`FitSettings`] onto its options
+//! and releases the model instead of sampling it.
+//!
 //! For the marginal-based methods the artifact is **pure post-processing**
 //! of the differentially private release (the noisy marginals / the MWEM
 //! weights), so publishing it costs no additional privacy budget — exactly
@@ -145,7 +150,8 @@ pub struct FitSettings {
     /// Budget split β between structure and distribution learning
     /// (PrivBayes methods). Default 0.3.
     pub beta: f64,
-    /// θ-usefulness threshold (PrivBayes adaptive). Default 4.0.
+    /// θ-usefulness threshold (PrivBayes adaptive; both PrivBayes methods
+    /// refuse θ ≤ 0). Default 4.0.
     pub theta: f64,
     /// Cap on parent-set cardinality: the GreedyBayes degree cap for the
     /// PrivBayes methods **and** the Markov order of the MWEM artifact.
@@ -164,8 +170,8 @@ pub struct FitSettings {
     pub consistency_rounds: usize,
     /// Attribute encoding: `privbayes` accepts `Vanilla` or `Hierarchical`;
     /// `privbayes-k` requires `Vanilla` (Algorithm 2 enumerates raw
-    /// attributes). Other encodings are rejected — the artifact stores the
-    /// model over the original schema. Ignored by the marginal methods.
+    /// attributes). The bitwise encodings are rejected — the artifact stores
+    /// the model over the original schema. Ignored by the marginal methods.
     /// Default vanilla.
     pub encoding: EncodingKind,
     /// Scoring worker threads (PrivBayes methods); `None` uses all cores.
@@ -217,6 +223,10 @@ pub struct FittedArtifact {
 ///   arguments: the same inputs produce a bit-identical artifact,
 ///   regardless of worker-thread count or engine cache state. All
 ///   randomness flows from one `StdRng::seed_from_u64(seed)`.
+/// * **One PrivBayes fit.** `privbayes` and `privbayes-k` are the core's
+///   [`privbayes::PrivBayes::fit`] with score `R` (and `fixed_k` for
+///   `privbayes-k`) — the fit `PrivBayes::synthesize` runs — so for the
+///   same options and seed both learn the same model bit for bit.
 /// * **Budget semantics.** `epsilon` is the *total* budget of the fit.
 ///   PrivBayes methods split it β/(1−β) between structure and distribution
 ///   learning; MWEM splits ε/T per round, half selection half measurement;

@@ -1,5 +1,5 @@
 //! The fits behind [`crate::fit_method_with_engine`], one per [`Method`]
-//! (the two PrivBayes methods share one).
+//! (the two PrivBayes methods share one: the core's [`PrivBayes::fit`]).
 //!
 //! Every fit follows the same shape: run the method's private mechanism
 //! with all exact marginals drawn through one
@@ -9,24 +9,16 @@
 //! (the MWEM Markov factorisation, the pairwise chain models) touch only the
 //! already-released noisy quantities, so they cost no extra privacy budget.
 
-use privbayes::conditionals::{
-    conditional_from_joint, noisy_conditionals_consistent_engine,
-    noisy_conditionals_general_engine, Conditional, NoisyModel,
-};
-use privbayes::greedy::{
-    greedy_bayes_adaptive_engine, greedy_bayes_fixed_k_engine, GreedySettings,
-};
+use privbayes::conditionals::{conditional_from_joint, Conditional, NoisyModel};
 use privbayes::network::{ApPair, BayesianNetwork};
-use privbayes::ScoreKind;
+use privbayes::{PrivBayes, PrivBayesOptions, ScoreKind};
 use privbayes_baselines::{geometric_marginals, laplace_marginals, mwem_fit};
 use privbayes_data::encoding::EncodingKind;
 use privbayes_data::Schema;
-use privbayes_dp::budget::BudgetSplit;
 use privbayes_marginals::{AlphaWayWorkload, ContingencyTable, CountEngine, EngineStats};
 use privbayes_model::{ModelMetadata, ReleasedModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 pub use privbayes_baselines::MwemOptions;
 
@@ -85,12 +77,11 @@ fn release(
     })
 }
 
-/// `privbayes` and `privbayes-k`: structure learning over one shared
-/// engine — Algorithm 4 (θ-usefulness) for `privbayes`, Algorithm 2's
-/// fixed-degree search over the vanilla domain for `privbayes-k`, both
-/// with score `R`, which supports general domains — then Algorithm 3's
-/// distribution learning. The same fit the core pipeline runs, minus the
-/// sampling phase (the artifact samples on demand).
+/// `privbayes` and `privbayes-k`: [`PrivBayes::fit`] over the engine with
+/// score `R`, which supports general domains — Algorithm 4 for `privbayes`,
+/// Algorithm 2 at degree `settings.fixed_k` for `privbayes-k` — then
+/// released instead of sampled (the artifact samples on demand). The core
+/// refuses a fixed degree on the hierarchical encoding.
 pub(crate) fn privbayes(
     method: Method,
     engine: &CountEngine,
@@ -99,63 +90,25 @@ pub(crate) fn privbayes(
     settings: &FitSettings,
 ) -> Result<FittedArtifact, SynthError> {
     validate(engine.n(), engine.schema().len(), epsilon, true)?;
-    let fixed_k = method == Method::PrivBayesK;
-    let use_taxonomy = match settings.encoding {
-        EncodingKind::Vanilla => false,
-        EncodingKind::Hierarchical if !fixed_k => true,
-        // Algorithm 2 enumerates raw-attribute parent sets: the fixed-k
-        // method is vanilla-domain only, and says so rather than silently
-        // ignoring a requested encoding.
-        other if fixed_k => {
-            return Err(SynthError::InvalidConfig(format!(
-                "privbayes-k runs over the vanilla domain; encoding `{}` is not supported",
-                other.name()
-            )))
-        }
-        other => {
-            return Err(SynthError::InvalidConfig(format!(
-                "the release artifact needs the model over the original schema; \
-                 encoding `{}` is not supported (use vanilla or hierarchical)",
-                other.name()
-            )))
-        }
-    };
-    if method == Method::PrivBayes && !(settings.theta > 0.0 && settings.theta.is_finite()) {
+    if settings.encoding.is_bitwise() {
         return Err(SynthError::InvalidConfig(format!(
-            "theta must be positive, got {}",
-            settings.theta
+            "the release artifact needs the model over the original schema; encoding `{}` \
+             is not supported (use vanilla, or hierarchical with privbayes)",
+            settings.encoding.name()
         )));
     }
-    let split =
-        BudgetSplit::new(settings.beta).map_err(|e| SynthError::InvalidConfig(e.to_string()))?;
-    let (eps1, eps2) = split.split(epsilon);
-    let greedy = GreedySettings {
-        score: ScoreKind::R,
-        epsilon1: Some(eps1),
+    let options = PrivBayesOptions {
+        beta: settings.beta,
+        theta: settings.theta,
+        encoding: settings.encoding,
+        score: Some(ScoreKind::R),
         max_degree: settings.max_degree,
+        fixed_k: (method == Method::PrivBayesK).then_some(settings.fixed_k),
+        consistency_rounds: settings.consistency_rounds,
         threads: settings.threads,
+        ..PrivBayesOptions::new(epsilon)
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let score_started = Instant::now();
-    let network = if fixed_k {
-        greedy_bayes_fixed_k_engine(engine, settings.fixed_k, &greedy, &mut rng)?
-    } else {
-        greedy_bayes_adaptive_engine(engine, settings.theta, eps2, use_taxonomy, &greedy, &mut rng)?
-    };
-    let score_micros = u64::try_from(score_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let model = if settings.consistency_rounds > 0 {
-        noisy_conditionals_consistent_engine(
-            engine,
-            &network,
-            Some(eps2),
-            settings.consistency_rounds,
-            &mut rng,
-        )?
-    } else {
-        noisy_conditionals_general_engine(engine, &network, Some(eps2), &mut rng)?
-    };
-    let mut stats = engine.stats();
-    stats.score_micros = score_micros;
+    let (model, _) = PrivBayes::new(options).fit(engine, &mut StdRng::seed_from_u64(seed))?;
     release(
         engine.schema(),
         engine.n(),
@@ -164,7 +117,7 @@ pub(crate) fn privbayes(
         Provenance {
             method,
             epsilon_spent: epsilon,
-            stats,
+            stats: engine.stats(),
             score: ScoreKind::R.name(),
             encoding: settings.encoding.name(),
         },

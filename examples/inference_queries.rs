@@ -28,7 +28,7 @@ fn main() {
     let options = PrivBayesOptions::new(epsilon).with_encoding(EncodingKind::Vanilla);
     let mut rng = StdRng::seed_from_u64(2014);
     let result = PrivBayes::new(options).synthesize(&data, &mut rng).expect("synthesis");
-    println!("\nfitted ε = {epsilon} model, degree {}", result.network.degree());
+    println!("\nfitted ε = {epsilon} model, degree {}", result.model.network.degree());
 
     // Route A: the paper's default — measure marginals on the synthetic rows.
     let t0 = std::time::Instant::now();
@@ -67,7 +67,7 @@ fn main() {
     // Conditional queries work too — including the Bayes-inversion direction
     // ancestral sampling cannot answer directly: condition a *parent* on its
     // child, along the first correlation the network actually learned.
-    let (parent, child) = result.network.edges()[0];
+    let (parent, child) = result.model.network.edges()[0];
     let cond =
         model_conditional(&result.model, data.schema(), &[parent], &[(child, 1)], DEFAULT_CELL_CAP)
             .expect("conditional query");

@@ -11,11 +11,11 @@
 //! and draws two differently-sized synthetic datasets from it at no extra
 //! privacy cost.
 
-use privbayes::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes_data::encoding::EncodingKind;
 use privbayes_datasets::adult::adult_sized;
 use privbayes_marginals::average_workload_tvd;
-use privbayes_model::{ModelMetadata, ReleasedModel};
+use privbayes_model::ReleasedModel;
+use privbayes_synth::{fit_method, FitSettings, Method};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,25 +25,13 @@ fn main() {
 
     // --- Data-owner side: fit and publish. ---
     let epsilon = 1.0;
-    let options = PrivBayesOptions::new(epsilon).with_encoding(EncodingKind::Hierarchical);
-    let mut rng = StdRng::seed_from_u64(1);
-    let result = PrivBayes::new(options.clone()).synthesize(&data, &mut rng).expect("synthesis");
-
-    let artifact = ReleasedModel::new(
-        ModelMetadata {
-            method: "privbayes".into(),
-            epsilon,
-            beta: options.beta,
-            theta: options.theta,
-            score: options.effective_score().name().to_string(),
-            encoding: options.encoding.name().to_string(),
-            source_rows: data.n(),
-            comment: "Adult benchmark release (example)".to_string(),
-        },
-        data.schema().clone(),
-        result.model,
-    )
-    .expect("artifact consistency");
+    let settings = FitSettings {
+        encoding: EncodingKind::Hierarchical,
+        comment: "Adult benchmark release (example)".into(),
+        ..FitSettings::default()
+    };
+    let artifact =
+        fit_method(Method::PrivBayes, &data, epsilon, 1, &settings).expect("fit").artifact;
 
     let path = std::env::temp_dir().join("privbayes-adult-model.json");
     artifact.save(&path).expect("write artifact");

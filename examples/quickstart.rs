@@ -45,8 +45,8 @@ fn main() {
     let result = PrivBayes::new(options).synthesize(&data, &mut rng).expect("synthesis");
 
     println!("\nlearned ε-DP Bayesian network (ε₁ = {:.2}):", result.epsilon1_spent);
-    print!("{}", result.network.describe(data.schema()));
-    println!("degree k = {}", result.network.degree());
+    print!("{}", result.model.network.describe(data.schema()));
+    println!("degree k = {}", result.model.network.degree());
 
     let err_2way = average_workload_tvd(&data, &result.synthetic, 2);
     println!(

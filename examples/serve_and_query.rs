@@ -13,14 +13,12 @@
 
 use std::sync::Arc;
 
-use privbayes_suite::core::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes_suite::data::{Attribute, Dataset, Schema};
-use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
+use privbayes_suite::model::Json;
 use privbayes_suite::server::{
     BudgetLedger, Client, Cursor, MarginalQuery, ModelRegistry, Server, ServerConfig, SynthSpec,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use privbayes_suite::synth::{fit_method, FitSettings, Method};
 
 fn main() {
     // A released model to pre-load: fit offline, as `privbayes-cli fit`
@@ -34,24 +32,9 @@ fn main() {
     let rows: Vec<Vec<u32>> =
         (0..600u32).map(|i| vec![i % 2, (i / 3) % 3, u32::from(i % 2 == 1)]).collect();
     let data = Dataset::from_rows(schema, &rows).unwrap();
-    let options = PrivBayesOptions::new(1.0);
-    let mut rng = StdRng::seed_from_u64(1);
-    let fit = PrivBayes::new(options.clone()).synthesize(&data, &mut rng).unwrap();
-    let artifact = ReleasedModel::new(
-        ModelMetadata {
-            method: "privbayes".into(),
-            epsilon: options.epsilon,
-            beta: options.beta,
-            theta: options.theta,
-            score: options.effective_score().name().to_string(),
-            encoding: options.encoding.name().to_string(),
-            source_rows: data.n(),
-            comment: "serve_and_query example".to_string(),
-        },
-        data.schema().clone(),
-        fit.model,
-    )
-    .unwrap();
+    let settings =
+        FitSettings { comment: "serve_and_query example".into(), ..FitSettings::default() };
+    let artifact = fit_method(Method::PrivBayes, &data, 1.0, 1, &settings).unwrap().artifact;
 
     // Start the service: registry + ledger + worker pool.
     let registry = Arc::new(ModelRegistry::new());

@@ -32,16 +32,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
-use privbayes_suite::core::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes_suite::data::{Attribute, Dataset, Schema};
-use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
+use privbayes_suite::model::{Json, ReleasedModel};
 use privbayes_suite::server::http::Response;
 use privbayes_suite::server::{
     parse_text, BudgetLedger, Client, Fault, FaultPlan, FaultSite, ModelRegistry, PersistStep,
     RetryPolicy, Server, ServerConfig, ServerError, ServerHandle, SynthSpec, LEDGER_FORMAT_V2,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use privbayes_suite::synth::{fit_method, FitSettings, Method};
 
 /// Injected handler panics are part of the test plan; keep them out of the
 /// test output while still reporting any *unexpected* panic in full.
@@ -76,24 +74,8 @@ fn fixture_model(seed: u64) -> ReleasedModel {
     let rows: Vec<Vec<u32>> =
         (0..400u32).map(|i| vec![i % 2, (i / 2) % 3, u32::from(i % 2 == 1)]).collect();
     let data = Dataset::from_rows(schema, &rows).unwrap();
-    let options = PrivBayesOptions::new(1.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let result = PrivBayes::new(options.clone()).synthesize(&data, &mut rng).unwrap();
-    ReleasedModel::new(
-        ModelMetadata {
-            method: "privbayes".into(),
-            epsilon: options.epsilon,
-            beta: options.beta,
-            theta: options.theta,
-            score: options.effective_score().name().to_string(),
-            encoding: options.encoding.name().to_string(),
-            source_rows: data.n(),
-            comment: "chaos fixture".to_string(),
-        },
-        data.schema().clone(),
-        result.model,
-    )
-    .unwrap()
+    let settings = FitSettings { comment: "chaos fixture".into(), ..FitSettings::default() };
+    fit_method(Method::PrivBayes, &data, 1.0, seed, &settings).unwrap().artifact
 }
 
 /// Starts a server with model `m` loaded; returns the handle, a plain

@@ -135,7 +135,7 @@ fn pipeline_output_is_invariant_to_worker_count() {
         for threads in [2usize, 5] {
             let parallel = run(threads);
             assert_eq!(
-                parallel.network, sequential.network,
+                parallel.model.network, sequential.model.network,
                 "{encoding:?} threads={threads}: network"
             );
             assert_eq!(
@@ -156,15 +156,9 @@ fn synthesis_worker_invariance_holds_beyond_one_chunk() {
             .unwrap();
     let model =
         noisy_conditionals_general(&data, &net, Some(0.7), &mut StdRng::seed_from_u64(42)).unwrap();
+    let sampler = model.compile(data.schema()).unwrap();
     let run = |threads: usize| {
-        privbayes::sampler::sample_synthetic_with_threads(
-            &model,
-            data.schema(),
-            5000,
-            Some(threads),
-            &mut StdRng::seed_from_u64(43),
-        )
-        .unwrap()
+        sampler.sample_dataset(5000, Some(threads), &mut StdRng::seed_from_u64(43)).unwrap()
     };
     let sequential = run(1);
     for threads in [2usize, 4, 9] {

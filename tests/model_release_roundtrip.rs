@@ -5,11 +5,11 @@
 //! original's.
 
 use privbayes::inference::{model_marginal, DEFAULT_CELL_CAP};
-use privbayes::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes_data::encoding::EncodingKind;
 use privbayes_data::{Attribute, Dataset, Schema, TaxonomyTree};
 use privbayes_marginals::total_variation;
-use privbayes_model::{ModelMetadata, ReleasedModel};
+use privbayes_model::ReleasedModel;
+use privbayes_synth::{fit_method, FitSettings, Method};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,24 +39,9 @@ fn census_like(n: usize, seed: u64) -> Dataset {
 }
 
 fn release(data: &Dataset, epsilon: f64, encoding: EncodingKind, seed: u64) -> ReleasedModel {
-    let options = PrivBayesOptions::new(epsilon).with_encoding(encoding);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let result = PrivBayes::new(options.clone()).synthesize(data, &mut rng).unwrap();
-    ReleasedModel::new(
-        ModelMetadata {
-            method: "privbayes".into(),
-            epsilon,
-            beta: options.beta,
-            theta: options.theta,
-            score: options.effective_score().name().to_string(),
-            encoding: options.encoding.name().to_string(),
-            source_rows: data.n(),
-            comment: "integration test".into(),
-        },
-        data.schema().clone(),
-        result.model,
-    )
-    .unwrap()
+    let settings =
+        FitSettings { comment: "integration test".into(), encoding, ..FitSettings::default() };
+    fit_method(Method::PrivBayes, data, epsilon, seed, &settings).unwrap().artifact
 }
 
 #[test]

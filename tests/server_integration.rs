@@ -1,26 +1,29 @@
 //! The server tier: the serving layer's three contracts under concurrency.
 //!
 //! 1. **Determinism** — concurrent clients hammering one model receive
-//!    byte-identical streams for fixed seeds, equal to the direct
-//!    `sample_synthetic` path.
+//!    byte-identical streams for fixed seeds, equal to the direct batch
+//!    sampler (`CompiledSampler::sample_dataset`).
 //! 2. **Ledger** — budget exhaustion returns the structured 402 exactly at
 //!    the ε boundary, and a rejected request mutates nothing.
 //! 3. **Registry** — eviction under load never drops an in-flight request.
 //! 4. **Keep-alive** — back-to-back streams on one connection are each
 //!    completely framed and byte-identical to the batch path;
-//!    `Connection: close` stays honored.
+//!    `Connection: close` stays honored. A chunked request body is one
+//!    request, answered once, and leaves the connection in step.
+//! 5. **Generation gauge** — `privbayes_model_generation` lists exactly
+//!    the ids the registry serves, at their current generation.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
-use privbayes_suite::core::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes_suite::data::csv::write_csv;
 use privbayes_suite::data::{Attribute, Dataset, Schema};
-use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
+use privbayes_suite::model::{Json, ReleasedModel};
 use privbayes_suite::server::{
     BudgetLedger, Client, ModelRegistry, Server, ServerConfig, ServerError, ServerHandle,
 };
+use privbayes_suite::synth::{fit_method, FitSettings, Method};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,24 +38,9 @@ fn fixture_model(seed: u64) -> ReleasedModel {
     let rows: Vec<Vec<u32>> =
         (0..500u32).map(|i| vec![i % 2, (i / 2) % 3, u32::from(i % 2 == 1)]).collect();
     let data = Dataset::from_rows(schema, &rows).unwrap();
-    let options = PrivBayesOptions::new(1.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let result = PrivBayes::new(options.clone()).synthesize(&data, &mut rng).unwrap();
-    ReleasedModel::new(
-        ModelMetadata {
-            method: "privbayes".into(),
-            epsilon: options.epsilon,
-            beta: options.beta,
-            theta: options.theta,
-            score: options.effective_score().name().to_string(),
-            encoding: options.encoding.name().to_string(),
-            source_rows: data.n(),
-            comment: "server integration fixture".to_string(),
-        },
-        data.schema().clone(),
-        result.model,
-    )
-    .unwrap()
+    let settings =
+        FitSettings { comment: "server integration fixture".into(), ..FitSettings::default() };
+    fit_method(Method::PrivBayes, &data, 1.0, seed, &settings).unwrap().artifact
 }
 
 /// Starts a server with the fixture model loaded as `m` and a fresh
@@ -343,6 +331,68 @@ fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
     client.shutdown().unwrap();
     let stats = handle.join().unwrap();
     assert_eq!(stats.panics, 0, "{stats:?}");
+}
+
+/// A chunked request body is decoded, not left on the socket: one chunked
+/// POST gets exactly one 200 whose rows equal the `Content-Length`
+/// request's, and the kept-alive connection then serves the next request.
+#[test]
+fn a_chunked_request_body_gets_one_response_and_keeps_the_connection_in_step() {
+    let (handle, client, _registry, _ledger) = start_server();
+    let body = r#"{"rows": 5, "seed": 21}"#;
+    let plain = client
+        .request("POST", "/v1/models/m/synth", Some(("application/json", body.as_bytes())))
+        .unwrap();
+    assert_eq!(plain.code, 200);
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    let (first, second) = body.split_at(9);
+    write!(
+        stream,
+        "POST /v1/models/m/synth HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+         {:x}\r\n{first}\r\n{:x}\r\n{second}\r\n0\r\n\r\n",
+        first.len(),
+        second.len()
+    )
+    .unwrap();
+    let (head, rows) = read_chunked_response(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(rows, plain.text(), "chunked and Content-Length bodies are one request");
+
+    write!(stream, "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+    let mut rest = String::new();
+    stream.read_to_string(&mut rest).unwrap();
+    assert!(rest.starts_with("HTTP/1.1 200"), "{rest}");
+    assert_eq!(rest.matches("HTTP/1.1 ").count(), 1, "one response per request: {rest}");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// `privbayes_model_generation` mirrors the registry at scrape time: a model
+/// loaded before the server starts (what `serve --model` does) is listed at
+/// its generation, and an id loaded and then evicted over HTTP is gone.
+#[test]
+fn the_generation_gauge_lists_exactly_the_loaded_models() {
+    let (handle, client, registry, _ledger) = start_server();
+    let generation = registry.get("m").unwrap().generation;
+    client.load_model("other", &fixture_model(2)).unwrap();
+    client.load_model("other", &fixture_model(3)).unwrap();
+    client.evict_model("other").unwrap();
+
+    let snapshot = client.metrics().unwrap();
+    let listed: Vec<(&[(String, String)], f64)> = snapshot
+        .samples
+        .iter()
+        .filter(|s| s.name == "privbayes_model_generation")
+        .map(|s| (s.labels.as_slice(), s.value))
+        .collect();
+    let m = [("model".to_string(), "m".to_string())];
+    assert_eq!(listed, vec![(&m[..], generation as f64)]);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 /// Sends raw `bytes`, half-closes the write side, and returns whatever the

@@ -1,13 +1,16 @@
 //! Synthesizer-equivalence tier (PR 4).
 //!
-//! Two families of guarantees behind the unified synthesis layer:
+//! Three families of guarantees behind the unified synthesis layer:
 //!
 //! 1. **Engine/reference bit-identity.** Every engine-routed baseline
 //!    (Laplace, geometric, Contingency, Fourier, MWEM) produces tables
 //!    **bit-identical** to its pre-refactor `ContingencyTable::from_dataset`
 //!    reference (`privbayes_bench::reference`) for a fixed seed — the count
 //!    engine changed how marginals are *computed*, never what they *are*.
-//! 2. **Fit → serve → stream round-trips.** Every `Method` fits to a
+//! 2. **One PrivBayes fit.** `fit_method`'s `privbayes` and `privbayes-k`
+//!    learn the model the core pipeline learns for the same options and
+//!    seed, bit for bit.
+//! 3. **Fit → serve → stream round-trips.** Every `Method` fits to a
 //!    `privbayes-model/1` artifact that survives a JSON round-trip, loads
 //!    into the server registry, and streams rows byte-identical to the batch
 //!    sampling path — one serving core for the whole method family.
@@ -22,8 +25,11 @@ use privbayes_suite::baselines::{
     contingency_marginals, fourier_marginals, geometric_marginals, laplace_marginals,
     mwem_marginals, MwemOptions,
 };
+use privbayes_suite::core::{PrivBayes, PrivBayesOptions};
 use privbayes_suite::data::csv::write_csv;
+use privbayes_suite::data::encoding::EncodingKind;
 use privbayes_suite::data::{Attribute, Dataset, Schema};
+use privbayes_suite::datasets::adult::adult_sized;
 use privbayes_suite::marginals::{AlphaWayWorkload, ContingencyTable, CountEngine};
 use privbayes_suite::model::{Json, ReleasedModel};
 use privbayes_suite::server::{BudgetLedger, Client, ModelRegistry, Server, ServerConfig};
@@ -165,6 +171,46 @@ fn mwem_truths_are_served_by_projection_not_rescans() {
 
 /// Every method: fit → JSON round-trip → register → stream, with the
 /// streamed CSV byte-identical to the batch sampler.
+/// Both PrivBayes methods of `fit_method` are `PrivBayes::fit`: each case
+/// pairs `FitSettings` with the `PrivBayesOptions` they map to. 4,000 Adult
+/// rows at ε = 2 learn networks with edges; at ε = 0.8 on 800 rows the
+/// adaptive search learns none, and a model without edges proves nothing.
+#[test]
+fn fit_method_and_the_pipeline_learn_the_same_model() {
+    let data = adult_sized(3, 4000).data;
+    let epsilon = 2.0;
+    let options = PrivBayesOptions::new(epsilon);
+    let cases = [
+        (Method::PrivBayes, FitSettings::default(), options.clone()),
+        (
+            Method::PrivBayes,
+            FitSettings { encoding: EncodingKind::Hierarchical, ..FitSettings::default() },
+            options.clone().with_encoding(EncodingKind::Hierarchical),
+        ),
+        (
+            Method::PrivBayes,
+            FitSettings { consistency_rounds: 2, ..FitSettings::default() },
+            options.clone().with_consistency_rounds(2),
+        ),
+        (
+            Method::PrivBayesK,
+            FitSettings::default(),
+            PrivBayesOptions { fixed_k: Some(2), ..options.clone() },
+        ),
+    ];
+    for seed in [1u64, 7] {
+        for (method, settings, options) in &cases {
+            let case = format!("{method} with {options:?}, seed {seed}");
+            let fitted = fit_method(*method, &data, epsilon, seed, settings).unwrap();
+            let piped = PrivBayes::new(options.clone())
+                .synthesize(&data, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(fitted.artifact.model, piped.model, "{case}");
+            assert!(!piped.model.network.edges().is_empty(), "{case}: no edges learned");
+        }
+    }
+}
+
 #[test]
 fn every_method_fits_serves_and_streams_round_trip() {
     let data = mixed_data(500, 7);
