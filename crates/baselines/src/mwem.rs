@@ -108,12 +108,12 @@ impl MwemFit {
 /// Runs MWEM and returns the final full-domain weights (see
 /// [`mwem_marginals`] for the workload-answer wrapper).
 ///
-/// The exact workload answers ("truths") come from `engine`: when the full
-/// domain is small enough for the engine's cache, the full-domain joint is
-/// counted **once** and every workload truth is served by exact integer
-/// projection instead of a fresh row scan — the superset-projection fast
-/// path that makes engine-backed MWEM faster than the scan baseline while
-/// staying bit-identical to it.
+/// The exact workload answers ("truths") come from `engine`: when the
+/// engine's cache would retain the full-domain joint, that joint is counted
+/// **once** and every workload truth is its exact integer projection
+/// ([`CountTable::project`](privbayes_marginals::CountTable::project));
+/// otherwise each truth is its own engine request. Either way the truths
+/// are integer counts scaled by `1/n`, bit-identical to the scan baseline.
 ///
 /// # Panics
 /// Panics if the domain exceeds [`MAX_CELLS`], `epsilon <= 0`,
@@ -136,23 +136,23 @@ pub fn mwem_fit<R: Rng + ?Sized>(
     let n = engine.n() as f64;
     let projector = Projector::new(&dims);
 
-    // Warm the engine with the full-domain joint when its cache would retain
-    // it: every workload truth below then comes from one integer projection
-    // rather than a row scan. Skipped when the table would not be retained
-    // (projection would cost more than re-counting; the engine already
-    // optimises that trade-off per request).
-    if engine.retains(cells) {
-        let all_axes: Vec<Axis> = (0..dims.len()).map(Axis::raw).collect();
-        let _ = engine.joint_table(&all_axes);
-    }
-
-    // Exact workload answers (probability scale).
+    // Exact workload answers (probability scale). A full-domain joint the
+    // engine would retain is cheaper to count once and project per subset
+    // than to scan once per subset.
+    let all_axes: Vec<Axis> = (0..dims.len()).map(Axis::raw).collect();
+    let full = engine.retains(cells).then(|| engine.joint_counts(&all_axes));
     let truths: Vec<Vec<f64>> = workload
         .subsets()
         .iter()
         .map(|subset| {
-            let axes: Vec<Axis> = subset.iter().map(|&a| Axis::raw(a)).collect();
-            engine.joint_table(&axes).values().to_vec()
+            let table = match &full {
+                Some(full) => full.project(subset).to_contingency(engine.n()),
+                None => {
+                    let axes: Vec<Axis> = subset.iter().map(|&a| Axis::raw(a)).collect();
+                    engine.joint_table(&axes)
+                }
+            };
+            table.values().to_vec()
         })
         .collect();
 

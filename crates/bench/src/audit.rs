@@ -37,7 +37,10 @@
 //!    Bernoulli reps, so `P(|rate − p| ≥ t) ≤ 2e^{−2mt²}`; splitting δ over
 //!    the two rates gives `t = sqrt(ln(4/δ)/(2m))` and the advantage is off
 //!    by at most `2t` with probability ≥ 1 − δ. A breach therefore means a
-//!    real privacy bug (at confidence 1 − δ), not estimator noise.
+//!    real privacy bug (at confidence 1 − δ), not estimator noise. The
+//!    advantage never exceeds 1, so a point with `slack ≥ 1 − bound`
+//!    passes whatever is measured: it is [`vacuous`](AuditOutcome::vacuous),
+//!    and [`vacuous_verdict`] names the fewest reps at which it could fail.
 //!
 //! Utility (α = 2 workload TVD) is measured side by side so the audit
 //! table reads as the privacy column of a method-vs-ε comparison.
@@ -130,6 +133,13 @@ impl AuditOutcome {
     pub fn passes_gate(&self) -> bool {
         self.advantage <= self.bound + self.slack
     }
+
+    /// Whether the gate cannot fail at this rep count: the advantage never
+    /// exceeds 1, so once `slack ≥ 1 − bound` every measurement passes.
+    #[must_use]
+    pub fn vacuous(&self) -> bool {
+        self.slack >= 1.0 - self.bound
+    }
 }
 
 /// The analytic ε-DP ceiling on membership advantage for one neighbouring
@@ -145,6 +155,38 @@ pub fn advantage_bound(epsilon_spent: f64) -> f64 {
 #[must_use]
 pub fn hoeffding_slack(eval_reps: usize, delta: f64) -> f64 {
     2.0 * ((4.0 / delta).ln() / (2.0 * eval_reps as f64)).sqrt()
+}
+
+/// The verdict printed for a [`vacuous`](AuditOutcome::vacuous) point:
+/// `vacuous (needs ≥ N reps)`, where N is the fewest reps at which a point
+/// with this `bound` could fail at `delta`.
+#[must_use]
+pub fn vacuous_verdict(bound: f64, delta: f64) -> String {
+    gating_reps(bound, delta).map_or_else(
+        || "vacuous (no rep count can gate it)".to_string(),
+        |n| format!("vacuous (needs ≥ {n} reps)"),
+    )
+}
+
+/// The smallest even rep count whose slack at `delta` leaves room under 1
+/// for `bound`. `None` when no feasible count exists (`bound` at or within
+/// rounding of 1).
+fn gating_reps(bound: f64, delta: f64) -> Option<usize> {
+    let room = 1.0 - bound;
+    // slack(m) < room  ⇔  m > 2·ln(4/δ)/room²; start from that closed form
+    // and settle its rounding against `hoeffding_slack` itself.
+    let estimate = 2.0 * (4.0 / delta).ln() / (room * room);
+    if !(room > 0.0 && estimate < 1e15) {
+        return None;
+    }
+    let mut m = (estimate as usize).max(2);
+    while hoeffding_slack(m, delta) >= room {
+        m += 1;
+    }
+    while m > 2 && hoeffding_slack(m - 1, delta) < room {
+        m -= 1;
+    }
+    Some(2 * m)
 }
 
 /// The include/exclude neighbour pair around an outlier target tuple.
@@ -454,6 +496,33 @@ mod tests {
     fn slack_shrinks_with_reps_and_grows_with_confidence() {
         assert!(hoeffding_slack(20, 1e-2) > hoeffding_slack(80, 1e-2));
         assert!(hoeffding_slack(20, 1e-4) > hoeffding_slack(20, 1e-2));
+    }
+
+    #[test]
+    fn vacuous_flips_exactly_at_gating_reps() {
+        let point = |epsilon: f64, reps: usize| AuditOutcome {
+            method: "privbayes".into(),
+            epsilon,
+            epsilon_spent: epsilon,
+            advantage: 0.0,
+            tpr: 0.0,
+            fpr: 0.0,
+            bound: advantage_bound(epsilon),
+            slack: hoeffding_slack(reps / 2, 1e-2),
+            eval_reps: reps / 2,
+            avg_tvd_alpha2: 0.0,
+        };
+        for (epsilon, needed) in [(0.0, 24), (0.1, 28), (1.0, 84), (1.6, 214)] {
+            assert_eq!(gating_reps(advantage_bound(epsilon), 1e-2), Some(needed), "ε = {epsilon}");
+            assert!(point(epsilon, needed - 2).vacuous(), "ε = {epsilon} at {} reps", needed - 2);
+            assert!(!point(epsilon, needed).vacuous(), "ε = {epsilon} at {needed} reps");
+        }
+        // A vacuous point passes whatever is measured.
+        let mut saturated = point(1.0, 82);
+        saturated.advantage = 1.0;
+        assert!(saturated.passes_gate());
+        assert_eq!(vacuous_verdict(advantage_bound(1.0), 1e-2), "vacuous (needs ≥ 84 reps)");
+        assert_eq!(vacuous_verdict(1.0, 1e-2), "vacuous (no rep count can gate it)");
     }
 
     #[test]

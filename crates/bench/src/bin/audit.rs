@@ -9,15 +9,18 @@
 //!
 //! The run is a regression test, not just a report: any point whose
 //! measured advantage exceeds `(e^ε − 1)/(e^ε + 1)` beyond the seeded
-//! confidence slack makes the process **exit non-zero**. `uniform` spends
-//! no budget, so its bound is exactly 0 — the null-attacker calibration
-//! control that would catch a broken harness claiming leakage everywhere.
+//! confidence slack makes the process **exit 1**. A point whose slack
+//! leaves no room under an advantage of 1 cannot fail; it prints
+//! `vacuous (needs ≥ N reps)`, and a run in which every point is vacuous
+//! **exits 2**, since it gated nothing. `uniform` spends no budget, so its
+//! bound is exactly 0 — the null-attacker calibration control that would
+//! catch a broken harness claiming leakage everywhere.
 //!
 //! Usage: `audit [--quick] [--reps N] [--methods a,b,...] [--out DIR]`.
 
 use std::path::PathBuf;
 
-use privbayes_bench::audit::{audit_method, AuditConfig, AuditOutcome};
+use privbayes_bench::audit::{audit_method, vacuous_verdict, AuditConfig, AuditOutcome};
 use privbayes_data::{Attribute, Dataset, Schema};
 use privbayes_datasets::GroundTruthNetwork;
 use privbayes_synth::{FitSettings, Method};
@@ -40,7 +43,8 @@ fn parse_options() -> Options {
         match arg.as_str() {
             "--quick" => {
                 opts.quick = true;
-                opts.reps = 12;
+                // The fewest reps at which the ε = 1 point can fail.
+                opts.reps = 84;
             }
             "--reps" => {
                 let v = it.next().expect("--reps needs a value");
@@ -90,7 +94,8 @@ fn point_json(p: &AuditOutcome) -> String {
         concat!(
             "    {{\"method\": \"{}\", \"epsilon\": {}, \"epsilon_spent\": {}, ",
             "\"avg_tvd_alpha2\": {:.6}, \"advantage\": {:.6}, \"tpr\": {:.4}, \"fpr\": {:.4}, ",
-            "\"bound\": {:.6}, \"slack\": {:.6}, \"eval_reps\": {}, \"pass\": {}}}"
+            "\"bound\": {:.6}, \"slack\": {:.6}, \"eval_reps\": {}, \"pass\": {}, ",
+            "\"vacuous\": {}}}"
         ),
         p.method,
         p.epsilon,
@@ -102,7 +107,8 @@ fn point_json(p: &AuditOutcome) -> String {
         p.bound,
         p.slack,
         p.eval_reps,
-        p.passes_gate()
+        p.passes_gate(),
+        p.vacuous()
     )
 }
 
@@ -133,6 +139,13 @@ fn main() {
         for &epsilon in eps_grid {
             let point = audit_method(method, &data, epsilon, &settings, &cfg)
                 .unwrap_or_else(|e| panic!("{e}"));
+            let verdict = if point.vacuous() {
+                vacuous_verdict(point.bound, cfg.delta)
+            } else if point.passes_gate() {
+                "ok".to_string()
+            } else {
+                "LEAK > BOUND".to_string()
+            };
             println!(
                 "  {:<12} {:>5}  {:>8.4}  {:>10.4}  {:>7.4}  {:>7.4}  {}",
                 point.method,
@@ -141,7 +154,7 @@ fn main() {
                 point.advantage,
                 point.bound,
                 point.slack,
-                if point.passes_gate() { "ok" } else { "LEAK > BOUND" }
+                verdict
             );
             points.push(point);
         }
@@ -187,5 +200,14 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("privacy gate: all {} points under the analytic bound", points.len());
+    let vacuous = points.iter().filter(|p| p.vacuous()).count();
+    if vacuous == points.len() {
+        eprintln!("PRIVACY GATE VACUOUS: no point could fail at {} reps; raise --reps", cfg.reps);
+        std::process::exit(2);
+    }
+    println!(
+        "privacy gate: {} of {} points gated and under the analytic bound, {vacuous} vacuous",
+        points.len() - vacuous,
+        points.len()
+    );
 }

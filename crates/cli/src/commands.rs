@@ -7,7 +7,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
-use privbayes_bench::audit::{audit_method, AuditConfig};
+use privbayes_bench::audit::{audit_method, vacuous_verdict, AuditConfig};
 use privbayes_data::csv::{read_csv, write_csv};
 use privbayes_data::encoding::EncodingKind;
 use privbayes_data::{Dataset, Schema};
@@ -87,7 +87,8 @@ commands:
            advantage (TPR − FPR) against the analytic ε-DP ceiling
            (e^ε − 1)/(e^ε + 1). Exits with code 4 if the measured
            advantage breaches bound + confidence slack — an empirical
-           privacy violation, not a usage mistake.
+           privacy violation, not a usage mistake. Too few reps for the
+           gate to fail prints `vacuous (needs ≥ N reps)`.
 
   inspect  --model MODEL.json
            Print a released model's provenance and network structure
@@ -273,10 +274,9 @@ fn fit(args: &ParsedArgs) -> Result<String, CliError> {
     if args.verbose() {
         let s = fitted.stats;
         report.push_str(&format!(
-            "\nengine: {} scans, {} projections, {} cache hits, {} tables cached, \
-             {} bytes materialized\nengine time: scan {}µs\n{}",
+            "\nengine: {} scans, {} cache hits, {} tables cached, {} bytes materialized\n\
+             engine time: scan {}µs\n{}",
             s.scans,
-            s.projections,
             s.hits,
             s.cached_tables,
             s.bytes_materialized,
@@ -559,7 +559,12 @@ fn audit(args: &ParsedArgs) -> Result<String, CliError> {
             point.advantage, point.bound, point.slack
         )));
     }
-    out.push_str("verdict: measured advantage is under the analytic ε-DP bound\n");
+    let verdict = if point.vacuous() {
+        vacuous_verdict(point.bound, cfg.delta)
+    } else {
+        "measured advantage is under the analytic ε-DP bound".to_string()
+    };
+    out.push_str(&format!("verdict: {verdict}\n"));
     Ok(out)
 }
 
@@ -1125,8 +1130,8 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("method mwem"), "{out}");
-        assert!(out.contains("engine:"), "--verbose must print engine stats: {out}");
-        assert!(out.contains("projections"), "{out}");
+        assert!(out.contains("engine: 1 scans, 0 cache hits"), "one full-domain count: {out}");
+        assert!(!out.contains("projections"), "{out}");
 
         let out = run_cli(&["inspect", "--model", &model_path]).unwrap();
         assert!(out.contains("method:    mwem"), "{out}");
@@ -1624,7 +1629,7 @@ mod tests {
             "--schema",
             &schema_path,
             "--reps",
-            "8",
+            "84",
             "--seed",
             "11",
         ])
@@ -1650,6 +1655,8 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("at ε = 0.2"), "{out}");
+        // Four reps leave a slack no advantage can exceed.
+        assert!(out.contains("verdict: vacuous (needs ≥ 30 reps)"), "{out}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,22 +16,23 @@
 //!    backend whenever it supports the axes and the radix pass otherwise,
 //!    so callers have one entry point.
 //! 3. **Joint memoisation.** Materialised tables are cached keyed by the
-//!    *sorted* axis set. A request that is a subset of an already-counted
-//!    joint is answered by integer projection instead of a row scan — in
-//!    round r+1 of greedy learning almost every candidate was already
-//!    counted in round r. The memo serves one fit: an
+//!    *sorted* axis set, so a joint requested again — in any axis order —
+//!    is served without a scan: greedy learning re-scores most of round
+//!    r's candidates in round r+1. A request is either a cache hit or a
+//!    fresh scan, so the cost of a miss does not grow with the number of
+//!    tables cached. The memo serves one fit: an
 //!    [`append`](CountEngine::append) drops it, and the next fit counts
 //!    the grown columns afresh.
 //!
 //! # Determinism contract
 //!
-//! All strategies produce **identical integer counts** (counting is exact),
+//! Both backends produce **identical integer counts** (counting is exact),
 //! and probabilities are always derived as `count · (1/n)` — the same
 //! expression [`ContingencyTable::from_dataset`] uses. A joint served from
-//! the cache, derived by projection, counted by popcount, or counted by the
-//! radix pass is therefore **bit-identical**, regardless of which threads
-//! populated the cache in which order. This is what lets parallel candidate
-//! scoring reproduce the sequential scores exactly.
+//! the cache, counted by popcount, or counted by the radix pass is
+//! therefore **bit-identical**, regardless of which threads populated the
+//! cache in which order. This is what lets parallel candidate scoring
+//! reproduce the sequential scores exactly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -378,7 +379,9 @@ impl BitBackend {
 pub struct EngineStats {
     /// Requests answered from the cache without any computation.
     pub hits: usize,
-    /// Requests answered by projecting a cached superset joint.
+    /// Always 0: every request is a cache hit or a scan. Kept only because
+    /// the benchmark still reads it; it leaves with the benchmark's next
+    /// change.
     pub projections: usize,
     /// Requests that required a fresh pass over the rows.
     pub scans: usize,
@@ -402,8 +405,8 @@ pub struct EngineStats {
 ///
 /// * [`joint_table`](CountEngine::joint_table) is **bit-identical** to
 ///   [`ContingencyTable::from_dataset`] with the same axes on the underlying
-///   data — same counts, same `count · (1/n)` scaling expression — no matter
-///   how the answer was produced (fresh count, cache hit, projection).
+///   data — same counts, same `count · (1/n)` scaling expression — whether
+///   the answer is a cache hit or a fresh count.
 /// * Requests are pure: an engine consumes no randomness and its answers do
 ///   not depend on request order or thread interleaving.
 #[derive(Debug)]
@@ -414,7 +417,6 @@ pub struct CountEngine {
     /// Canonical tables keyed by the axis set sorted by (attr, level).
     cache: RwLock<HashMap<Vec<Axis>, Arc<CountTable>>>,
     hits: AtomicUsize,
-    projections: AtomicUsize,
     scans: AtomicUsize,
     bytes_materialized: AtomicU64,
     scan_nanos: AtomicU64,
@@ -438,7 +440,6 @@ impl CountEngine {
             bits,
             cache: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
-            projections: AtomicUsize::new(0),
             scans: AtomicUsize::new(0),
             bytes_materialized: AtomicU64::new(0),
             scan_nanos: AtomicU64::new(0),
@@ -547,7 +548,7 @@ impl CountEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
-            projections: self.projections.load(Ordering::Relaxed),
+            projections: 0,
             scans: self.scans.load(Ordering::Relaxed),
             cached_tables: self.cache.read().expect("cache lock poisoned").len(),
             bytes_materialized: self.bytes_materialized.load(Ordering::Relaxed),
@@ -555,43 +556,28 @@ impl CountEngine {
         }
     }
 
-    /// The canonical (sorted-axes) table: cache hit, projection from a cached
-    /// superset, or fresh materialisation — all bit-identical by the
-    /// determinism contract.
+    /// The canonical (sorted-axes) table: a cache hit or a fresh scan —
+    /// bit-identical by the determinism contract.
     fn canonical_table(&self, canonical: &[Axis]) -> Arc<CountTable> {
-        // Fast path: exact hit, plus superset search under the same read lock.
-        let from_superset = {
-            let cache = self.cache.read().expect("cache lock poisoned");
-            if let Some(hit) = cache.get(canonical) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(hit);
-            }
-            self.best_superset(&cache, canonical).map(|(key, positions)| {
-                (Arc::clone(cache.get(&key).expect("key just found")), positions)
-            })
-        };
+        if let Some(hit) = self.cache.read().expect("cache lock poisoned").get(canonical) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(hit);
+        }
 
-        let table = if let Some((superset, positions)) = from_superset {
-            self.projections.fetch_add(1, Ordering::Relaxed);
-            Arc::new(superset.project(&positions))
-        } else {
-            self.scans.fetch_add(1, Ordering::Relaxed);
-            let started = std::time::Instant::now();
-            let fresh = Arc::new(match &self.bits {
-                Some(bits) if bits.supports(canonical) => bits.materialise(canonical),
-                _ => self.radix.materialise(canonical),
-            });
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.scan_nanos.fetch_add(nanos, Ordering::Relaxed);
-            self.bytes_materialized.fetch_add(fresh.cell_count() as u64 * 8, Ordering::Relaxed);
-            fresh
-        };
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        let started = std::time::Instant::now();
+        let table = Arc::new(match &self.bits {
+            Some(bits) if bits.supports(canonical) => bits.materialise(canonical),
+            _ => self.radix.materialise(canonical),
+        });
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.scan_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.bytes_materialized.fetch_add(table.cell_count() as u64 * 8, Ordering::Relaxed);
 
-        // Tables past the projection budget are also not worth *retaining*:
-        // they are as expensive to hold as to recount, and an unbounded
-        // cache would otherwise accumulate every distinct candidate joint
-        // for the engine's lifetime.
-        if table.cell_count() > self.cell_budget() {
+        // Tables past the retention bound are as expensive to hold as to
+        // recount, and an unbounded cache would otherwise accumulate every
+        // distinct candidate joint until the next append.
+        if !self.retains(table.cell_count()) {
             return table;
         }
         let mut cache = self.cache.write().expect("cache lock poisoned");
@@ -600,69 +586,13 @@ impl CountEngine {
         Arc::clone(cache.entry(canonical.to_vec()).or_insert(table))
     }
 
-    /// Whether a table of `cells` cells would be retained by the cache
-    /// (callers use this to decide whether pre-warming a superset joint pays
-    /// off).
+    /// Whether a table of `cells` cells would be retained by the cache:
+    /// at most `4·n` cells, past which holding a table costs more than the
+    /// O(n·k) row scan that would recount it.
     #[must_use]
     pub fn retains(&self, cells: usize) -> bool {
-        cells <= self.cell_budget()
+        cells <= self.n.max(1).saturating_mul(4)
     }
-
-    /// Cell bound shared by caching and projection: a table past it costs
-    /// more to hold or to project than the O(n·k) row scan it would save.
-    fn cell_budget(&self) -> usize {
-        self.n.max(1).saturating_mul(4)
-    }
-
-    /// Finds the cached superset with the fewest cells whose projection is
-    /// cheaper than a fresh row scan. Returns the key and the positions of
-    /// `canonical`'s axes within it.
-    fn best_superset(
-        &self,
-        cache: &HashMap<Vec<Axis>, Arc<CountTable>>,
-        canonical: &[Axis],
-    ) -> Option<(Vec<Axis>, Vec<usize>)> {
-        // A projection touches every superset cell; past this it is cheaper
-        // to re-count the rows.
-        let budget = self.cell_budget();
-        let mut best: Option<(&Vec<Axis>, usize)> = None;
-        for (key, table) in cache {
-            if key.len() <= canonical.len() || table.cell_count() > budget {
-                continue;
-            }
-            if !is_sorted_subset(canonical, key) {
-                continue;
-            }
-            if best.is_none_or(|(_, cells)| table.cell_count() < cells) {
-                best = Some((key, table.cell_count()));
-            }
-        }
-        best.map(|(key, _)| {
-            let positions = canonical
-                .iter()
-                .map(|ax| key.iter().position(|k| k == ax).expect("subset checked"))
-                .collect();
-            (key.clone(), positions)
-        })
-    }
-}
-
-/// Whether sorted axis list `sub` is a subset of sorted axis list `sup`
-/// (merge walk; both sorted by (attr, level)).
-fn is_sorted_subset(sub: &[Axis], sup: &[Axis]) -> bool {
-    let mut it = sup.iter();
-    'outer: for a in sub {
-        for b in it.by_ref() {
-            if b == a {
-                continue 'outer;
-            }
-            if (b.attr, b.level) > (a.attr, a.level) {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -747,24 +677,36 @@ mod tests {
 
     #[test]
     fn bit_backend_matches_radix_and_from_dataset() {
-        let data = binary_dataset(321, 2);
+        // Full-size binary fits score five-way joints through the bit
+        // backend, so cover every arity up to 8, each requested unsorted;
+        // 321 rows leave the last mask word partial.
+        let schema =
+            Schema::new((0..10).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let rows: Vec<Vec<u32>> = (0..321)
+            .map(|_| {
+                let a = rng.random_range(0..2u32);
+                (0..10)
+                    .map(|j| if j % 3 == 0 { a } else { a ^ u32::from(rng.random_bool(0.3)) })
+                    .collect()
+            })
+            .collect();
+        let data = Dataset::from_rows(schema, &rows).unwrap();
         let engine = CountEngine::new(&data);
-        for axes in [
-            vec![Axis::raw(0)],
-            vec![Axis::raw(1), Axis::raw(0)],
-            vec![Axis::raw(2), Axis::raw(3), Axis::raw(1)],
-            vec![Axis::raw(0), Axis::raw(1), Axis::raw(2), Axis::raw(3)],
-        ] {
+        let bits = engine.bits.as_ref().unwrap();
+        for arity in 1..=8 {
+            let axes: Vec<Axis> =
+                (0..arity).rev().map(|i| Axis::raw((3 * i + arity) % 10)).collect();
+            assert!(arity == 1 || axes.windows(2).any(|w| w[0].attr > w[1].attr), "{axes:?}");
+            assert!(bits.supports(&axes));
+            assert_eq!(bits.materialise(&axes), engine.radix.materialise(&axes), "{axes:?}");
             assert_matches_from_dataset(&data, &engine, &axes);
-            // And the radix pass agrees with the popcount path exactly.
-            let bits = engine.bits.as_ref().unwrap().materialise(&axes);
-            let radix = engine.radix.materialise(&axes);
-            assert_eq!(bits, radix);
         }
+        assert_eq!(engine.stats().scans, 8);
     }
 
     #[test]
-    fn cache_serves_repeats_and_projections() {
+    fn cache_serves_repeats() {
         let data = mixed_dataset(200, 3);
         let engine = CountEngine::new(&data);
         let full = [Axis::raw(0), Axis::raw(1), Axis::raw(2)];
@@ -776,20 +718,19 @@ mod tests {
         assert_eq!(engine.stats().scans, 1);
         assert_eq!(engine.stats().hits, 1);
 
-        // A subset: served by projection, not a scan.
+        // A subset of a cached joint is a fresh scan, not a projection.
         let sub = engine.joint(&[Axis::raw(1), Axis::raw(0)]);
         let stats = engine.stats();
-        assert_eq!(stats.scans, 1);
-        assert_eq!(stats.projections, 1);
+        assert_eq!((stats.scans, stats.hits, stats.projections), (2, 1, 0));
         let direct = ContingencyTable::from_dataset(&data, &[Axis::raw(1), Axis::raw(0)]);
         for (a, b) in sub.iter().zip(direct.values()) {
-            assert!(a.to_bits() == b.to_bits(), "projection must be bit-identical");
+            assert!(a.to_bits() == b.to_bits(), "scan must be bit-identical");
         }
     }
 
     #[test]
     fn generalised_axis_is_not_served_from_raw_superset() {
-        // {c4@1} is not a projection of {c4@0, …}: levels must match exactly.
+        // {c4@1} shares no cache key with {c4@0, …}: levels must match exactly.
         let data = mixed_dataset(150, 4);
         let engine = CountEngine::new(&data);
         let _ = engine.joint(&[Axis::raw(1), Axis::raw(0)]);
@@ -965,15 +906,5 @@ mod tests {
     fn append_rejects_schema_mismatch() {
         let mut engine = CountEngine::new(&binary_dataset(10, 16));
         engine.append(&mixed_dataset(10, 16));
-    }
-
-    #[test]
-    fn sorted_subset_walk() {
-        let a = |attr, level| Axis { attr, level };
-        assert!(is_sorted_subset(&[a(1, 0)], &[a(0, 0), a(1, 0), a(2, 0)]));
-        assert!(is_sorted_subset(&[a(0, 0), a(2, 0)], &[a(0, 0), a(1, 0), a(2, 0)]));
-        assert!(!is_sorted_subset(&[a(1, 1)], &[a(0, 0), a(1, 0), a(2, 0)]));
-        assert!(!is_sorted_subset(&[a(3, 0)], &[a(0, 0), a(1, 0)]));
-        assert!(is_sorted_subset(&[], &[a(0, 0)]));
     }
 }

@@ -17,16 +17,17 @@
 //! scoring and equivalence tests in `privbayes`:
 //!
 //! * **Caching.** Tables are cached keyed by the *sorted* (attr, level) axis
-//!   set; a request whose axis set is a subset of a cached joint is answered
-//!   by integer projection instead of a fresh row scan. The cache is
+//!   set; a request is either a cache hit or a fresh row scan, so a miss
+//!   costs the same however many tables are cached. The cache is
 //!   thread-safe and lives until the engine's next `append`, which drops
 //!   it.
-//! * **Determinism.** Every materialisation strategy — radix row scan,
-//!   bit-packed popcount, cached projection — produces identical integer
-//!   counts, and probabilities are always `count · (1/n)`, the exact
-//!   expression [`ContingencyTable::from_dataset`] uses. Engine output is
-//!   therefore bit-identical to `from_dataset` regardless of cache state,
-//!   request order, or which thread populated the cache first.
+//! * **Determinism.** Both scan backends — radix row scan and bit-packed
+//!   popcount — produce identical integer counts, a cache hit returns the
+//!   counted table itself, and probabilities are always `count · (1/n)`,
+//!   the exact expression [`ContingencyTable::from_dataset`] uses. Engine
+//!   output is therefore bit-identical to `from_dataset` regardless of
+//!   cache state, request order, or which thread populated the cache
+//!   first.
 
 pub mod consistency;
 pub mod engine;

@@ -99,11 +99,6 @@ impl ServerMetrics {
             "CountEngine requests answered from cache across all fits",
         );
         registry.describe(
-            "privbayes_engine_projections_total",
-            MetricKind::Counter,
-            "CountEngine requests answered by projecting a cached superset",
-        );
-        registry.describe(
             "privbayes_engine_scans_total",
             MetricKind::Counter,
             "CountEngine requests that scanned the rows",
@@ -251,9 +246,6 @@ impl ServerMetrics {
     /// Accumulates one fit's engine counters into the process totals.
     pub fn record_engine(&self, stats: &privbayes_synth::EngineStats) {
         self.registry.counter("privbayes_engine_cache_hits_total", &[]).add(stats.hits as u64);
-        self.registry
-            .counter("privbayes_engine_projections_total", &[])
-            .add(stats.projections as u64);
         self.registry.counter("privbayes_engine_scans_total", &[]).add(stats.scans as u64);
         self.registry
             .counter("privbayes_engine_bytes_materialized_total", &[])

@@ -1384,7 +1384,6 @@ fn run_refit(shared: &Shared, job: &RefitJob) {
             let after = fitted.stats;
             shared.metrics.record_engine(&EngineStats {
                 hits: after.hits.saturating_sub(before.hits),
-                projections: after.projections.saturating_sub(before.projections),
                 scans: after.scans.saturating_sub(before.scans),
                 bytes_materialized: after
                     .bytes_materialized

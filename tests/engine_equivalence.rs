@@ -122,6 +122,39 @@ fn adaptive_networks_match_reference_on_mixed_schema() {
 }
 
 #[test]
+fn adaptive_networks_match_reference_on_binary_schema() {
+    // ACS's shape cut to 10 attributes. At n·ε₂ = 3,200 and θ = 4 every
+    // child may take four binary parents, so five-way joints run through
+    // the bit backend and the cache.
+    let attrs: Vec<usize> = (0..10).collect();
+    let data = privbayes_datasets::acs::acs_sized(5, 2000).data.project(&attrs).unwrap();
+    let settings = GreedySettings::private(ScoreKind::R, 0.5);
+    let reference = reference_greedy_adaptive(
+        &data,
+        4.0,
+        1.6,
+        false,
+        &settings,
+        &mut StdRng::seed_from_u64(41),
+    )
+    .unwrap();
+    assert!(reference.degree() >= 4, "degree {}", reference.degree());
+    for threads in [1usize, 4] {
+        let settings = settings.with_threads(threads);
+        let net = greedy_bayes_adaptive(
+            &data,
+            4.0,
+            1.6,
+            false,
+            &settings,
+            &mut StdRng::seed_from_u64(41),
+        )
+        .unwrap();
+        assert_eq!(net, reference, "threads={threads}");
+    }
+}
+
+#[test]
 fn pipeline_output_is_invariant_to_worker_count() {
     let data = mixed_data(2500, 4);
     for encoding in [EncodingKind::Vanilla, EncodingKind::Binary] {
