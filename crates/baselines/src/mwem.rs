@@ -109,8 +109,8 @@ impl MwemFit {
 /// [`mwem_marginals`] for the workload-answer wrapper).
 ///
 /// The exact workload answers ("truths") come from `engine`: when the
-/// engine's cache would retain the full-domain joint, that joint is counted
-/// **once** and every workload truth is its exact integer projection
+/// full-domain joint has at most `4·n` cells, that joint is counted **once**
+/// and every workload truth is its exact integer projection
 /// ([`CountTable::project`](privbayes_marginals::CountTable::project));
 /// otherwise each truth is its own engine request. Either way the truths
 /// are integer counts scaled by `1/n`, bit-identical to the scan baseline.
@@ -136,11 +136,12 @@ pub fn mwem_fit<R: Rng + ?Sized>(
     let n = engine.n() as f64;
     let projector = Projector::new(&dims);
 
-    // Exact workload answers (probability scale). A full-domain joint the
-    // engine would retain is cheaper to count once and project per subset
-    // than to scan once per subset.
+    // Exact workload answers (probability scale). A full-domain joint of at
+    // most 4·n cells is cheaper to count once and project per subset than to
+    // scan once per subset; past that, projecting it costs more than the
+    // O(n·k) scans it would save.
     let all_axes: Vec<Axis> = (0..dims.len()).map(Axis::raw).collect();
-    let full = engine.retains(cells).then(|| engine.joint_counts(&all_axes));
+    let full = (cells <= engine.n().saturating_mul(4)).then(|| engine.joint_counts(&all_axes));
     let truths: Vec<Vec<f64>> = workload
         .subsets()
         .iter()
@@ -272,6 +273,19 @@ mod tests {
         let projected = p.project(full.values(), &[1, 3]);
         for (a, b) in projected.iter().zip(direct.values()) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn full_joint_is_counted_once_only_within_four_n_cells() {
+        // 16 full-domain cells against 4·n: past the bound each of the six
+        // pair truths is its own scan, within it one full joint serves all.
+        let w = AlphaWayWorkload::new(4, 2);
+        for (n, scans) in [(3, 6), (4, 1)] {
+            let engine = CountEngine::new(&correlated(n, 4, 8));
+            let mut rng = StdRng::seed_from_u64(9);
+            let _ = mwem_fit(&engine, &w, 1.0, MwemOptions::default(), &mut rng);
+            assert_eq!(engine.stats().scans, scans, "n = {n}");
         }
     }
 

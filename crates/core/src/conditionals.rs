@@ -9,11 +9,10 @@
 //! [`noisy_conditionals_consistent_engine`] is its one body: zero
 //! consistency rounds is the paper's Algorithm 3.
 //!
-//! All joints are served by a [`CountEngine`]: the `*_engine` entry points
+//! All joints are counted by a [`CountEngine`]: the `*_engine` entry points
 //! take a caller-owned engine ([`crate::PrivBayes::fit`] shares one across
-//! structure and distribution learning, so AP-pair joints already counted
-//! during scoring are answered from the cache), while the `&Dataset` forms
-//! build a throwaway engine. Engine joints are bit-identical to a fresh
+//! structure and distribution learning), while the `&Dataset` forms build a
+//! throwaway engine. Engine joints are bit-identical to a fresh
 //! `ContingencyTable::from_dataset` scan, so which form is used never
 //! changes the output.
 
@@ -144,8 +143,7 @@ pub fn noisy_conditionals_general<R: Rng + ?Sized>(
     noisy_conditionals_general_engine(&CountEngine::new(data), network, epsilon2, rng)
 }
 
-/// [`noisy_conditionals_general`] over a caller-owned engine (joints already
-/// counted during structure learning come straight from the cache):
+/// [`noisy_conditionals_general`] over a caller-owned engine:
 /// [`noisy_conditionals_consistent_engine`] with zero rounds.
 ///
 /// # Errors

@@ -7,14 +7,16 @@
 //! either the exponential mechanism at ε₁/(d−1) per round (private) or an
 //! argmax (the paper's NoPrivacy / BestNetwork reference lines).
 //!
-//! All candidate joints are served by a per-run
-//! [`CountEngine`](privbayes_marginals::CountEngine) (radix-coded columns, a
-//! popcount fast path for binary axes, and cross-round joint memoisation),
-//! and each round's candidate list is scored by a pool of scoped threads.
-//! Scoring is deterministic — only [`select`] consumes randomness — and the
-//! engine's integer-count contract makes every score bit-identical to the
-//! sequential path, so the learned network does not depend on the worker
-//! count.
+//! All candidate joints are counted by a per-run
+//! [`CountEngine`](privbayes_marginals::CountEngine) (radix-coded columns
+//! and a popcount fast path for binary axes). [`CandidateScores`] scores
+//! each (child, parent set) candidate once per fit, counting a round's new
+//! candidates grouped by parent set on a pool of scoped threads. Scoring is
+//! deterministic — only [`select`] consumes randomness — and the engine's
+//! integer-count contract makes every score bit-identical to the sequential
+//! path, so the learned network does not depend on the worker count.
+
+use std::collections::HashMap;
 
 use privbayes_data::Dataset;
 use privbayes_dp::exponential::select_with_scale;
@@ -85,54 +87,146 @@ pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
 
 /// One candidate AP pair under consideration.
 #[derive(Debug, Clone)]
-struct Candidate {
-    child: usize,
-    parents: Vec<Axis>,
+pub struct Candidate {
+    /// The attribute to place.
+    pub child: usize,
+    /// Its candidate parents, in the order its joint is counted.
+    pub parents: Vec<Axis>,
 }
 
-/// Scores every candidate through the engine, preserving candidate order.
-/// With `threads > 1` the list is split into contiguous chunks scored by
-/// scoped workers; results are collected via the join handles, so the output
-/// is the in-order concatenation regardless of scheduling.
-fn score_candidates(
-    engine: &CountEngine,
-    candidates: &[Candidate],
+/// The candidate scores of one greedy search, kept for the whole fit.
+///
+/// A candidate's score depends only on the data, so each (child, parent
+/// set) pair is counted and scored once per fit. A round's unscored
+/// candidates are those whose parent set holds the attribute placed last
+/// (a maximal set of `V ∪ {a}` that leaves out `a` is maximal in `V`);
+/// they are grouped by parent set, and each group is counted by one
+/// [`CountEngine::child_joints`] pass. The groups are dealt to the scoring
+/// threads in a strided split, which keeps the threads' work comparable
+/// when one round's new groups are contiguous. Candidate order never
+/// depends on the threads, so neither does the learned network.
+#[derive(Debug)]
+pub struct CandidateScores<'e> {
+    engine: &'e CountEngine,
     score: ScoreKind,
     threads: usize,
-) -> Result<Vec<f64>, PrivBayesError> {
-    let score_chunk = |chunk: &[Candidate]| -> Result<Vec<f64>, PrivBayesError> {
-        let mut axes: Vec<Axis> = Vec::new();
-        let mut joint: Vec<f64> = Vec::new();
-        chunk
-            .iter()
-            .map(|cand| {
-                axes.clear();
-                axes.extend_from_slice(&cand.parents);
-                axes.push(Axis::raw(cand.child));
-                engine.joint_into(&axes, &mut joint);
-                let child_dim = engine.schema().attribute(cand.child).domain_size();
-                score.compute(&joint, child_dim, engine.n())
-            })
-            .collect()
-    };
+    /// Kept scores, indexed by child and keyed by parent set.
+    kept: Vec<HashMap<Vec<Axis>, f64>>,
+}
 
-    let workers = threads.min(candidates.len()).max(1);
-    if workers == 1 {
-        return score_chunk(candidates);
+impl<'e> CandidateScores<'e> {
+    /// An empty score store over `engine`; `threads` as
+    /// [`GreedySettings::threads`].
+    #[must_use]
+    pub fn new(engine: &'e CountEngine, score: ScoreKind, threads: Option<usize>) -> Self {
+        let kept = vec![HashMap::new(); engine.schema().len()];
+        Self { engine, score, threads: resolve_threads(threads), kept }
     }
-    let chunk_len = candidates.len().div_ceil(workers);
-    let per_chunk: Vec<Result<Vec<f64>, PrivBayesError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || score_chunk(chunk)))
+
+    /// One round's candidates and their scores, in candidate order: each
+    /// child paired with every set that `parent_sets` returns for the
+    /// child's domain size, or with the empty set when it returns none.
+    /// `parent_sets` is called once per distinct domain size. `children`
+    /// are the attributes still to place; the kept scores of every other
+    /// attribute are dropped.
+    ///
+    /// # Errors
+    /// Returns the first score failure, in parent-set order.
+    pub fn round(
+        &mut self,
+        children: impl IntoIterator<Item = usize>,
+        mut parent_sets: impl FnMut(usize) -> Vec<Vec<Axis>>,
+    ) -> Result<(Vec<Candidate>, Vec<f64>), PrivBayesError> {
+        let (engine, score) = (self.engine, self.score);
+        let schema = engine.schema();
+        let children: Vec<usize> = children.into_iter().collect();
+        for (child, kept) in self.kept.iter_mut().enumerate() {
+            if !children.contains(&child) {
+                *kept = HashMap::new();
+            }
+        }
+        let mut sets_by_size: Vec<(usize, Vec<Vec<Axis>>)> = Vec::new();
+        let mut candidates = Vec::new();
+        for child in children {
+            let size = schema.attribute(child).domain_size();
+            let i = sets_by_size.iter().position(|&(s, _)| s == size).unwrap_or_else(|| {
+                sets_by_size.push((size, parent_sets(size)));
+                sets_by_size.len() - 1
+            });
+            match sets_by_size[i].1.as_slice() {
+                // Algorithm 4 lines 7–8: even Pr[X] violates θ-usefulness;
+                // model X as independent so every attribute is covered.
+                [] => candidates.push(Candidate { child, parents: Vec::new() }),
+                sets => candidates.extend(
+                    sets.iter().map(|parents| Candidate { child, parents: parents.clone() }),
+                ),
+            }
+        }
+
+        // The kept scores in candidate order, and the indices of the
+        // unscored candidates grouped by parent set in candidate order.
+        let mut scores: Vec<Option<f64>> = Vec::with_capacity(candidates.len());
+        let mut groups: Vec<(&[Axis], Vec<usize>)> = Vec::new();
+        let mut group_of: HashMap<&[Axis], usize> = HashMap::new();
+        for (i, c) in candidates.iter().enumerate() {
+            let kept = self.kept[c.child].get(&c.parents).copied();
+            if kept.is_none() {
+                let g = *group_of.entry(&c.parents).or_insert_with(|| {
+                    groups.push((&c.parents, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[g].1.push(i);
+            }
+            scores.push(kept);
+        }
+        let score_group = |(parents, at): &(&[Axis], Vec<usize>)| {
+            let children: Vec<usize> = at.iter().map(|&i| candidates[i].child).collect();
+            let mut joint = Vec::new();
+            let tables = engine.child_joints(parents, &children);
+            tables
+                .iter()
+                .zip(&children)
+                .map(|(table, &child)| {
+                    table.probs_into(engine.n(), &mut joint);
+                    score.compute(&joint, schema.attribute(child).domain_size(), engine.n())
+                })
+                .collect::<Result<Vec<f64>, PrivBayesError>>()
+        };
+        let scored = map_strided(&groups, self.threads.min(groups.len()), score_group);
+        for ((parents, at), group_scores) in groups.iter().zip(scored) {
+            for (&i, score) in at.iter().zip(group_scores?) {
+                self.kept[candidates[i].child].insert(parents.to_vec(), score);
+                scores[i] = Some(score);
+            }
+        }
+        let scores = scores.into_iter().map(|s| s.expect("every candidate is scored")).collect();
+        Ok((candidates, scores))
+    }
+}
+
+/// `f` over every item, in item order, on `workers` scoped threads that
+/// take the items in a strided split: worker `w` takes items `w`,
+/// `w + workers`, ….
+fn map_strided<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || items.iter().skip(w).step_by(workers).map(f).collect()))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("scoring worker panicked")).collect()
-    });
-    let mut scores = Vec::with_capacity(candidates.len());
-    for chunk in per_chunk {
-        scores.extend(chunk?);
-    }
-    Ok(scores)
+        let mut dealt: Vec<std::vec::IntoIter<R>> = handles
+            .into_iter()
+            .map(|h| h.join().expect("scoring worker panicked"))
+            .map(Vec::into_iter)
+            .collect();
+        (0..items.len()).map(|i| dealt[i % workers].next().expect("one result per item")).collect()
+    })
 }
 
 /// All size-`k` subsets of `items` (the paper's `(V choose k)`).
@@ -192,8 +286,7 @@ fn select<R: Rng + ?Sized>(
 
 /// Algorithm 2: GreedyBayes with a fixed degree `k` (binary encodings).
 /// Builds a fresh [`CountEngine`] over `data`; callers that already hold an
-/// engine (and want its cache shared with distribution learning) should use
-/// [`greedy_bayes_fixed_k_engine`].
+/// engine should use [`greedy_bayes_fixed_k_engine`].
 ///
 /// # Errors
 /// Returns [`PrivBayesError`] on score failures or invalid configuration.
@@ -207,8 +300,7 @@ pub fn greedy_bayes_fixed_k<R: Rng + ?Sized>(
 }
 
 /// [`greedy_bayes_fixed_k`] over a caller-owned engine. The learned network
-/// depends only on the underlying data and `rng` — never on the engine's
-/// cache state — so sharing an engine across phases is purely a speedup.
+/// depends only on the underlying data and `rng`.
 ///
 /// # Errors
 /// Returns [`PrivBayesError`] on score failures or invalid configuration.
@@ -226,7 +318,7 @@ pub fn greedy_bayes_fixed_k_engine<R: Rng + ?Sized>(
     let k = k.min(settings.max_degree).min(d - 1);
     let n = engine.n();
     let all_binary = schema.all_binary();
-    let threads = resolve_threads(settings.threads);
+    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads);
 
     let first = rng.random_range(0..d);
     let mut pairs = vec![ApPair::new(first, vec![])];
@@ -235,18 +327,12 @@ pub fn greedy_bayes_fixed_k_engine<R: Rng + ?Sized>(
     let mut v = vec![first];
 
     for _ in 2..=d {
-        let subset_size = k.min(v.len());
-        let parent_sets = combinations(&v, subset_size);
-        let mut candidates = Vec::new();
-        for child in (0..d).filter(|&x| !in_v[x]) {
-            for parents in &parent_sets {
-                candidates.push(Candidate {
-                    child,
-                    parents: parents.iter().copied().map(Axis::raw).collect(),
-                });
-            }
-        }
-        let scores = score_candidates(engine, &candidates, settings.score, threads)?;
+        let parent_sets: Vec<Vec<Axis>> = combinations(&v, k.min(v.len()))
+            .into_iter()
+            .map(|set| set.into_iter().map(Axis::raw).collect())
+            .collect();
+        let (mut candidates, scores) =
+            scorer.round((0..d).filter(|&x| !in_v[x]), |_| parent_sets.clone())?;
         let chosen = select(&scores, settings, d, n, all_binary, rng)?;
         let c = candidates.swap_remove(chosen);
         in_v[c.child] = true;
@@ -260,7 +346,7 @@ pub fn greedy_bayes_fixed_k_engine<R: Rng + ?Sized>(
 /// (vanilla and hierarchical encodings). `use_taxonomy` enables generalised
 /// parent sets (Algorithm 6) where taxonomy trees are available. Builds a
 /// fresh [`CountEngine`] over `data`; see [`greedy_bayes_adaptive_engine`]
-/// for the shared-engine form.
+/// for the caller-owned-engine form.
 ///
 /// # Errors
 /// Returns [`PrivBayesError`] on score failures or invalid configuration.
@@ -283,8 +369,7 @@ pub fn greedy_bayes_adaptive<R: Rng + ?Sized>(
 }
 
 /// [`greedy_bayes_adaptive`] over a caller-owned engine. The learned network
-/// depends only on the underlying data and `rng` — never on the engine's
-/// cache state — so sharing an engine across phases is purely a speedup.
+/// depends only on the underlying data and `rng`.
 ///
 /// # Errors
 /// Returns [`PrivBayesError`] on score failures or invalid configuration.
@@ -303,7 +388,7 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
     }
     let n = engine.n();
     let all_binary = schema.all_binary();
-    let threads = resolve_threads(settings.threads);
+    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads);
     let domain_sizes = schema.domain_sizes();
     let level_sizes: Vec<Vec<usize>> = schema
         .attributes()
@@ -321,28 +406,19 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
     let mut v = vec![first];
 
     for _ in 2..=d {
-        let mut candidates = Vec::new();
-        for child in (0..d).filter(|&x| !in_v[x]) {
-            let tau = tau_for_child(n, d, epsilon2, theta, domain_sizes[child]);
-            let tops: Vec<Vec<Axis>> = if use_taxonomy {
+        // τ depends on the child only through its domain size.
+        let tops = |child_domain: usize| {
+            let tau = tau_for_child(n, d, epsilon2, theta, child_domain);
+            if use_taxonomy {
                 maximal_parent_sets_generalized(&v, &level_sizes, tau, settings.max_degree)
             } else {
                 maximal_parent_sets(&v, &domain_sizes, tau, settings.max_degree)
                     .into_iter()
                     .map(|s| s.into_iter().map(Axis::raw).collect())
                     .collect()
-            };
-            if tops.is_empty() {
-                // Algorithm 4 lines 7–8: even Pr[X] violates θ-usefulness;
-                // model X as independent so every attribute is covered.
-                candidates.push(Candidate { child, parents: Vec::new() });
-            } else {
-                for parents in tops {
-                    candidates.push(Candidate { child, parents });
-                }
             }
-        }
-        let scores = score_candidates(engine, &candidates, settings.score, threads)?;
+        };
+        let (mut candidates, scores) = scorer.round((0..d).filter(|&x| !in_v[x]), tops)?;
         let chosen = select(&scores, settings, d, n, all_binary, rng)?;
         let c = candidates.swap_remove(chosen);
         in_v[c.child] = true;
@@ -430,6 +506,39 @@ mod tests {
                 assert_eq!(run(threads), sequential, "{score:?} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn each_candidate_is_counted_once_per_fit() {
+        // Ten binary attributes: every round re-offers most of the previous
+        // round's candidates, and only the new ones may be counted.
+        let schema =
+            Schema::new((0..10).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let rows: Vec<Vec<u32>> = (0..321)
+            .map(|_| {
+                let a = rng.random_range(0..2u32);
+                (0..10).map(|_| a ^ u32::from(rng.random_bool(0.3))).collect()
+            })
+            .collect();
+        let data = Dataset::from_rows(schema, &rows).unwrap();
+        let engine = CountEngine::new(&data);
+        let settings = GreedySettings::private(ScoreKind::R, 1.0).with_threads(3);
+        let net =
+            greedy_bayes_fixed_k_engine(&engine, 2, &settings, &mut StdRng::seed_from_u64(18))
+                .unwrap();
+
+        let order: Vec<usize> = net.pairs().iter().map(|p| p.child).collect();
+        let mut distinct = std::collections::HashSet::new();
+        for placed in 1..order.len() {
+            let v = &order[..placed];
+            for set in combinations(v, 2.min(placed)) {
+                for &child in &order[placed..] {
+                    distinct.insert((child, set.clone()));
+                }
+            }
+        }
+        assert_eq!(engine.stats().scans, distinct.len());
     }
 
     #[test]
@@ -526,7 +635,9 @@ mod tests {
                 greedy_bayes_adaptive(&data, 4.0, 0.6, use_taxonomy, &settings, &mut rng).unwrap()
             };
             let sequential = run(1);
-            assert_eq!(run(4), sequential, "taxonomy={use_taxonomy} {score:?}");
+            for threads in [2, 3, 8] {
+                assert_eq!(run(threads), sequential, "taxonomy={use_taxonomy} {score:?} {threads}");
+            }
         }
     }
 

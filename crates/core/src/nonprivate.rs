@@ -9,8 +9,8 @@ use crate::score::mi::mutual_information;
 
 /// Sum of mutual information `Σᵢ I(Xᵢ, Πᵢ)` of a network measured on `data`
 /// — the network-quality metric plotted in Figure 4 (maximising it minimises
-/// the KL divergence of Equation 6). Joints come from a [`CountEngine`], so
-/// sub-marginals shared between AP pairs are counted once.
+/// the KL divergence of Equation 6). Joints are counted by a
+/// [`CountEngine`].
 #[must_use]
 pub fn sum_mutual_information(data: &Dataset, network: &BayesianNetwork) -> f64 {
     let engine = CountEngine::new(data);

@@ -243,8 +243,7 @@ impl PrivBayes {
     /// (Algorithm 2 for the bitwise encodings or a fixed `k`, Algorithm 4
     /// otherwise), then the noisy conditionals (Algorithm 1 for the bitwise
     /// encodings, Algorithm 3 with the configured consistency rounds
-    /// otherwise). One engine serves both phases, so AP-pair joints counted
-    /// while scoring are cache hits when the conditionals materialise them.
+    /// otherwise). One engine counts the joints of both phases.
     ///
     /// Returns the model and its degree: `k` for Algorithm 2, the learned
     /// degree for Algorithm 4. Randomness is drawn from `rng` in that order

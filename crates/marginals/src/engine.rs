@@ -1,8 +1,8 @@
 //! `CountEngine`: the shared joint-count engine behind network learning.
 //!
-//! GreedyBayes materialises `d·C(d+1, k+1)` candidate joints (§4.1); doing
-//! that with a fresh row scan per candidate is the dominant cost of the whole
-//! pipeline. The engine makes candidate joints cheap three ways:
+//! GreedyBayes scores up to `d·C(d+1, k+1)` candidate joints (§4.1); doing
+//! that with a fresh row-by-row scan per candidate is the dominant cost of
+//! the whole pipeline. The engine makes candidate joints cheap three ways:
 //!
 //! 1. **Radix-coded columns.** Every requested (attribute, level) axis is
 //!    encoded once into a dense `u32` code column (level 0 borrows the
@@ -15,28 +15,30 @@
 //!    full-size NLTCS/ACS learning tractable. The engine picks the bit
 //!    backend whenever it supports the axes and the radix pass otherwise,
 //!    so callers have one entry point.
-//! 3. **Joint memoisation.** Materialised tables are cached keyed by the
-//!    *sorted* axis set, so a joint requested again — in any axis order —
-//!    is served without a scan: greedy learning re-scores most of round
-//!    r's candidates in round r+1. A request is either a cache hit or a
-//!    fresh scan, so the cost of a miss does not grow with the number of
-//!    tables cached. The memo serves one fit: an
-//!    [`append`](CountEngine::append) drops it, and the next fit counts
-//!    the grown columns afresh.
+//! 3. **Children counted against shared parents.** A search scores many
+//!    children against the same parent set.
+//!    [`child_joints`](CountEngine::child_joints) counts `[parents…, child]`
+//!    for all of them in one pass over blocks of rows: the parents' AND
+//!    masks (bit backend) or cell index (radix) are built once per block
+//!    and shared by every child.
+//!
+//! The engine keeps no tables: every request counts the rows, and an
+//! [`append`](CountEngine::append) only grows the columns. Callers that
+//! need a joint twice keep it themselves, as the greedy search keeps its
+//! scores.
 //!
 //! # Determinism contract
 //!
 //! Both backends produce **identical integer counts** (counting is exact),
 //! and probabilities are always derived as `count · (1/n)` — the same
-//! expression [`ContingencyTable::from_dataset`] uses. A joint served from
-//! the cache, counted by popcount, or counted by the radix pass is
-//! therefore **bit-identical**, regardless of which threads populated the
-//! cache in which order. This is what lets parallel candidate scoring
-//! reproduce the sequential scores exactly.
+//! expression [`ContingencyTable::from_dataset`] uses. A joint counted by
+//! popcount, by the radix pass, alone or in a group of children, is
+//! therefore **bit-identical**, whichever thread asks for it. This is what
+//! lets parallel candidate scoring reproduce the sequential scores exactly.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use privbayes_data::{Dataset, Schema};
 
@@ -253,7 +255,61 @@ impl RadixBackend {
         }
         CountTable { axes: axes.to_vec(), dims, counts }
     }
+
+    /// Counts `[parents…, child]` for every raw attribute in `children`.
+    /// Each block of `BLOCK_ROWS` rows gets its parent cell index built
+    /// once, and then one pass per child: a child of domain `c` lands in
+    /// cell `parent_cell·c + code`, the row-major layout of the full axes.
+    fn child_counts(&self, parents: &[Axis], children: &[usize]) -> Vec<CountTable> {
+        let dims: Vec<usize> = parents.iter().map(|a| a.size(&self.schema)).collect();
+        let mut strides = vec![1usize; parents.len()];
+        for i in (0..parents.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
+        }
+        let parent_cells: usize = dims.iter().product();
+        let cols: Vec<(&[u32], usize)> =
+            parents.iter().zip(&strides).map(|(&axis, &s)| (self.codes(axis), s)).collect();
+        let kids: Vec<(&[u32], usize)> = children
+            .iter()
+            .map(|&c| (&self.columns[c][..], self.schema.attribute(c).domain_size()))
+            .collect();
+        let mut counts: Vec<Vec<u64>> =
+            kids.iter().map(|&(_, size)| vec![0; parent_cells * size]).collect();
+
+        let mut cell = Vec::with_capacity(BLOCK_ROWS.min(self.n));
+        for start in (0..self.n).step_by(BLOCK_ROWS) {
+            let rows = start..(start + BLOCK_ROWS).min(self.n);
+            cell.clear();
+            cell.resize(rows.len(), 0usize);
+            for &(col, stride) in &cols {
+                for (c, &code) in cell.iter_mut().zip(&col[rows.clone()]) {
+                    *c += code as usize * stride;
+                }
+            }
+            for (table, &(col, size)) in counts.iter_mut().zip(&kids) {
+                for (&c, &code) in cell.iter().zip(&col[rows.clone()]) {
+                    table[c * size + code as usize] += 1;
+                }
+            }
+        }
+        children
+            .iter()
+            .zip(counts)
+            .zip(&kids)
+            .map(|((&child, counts), &(_, size))| {
+                let mut axes = parents.to_vec();
+                axes.push(Axis::raw(child));
+                let mut table_dims = dims.clone();
+                table_dims.push(size);
+                CountTable { axes, dims: table_dims, counts }
+            })
+            .collect()
+    }
 }
+
+/// Rows per block of a [`CountEngine::child_joints`] pass: 64 mask words,
+/// so a block's scratch stays in cache and never grows with `n`.
+const BLOCK_ROWS: usize = 4096;
 
 /// Bit-packed columns of the binary attributes: joints over raw binary axes
 /// come from AND + popcount chains instead of row scans.
@@ -316,76 +372,94 @@ impl BitBackend {
             && axes.iter().all(|a| a.level == 0 && !self.cols[a.attr].is_empty())
     }
 
-    /// Counts via the subset-AND lattice plus a Möbius transform from
-    /// "all-ones" counts to exact cell counts; layout matches
-    /// [`ContingencyTable::from_dataset`] with the same axes.
-    fn materialise(&self, axes: &[Axis]) -> CountTable {
-        let m = axes.len();
-        let cells = 1usize << m;
-        let mut counts = vec![0i64; cells];
-        // AND products for subsets of size ≥ 2; singleton subsets borrow the
-        // attribute column directly instead of cloning it.
-        let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); cells];
-
-        // ones[s] = #rows where every attribute in s is 1. Bit p of `s`
-        // corresponds to axes[m-1-p], so `s` doubles as the cell index of
-        // the all-ones pattern restricted to s.
-        counts[0] = self.n as i64;
-        for s in 1..cells {
-            let low = s.trailing_zeros() as usize;
-            let rest = s & (s - 1);
-            let col = &self.cols[axes[m - 1 - low].attr];
-            if rest == 0 {
-                counts[s] = col.iter().map(|w| i64::from(w.count_ones())).sum();
-                continue;
+    /// Counts `[parents…, child]` for every child (each a raw binary
+    /// attribute) via the subset-AND lattice plus a Möbius transform from
+    /// "all-ones" counts to exact cell counts; the layout matches
+    /// [`ContingencyTable::from_dataset`] with the same axes. Per block of
+    /// mask words, every parent subset's AND mask is built once, and each
+    /// child costs one AND + popcount per subset.
+    fn child_counts(&self, parents: &[Axis], children: &[usize]) -> Vec<CountTable> {
+        const BLOCK: usize = BLOCK_ROWS / 64;
+        let m = parents.len();
+        let subsets = 1usize << m;
+        // Bit p of a subset index stands for parents[m-1-p], so `s << 1`
+        // (plus the child's bit) is the cell index of the all-ones pattern
+        // restricted to s.
+        let cols: Vec<&[u64]> = parents.iter().rev().map(|a| &self.cols[a.attr][..]).collect();
+        let kids: Vec<&[u64]> = children.iter().map(|&c| &self.cols[c][..]).collect();
+        // ones[s]: rows where every parent in s is 1; kid_ones[k][s]: the
+        // same rows with child k also 1.
+        let mut ones = vec![0i64; subsets];
+        let mut kid_ones = vec![vec![0i64; subsets]; kids.len()];
+        // masks[s·BLOCK..]: the block's AND of the parents in s (all ones
+        // for the empty set).
+        let mut masks = vec![!0u64; subsets * BLOCK];
+        let words = self.n.div_ceil(64);
+        for start in (0..words).step_by(BLOCK) {
+            let block = start..(start + BLOCK).min(words);
+            for s in 1..subsets {
+                let rest = s & (s - 1);
+                let col = &cols[s.trailing_zeros() as usize][block.clone()];
+                let (done, todo) = masks.split_at_mut(s * BLOCK);
+                let mut c = 0i64;
+                for ((o, &a), &b) in todo.iter_mut().zip(&done[rest * BLOCK..]).zip(col) {
+                    *o = a & b;
+                    c += i64::from(o.count_ones());
+                }
+                ones[s] += c;
             }
-            let prev: &[u64] = if rest & (rest - 1) == 0 {
-                // Singleton remainder: borrow its column.
-                &self.cols[axes[m - 1 - rest.trailing_zeros() as usize].attr]
-            } else {
-                &scratch[rest]
-            };
-            let mut out = vec![0u64; col.len()];
-            let mut c = 0i64;
-            for ((o, &a), &b) in out.iter_mut().zip(prev).zip(col) {
-                *o = a & b;
-                c += i64::from(o.count_ones());
-            }
-            counts[s] = c;
-            scratch[s] = out;
-        }
-        // Möbius: convert "attr unconstrained" to "attr = 0", bit by bit.
-        for p in 0..m {
-            let bit = 1usize << p;
-            for s in 0..cells {
-                if s & bit == 0 {
-                    counts[s] -= counts[s | bit];
+            for (kid, counts) in kids.iter().zip(&mut kid_ones) {
+                let kid = &kid[block.clone()];
+                for (count, mask) in counts.iter_mut().zip(masks.chunks_exact(BLOCK)) {
+                    let c: u32 = mask.iter().zip(kid).map(|(&a, &b)| (a & b).count_ones()).sum();
+                    *count += i64::from(c);
                 }
             }
         }
-        CountTable {
-            axes: axes.to_vec(),
-            dims: vec![2; m],
-            counts: counts.into_iter().map(|c| c as u64).collect(),
-        }
+        ones[0] = self.n as i64;
+
+        children
+            .iter()
+            .zip(kid_ones)
+            .map(|(&child, kid)| {
+                let mut counts: Vec<i64> =
+                    ones.iter().zip(&kid).flat_map(|(&without, &with)| [without, with]).collect();
+                // Möbius: convert "attr unconstrained" to "attr = 0", bit by bit.
+                for p in 0..=m {
+                    let bit = 1usize << p;
+                    for s in 0..counts.len() {
+                        if s & bit == 0 {
+                            counts[s] -= counts[s | bit];
+                        }
+                    }
+                }
+                let mut axes = parents.to_vec();
+                axes.push(Axis::raw(child));
+                CountTable {
+                    axes,
+                    dims: vec![2; m + 1],
+                    counts: counts.into_iter().map(|c| c as u64).collect(),
+                }
+            })
+            .collect()
     }
 }
 
-/// Cache effectiveness and count-scan cost counters (see
-/// [`CountEngine::stats`]). All fields are integers with zero defaults,
-/// keeping the struct `Eq` and a no-work fit equal to
-/// `EngineStats::default()`.
+/// Count-scan cost counters (see [`CountEngine::stats`]). All fields are
+/// integers with zero defaults, keeping the struct `Eq` and a no-work fit
+/// equal to `EngineStats::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Requests answered from the cache without any computation.
+    /// Always 0: the engine keeps no table cache. Kept only because the
+    /// benchmark still reads it; it leaves with the benchmark's next change.
     pub hits: usize,
-    /// Always 0: every request is a cache hit or a scan. Kept only because
-    /// the benchmark still reads it; it leaves with the benchmark's next
-    /// change.
+    /// Always 0, as `hits`.
     pub projections: usize,
-    /// Requests that required a fresh pass over the rows.
+    /// Joint tables counted from the rows: one per
+    /// [`joint_counts`](CountEngine::joint_counts) request and one per
+    /// child of a [`child_joints`](CountEngine::child_joints) group.
     pub scans: usize,
-    /// Tables currently cached.
+    /// Always 0, as `hits`.
     pub cached_tables: usize,
     /// Bytes of count tables materialized by scans (8 bytes per cell).
     pub bytes_materialized: u64,
@@ -405,8 +479,9 @@ pub struct EngineStats {
 ///
 /// * [`joint_table`](CountEngine::joint_table) is **bit-identical** to
 ///   [`ContingencyTable::from_dataset`] with the same axes on the underlying
-///   data — same counts, same `count · (1/n)` scaling expression — whether
-///   the answer is a cache hit or a fresh count.
+///   data — same counts, same `count · (1/n)` scaling expression — and each
+///   table of [`child_joints`](CountEngine::child_joints) equals the single
+///   joint over the same axes.
 /// * Requests are pure: an engine consumes no randomness and its answers do
 ///   not depend on request order or thread interleaving.
 #[derive(Debug)]
@@ -414,9 +489,6 @@ pub struct CountEngine {
     n: usize,
     radix: RadixBackend,
     bits: Option<BitBackend>,
-    /// Canonical tables keyed by the axis set sorted by (attr, level).
-    cache: RwLock<HashMap<Vec<Axis>, Arc<CountTable>>>,
-    hits: AtomicUsize,
     scans: AtomicUsize,
     bytes_materialized: AtomicU64,
     scan_nanos: AtomicU64,
@@ -438,8 +510,6 @@ impl CountEngine {
             n,
             radix: RadixBackend::new(schema, columns, n),
             bits,
-            cache: RwLock::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
             scans: AtomicUsize::new(0),
             bytes_materialized: AtomicU64::new(0),
             scan_nanos: AtomicU64::new(0),
@@ -447,10 +517,9 @@ impl CountEngine {
     }
 
     /// Appends a batch of rows: the backends' columns grow in place, and
-    /// every cached table and encoded generalised column is dropped. The
-    /// next request counts the concatenated rows afresh, so the engine
-    /// answers **bit-identically** to a cold engine over the concatenated
-    /// data. A table a reader still holds keeps its pre-append counts.
+    /// every encoded generalised column is dropped. The next request counts
+    /// the concatenated rows, so the engine answers **bit-identically** to a
+    /// cold engine over the concatenated data.
     ///
     /// # Panics
     /// Panics if the batch's schema differs from the engine's.
@@ -463,7 +532,6 @@ impl CountEngine {
             bits.extend(batch);
         }
         self.radix.extend(batch);
-        self.cache.get_mut().expect("cache lock poisoned").clear();
         self.n += batch.n();
     }
 
@@ -500,14 +568,8 @@ impl CountEngine {
     #[must_use]
     pub fn joint(&self, axes: &[Axis]) -> Vec<f64> {
         let mut out = Vec::new();
-        self.joint_into(axes, &mut out);
+        self.joint_counts(axes).probs_into(self.n, &mut out);
         out
-    }
-
-    /// As [`joint`](Self::joint), but writes into a caller-owned buffer so a
-    /// scoring loop can reuse one allocation across candidates.
-    pub fn joint_into(&self, axes: &[Axis], out: &mut Vec<f64>) {
-        self.joint_counts(axes).probs_into(self.n, out);
     }
 
     /// The integer count table over `axes`, in the requested axis order.
@@ -515,22 +577,50 @@ impl CountEngine {
     /// # Panics
     /// As [`joint`](Self::joint).
     #[must_use]
-    pub fn joint_counts(&self, axes: &[Axis]) -> Arc<CountTable> {
-        assert!(!axes.is_empty(), "need at least one axis");
-        let mut canonical: Vec<Axis> = axes.to_vec();
-        canonical.sort_unstable_by_key(|a| (a.attr, a.level));
-        canonical.windows(2).for_each(|w| assert!(w[0] != w[1], "axis repeated: {:?}", w[0]));
+    pub fn joint_counts(&self, axes: &[Axis]) -> CountTable {
+        let (last, parents) = axes.split_last().expect("need at least one axis");
+        assert_distinct(axes);
+        let started = Instant::now();
+        let table = match &self.bits {
+            Some(bits) if bits.supports(axes) => {
+                bits.child_counts(parents, &[last.attr]).pop().expect("one child")
+            }
+            _ => self.radix.materialise(axes),
+        };
+        self.record(std::slice::from_ref(&table), started);
+        table
+    }
 
-        let table = self.canonical_table(&canonical);
-        if table.axes() == axes {
-            return table;
+    /// The count tables over `[parents…, child]` for every raw attribute in
+    /// `children`, in that order, each equal to
+    /// [`joint_counts`](Self::joint_counts) over the same axes. One pass
+    /// over blocks of rows serves the whole group: the bit backend (when
+    /// the parents and every child are raw binary attributes) builds each
+    /// parent subset's AND mask once per block, the radix pass builds the
+    /// parents' cell index once per block.
+    ///
+    /// # Panics
+    /// Panics if a table would repeat an axis or an axis is invalid for the
+    /// schema.
+    #[must_use]
+    pub fn child_joints(&self, parents: &[Axis], children: &[usize]) -> Vec<CountTable> {
+        assert_distinct(parents);
+        for child in children.iter().map(|&c| Axis::raw(c)) {
+            assert!(!parents.contains(&child), "axis repeated: {child:?}");
         }
-        // Reorder (pure permutation) into the requested axis order.
-        let perm: Vec<usize> = axes
-            .iter()
-            .map(|ax| canonical.iter().position(|c| c == ax).expect("axis in canonical set"))
-            .collect();
-        Arc::new(table.project(&perm))
+        let started = Instant::now();
+        let tables = match &self.bits {
+            Some(bits)
+                if parents.len() < BitBackend::MAX_ARITY
+                    && bits.supports(parents)
+                    && children.iter().all(|&c| !bits.cols[c].is_empty()) =>
+            {
+                bits.child_counts(parents, children)
+            }
+            _ => self.radix.child_counts(parents, children),
+        };
+        self.record(&tables, started);
+        tables
     }
 
     /// The probability-scale [`ContingencyTable`] over `axes` — a drop-in,
@@ -543,55 +633,33 @@ impl CountEngine {
         self.joint_counts(axes).to_contingency(self.n)
     }
 
-    /// Cache effectiveness counters.
+    /// Count-scan cost counters.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: 0,
             projections: 0,
             scans: self.scans.load(Ordering::Relaxed),
-            cached_tables: self.cache.read().expect("cache lock poisoned").len(),
+            cached_tables: 0,
             bytes_materialized: self.bytes_materialized.load(Ordering::Relaxed),
             scan_micros: self.scan_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
 
-    /// The canonical (sorted-axes) table: a cache hit or a fresh scan —
-    /// bit-identical by the determinism contract.
-    fn canonical_table(&self, canonical: &[Axis]) -> Arc<CountTable> {
-        if let Some(hit) = self.cache.read().expect("cache lock poisoned").get(canonical) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        let started = std::time::Instant::now();
-        let table = Arc::new(match &self.bits {
-            Some(bits) if bits.supports(canonical) => bits.materialise(canonical),
-            _ => self.radix.materialise(canonical),
-        });
+    /// Adds counted `tables`, and the time since `started`, to the stats.
+    fn record(&self, tables: &[CountTable], started: Instant) {
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.scan_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.bytes_materialized.fetch_add(table.cell_count() as u64 * 8, Ordering::Relaxed);
-
-        // Tables past the retention bound are as expensive to hold as to
-        // recount, and an unbounded cache would otherwise accumulate every
-        // distinct candidate joint until the next append.
-        if !self.retains(table.cell_count()) {
-            return table;
-        }
-        let mut cache = self.cache.write().expect("cache lock poisoned");
-        // Another thread may have raced us to the same key; keep the first
-        // insertion (both are bit-identical anyway).
-        Arc::clone(cache.entry(canonical.to_vec()).or_insert(table))
+        self.scans.fetch_add(tables.len(), Ordering::Relaxed);
+        let cells: usize = tables.iter().map(CountTable::cell_count).sum();
+        self.bytes_materialized.fetch_add(cells as u64 * 8, Ordering::Relaxed);
     }
+}
 
-    /// Whether a table of `cells` cells would be retained by the cache:
-    /// at most `4·n` cells, past which holding a table costs more than the
-    /// O(n·k) row scan that would recount it.
-    #[must_use]
-    pub fn retains(&self, cells: usize) -> bool {
-        cells <= self.n.max(1).saturating_mul(4)
+/// Panics if `axes` names an axis twice.
+fn assert_distinct(axes: &[Axis]) {
+    for (i, axis) in axes.iter().enumerate() {
+        assert!(!axes[..i].contains(axis), "axis repeated: {axis:?}");
     }
 }
 
@@ -675,11 +743,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bit_backend_matches_radix_and_from_dataset() {
-        // Full-size binary fits score five-way joints through the bit
-        // backend, so cover every arity up to 8, each requested unsorted;
-        // 321 rows leave the last mask word partial.
+    /// Ten binary attributes over 321 rows (the last mask word partial),
+    /// every third one a copy of a shared bit and the rest noisy copies.
+    fn wide_binary_dataset() -> Dataset {
         let schema =
             Schema::new((0..10).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
@@ -691,7 +757,38 @@ mod tests {
                     .collect()
             })
             .collect();
-        let data = Dataset::from_rows(schema, &rows).unwrap();
+        Dataset::from_rows(schema, &rows).unwrap()
+    }
+
+    /// Asserts that every table of `child_joints(parents, children)` equals
+    /// the single joint over `[parents…, child]`, the radix pass and
+    /// `ContingencyTable::from_dataset`, and that each child adds one scan.
+    fn assert_child_joints_match(data: &Dataset, parents: &[Axis], children: &[usize]) {
+        let engine = CountEngine::new(data);
+        let tables = engine.child_joints(parents, children);
+        assert_eq!(engine.stats().scans, children.len(), "{parents:?}");
+        assert_eq!(tables.len(), children.len());
+        for (table, &child) in tables.iter().zip(children) {
+            let mut axes = parents.to_vec();
+            axes.push(Axis::raw(child));
+            assert_eq!(table.axes(), &axes[..]);
+            assert_eq!(*table, engine.joint_counts(&axes), "{axes:?}");
+            assert_eq!(*table, engine.radix.materialise(&axes), "{axes:?}");
+            let slow = ContingencyTable::from_dataset(data, &axes);
+            let mut fast = Vec::new();
+            table.probs_into(data.n(), &mut fast);
+            assert_eq!(fast.len(), slow.values().len(), "{axes:?}");
+            for (i, (a, b)) in fast.iter().zip(slow.values()).enumerate() {
+                assert!(a.to_bits() == b.to_bits(), "{axes:?} cell {i}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_backend_matches_radix_and_from_dataset() {
+        // Full-size binary fits score five-way joints through the bit
+        // backend, so cover every arity up to 8, each requested unsorted.
+        let data = wide_binary_dataset();
         let engine = CountEngine::new(&data);
         let bits = engine.bits.as_ref().unwrap();
         for arity in 1..=8 {
@@ -699,29 +796,71 @@ mod tests {
                 (0..arity).rev().map(|i| Axis::raw((3 * i + arity) % 10)).collect();
             assert!(arity == 1 || axes.windows(2).any(|w| w[0].attr > w[1].attr), "{axes:?}");
             assert!(bits.supports(&axes));
-            assert_eq!(bits.materialise(&axes), engine.radix.materialise(&axes), "{axes:?}");
+            let (last, parents) = axes.split_last().unwrap();
+            let counted = bits.child_counts(parents, &[last.attr]).pop().unwrap();
+            assert_eq!(counted, engine.radix.materialise(&axes), "{axes:?}");
             assert_matches_from_dataset(&data, &engine, &axes);
         }
         assert_eq!(engine.stats().scans, 8);
     }
 
     #[test]
-    fn cache_serves_repeats() {
+    fn child_joints_match_single_joints_on_binary_data() {
+        // Parent arities 0 through 8, given unsorted, with children below,
+        // between and above the parents: the bit backend's group pass.
+        let data = wide_binary_dataset();
+        for arity in 0..=8 {
+            let parents: Vec<Axis> = (0..arity).rev().map(|i| Axis::raw(i + 1)).collect();
+            let children: Vec<usize> = (0..10).filter(|&c| c == 0 || c > arity).collect();
+            assert_child_joints_match(&data, &parents, &children);
+        }
+        let between = [Axis::raw(9), Axis::raw(2), Axis::raw(6)];
+        assert_child_joints_match(&data, &between, &[0, 4, 8, 1]);
+    }
+
+    #[test]
+    fn child_joints_match_single_joints_on_mixed_data() {
+        // Generalised parent axes, child lists mixing binary and categorical
+        // attributes, and binary children under a categorical parent take
+        // the radix group pass; a binary parent over a binary child takes
+        // the bit pass.
+        let data = mixed_dataset(321, 2);
+        for (parents, children) in [
+            (vec![Axis { attr: 3, level: 1 }, Axis { attr: 1, level: 1 }], vec![2, 0]),
+            (vec![Axis { attr: 3, level: 2 }], vec![1, 0, 2]),
+            (vec![Axis::raw(2)], vec![3, 0, 1]),
+            (vec![Axis::raw(1)], vec![0, 2]),
+            (vec![Axis::raw(2)], vec![0]),
+            (vec![], vec![3, 0, 1, 2]),
+        ] {
+            assert_child_joints_match(&data, &parents, &children);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "axis repeated")]
+    fn child_joints_reject_a_child_among_the_parents() {
+        let data = wide_binary_dataset();
+        let _ = CountEngine::new(&data).child_joints(&[Axis::raw(1), Axis::raw(2)], &[0, 2]);
+    }
+
+    #[test]
+    fn repeats_are_rescanned_bit_identically() {
         let data = mixed_dataset(200, 3);
         let engine = CountEngine::new(&data);
         let full = [Axis::raw(0), Axis::raw(1), Axis::raw(2)];
-        let _ = engine.joint(&full);
+        let first = engine.joint(&full);
         assert_eq!(engine.stats().scans, 1);
 
-        // Same set again (any order): pure cache traffic, no new scan.
-        let _ = engine.joint(&[Axis::raw(2), Axis::raw(0), Axis::raw(1)]);
-        assert_eq!(engine.stats().scans, 1);
-        assert_eq!(engine.stats().hits, 1);
+        // The same axes again: a second scan, bit for bit the first.
+        let again = engine.joint(&full);
+        assert_eq!(engine.stats().scans, 2);
+        assert!(first.iter().zip(&again).all(|(a, b)| a.to_bits() == b.to_bits()));
 
-        // A subset of a cached joint is a fresh scan, not a projection.
+        // Another order of the same set is counted in that order.
         let sub = engine.joint(&[Axis::raw(1), Axis::raw(0)]);
         let stats = engine.stats();
-        assert_eq!((stats.scans, stats.hits, stats.projections), (2, 1, 0));
+        assert_eq!((stats.scans, stats.hits, stats.projections, stats.cached_tables), (3, 0, 0, 0));
         let direct = ContingencyTable::from_dataset(&data, &[Axis::raw(1), Axis::raw(0)]);
         for (a, b) in sub.iter().zip(direct.values()) {
             assert!(a.to_bits() == b.to_bits(), "scan must be bit-identical");
@@ -730,7 +869,7 @@ mod tests {
 
     #[test]
     fn generalised_axis_is_not_served_from_raw_superset() {
-        // {c4@1} shares no cache key with {c4@0, …}: levels must match exactly.
+        // {c4@1} is counted from its own encoded column: levels never mix.
         let data = mixed_dataset(150, 4);
         let engine = CountEngine::new(&data);
         let _ = engine.joint(&[Axis::raw(1), Axis::raw(0)]);
@@ -784,18 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_tables_are_served_but_not_retained() {
-        // 16 cells > 4·n for n = 3: correct values, nothing cached.
-        let data = binary_dataset(3, 8);
-        let engine = CountEngine::new(&data);
-        let axes = [Axis::raw(0), Axis::raw(1), Axis::raw(2), Axis::raw(3)];
-        assert_matches_from_dataset(&data, &engine, &axes);
-        assert_eq!(engine.stats().cached_tables, 0, "over-budget table must not be cached");
-        let _ = engine.joint(&axes);
-        assert_eq!(engine.stats().scans, 2, "repeat over-budget requests re-count");
-    }
-
-    #[test]
     fn empty_dataset_yields_zero_probabilities() {
         let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
         let data = Dataset::from_rows(schema, &[]).unwrap();
@@ -829,9 +956,8 @@ mod tests {
         ] {
             let (head, tail) = split_rows(&full, 128);
             let mut engine = CountEngine::new(&head);
-            // Warm the cache (including a generalised level where available)
-            // so a stale table or generalised column would show after the
-            // append.
+            // Count before the append (including a generalised level where
+            // available) so a stale generalised column would show after it.
             let _ = engine.joint(&warm_axes);
             if full.schema().attribute(1).taxonomy().is_some() {
                 let _ = engine.joint(&[Axis { attr: 1, level: 1 }, Axis::raw(0)]);
@@ -857,22 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn append_drops_cached_tables() {
-        let full = mixed_dataset(300, 13);
-        let (head, tail) = split_rows(&full, 100);
-        let mut engine = CountEngine::new(&head);
-        let generalised = [Axis { attr: 3, level: 1 }, Axis::raw(0)];
-        let _ = engine.joint(&[Axis::raw(1), Axis::raw(2)]);
-        let _ = engine.joint(&generalised);
-        assert_eq!(engine.stats().cached_tables, 2);
-
-        engine.append(&tail);
-        assert_eq!(engine.stats().cached_tables, 0, "an append must drop every cached table");
-        let cold = CountEngine::new(&full);
-        assert_eq!(engine.joint_counts(&generalised), cold.joint_counts(&generalised));
-    }
-
-    #[test]
     fn appending_to_an_empty_engine_matches_a_cold_engine() {
         let full = binary_dataset(90, 14);
         let empty = Dataset::from_rows(full.schema().clone(), &[]).unwrap();
@@ -895,7 +1005,7 @@ mod tests {
         let before = engine.joint_counts(&axes);
         let snapshot = before.counts().to_vec();
         engine.append(&tail);
-        // The pre-append handle still sees head-only counts…
+        // A counted table is the caller's own value: it keeps head-only counts…
         assert_eq!(before.counts(), &snapshot[..]);
         // …while the engine serves the concatenated counts.
         assert_matches_from_dataset(&full, &engine, &axes);

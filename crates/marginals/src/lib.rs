@@ -10,24 +10,21 @@
 //!
 //! # The count engine
 //!
-//! [`engine::CountEngine`] is the shared, memoising source of joints for
-//! every marginal-consuming algorithm in the suite — network learning, the
-//! noisy conditionals, the §6 baselines, and the relational fact model all
-//! read their joints from it. Its contract, relied on by the parallel
-//! scoring and equivalence tests in `privbayes`:
+//! [`engine::CountEngine`] is the shared source of joints for every
+//! marginal-consuming algorithm in the suite — network learning, the noisy
+//! conditionals, the §6 baselines, and the relational fact model all read
+//! their joints from it. Its contract, relied on by the parallel scoring and
+//! equivalence tests in `privbayes`:
 //!
-//! * **Caching.** Tables are cached keyed by the *sorted* (attr, level) axis
-//!   set; a request is either a cache hit or a fresh row scan, so a miss
-//!   costs the same however many tables are cached. The cache is
-//!   thread-safe and lives until the engine's next `append`, which drops
-//!   it.
+//! * **Counting.** Every request counts the rows; the engine keeps no
+//!   tables. `child_joints` counts `[parents…, child]` for many children
+//!   in one blocked pass that shares the parents' work among them.
 //! * **Determinism.** Both scan backends — radix row scan and bit-packed
-//!   popcount — produce identical integer counts, a cache hit returns the
-//!   counted table itself, and probabilities are always `count · (1/n)`,
-//!   the exact expression [`ContingencyTable::from_dataset`] uses. Engine
-//!   output is therefore bit-identical to `from_dataset` regardless of
-//!   cache state, request order, or which thread populated the cache
-//!   first.
+//!   popcount — produce identical integer counts, alone or in a group of
+//!   children, and probabilities are always `count · (1/n)`, the exact
+//!   expression [`ContingencyTable::from_dataset`] uses. Engine output is
+//!   therefore bit-identical to `from_dataset` regardless of request order
+//!   or thread.
 
 pub mod consistency;
 pub mod engine;

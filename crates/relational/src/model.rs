@@ -22,6 +22,7 @@
 //! from both entity attributes and earlier fact attributes.
 
 use privbayes::conditionals::{conditional_from_joint, Conditional};
+use privbayes::greedy::{Candidate, CandidateScores};
 use privbayes::network::{ApPair, BayesianNetwork};
 use privbayes::parent_sets::maximal_parent_sets;
 use privbayes::score::ScoreKind;
@@ -234,10 +235,10 @@ pub fn fit_fact_model<R: Rng + ?Sized>(
         None => (None, None),
     };
 
-    // One engine serves both phases: candidate joints counted while scoring
-    // are cache hits when the noisy conditionals materialise them again, and
-    // no phase ever re-scans the fact view's rows directly.
+    // One engine serves both phases, so no phase ever re-scans the fact
+    // view's rows directly; the search scores each candidate once per fit.
     let engine = CountEngine::new(view);
+    let mut scorer = CandidateScores::new(&engine, ScoreKind::R, Some(1));
 
     // --- Structure learning: greedy conditional GreedyBayes. ---
     let mut placed: Vec<usize> = (0..entity_arity).collect();
@@ -245,38 +246,23 @@ pub fn fit_fact_model<R: Rng + ?Sized>(
     let mut pairs: Vec<ApPair> = (0..entity_arity).map(|a| ApPair::new(a, vec![])).collect();
 
     while !unplaced.is_empty() {
-        // Candidate (X, Π) pairs across all unplaced fact attributes.
-        let mut candidates: Vec<(usize, Vec<usize>)> = Vec::new();
-        for &x in &unplaced {
+        // Candidate (X, Π) pairs across all unplaced fact attributes; τ
+        // depends on X only through its domain size.
+        let sets = |child_domain: usize| {
             let tau = match eps2 {
                 // θ-usefulness with the group-scaled noise (module docs).
                 Some(e2) => {
-                    n_f as f64 * e2
-                        / (2.0 * d_f as f64 * m * options.theta)
-                        / domain_sizes[x] as f64
+                    n_f as f64 * e2 / (2.0 * d_f as f64 * m * options.theta) / child_domain as f64
                 }
                 None => f64::INFINITY,
             };
-            let sets = maximal_parent_sets(&placed, &domain_sizes, tau, options.max_parents);
-            if sets.is_empty() {
-                candidates.push((x, Vec::new()));
-            } else {
-                for set in sets {
-                    candidates.push((x, set));
-                }
-            }
-        }
-        let scores: Vec<f64> = candidates
-            .iter()
-            .map(|(x, parents)| {
-                let mut axes: Vec<Axis> = parents.iter().map(|&p| Axis::raw(p)).collect();
-                axes.push(Axis::raw(*x));
-                let joint = engine.joint_table(&axes);
-                ScoreKind::R
-                    .compute(joint.values(), domain_sizes[*x], n_f)
-                    .expect("R supports general domains")
-            })
-            .collect();
+            maximal_parent_sets(&placed, &domain_sizes, tau, options.max_parents)
+                .into_iter()
+                .map(|set| set.into_iter().map(Axis::raw).collect())
+                .collect()
+        };
+        let (mut candidates, scores) =
+            scorer.round(unplaced.iter().copied(), sets).expect("R supports general domains");
         let chosen = match eps1 {
             Some(e1) => {
                 // Row-level sensitivity scaled to the group: Δ = d_f·m·S(R)/ε₁.
@@ -293,8 +279,8 @@ pub fn fit_fact_model<R: Rng + ?Sized>(
                     .0
             }
         };
-        let (x, parents) = candidates.swap_remove(chosen);
-        pairs.push(ApPair::new(x, parents));
+        let Candidate { child: x, parents } = candidates.swap_remove(chosen);
+        pairs.push(ApPair::generalized(x, parents));
         placed.push(x);
         unplaced.retain(|&u| u != x);
     }

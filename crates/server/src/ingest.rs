@@ -24,8 +24,8 @@
 //! earlier one. It also refuses a `*.dataset.json` journal from the
 //! retired `privbayes-dataset/1` format: there is no upgrade path.
 //!
-//! [`CountEngine::append`] grows the engine's columns and drops its cached
-//! tables, so a refit counts every row afresh and the engine answers
+//! [`CountEngine::append`] grows the engine's columns, and the engine keeps
+//! no tables, so a refit counts every row afresh and the engine answers
 //! exactly as one cold-built over the concatenated data would. A refit over
 //! the live engine therefore produces exactly the network a from-scratch
 //! fit over all rows would — the log is only ever replayed at recovery.

@@ -94,11 +94,6 @@ impl ServerMetrics {
             "Ledger persist attempts by outcome (ok, rolled_back, durable_failure)",
         );
         registry.describe(
-            "privbayes_engine_cache_hits_total",
-            MetricKind::Counter,
-            "CountEngine requests answered from cache across all fits",
-        );
-        registry.describe(
             "privbayes_engine_scans_total",
             MetricKind::Counter,
             "CountEngine requests that scanned the rows",
@@ -245,7 +240,6 @@ impl ServerMetrics {
 
     /// Accumulates one fit's engine counters into the process totals.
     pub fn record_engine(&self, stats: &privbayes_synth::EngineStats) {
-        self.registry.counter("privbayes_engine_cache_hits_total", &[]).add(stats.hits as u64);
         self.registry.counter("privbayes_engine_scans_total", &[]).add(stats.scans as u64);
         self.registry
             .counter("privbayes_engine_bytes_materialized_total", &[])

@@ -1383,7 +1383,6 @@ fn run_refit(shared: &Shared, job: &RefitJob) {
             // counter increments, not the cumulative engine totals.
             let after = fitted.stats;
             shared.metrics.record_engine(&EngineStats {
-                hits: after.hits.saturating_sub(before.hits),
                 scans: after.scans.saturating_sub(before.scans),
                 bytes_materialized: after
                     .bytes_materialized
@@ -1610,7 +1609,7 @@ fn run_fit(shared: &Shared, fit: &FitRequest) -> Result<Arc<ModelEntry>, ServerE
     };
     let fitted = fit_method(fit.method, &data, fit.epsilon, seed, &settings)
         .map_err(|e| ServerError::Model(e.to_string()))?;
-    // The fit-phase engine counters (cache hits, scans, bytes materialised)
+    // The fit-phase engine counters (scans, bytes materialised)
     // feed the `privbayes_engine_*` families; the registry load is the
     // alias-compile step and is timed as such.
     shared.metrics.record_engine(&fitted.stats);

@@ -37,7 +37,7 @@
 //! [`fit_method`] documents the determinism and budget contract every
 //! method honours. Every method draws its exact marginals from a shared
 //! [`privbayes_marginals::CountEngine`]; no method re-scans the dataset's
-//! rows itself. [`FittedArtifact::stats`] exposes the engine's cache
+//! rows itself. [`FittedArtifact::stats`] exposes the engine's scan
 //! counters for observability.
 
 use privbayes_data::encoding::EncodingKind;
@@ -208,7 +208,7 @@ pub struct FittedArtifact {
     /// The release artifact: samples rows, serialises to
     /// `privbayes-model/1`, loads into the server registry.
     pub artifact: ReleasedModel,
-    /// Count-engine cache counters observed during the fit (all zero for
+    /// Count-engine scan counters observed during the fit (all zero for
     /// `uniform`, which never builds an engine).
     pub stats: EngineStats,
     /// Privacy budget actually consumed (0 for `uniform`).
@@ -221,7 +221,7 @@ pub struct FittedArtifact {
 ///
 /// * **Determinism.** The result is a pure function of the five
 ///   arguments: the same inputs produce a bit-identical artifact,
-///   regardless of worker-thread count or engine cache state. All
+///   regardless of worker-thread count or the engine's request history. All
 ///   randomness flows from one `StdRng::seed_from_u64(seed)`.
 /// * **One PrivBayes fit.** `privbayes` and `privbayes-k` are the core's
 ///   [`privbayes::PrivBayes::fit`] with score `R` (and `fixed_k` for
@@ -255,8 +255,8 @@ pub fn fit_method(
 
 /// As [`fit_method`], through an existing engine — the path the ingestion
 /// subsystem takes with its per-tenant engine. The engine's determinism
-/// contract (every answer bit-identical to a cold scan, whatever its cache
-/// state or append history) makes a fit through it produce the **same
+/// contract (every answer bit-identical to a cold scan, whatever its
+/// request or append history) makes a fit through it produce the **same
 /// artifact bits** as [`fit_method`] over the engine's rows.
 ///
 /// # Errors

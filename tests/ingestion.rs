@@ -4,7 +4,7 @@
 //! 1. **Bit-identity** — an incrementally appended [`CountEngine`] answers
 //!    every marginal, fits every method, and (loaded into a server) streams
 //!    every synthesis byte *identically* to a cold fit over the rows so
-//!    far, however warm its table cache was when a batch landed.
+//!    far, whatever the engine counted before a batch landed.
 //! 2. **Hot swap** — `POST /v1/tenants/{t}/ingest` journals batches,
 //!    triggers ledger-accounted background refits, and swaps new model
 //!    generations in atomically; in-flight streams pin their generation via
@@ -126,8 +126,8 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
 
 /// Appending batches to a tenant's live engine leaves every joint count
 /// and every fitted artifact (all six methods) bit-identical to a cold fit
-/// over the rows so far. The fits after each batch warm the engine's
-/// table cache, so every later append lands on cached tables.
+/// over the rows so far. Every later append lands on an engine that the
+/// fits after the previous batch counted through.
 #[test]
 fn appends_are_bit_identical_to_a_cold_fit() {
     let store = DatasetStore::in_memory();

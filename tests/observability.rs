@@ -184,7 +184,6 @@ fn the_exposition_is_conformant_and_lists_every_family() {
         "privbayes_ledger_persist_seconds",
         "privbayes_fit_seconds",
         "privbayes_alias_build_seconds",
-        "privbayes_engine_cache_hits_total",
         "privbayes_engine_scans_total",
         "privbayes_engine_bytes_materialized_total",
         "privbayes_connections_reused_total",
@@ -196,8 +195,10 @@ fn the_exposition_is_conformant_and_lists_every_family() {
     ] {
         assert!(snapshot.types.contains_key(family), "no TYPE line for {family} in:\n{text}");
     }
-    // The count engine no longer projects, so no counter pretends it might.
+    // The count engine neither projects nor caches, so no counter pretends
+    // it might.
     assert!(!text.contains("privbayes_engine_projections_total"), "{text}");
+    assert!(!text.contains("privbayes_engine_cache_hits"), "{text}");
     assert_eq!(snapshot.types["privbayes_requests_total"], "counter");
     assert_eq!(snapshot.types["privbayes_open_connections"], "gauge");
     assert_eq!(snapshot.types["privbayes_ingest_rows_total"], "counter");
