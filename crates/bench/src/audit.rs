@@ -237,9 +237,9 @@ pub fn neighbor_worlds(base: &Dataset) -> AuditWorlds {
 /// path the query API serves. Above the cap (or for a zero cell, where the
 /// exact value carries no gradient) the same product of network
 /// conditionals is taken directly with each factor floored at
-/// [`FACTOR_FLOOR`] — a full tuple pins every factor, so no enumeration is
-/// needed, and when no factor is floored the value matches the θ cell up to
-/// float association order.
+/// `FACTOR_FLOOR` (1e-12) — a full tuple pins every factor, so no
+/// enumeration is needed, and when no factor is floored the value matches
+/// the θ cell up to float association order.
 ///
 /// # Errors
 /// Returns [`AuditError`] if the model does not cover the schema.

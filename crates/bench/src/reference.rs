@@ -181,7 +181,7 @@ fn select<R: Rng + ?Sized>(
 /// (all-binary data) or a fresh row scan, scored sequentially.
 ///
 /// # Errors
-/// As `privbayes::greedy::greedy_bayes_fixed_k`.
+/// As [`privbayes::greedy::greedy_bayes_fixed_k_engine`].
 pub fn reference_greedy_fixed_k<R: Rng + ?Sized>(
     data: &Dataset,
     k: usize,
@@ -247,7 +247,7 @@ pub fn reference_greedy_fixed_k<R: Rng + ?Sized>(
 /// scored sequentially.
 ///
 /// # Errors
-/// As `privbayes::greedy::greedy_bayes_adaptive`.
+/// As [`privbayes::greedy::greedy_bayes_adaptive_engine`].
 pub fn reference_greedy_adaptive<R: Rng + ?Sized>(
     data: &Dataset,
     theta: f64,
@@ -780,8 +780,9 @@ mod tests {
 
     #[test]
     fn theta_projection_oracle_is_bit_identical_to_the_serving_path() {
-        use privbayes::conditionals::noisy_conditionals_general;
+        use privbayes::conditionals::noisy_conditionals_general_engine;
         use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
+        use privbayes_marginals::CountEngine;
 
         let data = privbayes_datasets::nltcs::nltcs_sized(3, 800).data;
         let net = reference_greedy_fixed_k(
@@ -791,9 +792,14 @@ mod tests {
             &mut StdRng::seed_from_u64(7),
         )
         .unwrap();
-        let model =
-            noisy_conditionals_general(&data, &net, Some(0.5), &mut StdRng::seed_from_u64(8))
-                .unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(
+            &engine,
+            &net,
+            Some(0.5),
+            &mut StdRng::seed_from_u64(8),
+        )
+        .unwrap();
         for attrs in [vec![0usize], vec![3, 1], vec![2, 5, 0]] {
             let served = theta_projection(&model, data.schema(), &attrs, DEFAULT_CELL_CAP).unwrap();
             let oracle = reference_theta_projection(&model, data.schema(), &attrs);

@@ -1,7 +1,9 @@
 //! Shared task runners: count-query accuracy, network quality, and multi-SVM
 //! classification — the three measurement families of §6.
 
-use privbayes::greedy::{greedy_bayes_adaptive, greedy_bayes_fixed_k, GreedySettings};
+use privbayes::greedy::{
+    greedy_bayes_adaptive_engine, greedy_bayes_fixed_k_engine, GreedySettings,
+};
 use privbayes::nonprivate::sum_mutual_information;
 use privbayes::pipeline::{PrivBayes, PrivBayesOptions};
 use privbayes::score::ScoreKind;
@@ -135,15 +137,14 @@ pub fn network_quality(data: &Dataset, epsilon: f64, score: Option<ScoreKind>, s
             GreedySettings::non_private(ScoreKind::MutualInformation).with_max_degree(MAX_DEGREE)
         }
     };
-    if data.schema().all_binary() {
+    let engine = CountEngine::new(data);
+    let net = if data.schema().all_binary() {
         let k = choose_degree_binary(data.n(), data.d(), eps2, theta).min(MAX_DEGREE);
-        let net = greedy_bayes_fixed_k(data, k, &settings, &mut rng).expect("greedy");
-        sum_mutual_information(data, &net)
+        greedy_bayes_fixed_k_engine(&engine, k, &settings, &mut rng)
     } else {
-        let net =
-            greedy_bayes_adaptive(data, theta, eps2, false, &settings, &mut rng).expect("greedy");
-        sum_mutual_information(data, &net)
-    }
+        greedy_bayes_adaptive_engine(&engine, theta, eps2, false, &settings, &mut rng)
+    };
+    sum_mutual_information(data, &net.expect("greedy"))
 }
 
 /// SVM training epochs used throughout the harness.

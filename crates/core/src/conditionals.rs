@@ -1,22 +1,28 @@
 //! NoisyConditionals: the distribution-learning phase (Algorithms 1 and 3).
 //!
-//! For each AP pair the joint `Pr[Xᵢ, Πᵢ]` is materialised, perturbed with
-//! Laplace noise (sensitivity 2/n in probability scale), post-processed to a
-//! valid distribution, and conditioned on the parents. Algorithm 1 (binary
-//! encodings, fixed degree `k`) additionally derives the first `k`
-//! conditionals from the noisy joint of pair `k+1` at no extra privacy cost;
-//! Algorithm 3 (general domains) materialises all `d` joints directly, and
-//! [`noisy_conditionals_consistent_engine`] is its one body: zero
-//! consistency rounds is the paper's Algorithm 3.
+//! [`noisy_joints`] is the one noisy release: it counts the joint
+//! `Pr[Xᵢ, Πᵢ]` of each AP pair it is given, adds `Lap(2·joints/(n·ε₂))`
+//! noise to every cell (sensitivity 2/n in probability scale per joint,
+//! composed over `joints` releases), then reconciles the joints or clamps
+//! each to a valid distribution. The variants differ only in their
+//! arguments:
 //!
-//! All joints are counted by a [`CountEngine`]: the `*_engine` entry points
-//! take a caller-owned engine ([`crate::PrivBayes::fit`] shares one across
-//! structure and distribution learning), while the `&Dataset` forms build a
-//! throwaway engine. Engine joints are bit-identical to a fresh
-//! `ContingencyTable::from_dataset` scan, so which form is used never
-//! changes the output.
+//! * Algorithm 3 ([`noisy_conditionals_consistent_engine`], general
+//!   domains) releases all `d` joints; zero consistency rounds is the
+//!   paper's Algorithm 3 ([`noisy_conditionals_general_engine`]);
+//! * Algorithm 1 ([`noisy_conditionals_binary_k_engine`], binary encodings,
+//!   fixed degree `k`) releases the joints of pairs `k+1..d` and derives the
+//!   first `k` conditionals from the noisy joint of pair `k+1` at no extra
+//!   privacy cost;
+//! * the relational fact model releases its fact pairs' joints at a group
+//!   size `m`, with joints = `d_f·m`.
+//!
+//! Each joint is conditioned on its parents by [`conditional_from_joint`].
+//! All joints are counted by the caller's [`CountEngine`]
+//! ([`crate::PrivBayes::fit`] shares one across structure and distribution
+//! learning); engine joints are bit-identical to a fresh
+//! `ContingencyTable::from_dataset` scan.
 
-use privbayes_data::Dataset;
 use privbayes_dp::laplace::sample_laplace;
 use privbayes_marginals::{
     clamp_and_normalize, mutual_consistency, Axis, ContingencyTable, CountEngine,
@@ -24,7 +30,7 @@ use privbayes_marginals::{
 use rand::Rng;
 
 use crate::error::PrivBayesError;
-use crate::network::BayesianNetwork;
+use crate::network::{ApPair, BayesianNetwork};
 
 /// A noisy conditional distribution `Pr*[X | Π]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,100 +113,35 @@ pub fn conditional_from_joint(table: &ContingencyTable, child: usize) -> Conditi
     Conditional { child, parents, parent_dims, child_dim, probs }
 }
 
-/// Materialises the noisy joint of one AP pair: axes `[parents…, child]`,
-/// `Lap(scale)` noise per cell (skipped when `scale` is `None`), then
-/// non-negativity + renormalisation (Algorithm 1 line 5).
-fn noisy_joint<R: Rng + ?Sized>(
-    engine: &CountEngine,
-    child: usize,
-    parents: &[Axis],
-    scale: Option<f64>,
-    rng: &mut R,
-) -> ContingencyTable {
-    let mut axes: Vec<Axis> = parents.to_vec();
-    axes.push(Axis::raw(child));
-    let mut table = engine.joint_table(&axes);
-    if let Some(scale) = scale {
-        for v in table.values_mut() {
-            *v += sample_laplace(scale, rng);
-        }
-        clamp_and_normalize(table.values_mut(), 1.0);
-    }
-    table
-}
-
-/// Algorithm 3: all `d` joints materialised with `Lap(2d/nε₂)` noise.
-/// `epsilon2 = None` skips the noise entirely (the BestMarginal ablation).
+/// The noisy joints of `pairs`, each over axes `[parents…, child]`.
 ///
-/// # Errors
-/// Returns [`PrivBayesError::InvalidConfig`] for a non-positive ε₂ or empty data.
-pub fn noisy_conditionals_general<R: Rng + ?Sized>(
-    data: &Dataset,
-    network: &BayesianNetwork,
-    epsilon2: Option<f64>,
-    rng: &mut R,
-) -> Result<NoisyModel, PrivBayesError> {
-    noisy_conditionals_general_engine(&CountEngine::new(data), network, epsilon2, rng)
-}
-
-/// [`noisy_conditionals_general`] over a caller-owned engine:
-/// [`noisy_conditionals_consistent_engine`] with zero rounds.
-///
-/// # Errors
-/// As [`noisy_conditionals_general`].
-pub fn noisy_conditionals_general_engine<R: Rng + ?Sized>(
-    engine: &CountEngine,
-    network: &BayesianNetwork,
-    epsilon2: Option<f64>,
-    rng: &mut R,
-) -> Result<NoisyModel, PrivBayesError> {
-    noisy_conditionals_consistent_engine(engine, network, epsilon2, 0, rng)
-}
-
-/// Algorithm 3 plus the §3 footnote-1 optimisation: after all `d` noisy
-/// joints are materialised, overlapping joints are reconciled with
-/// [`mutual_consistency`] *before* clamping and conditioning, so that shared
-/// sub-marginals agree across the model. Consistency is pure post-processing
-/// of the Laplace output — the privacy guarantee is exactly that of
-/// [`noisy_conditionals_general`].
-///
-/// With `rounds == 0` this is Algorithm 3 itself — every noisy joint is
-/// clamped and renormalised on its own — and [`noisy_conditionals_general`]
-/// is exactly that call. Reconciliation averages independent noise draws
-/// of the same sub-marginal, which reduces its variance — the ablation bench
-/// `abl01_consistency` quantifies the effect.
+/// Every cell gets `Lap(2·joints/(n·ε₂))` noise, drawn from `rng` cell by
+/// cell in pair order. `joints` is the number of releases ε₂ is composed
+/// over: `pairs.len()` for Algorithms 1 and 3, and `pairs.len()·m` when one
+/// individual owns up to `m` rows (group privacy). `epsilon2 = None` adds
+/// no noise (the BestMarginal ablation). The raw noisy joints are then
+/// reconciled by `rounds` of [`mutual_consistency`] (§3 footnote 1; its
+/// least squares assume zero-mean noise, which clamping first would bias),
+/// or, with `rounds == 0`, each clamped and renormalised on its own. Both
+/// are post-processing and cost no budget.
 ///
 /// # Errors
 /// Returns [`PrivBayesError::InvalidConfig`] for a non-positive ε₂ or empty
 /// data.
-pub fn noisy_conditionals_consistent<R: Rng + ?Sized>(
-    data: &Dataset,
-    network: &BayesianNetwork,
-    epsilon2: Option<f64>,
-    rounds: usize,
-    rng: &mut R,
-) -> Result<NoisyModel, PrivBayesError> {
-    noisy_conditionals_consistent_engine(&CountEngine::new(data), network, epsilon2, rounds, rng)
-}
-
-/// [`noisy_conditionals_consistent`] over a caller-owned engine.
-///
-/// # Errors
-/// As [`noisy_conditionals_consistent`].
-pub fn noisy_conditionals_consistent_engine<R: Rng + ?Sized>(
+pub fn noisy_joints<R: Rng + ?Sized>(
     engine: &CountEngine,
-    network: &BayesianNetwork,
+    pairs: &[ApPair],
+    joints: usize,
     epsilon2: Option<f64>,
     rounds: usize,
     rng: &mut R,
-) -> Result<NoisyModel, PrivBayesError> {
+) -> Result<Vec<ContingencyTable>, PrivBayesError> {
     let n = engine.n();
     if n == 0 {
         return Err(PrivBayesError::InvalidConfig("empty dataset".into()));
     }
-    let d = network.len() as f64;
     let scale = match epsilon2 {
-        Some(e) if e > 0.0 => Some(2.0 * d / (n as f64 * e)),
+        Some(e) if e > 0.0 => Some(2.0 * joints as f64 / (n as f64 * e)),
         Some(e) => {
             return Err(PrivBayesError::InvalidConfig(format!(
                 "epsilon2 must be positive, got {e}"
@@ -208,10 +149,7 @@ pub fn noisy_conditionals_consistent_engine<R: Rng + ?Sized>(
         }
         None => None,
     };
-    // Materialise the raw noisy joints *without* clamping: least-squares
-    // reconciliation assumes zero-mean noise, which clamping would bias.
-    let mut tables: Vec<ContingencyTable> = network
-        .pairs()
+    let mut tables: Vec<ContingencyTable> = pairs
         .iter()
         .map(|pair| {
             let mut axes: Vec<Axis> = pair.parents.clone();
@@ -229,43 +167,62 @@ pub fn noisy_conditionals_consistent_engine<R: Rng + ?Sized>(
         let variances = vec![1.0; tables.len()];
         mutual_consistency(&mut tables, &variances, rounds);
     } else if scale.is_some() {
-        // No reconciliation requested: Algorithm 3's per-joint
-        // clamp+renormalise.
         for table in &mut tables {
             clamp_and_normalize(table.values_mut(), 1.0);
         }
     }
-    let conditionals = tables
-        .iter()
-        .zip(network.pairs())
-        .map(|(table, pair)| conditional_from_joint(table, pair.child))
-        .collect();
-    Ok(NoisyModel { network: network.clone(), conditionals })
+    Ok(tables)
 }
 
-/// Algorithm 1: fixed-degree variant for binary encodings. Materialises the
+/// Algorithm 3: all `d` joints released with `Lap(2d/nε₂)` noise, each
+/// clamped on its own. `epsilon2 = None` skips the noise entirely (the
+/// BestMarginal ablation).
+///
+/// # Errors
+/// As [`noisy_joints`].
+pub fn noisy_conditionals_general_engine<R: Rng + ?Sized>(
+    engine: &CountEngine,
+    network: &BayesianNetwork,
+    epsilon2: Option<f64>,
+    rng: &mut R,
+) -> Result<NoisyModel, PrivBayesError> {
+    noisy_conditionals_consistent_engine(engine, network, epsilon2, 0, rng)
+}
+
+/// Algorithm 3 plus the §3 footnote-1 optimisation: the `d` raw noisy
+/// joints are reconciled by `rounds` of [`mutual_consistency`] before
+/// conditioning, so that shared sub-marginals agree across the model.
+/// Reconciliation averages independent noise draws of the same
+/// sub-marginal, which reduces its variance — the ablation bench
+/// `abl01_consistency` quantifies the effect. With `rounds == 0` this is
+/// Algorithm 3 itself.
+///
+/// # Errors
+/// As [`noisy_joints`].
+pub fn noisy_conditionals_consistent_engine<R: Rng + ?Sized>(
+    engine: &CountEngine,
+    network: &BayesianNetwork,
+    epsilon2: Option<f64>,
+    rounds: usize,
+    rng: &mut R,
+) -> Result<NoisyModel, PrivBayesError> {
+    let pairs = network.pairs();
+    let tables = noisy_joints(engine, pairs, pairs.len(), epsilon2, rounds, rng)?;
+    let conditionals =
+        tables.iter().zip(pairs).map(|(table, pair)| conditional_from_joint(table, pair.child));
+    Ok(NoisyModel { network: network.clone(), conditionals: conditionals.collect() })
+}
+
+/// Algorithm 1: fixed-degree variant for binary encodings. Releases the
 /// `d−k` joints of pairs `k+1..d` with `Lap(2(d−k)/nε₂)` noise and derives
 /// the first `k` conditionals from the noisy joint of pair `k+1` — no
 /// additional privacy cost.
 ///
 /// # Errors
-/// Returns [`PrivBayesError::InvalidConfig`] if `k ≥ d`, ε₂ ≤ 0, or the
-/// network violates the structural invariant the derivation relies on
-/// (`Xᵢ ∈ Π_{k+1}` and `Πᵢ ⊂ Π_{k+1}` for `i ≤ k`, §3).
-pub fn noisy_conditionals_binary_k<R: Rng + ?Sized>(
-    data: &Dataset,
-    network: &BayesianNetwork,
-    k: usize,
-    epsilon2: Option<f64>,
-    rng: &mut R,
-) -> Result<NoisyModel, PrivBayesError> {
-    noisy_conditionals_binary_k_engine(&CountEngine::new(data), network, k, epsilon2, rng)
-}
-
-/// [`noisy_conditionals_binary_k`] over a caller-owned engine.
-///
-/// # Errors
-/// As [`noisy_conditionals_binary_k`].
+/// Returns [`PrivBayesError::InvalidConfig`] if `k ≥ d`, ε₂ ≤ 0 or the data
+/// is empty, and [`PrivBayesError::InvalidNetwork`] if the network violates
+/// the structural invariant the derivation relies on (`Xᵢ ∈ Π_{k+1}` and
+/// `Πᵢ ⊂ Π_{k+1}` for `i ≤ k`, §3).
 pub fn noisy_conditionals_binary_k_engine<R: Rng + ?Sized>(
     engine: &CountEngine,
     network: &BayesianNetwork,
@@ -273,33 +230,15 @@ pub fn noisy_conditionals_binary_k_engine<R: Rng + ?Sized>(
     epsilon2: Option<f64>,
     rng: &mut R,
 ) -> Result<NoisyModel, PrivBayesError> {
-    let n = engine.n();
-    if n == 0 {
-        return Err(PrivBayesError::InvalidConfig("empty dataset".into()));
-    }
     let d = network.len();
     if k >= d {
         return Err(PrivBayesError::InvalidConfig(format!("k={k} must be below d={d}")));
     }
-    let scale = match epsilon2 {
-        Some(e) if e > 0.0 => Some(2.0 * (d - k) as f64 / (n as f64 * e)),
-        Some(e) => {
-            return Err(PrivBayesError::InvalidConfig(format!(
-                "epsilon2 must be positive, got {e}"
-            )))
-        }
-        None => None,
-    };
     let pairs = network.pairs();
-
-    // Pairs k+1..d (0-based k..d): direct noisy materialisation.
-    let mut tail: Vec<(ContingencyTable, usize)> = Vec::with_capacity(d - k);
-    for pair in &pairs[k..] {
-        tail.push((noisy_joint(engine, pair.child, &pair.parents, scale, rng), pair.child));
-    }
+    let tail = noisy_joints(engine, &pairs[k..], d - k, epsilon2, 0, rng)?;
 
     // Pairs 1..k (0-based 0..k): derived from the noisy joint of pair k+1.
-    let anchor = &tail[0].0;
+    let anchor = &tail[0];
     let mut conditionals: Vec<Conditional> = Vec::with_capacity(d);
     for (i, pair) in pairs[..k].iter().enumerate() {
         // Locate Πᵢ ∪ {Xᵢ} among the anchor's axes.
@@ -328,8 +267,8 @@ pub fn noisy_conditionals_binary_k_engine<R: Rng + ?Sized>(
         let projected = anchor.project(&keep);
         conditionals.push(conditional_from_joint(&projected, pair.child));
     }
-    for (table, child) in &tail {
-        conditionals.push(conditional_from_joint(table, *child));
+    for (table, pair) in tail.iter().zip(&pairs[k..]) {
+        conditionals.push(conditional_from_joint(table, pair.child));
     }
     Ok(NoisyModel { network: network.clone(), conditionals })
 }
@@ -337,12 +276,11 @@ pub fn noisy_conditionals_binary_k_engine<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::ApPair;
-    use privbayes_data::{Attribute, Schema};
+    use privbayes_data::{Attribute, Dataset, Schema};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn data_and_network() -> (Dataset, BayesianNetwork) {
+    fn engine_and_network() -> (CountEngine, BayesianNetwork) {
         let schema = Schema::new(vec![
             Attribute::binary("a"),
             Attribute::binary("b"),
@@ -362,14 +300,14 @@ mod tests {
             data.schema(),
         )
         .unwrap();
-        (data, net)
+        (CountEngine::new(&data), net)
     }
 
     #[test]
     fn conditionals_are_valid_distributions() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(1);
-        let model = noisy_conditionals_general(&data, &net, Some(1.0), &mut rng).unwrap();
+        let model = noisy_conditionals_general_engine(&engine, &net, Some(1.0), &mut rng).unwrap();
         assert_eq!(model.conditionals.len(), 3);
         for cond in &model.conditionals {
             for slice in cond.probs.chunks_exact(cond.child_dim) {
@@ -381,9 +319,9 @@ mod tests {
 
     #[test]
     fn noise_free_matches_empirical_conditionals() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(2);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         // Pr[b=1 | a=1] = 1 in the data.
         let cond_b = &model.conditionals[1];
         let slice = cond_b.child_distribution(cond_b.parent_index(&[1]));
@@ -394,9 +332,10 @@ mod tests {
 
     #[test]
     fn large_epsilon_recovers_truth_approximately() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(3);
-        let model = noisy_conditionals_general(&data, &net, Some(100.0), &mut rng).unwrap();
+        let model =
+            noisy_conditionals_general_engine(&engine, &net, Some(100.0), &mut rng).unwrap();
         let cond_b = &model.conditionals[1];
         let slice = cond_b.child_distribution(cond_b.parent_index(&[1]));
         assert!(slice[1] > 0.95, "high ε₂ should barely perturb: {slice:?}");
@@ -405,9 +344,9 @@ mod tests {
     #[test]
     fn binary_k_derives_prefix_without_recounting() {
         // Network with prefix structure: (a,∅), (b,{a}), (c,{a,b}); k = 2.
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(4);
-        let model = noisy_conditionals_binary_k(&data, &net, 2, None, &mut rng).unwrap();
+        let model = noisy_conditionals_binary_k_engine(&engine, &net, 2, None, &mut rng).unwrap();
         assert_eq!(model.conditionals.len(), 3);
         // With no noise, the derived Pr[b|a] must equal the empirical one.
         let cond_b = &model.conditionals[1];
@@ -437,48 +376,49 @@ mod tests {
             data.schema(),
         )
         .unwrap();
+        let engine = CountEngine::new(&data);
         let mut rng = StdRng::seed_from_u64(5);
         // k=1: pair 2 (0-based 1) is the anchor, its joint is {a}∪{b} ∋ a. OK.
-        assert!(noisy_conditionals_binary_k(&data, &net, 1, None, &mut rng).is_ok());
+        assert!(noisy_conditionals_binary_k_engine(&engine, &net, 1, None, &mut rng).is_ok());
         // k=2: anchor is pair 3 with joint {b, c}; pair 1's child a ∉ joint.
-        assert!(noisy_conditionals_binary_k(&data, &net, 2, None, &mut rng).is_err());
+        assert!(noisy_conditionals_binary_k_engine(&engine, &net, 2, None, &mut rng).is_err());
     }
 
     #[test]
     fn rejects_bad_parameters() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(6);
-        assert!(noisy_conditionals_general(&data, &net, Some(0.0), &mut rng).is_err());
-        assert!(noisy_conditionals_binary_k(&data, &net, 3, Some(1.0), &mut rng).is_err());
-        assert!(noisy_conditionals_binary_k(&data, &net, 0, Some(-1.0), &mut rng).is_err());
+        assert!(noisy_conditionals_general_engine(&engine, &net, Some(0.0), &mut rng).is_err());
+        assert!(noisy_conditionals_binary_k_engine(&engine, &net, 3, Some(1.0), &mut rng).is_err());
+        assert!(noisy_conditionals_binary_k_engine(&engine, &net, 0, Some(-1.0), &mut rng).is_err());
     }
 
     #[test]
     fn k_zero_equals_general_with_matching_scale() {
         // With k=0, Algorithm 1's noise scale 2(d−0)/nε₂ equals Algorithm 3's
         // 2d/nε₂ and no derivation happens: same code path semantics.
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let model_a = {
             let mut rng = StdRng::seed_from_u64(7);
-            noisy_conditionals_binary_k(&data, &net, 0, Some(0.5), &mut rng).unwrap()
+            noisy_conditionals_binary_k_engine(&engine, &net, 0, Some(0.5), &mut rng).unwrap()
         };
         let model_b = {
             let mut rng = StdRng::seed_from_u64(7);
-            noisy_conditionals_general(&data, &net, Some(0.5), &mut rng).unwrap()
+            noisy_conditionals_general_engine(&engine, &net, Some(0.5), &mut rng).unwrap()
         };
         assert_eq!(model_a, model_b);
     }
 
     #[test]
     fn consistent_with_zero_rounds_matches_general() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let model_a = {
             let mut rng = StdRng::seed_from_u64(8);
-            noisy_conditionals_consistent(&data, &net, Some(0.8), 0, &mut rng).unwrap()
+            noisy_conditionals_consistent_engine(&engine, &net, Some(0.8), 0, &mut rng).unwrap()
         };
         let model_b = {
             let mut rng = StdRng::seed_from_u64(8);
-            noisy_conditionals_general(&data, &net, Some(0.8), &mut rng).unwrap()
+            noisy_conditionals_general_engine(&engine, &net, Some(0.8), &mut rng).unwrap()
         };
         assert_eq!(model_a, model_b, "rounds=0 must be a no-op relative to Algorithm 3");
     }
@@ -488,11 +428,11 @@ mod tests {
         // With no noise the joints are already mutually consistent (they are
         // all projections of the same empirical distribution), so
         // reconciliation must not disturb them.
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(9);
-        let with = noisy_conditionals_consistent(&data, &net, None, 3, &mut rng).unwrap();
+        let with = noisy_conditionals_consistent_engine(&engine, &net, None, 3, &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let without = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let without = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         for (a, b) in with.conditionals.iter().zip(&without.conditionals) {
             for (x, y) in a.probs.iter().zip(&b.probs) {
                 assert!((x - y).abs() < 1e-9, "noise-free consistency must be a fixed point");
@@ -502,9 +442,10 @@ mod tests {
 
     #[test]
     fn consistent_conditionals_are_valid_distributions() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(10);
-        let model = noisy_conditionals_consistent(&data, &net, Some(0.2), 2, &mut rng).unwrap();
+        let model =
+            noisy_conditionals_consistent_engine(&engine, &net, Some(0.2), 2, &mut rng).unwrap();
         for cond in &model.conditionals {
             for slice in cond.probs.chunks_exact(cond.child_dim) {
                 assert!((slice.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -518,15 +459,17 @@ mod tests {
         // Shared sub-marginals are estimated twice with independent noise;
         // averaging them must reduce squared error on the shared margin.
         // Measured over repetitions to smooth the randomness.
-        let (data, net) = data_and_network();
-        let truth = ContingencyTable::from_dataset(&data, &[Axis::raw(0)]);
+        let (engine, net) = engine_and_network();
+        let truth = engine.joint_table(&[Axis::raw(0)]);
         let mut err_with = 0.0;
         let mut err_without = 0.0;
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(1000 + seed);
-            let with = noisy_conditionals_consistent(&data, &net, Some(0.05), 2, &mut rng).unwrap();
+            let with = noisy_conditionals_consistent_engine(&engine, &net, Some(0.05), 2, &mut rng)
+                .unwrap();
             let mut rng = StdRng::seed_from_u64(1000 + seed);
-            let without = noisy_conditionals_general(&data, &net, Some(0.05), &mut rng).unwrap();
+            let without =
+                noisy_conditionals_general_engine(&engine, &net, Some(0.05), &mut rng).unwrap();
             // Root marginal Pr*[a] from each model's first conditional.
             let pa_with = with.conditionals[0].child_distribution(0);
             let pa_without = without.conditionals[0].child_distribution(0);
@@ -541,9 +484,11 @@ mod tests {
 
     #[test]
     fn consistent_rejects_bad_epsilon() {
-        let (data, net) = data_and_network();
+        let (engine, net) = engine_and_network();
         let mut rng = StdRng::seed_from_u64(11);
-        assert!(noisy_conditionals_consistent(&data, &net, Some(0.0), 1, &mut rng).is_err());
+        assert!(
+            noisy_conditionals_consistent_engine(&engine, &net, Some(0.0), 1, &mut rng).is_err()
+        );
     }
 
     #[test]

@@ -1,24 +1,27 @@
 //! GreedyBayes network learning (Algorithms 2 and 4).
 //!
-//! Both variants repeatedly pick an attribute–parent pair from a candidate
-//! set Ω: Algorithm 2 (all-binary data, fixed degree `k`) draws parent sets
-//! from `(V choose min(k,|V|))`; Algorithm 4 (general domains) draws them
-//! from the θ-usefulness-constrained maximal parent sets. The selection is
-//! either the exponential mechanism at ε₁/(d−1) per round (private) or an
-//! argmax (the paper's NoPrivacy / BestNetwork reference lines).
+//! [`greedy_bayes`] is the one search. Each round it scores every unplaced
+//! attribute against the parent sets a rule draws from the placed ones,
+//! selects one pair by the exponential mechanism at ε₁/c (or, without
+//! privacy, by argmax: the paper's NoPrivacy / BestNetwork lines) and places
+//! it. The learners differ only in their arguments:
 //!
-//! All candidate joints are counted by a per-run
-//! [`CountEngine`](privbayes_marginals::CountEngine) (radix-coded columns
-//! and a popcount fast path for binary axes). [`CandidateScores`] scores
-//! each (child, parent set) candidate once per fit, counting a round's new
-//! candidates grouped by parent set on a pool of scoped threads. Scoring is
-//! deterministic — only [`select`] consumes randomness — and the engine's
-//! integer-count contract makes every score bit-identical to the sequential
-//! path, so the learned network does not depend on the worker count.
+//! * Algorithm 2 ([`greedy_bayes_fixed_k_engine`], binary encodings) draws
+//!   parent sets from `(V choose min(k,|V|))`;
+//! * Algorithm 4 ([`greedy_bayes_adaptive_engine`], general domains) draws
+//!   the θ-usefulness-constrained maximal parent sets;
+//! * both start from one random attribute with c = d − 1; the relational
+//!   fact model starts from its evidence roots with c = d_f·m.
+//!
+//! Candidate joints are counted by one [`CountEngine`], and each (child,
+//! parent set) candidate is counted and scored once per search, a round's
+//! new candidates grouped by parent set on a pool of scoped threads.
+//! Scoring is deterministic, only the selection consumes randomness, and
+//! every score is bit-identical to the sequential path, so the learned
+//! network does not depend on the worker count.
 
 use std::collections::HashMap;
 
-use privbayes_data::Dataset;
 use privbayes_dp::exponential::select_with_scale;
 use privbayes_marginals::{Axis, CountEngine};
 use rand::{Rng, RngExt};
@@ -87,11 +90,11 @@ pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
 
 /// One candidate AP pair under consideration.
 #[derive(Debug, Clone)]
-pub struct Candidate {
+struct Candidate {
     /// The attribute to place.
-    pub child: usize,
+    child: usize,
     /// Its candidate parents, in the order its joint is counted.
-    pub parents: Vec<Axis>,
+    parents: Vec<Axis>,
 }
 
 /// The candidate scores of one greedy search, kept for the whole fit.
@@ -106,7 +109,7 @@ pub struct Candidate {
 /// when one round's new groups are contiguous. Candidate order never
 /// depends on the threads, so neither does the learned network.
 #[derive(Debug)]
-pub struct CandidateScores<'e> {
+struct CandidateScores<'e> {
     engine: &'e CountEngine,
     score: ScoreKind,
     threads: usize,
@@ -117,8 +120,7 @@ pub struct CandidateScores<'e> {
 impl<'e> CandidateScores<'e> {
     /// An empty score store over `engine`; `threads` as
     /// [`GreedySettings::threads`].
-    #[must_use]
-    pub fn new(engine: &'e CountEngine, score: ScoreKind, threads: Option<usize>) -> Self {
+    fn new(engine: &'e CountEngine, score: ScoreKind, threads: Option<usize>) -> Self {
         let kept = vec![HashMap::new(); engine.schema().len()];
         Self { engine, score, threads: resolve_threads(threads), kept }
     }
@@ -132,7 +134,7 @@ impl<'e> CandidateScores<'e> {
     ///
     /// # Errors
     /// Returns the first score failure, in parent-set order.
-    pub fn round(
+    fn round(
         &mut self,
         children: impl IntoIterator<Item = usize>,
         mut parent_sets: impl FnMut(usize) -> Vec<Vec<Axis>>,
@@ -255,20 +257,20 @@ fn combinations(items: &[usize], k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Selects one candidate: exponential mechanism (private) or argmax.
+/// Selects one candidate: the exponential mechanism with Δ = c·S/ε₁, so
+/// that `composition` = c draws compose to ε₁ (§4.2), or the first argmax.
 fn select<R: Rng + ?Sized>(
     scores: &[f64],
     settings: &GreedySettings,
-    d: usize,
+    composition: usize,
     n: usize,
     all_binary: bool,
     rng: &mut R,
 ) -> Result<usize, PrivBayesError> {
     match settings.epsilon1 {
         Some(eps1) => {
-            // Δ = (d−1)·S/ε₁ (§4.2): d−1 invocations compose to ε₁.
             let sensitivity = settings.score.sensitivity(n, all_binary);
-            let delta = (d as f64 - 1.0) * sensitivity / eps1;
+            let delta = composition as f64 * sensitivity / eps1;
             Ok(select_with_scale(scores, delta, rng)?)
         }
         None => {
@@ -284,23 +286,54 @@ fn select<R: Rng + ?Sized>(
     }
 }
 
-/// Algorithm 2: GreedyBayes with a fixed degree `k` (binary encodings).
-/// Builds a fresh [`CountEngine`] over `data`; callers that already hold an
-/// engine should use [`greedy_bayes_fixed_k_engine`].
+/// The GreedyBayes search: starting from the `placed` pairs, each round
+/// scores every unplaced attribute against the sets `parent_sets` returns
+/// for (the placed attributes in placement order, the child's domain size),
+/// selects one candidate and places it, until every attribute is placed.
+///
+/// Each selection spends ε₁/`composition` of [`GreedySettings::epsilon1`]:
+/// Algorithms 2 and 4 pass `d − 1`, one draw per attribute placed after the
+/// first. One `rng` draw is taken per round, in round order, and none when
+/// ε₁ is `None`.
 ///
 /// # Errors
-/// Returns [`PrivBayesError`] on score failures or invalid configuration.
-pub fn greedy_bayes_fixed_k<R: Rng + ?Sized>(
-    data: &Dataset,
-    k: usize,
+/// Returns [`PrivBayesError`] on score failures, a failed selection or an
+/// invalid network.
+pub fn greedy_bayes<R: Rng + ?Sized>(
+    engine: &CountEngine,
+    placed: Vec<ApPair>,
+    composition: usize,
     settings: &GreedySettings,
+    mut parent_sets: impl FnMut(&[usize], usize) -> Vec<Vec<Axis>>,
     rng: &mut R,
 ) -> Result<BayesianNetwork, PrivBayesError> {
-    greedy_bayes_fixed_k_engine(&CountEngine::new(data), k, settings, rng)
+    let schema = engine.schema();
+    let d = schema.len();
+    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads);
+    let mut v: Vec<usize> = placed.iter().map(|pair| pair.child).collect();
+    let mut pairs = placed;
+    while v.len() < d {
+        let unplaced = (0..d).filter(|x| !v.contains(x));
+        let (mut candidates, scores) = scorer.round(unplaced, |size| parent_sets(&v, size))?;
+        let chosen = select(&scores, settings, composition, engine.n(), schema.all_binary(), rng)?;
+        let Candidate { child, parents } = candidates.swap_remove(chosen);
+        v.push(child);
+        pairs.push(ApPair::generalized(child, parents));
+    }
+    BayesianNetwork::new(pairs, schema)
 }
 
-/// [`greedy_bayes_fixed_k`] over a caller-owned engine. The learned network
-/// depends only on the underlying data and `rng`.
+/// Line 1 of Algorithms 2 and 4: one attribute drawn uniformly at random,
+/// placed without parents.
+fn random_root<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Result<Vec<ApPair>, PrivBayesError> {
+    if d < 2 {
+        return Err(PrivBayesError::InvalidConfig("need at least two attributes".into()));
+    }
+    Ok(vec![ApPair::new(rng.random_range(0..d), vec![])])
+}
+
+/// Algorithm 2: GreedyBayes with a fixed degree `k` (binary encodings). The
+/// learned network depends only on the data `engine` counts and `rng`.
 ///
 /// # Errors
 /// Returns [`PrivBayesError`] on score failures or invalid configuration.
@@ -310,66 +343,22 @@ pub fn greedy_bayes_fixed_k_engine<R: Rng + ?Sized>(
     settings: &GreedySettings,
     rng: &mut R,
 ) -> Result<BayesianNetwork, PrivBayesError> {
-    let schema = engine.schema();
-    let d = schema.len();
-    if d < 2 {
-        return Err(PrivBayesError::InvalidConfig("need at least two attributes".into()));
-    }
+    let d = engine.schema().len();
+    let root = random_root(d, rng)?;
     let k = k.min(settings.max_degree).min(d - 1);
-    let n = engine.n();
-    let all_binary = schema.all_binary();
-    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads);
-
-    let first = rng.random_range(0..d);
-    let mut pairs = vec![ApPair::new(first, vec![])];
-    let mut in_v = vec![false; d];
-    in_v[first] = true;
-    let mut v = vec![first];
-
-    for _ in 2..=d {
-        let parent_sets: Vec<Vec<Axis>> = combinations(&v, k.min(v.len()))
+    let sets = |v: &[usize], _| {
+        combinations(v, k.min(v.len()))
             .into_iter()
             .map(|set| set.into_iter().map(Axis::raw).collect())
-            .collect();
-        let (mut candidates, scores) =
-            scorer.round((0..d).filter(|&x| !in_v[x]), |_| parent_sets.clone())?;
-        let chosen = select(&scores, settings, d, n, all_binary, rng)?;
-        let c = candidates.swap_remove(chosen);
-        in_v[c.child] = true;
-        v.push(c.child);
-        pairs.push(ApPair::generalized(c.child, c.parents));
-    }
-    BayesianNetwork::new(pairs, schema)
+            .collect()
+    };
+    greedy_bayes(engine, root, d - 1, settings, sets, rng)
 }
 
 /// Algorithm 4: GreedyBayes with θ-usefulness-driven maximal parent sets
 /// (vanilla and hierarchical encodings). `use_taxonomy` enables generalised
-/// parent sets (Algorithm 6) where taxonomy trees are available. Builds a
-/// fresh [`CountEngine`] over `data`; see [`greedy_bayes_adaptive_engine`]
-/// for the caller-owned-engine form.
-///
-/// # Errors
-/// Returns [`PrivBayesError`] on score failures or invalid configuration.
-pub fn greedy_bayes_adaptive<R: Rng + ?Sized>(
-    data: &Dataset,
-    theta: f64,
-    epsilon2: f64,
-    use_taxonomy: bool,
-    settings: &GreedySettings,
-    rng: &mut R,
-) -> Result<BayesianNetwork, PrivBayesError> {
-    greedy_bayes_adaptive_engine(
-        &CountEngine::new(data),
-        theta,
-        epsilon2,
-        use_taxonomy,
-        settings,
-        rng,
-    )
-}
-
-/// [`greedy_bayes_adaptive`] over a caller-owned engine. The learned network
-/// depends only on the underlying data and `rng`.
+/// parent sets (Algorithm 6) where taxonomy trees are available. The
+/// learned network depends only on the data `engine` counts and `rng`.
 ///
 /// # Errors
 /// Returns [`PrivBayesError`] on score failures or invalid configuration.
@@ -382,13 +371,8 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<BayesianNetwork, PrivBayesError> {
     let schema = engine.schema();
-    let d = schema.len();
-    if d < 2 {
-        return Err(PrivBayesError::InvalidConfig("need at least two attributes".into()));
-    }
-    let n = engine.n();
-    let all_binary = schema.all_binary();
-    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads);
+    let (n, d) = (engine.n(), schema.len());
+    let root = random_root(d, rng)?;
     let domain_sizes = schema.domain_sizes();
     let level_sizes: Vec<Vec<usize>> = schema
         .attributes()
@@ -398,40 +382,25 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
             _ => vec![a.domain_size()],
         })
         .collect();
-
-    let first = rng.random_range(0..d);
-    let mut pairs = vec![ApPair::new(first, vec![])];
-    let mut in_v = vec![false; d];
-    in_v[first] = true;
-    let mut v = vec![first];
-
-    for _ in 2..=d {
-        // τ depends on the child only through its domain size.
-        let tops = |child_domain: usize| {
-            let tau = tau_for_child(n, d, epsilon2, theta, child_domain);
-            if use_taxonomy {
-                maximal_parent_sets_generalized(&v, &level_sizes, tau, settings.max_degree)
-            } else {
-                maximal_parent_sets(&v, &domain_sizes, tau, settings.max_degree)
-                    .into_iter()
-                    .map(|s| s.into_iter().map(Axis::raw).collect())
-                    .collect()
-            }
-        };
-        let (mut candidates, scores) = scorer.round((0..d).filter(|&x| !in_v[x]), tops)?;
-        let chosen = select(&scores, settings, d, n, all_binary, rng)?;
-        let c = candidates.swap_remove(chosen);
-        in_v[c.child] = true;
-        v.push(c.child);
-        pairs.push(ApPair::generalized(c.child, c.parents));
-    }
-    BayesianNetwork::new(pairs, schema)
+    // τ depends on the child only through its domain size.
+    let sets = |v: &[usize], child_domain| {
+        let tau = tau_for_child(n, d, epsilon2, theta, child_domain);
+        if use_taxonomy {
+            maximal_parent_sets_generalized(v, &level_sizes, tau, settings.max_degree)
+        } else {
+            maximal_parent_sets(v, &domain_sizes, tau, settings.max_degree)
+                .into_iter()
+                .map(|s| s.into_iter().map(Axis::raw).collect())
+                .collect()
+        }
+    };
+    greedy_bayes(engine, root, d - 1, settings, sets, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privbayes_data::{Attribute, Schema, TaxonomyTree};
+    use privbayes_data::{Attribute, Dataset, Schema, TaxonomyTree};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -466,10 +435,10 @@ mod tests {
 
     #[test]
     fn non_private_greedy_finds_true_edges() {
-        let data = correlated_binary(2000, 1);
+        let engine = CountEngine::new(&correlated_binary(2000, 1));
         let mut rng = StdRng::seed_from_u64(2);
         let settings = GreedySettings::non_private(ScoreKind::MutualInformation);
-        let net = greedy_bayes_fixed_k(&data, 1, &settings, &mut rng).unwrap();
+        let net = greedy_bayes_fixed_k_engine(&engine, 1, &settings, &mut rng).unwrap();
         assert_eq!(net.degree(), 1);
         // The two strongly-correlated pairs must be joined by an edge (the
         // Chow-Liu tree necessarily adds one ~zero-MI edge between the
@@ -482,11 +451,11 @@ mod tests {
 
     #[test]
     fn private_greedy_produces_valid_network() {
-        let data = correlated_binary(500, 3);
+        let engine = CountEngine::new(&correlated_binary(500, 3));
         let mut rng = StdRng::seed_from_u64(4);
         for score in [ScoreKind::MutualInformation, ScoreKind::F, ScoreKind::R] {
             let settings = GreedySettings::private(score, 0.5);
-            let net = greedy_bayes_fixed_k(&data, 2, &settings, &mut rng).unwrap();
+            let net = greedy_bayes_fixed_k_engine(&engine, 2, &settings, &mut rng).unwrap();
             assert_eq!(net.len(), 4);
             assert!(net.degree() <= 2);
         }
@@ -494,12 +463,12 @@ mod tests {
 
     #[test]
     fn parallel_scoring_is_bit_identical_to_sequential() {
-        let data = correlated_binary(800, 21);
+        let engine = CountEngine::new(&correlated_binary(800, 21));
         for score in [ScoreKind::MutualInformation, ScoreKind::F, ScoreKind::R] {
             let run = |threads: usize| {
                 let mut rng = StdRng::seed_from_u64(77);
                 let settings = GreedySettings::private(score, 0.6).with_threads(threads);
-                greedy_bayes_fixed_k(&data, 2, &settings, &mut rng).unwrap()
+                greedy_bayes_fixed_k_engine(&engine, 2, &settings, &mut rng).unwrap()
             };
             let sequential = run(1);
             for threads in [2, 3, 8] {
@@ -543,19 +512,19 @@ mod tests {
 
     #[test]
     fn fixed_k_zero_yields_independent_network() {
-        let data = correlated_binary(200, 5);
+        let engine = CountEngine::new(&correlated_binary(200, 5));
         let mut rng = StdRng::seed_from_u64(6);
         let settings = GreedySettings::private(ScoreKind::F, 0.1);
-        let net = greedy_bayes_fixed_k(&data, 0, &settings, &mut rng).unwrap();
+        let net = greedy_bayes_fixed_k_engine(&engine, 0, &settings, &mut rng).unwrap();
         assert_eq!(net.degree(), 0);
     }
 
     #[test]
     fn max_degree_caps_parent_sets() {
-        let data = correlated_binary(500, 7);
+        let engine = CountEngine::new(&correlated_binary(500, 7));
         let mut rng = StdRng::seed_from_u64(8);
         let settings = GreedySettings::private(ScoreKind::F, 1.0).with_max_degree(1);
-        let net = greedy_bayes_fixed_k(&data, 3, &settings, &mut rng).unwrap();
+        let net = greedy_bayes_fixed_k_engine(&engine, 3, &settings, &mut rng).unwrap();
         assert!(net.degree() <= 1);
     }
 
@@ -563,11 +532,11 @@ mod tests {
     fn first_k_pairs_have_prefix_parents() {
         // Algorithm 1's derivation of the first k conditionals relies on
         // Πᵢ = {X₁..Xᵢ₋₁} for i ≤ k and Π_{k+1} = {X₁..X_k}.
-        let data = correlated_binary(300, 9);
+        let engine = CountEngine::new(&correlated_binary(300, 9));
         let mut rng = StdRng::seed_from_u64(10);
         let k = 2;
         let settings = GreedySettings::private(ScoreKind::F, 1.0);
-        let net = greedy_bayes_fixed_k(&data, k, &settings, &mut rng).unwrap();
+        let net = greedy_bayes_fixed_k_engine(&engine, k, &settings, &mut rng).unwrap();
         let children: Vec<usize> = net.pairs().iter().map(|p| p.child).collect();
         for (i, pair) in net.pairs().iter().enumerate().take(k + 1) {
             let parent_attrs: Vec<usize> = pair.parents.iter().map(|a| a.attr).collect();
@@ -606,9 +575,11 @@ mod tests {
     #[test]
     fn adaptive_greedy_respects_theta() {
         let data = mixed_dataset(1000, 11);
+        let engine = CountEngine::new(&data);
         let mut rng = StdRng::seed_from_u64(12);
         let settings = GreedySettings::private(ScoreKind::R, 0.3);
-        let net = greedy_bayes_adaptive(&data, 4.0, 0.7, false, &settings, &mut rng).unwrap();
+        let net =
+            greedy_bayes_adaptive_engine(&engine, 4.0, 0.7, false, &settings, &mut rng).unwrap();
         assert_eq!(net.len(), 3);
         // Every AP joint must satisfy the θ bound m ≤ nε₂/(2dθ).
         let bound = crate::theta::max_joint_cells(data.n(), data.d(), 0.7, 4.0);
@@ -625,14 +596,15 @@ mod tests {
 
     #[test]
     fn adaptive_parallel_matches_sequential() {
-        let data = mixed_dataset(600, 31);
+        let engine = CountEngine::new(&mixed_dataset(600, 31));
         for (use_taxonomy, score) in
             [(false, ScoreKind::R), (true, ScoreKind::R), (false, ScoreKind::MutualInformation)]
         {
             let run = |threads: usize| {
                 let mut rng = StdRng::seed_from_u64(32);
                 let settings = GreedySettings::private(score, 0.4).with_threads(threads);
-                greedy_bayes_adaptive(&data, 4.0, 0.6, use_taxonomy, &settings, &mut rng).unwrap()
+                greedy_bayes_adaptive_engine(&engine, 4.0, 0.6, use_taxonomy, &settings, &mut rng)
+                    .unwrap()
             };
             let sequential = run(1);
             for threads in [2, 3, 8] {
@@ -644,10 +616,12 @@ mod tests {
     #[test]
     fn adaptive_with_taxonomy_can_generalize() {
         let data = mixed_dataset(1000, 13);
+        let engine = CountEngine::new(&data);
         let mut rng = StdRng::seed_from_u64(14);
         let settings = GreedySettings::non_private(ScoreKind::R);
         // Tight budget: forces generalised parents if any.
-        let net = greedy_bayes_adaptive(&data, 4.0, 0.05, true, &settings, &mut rng).unwrap();
+        let net =
+            greedy_bayes_adaptive_engine(&engine, 4.0, 0.05, true, &settings, &mut rng).unwrap();
         assert_eq!(net.len(), 3);
         for pair in net.pairs() {
             for ax in &pair.parents {
@@ -660,10 +634,11 @@ mod tests {
 
     #[test]
     fn tiny_budget_gives_empty_parents() {
-        let data = mixed_dataset(50, 15);
+        let engine = CountEngine::new(&mixed_dataset(50, 15));
         let mut rng = StdRng::seed_from_u64(16);
         let settings = GreedySettings::private(ScoreKind::R, 0.01);
-        let net = greedy_bayes_adaptive(&data, 4.0, 0.0001, false, &settings, &mut rng).unwrap();
+        let net =
+            greedy_bayes_adaptive_engine(&engine, 4.0, 0.0001, false, &settings, &mut rng).unwrap();
         assert_eq!(net.degree(), 0, "θ-usefulness must reject all parent sets");
     }
 
@@ -671,9 +646,10 @@ mod tests {
     fn rejects_single_attribute() {
         let schema = Schema::new(vec![Attribute::binary("only")]).unwrap();
         let data = Dataset::from_rows(schema, &[vec![0], vec![1]]).unwrap();
+        let engine = CountEngine::new(&data);
         let mut rng = StdRng::seed_from_u64(17);
         let settings = GreedySettings::private(ScoreKind::F, 1.0);
-        assert!(greedy_bayes_fixed_k(&data, 1, &settings, &mut rng).is_err());
+        assert!(greedy_bayes_fixed_k_engine(&engine, 1, &settings, &mut rng).is_err());
     }
 
     #[test]

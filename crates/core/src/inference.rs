@@ -567,10 +567,10 @@ fn eliminate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conditionals::noisy_conditionals_general;
+    use crate::conditionals::noisy_conditionals_general_engine;
     use crate::network::{ApPair, BayesianNetwork};
     use privbayes_data::{Attribute, Dataset, TaxonomyTree};
-    use privbayes_marginals::total_variation;
+    use privbayes_marginals::{total_variation, CountEngine};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -597,7 +597,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         (data, model)
     }
 
@@ -653,7 +654,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let t = model_marginal(&model, data.schema(), &[0, 1], DEFAULT_CELL_CAP).unwrap();
         let empirical = ContingencyTable::from_dataset(&data, &[Axis::raw(0), Axis::raw(1)]);
         assert!(total_variation(t.values(), empirical.values()) < 1e-9);
@@ -688,7 +690,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         // Cap of 8 cells: materialising `huge` (2 × 1000 cells) would fail,
         // but the pruned query {a, b} needs only 4 cells.
         let t = model_marginal(&model, data.schema(), &[0, 2], 8).unwrap();
@@ -720,7 +723,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(12);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         for attrs in [vec![2usize], vec![1, 2], vec![2, 1]] {
             let t = model_marginal(&model, data.schema(), &attrs, DEFAULT_CELL_CAP).unwrap();
             let axes: Vec<Axis> = attrs.iter().map(|&a| Axis::raw(a)).collect();
@@ -858,7 +862,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(21);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let r = model_conditional(&model, data.schema(), &[1], &[(0, 1)], DEFAULT_CELL_CAP);
         assert!(matches!(r, Err(PrivBayesError::InvalidConfig(_))), "{r:?}");
     }

@@ -33,7 +33,7 @@ pub fn sum_mutual_information(data: &Dataset, network: &BayesianNetwork) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{greedy_bayes_fixed_k, GreedySettings};
+    use crate::greedy::{greedy_bayes_fixed_k_engine, GreedySettings};
     use crate::network::ApPair;
     use crate::score::ScoreKind;
     use privbayes_data::{Attribute, Schema};
@@ -93,9 +93,10 @@ mod tests {
                 .collect();
             Dataset::from_rows(schema, &rows).unwrap()
         };
+        let engine = CountEngine::new(&data);
         let mut rng = StdRng::seed_from_u64(2);
-        let best = greedy_bayes_fixed_k(
-            &data,
+        let best = greedy_bayes_fixed_k_engine(
+            &engine,
             1,
             &GreedySettings::non_private(ScoreKind::MutualInformation),
             &mut rng,
@@ -106,8 +107,8 @@ mod tests {
         let reps = 10;
         for seed in 0..reps {
             let mut rng = StdRng::seed_from_u64(100 + seed);
-            let noisy = greedy_bayes_fixed_k(
-                &data,
+            let noisy = greedy_bayes_fixed_k_engine(
+                &engine,
                 1,
                 &GreedySettings::private(ScoreKind::MutualInformation, 0.01),
                 &mut rng,

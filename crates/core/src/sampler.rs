@@ -547,10 +547,10 @@ fn chunk_seed(base: u64, c: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conditionals::noisy_conditionals_general;
+    use crate::conditionals::noisy_conditionals_general_engine;
     use crate::network::{ApPair, BayesianNetwork};
     use privbayes_data::{Attribute, TaxonomyTree};
-    use privbayes_marginals::{Axis, ContingencyTable};
+    use privbayes_marginals::{Axis, ContingencyTable, CountEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -574,7 +574,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let synth =
             model.compile(data.schema()).unwrap().sample_dataset(500, None, &mut rng).unwrap();
         assert_eq!(synth.n(), 500);
@@ -598,7 +599,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let synth =
             model.compile(data.schema()).unwrap().sample_dataset(20_000, None, &mut rng).unwrap();
         let truth = ContingencyTable::from_dataset(&data, &[Axis::raw(0), Axis::raw(1)]);
@@ -616,7 +618,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let model = noisy_conditionals_general(&data, &net, Some(0.5), &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, Some(0.5), &mut rng).unwrap();
         // More rows than one chunk, not a multiple of the chunk size.
         let rows = 2 * CHUNK_ROWS + 137;
         let run = |threads: usize| {
@@ -656,7 +659,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let synth =
             model.compile(data.schema()).unwrap().sample_dataset(2000, None, &mut rng).unwrap();
         for row in 0..synth.n() {
@@ -674,7 +678,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let synth =
             model.compile(data.schema()).unwrap().sample_dataset(0, None, &mut rng).unwrap();
         assert_eq!(synth.n(), 0);
@@ -689,7 +694,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         assert!(model.compile(data.schema()).is_err());
     }
 
@@ -771,7 +777,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(21);
-        let model = noisy_conditionals_general(&data, &net, Some(0.8), &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, Some(0.8), &mut rng).unwrap();
         let compiled = model.compile(data.schema()).unwrap();
         // More rows than one chunk, not a multiple of the chunk size.
         let rows = 2 * CHUNK_ROWS + 311;
@@ -804,7 +811,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(22);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let compiled = model.compile(data.schema()).unwrap();
         assert_eq!(compiled.stream_rows(0, &mut rng).count(), 0);
     }
@@ -832,7 +840,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(10);
-        let model = noisy_conditionals_general(&data, &net, Some(1.0), &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, Some(1.0), &mut rng).unwrap();
         let compiled = model.compile(data.schema()).unwrap();
         match compiled.posterior(&[(4, 1)], 8) {
             Err(PrivBayesError::InvalidConfig(msg)) => assert!(msg.contains("16 cells"), "{msg}"),
@@ -850,7 +859,8 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let model = noisy_conditionals_general(&data, &net, None, &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
         let compiled = model.compile(data.schema()).unwrap();
         let a = compiled.sample_dataset(100, Some(1), &mut StdRng::seed_from_u64(7)).unwrap();
         let b = compiled.sample_dataset(100, Some(4), &mut StdRng::seed_from_u64(7)).unwrap();

@@ -997,21 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn append_does_not_mutate_tables_held_by_readers() {
-        let full = mixed_dataset(200, 15);
-        let (head, tail) = split_rows(&full, 120);
-        let mut engine = CountEngine::new(&head);
-        let axes = [Axis::raw(0), Axis::raw(1)];
-        let before = engine.joint_counts(&axes);
-        let snapshot = before.counts().to_vec();
-        engine.append(&tail);
-        // A counted table is the caller's own value: it keeps head-only counts…
-        assert_eq!(before.counts(), &snapshot[..]);
-        // …while the engine serves the concatenated counts.
-        assert_matches_from_dataset(&full, &engine, &axes);
-    }
-
-    #[test]
     #[should_panic(expected = "append schema must match")]
     fn append_rejects_schema_mismatch() {
         let mut engine = CountEngine::new(&binary_dataset(10, 16));

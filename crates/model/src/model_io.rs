@@ -463,8 +463,9 @@ fn axes_from_json(json: &Json, context: &str) -> Result<Vec<Axis>, ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privbayes::conditionals::noisy_conditionals_general;
+    use privbayes::conditionals::noisy_conditionals_general_engine;
     use privbayes_data::Attribute;
+    use privbayes_marginals::CountEngine;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -490,7 +491,8 @@ mod tests {
             &schema,
         )
         .unwrap();
-        let model = noisy_conditionals_general(&data, &net, Some(1.0), &mut rng).unwrap();
+        let engine = CountEngine::new(&data);
+        let model = noisy_conditionals_general_engine(&engine, &net, Some(1.0), &mut rng).unwrap();
         ReleasedModel::new(
             ModelMetadata {
                 method: "privbayes".into(),

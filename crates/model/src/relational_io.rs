@@ -13,7 +13,7 @@ use std::path::Path;
 use privbayes::conditionals::NoisyModel;
 use privbayes_data::Schema;
 use privbayes_relational::{
-    ConditionalFactModel, RelationalDataset, RelationalSchema, RelationalSynthesis,
+    compose, ConditionalFactModel, RelationalDataset, RelationalSchema, RelationalSynthesis,
     EVENT_COUNT_ATTR,
 };
 use rand::Rng;
@@ -295,27 +295,7 @@ impl ReleasedRelationalModel {
             .compile(flattened)
             .and_then(|sampler| sampler.sample_dataset(n_entities, None, rng))
             .map_err(|e| ModelError::Invalid(e.to_string()))?;
-        let e_arity = self.schema.entity_arity();
-        let m = self.schema.max_fanout();
-        let mut entity_rows = Vec::with_capacity(n_entities);
-        let mut fact_rows = Vec::new();
-        let mut owners = Vec::new();
-        for r in 0..flat.n() {
-            let row = flat.row(r);
-            let entity_values = &row[..e_arity];
-            let count = (row[e_arity] as usize).min(m);
-            for _ in 0..count {
-                fact_rows.push(self.fact_model.sample_fact(entity_values, rng));
-                owners.push(r);
-            }
-            entity_rows.push(entity_values.to_vec());
-        }
-        let entities =
-            privbayes_data::Dataset::from_rows(self.schema.entity().clone(), &entity_rows)
-                .map_err(|e| ModelError::Invalid(e.to_string()))?;
-        let facts = privbayes_data::Dataset::from_rows(self.schema.fact().clone(), &fact_rows)
-            .map_err(|e| ModelError::Invalid(e.to_string()))?;
-        RelationalDataset::new(self.schema.clone(), entities, facts, owners)
+        compose(&self.schema, &flat, &self.fact_model, rng)
             .map_err(|e| ModelError::Invalid(e.to_string()))
     }
 }

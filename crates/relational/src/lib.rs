@@ -47,4 +47,4 @@ pub use error::RelationalError;
 pub use generator::clinic_benchmark;
 pub use model::{fit_fact_model, ConditionalFactModel, FactModelOptions};
 pub use schema::{RelationalSchema, EVENT_COUNT_ATTR};
-pub use synthesize::{RelationalOptions, RelationalPrivBayes, RelationalSynthesis};
+pub use synthesize::{compose, RelationalOptions, RelationalPrivBayes, RelationalSynthesis};

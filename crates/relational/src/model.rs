@@ -7,7 +7,9 @@
 //! careful analysis is needed."* The careful analysis here is group privacy
 //! by budget scaling: a mechanism that is `ε/m`-DP with respect to one fact
 //! row is `ε`-DP with respect to an individual's whole group of ≤ m rows
-//! (compose a chain of single-row changes). Concretely:
+//! (compose a chain of single-row changes). The fit runs the core's
+//! [`greedy_bayes`] search and [`noisy_joints`] release over the `d_f` fact
+//! attributes, composing each over `d_f · m` in place of `d_f`:
 //!
 //! * each of the `d_f` exponential-mechanism selections runs with row-level
 //!   budget `ε₁ / (d_f · m)`;
@@ -21,15 +23,14 @@
 //! their values), and only fact attributes get scored parent sets — drawn
 //! from both entity attributes and earlier fact attributes.
 
-use privbayes::conditionals::{conditional_from_joint, Conditional};
-use privbayes::greedy::{Candidate, CandidateScores};
+use privbayes::conditionals::{conditional_from_joint, noisy_joints, Conditional};
+use privbayes::greedy::{greedy_bayes, GreedySettings};
 use privbayes::network::{ApPair, BayesianNetwork};
 use privbayes::parent_sets::maximal_parent_sets;
 use privbayes::score::ScoreKind;
+use privbayes::theta::tau_for_child;
 use privbayes_data::Dataset;
-use privbayes_dp::exponential::select_with_scale;
-use privbayes_dp::laplace::sample_laplace;
-use privbayes_marginals::{clamp_and_normalize, Axis, CountEngine};
+use privbayes_marginals::{Axis, CountEngine};
 use rand::Rng;
 
 use crate::error::RelationalError;
@@ -223,87 +224,48 @@ pub fn fit_fact_model<R: Rng + ?Sized>(
 
     let d_f = d - entity_arity;
     let n_f = view.n();
-    let m = fanout_cap as f64;
     let domain_sizes = view.schema().domain_sizes();
 
     if n_f == 0 {
         return Ok(uniform_model(view, entity_arity));
     }
-
+    // Each mechanism composes over the d_f fact pairs, each scaled to a
+    // group of up to m rows (module docs).
+    let joints = d_f.checked_mul(fanout_cap).ok_or_else(|| {
+        RelationalError::InvalidConfig(format!("fanout_cap {fanout_cap} is too large"))
+    })?;
     let (eps1, eps2) = match options.epsilon {
         Some(e) => (Some(options.beta * e), Some((1.0 - options.beta) * e)),
         None => (None, None),
     };
 
     // One engine serves both phases, so no phase ever re-scans the fact
-    // view's rows directly; the search scores each candidate once per fit.
+    // view's rows directly.
     let engine = CountEngine::new(view);
-    let mut scorer = CandidateScores::new(&engine, ScoreKind::R, Some(1));
+    let roots: Vec<ApPair> = (0..entity_arity).map(|a| ApPair::new(a, vec![])).collect();
+    let settings = GreedySettings {
+        score: ScoreKind::R,
+        epsilon1: eps1,
+        max_degree: options.max_parents,
+        threads: Some(1),
+    };
+    let sets = |placed: &[usize], child_domain| {
+        let tau = eps2.map_or(f64::INFINITY, |e2| {
+            tau_for_child(n_f, joints, e2, options.theta, child_domain)
+        });
+        maximal_parent_sets(placed, &domain_sizes, tau, options.max_parents)
+            .into_iter()
+            .map(|set| set.into_iter().map(Axis::raw).collect())
+            .collect()
+    };
+    let network = greedy_bayes(&engine, roots, joints, &settings, sets, rng)?;
 
-    // --- Structure learning: greedy conditional GreedyBayes. ---
-    let mut placed: Vec<usize> = (0..entity_arity).collect();
-    let mut unplaced: Vec<usize> = (entity_arity..d).collect();
-    let mut pairs: Vec<ApPair> = (0..entity_arity).map(|a| ApPair::new(a, vec![])).collect();
-
-    while !unplaced.is_empty() {
-        // Candidate (X, Π) pairs across all unplaced fact attributes; τ
-        // depends on X only through its domain size.
-        let sets = |child_domain: usize| {
-            let tau = match eps2 {
-                // θ-usefulness with the group-scaled noise (module docs).
-                Some(e2) => {
-                    n_f as f64 * e2 / (2.0 * d_f as f64 * m * options.theta) / child_domain as f64
-                }
-                None => f64::INFINITY,
-            };
-            maximal_parent_sets(&placed, &domain_sizes, tau, options.max_parents)
-                .into_iter()
-                .map(|set| set.into_iter().map(Axis::raw).collect())
-                .collect()
-        };
-        let (mut candidates, scores) =
-            scorer.round(unplaced.iter().copied(), sets).expect("R supports general domains");
-        let chosen = match eps1 {
-            Some(e1) => {
-                // Row-level sensitivity scaled to the group: Δ = d_f·m·S(R)/ε₁.
-                let delta = d_f as f64 * m * ScoreKind::R.sensitivity(n_f, false) / e1;
-                select_with_scale(&scores, delta, rng)
-                    .map_err(|e| RelationalError::InvalidConfig(e.to_string()))?
-            }
-            None => {
-                scores
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("candidates nonempty")
-                    .0
-            }
-        };
-        let Candidate { child: x, parents } = candidates.swap_remove(chosen);
-        pairs.push(ApPair::generalized(x, parents));
-        placed.push(x);
-        unplaced.retain(|&u| u != x);
-    }
-    let network = BayesianNetwork::new(pairs, view.schema())?;
-
-    // --- Distribution learning: group-scaled Algorithm 3 on fact pairs. ---
-    let scale = eps2.map(|e2| 2.0 * d_f as f64 * m / (n_f as f64 * e2));
-    let conditionals: Vec<Conditional> = network.pairs()[entity_arity..]
+    let facts = &network.pairs()[entity_arity..];
+    let conditionals = noisy_joints(&engine, facts, joints, eps2, 0, rng)?
         .iter()
-        .map(|pair| {
-            let mut axes: Vec<Axis> = pair.parents.clone();
-            axes.push(Axis::raw(pair.child));
-            let mut joint = engine.joint_table(&axes);
-            if let Some(scale) = scale {
-                for v in joint.values_mut() {
-                    *v += sample_laplace(scale, rng);
-                }
-                clamp_and_normalize(joint.values_mut(), 1.0);
-            }
-            conditional_from_joint(&joint, pair.child)
-        })
+        .zip(facts)
+        .map(|(joint, pair)| conditional_from_joint(joint, pair.child))
         .collect();
-
     Ok(ConditionalFactModel { entity_arity, network, conditionals })
 }
 

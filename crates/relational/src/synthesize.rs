@@ -25,6 +25,7 @@ use rand::Rng;
 use crate::dataset::RelationalDataset;
 use crate::error::RelationalError;
 use crate::model::{fit_fact_model, ConditionalFactModel, FactModelOptions};
+use crate::schema::RelationalSchema;
 
 /// Configuration of one relational synthesis run.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +113,7 @@ impl RelationalPrivBayes {
         rng: &mut R,
     ) -> Result<RelationalSynthesis, RelationalError> {
         self.options.validate()?;
-        let schema = data.schema().clone();
+        let schema = data.schema();
         let m = schema.max_fanout();
         let eps_entity = self.options.epsilon * self.options.entity_share;
         let eps_fact = self.options.epsilon - eps_entity;
@@ -138,25 +139,7 @@ impl RelationalPrivBayes {
         let fact_model = fit_fact_model(&view, schema.entity_arity(), m, &fact_options, rng)?;
 
         // Phase 3: compose (pure post-processing).
-        let flat_synth = &entity_result.synthetic;
-        let e_arity = schema.entity_arity();
-        let count_col = e_arity; // EVENT_COUNT_ATTR sits after the entity attrs
-        let mut entity_rows: Vec<Vec<u32>> = Vec::with_capacity(flat_synth.n());
-        let mut fact_rows: Vec<Vec<u32>> = Vec::new();
-        let mut owners: Vec<usize> = Vec::new();
-        for r in 0..flat_synth.n() {
-            let row = flat_synth.row(r);
-            let entity_values = &row[..e_arity];
-            let count = row[count_col] as usize;
-            for _ in 0..count.min(m) {
-                fact_rows.push(fact_model.sample_fact(entity_values, rng));
-                owners.push(r);
-            }
-            entity_rows.push(entity_values.to_vec());
-        }
-        let entities = Dataset::from_rows(schema.entity().clone(), &entity_rows)?;
-        let facts = Dataset::from_rows(schema.fact().clone(), &fact_rows)?;
-        let synthetic = RelationalDataset::new(schema, entities, facts, owners)?;
+        let synthetic = compose(schema, &entity_result.synthetic, &fact_model, rng)?;
 
         Ok(RelationalSynthesis {
             synthetic,
@@ -166,6 +149,40 @@ impl RelationalPrivBayes {
             epsilon_fact: eps_fact,
         })
     }
+}
+
+/// Composes a two-table database from sampled individuals, as pure
+/// post-processing: one individual per row of `flat` (its entity
+/// attributes, then its fact count `k`, as in `schema`'s flattened view),
+/// each owning `min(k, m)` facts drawn from `fact_model` given its
+/// attributes, in row order.
+///
+/// # Errors
+/// Returns [`RelationalError`] if the rows do not fit `schema`.
+pub fn compose<R: Rng + ?Sized>(
+    schema: &RelationalSchema,
+    flat: &Dataset,
+    fact_model: &ConditionalFactModel,
+    rng: &mut R,
+) -> Result<RelationalDataset, RelationalError> {
+    let e_arity = schema.entity_arity();
+    let mut entity_rows: Vec<Vec<u32>> = Vec::with_capacity(flat.n());
+    let mut fact_rows: Vec<Vec<u32>> = Vec::new();
+    let mut owners: Vec<usize> = Vec::new();
+    for r in 0..flat.n() {
+        let row = flat.row(r);
+        let entity_values = &row[..e_arity];
+        // EVENT_COUNT_ATTR sits after the entity attributes.
+        let count = row[e_arity] as usize;
+        for _ in 0..count.min(schema.max_fanout()) {
+            fact_rows.push(fact_model.sample_fact(entity_values, rng));
+            owners.push(r);
+        }
+        entity_rows.push(entity_values.to_vec());
+    }
+    let entities = Dataset::from_rows(schema.entity().clone(), &entity_rows)?;
+    let facts = Dataset::from_rows(schema.fact().clone(), &fact_rows)?;
+    RelationalDataset::new(schema.clone(), entities, facts, owners)
 }
 
 #[cfg(test)]

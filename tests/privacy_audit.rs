@@ -12,7 +12,7 @@
 //!    so this is a deterministic regression check, not a flaky one). Adult's
 //!    2⁵² domain also forces the scorer down its conditional-product path.
 //! 3. **Gate trip on a broken fit** — a deliberately non-private fitter
-//!    (noise scale forced to 0 via `noisy_conditionals_general`'s
+//!    (noise scale forced to 0 via `noisy_conditionals_general_engine`'s
 //!    `epsilon2 = None` hook) claiming a small ε must breach
 //!    `bound + slack` and fail [`AuditOutcome::passes_gate`]. This is the
 //!    audit's reason to exist: a privacy bug the type system cannot see,
@@ -22,12 +22,13 @@ use privbayes_bench::audit::{
     advantage_bound, audit_method, hoeffding_slack, log_model_prob, neighbor_worlds, run_audit,
     AuditConfig, AuditOutcome,
 };
-use privbayes_suite::core::conditionals::noisy_conditionals_general;
+use privbayes_suite::core::conditionals::noisy_conditionals_general_engine;
 use privbayes_suite::core::inference::DEFAULT_CELL_CAP;
 use privbayes_suite::core::network::{ApPair, BayesianNetwork};
 use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::datasets::adult::adult_sized;
 use privbayes_suite::datasets::GroundTruthNetwork;
+use privbayes_suite::marginals::CountEngine;
 use privbayes_suite::model::{ModelMetadata, ReleasedModel};
 use privbayes_suite::synth::{FitSettings, Method};
 use rand::rngs::StdRng;
@@ -96,7 +97,8 @@ fn broken_fit(data: &Dataset, claimed_epsilon: f64, seed: u64) -> ReleasedModel 
         (0..d).map(|a| ApPair::new(a, if a == 0 { vec![] } else { vec![a - 1] })).collect();
     let net = BayesianNetwork::new(pairs, data.schema()).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let model = noisy_conditionals_general(data, &net, None, &mut rng).unwrap();
+    let engine = CountEngine::new(data);
+    let model = noisy_conditionals_general_engine(&engine, &net, None, &mut rng).unwrap();
     ReleasedModel::new(
         ModelMetadata {
             method: "privbayes".into(),

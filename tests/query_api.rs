@@ -20,12 +20,14 @@
 use std::sync::Arc;
 
 use privbayes_bench::reference::reference_theta_projection;
-use privbayes_suite::core::conditionals::{noisy_conditionals_general, Conditional, NoisyModel};
+use privbayes_suite::core::conditionals::{
+    noisy_conditionals_general_engine, Conditional, NoisyModel,
+};
 use privbayes_suite::core::inference::{model_conditional, theta_projection, DEFAULT_CELL_CAP};
 use privbayes_suite::core::network::{ApPair, BayesianNetwork};
 use privbayes_suite::core::{PrivBayesError, SampleSpec, CHUNK_ROWS};
 use privbayes_suite::data::{Attribute, Dataset, Schema, TaxonomyTree};
-use privbayes_suite::marginals::{total_variation, Axis, ContingencyTable};
+use privbayes_suite::marginals::{total_variation, Axis, ContingencyTable, CountEngine};
 use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
 use privbayes_suite::server::{
     BudgetLedger, Client, Cursor, MarginalQuery, ModelRegistry, Server, ServerConfig, ServerError,
@@ -59,7 +61,8 @@ fn chain_artifact(seed: u64) -> ReleasedModel {
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(seed + 1);
-    let model = noisy_conditionals_general(&data, &net, Some(2.0), &mut rng).unwrap();
+    let engine = CountEngine::new(&data);
+    let model = noisy_conditionals_general_engine(&engine, &net, Some(2.0), &mut rng).unwrap();
     ReleasedModel::new(
         ModelMetadata {
             method: "privbayes".into(),
@@ -165,7 +168,8 @@ fn generalised_parent_model() -> (Schema, NoisyModel) {
         data.schema(),
     )
     .unwrap();
-    let model = noisy_conditionals_general(&data, &net, Some(2.0), &mut rng).unwrap();
+    let engine = CountEngine::new(&data);
+    let model = noisy_conditionals_general_engine(&engine, &net, Some(2.0), &mut rng).unwrap();
     (data.schema().clone(), model)
 }
 
