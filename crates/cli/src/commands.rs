@@ -274,9 +274,10 @@ fn fit(args: &ParsedArgs) -> Result<String, CliError> {
     if args.verbose() {
         let s = fitted.stats;
         report.push_str(&format!(
-            "\nengine: {} scans, {} bytes materialized\n\
+            "\nengine: {} scans, {} subsets, {} bytes materialized\n\
              engine time: scan {}µs\n{}",
             s.scans,
+            s.subsets,
             s.bytes_materialized,
             s.scan_micros,
             stage_report(&span),
@@ -1130,7 +1131,7 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("method mwem"), "{out}");
-        assert!(out.contains("engine: 1 scans,"), "one full-domain count: {out}");
+        assert!(out.contains("engine: 1 scans, 0 subsets,"), "one full-domain count: {out}");
         assert!(!out.contains("projections"), "{out}");
 
         let out = run_cli(&["inspect", "--model", &model_path]).unwrap();

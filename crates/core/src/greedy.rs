@@ -13,9 +13,13 @@
 //! * both start from one random attribute with c = d − 1; the relational
 //!   fact model starts from its evidence roots with c = d_f·m.
 //!
-//! Candidate joints are counted by one [`CountEngine`], and each (child,
-//! parent set) candidate is counted and scored once per search, a round's
-//! new candidates grouped by parent set on a pool of scoped threads.
+//! Candidate joints come from one [`CountEngine`]. Before round 1 the search
+//! counts every subset of at most `K` of the schema's binary attributes once
+//! ([`CountEngine::subset_counts`]), with `K` the largest binary candidate
+//! the caller's rule allows; every candidate whose child and parents are
+//! binary builds its joint from those counts, and the rest are counted from
+//! the rows. Each (child, parent set) candidate is scored once per search, a
+//! round's new candidates grouped by parent set on a pool of scoped threads.
 //! Scoring is deterministic, only the selection consumes randomness, and
 //! every score is bit-identical to the sequential path, so the learned
 //! network does not depend on the worker count.
@@ -23,14 +27,14 @@
 use std::collections::HashMap;
 
 use privbayes_dp::exponential::select_with_scale;
-use privbayes_marginals::{Axis, CountEngine};
+use privbayes_marginals::{probs_into, Axis, CountEngine, CountTable, SubsetCounts};
 use rand::{Rng, RngExt};
 
 use crate::error::PrivBayesError;
 use crate::network::{ApPair, BayesianNetwork};
 use crate::parent_sets::{maximal_parent_sets, maximal_parent_sets_generalized};
 use crate::score::ScoreKind;
-use crate::theta::tau_for_child;
+use crate::theta::{max_binary_parents, tau_for_child};
 
 /// Settings shared by both GreedyBayes variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,10 +104,13 @@ struct Candidate {
 /// The candidate scores of one greedy search, kept for the whole fit.
 ///
 /// A candidate's score depends only on the data, so each (child, parent
-/// set) pair is counted and scored once per fit. A round's unscored
-/// candidates are those whose parent set holds the attribute placed last
-/// (a maximal set of `V ∪ {a}` that leaves out `a` is maximal in `V`);
-/// they are grouped by parent set, and each group is counted by one
+/// set) pair is scored once per fit. A round's unscored candidates are those
+/// whose parent set holds the attribute placed last (a maximal set of
+/// `V ∪ {a}` that leaves out `a` is maximal in `V`); they are grouped by
+/// parent set. In a group, the tables of the children the subset lattice
+/// covers (binary children under binary parents) are built from the
+/// lattice, which is counted once before round 1 and kept for the fit like
+/// the scores; the other children are counted by one
 /// [`CountEngine::child_joints`] pass. The groups are dealt to the scoring
 /// threads in a strided split, which keeps the threads' work comparable
 /// when one round's new groups are contiguous. Candidate order never
@@ -111,6 +118,8 @@ struct Candidate {
 #[derive(Debug)]
 struct CandidateScores<'e> {
     engine: &'e CountEngine,
+    /// The all-ones counts of every subset of at most `K` binary attributes.
+    lattice: SubsetCounts,
     score: ScoreKind,
     threads: usize,
     /// Kept scores, indexed by child and keyed by parent set.
@@ -118,11 +127,27 @@ struct CandidateScores<'e> {
 }
 
 impl<'e> CandidateScores<'e> {
-    /// An empty score store over `engine`; `threads` as
+    /// An empty score store over `engine`, whose lattice holds every subset
+    /// of at most `binary_arity` binary attributes; `threads` as
     /// [`GreedySettings::threads`].
-    fn new(engine: &'e CountEngine, score: ScoreKind, threads: Option<usize>) -> Self {
+    ///
+    /// # Errors
+    /// Returns [`PrivBayesError::InvalidConfig`] when the lattice's length
+    /// overflows.
+    fn new(
+        engine: &'e CountEngine,
+        score: ScoreKind,
+        threads: Option<usize>,
+        binary_arity: usize,
+    ) -> Result<Self, PrivBayesError> {
+        let threads = resolve_threads(threads);
+        let lattice = engine.subset_counts(binary_arity, threads).ok_or_else(|| {
+            PrivBayesError::InvalidConfig(format!(
+                "the subsets of at most {binary_arity} binary attributes are too many to count"
+            ))
+        })?;
         let kept = vec![HashMap::new(); engine.schema().len()];
-        Self { engine, score, threads: resolve_threads(threads), kept }
+        Ok(Self { engine, lattice, score, threads, kept })
     }
 
     /// One round's candidates and their scores, in candidate order: each
@@ -181,15 +206,22 @@ impl<'e> CandidateScores<'e> {
             }
             scores.push(kept);
         }
+        let lattice = &self.lattice;
         let score_group = |(parents, at): &(&[Axis], Vec<usize>)| {
             let children: Vec<usize> = at.iter().map(|&i| candidates[i].child).collect();
+            let (binary, counted): (Vec<usize>, Vec<usize>) =
+                children.iter().copied().partition(|&child| lattice.covers(parents, child));
+            let binary = lattice.child_counts(parents, &binary);
+            let mut binary = binary.chunks_exact(2 << parents.len());
+            let counted = engine.child_joints(parents, &counted);
+            let mut counted = counted.iter().map(CountTable::counts);
             let mut joint = Vec::new();
-            let tables = engine.child_joints(parents, &children);
-            tables
+            children
                 .iter()
-                .zip(&children)
-                .map(|(table, &child)| {
-                    table.probs_into(engine.n(), &mut joint);
+                .map(|&child| {
+                    let counts =
+                        if lattice.covers(parents, child) { binary.next() } else { counted.next() };
+                    probs_into(counts.expect("one table per child"), engine.n(), &mut joint);
                     score.compute(&joint, schema.attribute(child).domain_size(), engine.n())
                 })
                 .collect::<Result<Vec<f64>, PrivBayesError>>()
@@ -296,20 +328,28 @@ fn select<R: Rng + ?Sized>(
 /// first. One `rng` draw is taken per round, in round order, and none when
 /// ε₁ is `None`.
 ///
+/// `binary_arity` is `K`, the most axes a candidate over raw binary
+/// attributes can have: the largest parent set `parent_sets` can return for
+/// a child of domain size 2, plus the child. Before round 1 the search counts
+/// every subset of at most `K` of the schema's binary attributes once, and
+/// each binary candidate's joint is built from those counts; a candidate
+/// outside them is counted from the rows.
+///
 /// # Errors
-/// Returns [`PrivBayesError`] on score failures, a failed selection or an
-/// invalid network.
+/// Returns [`PrivBayesError`] on score failures, a failed selection, an
+/// invalid network, or a lattice too large to count.
 pub fn greedy_bayes<R: Rng + ?Sized>(
     engine: &CountEngine,
     placed: Vec<ApPair>,
     composition: usize,
     settings: &GreedySettings,
+    binary_arity: usize,
     mut parent_sets: impl FnMut(&[usize], usize) -> Vec<Vec<Axis>>,
     rng: &mut R,
 ) -> Result<BayesianNetwork, PrivBayesError> {
     let schema = engine.schema();
     let d = schema.len();
-    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads);
+    let mut scorer = CandidateScores::new(engine, settings.score, settings.threads, binary_arity)?;
     let mut v: Vec<usize> = placed.iter().map(|pair| pair.child).collect();
     let mut pairs = placed;
     while v.len() < d {
@@ -352,7 +392,7 @@ pub fn greedy_bayes_fixed_k_engine<R: Rng + ?Sized>(
             .map(|set| set.into_iter().map(Axis::raw).collect())
             .collect()
     };
-    greedy_bayes(engine, root, d - 1, settings, sets, rng)
+    greedy_bayes(engine, root, d - 1, settings, k + 1, sets, rng)
 }
 
 /// Algorithm 4: GreedyBayes with θ-usefulness-driven maximal parent sets
@@ -383,6 +423,8 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
         })
         .collect();
     // τ depends on the child only through its domain size.
+    let binary_tau = tau_for_child(n, d, epsilon2, theta, 2);
+    let binary_arity = max_binary_parents(binary_tau, settings.max_degree.min(d - 1)) + 1;
     let sets = |v: &[usize], child_domain| {
         let tau = tau_for_child(n, d, epsilon2, theta, child_domain);
         if use_taxonomy {
@@ -394,7 +436,7 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
                 .collect()
         }
     };
-    greedy_bayes(engine, root, d - 1, settings, sets, rng)
+    greedy_bayes(engine, root, d - 1, settings, binary_arity, sets, rng)
 }
 
 #[cfg(test)]
@@ -478,9 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn each_candidate_is_counted_once_per_fit() {
-        // Ten binary attributes: every round re-offers most of the previous
-        // round's candidates, and only the new ones may be counted.
+    fn each_subset_is_counted_once_per_fit() {
+        // Ten binary attributes at k = 2: every candidate reads the lattice
+        // of the subsets of at most 3 attributes, each counted once, and the
+        // search reads no rows.
         let schema =
             Schema::new((0..10).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
@@ -496,18 +539,71 @@ mod tests {
         let net =
             greedy_bayes_fixed_k_engine(&engine, 2, &settings, &mut StdRng::seed_from_u64(18))
                 .unwrap();
+        assert_eq!(net.degree(), 2);
+        let stats = engine.stats();
+        assert_eq!(stats.subsets, 10 + 45 + 120, "every non-empty subset of at most 3 of 10");
+        assert_eq!(stats.scans, 0, "no candidate reads the rows");
+    }
 
-        let order: Vec<usize> = net.pairs().iter().map(|p| p.child).collect();
-        let mut distinct = std::collections::HashSet::new();
-        for placed in 1..order.len() {
-            let v = &order[..placed];
-            for set in combinations(v, 2.min(placed)) {
-                for &child in &order[placed..] {
-                    distinct.insert((child, set.clone()));
+    #[test]
+    fn mixed_schemas_count_only_non_binary_candidates_from_rows() {
+        // Binary groups read the lattice; a candidate with a categorical
+        // child or parent is counted from the rows, once per fit.
+        let schema = Schema::new(vec![
+            Attribute::binary("b0"),
+            Attribute::categorical("c", 3).unwrap(),
+            Attribute::binary("b1"),
+            Attribute::binary("b2"),
+            Attribute::categorical("e", 4).unwrap(),
+            Attribute::binary("b3"),
+        ])
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(19);
+        let rows: Vec<Vec<u32>> = (0..400)
+            .map(|_| {
+                let a = rng.random_range(0..2u32);
+                let c = a + rng.random_range(0..2u32);
+                let b1 = a ^ u32::from(rng.random_bool(0.2));
+                let b2 = a ^ u32::from(rng.random_bool(0.2));
+                vec![a, c, b1, b2, rng.random_range(0..4u32), a]
+            })
+            .collect();
+        let data = Dataset::from_rows(schema.clone(), &rows).unwrap();
+        for threads in [1, 3] {
+            let engine = CountEngine::new(&data);
+            let settings = GreedySettings::private(ScoreKind::R, 1.0).with_threads(threads);
+            let net =
+                greedy_bayes_fixed_k_engine(&engine, 2, &settings, &mut StdRng::seed_from_u64(20))
+                    .unwrap();
+            let order: Vec<usize> = net.pairs().iter().map(|p| p.child).collect();
+            let mut distinct = std::collections::HashSet::new();
+            for placed in 1..order.len() {
+                for set in combinations(&order[..placed], 2.min(placed)) {
+                    for &child in &order[placed..] {
+                        let binary = |a: usize| schema.attribute(a).is_binary();
+                        if !(binary(child) && set.iter().all(|&a| binary(a))) {
+                            distinct.insert((child, set.clone()));
+                        }
+                    }
                 }
             }
+            let stats = engine.stats();
+            assert_eq!(stats.scans, distinct.len(), "threads = {threads}");
+            assert_eq!(stats.subsets, 4 + 6 + 4, "every subset of at most 3 of 4 binary");
         }
-        assert_eq!(engine.stats().scans, distinct.len());
+    }
+
+    #[test]
+    fn an_uncountable_lattice_is_refused() {
+        // Every subset of at most 64 of 64 binary attributes overflows.
+        let schema =
+            Schema::new((0..64).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
+        let data = Dataset::from_rows(schema, &[vec![0; 64], vec![1; 64]]).unwrap();
+        let engine = CountEngine::new(&data);
+        let settings = GreedySettings::non_private(ScoreKind::R);
+        let refused =
+            greedy_bayes_fixed_k_engine(&engine, 63, &settings, &mut StdRng::seed_from_u64(21));
+        assert!(matches!(refused, Err(PrivBayesError::InvalidConfig(_))), "{refused:?}");
     }
 
     #[test]

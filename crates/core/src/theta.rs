@@ -50,6 +50,22 @@ pub fn tau_for_child(n: usize, d: usize, epsilon2: f64, theta: f64, child_domain
     max_joint_cells(n, d, epsilon2, theta) / child_domain as f64
 }
 
+/// The most binary parents a parent-set rule with budget `tau` and size cap
+/// `cap` can give a binary child: how often τ halves before it drops below
+/// 1, in the arithmetic [`maximal_parent_sets`](crate::parent_sets::maximal_parent_sets)
+/// applies to each binary member (`τ / 2`, one member at a time), and at
+/// most `cap` (the loop runs at most `cap` times, so callers bound it by
+/// the attribute count).
+#[must_use]
+pub fn max_binary_parents(tau: f64, cap: usize) -> usize {
+    let (mut tau, mut parents) = (tau, 0);
+    while parents < cap && tau / 2.0 >= 1.0 {
+        tau /= 2.0;
+        parents += 1;
+    }
+    parents
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +121,40 @@ mod tests {
         assert!((tau - 1000.0 / (2.0 * 10.0 * 4.0 * 16.0)).abs() < 1e-12);
     }
 
+    #[test]
+    fn binary_parents_halve_tau() {
+        for (tau, cap, parents) in [
+            (0.5, 9, 0),
+            (1.0, 9, 0),
+            (2.0, 9, 1),
+            (3.99, 9, 1),
+            (4.0, 9, 2),
+            (90.3, 9, 6),
+            (90.3, 4, 4),
+            (f64::INFINITY, 5, 5),
+            (f64::NAN, 5, 0),
+        ] {
+            assert_eq!(max_binary_parents(tau, cap), parents, "τ = {tau}, cap {cap}");
+        }
+    }
+
     proptest! {
+        /// The bound is the largest binary parent set the rule returns.
+        #[test]
+        fn prop_binary_parents_match_the_largest_maximal_set(
+            tau in 0.1f64..300.0,
+            cap in 0usize..8,
+            v in 0usize..9,
+        ) {
+            let placed: Vec<usize> = (0..v).collect();
+            let largest = crate::parent_sets::maximal_parent_sets(&placed, &[2; 9], tau, cap)
+                .iter()
+                .map(Vec::len)
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(max_binary_parents(tau, cap.min(v)), largest);
+        }
+
         /// Usefulness is non-increasing in k ((d−k)·2^{k+2} grows whenever
         /// d−k ≥ 2, with equality exactly at k = d−2) and θ-choice picks a
         /// k that satisfies the threshold.

@@ -9,36 +9,44 @@
 //!    dataset column; generalised levels are materialised lazily through the
 //!    taxonomy's level lookup). A joint is then a single fused radix pass:
 //!    `cell = Σ code·stride` per row, no per-row `Vec` indirection.
-//! 2. **Bit-packed popcount fast path.** When every requested axis is a raw
-//!    binary attribute the joint comes from AND + popcount chains over
-//!    bit-packed columns plus a Möbius transform — the strategy that makes
-//!    full-size NLTCS/ACS learning tractable. The engine picks the bit
-//!    backend whenever it supports the axes and the radix pass otherwise,
-//!    so callers have one entry point.
-//! 3. **Children counted against shared parents.** A search scores many
-//!    children against the same parent set.
 //!    [`child_joints`](CountEngine::child_joints) counts `[parents…, child]`
-//!    for all of them in one pass over blocks of rows: the parents' AND
-//!    masks (bit backend) or cell index (radix) are built once per block
-//!    and shared by every child.
+//!    for many children in one pass over blocks of rows, building the
+//!    parents' cell index once per block.
+//! 2. **One bit-packed walk.** Binary attributes are also kept as bit masks.
+//!    The bit backend has one counting primitive: a depth-first walk over a
+//!    set of binary attributes that counts the rows where every attribute of
+//!    a subset is 1, one AND + popcount pass per subset and one AND mask per
+//!    depth. A joint over raw binary axes (at most 8 of them) is the walk
+//!    over its axes followed by a Möbius transform from those "all ones"
+//!    counts to cell counts. [`joint_counts`](CountEngine::joint_counts)
+//!    picks the bit backend whenever it supports the axes and the radix pass
+//!    otherwise, so callers have one entry point.
+//! 3. **One subset lattice per search.** On binary axes, every candidate
+//!    joint of a search is a Möbius transform of all-ones counts of subsets
+//!    of at most `K` attributes. [`subset_counts`](CountEngine::subset_counts)
+//!    walks each such subset of the schema's binary attributes once and
+//!    returns the counts as an owned [`SubsetCounts`], from which
+//!    [`child_counts`](SubsetCounts::child_counts) builds each binary
+//!    candidate's table without reading a row.
 //!
 //! The engine keeps no tables: every request counts the rows, and an
 //! [`append`](CountEngine::append) only grows the columns. Callers that
 //! need a joint twice keep it themselves, as the greedy search keeps its
-//! scores.
+//! subset counts and its scores.
 //!
 //! # Determinism contract
 //!
 //! Both backends produce **identical integer counts** (counting is exact),
 //! and probabilities are always derived as `count · (1/n)` — the same
 //! expression [`ContingencyTable::from_dataset`] uses. A joint counted by
-//! popcount, by the radix pass, alone or in a group of children, is
-//! therefore **bit-identical**, whichever thread asks for it. This is what
-//! lets parallel candidate scoring reproduce the sequential scores exactly.
+//! the bit walk, by the radix pass alone or in a group of children, or built
+//! from a subset lattice walked on any number of threads, is therefore
+//! **bit-identical**, whichever thread asks for it. This is what lets
+//! parallel candidate scoring reproduce the sequential scores exactly.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use privbayes_data::{Dataset, Schema};
 
@@ -137,13 +145,10 @@ impl CountTable {
         Self { axes: out_axes, dims: out_dims, counts: out }
     }
 
-    /// Writes the probability-scale cells (`count · (1/n)`) into `out`.
-    /// This is bit-identical to [`ContingencyTable::from_dataset`] on the
-    /// same axes — same counts, same scaling expression.
+    /// Writes the probability-scale cells (`count · (1/n)`) into `out`, as
+    /// the free [`probs_into`] does.
     pub fn probs_into(&self, n: usize, out: &mut Vec<f64>) {
-        let scale = if n == 0 { 0.0 } else { 1.0 / n as f64 };
-        out.clear();
-        out.extend(self.counts.iter().map(|&c| c as f64 * scale));
+        probs_into(&self.counts, n, out);
     }
 
     /// The probability-scale [`ContingencyTable`] form of this count table.
@@ -153,6 +158,15 @@ impl CountTable {
         self.probs_into(n, &mut values);
         ContingencyTable::from_parts(self.axes.clone(), self.dims.clone(), values)
     }
+}
+
+/// Writes the probability-scale cells (`count · (1/n)`) of `counts` into
+/// `out`. This is bit-identical to [`ContingencyTable::from_dataset`] on the
+/// same axes — same counts, same scaling expression.
+pub fn probs_into(counts: &[u64], n: usize, out: &mut Vec<f64>) {
+    let scale = if n == 0 { 0.0 } else { 1.0 / n as f64 };
+    out.clear();
+    out.extend(counts.iter().map(|&c| c as f64 * scale));
 }
 
 /// The general-domain backend: one fused radix pass over pre-encoded dense
@@ -307,12 +321,12 @@ impl RadixBackend {
     }
 }
 
-/// Rows per block of a [`CountEngine::child_joints`] pass: 64 mask words,
-/// so a block's scratch stays in cache and never grows with `n`.
+/// Rows per block of a [`CountEngine::child_joints`] pass, so a block's
+/// cell index stays in cache and never grows with `n`.
 const BLOCK_ROWS: usize = 4096;
 
 /// Bit-packed columns of the binary attributes: joints over raw binary axes
-/// come from AND + popcount chains instead of row scans.
+/// come from the subset walk's AND + popcount passes instead of row scans.
 #[derive(Debug)]
 struct BitBackend {
     /// One bit mask per attribute (empty for non-binary attributes).
@@ -321,9 +335,12 @@ struct BitBackend {
 }
 
 impl BitBackend {
-    /// Joints above this arity fall back to the radix pass (the subset
-    /// lattice is exponential in the arity).
-    const MAX_ARITY: usize = 16;
+    /// Joints above this arity take the radix pass. The walk counts all
+    /// `2^m − 1` subsets of a joint's `m` axes, so its cost doubles with
+    /// each axis, while a radix pass grows slowly; on a 21,574-row table the
+    /// two cross between 8 and 9 axes. A search's lattice is not bound by
+    /// this cut, because its counts are shared by many candidates.
+    const MAX_ARITY: usize = 8;
 
     fn new(schema: &Schema, columns: &[Vec<u32>], n: usize) -> Self {
         let words = n.div_ceil(64);
@@ -372,76 +389,257 @@ impl BitBackend {
             && axes.iter().all(|a| a.level == 0 && !self.cols[a.attr].is_empty())
     }
 
-    /// Counts `[parents…, child]` for every child (each a raw binary
-    /// attribute) via the subset-AND lattice plus a Möbius transform from
-    /// "all-ones" counts to exact cell counts; the layout matches
-    /// [`ContingencyTable::from_dataset`] with the same axes. Per block of
-    /// mask words, every parent subset's AND mask is built once, and each
-    /// child costs one AND + popcount per subset.
-    fn child_counts(&self, parents: &[Axis], children: &[usize]) -> Vec<CountTable> {
-        const BLOCK: usize = BLOCK_ROWS / 64;
-        let m = parents.len();
-        let subsets = 1usize << m;
-        // Bit p of a subset index stands for parents[m-1-p], so `s << 1`
-        // (plus the child's bit) is the cell index of the all-ones pattern
-        // restricted to s.
-        let cols: Vec<&[u64]> = parents.iter().rev().map(|a| &self.cols[a.attr][..]).collect();
-        let kids: Vec<&[u64]> = children.iter().map(|&c| &self.cols[c][..]).collect();
-        // ones[s]: rows where every parent in s is 1; kid_ones[k][s]: the
-        // same rows with child k also 1.
-        let mut ones = vec![0i64; subsets];
-        let mut kid_ones = vec![vec![0i64; subsets]; kids.len()];
-        // masks[s·BLOCK..]: the block's AND of the parents in s (all ones
-        // for the empty set).
-        let mut masks = vec![!0u64; subsets * BLOCK];
+    /// Fills `lattice` with the all-ones count of each of its subsets of
+    /// `attrs` (the lattice's attributes, ascending): a depth-first walk
+    /// with one AND mask per depth and one AND + popcount pass per subset.
+    /// The walk's top-level branches, one per attribute, are dealt to
+    /// `threads` scoped threads in a strided split, and each thread writes
+    /// its branches' ranges in place. Returns the walk's time summed over
+    /// the threads.
+    fn walk(&self, attrs: &[usize], lattice: &mut SubsetCounts, threads: usize) -> Duration {
+        let depth = lattice.max_size;
+        if depth == 0 {
+            return Duration::ZERO;
+        }
+        let cols: Vec<&[u64]> = attrs.iter().map(|&a| &self.cols[a][..]).collect();
         let words = self.n.div_ceil(64);
-        for start in (0..words).step_by(BLOCK) {
-            let block = start..(start + BLOCK).min(words);
-            for s in 1..subsets {
-                let rest = s & (s - 1);
-                let col = &cols[s.trailing_zeros() as usize][block.clone()];
-                let (done, todo) = masks.split_at_mut(s * BLOCK);
-                let mut c = 0i64;
-                for ((o, &a), &b) in todo.iter_mut().zip(&done[rest * BLOCK..]).zip(col) {
-                    *o = a & b;
-                    c += i64::from(o.count_ones());
-                }
-                ones[s] += c;
+        let all_rows = vec![!0u64; words];
+        let threads = threads.clamp(1, cols.len());
+        let mut dealt: Vec<Vec<(usize, &mut [u64])>> = (0..threads).map(|_| Vec::new()).collect();
+        let mut rest = &mut lattice.counts[1..];
+        for (p, bounds) in lattice.offsets[..=cols.len()].windows(2).enumerate() {
+            let (branch, tail) = std::mem::take(&mut rest).split_at_mut(bounds[1] - bounds[0]);
+            dealt[p % threads].push((p, branch));
+            rest = tail;
+        }
+        // Every buffer is allocated here, so that the walking threads
+        // allocate nothing: a thread that allocates may get an allocator
+        // arena of its own, whose freed memory stays resident after the walk
+        // (ingest's peak RSS rose by about 1 MB when each thread allocated
+        // its masks).
+        let mut masks = vec![vec![vec![0u64; words]; depth - 1]; threads];
+        let walk = |dealt: &mut [(usize, &mut [u64])], masks: &mut [Vec<u64>]| {
+            let started = Instant::now();
+            for (p, out) in dealt {
+                descend(&cols, &all_rows, *p, depth, masks, out);
             }
-            for (kid, counts) in kids.iter().zip(&mut kid_ones) {
-                let kid = &kid[block.clone()];
-                for (count, mask) in counts.iter_mut().zip(masks.chunks_exact(BLOCK)) {
-                    let c: u32 = mask.iter().zip(kid).map(|(&a, &b)| (a & b).count_ones()).sum();
-                    *count += i64::from(c);
-                }
+            started.elapsed()
+        };
+        if threads == 1 {
+            return walk(&mut dealt[0], &mut masks[0]);
+        }
+        let walk = &walk;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = dealt
+                .iter_mut()
+                .zip(&mut masks)
+                .map(|(dealt, masks)| scope.spawn(move || walk(dealt, masks)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("subset walker panicked")).sum()
+        })
+    }
+}
+
+/// Counts the rows of `mask ∧ cols[q]` into `out[0]` and then, depth first,
+/// every extension of that subset by up to `levels − 1` later columns;
+/// returns how many counts it wrote. `masks` holds one scratch mask for
+/// each level but the last.
+fn descend(
+    cols: &[&[u64]],
+    mask: &[u64],
+    q: usize,
+    levels: usize,
+    masks: &mut [Vec<u64>],
+    out: &mut [u64],
+) -> usize {
+    if levels == 1 {
+        out[0] = mask.iter().zip(cols[q]).map(|(&a, &b)| u64::from((a & b).count_ones())).sum();
+        return 1;
+    }
+    let (next, deeper) = masks.split_first_mut().expect("one mask per level");
+    let mut count = 0u64;
+    for ((o, &a), &b) in next.iter_mut().zip(mask).zip(cols[q]) {
+        *o = a & b;
+        count += u64::from(o.count_ones());
+    }
+    out[0] = count;
+    let mut at = 1;
+    for r in q + 1..cols.len() {
+        at += descend(cols, next, r, levels - 1, deeper, &mut out[at..]);
+    }
+    at
+}
+
+/// The "all ones" counts of every subset of at most `K` of a set of binary
+/// attributes: for each subset, the rows where all its attributes are 1.
+/// [`CountEngine::subset_counts`] returns one over the schema's binary
+/// attributes, counted once by the bit backend's walk.
+///
+/// A joint over raw binary axes is a Möbius transform of the all-ones counts
+/// of its axes' subsets, so one lattice serves every binary candidate of a
+/// search: [`child_counts`](Self::child_counts) builds a table from
+/// `2^(m+1)` lookups. The counts are dense and indexed by rank: index 0
+/// holds the empty set (`n`), and the non-empty subsets follow in
+/// depth-first (lexicographic) order of their attributes' lattice
+/// positions, so each top-level branch of the walk owns one contiguous
+/// range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubsetCounts {
+    /// Lattice position of each schema attribute (`None` outside it).
+    position: Vec<Option<usize>>,
+    /// `K`: the largest subset counted.
+    max_size: usize,
+    /// Row `j − 1` (stride `width + 1`), entry `p`: how many subsets the
+    /// depth-`j` subtrees of positions `0..p` hold. A subset `S ∪ {q}` of
+    /// size `j`, with `q` above every position of `S`, has index
+    /// `index(S) + 1 + offset(j, q) − offset(j, last(S) + 1)`.
+    offsets: Vec<usize>,
+    /// The counts by index.
+    counts: Vec<u64>,
+}
+
+impl SubsetCounts {
+    /// A zeroed lattice of the subsets of at most `max_size` of `attrs`
+    /// (ascending attributes of a `d`-attribute schema) over `n` rows, or
+    /// `None` when its length overflows `usize` or one allocation.
+    fn zeroed(d: usize, attrs: &[usize], max_size: usize, n: usize) -> Option<Self> {
+        let width = attrs.len();
+        let max_size = max_size.min(width);
+        // below[r][h]: the non-empty subsets of at most h of r attributes.
+        let mut below = vec![vec![0usize; max_size + 1]; width + 1];
+        for r in 1..=width {
+            for h in 1..=max_size {
+                below[r][h] = below[r - 1][h].checked_add(below[r - 1][h - 1])?.checked_add(1)?;
             }
         }
-        ones[0] = self.n as i64;
+        let mut offsets = vec![0usize; max_size * (width + 1)];
+        for (j, row) in offsets.chunks_exact_mut(width + 1).enumerate() {
+            for p in 0..width {
+                let subtree = below[width - 1 - p][max_size - 1 - j].checked_add(1)?;
+                row[p + 1] = row[p].checked_add(subtree)?;
+            }
+        }
+        let len = offsets.get(width).copied().unwrap_or(0).checked_add(1)?;
+        if len > isize::MAX as usize / std::mem::size_of::<u64>() {
+            return None;
+        }
+        let mut position = vec![None; d];
+        for (p, &attr) in attrs.iter().enumerate() {
+            position[attr] = Some(p);
+        }
+        let mut counts = vec![0; len];
+        counts[0] = n as u64;
+        Some(Self { position, max_size, offsets, counts })
+    }
 
-        children
+    /// The number of counts, the empty set's included.
+    fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether the lattice holds every subset of `[parents…, child]`: raw
+    /// attributes of the lattice, at most `K` of them.
+    #[must_use]
+    pub fn covers(&self, parents: &[Axis], child: usize) -> bool {
+        parents.len() < self.max_size
+            && self.position[child].is_some()
+            && parents.iter().all(|a| a.level == 0 && self.position[a.attr].is_some())
+    }
+
+    /// The cell counts of the tables over `[parents…, child]` for every
+    /// child, one table of `2^(m+1)` cells after another in child order,
+    /// each laid out as [`CountEngine::joint_counts`] lays out the same axes.
+    /// No row is read: each table is `2^(m+1)` lookups, one per subset of
+    /// its axes, and a Möbius transform from all-ones counts to cell counts.
+    /// The parents' half (the subsets without the child) is looked up and
+    /// transformed once for the group, and each subset's index follows from
+    /// its prefix's in O(1).
+    ///
+    /// # Panics
+    /// Panics unless the lattice [`covers`](Self::covers) every table, or if
+    /// a table would repeat an axis.
+    #[must_use]
+    pub fn child_counts(&self, parents: &[Axis], children: &[usize]) -> Vec<u64> {
+        assert!(children.iter().all(|&c| self.covers(parents, c)), "tables outside the lattice");
+        let m = parents.len();
+        let subsets = 1usize << m;
+        let mut tables = Vec::with_capacity(2 * subsets * children.len());
+        if children.is_empty() {
+            return tables;
+        }
+        let stride = self.offsets.len() / self.max_size;
+        let offset = |size: usize, p: usize| self.offsets[(size - 1) * stride + p];
+        // The parents by descending lattice position, each with its bit in
+        // the parents' cell index (parents[i] is bit m − 1 − i). Bit t of a
+        // subset mask stands for desc[t], so a mask's lowest bit is its
+        // highest position, and clearing it leaves the subset's prefix.
+        let mut desc: Vec<(usize, usize)> = parents
             .iter()
-            .zip(kid_ones)
-            .map(|(&child, kid)| {
-                let mut counts: Vec<i64> =
-                    ones.iter().zip(&kid).flat_map(|(&without, &with)| [without, with]).collect();
-                // Möbius: convert "attr unconstrained" to "attr = 0", bit by bit.
-                for p in 0..=m {
-                    let bit = 1usize << p;
-                    for s in 0..counts.len() {
-                        if s & bit == 0 {
-                            counts[s] -= counts[s | bit];
-                        }
-                    }
+            .enumerate()
+            .map(|(i, a)| (self.position[a.attr].expect("covered"), m - 1 - i))
+            .collect();
+        desc.sort_unstable_by(|a, b| b.cmp(a));
+        assert!(desc.windows(2).all(|w| w[0].0 > w[1].0), "axis repeated");
+        // Per parent subset mask: its size, cell, lattice index and the
+        // position after its highest member; `ones` becomes the parents'
+        // cell counts.
+        let mut node = vec![(0, 0, 0, 0); subsets];
+        let mut ones = vec![self.counts[0]; subsets];
+        for u in 1..subsets {
+            let (size, cell, index, after) = node[u & (u - 1)];
+            let (p, bit) = desc[u.trailing_zeros() as usize];
+            let index = index + 1 + offset(size + 1, p) - offset(size + 1, after);
+            node[u] = (size + 1, cell | 1 << bit, index, p + 1);
+            ones[cell | 1 << bit] = self.counts[index];
+        }
+        mobius(&mut ones);
+        // Per parent subset mask: the lattice index of the subset with the
+        // child, and the position after its highest member.
+        let mut with_child = vec![(0, 0); subsets];
+        let mut kid = vec![0u64; subsets];
+        for &child in children {
+            let q = self.position[child].expect("covered");
+            assert!(desc.iter().all(|&(p, _)| p != q), "axis repeated");
+            // Masks below `above` hold only parents above the child.
+            let above = 1 << desc.partition_point(|&(p, _)| p > q);
+            for low in (0..subsets).step_by(above) {
+                // No parent above the child: the child extends the subset.
+                let (size, cell, index, after) = node[low];
+                with_child[low] =
+                    (index + 1 + offset(size + 1, q) - offset(size + 1, after), q + 1);
+                kid[cell] = self.counts[with_child[low].0];
+                for u in low + 1..low + above {
+                    let (size, cell, ..) = node[u];
+                    let (index, after) = with_child[u & (u - 1)];
+                    let p = desc[u.trailing_zeros() as usize].0;
+                    with_child[u] =
+                        (index + 1 + offset(size + 1, p) - offset(size + 1, after), p + 1);
+                    kid[cell] = self.counts[with_child[u].0];
                 }
-                let mut axes = parents.to_vec();
-                axes.push(Axis::raw(child));
-                CountTable {
-                    axes,
-                    dims: vec![2; m + 1],
-                    counts: counts.into_iter().map(|c| c as u64).collect(),
-                }
-            })
-            .collect()
+            }
+            mobius(&mut kid);
+            for (&all, &one) in ones.iter().zip(&kid) {
+                tables.push(all - one);
+                tables.push(one);
+            }
+        }
+        tables
+    }
+}
+
+/// The Möbius transform over the bits of a cell index, in place: from
+/// "all ones" counts (a clear bit leaves its attribute unconstrained) to
+/// cell counts (a clear bit means the attribute is 0).
+fn mobius(counts: &mut [u64]) {
+    let mut half = 1;
+    while half < counts.len() {
+        for block in counts.chunks_exact_mut(2 * half) {
+            let (zeros, ones) = block.split_at_mut(half);
+            for (zero, &one) in zeros.iter_mut().zip(&*ones) {
+                *zero -= one;
+            }
+        }
+        half *= 2;
     }
 }
 
@@ -455,16 +653,24 @@ pub struct EngineStats {
     pub hits: usize,
     /// Always 0, as `hits`.
     pub projections: usize,
-    /// Joint tables counted from the rows: one per
+    /// Count tables materialised from rows: one per
     /// [`joint_counts`](CountEngine::joint_counts) request and one per
-    /// child of a [`child_joints`](CountEngine::child_joints) group.
+    /// child of a [`child_joints`](CountEngine::child_joints) group. Tables
+    /// built from a [`SubsetCounts`] lattice read no rows and are not scans.
     pub scans: usize,
     /// Always 0, as `hits`.
     pub cached_tables: usize,
-    /// Bytes of count tables materialized by scans (8 bytes per cell).
+    /// Bytes materialised by counting: 8 per cell of each scanned table and
+    /// 8 per count of each walked lattice.
     pub bytes_materialized: u64,
-    /// Wall time spent materializing scan tables, in microseconds.
+    /// Time spent counting rows (scans and subset walks), in microseconds,
+    /// summed over the threads that counted.
     pub scan_micros: u64,
+    /// Binary attribute subsets counted by the bit backend's walk, one
+    /// AND + popcount pass each: a [`subset_counts`](CountEngine::subset_counts)
+    /// lattice's non-empty subsets, and the `2^m − 1` subsets of each
+    /// `m`-axis joint the bit backend counts.
+    pub subsets: usize,
 }
 
 /// The shared count engine: one per dataset, used by every greedy round (and
@@ -480,16 +686,18 @@ pub struct EngineStats {
 /// * [`joint_table`](CountEngine::joint_table) is **bit-identical** to
 ///   [`ContingencyTable::from_dataset`] with the same axes on the underlying
 ///   data — same counts, same `count · (1/n)` scaling expression — and each
-///   table of [`child_joints`](CountEngine::child_joints) equals the single
+///   table of [`child_joints`](CountEngine::child_joints) and of a
+///   [`subset_counts`](CountEngine::subset_counts) lattice equals the single
 ///   joint over the same axes.
 /// * Requests are pure: an engine consumes no randomness and its answers do
-///   not depend on request order or thread interleaving.
+///   not depend on request order, thread interleaving or thread count.
 #[derive(Debug)]
 pub struct CountEngine {
     n: usize,
     radix: RadixBackend,
     bits: Option<BitBackend>,
     scans: AtomicUsize,
+    subsets: AtomicUsize,
     bytes_materialized: AtomicU64,
     scan_nanos: AtomicU64,
 }
@@ -511,6 +719,7 @@ impl CountEngine {
             radix: RadixBackend::new(schema, columns, n),
             bits,
             scans: AtomicUsize::new(0),
+            subsets: AtomicUsize::new(0),
             bytes_materialized: AtomicU64::new(0),
             scan_nanos: AtomicU64::new(0),
         }
@@ -572,7 +781,9 @@ impl CountEngine {
         out
     }
 
-    /// The integer count table over `axes`, in the requested axis order.
+    /// The integer count table over `axes`, in the requested axis order: the
+    /// bit backend's walk over the axes when they are at most 8 raw binary
+    /// attributes, the radix pass otherwise.
     ///
     /// # Panics
     /// As [`joint`](Self::joint).
@@ -581,23 +792,50 @@ impl CountEngine {
         let (last, parents) = axes.split_last().expect("need at least one axis");
         assert_distinct(axes);
         let started = Instant::now();
-        let table = match &self.bits {
+        let (table, lattice) = match &self.bits {
             Some(bits) if bits.supports(axes) => {
-                bits.child_counts(parents, &[last.attr]).pop().expect("one child")
+                let mut attrs: Vec<usize> = axes.iter().map(|a| a.attr).collect();
+                attrs.sort_unstable();
+                let mut lattice =
+                    SubsetCounts::zeroed(self.schema().len(), &attrs, axes.len(), self.n)
+                        .expect("at most 2^8 subsets");
+                bits.walk(&attrs, &mut lattice, 1);
+                let counts = lattice.child_counts(parents, &[last.attr]);
+                let table = CountTable { axes: axes.to_vec(), dims: vec![2; axes.len()], counts };
+                (table, Some(lattice))
             }
-            _ => self.radix.materialise(axes),
+            _ => (self.radix.materialise(axes), None),
         };
-        self.record(std::slice::from_ref(&table), started);
+        self.record(started.elapsed(), std::slice::from_ref(&table), lattice.as_ref());
         table
+    }
+
+    /// The all-ones counts of every subset of at most `max_size` of the
+    /// schema's binary attributes (see [`SubsetCounts`]), walked once on
+    /// `threads` scoped threads. The counts do not depend on `threads`.
+    /// Returns `None` when the lattice's length overflows `usize` or one
+    /// allocation.
+    #[must_use]
+    pub fn subset_counts(&self, max_size: usize, threads: usize) -> Option<SubsetCounts> {
+        let schema = self.schema();
+        let attrs: Vec<usize> =
+            (0..schema.len()).filter(|&a| schema.attribute(a).is_binary()).collect();
+        let started = Instant::now();
+        let mut lattice = SubsetCounts::zeroed(schema.len(), &attrs, max_size, self.n)?;
+        let mut elapsed = started.elapsed();
+        if let Some(bits) = &self.bits {
+            elapsed += bits.walk(&attrs, &mut lattice, threads);
+        }
+        self.record(elapsed, &[], Some(&lattice));
+        Some(lattice)
     }
 
     /// The count tables over `[parents…, child]` for every raw attribute in
     /// `children`, in that order, each equal to
-    /// [`joint_counts`](Self::joint_counts) over the same axes. One pass
-    /// over blocks of rows serves the whole group: the bit backend (when
-    /// the parents and every child are raw binary attributes) builds each
-    /// parent subset's AND mask once per block, the radix pass builds the
-    /// parents' cell index once per block.
+    /// [`joint_counts`](Self::joint_counts) over the same axes. One radix
+    /// pass over blocks of rows serves the whole group: each block's parent
+    /// cell index is built once and shared by the children. No children, no
+    /// pass.
     ///
     /// # Panics
     /// Panics if a table would repeat an axis or an axis is invalid for the
@@ -608,18 +846,12 @@ impl CountEngine {
         for child in children.iter().map(|&c| Axis::raw(c)) {
             assert!(!parents.contains(&child), "axis repeated: {child:?}");
         }
+        if children.is_empty() {
+            return Vec::new();
+        }
         let started = Instant::now();
-        let tables = match &self.bits {
-            Some(bits)
-                if parents.len() < BitBackend::MAX_ARITY
-                    && bits.supports(parents)
-                    && children.iter().all(|&c| !bits.cols[c].is_empty()) =>
-            {
-                bits.child_counts(parents, children)
-            }
-            _ => self.radix.child_counts(parents, children),
-        };
-        self.record(&tables, started);
+        let tables = self.radix.child_counts(parents, children);
+        self.record(started.elapsed(), &tables, None);
         tables
     }
 
@@ -643,15 +875,21 @@ impl CountEngine {
             cached_tables: 0,
             bytes_materialized: self.bytes_materialized.load(Ordering::Relaxed),
             scan_micros: self.scan_nanos.load(Ordering::Relaxed) / 1_000,
+            subsets: self.subsets.load(Ordering::Relaxed),
         }
     }
 
-    /// Adds counted `tables`, and the time since `started`, to the stats.
-    fn record(&self, tables: &[CountTable], started: Instant) {
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Adds `elapsed`, the `tables` counted from rows and the walked
+    /// `lattice` to the stats.
+    fn record(&self, elapsed: Duration, tables: &[CountTable], lattice: Option<&SubsetCounts>) {
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.scan_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.scans.fetch_add(tables.len(), Ordering::Relaxed);
-        let cells: usize = tables.iter().map(CountTable::cell_count).sum();
+        let mut cells: usize = tables.iter().map(CountTable::cell_count).sum();
+        if let Some(lattice) = lattice {
+            self.subsets.fetch_add(lattice.len() - 1, Ordering::Relaxed);
+            cells += lattice.len();
+        }
         self.bytes_materialized.fetch_add(cells as u64 * 8, Ordering::Relaxed);
     }
 }
@@ -743,21 +981,35 @@ mod tests {
         }
     }
 
-    /// Ten binary attributes over 321 rows (the last mask word partial),
+    /// `d` binary attributes over 321 rows (the last mask word partial),
     /// every third one a copy of a shared bit and the rest noisy copies.
-    fn wide_binary_dataset() -> Dataset {
+    fn wide_binary_dataset(d: usize) -> Dataset {
         let schema =
-            Schema::new((0..10).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
+            Schema::new((0..d).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         let rows: Vec<Vec<u32>> = (0..321)
             .map(|_| {
                 let a = rng.random_range(0..2u32);
-                (0..10)
+                (0..d)
                     .map(|j| if j % 3 == 0 { a } else { a ^ u32::from(rng.random_bool(0.3)) })
                     .collect()
             })
             .collect();
         Dataset::from_rows(schema, &rows).unwrap()
+    }
+
+    /// Asserts that `table` equals the radix pass over its axes and, on the
+    /// probability scale, `ContingencyTable::from_dataset` bit for bit.
+    fn assert_table_matches(data: &Dataset, engine: &CountEngine, table: &CountTable) {
+        let axes = table.axes();
+        assert_eq!(*table, engine.radix.materialise(axes), "{axes:?}");
+        let slow = ContingencyTable::from_dataset(data, axes);
+        let mut fast = Vec::new();
+        table.probs_into(data.n(), &mut fast);
+        assert_eq!(fast.len(), slow.values().len(), "{axes:?}");
+        for (i, (a, b)) in fast.iter().zip(slow.values()).enumerate() {
+            assert!(a.to_bits() == b.to_bits(), "{axes:?} cell {i}: {a} vs {b}");
+        }
     }
 
     /// Asserts that every table of `child_joints(parents, children)` equals
@@ -773,42 +1025,54 @@ mod tests {
             axes.push(Axis::raw(child));
             assert_eq!(table.axes(), &axes[..]);
             assert_eq!(*table, engine.joint_counts(&axes), "{axes:?}");
-            assert_eq!(*table, engine.radix.materialise(&axes), "{axes:?}");
-            let slow = ContingencyTable::from_dataset(data, &axes);
-            let mut fast = Vec::new();
-            table.probs_into(data.n(), &mut fast);
-            assert_eq!(fast.len(), slow.values().len(), "{axes:?}");
-            for (i, (a, b)) in fast.iter().zip(slow.values()).enumerate() {
-                assert!(a.to_bits() == b.to_bits(), "{axes:?} cell {i}: {a} vs {b}");
-            }
+            assert_table_matches(data, &engine, table);
         }
     }
 
     #[test]
     fn bit_backend_matches_radix_and_from_dataset() {
-        // Full-size binary fits score five-way joints through the bit
-        // backend, so cover every arity up to 8, each requested unsorted.
-        let data = wide_binary_dataset();
+        // The bit backend's walk serves joints of up to 8 raw binary axes:
+        // cover every arity, each requested unsorted.
+        let data = wide_binary_dataset(10);
         let engine = CountEngine::new(&data);
         let bits = engine.bits.as_ref().unwrap();
+        let mut subsets = 0;
         for arity in 1..=8 {
             let axes: Vec<Axis> =
                 (0..arity).rev().map(|i| Axis::raw((3 * i + arity) % 10)).collect();
             assert!(arity == 1 || axes.windows(2).any(|w| w[0].attr > w[1].attr), "{axes:?}");
             assert!(bits.supports(&axes));
-            let (last, parents) = axes.split_last().unwrap();
-            let counted = bits.child_counts(parents, &[last.attr]).pop().unwrap();
-            assert_eq!(counted, engine.radix.materialise(&axes), "{axes:?}");
+            let counted = engine.joint_counts(&axes);
+            subsets += (1 << arity) - 1;
+            assert_eq!(engine.stats().subsets, subsets, "one pass per subset of {axes:?}");
+            assert_table_matches(&data, &engine, &counted);
+            assert_matches_from_dataset(&data, &engine, &axes);
+            subsets += (1 << arity) - 1;
+        }
+        assert_eq!(engine.stats().scans, 16);
+    }
+
+    #[test]
+    fn binary_joints_past_eight_axes_take_the_radix_pass() {
+        let data = wide_binary_dataset(16);
+        let engine = CountEngine::new(&data);
+        let bits = engine.bits.as_ref().unwrap();
+        for arity in [9, 16] {
+            let axes: Vec<Axis> = (0..arity).rev().map(|i| Axis::raw((5 * i + 3) % 16)).collect();
+            assert!(!bits.supports(&axes), "{axes:?}");
+            assert_table_matches(&data, &engine, &engine.joint_counts(&axes));
             assert_matches_from_dataset(&data, &engine, &axes);
         }
-        assert_eq!(engine.stats().scans, 8);
+        let stats = engine.stats();
+        assert_eq!((stats.scans, stats.subsets), (4, 0), "no walk past 8 axes");
     }
 
     #[test]
     fn child_joints_match_single_joints_on_binary_data() {
         // Parent arities 0 through 8, given unsorted, with children below,
-        // between and above the parents: the bit backend's group pass.
-        let data = wide_binary_dataset();
+        // between and above the parents: the radix group pass on binary
+        // data equals the bit backend's single joints.
+        let data = wide_binary_dataset(10);
         for arity in 0..=8 {
             let parents: Vec<Axis> = (0..arity).rev().map(|i| Axis::raw(i + 1)).collect();
             let children: Vec<usize> = (0..10).filter(|&c| c == 0 || c > arity).collect();
@@ -821,9 +1085,8 @@ mod tests {
     #[test]
     fn child_joints_match_single_joints_on_mixed_data() {
         // Generalised parent axes, child lists mixing binary and categorical
-        // attributes, and binary children under a categorical parent take
-        // the radix group pass; a binary parent over a binary child takes
-        // the bit pass.
+        // attributes, binary children under a categorical parent and a
+        // binary parent over a binary child all take the radix group pass.
         let data = mixed_dataset(321, 2);
         for (parents, children) in [
             (vec![Axis { attr: 3, level: 1 }, Axis { attr: 1, level: 1 }], vec![2, 0]),
@@ -838,9 +1101,118 @@ mod tests {
     }
 
     #[test]
+    fn child_joints_without_children_read_no_rows() {
+        let engine = CountEngine::new(&mixed_dataset(50, 3));
+        assert!(engine.child_joints(&[Axis::raw(1)], &[]).is_empty());
+        assert_eq!(engine.stats(), EngineStats::default());
+    }
+
+    /// Asserts that the tables a lattice of every subset of at most 9 of
+    /// `engine`'s ten binary attributes builds equal the radix pass and
+    /// `ContingencyTable::from_dataset` over `data`, at parent arities 0
+    /// through 8 given unsorted, with children below, between and above the
+    /// parents, and that building them reads no rows.
+    fn assert_lattice_tables_match(data: &Dataset, engine: &CountEngine) {
+        let lattice = engine.subset_counts(9, 2).unwrap();
+        assert_eq!(lattice.len(), (1 << 10) - 1, "every subset but the full set");
+        let mut groups: Vec<(Vec<Axis>, Vec<usize>)> = (0..=8)
+            .map(|arity| {
+                let parents = (0..arity).rev().map(|i| Axis::raw(i + 1)).collect();
+                (parents, (0..10).filter(|&c| c == 0 || c > arity).collect())
+            })
+            .collect();
+        groups.push((vec![Axis::raw(9), Axis::raw(2), Axis::raw(6)], vec![0, 4, 8, 1]));
+        groups.push((vec![Axis::raw(3), Axis::raw(7), Axis::raw(0)], vec![5, 9, 1]));
+        for (parents, children) in &groups {
+            let scans = engine.stats().scans;
+            let counts = lattice.child_counts(parents, children);
+            assert_eq!(engine.stats().scans, scans, "a lattice table reads no rows");
+            let cells = 2 << parents.len();
+            assert_eq!(counts.len(), cells * children.len());
+            for (counts, &child) in counts.chunks_exact(cells).zip(children) {
+                let mut axes = parents.clone();
+                axes.push(Axis::raw(child));
+                let table = CountTable::from_parts(axes, vec![2; parents.len() + 1], counts.into());
+                assert_table_matches(data, engine, &table);
+            }
+        }
+    }
+
+    #[test]
+    fn lattice_tables_match_radix_and_from_dataset() {
+        let data = wide_binary_dataset(10);
+        let engine = CountEngine::new(&data);
+        assert_lattice_tables_match(&data, &engine);
+        assert_eq!(engine.stats().subsets, (1 << 10) - 2);
+
+        let empty = Dataset::from_rows(data.schema().clone(), &[]).unwrap();
+        assert_lattice_tables_match(&empty, &CountEngine::new(&empty));
+
+        let (head, tail) = split_rows(&data, 128);
+        let mut appended = CountEngine::new(&head);
+        let _ = appended.subset_counts(3, 1).unwrap();
+        appended.append(&tail);
+        assert_lattice_tables_match(&data, &appended);
+    }
+
+    #[test]
+    #[should_panic(expected = "axis repeated")]
+    fn lattice_rejects_a_child_among_the_parents() {
+        let engine = CountEngine::new(&wide_binary_dataset(10));
+        let lattice = engine.subset_counts(3, 1).unwrap();
+        let _ = lattice.child_counts(&[Axis::raw(1), Axis::raw(2)], &[0, 2]);
+    }
+
+    #[test]
+    fn lattice_covers_exactly_the_binary_attributes() {
+        // b0 and b1 are binary; c4 and c8 are categorical with taxonomies.
+        let data = mixed_dataset(321, 1);
+        let engine = CountEngine::new(&data);
+        let lattice = engine.subset_counts(3, 2).unwrap();
+        assert_eq!(lattice.max_size, 2, "two binary attributes bound every subset");
+        assert_eq!((lattice.len(), engine.stats().subsets), (4, 3));
+        for attr in 0..4 {
+            let binary = data.schema().attribute(attr).is_binary();
+            assert_eq!(lattice.covers(&[], attr), binary, "attribute {attr}");
+        }
+        assert!(lattice.covers(&[Axis::raw(0)], 2));
+        assert!(!lattice.covers(&[Axis::raw(1)], 0));
+        assert!(!lattice.covers(&[Axis { attr: 1, level: 1 }], 2));
+        assert!(!lattice.covers(&[Axis::raw(0)], 3));
+        let counts = lattice.child_counts(&[Axis::raw(2)], &[0]);
+        let table = CountTable::from_parts(vec![Axis::raw(2), Axis::raw(0)], vec![2, 2], counts);
+        assert_table_matches(&data, &engine, &table);
+    }
+
+    #[test]
+    fn lattice_counts_do_not_depend_on_the_thread_count() {
+        let engine = CountEngine::new(&wide_binary_dataset(10));
+        for max_size in [1, 4, 10] {
+            let one = engine.subset_counts(max_size, 1).unwrap();
+            for threads in [2, 3, 8] {
+                assert_eq!(engine.subset_counts(max_size, threads).unwrap(), one, "{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_lattice_is_refused() {
+        let schema =
+            Schema::new((0..64).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
+        let engine = CountEngine::new(&Dataset::from_rows(schema, &[]).unwrap());
+        // 2^64 subsets overflow usize; every subset of at most 30 of 64
+        // fits usize but not one allocation.
+        for max_size in [64, 30] {
+            assert!(engine.subset_counts(max_size, 1).is_none(), "{max_size}");
+        }
+        assert_eq!(engine.stats(), EngineStats::default());
+        assert_eq!(engine.subset_counts(2, 1).unwrap().len(), 1 + 64 + 64 * 63 / 2);
+    }
+
+    #[test]
     #[should_panic(expected = "axis repeated")]
     fn child_joints_reject_a_child_among_the_parents() {
-        let data = wide_binary_dataset();
+        let data = wide_binary_dataset(10);
         let _ = CountEngine::new(&data).child_joints(&[Axis::raw(1), Axis::raw(2)], &[0, 2]);
     }
 

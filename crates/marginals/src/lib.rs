@@ -18,13 +18,18 @@
 //!
 //! * **Counting.** Every request counts the rows; the engine keeps no
 //!   tables. `child_joints` counts `[parents…, child]` for many children
-//!   in one blocked pass that shares the parents' work among them.
+//!   in one blocked radix pass that shares the parents' work among them.
+//!   `subset_counts` walks every subset of at most `K` binary attributes
+//!   once and returns the counts as an owned [`SubsetCounts`], from which
+//!   each binary `[parents…, child]` table is built without a scan; the
+//!   greedy search keeps one for the whole fit.
 //! * **Determinism.** Both scan backends — radix row scan and bit-packed
-//!   popcount — produce identical integer counts, alone or in a group of
-//!   children, and probabilities are always `count · (1/n)`, the exact
-//!   expression [`ContingencyTable::from_dataset`] uses. Engine output is
-//!   therefore bit-identical to `from_dataset` regardless of request order
-//!   or thread.
+//!   popcount — produce identical integer counts, alone, in a group of
+//!   children or through a subset lattice walked on any number of threads,
+//!   and probabilities are always `count · (1/n)`, the exact expression
+//!   [`ContingencyTable::from_dataset`] uses. Engine output is therefore
+//!   bit-identical to `from_dataset` regardless of request order, thread
+//!   or thread count.
 
 pub mod consistency;
 pub mod engine;
@@ -33,7 +38,7 @@ pub mod query;
 pub mod table;
 
 pub use consistency::{clamp_and_normalize, mutual_consistency, shared_axes};
-pub use engine::{CountEngine, CountTable, EngineStats};
+pub use engine::{probs_into, CountEngine, CountTable, EngineStats, SubsetCounts};
 pub use metrics::{average_workload_tvd, total_variation};
 pub use query::AlphaWayWorkload;
 pub use table::{Axis, ContingencyTable};

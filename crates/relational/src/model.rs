@@ -28,7 +28,7 @@ use privbayes::greedy::{greedy_bayes, GreedySettings};
 use privbayes::network::{ApPair, BayesianNetwork};
 use privbayes::parent_sets::maximal_parent_sets;
 use privbayes::score::ScoreKind;
-use privbayes::theta::tau_for_child;
+use privbayes::theta::{max_binary_parents, tau_for_child};
 use privbayes_data::Dataset;
 use privbayes_marginals::{Axis, CountEngine};
 use rand::Rng;
@@ -249,16 +249,17 @@ pub fn fit_fact_model<R: Rng + ?Sized>(
         max_degree: options.max_parents,
         threads: Some(1),
     };
+    let tau = |child_domain| {
+        eps2.map_or(f64::INFINITY, |e2| tau_for_child(n_f, joints, e2, options.theta, child_domain))
+    };
+    let binary_arity = max_binary_parents(tau(2), options.max_parents.min(d - 1)) + 1;
     let sets = |placed: &[usize], child_domain| {
-        let tau = eps2.map_or(f64::INFINITY, |e2| {
-            tau_for_child(n_f, joints, e2, options.theta, child_domain)
-        });
-        maximal_parent_sets(placed, &domain_sizes, tau, options.max_parents)
+        maximal_parent_sets(placed, &domain_sizes, tau(child_domain), options.max_parents)
             .into_iter()
             .map(|set| set.into_iter().map(Axis::raw).collect())
             .collect()
     };
-    let network = greedy_bayes(&engine, roots, joints, &settings, sets, rng)?;
+    let network = greedy_bayes(&engine, roots, joints, &settings, binary_arity, sets, rng)?;
 
     let facts = &network.pairs()[entity_arity..];
     let conditionals = noisy_joints(&engine, facts, joints, eps2, 0, rng)?

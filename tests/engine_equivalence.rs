@@ -132,8 +132,9 @@ fn adaptive_networks_match_reference_on_mixed_schema() {
 #[test]
 fn adaptive_networks_match_reference_on_binary_schema() {
     // ACS's shape cut to 10 attributes. At n·ε₂ = 3,200 and θ = 4 every
-    // child may take four binary parents, so five-way joints run through
-    // the bit backend's group pass; 3 threads split the groups unevenly.
+    // child may take four binary parents, so five-way joints are built from
+    // the search's lattice of every subset of at most five attributes;
+    // 3 threads split the lattice's branches and the groups unevenly.
     let attrs: Vec<usize> = (0..10).collect();
     let data = privbayes_datasets::acs::acs_sized(5, 2000).data.project(&attrs).unwrap();
     let settings = GreedySettings::private(ScoreKind::R, 0.5);
@@ -161,6 +162,7 @@ fn adaptive_networks_match_reference_on_binary_schema() {
         .unwrap();
         assert_eq!(net, reference, "threads={threads}");
     }
+    assert_eq!(engine.stats().scans, 0, "every candidate reads the lattice");
 }
 
 #[test]
@@ -398,10 +400,86 @@ fn learned_models_match_their_pinned_digests() {
         }
     }
 
+    assert_pinned(&digests, PINNED);
+}
+
+/// Asserts that `digests` equal `pinned`, in order; the failure message
+/// prints the table the fits now digest to.
+fn assert_pinned(digests: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = digests
         .iter()
         .map(|(name, digest)| format!("        (\"{name}\", {digest:#018x}),\n"))
         .collect();
-    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     assert!(digests == pinned, "learned models moved; the fits now digest to\n{table}");
+}
+
+/// The FNV-1a digest of `fit_method`'s PrivBayes artifact JSON.
+fn artifact_digest(data: &Dataset, epsilon: f64, settings: &privbayes_synth::FitSettings) -> u64 {
+    use privbayes_synth::{fit_method, Method};
+    let fit = fit_method(Method::PrivBayes, data, epsilon, 7, settings).unwrap();
+    let mut h = Fnv::new();
+    h.bytes(fit.artifact.to_json_string().unwrap().as_bytes());
+    h.0
+}
+
+/// The pinned fits at ε = 1 reach degree 3 (NLTCS) and 2 (ACS); these
+/// reach the degrees of full-size fits. At ε = 4 both shapes take degree 4,
+/// so the search counts five-way binary joints, and the uncapped NLTCS fit
+/// at ε = 8 takes degree 6.
+#[test]
+fn high_degree_models_match_their_pinned_digests() {
+    use privbayes_datasets::{acs::acs_sized, nltcs::nltcs_sized};
+    use privbayes_synth::FitSettings;
+
+    const PINNED: &[(&str, u64)] = &[
+        ("nltcs/1/eps4", 0x04f1d10644890488),
+        ("acs/1/eps4", 0xe0a39d1255c91994),
+        ("nltcs/1/eps8-uncapped", 0x14c734015dc8f34b),
+    ];
+
+    let (nltcs, acs) = (nltcs_sized(1, 4_000).data, acs_sized(1, 4_000).data);
+    let capped = FitSettings::default();
+    let uncapped = FitSettings { max_degree: usize::MAX, ..FitSettings::default() };
+    let digests = vec![
+        ("nltcs/1/eps4".to_string(), artifact_digest(&nltcs, 4.0, &capped)),
+        ("acs/1/eps4".to_string(), artifact_digest(&acs, 4.0, &capped)),
+        ("nltcs/1/eps8-uncapped".to_string(), artifact_digest(&nltcs, 8.0, &uncapped)),
+    ];
+    assert_pinned(&digests, PINNED);
+}
+
+/// The artifacts of `fit_method(PrivBayes, ε = 1, seed 7)` on the four
+/// full-size Table-5 shapes at data seeds 1 and 2. Ignored in debug runs;
+/// CI runs it with `cargo test --release --test engine_equivalence --
+/// --ignored`.
+#[test]
+#[ignore = "full-size fits; run in release with --ignored"]
+fn full_size_artifacts_match_their_pinned_digests() {
+    use privbayes_datasets::BenchmarkDataset;
+    use privbayes_datasets::{acs::acs, adult::adult, br2000::br2000, nltcs::nltcs};
+    use privbayes_synth::FitSettings;
+
+    const PINNED: &[(&str, u64)] = &[
+        ("nltcs/1", 0xa775e558a5c720ba),
+        ("nltcs/2", 0xe971a064eb12c2fe),
+        ("acs/1", 0xe30bdf2702c46b54),
+        ("acs/2", 0x04da7b0da07d7009),
+        ("adult/1", 0x8d80fdf8185c9bd0),
+        ("adult/2", 0x6593052b84e9cd44),
+        ("br2000/1", 0x2218152faf06756c),
+        ("br2000/2", 0x3e7019a7ca2a1c5a),
+    ];
+
+    type Shape = fn(u64) -> BenchmarkDataset;
+    let shapes: [(&str, Shape); 4] =
+        [("nltcs", nltcs), ("acs", acs), ("adult", adult), ("br2000", br2000)];
+    let mut digests = Vec::new();
+    for (name, full) in shapes {
+        for s in [1, 2] {
+            let digest = artifact_digest(&full(s).data, 1.0, &FitSettings::default());
+            digests.push((format!("{name}/{s}"), digest));
+        }
+    }
+    assert_pinned(&digests, PINNED);
 }
