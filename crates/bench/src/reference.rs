@@ -288,9 +288,6 @@ pub fn reference_greedy_adaptive<R: Rng + ?Sized>(
                 maximal_parent_sets_generalized(&v, &level_sizes, tau, settings.max_degree)
             } else {
                 maximal_parent_sets(&v, &domain_sizes, tau, settings.max_degree)
-                    .into_iter()
-                    .map(|s| s.into_iter().map(Axis::raw).collect())
-                    .collect()
             };
             if tops.is_empty() {
                 scores.push(scan_score(data, child, &[], settings.score)?);

@@ -431,9 +431,6 @@ pub fn greedy_bayes_adaptive_engine<R: Rng + ?Sized>(
             maximal_parent_sets_generalized(v, &level_sizes, tau, settings.max_degree)
         } else {
             maximal_parent_sets(v, &domain_sizes, tau, settings.max_degree)
-                .into_iter()
-                .map(|s| s.into_iter().map(Axis::raw).collect())
-                .collect()
         }
     };
     greedy_bayes(engine, root, d - 1, settings, binary_arity, sets, rng)

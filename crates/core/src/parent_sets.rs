@@ -6,20 +6,33 @@
 //! encoding (Algorithm 5), and generalised subsets mixing taxonomy levels for
 //! the hierarchical encoding (Algorithm 6).
 //!
+//! Both are one depth-first walk over `V` in ascending attribute order. At
+//! each attribute the walk takes it at every level that fits, finest first,
+//! and then leaves it out. It lists the set once every attribute is decided
+//! or the slots are full, unless a member taken at a coarse level would fit
+//! one level finer, or a left-out attribute would fit at its coarsest level
+//! while a slot is free. A set fits when τ, divided by each member's size in
+//! ascending attribute order, stays ≥ 1. The walk lists Algorithm 6's sets
+//! in the order of its recursion: the sets with an attribute (finest level
+//! first) before the sets without it. On one-level attributes Algorithm 5
+//! keeps the same sets and lists the sets without an attribute first, so it
+//! is the walk reversed. The greedy search's candidate order, and with it
+//! every `select` draw, follows this order.
+//!
+//! Each attribute's level sizes must strictly decrease from the finest
+//! level to the coarsest, as `TaxonomyTree::from_parent_maps` guarantees.
+//!
 //! Both accept an additional `max_size` cap on the number of parents; the
 //! paper's algorithms correspond to `max_size = usize::MAX`. The cap is a
 //! tractability knob for the experiment harness (on a large τ the number of
 //! maximal sets grows combinatorially with their size): maximality is then
 //! defined with respect to *both* constraints.
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use privbayes_marginals::Axis;
 
 /// Enumerates the maximal subsets of `v` (attribute indices) whose domain
 /// size product is ≤ `tau` and whose cardinality is ≤ `max_size`
-/// (Algorithm 5).
+/// (Algorithm 5), as raw axes.
 ///
 /// Returns an empty collection when even the empty set violates τ (τ < 1);
 /// the caller then falls back to the `(X, ∅)` pair (Algorithm 4 lines 7–8).
@@ -30,52 +43,10 @@ pub fn maximal_parent_sets(
     domain_sizes: &[usize],
     tau: f64,
     max_size: usize,
-) -> Vec<Vec<usize>> {
-    let mut sorted: Vec<usize> = v.to_vec();
-    sorted.sort_unstable();
-    let mut memo = HashMap::new();
-    plain_rec(&sorted, domain_sizes, tau, max_size, 0, &mut memo).as_ref().clone()
-}
-
-type PlainMemo = HashMap<(usize, usize, u64), Rc<Vec<Vec<usize>>>>;
-
-fn plain_rec(
-    v: &[usize],
-    sizes: &[usize],
-    tau: f64,
-    slots: usize,
-    pos: usize,
-    memo: &mut PlainMemo,
-) -> Rc<Vec<Vec<usize>>> {
-    if tau < 1.0 {
-        return Rc::new(Vec::new());
-    }
-    if pos == v.len() || slots == 0 {
-        return Rc::new(vec![Vec::new()]);
-    }
-    let key = (pos, slots, tau.to_bits());
-    if let Some(hit) = memo.get(&key) {
-        return Rc::clone(hit);
-    }
-
-    let x = v[pos];
-    // Without x.
-    let mut s: Vec<Vec<usize>> = plain_rec(v, sizes, tau, slots, pos + 1, memo).as_ref().clone();
-    // With x: recurse under the tightened budget, then merge.
-    let with_x = plain_rec(v, sizes, tau / sizes[x] as f64, slots - 1, pos + 1, memo);
-    if !with_x.is_empty() {
-        let to_remove: std::collections::HashSet<&Vec<usize>> = with_x.iter().collect();
-        s.retain(|z| !to_remove.contains(z));
-        for z in with_x.iter() {
-            let mut zx = Vec::with_capacity(z.len() + 1);
-            zx.push(x);
-            zx.extend_from_slice(z);
-            s.push(zx);
-        }
-    }
-    let rc = Rc::new(s);
-    memo.insert(key, Rc::clone(&rc));
-    rc
+) -> Vec<Vec<Axis>> {
+    let mut sets = walk(v, |a| std::slice::from_ref(&domain_sizes[a]), tau, max_size);
+    sets.reverse();
+    sets
 }
 
 /// Enumerates maximal *generalised* subsets of `v` (Algorithm 6): each
@@ -83,7 +54,8 @@ fn plain_rec(
 /// forbids lowering any member's generalisation level.
 ///
 /// `level_sizes[a]` lists the domain size of attribute `a` at each level
-/// (index 0 = raw); plain attributes have a single entry.
+/// (index 0 = raw, sizes strictly decreasing); plain attributes have a
+/// single entry.
 #[must_use]
 pub fn maximal_parent_sets_generalized(
     v: &[usize],
@@ -91,67 +63,93 @@ pub fn maximal_parent_sets_generalized(
     tau: f64,
     max_size: usize,
 ) -> Vec<Vec<Axis>> {
-    let mut sorted: Vec<usize> = v.to_vec();
-    sorted.sort_unstable();
-    let mut memo = HashMap::new();
-    gen_rec(&sorted, level_sizes, tau, max_size, 0, &mut memo).as_ref().clone()
+    debug_assert!(
+        v.iter().all(|&a| level_sizes[a].windows(2).all(|w| w[0] > w[1])),
+        "level sizes must strictly decrease"
+    );
+    walk(v, |a| &level_sizes[a], tau, max_size)
 }
 
-type GenMemo = HashMap<(usize, usize, u64), Rc<Vec<Vec<Axis>>>>;
-
-fn gen_rec(
+/// Algorithm 6's maximal sets of `v`, attribute `a` taking the level sizes
+/// `levels(a)`, in the order of its recursion.
+fn walk<'a>(
     v: &[usize],
-    level_sizes: &[Vec<usize>],
+    levels: impl Fn(usize) -> &'a [usize],
     tau: f64,
-    slots: usize,
-    pos: usize,
-    memo: &mut GenMemo,
-) -> Rc<Vec<Vec<Axis>>> {
-    if tau < 1.0 {
-        return Rc::new(Vec::new());
+    max_size: usize,
+) -> Vec<Vec<Axis>> {
+    let mut sorted = v.to_vec();
+    sorted.sort_unstable();
+    let attrs: Vec<(usize, &[usize])> = sorted.iter().map(|&a| (a, levels(a))).collect();
+    let finest =
+        (0..=attrs.len()).map(|i| attrs[i..].iter().map(|(_, l)| l[0] as f64).product()).collect();
+    let mut walk =
+        Walk { attrs, finest, max_size, set: Vec::new(), limits: Vec::new(), sets: Vec::new() };
+    if tau >= 1.0 {
+        walk.descend(0, tau);
     }
-    if pos == v.len() || slots == 0 {
-        return Rc::new(vec![Vec::new()]);
-    }
-    let key = (pos, slots, tau.to_bits());
-    if let Some(hit) = memo.get(&key) {
-        return Rc::clone(hit);
-    }
+    walk.sets
+}
 
-    let x = v[pos];
-    let mut s: Vec<Vec<Axis>> = Vec::new();
-    // `U` of Algorithm 6: bases already extended with a less-generalised x.
-    let mut used: std::collections::HashSet<Vec<Axis>> = std::collections::HashSet::new();
-    // Levels from least generalised (level 0, largest domain) upwards, so the
-    // U-check keeps the most informative extension of each base.
-    for (level, &size) in level_sizes[x].iter().enumerate() {
-        let with_x = gen_rec(v, level_sizes, tau / size as f64, slots - 1, pos + 1, memo);
-        for z in with_x.iter() {
-            if used.contains(z) {
+/// The walk's state: the attributes with their level sizes, the product of
+/// the finest sizes from each position on, the current set with its
+/// members' sizes, and the limits it must meet to be listed. A limit
+/// `(room, after, while_free)` rules the set out while `room`, divided by
+/// the sizes of `set[after..]`, stays ≥ 1 (only while a slot is free, if
+/// `while_free`).
+struct Walk<'a> {
+    attrs: Vec<(usize, &'a [usize])>,
+    finest: Vec<f64>,
+    max_size: usize,
+    set: Vec<(Axis, f64)>,
+    limits: Vec<(f64, usize, bool)>,
+    sets: Vec<Vec<Axis>>,
+}
+
+impl Walk<'_> {
+    /// Decides `attrs[i..]` with `budget` left.
+    fn descend(&mut self, i: usize, budget: f64) {
+        if i == self.attrs.len() || self.set.len() == self.max_size {
+            let free = self.set.len() < self.max_size;
+            let maximal = self.limits.iter().all(|&(room, after, while_free)| {
+                (while_free && !free)
+                    || self.set[after..].iter().fold(room, |room, &(_, size)| room / size) < 1.0
+            });
+            if maximal {
+                self.sets.push(self.set.iter().map(|&(axis, _)| axis).collect());
+            }
+            return;
+        }
+        let (attr, levels) = self.attrs[i];
+        let mark = self.limits.len();
+        for (level, &size) in levels.iter().enumerate() {
+            let rest = budget / size as f64;
+            if rest < 1.0 {
                 continue;
             }
-            used.insert(z.clone());
-            let mut zx = Vec::with_capacity(z.len() + 1);
-            zx.push(Axis { attr: x, level });
-            zx.extend_from_slice(z);
-            s.push(zx);
+            // The later members must leave the next finer level no room.
+            if level > 0 {
+                self.limits.push((budget / levels[level - 1] as f64, self.set.len() + 1, false));
+            }
+            self.set.push((Axis { attr, level }, size as f64));
+            self.descend(i + 1, rest);
+            self.set.pop();
+            self.limits.truncate(mark);
         }
-    }
-    // Bases with x excluded entirely (Algorithm 6 lines 9–11).
-    for z in gen_rec(v, level_sizes, tau, slots, pos + 1, memo).iter() {
-        if !used.contains(z) {
-            s.push(z.clone());
+        // Left out, the attribute must find no room at its coarsest level
+        // while a slot is free. Skip the branch when no set can meet that:
+        // fewer attributes remain than slots, and all of them at their finest
+        // levels still leave room (the margin covers the divisions' rounding).
+        let room = budget / levels[levels.len() - 1] as f64;
+        if self.attrs.len() - i - 1 < self.max_size - self.set.len()
+            && room / self.finest[i + 1] >= 1.0 + 1e-9
+        {
+            return;
         }
+        self.limits.push((room, self.set.len(), true));
+        self.descend(i + 1, budget);
+        self.limits.truncate(mark);
     }
-    let rc = Rc::new(s);
-    memo.insert(key, Rc::clone(&rc));
-    rc
-}
-
-/// Joint domain size of a plain subset.
-#[must_use]
-pub fn subset_domain(set: &[usize], domain_sizes: &[usize]) -> f64 {
-    set.iter().map(|&a| domain_sizes[a] as f64).product()
 }
 
 /// Joint domain size of a generalised subset.
@@ -166,6 +164,22 @@ mod tests {
     use proptest::prelude::*;
 
     const NO_CAP: usize = usize::MAX;
+
+    /// Joint domain size of a plain subset.
+    fn subset_domain(set: &[usize], domain_sizes: &[usize]) -> f64 {
+        set.iter().map(|&a| domain_sizes[a] as f64).product()
+    }
+
+    /// Algorithm 5's sets over `v` as attribute lists, each axis raw.
+    fn plain_sets(v: &[usize], sizes: &[usize], tau: f64, cap: usize) -> Vec<Vec<usize>> {
+        maximal_parent_sets(v, sizes, tau, cap)
+            .iter()
+            .map(|set| {
+                assert!(set.iter().all(|ax| ax.level == 0), "{set:?}");
+                set.iter().map(|ax| ax.attr).collect()
+            })
+            .collect()
+    }
 
     #[test]
     fn binary_domains_yield_fixed_size_subsets() {
@@ -184,27 +198,29 @@ mod tests {
     fn tau_below_one_returns_nothing() {
         let sizes = vec![2usize; 3];
         assert!(maximal_parent_sets(&[0, 1, 2], &sizes, 0.5, NO_CAP).is_empty());
+        let level_sizes = vec![vec![2]; 3];
+        assert!(maximal_parent_sets_generalized(&[0, 1, 2], &level_sizes, 0.5, NO_CAP).is_empty());
     }
 
     #[test]
     fn tau_below_two_allows_only_empty_set() {
         let sizes = vec![2usize; 3];
         let sets = maximal_parent_sets(&[0, 1, 2], &sizes, 1.5, NO_CAP);
-        assert_eq!(sets, vec![Vec::<usize>::new()]);
+        assert_eq!(sets, vec![Vec::<Axis>::new()]);
     }
 
     #[test]
     fn whole_v_when_tau_is_large() {
         let sizes = vec![2usize, 3, 4];
         let sets = maximal_parent_sets(&[0, 1, 2], &sizes, 1000.0, NO_CAP);
-        assert_eq!(sets, vec![vec![0, 1, 2]]);
+        assert_eq!(sets, vec![vec![Axis::raw(0), Axis::raw(1), Axis::raw(2)]]);
     }
 
     #[test]
     fn mixed_domains_respect_tau() {
         // sizes: a=2, b=8, c=3; τ=10: maximal sets are {a,c} (6), {b} (8).
         let sizes = vec![2usize, 8, 3];
-        let mut sets = maximal_parent_sets(&[0, 1, 2], &sizes, 10.0, NO_CAP);
+        let mut sets = plain_sets(&[0, 1, 2], &sizes, 10.0, NO_CAP);
         sets.sort();
         assert_eq!(sets, vec![vec![0, 2], vec![1]]);
     }
@@ -222,22 +238,99 @@ mod tests {
 
     #[test]
     fn generalized_reduces_to_plain_for_flat_attributes() {
+        // On one-level attributes Algorithm 5 lists Algorithm 6's sets in
+        // reverse: the sets without an attribute before the sets with it.
         let level_sizes = vec![vec![2], vec![8], vec![3]];
         let sizes = vec![2usize, 8, 3];
         let plain = maximal_parent_sets(&[0, 1, 2], &sizes, 10.0, NO_CAP);
-        let gen = maximal_parent_sets_generalized(&[0, 1, 2], &level_sizes, 10.0, NO_CAP);
-        let gen_as_plain: Vec<Vec<usize>> = gen
-            .iter()
-            .map(|s| {
-                assert!(s.iter().all(|ax| ax.level == 0));
-                s.iter().map(|ax| ax.attr).collect()
-            })
-            .collect();
-        let mut a = plain;
-        let mut b = gen_as_plain;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        let mut gen = maximal_parent_sets_generalized(&[0, 1, 2], &level_sizes, 10.0, NO_CAP);
+        gen.reverse();
+        assert_eq!(plain, gen);
+        assert_eq!(plain_sets(&[0, 1, 2], &sizes, 10.0, NO_CAP), vec![vec![1], vec![0, 2]]);
+    }
+
+    #[test]
+    fn a_huge_budget_without_a_cap_takes_every_attribute_at_once() {
+        // 2^40 < τ: the only maximal set is all 40 attributes, and the
+        // enumeration must not visit the 2^40 subsets on its way there.
+        let v: Vec<usize> = (0..40).rev().collect();
+        let sizes = vec![2usize; 40];
+        let plain = plain_sets(&v, &sizes, 1e15, NO_CAP);
+        assert_eq!(plain, vec![(0..40).collect::<Vec<usize>>()]);
+        let level_sizes = vec![vec![2]; 40];
+        let gen = maximal_parent_sets_generalized(&v, &level_sizes, 1e15, NO_CAP);
+        assert_eq!(gen, vec![(0..40).map(Axis::raw).collect::<Vec<_>>()]);
+    }
+
+    /// Algorithm 6's sets by brute force: every assignment of each attribute
+    /// of `v` to one of its levels or to "absent" that fits τ and the cap
+    /// (τ divided by each member's size in ascending attribute order stays
+    /// ≥ 1) and is maximal (no absent attribute fits at its coarsest level
+    /// while a slot is free, and no member fits one level finer), sorted
+    /// lexicographically over the ascending attributes by level, an absent
+    /// attribute ranking after its levels.
+    fn oracle(v: &[usize], level_sizes: &[Vec<usize>], tau: f64, cap: usize) -> Vec<Vec<Axis>> {
+        let mut attrs = v.to_vec();
+        attrs.sort_unstable();
+        // choice[i]: the level of attrs[i], or its level count when absent.
+        let fits = |choice: &[usize]| {
+            let mut budget = tau;
+            let mut members = 0;
+            for (&attr, &level) in attrs.iter().zip(choice) {
+                if let Some(&size) = level_sizes[attr].get(level) {
+                    budget /= size as f64;
+                    members += 1;
+                }
+            }
+            budget >= 1.0 && members <= cap
+        };
+        let mut sets = Vec::new();
+        let mut choice = vec![0; attrs.len()];
+        loop {
+            let maximal = fits(&choice)
+                && (0..attrs.len()).all(|i| {
+                    let levels = level_sizes[attrs[i]].len();
+                    let mut other = choice.clone();
+                    match choice[i] {
+                        0 => return true,
+                        c if c == levels => other[i] = levels - 1,
+                        c => other[i] = c - 1,
+                    }
+                    !fits(&other)
+                });
+            if maximal {
+                sets.push(
+                    attrs
+                        .iter()
+                        .zip(&choice)
+                        .filter(|&(&attr, &level)| level < level_sizes[attr].len())
+                        .map(|(&attr, &level)| Axis { attr, level })
+                        .collect(),
+                );
+            }
+            // The next assignment, the last attribute fastest.
+            let mut i = attrs.len();
+            loop {
+                if i == 0 {
+                    return sets;
+                }
+                i -= 1;
+                choice[i] += 1;
+                if choice[i] <= level_sizes[attrs[i]].len() {
+                    break;
+                }
+                choice[i] = 0;
+            }
+        }
+    }
+
+    /// One to three strictly decreasing level sizes, size-1 domains included.
+    fn levels() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(1usize..13, 1..4).prop_map(|mut sizes| {
+            sizes.sort_unstable_by(|a, b| b.cmp(a));
+            sizes.dedup();
+            sizes
+        })
     }
 
     #[test]
@@ -302,6 +395,34 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both algorithms list exactly the oracle's sets, in its order
+        /// (Algorithm 6) or in reverse on one-level attributes (Algorithm 5),
+        /// with `v` a shuffled subset of the attributes.
+        #[test]
+        fn prop_sets_and_their_order_match_the_oracle(
+            attrs in proptest::collection::vec((levels(), 0u32..100), 1..8),
+            tau in prop_oneof![0.5f64..300.0, (0i32..12).prop_map(|e| 2f64.powi(e))],
+            cap in prop_oneof![0usize..6, Just(NO_CAP)],
+        ) {
+            let level_sizes: Vec<Vec<usize>> = attrs.iter().map(|(l, _)| l.clone()).collect();
+            let mut v: Vec<usize> = (0..attrs.len()).filter(|&a| attrs[a].1 >= 20).collect();
+            v.sort_by_key(|&a| attrs[a].1);
+            let expected = oracle(&v, &level_sizes, tau, cap);
+            let gen = maximal_parent_sets_generalized(&v, &level_sizes, tau, cap);
+            prop_assert_eq!(&gen, &expected, "v {:?} levels {:?} τ {} cap {}", v, level_sizes, tau, cap);
+
+            let sizes: Vec<usize> = level_sizes.iter().map(|l| l[0]).collect();
+            let flat: Vec<Vec<usize>> = sizes.iter().map(|&s| vec![s]).collect();
+            let mut expected = oracle(&v, &flat, tau, cap);
+            expected.reverse();
+            let plain = maximal_parent_sets(&v, &sizes, tau, cap);
+            prop_assert_eq!(&plain, &expected, "v {:?} sizes {:?} τ {} cap {}", v, sizes, tau, cap);
+        }
+    }
+
+    proptest! {
         /// Maximality invariants hold for random domain-size profiles.
         #[test]
         fn prop_maximality(
@@ -309,7 +430,7 @@ mod tests {
             tau in 1.0f64..200.0,
         ) {
             let v: Vec<usize> = (0..sizes.len()).collect();
-            let sets = maximal_parent_sets(&v, &sizes, tau, NO_CAP);
+            let sets = plain_sets(&v, &sizes, tau, NO_CAP);
             prop_assert!(!sets.is_empty(), "tau ≥ 1 admits at least the empty set");
             assert_maximal(&v, &sizes, tau, usize::MAX, &sets);
         }
@@ -321,12 +442,14 @@ mod tests {
             tau in 1.0f64..100.0,
         ) {
             let v: Vec<usize> = (0..sizes.len()).collect();
-            let sets = maximal_parent_sets(&v, &sizes, tau, NO_CAP);
-            let mut seen = std::collections::HashSet::new();
+            let sets = plain_sets(&v, &sizes, tau, NO_CAP);
             for s in &sets {
                 prop_assert!(s.windows(2).all(|w| w[0] < w[1]));
-                prop_assert!(seen.insert(s.clone()));
             }
+            let mut distinct = sets.clone();
+            distinct.sort();
+            distinct.dedup();
+            prop_assert_eq!(distinct.len(), sets.len(), "a set repeats in {:?}", sets);
         }
 
         /// Generalised sets always fit τ and never repeat an attribute.

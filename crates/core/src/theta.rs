@@ -52,8 +52,9 @@ pub fn tau_for_child(n: usize, d: usize, epsilon2: f64, theta: f64, child_domain
 
 /// The most binary parents a parent-set rule with budget `tau` and size cap
 /// `cap` can give a binary child: how often τ halves before it drops below
-/// 1, in the arithmetic [`maximal_parent_sets`](crate::parent_sets::maximal_parent_sets)
-/// applies to each binary member (`τ / 2`, one member at a time), and at
+/// 1, in the arithmetic the parent-set walk behind
+/// [`maximal_parent_sets`](crate::parent_sets::maximal_parent_sets) applies
+/// to each binary member it takes (`τ / 2`, one member at a time), and at
 /// most `cap` (the loop runs at most `cap` times, so callers bound it by
 /// the attribute count).
 #[must_use]

@@ -5,13 +5,13 @@
 //! the whole pipeline. The engine makes candidate joints cheap three ways:
 //!
 //! 1. **Radix-coded columns.** Every requested (attribute, level) axis is
-//!    encoded once into a dense `u32` code column (level 0 borrows the
+//!    encoded once into a dense `u32` code column (level 0 copies the
 //!    dataset column; generalised levels are materialised lazily through the
-//!    taxonomy's level lookup). A joint is then a single fused radix pass:
-//!    `cell = Σ code·stride` per row, no per-row `Vec` indirection.
-//!    [`child_joints`](CountEngine::child_joints) counts `[parents…, child]`
-//!    for many children in one pass over blocks of rows, building the
-//!    parents' cell index once per block.
+//!    taxonomy's level lookup). The radix backend has one counting
+//!    primitive, a pass over blocks of rows that builds the parents' cell
+//!    index (`Σ code·stride`) once per block: [`child_joints`](CountEngine::child_joints)
+//!    counts `[parents…, child]` for many children in one such pass, and a
+//!    single radix joint is the one-child case.
 //! 2. **One bit-packed walk.** Binary attributes are also kept as bit masks.
 //!    The bit backend has one counting primitive: a depth-first walk over a
 //!    set of binary attributes that counts the rows where every attribute of
@@ -169,7 +169,7 @@ pub fn probs_into(counts: &[u64], n: usize, out: &mut Vec<f64>) {
     out.extend(counts.iter().map(|&c| c as f64 * scale));
 }
 
-/// The general-domain backend: one fused radix pass over pre-encoded dense
+/// The general-domain backend: one blocked radix pass over pre-encoded dense
 /// `u32` code columns. Owns its columns (cloned from the source dataset)
 /// so a long-lived engine — e.g. one per ingesting tenant — does not
 /// borrow the `Dataset` it was built from.
@@ -225,56 +225,11 @@ impl RadixBackend {
         self.n += batch.n();
     }
 
-    /// Materialises the joint counts of `axes` (last axis fastest).
-    fn materialise(&self, axes: &[Axis]) -> CountTable {
-        let schema = &self.schema;
-        let dims: Vec<usize> = axes.iter().map(|a| a.size(schema)).collect();
-        let cells: usize = dims.iter().product();
-        let mut counts = vec![0u64; cells];
-
-        let mut strides = vec![1usize; axes.len()];
-        for i in (0..axes.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * dims[i + 1];
-        }
-        let cols: Vec<(&[u32], usize)> =
-            axes.iter().zip(&strides).map(|(&axis, &s)| (self.codes(axis), s)).collect();
-
-        match cols.as_slice() {
-            // Unrolled low arities: the k ≤ 3 cases cover almost every
-            // candidate joint the greedy rounds request.
-            [(a, _)] => {
-                for &x in *a {
-                    counts[x as usize] += 1;
-                }
-            }
-            [(a, sa), (b, _)] => {
-                for (&x, &y) in a.iter().zip(*b) {
-                    counts[x as usize * sa + y as usize] += 1;
-                }
-            }
-            [(a, sa), (b, sb), (c, _)] => {
-                for ((&x, &y), &z) in a.iter().zip(*b).zip(*c) {
-                    counts[x as usize * sa + y as usize * sb + z as usize] += 1;
-                }
-            }
-            _ => {
-                for row in 0..self.n {
-                    let mut idx = 0usize;
-                    for (col, stride) in &cols {
-                        idx += col[row] as usize * stride;
-                    }
-                    counts[idx] += 1;
-                }
-            }
-        }
-        CountTable { axes: axes.to_vec(), dims, counts }
-    }
-
-    /// Counts `[parents…, child]` for every raw attribute in `children`.
-    /// Each block of `BLOCK_ROWS` rows gets its parent cell index built
-    /// once, and then one pass per child: a child of domain `c` lands in
-    /// cell `parent_cell·c + code`, the row-major layout of the full axes.
-    fn child_counts(&self, parents: &[Axis], children: &[usize]) -> Vec<CountTable> {
+    /// Counts `[parents…, child]` for every axis in `children`. Each block
+    /// of `BLOCK_ROWS` rows gets its parent cell index built once, and then
+    /// one pass per child: a child of domain `c` lands in cell
+    /// `parent_cell·c + code`, the row-major layout of the full axes.
+    fn child_counts(&self, parents: &[Axis], children: &[Axis]) -> Vec<CountTable> {
         let dims: Vec<usize> = parents.iter().map(|a| a.size(&self.schema)).collect();
         let mut strides = vec![1usize; parents.len()];
         for i in (0..parents.len().saturating_sub(1)).rev() {
@@ -283,10 +238,8 @@ impl RadixBackend {
         let parent_cells: usize = dims.iter().product();
         let cols: Vec<(&[u32], usize)> =
             parents.iter().zip(&strides).map(|(&axis, &s)| (self.codes(axis), s)).collect();
-        let kids: Vec<(&[u32], usize)> = children
-            .iter()
-            .map(|&c| (&self.columns[c][..], self.schema.attribute(c).domain_size()))
-            .collect();
+        let kids: Vec<(&[u32], usize)> =
+            children.iter().map(|&c| (self.codes(c), c.size(&self.schema))).collect();
         let mut counts: Vec<Vec<u64>> =
             kids.iter().map(|&(_, size)| vec![0; parent_cells * size]).collect();
 
@@ -312,7 +265,7 @@ impl RadixBackend {
             .zip(&kids)
             .map(|((&child, counts), &(_, size))| {
                 let mut axes = parents.to_vec();
-                axes.push(Axis::raw(child));
+                axes.push(child);
                 let mut table_dims = dims.clone();
                 table_dims.push(size);
                 CountTable { axes, dims: table_dims, counts }
@@ -321,8 +274,8 @@ impl RadixBackend {
     }
 }
 
-/// Rows per block of a [`CountEngine::child_joints`] pass, so a block's
-/// cell index stays in cache and never grows with `n`.
+/// Rows per block of a radix pass, so a block's cell index stays in cache
+/// and never grows with `n`.
 const BLOCK_ROWS: usize = 4096;
 
 /// Bit-packed columns of the binary attributes: joints over raw binary axes
@@ -783,7 +736,7 @@ impl CountEngine {
 
     /// The integer count table over `axes`, in the requested axis order: the
     /// bit backend's walk over the axes when they are at most 8 raw binary
-    /// attributes, the radix pass otherwise.
+    /// attributes, else the radix group pass with the last axis as its child.
     ///
     /// # Panics
     /// As [`joint`](Self::joint).
@@ -804,7 +757,7 @@ impl CountEngine {
                 let table = CountTable { axes: axes.to_vec(), dims: vec![2; axes.len()], counts };
                 (table, Some(lattice))
             }
-            _ => (self.radix.materialise(axes), None),
+            _ => (self.radix.child_counts(parents, &[*last]).remove(0), None),
         };
         self.record(started.elapsed(), std::slice::from_ref(&table), lattice.as_ref());
         table
@@ -843,14 +796,15 @@ impl CountEngine {
     #[must_use]
     pub fn child_joints(&self, parents: &[Axis], children: &[usize]) -> Vec<CountTable> {
         assert_distinct(parents);
-        for child in children.iter().map(|&c| Axis::raw(c)) {
-            assert!(!parents.contains(&child), "axis repeated: {child:?}");
+        let children: Vec<Axis> = children.iter().map(|&c| Axis::raw(c)).collect();
+        for child in &children {
+            assert!(!parents.contains(child), "axis repeated: {child:?}");
         }
         if children.is_empty() {
             return Vec::new();
         }
         let started = Instant::now();
-        let tables = self.radix.child_counts(parents, children);
+        let tables = self.radix.child_counts(parents, &children);
         self.record(started.elapsed(), &tables, None);
         tables
     }
@@ -966,18 +920,32 @@ mod tests {
 
     #[test]
     fn engine_matches_contingency_table_on_mixed_schema() {
-        let data = mixed_dataset(321, 1); // non-multiple of 64 rows
-        let engine = CountEngine::new(&data);
-        for axes in [
-            vec![Axis::raw(0)],
-            vec![Axis::raw(1)],
-            vec![Axis::raw(3), Axis::raw(1)],
-            vec![Axis::raw(1), Axis::raw(0), Axis::raw(2)],
-            vec![Axis { attr: 1, level: 1 }, Axis::raw(0)],
-            vec![Axis { attr: 3, level: 2 }, Axis { attr: 1, level: 1 }, Axis::raw(2)],
-            vec![Axis::raw(0), Axis::raw(1), Axis::raw(2), Axis::raw(3)],
-        ] {
-            assert_matches_from_dataset(&data, &engine, &axes);
+        // 321 rows leave the last mask word partial; the larger table
+        // crosses two radix block boundaries and ends in a partial block.
+        for n in [321, 2 * BLOCK_ROWS + 7] {
+            let data = mixed_dataset(n, 1);
+            let engine = CountEngine::new(&data);
+            for axes in [
+                vec![Axis::raw(0)],
+                vec![Axis::raw(1)],
+                vec![Axis::raw(3), Axis::raw(1)],
+                vec![Axis::raw(1), Axis::raw(0), Axis::raw(2)],
+                vec![Axis { attr: 1, level: 1 }, Axis::raw(0)],
+                vec![Axis { attr: 3, level: 2 }, Axis { attr: 1, level: 1 }, Axis::raw(2)],
+                vec![Axis::raw(0), Axis::raw(1), Axis::raw(2), Axis::raw(3)],
+                // A generalised last axis, alone or after mixed levels.
+                vec![Axis { attr: 3, level: 1 }],
+                vec![Axis::raw(0), Axis { attr: 1, level: 1 }],
+                vec![Axis::raw(2), Axis { attr: 3, level: 2 }],
+                vec![
+                    Axis { attr: 3, level: 1 },
+                    Axis::raw(0),
+                    Axis::raw(2),
+                    Axis { attr: 1, level: 1 },
+                ],
+            ] {
+                assert_matches_from_dataset(&data, &engine, &axes);
+            }
         }
     }
 
@@ -998,11 +966,17 @@ mod tests {
         Dataset::from_rows(schema, &rows).unwrap()
     }
 
+    /// The radix pass over `axes`, whatever backend `joint_counts` picks.
+    fn radix_joint(engine: &CountEngine, axes: &[Axis]) -> CountTable {
+        let (last, parents) = axes.split_last().unwrap();
+        engine.radix.child_counts(parents, &[*last]).pop().unwrap()
+    }
+
     /// Asserts that `table` equals the radix pass over its axes and, on the
     /// probability scale, `ContingencyTable::from_dataset` bit for bit.
     fn assert_table_matches(data: &Dataset, engine: &CountEngine, table: &CountTable) {
         let axes = table.axes();
-        assert_eq!(*table, engine.radix.materialise(axes), "{axes:?}");
+        assert_eq!(*table, radix_joint(engine, axes), "{axes:?}");
         let slow = ContingencyTable::from_dataset(data, axes);
         let mut fast = Vec::new();
         table.probs_into(data.n(), &mut fast);
@@ -1086,17 +1060,20 @@ mod tests {
     fn child_joints_match_single_joints_on_mixed_data() {
         // Generalised parent axes, child lists mixing binary and categorical
         // attributes, binary children under a categorical parent and a
-        // binary parent over a binary child all take the radix group pass.
-        let data = mixed_dataset(321, 2);
-        for (parents, children) in [
-            (vec![Axis { attr: 3, level: 1 }, Axis { attr: 1, level: 1 }], vec![2, 0]),
-            (vec![Axis { attr: 3, level: 2 }], vec![1, 0, 2]),
-            (vec![Axis::raw(2)], vec![3, 0, 1]),
-            (vec![Axis::raw(1)], vec![0, 2]),
-            (vec![Axis::raw(2)], vec![0]),
-            (vec![], vec![3, 0, 1, 2]),
-        ] {
-            assert_child_joints_match(&data, &parents, &children);
+        // binary parent over a binary child all take the radix group pass,
+        // within one block of rows and across block boundaries.
+        for n in [321, 2 * BLOCK_ROWS + 7] {
+            let data = mixed_dataset(n, 2);
+            for (parents, children) in [
+                (vec![Axis { attr: 3, level: 1 }, Axis { attr: 1, level: 1 }], vec![2, 0]),
+                (vec![Axis { attr: 3, level: 2 }], vec![1, 0, 2]),
+                (vec![Axis::raw(2)], vec![3, 0, 1]),
+                (vec![Axis::raw(1)], vec![0, 2]),
+                (vec![Axis::raw(2)], vec![0]),
+                (vec![], vec![3, 0, 1, 2]),
+            ] {
+                assert_child_joints_match(&data, &parents, &children);
+            }
         }
     }
 
@@ -1288,7 +1265,7 @@ mod tests {
         let engine = CountEngine::new(&data);
         let full = engine.joint_counts(&[Axis::raw(0), Axis::raw(1), Axis::raw(2)]);
         let proj = full.project(&[2, 0]);
-        let direct = engine.radix.materialise(&[Axis::raw(2), Axis::raw(0)]);
+        let direct = radix_joint(&engine, &[Axis::raw(2), Axis::raw(0)]);
         assert_eq!(proj, direct);
         let total: u64 = proj.counts().iter().sum();
         assert_eq!(total, 100);

@@ -18,8 +18,9 @@
 //!
 //! * **Counting.** Every request counts the rows; the engine keeps no
 //!   tables. `child_joints` counts `[parents…, child]` for many children
-//!   in one blocked radix pass that shares the parents' work among them.
-//!   `subset_counts` walks every subset of at most `K` binary attributes
+//!   in one blocked radix pass that shares the parents' work among them,
+//!   and a single joint the bit backend does not serve takes the same
+//!   pass with its last axis as the one child. `subset_counts` walks every subset of at most `K` binary attributes
 //!   once and returns the counts as an owned [`SubsetCounts`], from which
 //!   each binary `[parents…, child]` table is built without a scan; the
 //!   greedy search keeps one for the whole fit.

@@ -30,7 +30,7 @@ use privbayes::parent_sets::maximal_parent_sets;
 use privbayes::score::ScoreKind;
 use privbayes::theta::{max_binary_parents, tau_for_child};
 use privbayes_data::Dataset;
-use privbayes_marginals::{Axis, CountEngine};
+use privbayes_marginals::CountEngine;
 use rand::Rng;
 
 use crate::error::RelationalError;
@@ -255,9 +255,6 @@ pub fn fit_fact_model<R: Rng + ?Sized>(
     let binary_arity = max_binary_parents(tau(2), options.max_parents.min(d - 1)) + 1;
     let sets = |placed: &[usize], child_domain| {
         maximal_parent_sets(placed, &domain_sizes, tau(child_domain), options.max_parents)
-            .into_iter()
-            .map(|set| set.into_iter().map(Axis::raw).collect())
-            .collect()
     };
     let network = greedy_bayes(&engine, roots, joints, &settings, binary_arity, sets, rng)?;
 

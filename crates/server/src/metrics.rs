@@ -104,6 +104,12 @@ impl ServerMetrics {
             "Bytes of count tables materialized by CountEngine scans",
         );
         registry.describe(
+            "privbayes_engine_subsets_total",
+            MetricKind::Counter,
+            "Binary attribute subsets counted by CountEngine's subset walk, one AND + popcount \
+             pass each",
+        );
+        registry.describe(
             "privbayes_ingest_rows_total",
             MetricKind::Counter,
             "Rows accepted by POST /v1/tenants/{t}/ingest, by tenant",
@@ -244,6 +250,7 @@ impl ServerMetrics {
         self.registry
             .counter("privbayes_engine_bytes_materialized_total", &[])
             .add(stats.bytes_materialized);
+        self.registry.counter("privbayes_engine_subsets_total", &[]).add(stats.subsets as u64);
     }
 
     /// Records one accepted ingest batch into the per-tenant row counter.

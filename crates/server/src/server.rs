@@ -1387,6 +1387,7 @@ fn run_refit(shared: &Shared, job: &RefitJob) {
                 bytes_materialized: after
                     .bytes_materialized
                     .saturating_sub(before.bytes_materialized),
+                subsets: after.subsets.saturating_sub(before.subsets),
                 ..after
             });
             // The rows the fit saw, which include any appended after the
@@ -1609,8 +1610,8 @@ fn run_fit(shared: &Shared, fit: &FitRequest) -> Result<Arc<ModelEntry>, ServerE
     };
     let fitted = fit_method(fit.method, &data, fit.epsilon, seed, &settings)
         .map_err(|e| ServerError::Model(e.to_string()))?;
-    // The fit-phase engine counters (scans, bytes materialised)
-    // feed the `privbayes_engine_*` families; the registry load is the
+    // The fit-phase engine counters (scans, bytes materialised, subsets
+    // walked) feed the `privbayes_engine_*` families; the registry load is the
     // alias-compile step and is timed as such.
     shared.metrics.record_engine(&fitted.stats);
     let compile_started = Instant::now();

@@ -288,6 +288,28 @@ fn ingest_triggers_ledger_accounted_refits_and_new_generations() {
         snapshot.value("privbayes_model_generation", &[("model", "acme-model")]),
         Some(generation_of(&gens, 0) as f64)
     );
+    // Each refit adds its own engine work, not the long-lived tenant
+    // engine's running total: the two refits together count what cold fits
+    // over their 40 and 70 rows count.
+    let cold: Vec<_> = [40, 70]
+        .iter()
+        .map(|&end| {
+            fit_method(Method::PrivBayes, &dataset(&rows(0..end)), 0.5, 9, &FitSettings::default())
+                .unwrap()
+                .stats
+        })
+        .collect();
+    assert!(cold[0].subsets > 0, "the first refit walks a subset lattice");
+    for (family, per_fit) in [
+        ("privbayes_engine_subsets_total", cold.iter().map(|s| s.subsets as u64).sum::<u64>()),
+        ("privbayes_engine_scans_total", cold.iter().map(|s| s.scans as u64).sum()),
+        (
+            "privbayes_engine_bytes_materialized_total",
+            cold.iter().map(|s| s.bytes_materialized).sum(),
+        ),
+    ] {
+        assert_eq!(snapshot.value(family, &[]), Some(per_fit as f64), "{family}");
+    }
 
     client.shutdown().unwrap();
     handle.join().unwrap();

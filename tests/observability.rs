@@ -186,6 +186,7 @@ fn the_exposition_is_conformant_and_lists_every_family() {
         "privbayes_alias_build_seconds",
         "privbayes_engine_scans_total",
         "privbayes_engine_bytes_materialized_total",
+        "privbayes_engine_subsets_total",
         "privbayes_connections_reused_total",
         "privbayes_tenant_epsilon_spent",
         "privbayes_tenant_epsilon_remaining",
@@ -205,6 +206,7 @@ fn the_exposition_is_conformant_and_lists_every_family() {
     assert_eq!(snapshot.types["privbayes_model_generation"], "gauge");
     assert_eq!(snapshot.types["privbayes_request_seconds"], "histogram");
     assert_eq!(snapshot.types["privbayes_connections_reused_total"], "counter");
+    assert_eq!(snapshot.types["privbayes_engine_subsets_total"], "counter");
 
     // Histograms follow the bucket/sum/count convention with an +Inf bucket.
     assert!(text.contains("privbayes_request_seconds_bucket"), "{text}");
