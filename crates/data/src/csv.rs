@@ -153,4 +153,90 @@ mod tests {
         let ds = read_csv(&schema(), input).unwrap();
         assert_eq!(ds.n(), 2);
     }
+
+    /// The codes of column `attr` read from `input`.
+    fn column(input: &[u8], attr: usize) -> Vec<u32> {
+        read_csv(&schema(), input).unwrap().column(attr).to_vec()
+    }
+
+    /// The parse error `input` is refused with.
+    fn refusal(input: &[u8]) -> String {
+        match read_csv(&schema(), input) {
+            Err(DataError::Parse(e)) => e,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn crlf_line_endings_read_like_lf() {
+        let lf = read_csv(&schema(), b"work,flag\ngov,1\n\nprivate,v0\n" as &[u8]).unwrap();
+        let crlf =
+            read_csv(&schema(), b"work,flag\r\ngov,1\r\n\r\nprivate,v0\r\n" as &[u8]).unwrap();
+        assert_eq!(crlf, lf);
+        assert_eq!(crlf.n(), 2);
+    }
+
+    #[test]
+    fn a_last_line_without_a_newline_is_read() {
+        assert_eq!(column(b"work,flag\n0,0\n1,1", 1), vec![0, 1]);
+        assert_eq!(column(b"work,flag\r\n0,0\r\ngov,v1", 0), vec![0, 1]);
+    }
+
+    #[test]
+    fn codes_take_leading_zeros_and_a_plus_sign() {
+        assert_eq!(column(b"work,flag\n0,v01\n0,+1\n0,v+1\n0,001\n", 1), vec![1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn malformed_codes_are_refused() {
+        for cell in ["-0", "4294967296", "v4294967296", " 1", "1 ", "", "v", "+", "v-1", "1x"] {
+            let input = format!("work,flag\n0,{cell}\n");
+            assert_eq!(
+                refusal(input.as_bytes()),
+                format!("row 2: unparseable cell `{cell}`"),
+                "cell `{cell}`"
+            );
+        }
+        // A code that parses but lies outside the domain.
+        assert_eq!(
+            refusal(b"work,flag\n0,4294967295\n"),
+            "row 2: code 4294967295 out of domain for `flag`"
+        );
+    }
+
+    #[test]
+    fn a_label_wins_over_a_bare_code() {
+        let schema = Schema::new(vec![
+            Attribute::categorical_labelled("x", ["1", "0"]).unwrap(),
+            Attribute::binary("flag"),
+        ])
+        .unwrap();
+        let ds = read_csv(&schema, b"x,flag\n1,1\n0,0\nv1,1\n" as &[u8]).unwrap();
+        assert_eq!(ds.column(0), &[0, 1, 1]);
+    }
+
+    #[test]
+    fn a_non_utf8_cell_is_refused() {
+        let refused = read_csv(&schema(), b"work,flag\n0,\xff\n" as &[u8]);
+        assert!(matches!(refused, Err(DataError::Parse(_))), "{refused:?}");
+        let refused = read_csv(&schema(), b"work,flag\n0,1\ngov\xc3,0\n" as &[u8]);
+        assert!(matches!(refused, Err(DataError::Parse(_))), "{refused:?}");
+    }
+
+    #[test]
+    fn error_rows_count_blank_lines() {
+        assert_eq!(refusal(b"work,flag\n0,0\n\n9,0\n"), "row 4: code 9 out of domain for `work`");
+        assert_eq!(refusal(b"work,flag\r\n\r\n0,0\r\n0,x\r\n"), "row 4: unparseable cell `x`");
+        assert_eq!(refusal(b"work,flag\n\n\n0\n"), "row 4 has 1 cells, expected 2");
+        // A ragged row is reported as ragged, whatever its cells hold.
+        assert_eq!(refusal(b"work,flag\n0,x,1\n"), "row 2 has 3 cells, expected 2");
+    }
+
+    #[test]
+    fn header_errors_keep_their_texts() {
+        assert_eq!(refusal(b""), "missing header");
+        assert_eq!(refusal(b"work\n0\n"), "header has 1 columns, schema has 2");
+        assert_eq!(refusal(b"work,flags\n0,0\n"), "column 1 is `flags`, expected `flag`");
+        assert_eq!(refusal(b"work,flag\r"), "column 1 is `flag\r`, expected `flag`");
+    }
 }
