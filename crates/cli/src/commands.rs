@@ -145,6 +145,8 @@ The schema file is a JSON array of attributes, e.g.
    {\"name\": \"smoker\", \"kind\": \"binary\"},
    {\"name\": \"work\", \"kind\": \"categorical\", \"size\": 4,
     \"labels\": [\"gov\", \"private\", \"self\", \"none\"]}]
+CSV cells are unquoted, so names and labels may not hold `,`, CR or LF,
+and a label may not be empty.
 ";
 
 /// Runs a full command line (without the binary name) and returns the text

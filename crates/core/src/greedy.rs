@@ -18,8 +18,11 @@
 //! ([`CountEngine::subset_counts`]), with `K` the largest binary candidate
 //! the caller's rule allows; every candidate whose child and parents are
 //! binary builds its joint from those counts, and the rest are counted from
-//! the rows. Each (child, parent set) candidate is scored once per search, a
-//! round's new candidates grouped by parent set on a pool of scoped threads.
+//! the rows. Each (child, parent set) candidate is scored once per search:
+//! a round carries the last round's parent-set lists with one score row per
+//! set, so a candidate it scored costs one read from a row, and only the
+//! sets that hold the attribute placed last are scored, grouped by parent
+//! set on a pool of scoped threads.
 //! Scoring is deterministic, only the selection consumes randomness, and
 //! every score is bit-identical to the sequential path, so the learned
 //! network does not depend on the worker count.
@@ -92,29 +95,30 @@ pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
         .max(1)
 }
 
-/// One candidate AP pair under consideration.
-#[derive(Debug, Clone)]
-struct Candidate {
-    /// The attribute to place.
-    child: usize,
-    /// Its candidate parents, in the order its joint is counted.
-    parents: Vec<Axis>,
-}
-
-/// The candidate scores of one greedy search, kept for the whole fit.
+/// The candidate scores of one greedy search, carried from round to round.
 ///
 /// A candidate's score depends only on the data, so each (child, parent
-/// set) pair is scored once per fit. A round's unscored candidates are those
-/// whose parent set holds the attribute placed last (a maximal set of
-/// `V ∪ {a}` that leaves out `a` is maximal in `V`); they are grouped by
-/// parent set. In a group, the tables of the children the subset lattice
+/// set) pair is scored once per fit. Each round lists, for each child domain
+/// size, the sets `parent_sets` returns, and pairs every listed set with a
+/// score row: one score per attribute, read at the children of that size.
+/// A set that holds an attribute placed since the last round is new and gets
+/// a fresh row. Any other set was in the last round's list for that size (a
+/// maximal set of `V ∪ {a}` that leaves out `a` is maximal in `V`), in the
+/// same relative order: both rules list subsets in one lexicographic order
+/// over a fixed attribute order, so removing `a`'s sets leaves the rest in
+/// order. One cursor through the last list finds each such set and takes its
+/// row; a set the cursor does not find is scored afresh, so the order
+/// property buys speed and never correctness.
+///
+/// The fresh rows' (child, set) pairs are grouped by parent set across the
+/// domain sizes. In a group, the tables of the children the subset lattice
 /// covers (binary children under binary parents) are built from the
-/// lattice, which is counted once before round 1 and kept for the fit like
-/// the scores; the other children are counted by one
-/// [`CountEngine::child_joints`] pass. The groups are dealt to the scoring
-/// threads in a strided split, which keeps the threads' work comparable
-/// when one round's new groups are contiguous. Candidate order never
-/// depends on the threads, so neither does the learned network.
+/// lattice, which is counted once before round 1 and kept for the fit; the
+/// other children are counted by one [`CountEngine::child_joints`] pass. The
+/// groups are dealt to the scoring threads in a strided split, which keeps
+/// the threads' work comparable when one round's new groups are contiguous.
+/// Candidate order never depends on the threads, so neither does the
+/// learned network.
 #[derive(Debug)]
 struct CandidateScores<'e> {
     engine: &'e CountEngine,
@@ -122,9 +126,65 @@ struct CandidateScores<'e> {
     lattice: SubsetCounts,
     score: ScoreKind,
     threads: usize,
-    /// Kept scores, indexed by child and keyed by parent set.
-    kept: Vec<HashMap<Vec<Axis>, f64>>,
+    /// How many attributes were placed when the current lists were drawn.
+    placed: usize,
+    /// The current round's lists, one per child domain size.
+    lists: Vec<SetList>,
+    /// The current round's children, ascending, each with its list.
+    children: Vec<(usize, usize)>,
 }
+
+/// One round's parent sets for the children of one domain size, each set
+/// with a score row of one entry per attribute, read at those children.
+#[derive(Debug)]
+struct SetList {
+    size: usize,
+    sets: Vec<Vec<Axis>>,
+    /// `sets.len()` rows of `d` scores, indexed by child.
+    rows: Vec<f64>,
+}
+
+impl SetList {
+    /// The list of `sets` for the children of domain `size`, or of the empty
+    /// set alone when `sets` is empty. A set takes its row from `last`
+    /// unless it holds an attribute of `new` or the cursor does not find it;
+    /// the indices of the sets with fresh rows are returned with the list.
+    fn carry(
+        size: usize,
+        mut sets: Vec<Vec<Axis>>,
+        last: Option<&SetList>,
+        new: &[usize],
+        d: usize,
+    ) -> (Self, Vec<usize>) {
+        if sets.is_empty() {
+            // Algorithm 4 lines 7–8: even Pr[X] violates θ-usefulness;
+            // model X as independent so every attribute is covered.
+            sets.push(Vec::new());
+        }
+        let (last_sets, last_rows) =
+            last.map_or((&[][..], &[][..]), |l| (&l.sets[..], &l.rows[..]));
+        let (mut rows, mut fresh, mut cursor) = (Vec::with_capacity(sets.len() * d), Vec::new(), 0);
+        for (j, set) in sets.iter().enumerate() {
+            let found = if set.iter().any(|ax| new.contains(&ax.attr)) {
+                None
+            } else {
+                last_sets[cursor..].iter().position(|s| s == set).map(|k| cursor + k)
+            };
+            if let Some(k) = found {
+                cursor = k + 1;
+                rows.extend_from_slice(&last_rows[k * d..(k + 1) * d]);
+            } else {
+                rows.resize(rows.len() + d, f64::NAN);
+                fresh.push(j);
+            }
+        }
+        (Self { size, sets, rows }, fresh)
+    }
+}
+
+/// A parent set to score, as its list and index there, with the children to
+/// score under it, each with its list and its entry in that list's rows.
+type Group = ((usize, usize), Vec<usize>, Vec<(usize, usize)>);
 
 impl<'e> CandidateScores<'e> {
     /// An empty score store over `engine`, whose lattice holds every subset
@@ -146,69 +206,67 @@ impl<'e> CandidateScores<'e> {
                 "the subsets of at most {binary_arity} binary attributes are too many to count"
             ))
         })?;
-        let kept = vec![HashMap::new(); engine.schema().len()];
-        Ok(Self { engine, lattice, score, threads, kept })
+        let (lists, children) = (Vec::new(), Vec::new());
+        Ok(Self { engine, lattice, score, threads, placed: 0, lists, children })
     }
 
-    /// One round's candidates and their scores, in candidate order: each
-    /// child paired with every set that `parent_sets` returns for the
-    /// child's domain size, or with the empty set when it returns none.
-    /// `parent_sets` is called once per distinct domain size. `children`
-    /// are the attributes still to place; the kept scores of every other
-    /// attribute are dropped.
+    /// One round's scores, in candidate order: each attribute not in
+    /// `placed`, ascending, paired with every set that `parent_sets` returns
+    /// for its domain size, or with the empty set when it returns none.
+    /// `parent_sets` is called once per distinct domain size.
     ///
     /// # Errors
     /// Returns the first score failure, in parent-set order.
     fn round(
         &mut self,
-        children: impl IntoIterator<Item = usize>,
+        placed: &[usize],
         mut parent_sets: impl FnMut(usize) -> Vec<Vec<Axis>>,
-    ) -> Result<(Vec<Candidate>, Vec<f64>), PrivBayesError> {
+    ) -> Result<Vec<f64>, PrivBayesError> {
         let (engine, score) = (self.engine, self.score);
         let schema = engine.schema();
-        let children: Vec<usize> = children.into_iter().collect();
-        for (child, kept) in self.kept.iter_mut().enumerate() {
-            if !children.contains(&child) {
-                *kept = HashMap::new();
-            }
-        }
-        let mut sets_by_size: Vec<(usize, Vec<Vec<Axis>>)> = Vec::new();
-        let mut candidates = Vec::new();
-        for child in children {
+        let d = schema.len();
+        let new = &placed[self.placed.min(placed.len())..];
+        // The lists in the order of their first children, and per list the
+        // indices of its sets with fresh rows.
+        let (mut lists, mut fresh, mut children) = (Vec::new(), Vec::new(), Vec::new());
+        for child in (0..d).filter(|c| !placed.contains(c)) {
             let size = schema.attribute(child).domain_size();
-            let i = sets_by_size.iter().position(|&(s, _)| s == size).unwrap_or_else(|| {
-                sets_by_size.push((size, parent_sets(size)));
-                sets_by_size.len() - 1
-            });
-            match sets_by_size[i].1.as_slice() {
-                // Algorithm 4 lines 7–8: even Pr[X] violates θ-usefulness;
-                // model X as independent so every attribute is covered.
-                [] => candidates.push(Candidate { child, parents: Vec::new() }),
-                sets => candidates.extend(
-                    sets.iter().map(|parents| Candidate { child, parents: parents.clone() }),
-                ),
-            }
+            let l =
+                lists.iter().position(|list: &SetList| list.size == size).unwrap_or_else(|| {
+                    let last = self.lists.iter().find(|list| list.size == size);
+                    let (list, unscored) = SetList::carry(size, parent_sets(size), last, new, d);
+                    lists.push(list);
+                    fresh.push(unscored);
+                    lists.len() - 1
+                });
+            children.push((child, l));
         }
 
-        // The kept scores in candidate order, and the indices of the
-        // unscored candidates grouped by parent set in candidate order.
-        let mut scores: Vec<Option<f64>> = Vec::with_capacity(candidates.len());
-        let mut groups: Vec<(&[Axis], Vec<usize>)> = Vec::new();
+        // The fresh pairs grouped by parent set across the lists, groups and
+        // their children in candidate order: a set's group is made at its
+        // first candidate, which is in the first list that holds it.
+        let mut groups: Vec<Group> = Vec::new();
         let mut group_of: HashMap<&[Axis], usize> = HashMap::new();
-        for (i, c) in candidates.iter().enumerate() {
-            let kept = self.kept[c.child].get(&c.parents).copied();
-            if kept.is_none() {
-                let g = *group_of.entry(&c.parents).or_insert_with(|| {
-                    groups.push((&c.parents, Vec::new()));
-                    groups.len() - 1
+        let group_ids: Vec<Vec<usize>> = (0..lists.len())
+            .map(|l| {
+                let ids = fresh[l].iter().map(|&j| {
+                    *group_of.entry(&lists[l].sets[j]).or_insert_with(|| {
+                        groups.push(((l, j), Vec::new(), Vec::new()));
+                        groups.len() - 1
+                    })
                 });
-                groups[g].1.push(i);
+                ids.collect()
+            })
+            .collect();
+        for &(child, l) in &children {
+            for (&j, &g) in fresh[l].iter().zip(&group_ids[l]) {
+                groups[g].1.push(child);
+                groups[g].2.push((l, j * d + child));
             }
-            scores.push(kept);
         }
         let lattice = &self.lattice;
-        let score_group = |(parents, at): &(&[Axis], Vec<usize>)| {
-            let children: Vec<usize> = at.iter().map(|&i| candidates[i].child).collect();
+        let score_group = |&((l, j), ref children, _): &Group| {
+            let parents = &lists[l].sets[j];
             let (binary, counted): (Vec<usize>, Vec<usize>) =
                 children.iter().copied().partition(|&child| lattice.covers(parents, child));
             let binary = lattice.child_counts(parents, &binary);
@@ -227,14 +285,29 @@ impl<'e> CandidateScores<'e> {
                 .collect::<Result<Vec<f64>, PrivBayesError>>()
         };
         let scored = map_strided(&groups, self.threads.min(groups.len()), score_group);
-        for ((parents, at), group_scores) in groups.iter().zip(scored) {
-            for (&i, score) in at.iter().zip(group_scores?) {
-                self.kept[candidates[i].child].insert(parents.to_vec(), score);
-                scores[i] = Some(score);
+        for ((_, _, entries), group_scores) in groups.iter().zip(scored) {
+            for (&(l, entry), score) in entries.iter().zip(group_scores?) {
+                lists[l].rows[entry] = score;
             }
         }
-        let scores = scores.into_iter().map(|s| s.expect("every candidate is scored")).collect();
-        Ok((candidates, scores))
+        let scores = children
+            .iter()
+            .flat_map(|&(child, l)| lists[l].rows.iter().skip(child).step_by(d).copied())
+            .collect();
+        (self.placed, self.lists, self.children) = (placed.len(), lists, children);
+        Ok(scores)
+    }
+
+    /// The `i`-th candidate of the current round: its child and parent set.
+    fn candidate(&self, mut i: usize) -> (usize, Vec<Axis>) {
+        for &(child, l) in &self.children {
+            let sets = &self.lists[l].sets;
+            if i < sets.len() {
+                return (child, sets[i].clone());
+            }
+            i -= sets.len();
+        }
+        panic!("candidate index out of range");
     }
 }
 
@@ -353,10 +426,9 @@ pub fn greedy_bayes<R: Rng + ?Sized>(
     let mut v: Vec<usize> = placed.iter().map(|pair| pair.child).collect();
     let mut pairs = placed;
     while v.len() < d {
-        let unplaced = (0..d).filter(|x| !v.contains(x));
-        let (mut candidates, scores) = scorer.round(unplaced, |size| parent_sets(&v, size))?;
+        let scores = scorer.round(&v, |size| parent_sets(&v, size))?;
         let chosen = select(&scores, settings, composition, engine.n(), schema.all_binary(), rng)?;
-        let Candidate { child, parents } = candidates.swap_remove(chosen);
+        let (child, parents) = scorer.candidate(chosen);
         v.push(child);
         pairs.push(ApPair::generalized(child, parents));
     }
@@ -442,6 +514,7 @@ mod tests {
     use privbayes_data::{Attribute, Dataset, Schema, TaxonomyTree};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     /// A binary dataset where x1 ≈ x0 and x3 ≈ x2, with x0 ⊥ x2.
     fn correlated_binary(n: usize, seed: u64) -> Dataset {
@@ -743,6 +816,230 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let settings = GreedySettings::private(ScoreKind::F, 1.0);
         assert!(greedy_bayes_fixed_k_engine(&engine, 1, &settings, &mut rng).is_err());
+    }
+
+    /// What one checked search saw: its pairs, whether a round listed one
+    /// set for several child domain sizes, and whether a round fell back to
+    /// `(X, ∅)`.
+    struct Checked {
+        pairs: Vec<ApPair>,
+        shared: bool,
+        fallback: bool,
+    }
+
+    /// Runs the search `greedy_bayes` runs from `roots`, and checks every
+    /// round's carried scores against the whole candidate list scored from
+    /// scratch (a single joint per candidate on a second engine), bit for
+    /// bit and in order. The scorer's lattice covers nothing, so its
+    /// engine's scans count the pairs it scored: each distinct (child, set)
+    /// pair must be scored exactly once. The network must be the one
+    /// `greedy_bayes` learns.
+    fn check_carried_scores(
+        data: &Dataset,
+        roots: &[usize],
+        settings: &GreedySettings,
+        parent_sets: impl Fn(&[usize], usize) -> Vec<Vec<Axis>>,
+        seed: u64,
+    ) -> Checked {
+        let schema = data.schema();
+        let (n, d) = (data.n(), schema.len());
+        let (engine, fresh) = (CountEngine::new(data), CountEngine::new(data));
+        let mut scorer =
+            CandidateScores::new(&engine, settings.score, settings.threads, 0).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut v = roots.to_vec();
+        let mut pairs: Vec<ApPair> = roots.iter().map(|&r| ApPair::new(r, vec![])).collect();
+        let (mut distinct, mut shared, mut fallback) = (HashSet::new(), false, false);
+        while v.len() < d {
+            let carried = scorer.round(&v, |size| parent_sets(&v, size)).unwrap();
+            let mut candidates = Vec::new();
+            let mut sizes_of: HashMap<Vec<Axis>, HashSet<usize>> = HashMap::new();
+            for child in (0..d).filter(|c| !v.contains(c)) {
+                let size = schema.attribute(child).domain_size();
+                let mut sets = parent_sets(&v, size);
+                fallback |= sets.is_empty();
+                if sets.is_empty() {
+                    sets.push(Vec::new());
+                }
+                for set in sets {
+                    sizes_of.entry(set.clone()).or_default().insert(size);
+                    candidates.push((child, set));
+                }
+            }
+            shared |= sizes_of.values().any(|sizes| sizes.len() > 1);
+            let expected: Vec<u64> = candidates
+                .iter()
+                .map(|(child, set)| {
+                    let axes: Vec<Axis> = set.iter().copied().chain([Axis::raw(*child)]).collect();
+                    let joint = fresh.joint(&axes);
+                    let size = schema.attribute(*child).domain_size();
+                    settings.score.compute(&joint, size, n).unwrap().to_bits()
+                })
+                .collect();
+            let carried_bits: Vec<u64> = carried.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(carried_bits, expected, "round with {} placed", v.len());
+            distinct.extend(candidates.iter().cloned());
+            assert_eq!(engine.stats().scans, distinct.len(), "a pair scored twice or never");
+            let composition = d - roots.len();
+            let chosen =
+                select(&carried, settings, composition, n, schema.all_binary(), &mut rng).unwrap();
+            let (child, parents) = scorer.candidate(chosen);
+            assert_eq!((child, &parents), (candidates[chosen].0, &candidates[chosen].1));
+            v.push(child);
+            pairs.push(ApPair::generalized(child, parents));
+        }
+        let placed = roots.iter().map(|&r| ApPair::new(r, vec![])).collect();
+        let composition = d - roots.len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let learned = greedy_bayes(
+            &CountEngine::new(data),
+            placed,
+            composition,
+            settings,
+            3,
+            |v, size| parent_sets(v, size),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(learned.pairs(), &pairs[..], "the checked search is not the search");
+        Checked { pairs, shared, fallback }
+    }
+
+    /// Seven attributes: three binary, one ternary, and sizes 4 and 8 with
+    /// balanced taxonomies, all loosely tied to one hidden draw.
+    fn taxonomy_dataset(n: usize, seed: u64) -> Dataset {
+        let balanced = |name: &str, size: usize| {
+            Attribute::categorical(name, size)
+                .unwrap()
+                .with_taxonomy(TaxonomyTree::balanced_binary(size).unwrap())
+                .unwrap()
+        };
+        let schema = Schema::new(vec![
+            Attribute::binary("b0"),
+            balanced("c4", 4),
+            Attribute::binary("b1"),
+            Attribute::categorical("t3", 3).unwrap(),
+            balanced("e8", 8),
+            Attribute::binary("b2"),
+            balanced("f4", 4),
+        ])
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<u32>> = (0..n)
+            .map(|_| {
+                let h = rng.random_range(0..8u32);
+                let flip = |rng: &mut StdRng, v: u32, m: u32| {
+                    if rng.random_bool(0.3) {
+                        rng.random_range(0..m)
+                    } else {
+                        v % m
+                    }
+                };
+                vec![
+                    flip(&mut rng, h / 4, 2),
+                    flip(&mut rng, h / 2, 4),
+                    flip(&mut rng, h, 2),
+                    flip(&mut rng, h, 3),
+                    flip(&mut rng, h, 8),
+                    flip(&mut rng, h / 2, 2),
+                    flip(&mut rng, h + 1, 4),
+                ]
+            })
+            .collect();
+        Dataset::from_rows(schema, &rows).unwrap()
+    }
+
+    #[test]
+    fn carried_scores_equal_fresh_scores_under_algorithm_2() {
+        // Sets in placement order, from (V choose k).
+        let schema =
+            Schema::new((0..7).map(|i| Attribute::binary(format!("x{i}"))).collect()).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let rows: Vec<Vec<u32>> = (0..500)
+            .map(|_| {
+                let a = rng.random_range(0..2u32);
+                (0..7).map(|i| a ^ u32::from(rng.random_bool(0.1 + 0.05 * f64::from(i)))).collect()
+            })
+            .collect();
+        let data = Dataset::from_rows(schema, &rows).unwrap();
+        for (k, score, threads) in
+            [(2, ScoreKind::MutualInformation, 1), (3, ScoreKind::F, 2), (2, ScoreKind::R, 3)]
+        {
+            let settings = GreedySettings::private(score, 0.8).with_threads(threads);
+            let sets = |v: &[usize], _| {
+                combinations(v, k.min(v.len()))
+                    .into_iter()
+                    .map(|set| set.into_iter().map(Axis::raw).collect())
+                    .collect()
+            };
+            let checked = check_carried_scores(&data, &[4], &settings, sets, 42);
+            assert_eq!(checked.pairs.len(), 7);
+        }
+    }
+
+    #[test]
+    fn carried_scores_equal_fresh_scores_under_algorithm_4_with_taxonomies() {
+        // Several child domain sizes share sets, so one group serves them.
+        let data = taxonomy_dataset(600, 43);
+        let schema = data.schema();
+        let (n, d) = (data.n(), schema.len());
+        let level_sizes: Vec<Vec<usize>> = schema
+            .attributes()
+            .iter()
+            .map(|a| match a.taxonomy() {
+                Some(t) => (0..t.height()).map(|l| t.level_size(l)).collect(),
+                None => vec![a.domain_size()],
+            })
+            .collect();
+        for (epsilon2, threads) in [(2.0, 1), (6.0, 2)] {
+            let settings = GreedySettings::private(ScoreKind::R, 0.5).with_threads(threads);
+            let sets = |v: &[usize], size| {
+                let tau = tau_for_child(n, d, epsilon2, 4.0, size);
+                maximal_parent_sets_generalized(v, &level_sizes, tau, 3)
+            };
+            let checked = check_carried_scores(&data, &[2], &settings, sets, 44);
+            assert!(checked.shared, "no set served two domain sizes at ε₂ = {epsilon2}");
+            assert!(checked.pairs.iter().any(|p| p.parents.iter().any(|ax| ax.level > 0)));
+        }
+    }
+
+    #[test]
+    fn carried_scores_equal_fresh_scores_with_the_empty_fallback() {
+        // τ < 1 for the size-8 child only: it falls back to (X, ∅) every
+        // round while the others draw sets.
+        let data = taxonomy_dataset(600, 45);
+        let schema = data.schema();
+        let (n, d) = (data.n(), schema.len());
+        assert!(tau_for_child(n, d, 0.5, 4.0, 8) < 1.0 && tau_for_child(n, d, 0.5, 4.0, 4) > 1.0);
+        let settings = GreedySettings::private(ScoreKind::R, 0.5).with_threads(2);
+        let sizes = schema.domain_sizes();
+        let sets = |v: &[usize], size| {
+            maximal_parent_sets(v, &sizes, tau_for_child(n, d, 0.5, 4.0, size), usize::MAX)
+        };
+        let checked = check_carried_scores(&data, &[0], &settings, sets, 46);
+        assert!(checked.fallback);
+        let e8 = checked.pairs.iter().find(|p| p.child == 4).unwrap();
+        assert!(e8.parents.is_empty());
+    }
+
+    #[test]
+    fn carried_scores_equal_fresh_scores_from_two_roots() {
+        // The relational fact model's search: two evidence roots placed
+        // before round 1, Algorithm 5's sets, no privacy.
+        let data = taxonomy_dataset(400, 47);
+        let schema = data.schema();
+        let (n, d) = (data.n(), schema.len());
+        let sizes = schema.domain_sizes();
+        for settings in [
+            GreedySettings::non_private(ScoreKind::R).with_threads(1),
+            GreedySettings::private(ScoreKind::R, 1.0).with_threads(3),
+        ] {
+            let sets = |v: &[usize], size| {
+                maximal_parent_sets(v, &sizes, tau_for_child(n, d, 4.0, 2.0, size), 3)
+            };
+            let checked = check_carried_scores(&data, &[3, 1], &settings, sets, 48);
+            assert_eq!(checked.pairs[..2], [ApPair::new(3, vec![]), ApPair::new(1, vec![])]);
+        }
     }
 
     #[test]

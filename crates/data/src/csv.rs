@@ -1,10 +1,16 @@
-//! Minimal CSV import/export for datasets (used by the examples).
+//! CSV import/export for datasets. The CLI's `fit`, `eval` and `audit`, the
+//! server's `POST /fit` and its CSV ingest batches read it; the CLI's
+//! `synth-relational` writes it, and the server's CSV stream writes the same
+//! bytes.
 //!
 //! The format is deliberately simple: a header of attribute names followed by
 //! one comma-separated row per tuple. Labelled categorical values are written
-//! as labels; everything else as numeric codes. No quoting/escaping is
-//! supported — attribute labels in this suite contain no commas.
+//! as labels; everything else as `v{code}`. No quoting/escaping is
+//! supported, so a schema refuses what a cell cannot carry: an attribute
+//! name or a label holding `,`, `\r` or `\n`, and an empty label (its rows
+//! would read back as blank lines).
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
 use crate::dataset::Dataset;
@@ -33,18 +39,23 @@ pub fn write_csv<W: Write>(dataset: &Dataset, out: &mut W) -> Result<(), DataErr
 
 /// Reads a CSV produced by [`write_csv`] back into a dataset over `schema`.
 ///
-/// Cells are resolved first as domain labels, then as `v{code}` synthesised
-/// labels, then as bare integer codes.
+/// Lines end in `\n` or `\r\n`, the last one optionally in neither, and
+/// blank lines are skipped (they still count toward the row numbers of
+/// errors). Cells are resolved first as domain labels, then as `v{code}`
+/// synthesised labels, then as bare codes; a code is an optional `+` and
+/// decimal digits that fit a `u32`, the grammar of `str::parse::<u32>`.
+/// Each line is decoded as bytes from one reused buffer, so a line that is
+/// not UTF-8 is refused as holding an unparseable cell.
 ///
 /// # Errors
 /// Returns [`DataError::Parse`] on malformed input and domain violations.
-pub fn read_csv<R: BufRead>(schema: &Schema, input: R) -> Result<Dataset, DataError> {
-    let mut lines = input.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| DataError::Parse("missing header".into()))?
-        .map_err(|e| DataError::Parse(e.to_string()))?;
-    let names: Vec<&str> = header.split(',').collect();
+pub fn read_csv<R: BufRead>(schema: &Schema, mut input: R) -> Result<Dataset, DataError> {
+    let io = |e: std::io::Error| DataError::Parse(e.to_string());
+    let mut line = Vec::new();
+    if !next_line(&mut input, &mut line).map_err(io)? {
+        return Err(DataError::Parse("missing header".into()));
+    }
+    let names: Vec<&[u8]> = line.split(|&b| b == b',').collect();
     if names.len() != schema.len() {
         return Err(DataError::Parse(format!(
             "header has {} columns, schema has {}",
@@ -53,49 +64,96 @@ pub fn read_csv<R: BufRead>(schema: &Schema, input: R) -> Result<Dataset, DataEr
         )));
     }
     for (i, name) in names.iter().enumerate() {
-        if schema.attribute(i).name() != *name {
+        if schema.attribute(i).name().as_bytes() != *name {
             return Err(DataError::Parse(format!(
-                "column {i} is `{name}`, expected `{}`",
+                "column {i} is `{}`, expected `{}`",
+                String::from_utf8_lossy(name),
                 schema.attribute(i).name()
             )));
         }
     }
 
-    let mut columns: Vec<Vec<u32>> = vec![Vec::new(); schema.len()];
-    for (lineno, line) in lines.enumerate() {
-        let line = line.map_err(|e| DataError::Parse(e.to_string()))?;
+    // Each column's labels with their codes, and its domain size.
+    let decoders: Vec<(HashMap<&[u8], u32>, usize)> = schema
+        .attributes()
+        .iter()
+        .map(|a| {
+            let labels = a.domain().labels().unwrap_or_default();
+            let labels = labels.iter().zip(0..).map(|(label, code)| (label.as_bytes(), code));
+            (labels.collect(), a.domain_size())
+        })
+        .collect();
+    let d = schema.len();
+    let mut columns: Vec<Vec<u32>> = vec![Vec::new(); d];
+    let mut row = 1;
+    while next_line(&mut input, &mut line).map_err(io)? {
+        row += 1;
         if line.is_empty() {
             continue;
         }
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != schema.len() {
-            return Err(DataError::Parse(format!(
-                "row {} has {} cells, expected {}",
-                lineno + 2,
-                cells.len(),
-                schema.len()
-            )));
-        }
-        for (i, cell) in cells.iter().enumerate() {
-            let domain = schema.attribute(i).domain();
-            let code = domain
-                .code_of(cell)
-                .or_else(|| cell.strip_prefix('v').and_then(|c| c.parse().ok()))
-                .or_else(|| cell.parse().ok())
-                .ok_or_else(|| {
-                    DataError::Parse(format!("row {}: unparseable cell `{cell}`", lineno + 2))
-                })?;
-            if !domain.contains(code) {
-                return Err(DataError::Parse(format!(
-                    "row {}: code {code} out of domain for `{}`",
-                    lineno + 2,
-                    schema.attribute(i).name()
-                )));
+        // A ragged row is refused as ragged, whatever its cells hold; its
+        // cells are counted only when it is refused.
+        let refuse = |error: String| {
+            let cells = line.iter().filter(|&&b| b == b',').count() + 1;
+            let ragged = format!("row {row} has {cells} cells, expected {d}");
+            DataError::Parse(if cells == d { error } else { ragged })
+        };
+        let mut cells = line.split(|&b| b == b',');
+        for (i, ((labels, size), column)) in decoders.iter().zip(&mut columns).enumerate() {
+            let Some(cell) = cells.next() else {
+                return Err(refuse(String::new()));
+            };
+            let code = labels.get(cell).copied();
+            let code = code.or_else(|| cell.strip_prefix(b"v").and_then(parse_code));
+            let Some(code) = code.or_else(|| parse_code(cell)) else {
+                let cell = String::from_utf8_lossy(cell);
+                return Err(refuse(format!("row {row}: unparseable cell `{cell}`")));
+            };
+            if code as usize >= *size {
+                let name = schema.attribute(i).name();
+                return Err(refuse(format!("row {row}: code {code} out of domain for `{name}`")));
             }
-            columns[i].push(code);
+            column.push(code);
+        }
+        if cells.next().is_some() {
+            return Err(refuse(String::new()));
         }
     }
     Dataset::from_columns(schema.clone(), columns)
+}
+
+/// Reads the next line into `line` without its `\n` or `\r\n`, as
+/// [`BufRead::lines`] strips them; `false` at the end of the input.
+fn next_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    if input.read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    }
+    Ok(true)
+}
+
+/// A code in the grammar of `str::parse::<u32>`: an optional `+`, then one
+/// or more decimal digits, `None` on overflow. Inlined into each caller's
+/// `read_csv`, which is generic and so compiled in the caller's crate.
+#[inline]
+fn parse_code(cell: &[u8]) -> Option<u32> {
+    let digits = cell.strip_prefix(b"+").unwrap_or(cell);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u32, |code, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        code.checked_mul(10)?.checked_add(u32::from(digit))
+    })
 }
 
 #[cfg(test)]
@@ -120,6 +178,27 @@ mod tests {
         assert!(text.starts_with("work,flag\nprivate,v1\n"));
         let back = read_csv(&schema(), &buf[..]).unwrap();
         assert_eq!(back, ds);
+    }
+
+    #[test]
+    fn a_labelled_schema_round_trips() {
+        // Labels that look like codes or `v` codes still name their own
+        // codes, since a label wins; awkward but legal characters pass.
+        let schema = Schema::new(vec![
+            Attribute::categorical_labelled("city", ["New York; NY", "São Paulo", "v0", "1"])
+                .unwrap(),
+            Attribute::categorical_labelled("quote \"q\"", ["say \"hi\"", " ", "tab\there"])
+                .unwrap(),
+            Attribute::categorical("zip", 12).unwrap(),
+            Attribute::binary("é 😀"),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<u32>> =
+            (0..24).map(|i: u32| vec![i % 4, i % 3, (i * 7) % 12, i % 2]).collect();
+        let data = Dataset::from_rows(schema.clone(), &rows).unwrap();
+        let mut buf = Vec::new();
+        write_csv(&data, &mut buf).unwrap();
+        assert_eq!(read_csv(&schema, &buf[..]).unwrap(), data);
     }
 
     #[test]

@@ -27,8 +27,9 @@ impl Domain {
     /// Creates a labelled domain; the domain size is the number of labels.
     ///
     /// # Errors
-    /// Returns [`DataError::InvalidDomain`] if `labels` is empty or contains
-    /// duplicates.
+    /// Returns [`DataError::InvalidDomain`] if `labels` is empty, contains
+    /// duplicates, or holds a label that a CSV cell cannot carry: an empty
+    /// one, or one with `,`, `\r` or `\n`.
     pub fn with_labels<I, S>(labels: I) -> Result<Self, DataError>
     where
         I: IntoIterator<Item = S>,
@@ -39,6 +40,12 @@ impl Domain {
             return Err(DataError::InvalidDomain("label list is empty".into()));
         }
         for (i, a) in labels.iter().enumerate() {
+            if a.is_empty() || a.contains([',', '\r', '\n']) {
+                return Err(DataError::InvalidDomain(format!(
+                    "label {a:?} cannot be a CSV cell: labels are non-empty and hold no `,`, \
+                     `\\r` or `\\n`"
+                )));
+            }
             if labels[..i].contains(a) {
                 return Err(DataError::InvalidDomain(format!("duplicate label `{a}`")));
             }
@@ -135,6 +142,15 @@ mod tests {
     #[test]
     fn duplicate_labels_rejected() {
         assert!(Domain::with_labels(["a", "b", "a"]).is_err());
+    }
+
+    #[test]
+    fn labels_a_csv_cell_cannot_carry_are_rejected() {
+        for label in ["", "New York, NY", "two\nlines", "cr\r", ","] {
+            let refused = Domain::with_labels(["ok", label]);
+            assert!(matches!(refused, Err(DataError::InvalidDomain(_))), "{label:?}");
+        }
+        assert!(Domain::with_labels(["New York; NY", " ", "tab\t", "v1", "0"]).is_ok());
     }
 
     #[test]

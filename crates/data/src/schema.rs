@@ -13,13 +13,21 @@ impl Schema {
     /// Creates a schema from a list of attributes.
     ///
     /// # Errors
-    /// Returns [`DataError::InvalidDomain`] if empty, or
+    /// Returns [`DataError::InvalidDomain`] if empty or if a name holds `,`,
+    /// `\r` or `\n` (a CSV header cannot carry it), or
     /// [`DataError::UnknownAttribute`] (reused) if two attributes share a name.
     pub fn new(attributes: Vec<Attribute>) -> Result<Self, DataError> {
         if attributes.is_empty() {
             return Err(DataError::InvalidDomain("schema has no attributes".into()));
         }
         for (i, a) in attributes.iter().enumerate() {
+            if a.name().contains([',', '\r', '\n']) {
+                return Err(DataError::InvalidDomain(format!(
+                    "attribute name {:?} cannot be a CSV header cell: names hold no `,`, \
+                     `\\r` or `\\n`",
+                    a.name()
+                )));
+            }
             if attributes[..i].iter().any(|b| b.name() == a.name()) {
                 return Err(DataError::UnknownAttribute(format!(
                     "duplicate attribute name `{}`",
@@ -117,6 +125,15 @@ mod tests {
     fn duplicate_names_rejected() {
         let r = Schema::new(vec![Attribute::binary("x"), Attribute::binary("x")]);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn names_a_csv_header_cannot_carry_are_rejected() {
+        for name in ["a,b", "two\nlines", "cr\r"] {
+            let refused = Schema::new(vec![Attribute::binary("ok"), Attribute::binary(name)]);
+            assert!(matches!(refused, Err(DataError::InvalidDomain(_))), "{name:?}");
+        }
+        assert!(Schema::new(vec![Attribute::binary("a;b"), Attribute::binary("é 😀")]).is_ok());
     }
 
     #[test]

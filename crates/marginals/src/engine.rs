@@ -274,6 +274,13 @@ impl RadixBackend {
     }
 }
 
+/// The bit mask of at most 64 binary codes: bit `i` is set when `codes[i]`
+/// is 1. A fold without a data-dependent branch, so the compiler can
+/// vectorise it.
+fn pack_bits(codes: &[u32]) -> u64 {
+    codes.iter().enumerate().fold(0, |word, (i, &v)| word | u64::from(v == 1) << i)
+}
+
 /// Rows per block of a radix pass, so a block's cell index stays in cache
 /// and never grows with `n`.
 const BLOCK_ROWS: usize = 4096;
@@ -296,7 +303,6 @@ impl BitBackend {
     const MAX_ARITY: usize = 8;
 
     fn new(schema: &Schema, columns: &[Vec<u32>], n: usize) -> Self {
-        let words = n.div_ceil(64);
         let cols = columns
             .iter()
             .enumerate()
@@ -304,13 +310,7 @@ impl BitBackend {
                 if !schema.attribute(a).is_binary() {
                     return Vec::new();
                 }
-                let mut mask = vec![0u64; words];
-                for (row, &v) in column.iter().enumerate() {
-                    if v == 1 {
-                        mask[row / 64] |= 1 << (row % 64);
-                    }
-                }
-                mask
+                column.chunks(64).map(pack_bits).collect()
             })
             .collect();
         Self { cols, n }
@@ -318,18 +318,24 @@ impl BitBackend {
 
     /// Appends a batch's rows to the bit masks (binary attributes only —
     /// the schema decides, since an empty mask can also mean "no rows yet").
+    /// The batch's first rows fill the last mask word; the rest are packed
+    /// 64 rows to a word.
     fn extend(&mut self, batch: &Dataset) {
         let words = (self.n + batch.n()).div_ceil(64);
+        let (word, bit) = (self.n / 64, self.n % 64);
         for (a, mask) in self.cols.iter_mut().enumerate() {
             if !batch.schema().attribute(a).is_binary() {
                 continue;
             }
             mask.resize(words, 0);
-            for (i, &v) in batch.column(a).iter().enumerate() {
-                if v == 1 {
-                    let row = self.n + i;
-                    mask[row / 64] |= 1 << (row % 64);
-                }
+            let column = batch.column(a);
+            let (head, tail) = column.split_at(((64 - bit) % 64).min(column.len()));
+            if !head.is_empty() {
+                mask[word] |= pack_bits(head) << bit;
+            }
+            let full = (self.n + head.len()) / 64;
+            for (word, rows) in mask[full..].iter_mut().zip(tail.chunks(64)) {
+                *word = pack_bits(rows);
             }
         }
         self.n += batch.n();
@@ -1329,6 +1335,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn appended_bit_masks_equal_cold_masks_across_word_boundaries() {
+        let full = binary_dataset(300, 15);
+        let cold = CountEngine::new(&full);
+        let cold = &cold.bits.as_ref().expect("binary schema").cols;
+        // Batches that start and end inside a word, on a word boundary, and
+        // span several words.
+        for cuts in [vec![0, 1, 64, 65, 130, 300], vec![0, 63, 64, 200, 300], vec![0, 129, 300]] {
+            let rows: Vec<Vec<u32>> =
+                (0..300).map(|r| (0..full.d()).map(|a| full.column(a)[r]).collect()).collect();
+            let batch = |from: usize, to: usize| {
+                Dataset::from_rows(full.schema().clone(), &rows[from..to]).unwrap()
+            };
+            let mut engine = CountEngine::new(&batch(0, 0));
+            for pair in cuts.windows(2) {
+                engine.append(&batch(pair[0], pair[1]));
+            }
+            assert_eq!(&engine.bits.as_ref().unwrap().cols, cold, "cuts {cuts:?}");
+        }
+        assert_eq!(pack_bits(&[1, 0, 1]), 0b101);
+        assert_eq!(pack_bits(&[1; 64]), u64::MAX);
     }
 
     #[test]

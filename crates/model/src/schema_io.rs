@@ -285,6 +285,23 @@ mod tests {
     }
 
     #[test]
+    fn rejects_names_and_labels_a_csv_cell_cannot_carry() {
+        // Written unquoted, `New York, NY` would read back as two cells and
+        // an empty label as a blank line.
+        for attribute in [
+            r#"{"name": "city", "kind": "categorical", "size": 2, "labels": ["New York, NY", "x"]}"#,
+            r#"{"name": "city", "kind": "categorical", "size": 2, "labels": ["x", "two\nlines"]}"#,
+            r#"{"name": "city", "kind": "categorical", "size": 2, "labels": ["", "x"]}"#,
+            r#"{"name": "a,b", "kind": "binary"}"#,
+            r#"{"name": "a\r", "kind": "binary"}"#,
+        ] {
+            let json = Json::parse(&format!("[{attribute}]")).unwrap();
+            let refused = schema_from_json(&json);
+            assert!(matches!(refused, Err(ModelError::Invalid(_))), "{attribute}: {refused:?}");
+        }
+    }
+
+    #[test]
     fn unlabelled_domains_stay_unlabelled() {
         let schema = Schema::new(vec![Attribute::categorical("zip", 10).unwrap()]).unwrap();
         let back = schema_from_json(&schema_to_json(&schema)).unwrap();

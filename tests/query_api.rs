@@ -594,10 +594,12 @@ fn projected_conditional_stream_matches_post_hoc_processing_of_the_full_stream()
 // 6. Rendering against the reference renderer
 // ---------------------------------------------------------------------------
 
-/// Labels that exercise every escaping rule: quotes, backslashes, newlines,
-/// control bytes, the CSV delimiter, and 2- and 4-byte UTF-8.
+/// Labels that exercise every escaping rule a label can reach: quotes,
+/// backslashes, tabs, control bytes, spaces and punctuation, and 2- and
+/// 4-byte UTF-8. A label holds no `,`, `\r` or `\n` (the schema refuses
+/// them, since a CSV cell cannot carry them).
 const AWKWARD_LABELS: [&str; 9] =
-    ["plain", "say \"hi\"", "back\\slash", "two\nlines", "bell\u{1}", "a,b", "é", "😀", "x"];
+    ["plain", "say \"hi\"", "back\\slash", "tab\tstop", "bell\u{1}", "a; b", "é", "😀", "x"];
 
 /// A random schema: labelled attributes take a shuffled subset of
 /// [`AWKWARD_LABELS`]; unlabelled ones have domains wide enough for two- and
@@ -607,7 +609,7 @@ fn random_render_schema(rng: &mut StdRng) -> Schema {
     let attributes = (0..attrs)
         .map(|i| {
             let name =
-                format!("{}{i}", ["a", "q\"", "b\\", "é", "😀,"][rng.random_range(0..5usize)]);
+                format!("{}{i}", ["a", "q\"", "b\\", "é", "😀;"][rng.random_range(0..5usize)]);
             match rng.random_range(0..4u32) {
                 0 => Attribute::binary(name),
                 1 => Attribute::categorical(name, [12, 150][rng.random_range(0..2usize)]).unwrap(),
