@@ -101,8 +101,8 @@ pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
 /// set) pair is scored once per fit. Each round lists, for each child domain
 /// size, the sets `parent_sets` returns, and pairs every listed set with a
 /// score row: one score per attribute, read at the children of that size.
-/// A set that holds an attribute placed since the last round is new and gets
-/// a fresh row. Any other set was in the last round's list for that size (a
+/// A set that holds the attribute placed last is new and gets a fresh row.
+/// Any other set was in the last round's list for that size (a
 /// maximal set of `V ∪ {a}` that leaves out `a` is maximal in `V`), in the
 /// same relative order: both rules list subsets in one lexicographic order
 /// over a fixed attribute order, so removing `a`'s sets leaves the rest in
@@ -126,8 +126,6 @@ struct CandidateScores<'e> {
     lattice: SubsetCounts,
     score: ScoreKind,
     threads: usize,
-    /// How many attributes were placed when the current lists were drawn.
-    placed: usize,
     /// The current round's lists, one per child domain size.
     lists: Vec<SetList>,
     /// The current round's children, ascending, each with its list.
@@ -147,13 +145,13 @@ struct SetList {
 impl SetList {
     /// The list of `sets` for the children of domain `size`, or of the empty
     /// set alone when `sets` is empty. A set takes its row from `last`
-    /// unless it holds an attribute of `new` or the cursor does not find it;
-    /// the indices of the sets with fresh rows are returned with the list.
+    /// unless it holds `newest` or the cursor does not find it; the indices
+    /// of the sets with fresh rows are returned with the list.
     fn carry(
         size: usize,
         mut sets: Vec<Vec<Axis>>,
         last: Option<&SetList>,
-        new: &[usize],
+        newest: Option<&usize>,
         d: usize,
     ) -> (Self, Vec<usize>) {
         if sets.is_empty() {
@@ -165,7 +163,7 @@ impl SetList {
             last.map_or((&[][..], &[][..]), |l| (&l.sets[..], &l.rows[..]));
         let (mut rows, mut fresh, mut cursor) = (Vec::with_capacity(sets.len() * d), Vec::new(), 0);
         for (j, set) in sets.iter().enumerate() {
-            let found = if set.iter().any(|ax| new.contains(&ax.attr)) {
+            let found = if set.iter().any(|ax| Some(&ax.attr) == newest) {
                 None
             } else {
                 last_sets[cursor..].iter().position(|s| s == set).map(|k| cursor + k)
@@ -207,7 +205,7 @@ impl<'e> CandidateScores<'e> {
             ))
         })?;
         let (lists, children) = (Vec::new(), Vec::new());
-        Ok(Self { engine, lattice, score, threads, placed: 0, lists, children })
+        Ok(Self { engine, lattice, score, threads, lists, children })
     }
 
     /// One round's scores, in candidate order: each attribute not in
@@ -225,7 +223,6 @@ impl<'e> CandidateScores<'e> {
         let (engine, score) = (self.engine, self.score);
         let schema = engine.schema();
         let d = schema.len();
-        let new = &placed[self.placed.min(placed.len())..];
         // The lists in the order of their first children, and per list the
         // indices of its sets with fresh rows.
         let (mut lists, mut fresh, mut children) = (Vec::new(), Vec::new(), Vec::new());
@@ -234,7 +231,8 @@ impl<'e> CandidateScores<'e> {
             let l =
                 lists.iter().position(|list: &SetList| list.size == size).unwrap_or_else(|| {
                     let last = self.lists.iter().find(|list| list.size == size);
-                    let (list, unscored) = SetList::carry(size, parent_sets(size), last, new, d);
+                    let sets = parent_sets(size);
+                    let (list, unscored) = SetList::carry(size, sets, last, placed.last(), d);
                     lists.push(list);
                     fresh.push(unscored);
                     lists.len() - 1
@@ -243,23 +241,15 @@ impl<'e> CandidateScores<'e> {
         }
 
         // The fresh pairs grouped by parent set across the lists, groups and
-        // their children in candidate order: a set's group is made at its
-        // first candidate, which is in the first list that holds it.
+        // their children in candidate order.
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: HashMap<&[Axis], usize> = HashMap::new();
-        let group_ids: Vec<Vec<usize>> = (0..lists.len())
-            .map(|l| {
-                let ids = fresh[l].iter().map(|&j| {
-                    *group_of.entry(&lists[l].sets[j]).or_insert_with(|| {
-                        groups.push(((l, j), Vec::new(), Vec::new()));
-                        groups.len() - 1
-                    })
-                });
-                ids.collect()
-            })
-            .collect();
         for &(child, l) in &children {
-            for (&j, &g) in fresh[l].iter().zip(&group_ids[l]) {
+            for &j in &fresh[l] {
+                let g = *group_of.entry(&lists[l].sets[j]).or_insert_with(|| {
+                    groups.push(((l, j), Vec::new(), Vec::new()));
+                    groups.len() - 1
+                });
                 groups[g].1.push(child);
                 groups[g].2.push((l, j * d + child));
             }
@@ -294,7 +284,7 @@ impl<'e> CandidateScores<'e> {
             .iter()
             .flat_map(|&(child, l)| lists[l].rows.iter().skip(child).step_by(d).copied())
             .collect();
-        (self.placed, self.lists, self.children) = (placed.len(), lists, children);
+        (self.lists, self.children) = (lists, children);
         Ok(scores)
     }
 
