@@ -151,7 +151,7 @@ impl SetList {
         size: usize,
         mut sets: Vec<Vec<Axis>>,
         last: Option<&SetList>,
-        newest: Option<&usize>,
+        newest: Option<usize>,
         d: usize,
     ) -> (Self, Vec<usize>) {
         if sets.is_empty() {
@@ -163,7 +163,7 @@ impl SetList {
             last.map_or((&[][..], &[][..]), |l| (&l.sets[..], &l.rows[..]));
         let (mut rows, mut fresh, mut cursor) = (Vec::with_capacity(sets.len() * d), Vec::new(), 0);
         for (j, set) in sets.iter().enumerate() {
-            let found = if set.iter().any(|ax| Some(&ax.attr) == newest) {
+            let found = if set.iter().any(|ax| Some(ax.attr) == newest) {
                 None
             } else {
                 last_sets[cursor..].iter().position(|s| s == set).map(|k| cursor + k)
@@ -225,18 +225,18 @@ impl<'e> CandidateScores<'e> {
         let d = schema.len();
         // The lists in the order of their first children, and per list the
         // indices of its sets with fresh rows.
-        let (mut lists, mut fresh, mut children) = (Vec::new(), Vec::new(), Vec::new());
+        let mut lists: Vec<SetList> = Vec::new();
+        let (mut fresh, mut children) = (Vec::new(), Vec::new());
         for child in (0..d).filter(|c| !placed.contains(c)) {
             let size = schema.attribute(child).domain_size();
-            let l =
-                lists.iter().position(|list: &SetList| list.size == size).unwrap_or_else(|| {
-                    let last = self.lists.iter().find(|list| list.size == size);
-                    let sets = parent_sets(size);
-                    let (list, unscored) = SetList::carry(size, sets, last, placed.last(), d);
-                    lists.push(list);
-                    fresh.push(unscored);
-                    lists.len() - 1
-                });
+            let l = lists.iter().position(|list| list.size == size).unwrap_or_else(|| {
+                let last = self.lists.iter().find(|list| list.size == size);
+                let sets = parent_sets(size);
+                let (list, unscored) = SetList::carry(size, sets, last, placed.last().copied(), d);
+                lists.push(list);
+                fresh.push(unscored);
+                lists.len() - 1
+            });
             children.push((child, l));
         }
 
