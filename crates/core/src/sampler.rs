@@ -733,6 +733,39 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "degenerate conditional slice")]
+    fn reachable_degenerate_slice_panics_when_drawn() {
+        // The root always draws a = 1, whose child slice is all-zero: the
+        // model compiles, and the first draw from that slice panics.
+        let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
+        let net =
+            BayesianNetwork::new(vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0])], &schema)
+                .unwrap();
+        let model = crate::conditionals::NoisyModel {
+            network: net,
+            conditionals: vec![
+                crate::conditionals::Conditional {
+                    child: 0,
+                    parents: vec![],
+                    parent_dims: vec![],
+                    child_dim: 2,
+                    probs: vec![0.0, 1.0], // a is always 1
+                },
+                crate::conditionals::Conditional {
+                    child: 1,
+                    parents: vec![Axis::raw(0)],
+                    parent_dims: vec![2],
+                    child_dim: 2,
+                    probs: vec![0.5, 0.5, 0.0, 0.0], // a = 1 slice is degenerate
+                },
+            ],
+        };
+        let compiled = model.compile(&schema).unwrap();
+        // A stream draws on the calling thread, so the panic is the draw's.
+        let _ = compiled.stream_rows(10, &mut StdRng::seed_from_u64(8)).next();
+    }
+
+    #[test]
     fn uncovered_attribute_is_zero_and_worker_invariant() {
         // A hand-built model whose conditionals never write attribute 1
         // (both cover child 0). The pre-compile sampler emitted zeros for

@@ -18,7 +18,7 @@ use privbayes::greedy::{
     greedy_bayes_adaptive_engine, greedy_bayes_fixed_k_engine, GreedySettings,
 };
 use privbayes::pipeline::{PrivBayes, PrivBayesOptions};
-use privbayes::{BayesianNetwork, ScoreKind};
+use privbayes::{BayesianNetwork, CompiledSampler, SampleSpec, ScoreKind, CHUNK_ROWS};
 use privbayes_bench::reference::{reference_greedy_adaptive, reference_greedy_fixed_k};
 use privbayes_data::encoding::{binarize, EncodingKind};
 use privbayes_data::Dataset;
@@ -411,7 +411,7 @@ fn assert_pinned(digests: &[(String, u64)], pinned: &[(&str, u64)]) {
         .map(|(name, digest)| format!("        (\"{name}\", {digest:#018x}),\n"))
         .collect();
     let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, d)| (n.to_string(), d)).collect();
-    assert!(digests == pinned, "learned models moved; the fits now digest to\n{table}");
+    assert!(digests == pinned, "pinned digests moved; they now read\n{table}");
 }
 
 /// The FNV-1a digest of `fit_method`'s PrivBayes artifact JSON.
@@ -446,6 +446,122 @@ fn high_degree_models_match_their_pinned_digests() {
         ("acs/1/eps4".to_string(), artifact_digest(&acs, 4.0, &capped)),
         ("nltcs/1/eps8-uncapped".to_string(), artifact_digest(&nltcs, 8.0, &uncapped)),
     ];
+    assert_pinned(&digests, PINNED);
+}
+
+/// FNV-1a digest of row-major tuples' codes (each a little-endian `u32`).
+fn rows_digest<'a>(rows: impl IntoIterator<Item = &'a [u32]>) -> u64 {
+    let mut h = Fnv::new();
+    for row in rows {
+        for &code in row {
+            h.bytes(&code.to_le_bytes());
+        }
+    }
+    h.0
+}
+
+/// The digest of every row a stream yields for `spec` at `seed`.
+fn stream_digest(sampler: &CompiledSampler, spec: &SampleSpec, seed: u64) -> u64 {
+    let chunks: Vec<Vec<Vec<u32>>> =
+        sampler.stream_spec(spec, &mut StdRng::seed_from_u64(seed)).unwrap().collect();
+    rows_digest(chunks.iter().flatten().map(Vec::as_slice))
+}
+
+/// The digest of a sampled dataset's rows.
+fn dataset_digest(data: &Dataset) -> u64 {
+    let rows: Vec<Vec<u32>> = (0..data.n()).map(|r| data.row(r)).collect();
+    rows_digest(rows.iter().map(Vec::as_slice))
+}
+
+/// The digests of rows sampled from three fits at fixed seeds, pinned so
+/// that a change of the sampler shows any row it moves: batch sampling at 1
+/// and 3 threads from PrivBayes fits of the Adult and NLTCS shapes and from
+/// a hierarchical Adult fit (generalised parents), and Adult streams with
+/// root evidence, with inner evidence (variable-elimination buckets), with a
+/// projection, resumed inside a chunk, and the batch cohort of the inner
+/// evidence.
+#[test]
+fn sampled_rows_match_their_pinned_digests() {
+    use privbayes_datasets::{adult::adult_sized, nltcs::nltcs_sized};
+
+    const PINNED: &[(&str, u64)] = &[
+        ("adult/batch/threads1", 0x36e5fa40d287d4b6),
+        ("adult/batch/threads3", 0x36e5fa40d287d4b6),
+        ("nltcs/batch/threads1", 0x3d592aaffc8fd8d5),
+        ("nltcs/batch/threads3", 0x3d592aaffc8fd8d5),
+        ("adult-hierarchical/batch/threads1", 0x3762fed6a6047098),
+        ("adult-hierarchical/batch/threads3", 0x3762fed6a6047098),
+        ("adult/stream/root-evidence", 0x1a2aa58a01ffc553),
+        ("adult/stream/inner-evidence", 0xc0fc0c67e0861de5),
+        ("adult/stream/projection", 0x76e37660fe9cc813),
+        ("adult/stream/resumed", 0xc0ff7f68d8b037d7),
+        ("adult/conditional/inner-evidence", 0x8e4baa43a2ebd606),
+    ];
+
+    let rows = 3 * CHUNK_ROWS + 17;
+    let fit = |data: &Dataset, encoding: EncodingKind| {
+        let options = PrivBayesOptions::new(1.0).with_encoding(encoding);
+        let (model, _) = PrivBayes::new(options)
+            .fit(&CountEngine::new(data), &mut StdRng::seed_from_u64(7))
+            .unwrap();
+        model
+    };
+    let adult = adult_sized(1, 4_000).data;
+    let nltcs = nltcs_sized(1, 4_000).data;
+    let hierarchical = fit(&adult, EncodingKind::Hierarchical);
+    assert!(
+        hierarchical.conditionals.iter().any(|c| c.parents.iter().any(|a| a.level > 0)),
+        "the hierarchical fit must have a generalised parent"
+    );
+    let adult_model = fit(&adult, EncodingKind::Vanilla);
+    let models = [
+        ("adult", adult_model.clone(), adult.schema()),
+        ("nltcs", fit(&nltcs, EncodingKind::Vanilla), nltcs.schema()),
+        ("adult-hierarchical", hierarchical, adult.schema()),
+    ];
+    let mut digests: Vec<(String, u64)> = Vec::new();
+    for (name, model, schema) in &models {
+        let sampler = model.compile(schema).unwrap();
+        for threads in [1, 3] {
+            let data = sampler
+                .sample_dataset(rows, Some(threads), &mut StdRng::seed_from_u64(11))
+                .unwrap();
+            digests.push((format!("{name}/batch/threads{threads}"), dataset_digest(&data)));
+        }
+    }
+
+    // Root evidence: the first conditional's child at its likeliest code.
+    // Inner evidence: the last child with parents, at its most frequent
+    // sampled code.
+    let sampler = adult_model.compile(adult.schema()).unwrap();
+    let root_cond = &adult_model.conditionals[0];
+    let root_code = (0..root_cond.child_dim)
+        .max_by(|&a, &b| root_cond.probs[a].total_cmp(&root_cond.probs[b]))
+        .unwrap();
+    let root = (root_cond.child, root_code as u32);
+    let inner_attr =
+        adult_model.conditionals.iter().rev().find(|c| !c.parents.is_empty()).unwrap().child;
+    let probe = sampler.sample_dataset(rows, None, &mut StdRng::seed_from_u64(12)).unwrap();
+    let mut counts = vec![0usize; adult.schema().attribute(inner_attr).domain_size()];
+    for &code in probe.column(inner_attr) {
+        counts[code as usize] += 1;
+    }
+    let inner_code = (0..counts.len()).max_by_key(|&c| counts[c]).unwrap();
+    let inner = (inner_attr, inner_code as u32);
+    let d = adult.d();
+    let streams = [
+        ("root-evidence", SampleSpec::rows(rows).with_evidence(vec![root])),
+        ("inner-evidence", SampleSpec::rows(rows).with_evidence(vec![inner])),
+        ("projection", SampleSpec::rows(rows).with_projection(vec![d - 1, 0, inner_attr])),
+        ("resumed", SampleSpec { start_row: CHUNK_ROWS + 300, ..SampleSpec::rows(rows) }),
+    ];
+    for (name, spec) in &streams {
+        digests.push((format!("adult/stream/{name}"), stream_digest(&sampler, spec, 13)));
+    }
+    let cohort =
+        sampler.sample_conditional(rows, &[inner], &mut StdRng::seed_from_u64(14)).unwrap();
+    digests.push(("adult/conditional/inner-evidence".into(), dataset_digest(&cohort)));
+
     assert_pinned(&digests, PINNED);
 }
 
