@@ -13,8 +13,9 @@
 //! plus [`budget`] (sequential-composition accounting, Theorem 3.2),
 //! [`stats`] (Gaussian/Gamma/Dirichlet samplers needed by substrates such as
 //! PrivateERM's noise vector and the synthetic-dataset generators — the
-//! offline crate set has no `rand_distr`), and [`alias`] (compiled O(1)
-//! discrete sampling for the synthesis hot loop).
+//! offline crate set has no `rand_distr`), and [`alias`] (O(1) discrete
+//! sampling for the synthesis hot loop: every slice of a conditional
+//! compiled into one flat alias array, drawn with a branch-free select).
 
 pub mod alias;
 pub mod budget;
@@ -24,7 +25,7 @@ pub mod geometric;
 pub mod laplace;
 pub mod stats;
 
-pub use alias::AliasTable;
+pub use alias::AliasSlices;
 pub use budget::{BudgetSplit, PrivacyBudget};
 pub use error::DpError;
 pub use exponential::exponential_mechanism;

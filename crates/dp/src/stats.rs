@@ -85,7 +85,8 @@ pub fn sample_dirichlet_symmetric<R: Rng + ?Sized>(
 /// Samples an index from non-negative `weights` (need not be normalised).
 ///
 /// # Panics
-/// Panics if `weights` is empty, contains negatives/NaN, or sums to 0.
+/// Panics if `weights` is empty, contains negatives/NaN/infinities, sums
+/// to 0 or sums past `f64::MAX`.
 pub fn sample_discrete<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     assert!(!weights.is_empty(), "no weights");
     let total: f64 = weights
@@ -96,6 +97,7 @@ pub fn sample_discrete<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
         })
         .sum();
     assert!(total > 0.0, "weights sum to zero");
+    assert!(total.is_finite(), "weights sum overflows f64");
     let mut u = rng.random::<f64>() * total;
     for (i, &w) in weights.iter().enumerate() {
         u -= w;
@@ -225,6 +227,15 @@ mod tests {
     fn discrete_rejects_all_zero() {
         let mut rng = StdRng::seed_from_u64(8);
         let _ = sample_discrete(&[0.0, 0.0], &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn discrete_rejects_weights_whose_sum_overflows() {
+        // The total is +∞, so `u = U·∞` never falls to 0 and every draw
+        // would return the last index.
+        let mut rng = StdRng::seed_from_u64(8);
+        let _ = sample_discrete(&[1e308, 1e308], &mut rng);
     }
 
     #[test]

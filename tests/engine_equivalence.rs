@@ -12,6 +12,9 @@
 //!    seed, end-to-end through the pipeline;
 //! 4. alias-table sampling matches the linear-scan `sample_discrete`
 //!    frequencies statistically.
+//!
+//! Pinned digests of learned models and of sampled rows make any change to
+//! them show.
 
 use privbayes::conditionals::{noisy_conditionals_general_engine, Conditional};
 use privbayes::greedy::{
@@ -23,7 +26,7 @@ use privbayes_bench::reference::{reference_greedy_adaptive, reference_greedy_fix
 use privbayes_data::encoding::{binarize, EncodingKind};
 use privbayes_data::Dataset;
 use privbayes_dp::stats::sample_discrete;
-use privbayes_dp::AliasTable;
+use privbayes_dp::AliasSlices;
 use privbayes_marginals::{Axis, ContingencyTable, CountEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,14 +226,14 @@ fn alias_tables_match_linear_scan_frequencies() {
     // Conditional-slice-shaped weight vectors, including skew and zeros.
     let slices: [&[f64]; 4] = [&[0.5, 0.5], &[0.9, 0.1], &[0.05, 0.0, 0.25, 0.7], &[0.125; 8]];
     for (si, weights) in slices.iter().enumerate() {
-        let table = AliasTable::new(weights);
+        let table = AliasSlices::new(weights);
         let trials = 120_000;
         let mut alias_freq = vec![0usize; weights.len()];
         let mut scan_freq = vec![0usize; weights.len()];
         let mut rng_a = StdRng::seed_from_u64(100 + si as u64);
         let mut rng_b = StdRng::seed_from_u64(200 + si as u64);
         for _ in 0..trials {
-            alias_freq[table.sample(&mut rng_a)] += 1;
+            alias_freq[table.sample(0, &mut rng_a)] += 1;
             scan_freq[sample_discrete(weights, &mut rng_b)] += 1;
         }
         for (i, (&a, &b)) in alias_freq.iter().zip(&scan_freq).enumerate() {
