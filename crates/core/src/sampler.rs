@@ -700,11 +700,10 @@ mod tests {
         assert!(model.compile(data.schema()).is_err());
     }
 
-    #[test]
-    fn unreachable_degenerate_slice_does_not_break_compilation() {
-        // A hand-built model (fields are public) where parent value a = 1 is
-        // structurally impossible and its conditional slice is all-zero. The
-        // lazy pre-compile sampler tolerated this; compilation must too.
+    /// A hand-built model (fields are public) over binary `a → b` whose
+    /// `b` slice under `a = 1` is all-zero; the root draws `a` from
+    /// `root_probs`.
+    fn degenerate_slice_model(root_probs: [f64; 2]) -> (Schema, NoisyModel) {
         let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
         let net =
             BayesianNetwork::new(vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0])], &schema)
@@ -717,7 +716,7 @@ mod tests {
                     parents: vec![],
                     parent_dims: vec![],
                     child_dim: 2,
-                    probs: vec![1.0, 0.0], // a is always 0
+                    probs: root_probs.to_vec(),
                 },
                 crate::conditionals::Conditional {
                     child: 1,
@@ -728,6 +727,15 @@ mod tests {
                 },
             ],
         };
+        (schema, model)
+    }
+
+    #[test]
+    fn unreachable_degenerate_slice_does_not_break_compilation() {
+        // Parent value a = 1 is structurally impossible and its conditional
+        // slice is all-zero. The lazy pre-compile sampler tolerated this;
+        // compilation must too.
+        let (schema, model) = degenerate_slice_model([1.0, 0.0]); // a is always 0
         let mut rng = StdRng::seed_from_u64(8);
         let synth = model.compile(&schema).unwrap().sample_dataset(300, None, &mut rng).unwrap();
         assert!(synth.column(0).iter().all(|&v| v == 0));
@@ -738,29 +746,7 @@ mod tests {
     fn reachable_degenerate_slice_panics_when_drawn() {
         // The root always draws a = 1, whose child slice is all-zero: the
         // model compiles, and the first draw from that slice panics.
-        let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
-        let net =
-            BayesianNetwork::new(vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0])], &schema)
-                .unwrap();
-        let model = crate::conditionals::NoisyModel {
-            network: net,
-            conditionals: vec![
-                crate::conditionals::Conditional {
-                    child: 0,
-                    parents: vec![],
-                    parent_dims: vec![],
-                    child_dim: 2,
-                    probs: vec![0.0, 1.0], // a is always 1
-                },
-                crate::conditionals::Conditional {
-                    child: 1,
-                    parents: vec![Axis::raw(0)],
-                    parent_dims: vec![2],
-                    child_dim: 2,
-                    probs: vec![0.5, 0.5, 0.0, 0.0], // a = 1 slice is degenerate
-                },
-            ],
-        };
+        let (schema, model) = degenerate_slice_model([0.0, 1.0]); // a is always 1
         let compiled = model.compile(&schema).unwrap();
         // A stream draws on the calling thread, so the panic is the draw's.
         let _ = compiled.stream_rows(10, &mut StdRng::seed_from_u64(8)).next();

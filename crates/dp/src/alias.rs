@@ -150,18 +150,6 @@ impl AliasSlices {
         Self { k, entries }
     }
 
-    /// Outcomes per slice.
-    #[must_use]
-    pub fn outcomes(&self) -> usize {
-        self.k
-    }
-
-    /// Number of slices.
-    #[must_use]
-    pub fn slices(&self) -> usize {
-        self.entries.len() / self.k
-    }
-
     /// Draws one outcome of `slice`: a single uniform variate selects both
     /// the bucket and, without a branch, the bucket or its alias.
     ///
@@ -240,7 +228,7 @@ mod tests {
     fn single_outcome() {
         let table = AliasSlices::new(&[0.7]);
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!((table.outcomes(), table.slices()), (1, 1));
+        assert_eq!((table.k, table.entries.len()), (1, 1));
         for _ in 0..100 {
             assert_eq!(table.sample(0, &mut rng), 0);
         }
@@ -268,7 +256,7 @@ mod tests {
             &[9.0, 1.0, 1e-9, 0.5],
         ];
         let table = AliasSlices::from_slices(&slices.concat(), 4);
-        assert_eq!((table.outcomes(), table.slices()), (4, 5));
+        assert_eq!((table.k, table.entries.len()), (4, 20));
         for (s, weights) in slices.iter().enumerate() {
             let alone = AliasSlices::from_slices(weights, 4);
             assert_eq!(table.entries[4 * s..4 * (s + 1)], alone.entries[..], "slice {s}");
