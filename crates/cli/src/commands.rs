@@ -1,6 +1,7 @@
 //! The subcommands: `fit`, `synth`, `synth-relational`, `query`, `eval`,
 //! `audit`, `inspect`, `methods`, and `serve`.
 
+use std::convert::Infallible;
 use std::fs;
 use std::io::{BufReader, Write as _};
 use std::path::Path;
@@ -18,7 +19,8 @@ use privbayes_model::{
 use privbayes_obs::Span;
 use privbayes_server::{BudgetLedger, ModelRegistry, RefitPolicy, Server, ServerConfig};
 use privbayes_synth::{
-    fit_method, Cursor, FitSettings, MarginalQuery, Method, RowFormat, RowRenderer, SynthSpec,
+    fit_method, render_chunks, Cursor, FitSettings, MarginalQuery, Method, RowFormat, RowRenderer,
+    SynthSpec,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -54,7 +56,8 @@ commands:
            prefix + resumed output is byte-identical to an uninterrupted
            run with the same seed. Spec mistakes (unknown attribute or
            value, bad cursor) exit with code 4. The output is the bytes a
-           server streams for the same request.
+           server streams for the same request; its chunks are rendered on
+           every core and written in order.
 
   query    --model MODEL.json --attrs a[,b...]
            [--server ADDR --id MODEL-ID] [--verbose]
@@ -113,8 +116,10 @@ commands:
            kept-alive ones included), and a connection beyond the cap is
            answered 503 + Retry-After. Idle connections are closed after
            --idle-deadline-ms. --threads bounds the worker threads used
-           inside fit requests. Peers slower than the read/write deadlines
-           are reaped with 408.
+           inside fit requests and the threads that render each synthesis
+           stream's chunks (written in order: the bytes never depend on
+           it). Peers slower than the read/write deadlines are reaped with
+           408.
            --access-log appends one JSON line per request; --metrics off
            disables the GET /metrics Prometheus exposition (counters still
            run and back GET /healthz). --data-dir journals ingested
@@ -358,10 +363,12 @@ fn synth(args: &ParsedArgs) -> Result<String, CliError> {
         text.extend_from_slice(resolved.format.header(schema, projection).as_bytes());
     }
     let mut yielded = 0usize;
-    for chunk in stream {
-        yielded += chunk.len();
-        renderer.render_into(&chunk, &mut text);
-    }
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let Ok(()) = render_chunks(&stream, &renderer, threads, |chunk| {
+        yielded += chunk.rows;
+        text.extend_from_slice(&chunk.bytes);
+        Ok::<(), Infallible>(())
+    });
     span.mark("sample");
     fs::write(out, text).map_err(|e| CliError::Io { path: out.into(), message: e.to_string() })?;
     span.mark("write");
@@ -1398,6 +1405,70 @@ mod tests {
         let prefix: String = full.lines().take(41).map(|l| format!("{l}\n")).collect();
         assert_eq!(format!("{prefix}{tail}"), full, "prefix + resumed must equal uninterrupted");
 
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `synth` writes exactly the bytes a server streams for the same spec,
+    /// whatever the server's stream thread count.
+    #[test]
+    fn synth_equals_the_served_stream_at_every_thread_count() {
+        use privbayes_server::Client;
+
+        let dir = temp_dir("synth-served");
+        let (schema_path, data_path) = write_fixture_data(&dir);
+        let model_path = dir.join("model.json").to_str().unwrap().to_string();
+        run_cli(&[
+            "fit",
+            "--data",
+            &data_path,
+            "--schema",
+            &schema_path,
+            "--epsilon",
+            "1.0",
+            "--seed",
+            "6",
+            "--out",
+            &model_path,
+        ])
+        .unwrap();
+        let rows = 5 * privbayes::CHUNK_ROWS + 17;
+        let rows_text = rows.to_string();
+        let cursor =
+            Cursor { seed: 5, row: 2 * privbayes::CHUNK_ROWS as u64 + 5, generation: None };
+        let token = cursor.encode();
+        let base = SynthSpec::new().with_rows(rows).with_seed(5);
+        let cases: Vec<(Vec<&str>, SynthSpec)> = vec![
+            (vec![], base.clone()),
+            (vec!["--format", "jsonl"], base.clone().with_format(RowFormat::Jsonl)),
+            (
+                vec!["--where", "region=south", "--select", "age,smoker"],
+                base.clone().where_eq("region", "south").select("age").select("smoker"),
+            ),
+            (vec!["--resume", &token], base.clone().with_cursor(cursor)),
+        ];
+        let out = dir.join("synth.out").to_str().unwrap().to_string();
+        for threads in [1, 3, 8] {
+            let registry = Arc::new(ModelRegistry::new());
+            registry.load("m", ReleasedModel::load(&model_path).unwrap()).unwrap();
+            let config = ServerConfig { fit_threads: Some(threads), ..ServerConfig::default() };
+            let ledger = Arc::new(BudgetLedger::in_memory());
+            let handle = Server::bind("127.0.0.1:0", config, registry, ledger).unwrap().spawn();
+            let client = Client::new(handle.addr().to_string());
+            for (flags, spec) in &cases {
+                let mut args =
+                    vec!["synth", "--model", &model_path, "--rows", &rows_text, "--seed", "5"];
+                args.extend(["--out", &out]);
+                args.extend(flags);
+                run_cli(&args).unwrap();
+                let served = client.synth_with("m", spec).unwrap().text();
+                assert!(
+                    fs::read_to_string(&out).unwrap() == served,
+                    "{flags:?} at {threads} server threads"
+                );
+            }
+            client.shutdown().unwrap();
+            handle.join().unwrap();
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

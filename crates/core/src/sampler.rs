@@ -13,9 +13,17 @@
 //! stream derived from the caller's seed, so the output is **identical for
 //! every worker count** — including the sequential path.
 //!
+//! A [`RowStream`] draws every chunk through one routine,
+//! [`RowStream::fill_chunk`], which writes any chunk, by index, into a flat
+//! row-major buffer. It takes `&self`, so the threads that serve one stream
+//! share it; its `Iterator` form fills the next chunk and splits it into
+//! one `Vec` per row.
+//!
 //! Evidence cohorts ([`CompiledSampler::stream_spec`]) are drawn exactly:
 //! the variable-elimination buckets of the evidence's ancestral closure are
 //! compiled into flat alias arrays the same way.
+
+use std::ops::Range;
 
 use privbayes_data::{Dataset, Schema};
 use privbayes_dp::AliasSlices;
@@ -486,12 +494,77 @@ impl RowStream<'_> {
         self.rows
     }
 
-    /// Copies the projected columns of `tuple` into an owned row.
-    fn project(&self, tuple: &[u32]) -> Vec<u32> {
-        match &self.projection {
-            Some(keep) => keep.iter().map(|&attr| tuple[attr]).collect(),
-            None => tuple.to_vec(),
+    /// The schema the stream samples: a tuple [`RowStream::fill_chunk`]
+    /// draws into has one code per attribute.
+    #[must_use]
+    pub fn schema(&self) -> &Schema {
+        &self.sampler.schema
+    }
+
+    /// Columns of each yielded row: the projection's length, or the schema
+    /// width when unprojected.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.projection.as_ref().map_or(self.sampler.schema.len(), Vec::len)
+    }
+
+    /// The indices of the chunks still to yield, in order: from the chunk
+    /// holding the stream's position (its start row, until the iterator
+    /// advances it) to the last. Empty once the stream is exhausted.
+    #[must_use]
+    pub fn chunks(&self) -> Range<usize> {
+        if self.next_row >= self.rows {
+            return 0..0;
         }
+        self.next_row / CHUNK_ROWS..self.rows.div_ceil(CHUNK_ROWS)
+    }
+
+    /// Clears `rows` and writes into it, row-major at [`RowStream::width`],
+    /// the rows chunk `chunk` yields; returns how many. `tuple` is scratch
+    /// of schema width.
+    ///
+    /// A chunk's rows depend only on the stream and `chunk`, so any thread
+    /// may fill any chunk: the chunk's RNG stream is seeded from
+    /// `(base, chunk)`, the tuple starts zeroed with the evidence written
+    /// once, and the rows of the resumed chunk before the stream's position
+    /// are generated (they advance the RNG stream identically) but not
+    /// written.
+    ///
+    /// # Panics
+    /// Panics if `chunk` is not in [`RowStream::chunks`] or `tuple` is not
+    /// of schema width.
+    pub fn fill_chunk(&self, chunk: usize, tuple: &mut [u32], rows: &mut Vec<u32>) -> usize {
+        assert!(self.chunks().contains(&chunk), "chunk {chunk} is outside the stream");
+        assert_eq!(tuple.len(), self.sampler.schema.len(), "tuple must be of schema width");
+        let chunk_start = chunk * CHUNK_ROWS;
+        let len = CHUNK_ROWS.min(self.rows - chunk_start);
+        let skip = self.next_row.saturating_sub(chunk_start);
+        // The same set-up as `sample_dataset`: a zeroed tuple and the
+        // chunk's own RNG stream.
+        tuple.fill(0);
+        if let Some(posterior) = &self.posterior {
+            for &(attr, code) in &posterior.evidence {
+                tuple[attr] = code;
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(chunk_seed(self.base, chunk));
+        rows.clear();
+        rows.reserve((len - skip) * self.width());
+        for i in 0..len {
+            match &self.posterior {
+                Some(posterior) => {
+                    posterior.sample_row(&self.sampler.conditionals, tuple, &mut rng);
+                }
+                None => self.sampler.sample_row(tuple, &mut rng),
+            }
+            if i >= skip {
+                match &self.projection {
+                    Some(keep) => rows.extend(keep.iter().map(|&attr| tuple[attr])),
+                    None => rows.extend_from_slice(tuple),
+                }
+            }
+        }
+        len - skip
     }
 }
 
@@ -501,41 +574,12 @@ impl Iterator for RowStream<'_> {
     type Item = Vec<Vec<u32>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_row >= self.rows {
-            return None;
-        }
-        let d = self.sampler.schema.len();
-        let chunk_index = self.next_row / CHUNK_ROWS;
-        let chunk_start = chunk_index * CHUNK_ROWS;
-        let len = CHUNK_ROWS.min(self.rows - chunk_start);
-        // Rows of the resumed chunk that precede the resume point: generated
-        // (they advance the chunk's RNG stream identically) but not yielded.
-        let skip = self.next_row - chunk_start;
-        // Identical per-chunk setup to `sample_dataset`: fresh zeroed tuple,
-        // fresh RNG stream from (base, chunk index).
-        let mut tuple = vec![0u32; d];
-        let mut rng = StdRng::seed_from_u64(chunk_seed(self.base, chunk_index));
-        let mut chunk = Vec::with_capacity(len - skip);
-        if let Some(posterior) = &self.posterior {
-            for &(attr, code) in &posterior.evidence {
-                tuple[attr] = code;
-            }
-            for i in 0..len {
-                posterior.sample_row(&self.sampler.conditionals, &mut tuple, &mut rng);
-                if i >= skip {
-                    chunk.push(self.project(&tuple));
-                }
-            }
-        } else {
-            for i in 0..len {
-                self.sampler.sample_row(&mut tuple, &mut rng);
-                if i >= skip {
-                    chunk.push(self.project(&tuple));
-                }
-            }
-        }
-        self.next_row = chunk_start + len;
-        Some(chunk)
+        let chunk = self.chunks().next()?;
+        let mut tuple = vec![0u32; self.sampler.schema.len()];
+        let mut rows = Vec::new();
+        self.fill_chunk(chunk, &mut tuple, &mut rows);
+        self.next_row = ((chunk + 1) * CHUNK_ROWS).min(self.rows);
+        Some(rows.chunks_exact(self.width()).map(<[u32]>::to_vec).collect())
     }
 }
 

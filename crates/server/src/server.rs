@@ -40,10 +40,11 @@
 //! acceptor-level 503 rejections, under `endpoint="acceptor"`), stage wall
 //! time is recorded per request (`parse → ledger → lookup → sample →
 //! write` for fits and streams, `parse → journal → append → write` for
-//! ingest batches), and, when an access-log file is configured, every
-//! finished request appends one JSON line to it. The cost discipline is
-//! one relaxed atomic add per event, with no locks on the per-chunk
-//! streaming path.
+//! ingest batches; a stream's `sample` and `write` sum over the threads that
+//! served it, so they can add up to more than its wall time), and, when an
+//! access-log file is configured, every finished request appends one JSON
+//! line to it. The cost discipline is one relaxed atomic add per event, with
+//! no locks on the per-chunk streaming path.
 //!
 //! # Concurrency and determinism
 //!
@@ -63,32 +64,36 @@
 //! the sampler's fixed 1024-row chunk scheme, and each chunk is written as
 //! one HTTP chunk — so a fixed request is **byte-identical** no matter how
 //! many other streams are in flight, whether the connection is fresh or
-//! reused, or how often the model was evicted and reloaded in between. Each
-//! stream pre-renders its cell labels once ([`RowRenderer`]) and renders
-//! every chunk into one reused buffer. A cursor-resumed stream yields
-//! exactly the suffix of its uninterrupted counterpart. Shutdown stops
-//! accepting, lets every in-flight request complete, and closes idle
+//! reused, how many threads rendered its chunks, or how often the model was
+//! evicted and reloaded in between. Each stream pre-renders its cell labels
+//! once ([`RowRenderer`]); its chunks are sampled and rendered on up to
+//! [`ServerConfig::fit_threads`] threads ([`render_chunks`]) and written by
+//! the connection's thread strictly in chunk order. A cursor-resumed stream
+//! yields exactly the suffix of its uninterrupted counterpart. Shutdown
+//! stops accepting, lets every in-flight request complete, and closes idle
 //! connections at once.
 //!
 //! [`SynthSpec`]: privbayes_synth::SynthSpec
 //! [`MarginalQuery`]: privbayes_synth::MarginalQuery
 //! [`RowRenderer`]: privbayes_synth::RowRenderer
+//! [`render_chunks`]: privbayes_synth::render_chunks
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
 use privbayes_data::csv::read_csv;
 use privbayes_model::{schema_from_json, seed_from_json, Json, ReleasedModel};
 use privbayes_synth::{
-    fit_method, fit_method_with_engine, Cursor, EngineStats, FitSettings, MarginalQuery, Method,
-    ResolvedSynth, RowRenderer, SpecError, SynthSpec,
+    fit_method, fit_method_with_engine, render_chunks, Cursor, EngineStats, FitSettings,
+    MarginalQuery, Method, ResolvedSynth, RowRenderer, SpecError, SynthSpec,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -119,8 +124,10 @@ pub struct ServerConfig {
     /// the caller's thread); a connection beyond the cap is answered 503 +
     /// `Retry-After` by the acceptor. Minimum 1.
     pub workers: usize,
-    /// Worker threads used *inside* a fit request (candidate scoring and
-    /// synthesis); `None` uses [`std::thread::available_parallelism`].
+    /// Worker threads used *inside* a request: candidate scoring in a fit,
+    /// and the threads that sample and render a synthesis stream's chunks
+    /// (resolved once, when the server binds). `None` uses
+    /// [`std::thread::available_parallelism`]. Never changes a byte.
     pub fit_threads: Option<usize>,
     /// Upper bound on `rows` per synthesis request; larger requests get a
     /// structured 400. Bounds how long one request can hold its connection.
@@ -206,6 +213,9 @@ struct Shared {
     ledger: Arc<BudgetLedger>,
     store: Arc<DatasetStore>,
     config: ServerConfig,
+    /// Threads that render a synthesis stream's chunks:
+    /// [`ServerConfig::fit_threads`], resolved once at bind.
+    stream_threads: usize,
     addr: SocketAddr,
     shutdown: AtomicBool,
     metrics: Arc<ServerMetrics>,
@@ -296,6 +306,14 @@ impl Drop for Slot<'_> {
     }
 }
 
+/// [`std::thread::available_parallelism`], read once per process: on Linux
+/// it reads cgroup files, which took 50–100 µs, as long as the rest of
+/// [`Server::bind`].
+fn available_parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// A bound-but-not-yet-running synthesis service.
 pub struct Server {
     listener: TcpListener,
@@ -347,11 +365,13 @@ impl Server {
             Some(dir) => DatasetStore::open(dir)?,
             None => DatasetStore::in_memory(),
         });
+        let stream_threads = config.fit_threads.unwrap_or_else(available_parallelism).max(1);
         let shared = Arc::new(Shared {
             registry,
             ledger,
             store,
             config,
+            stream_threads,
             addr,
             shutdown: AtomicBool::new(false),
             metrics,
@@ -1080,7 +1100,7 @@ fn stream_synth(
         Err(e) => return respond_error(out, ctx, 500, "internal", &e.to_string()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut stream = match sampler.stream_spec(&resolved.sample_spec(rows), &mut rng) {
+    let stream = match sampler.stream_spec(&resolved.sample_spec(rows), &mut rng) {
         Ok(stream) => stream,
         Err(e) => return respond_error(out, ctx, 400, "invalid-spec", &e.to_string()),
     };
@@ -1104,22 +1124,7 @@ fn stream_synth(
         return respond_error(out, ctx, 408, "request-timeout", "handler deadline expired");
     }
     ctx.status.set(200);
-    let metrics = ctx.metrics;
-    metrics.active_streams.add(1);
-    let _guard = StreamGuard(metrics);
-    // Stage timings and throughput counters accumulate locally per chunk
-    // and hit the shared atomics once per stream — the hot loop stays
-    // identical in its output bytes and pays no per-chunk contention.
-    let mut sample_time = Duration::ZERO;
-    let mut write_time = Duration::ZERO;
-    let mut rows_out: u64 = 0;
-    let mut bytes_out: u64 = 0;
-    let finalize = |sample: Duration, write: Duration, rows: u64, bytes: u64| {
-        ctx.observe_stage("sample", sample);
-        ctx.observe_stage("write", write);
-        metrics.rows_streamed.add(rows);
-        metrics.bytes_streamed.add(bytes);
-    };
+    let mut record = StreamRecord::start(ctx);
     let write_started = Instant::now();
     let mut chunked = ChunkedResponse::begin(
         out,
@@ -1130,50 +1135,70 @@ fn stream_synth(
     )?;
     if resolved.start_row == 0 {
         let header = resolved.format.header(schema, projection);
-        bytes_out += header.len() as u64;
         chunked.write(header.as_bytes())?;
+        record.bytes += header.len() as u64;
     }
-    // One renderer and one buffer serve every chunk of the stream.
     let renderer = RowRenderer::new(resolved.format, schema, projection);
-    let mut rendered = Vec::new();
-    write_time += write_started.elapsed();
-    loop {
-        let sample_started = Instant::now();
-        let Some(chunk) = stream.next() else { break };
-        sample_time += sample_started.elapsed();
+    record.write += write_started.elapsed();
+    render_chunks(&stream, &renderer, shared.stream_threads, |chunk| {
+        record.sample += chunk.sample;
+        record.write += chunk.render;
         // The deadline is checked at chunk boundaries. Once the response has
         // started the only honest way to stop is to truncate the chunked
         // stream (no terminating chunk), which the client decodes as an
         // interrupted transfer and may resume via the cursor.
         if Instant::now() >= deadline {
-            finalize(sample_time, write_time, rows_out, bytes_out);
             return Err(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "handler deadline expired mid-stream",
             ));
         }
         let write_started = Instant::now();
-        rendered.clear();
-        renderer.render_into(&chunk, &mut rendered);
-        rows_out += chunk.len() as u64;
-        bytes_out += rendered.len() as u64;
-        chunked.write(&rendered)?;
-        write_time += write_started.elapsed();
-    }
+        chunked.write(&chunk.bytes)?;
+        record.write += write_started.elapsed();
+        record.rows += chunk.rows as u64;
+        record.bytes += chunk.bytes.len() as u64;
+        Ok(())
+    })?;
     let write_started = Instant::now();
     let result = chunked.finish();
-    write_time += write_started.elapsed();
-    finalize(sample_time, write_time, rows_out, bytes_out);
+    record.write += write_started.elapsed();
     result
 }
 
-/// RAII guard: decrements the `privbayes_active_streams` gauge when a
-/// streaming response ends — finished, timed out, or client hang-up alike.
-struct StreamGuard<'m>(&'m ServerMetrics);
+/// A stream's stage times and throughput counters. They accumulate locally
+/// per chunk and reach the shared metrics once, when the stream ends —
+/// finished, timed out, cut off by a failed write or unwound by a panic
+/// alike — together with the `privbayes_active_streams` decrement, so the
+/// per-chunk path pays no contention.
+///
+/// `sample` sums every chunk's sampling time and `write` every chunk's
+/// render time plus the socket writes, whichever thread did the work: the
+/// two can add up to more than the stream's wall time.
+struct StreamRecord<'c, 'm> {
+    ctx: &'c RequestCtx<'m>,
+    sample: Duration,
+    write: Duration,
+    /// Rows and bytes handed to the socket.
+    rows: u64,
+    bytes: u64,
+}
 
-impl Drop for StreamGuard<'_> {
+impl<'c, 'm> StreamRecord<'c, 'm> {
+    fn start(ctx: &'c RequestCtx<'m>) -> Self {
+        ctx.metrics.active_streams.add(1);
+        Self { ctx, sample: Duration::ZERO, write: Duration::ZERO, rows: 0, bytes: 0 }
+    }
+}
+
+impl Drop for StreamRecord<'_, '_> {
     fn drop(&mut self) {
-        self.0.active_streams.sub(1);
+        let metrics = self.ctx.metrics;
+        self.ctx.observe_stage("sample", self.sample);
+        self.ctx.observe_stage("write", self.write);
+        metrics.rows_streamed.add(self.rows);
+        metrics.bytes_streamed.add(self.bytes);
+        metrics.active_streams.sub(1);
     }
 }
 

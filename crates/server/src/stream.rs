@@ -1,15 +1,21 @@
 //! Row rendering for streamed synthesis responses.
 //!
 //! The synthesis endpoints deliver rows in the sampler's 1024-row chunk
-//! scheme ([`privbayes::CHUNK_ROWS`]); each chunk is rendered into one
-//! buffer the stream reuses and written as one HTTP chunk. The format —
-//! [`RowFormat`] — and its renderer — [`privbayes_synth::RowRenderer`] —
-//! live in `privbayes_synth::spec` alongside the request specs (this module
-//! re-exports the format): the format is part of the typed request
-//! surface, shared by the server, the bundled client, and the CLI. A stream
-//! builds its renderer once, before its first row: every label its
-//! projected columns can take is rendered up front, so a row costs one
-//! slice copy per cell.
+//! scheme ([`privbayes::CHUNK_ROWS`]), and each chunk is written as one
+//! HTTP chunk. [`privbayes_synth::render_chunks`] samples and renders the
+//! chunks on up to [`ServerConfig::fit_threads`] threads, each into a flat
+//! row buffer and a render buffer it reuses, and hands them to the
+//! connection's thread strictly in chunk order, so the thread count never
+//! changes a byte or a chunk boundary. The CLI's `synth` runs the same
+//! driver. The format — [`RowFormat`] — and its renderer —
+//! [`privbayes_synth::RowRenderer`] — live in `privbayes_synth::spec`
+//! alongside the request specs (this module re-exports the format): the
+//! format is part of the typed request surface, shared by the server, the
+//! bundled client, and the CLI. A stream builds its renderer once, before
+//! its first row: every label its projected columns can take is rendered
+//! up front, so a row costs one slice copy per cell.
+//!
+//! [`ServerConfig::fit_threads`]: crate::ServerConfig::fit_threads
 //!
 //! CSV output is byte-compatible with `privbayes_data::csv::write_csv`
 //! restricted to the projected columns — the header line plus one

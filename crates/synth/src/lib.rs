@@ -45,10 +45,12 @@ use privbayes_data::Dataset;
 use privbayes_marginals::CountEngine;
 use privbayes_model::ReleasedModel;
 
+mod chunks;
 mod error;
 mod methods;
 pub mod spec;
 
+pub use chunks::{render_chunks, RenderedChunk};
 pub use error::SynthError;
 pub use methods::MwemOptions;
 // Re-exported so serving layers can read fit-phase instrumentation off

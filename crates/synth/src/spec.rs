@@ -312,8 +312,9 @@ impl RowFormat {
     /// `None`). CSV output is byte-compatible with
     /// `privbayes_data::csv::write_csv` restricted to those columns.
     ///
-    /// Builds a [`RowRenderer`] per call; a stream that renders many chunks
-    /// builds one and reuses it.
+    /// Builds a [`RowRenderer`] per call and renders each tuple as
+    /// [`RowRenderer::render_into`] renders a flat row; a stream that
+    /// renders many chunks builds one renderer and reuses it.
     ///
     /// # Panics
     /// Panics if a tuple is narrower than the projection or holds a code
@@ -325,8 +326,11 @@ impl RowFormat {
         projection: Option<&[usize]>,
         rows: &[Vec<u32>],
     ) -> String {
+        let renderer = RowRenderer::new(self, schema, projection);
         let mut out = Vec::new();
-        RowRenderer::new(self, schema, projection).render_into(rows, &mut out);
+        for tuple in rows {
+            renderer.render_row(tuple, &mut out);
+        }
         String::from_utf8(out).expect("fragments are whole UTF-8 strings")
     }
 }
@@ -352,6 +356,8 @@ pub struct RowRenderer {
     /// Per projected column, the offset in `fragments` where each code's
     /// fragment starts, plus one final end offset.
     starts: Vec<Vec<usize>>,
+    /// Bytes of the longest row this renderer can produce.
+    max_row_bytes: usize,
 }
 
 impl RowRenderer {
@@ -400,24 +406,46 @@ impl RowRenderer {
             RowFormat::Csv => (b"", b"\n"),
             RowFormat::Jsonl => (b"{", b"}\n"),
         };
-        Self { open, close, fragments: fragments.into_bytes(), starts }
+        let widest_cells: usize = starts
+            .iter()
+            .map(|column| column.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0))
+            .sum();
+        let max_row_bytes = open.len() + widest_cells + close.len();
+        Self { open, close, fragments: fragments.into_bytes(), starts, max_row_bytes }
     }
 
-    /// Appends the rendering of `rows` — tuples whose columns are the
-    /// projected attributes, in projection order — to `out`.
+    /// Bytes of the longest row this renderer can produce: a buffer of
+    /// `rows × max_row_bytes()` bytes holds any `rows` rendered rows.
+    #[must_use]
+    pub fn max_row_bytes(&self) -> usize {
+        self.max_row_bytes
+    }
+
+    /// Appends the rendering of `rows` to `out`. `rows` holds tuples back
+    /// to back, row-major, each with one code per projected attribute in
+    /// projection order (the layout `privbayes::RowStream::fill_chunk`
+    /// writes).
     ///
     /// # Panics
-    /// Panics if a tuple is narrower than the projection or holds a code
-    /// outside its attribute's domain.
-    pub fn render_into(&self, rows: &[Vec<u32>], out: &mut Vec<u8>) {
-        for tuple in rows {
-            out.extend_from_slice(self.open);
-            for (column, &code) in self.starts.iter().zip(&tuple[..self.starts.len()]) {
-                let code = code as usize;
-                out.extend_from_slice(&self.fragments[column[code]..column[code + 1]]);
-            }
-            out.extend_from_slice(self.close);
+    /// Panics if the renderer has no columns, `rows` is not a whole number
+    /// of tuples, or a code is outside its attribute's domain.
+    pub fn render_into(&self, rows: &[u32], out: &mut Vec<u8>) {
+        let width = self.starts.len();
+        assert_eq!(rows.len() % width, 0, "rows must be whole tuples of width {width}");
+        for tuple in rows.chunks_exact(width) {
+            self.render_row(tuple, out);
         }
+    }
+
+    /// Appends one row: the first `width` codes of `tuple`.
+    #[inline]
+    fn render_row(&self, tuple: &[u32], out: &mut Vec<u8>) {
+        out.extend_from_slice(self.open);
+        for (column, &code) in self.starts.iter().zip(&tuple[..self.starts.len()]) {
+            let code = code as usize;
+            out.extend_from_slice(&self.fragments[column[code]..column[code + 1]]);
+        }
+        out.extend_from_slice(self.close);
     }
 }
 

@@ -24,6 +24,10 @@
 //!    reset on an idle kept-alive connection fails the next request
 //!    cleanly, with the pooled client recovering byte-exactly on a fresh
 //!    connection.
+//! 7. **Stream threads end on every failure path** — a chunk that panics on
+//!    a stream thread, a client that hangs up and a handler deadline each
+//!    end the stream without its terminating chunk and leave no stream
+//!    behind, and the server shuts down promptly.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -32,26 +36,32 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
+use privbayes_suite::core::conditionals::{Conditional, NoisyModel};
+use privbayes_suite::core::network::{ApPair, BayesianNetwork};
+use privbayes_suite::core::CHUNK_ROWS;
 use privbayes_suite::data::{Attribute, Dataset, Schema};
-use privbayes_suite::model::{Json, ReleasedModel};
+use privbayes_suite::marginals::Axis;
+use privbayes_suite::model::{Json, ModelMetadata, ReleasedModel};
 use privbayes_suite::server::http::Response;
 use privbayes_suite::server::{
     parse_text, BudgetLedger, Client, Fault, FaultPlan, FaultSite, ModelRegistry, PersistStep,
     RetryPolicy, Server, ServerConfig, ServerError, ServerHandle, SynthSpec, LEDGER_FORMAT_V2,
 };
 use privbayes_suite::synth::{fit_method, FitSettings, Method};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// Injected handler panics are part of the test plan; keep them out of the
-/// test output while still reporting any *unexpected* panic in full.
+/// Injected handler panics, and the draws from a degenerate slice that
+/// section 8 provokes, are part of the test plan; keep them out of the test
+/// output while still reporting any *unexpected* panic in full.
 fn quiet_injected_panics() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.contains("injected handler panic"));
+            let injected = info.payload().downcast_ref::<&str>().is_some_and(|s| {
+                s.contains("injected handler panic") || s.contains("degenerate conditional slice")
+            });
             if !injected {
                 default(info);
             }
@@ -805,4 +815,187 @@ fn fit_is_sent_exactly_once_while_idempotent_reads_retry() {
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(addr);
     acceptor.join().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// 8. Stream threads end on every failure path
+// ---------------------------------------------------------------------------
+
+/// Rows of the streams in this section: five chunks, so that a server with
+/// three stream threads gives each of its two helper threads chunks.
+const FIVE_CHUNKS: usize = 5 * CHUNK_ROWS;
+
+/// A binary `a → b` release whose root draws `a = 1` with probability
+/// 1/2048. With `degenerate`, the `b` slice under `a = 1` is all-zero: a
+/// hand-built artifact no fit produces (validation refuses it, so the slice
+/// is zeroed after construction), which compiles and panics only when a row
+/// draws `a = 1`.
+fn rare_cause_artifact(degenerate: bool) -> ReleasedModel {
+    let schema = Schema::new(vec![Attribute::binary("a"), Attribute::binary("b")]).unwrap();
+    let network =
+        BayesianNetwork::new(vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0])], &schema)
+            .unwrap();
+    let p = 1.0 / 2048.0;
+    let model = NoisyModel {
+        network,
+        conditionals: vec![
+            Conditional {
+                child: 0,
+                parents: vec![],
+                parent_dims: vec![],
+                child_dim: 2,
+                probs: vec![1.0 - p, p],
+            },
+            Conditional {
+                child: 1,
+                parents: vec![Axis::raw(0)],
+                parent_dims: vec![2],
+                child_dim: 2,
+                probs: vec![0.5, 0.5, 0.5, 0.5],
+            },
+        ],
+    };
+    let metadata = ModelMetadata {
+        method: "privbayes".into(),
+        epsilon: 1.0,
+        beta: 0.3,
+        theta: 4.0,
+        score: "R".into(),
+        encoding: "vanilla".into(),
+        source_rows: FIVE_CHUNKS,
+        comment: "rare degenerate slice".into(),
+    };
+    let mut artifact = ReleasedModel::new(metadata, schema, model).unwrap();
+    if degenerate {
+        artifact.model.conditionals[1].probs = vec![0.5, 0.5, 0.0, 0.0];
+    }
+    artifact
+}
+
+/// Sends `spec` to model `id` on a fresh connection that asks to close.
+fn send_synth(addr: std::net::SocketAddr, id: &str, spec: &SynthSpec) -> TcpStream {
+    let body = spec.to_json().to_string_compact().unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write!(
+        stream,
+        "POST /v1/models/{id}/synth HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    stream
+}
+
+/// Reads a whole response: every byte until the server closes.
+fn read_to_close(mut stream: TcpStream) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let _ = stream.read_to_end(&mut bytes);
+    bytes
+}
+
+/// The server's active-stream gauge, read in-process.
+fn active_streams(handle: &ServerHandle) -> f64 {
+    let text = handle.metrics().render(&[]);
+    parse_text(&text).unwrap().value("privbayes_active_streams", &[]).unwrap_or(0.0)
+}
+
+/// Shuts the server down and requires `join` to return within two seconds.
+fn shut_down_promptly(handle: ServerHandle) {
+    Client::new(handle.addr().to_string()).shutdown().unwrap();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.join().map(|_| ())).unwrap());
+    let joined = joined.recv_timeout(Duration::from_secs(2)).expect("join must return promptly");
+    joined.unwrap();
+}
+
+/// A chunk that panics on a helper thread (chunk 1, at three stream
+/// threads) is an error, not the end of the stream: the response stops
+/// after chunk 0 without its terminating chunk, the per-request isolation
+/// counts exactly one panic, and the server goes on serving.
+#[test]
+fn a_panicking_stream_thread_truncates_the_stream_and_is_isolated() {
+    quiet_injected_panics();
+    // A seed whose first `a = 1` row falls in chunk 1, found with the
+    // one-thread iterator over the twin artifact whose slice is valid.
+    let twin = rare_cause_artifact(false);
+    let sampler = twin.compiled().unwrap();
+    let first_cause = |seed: u64| {
+        sampler
+            .stream_rows(FIVE_CHUNKS, &mut StdRng::seed_from_u64(seed))
+            .position(|chunk| chunk.iter().any(|row| row[0] == 1))
+    };
+    let seed = (0..1000).find(|&seed| first_cause(seed) == Some(1)).expect("such a seed exists");
+
+    // Loaded in process: the HTTP load path validates, and refuses it.
+    let registry = Arc::new(ModelRegistry::new());
+    registry.load("m", fixture_model(1)).unwrap();
+    registry.load("d", rare_cause_artifact(true)).unwrap();
+    let config = ServerConfig { fit_threads: Some(3), ..ServerConfig::default() };
+    let ledger = Arc::new(BudgetLedger::in_memory());
+    let handle = Server::bind("127.0.0.1:0", config, registry, ledger).unwrap().spawn();
+    let reference = Client::new(handle.addr().to_string()).synth("m", 200, 9, "csv").unwrap();
+    let before = handle.stats();
+
+    let spec = SynthSpec::new().with_rows(FIVE_CHUNKS).with_seed(seed);
+    let response = read_to_close(send_synth(handle.addr(), "d", &spec));
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+    assert!(!text.ends_with("0\r\n\r\n"), "a panicked stream must not look complete");
+    let (_, body) = text.split_once("\r\n\r\n").unwrap();
+    // The header chunk and chunk 0 arrive; chunk 1 never does.
+    let rows = body.matches('\n').count() - body.matches("\r\n").count();
+    assert_eq!(rows, 1 + CHUNK_ROWS, "header and chunk 0 only: {rows} lines");
+
+    assert!(eventually(|| handle.stats().panics == before.panics + 1));
+    assert_eq!(
+        Client::new(handle.addr().to_string()).synth("m", 200, 9, "csv").unwrap(),
+        reference
+    );
+    assert_eq!(handle.stats().panics, before.panics + 1, "one panic, counted once");
+    assert!(eventually(|| active_streams(&handle) == 0.0));
+    shut_down_promptly(handle);
+}
+
+/// A client that hangs up mid-stream ends the stream and its helper threads.
+#[test]
+fn a_client_hang_up_ends_a_threaded_stream() {
+    let config = ServerConfig { fit_threads: Some(3), ..ServerConfig::default() };
+    let (handle, client, _slot) = start_server(config);
+    let reference = client.synth("m", 200, 9, "csv").unwrap();
+
+    let spec = SynthSpec::new().with_rows(500_000).with_seed(3);
+    let mut stream = send_synth(handle.addr(), "m", &spec);
+    let mut first = [0u8; 4096];
+    stream.read_exact(&mut first).unwrap();
+    assert!(first.starts_with(b"HTTP/1.1 200"));
+    drop(stream);
+
+    assert!(eventually(|| active_streams(&handle) == 0.0), "the stream must end");
+    assert_eq!(client.synth("m", 200, 9, "csv").unwrap(), reference);
+    assert_eq!(handle.stats().panics, 0);
+    shut_down_promptly(handle);
+}
+
+/// A handler deadline that expires mid-stream truncates a threaded stream
+/// like a one-thread stream: no terminating chunk, and nothing left running.
+#[test]
+fn a_mid_stream_deadline_ends_a_threaded_stream() {
+    let config = ServerConfig {
+        fit_threads: Some(3),
+        handler_deadline: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let (handle, _client, _slot) = start_server(config);
+
+    let spec = SynthSpec::new().with_rows(5_000_000).with_seed(4);
+    let response = read_to_close(send_synth(handle.addr(), "m", &spec));
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 200"), "{}", &text[..text.len().min(200)]);
+    assert!(!text.ends_with("0\r\n\r\n"), "a truncated stream must not look complete");
+    assert!(response.len() > CHUNK_ROWS, "the stream starts before the deadline");
+
+    assert!(eventually(|| active_streams(&handle) == 0.0));
+    assert_eq!(handle.stats().panics, 0);
+    shut_down_promptly(handle);
 }

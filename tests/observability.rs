@@ -296,6 +296,60 @@ fn counter_deltas_match_a_known_workload_exactly() {
     handle.join().unwrap();
 }
 
+/// A stream the client abandons mid-transfer still records what it did:
+/// once the server has counted the request, it closed one `sample` stage
+/// and counted at least the chunk the client read among the rows streamed.
+/// The stream is too long to fit in the socket buffers, so the server is
+/// still writing when the client hangs up.
+#[test]
+fn an_interrupted_stream_records_its_stages_and_rows() {
+    let (handle, _client, _registry, _slot) = start_server(ServerConfig::default());
+    let scrape = || privbayes_suite::server::parse_text(&handle.metrics().render(&[])).unwrap();
+    let finished =
+        |s: &Snapshot| counter(s, "privbayes_request_seconds_count", &[("endpoint", "synth")]);
+    let before = scrape();
+
+    let body = r#"{"rows": 500000, "seed": 4}"#;
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write!(
+        stream,
+        "POST /v1/models/m/synth HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    // The head, the CSV header's chunk and the first chunk of rows.
+    let mut reader = std::io::BufReader::new(stream);
+    let mut line = String::new();
+    while line != "\r\n" {
+        line.clear();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+    }
+    for _ in 0..2 {
+        line.clear();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+        let size = usize::from_str_radix(line.trim_end(), 16).unwrap();
+        let mut chunk = vec![0; size + 2];
+        reader.read_exact(&mut chunk).unwrap();
+    }
+    drop(reader);
+
+    assert!(eventually(|| finished(&scrape()) - finished(&before) >= 1.0));
+    let after = scrape();
+    let delta = |name: &str, labels: &[(&str, &str)]| {
+        counter(&after, name, labels) - counter(&before, name, labels)
+    };
+    assert_eq!(delta("privbayes_stage_seconds_count", &[("stage", "sample")]), 1.0);
+    assert_eq!(delta("privbayes_stage_seconds_count", &[("stage", "write")]), 1.0);
+    let rows = delta("privbayes_rows_streamed_total", &[]);
+    assert!(rows >= privbayes_suite::core::CHUNK_ROWS as f64, "{rows} rows counted");
+    assert!(rows < 500_000.0, "the stream was cut short: {rows} rows counted");
+    assert!(delta("privbayes_bytes_streamed_total", &[]) > 0.0);
+    assert_eq!(after.value("privbayes_active_streams", &[]), Some(0.0));
+    Client::new(handle.addr().to_string()).shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// A journaled ingest records its log write under a `journal` stage and
 /// its engine append under an `append` stage, so the `write` stage holds
 /// only the response: N ingests raise the `journal` and `append` counts by

@@ -629,12 +629,13 @@ fn random_render_schema(rng: &mut StdRng) -> Schema {
 
 proptest::proptest! {
     /// The pre-rendered renderer writes the reference renderer's bytes for
-    /// every schema, projection, format and chunk size (empty included), and
-    /// full-width CSV is `write_csv` byte for byte.
+    /// every schema, projection, format and chunk size (empty included),
+    /// from one `Vec` per row and from flat rows alike, and full-width CSV is
+    /// `write_csv` byte for byte.
     #[test]
     fn prop_render_matches_the_reference_renderer(case in proptest::prelude::any::<u64>()) {
         use privbayes_bench::reference::reference_render;
-        use privbayes_suite::synth::RowFormat;
+        use privbayes_suite::synth::{RowFormat, RowRenderer};
         let mut rng = StdRng::seed_from_u64(case);
         let schema = random_render_schema(&mut rng);
         let projection: Option<Vec<usize>> = rng.random::<bool>().then(|| {
@@ -657,7 +658,17 @@ proptest::proptest! {
         for format in [RowFormat::Csv, RowFormat::Jsonl] {
             let rendered = format.render(&schema, projection.as_deref(), &rows);
             let oracle = reference_render(format, &schema, projection.as_deref(), &rows);
-            proptest::prop_assert_eq!(rendered, oracle, "{:?} {:?}", format, projection);
+            proptest::prop_assert_eq!(&rendered, &oracle, "{:?} {:?}", format, projection);
+            // The streams' path: the same rows flat, row-major, through the
+            // renderer's own loop; no row outgrows `max_row_bytes`.
+            let renderer = RowRenderer::new(format, &schema, projection.as_deref());
+            let mut flat = Vec::new();
+            renderer.render_into(&rows.concat(), &mut flat);
+            proptest::prop_assert_eq!(String::from_utf8(flat).unwrap(), oracle);
+            for row in &rows {
+                let one = format.render(&schema, projection.as_deref(), std::slice::from_ref(row));
+                proptest::prop_assert!(one.len() <= renderer.max_row_bytes(), "{:?}", one);
+            }
         }
         if projection.is_none() {
             let data = Dataset::from_rows(schema.clone(), &rows).unwrap();
@@ -667,5 +678,128 @@ proptest::proptest! {
                 + &RowFormat::Csv.render(&schema, None, &rows);
             proptest::prop_assert_eq!(streamed.into_bytes(), expected);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 7. Thread-count independence
+// ---------------------------------------------------------------------------
+
+/// POSTs `spec` to model `id` on a fresh connection that asks to close, and
+/// returns the response's HTTP chunk sizes and its dechunked body.
+fn chunked_synth(addr: std::net::SocketAddr, id: &str, spec: &SynthSpec) -> (Vec<usize>, String) {
+    use std::io::{Read, Write};
+    let body = spec.to_json().to_string_compact().unwrap();
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST /v1/models/{id}/synth HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("a response head") + 4;
+    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let (mut sizes, mut body) = (Vec::new(), Vec::new());
+    let mut rest = &raw[head_end..];
+    loop {
+        let line_end = rest.windows(2).position(|w| w == b"\r\n").expect("a chunk size line");
+        let size = usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap(), 16)
+            .expect("a hex chunk size");
+        rest = &rest[line_end + 2..];
+        if size == 0 {
+            assert_eq!(rest, b"\r\n", "the terminating chunk ends the response");
+            break;
+        }
+        body.extend_from_slice(&rest[..size]);
+        assert_eq!(&rest[size..size + 2], b"\r\n");
+        rest = &rest[size + 2..];
+        sizes.push(size);
+    }
+    (sizes, String::from_utf8(body).unwrap())
+}
+
+/// One model served at 1, 2, 3 and 8 stream threads: every stream shape at
+/// every row count around the chunk size serves the same bytes in the same
+/// HTTP chunks, and those bytes are the batch sampler's rows rendered.
+#[test]
+fn served_bytes_do_not_depend_on_the_thread_count() {
+    use privbayes_suite::synth::RowFormat;
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+    let artifact = chain_artifact(11);
+    let sampler = artifact.compiled().unwrap();
+    let schema = sampler.schema();
+    let servers: Vec<_> = THREADS
+        .iter()
+        .map(|&threads| {
+            let registry = Arc::new(ModelRegistry::new());
+            registry.load("m", chain_artifact(11)).unwrap();
+            let config = ServerConfig { fit_threads: Some(threads), ..ServerConfig::default() };
+            Server::bind("127.0.0.1:0", config, registry, Arc::new(BudgetLedger::in_memory()))
+                .unwrap()
+                .spawn()
+        })
+        .collect();
+    let seed = 23;
+    let rng = || StdRng::seed_from_u64(seed);
+    let rows_of =
+        |data: &Dataset| -> Vec<Vec<u32>> { (0..data.n()).map(|r| data.row(r)).collect() };
+    let rendered = |format: RowFormat, projection: Option<&[usize]>, rows: &[Vec<u32>]| {
+        format.header(schema, projection) + &format.render(schema, projection, rows)
+    };
+    for rows in [1, CHUNK_ROWS, CHUNK_ROWS + 1, 5 * CHUNK_ROWS + 17] {
+        let all = rows_of(&sampler.sample_dataset(rows, Some(1), &mut rng()).unwrap());
+        let root = rows_of(&sampler.sample_conditional(rows, &[(0, 1)], &mut rng()).unwrap());
+        let inner = rows_of(&sampler.sample_conditional(rows, &[(1, 1)], &mut rng()).unwrap());
+        let projected: Vec<Vec<u32>> = all.iter().map(|row| vec![row[2], row[0]]).collect();
+        let base = SynthSpec::new().with_rows(rows).with_seed(seed);
+        let mut cases = vec![
+            ("csv", base.clone(), rendered(RowFormat::Csv, None, &all)),
+            (
+                "jsonl",
+                base.clone().with_format(RowFormat::Jsonl),
+                rendered(RowFormat::Jsonl, None, &all),
+            ),
+            (
+                "root evidence",
+                base.clone().where_eq("smoker", 1u32),
+                rendered(RowFormat::Csv, None, &root),
+            ),
+            (
+                "inner evidence",
+                base.clone().where_eq("cough", 1u32),
+                rendered(RowFormat::Csv, None, &inner),
+            ),
+            (
+                "projection",
+                base.clone().select("region").select("smoker"),
+                rendered(RowFormat::Csv, Some(&[2, 0]), &projected),
+            ),
+        ];
+        let start = 2 * CHUNK_ROWS + 5;
+        if rows > start {
+            // Resumed inside the third chunk: the suffix, without a header.
+            let cursor = Cursor { seed, row: start as u64, generation: None };
+            cases.push((
+                "resume",
+                base.clone().with_cursor(cursor),
+                RowFormat::Csv.render(schema, None, &all[start..]),
+            ));
+        }
+        for (name, spec, want) in cases {
+            let served: Vec<_> =
+                servers.iter().map(|h| chunked_synth(h.addr(), "m", &spec)).collect();
+            for ((sizes, body), threads) in served.iter().zip(THREADS) {
+                assert!(body == &want, "{name}, {rows} rows: body at {threads} threads");
+                assert_eq!(sizes, &served[0].0, "{name}, {rows} rows: chunks at {threads} threads");
+            }
+        }
+    }
+    for handle in servers {
+        Client::new(handle.addr().to_string()).shutdown().unwrap();
+        handle.join().unwrap();
     }
 }
