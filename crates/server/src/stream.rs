@@ -15,8 +15,6 @@
 //! its first row: every label its projected columns can take is rendered
 //! up front, so a row costs one slice copy per cell.
 //!
-//! [`ServerConfig::fit_threads`]: crate::ServerConfig::fit_threads
-//!
 //! CSV output is byte-compatible with `privbayes_data::csv::write_csv`
 //! restricted to the projected columns — the header line plus one
 //! label-per-cell line per row — so a streamed response concatenates to
@@ -24,6 +22,8 @@
 //! projection. JSONL output (`application/x-ndjson`) emits one compact JSON
 //! object per row, escaped through the same `Json` writer as the release
 //! artifacts.
+//!
+//! [`ServerConfig::fit_threads`]: crate::ServerConfig::fit_threads
 
 pub use privbayes_synth::RowFormat;
 

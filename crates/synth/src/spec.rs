@@ -437,7 +437,7 @@ impl RowRenderer {
         }
     }
 
-    /// Appends one row: the first `width` codes of `tuple`.
+    /// Appends one row: the first codes of `tuple`, one per column.
     #[inline]
     fn render_row(&self, tuple: &[u32], out: &mut Vec<u8>) {
         out.extend_from_slice(self.open);

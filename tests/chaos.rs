@@ -983,7 +983,7 @@ fn a_client_hang_up_ends_a_threaded_stream() {
 fn a_mid_stream_deadline_ends_a_threaded_stream() {
     let config = ServerConfig {
         fit_threads: Some(3),
-        handler_deadline: Duration::from_millis(100),
+        handler_deadline: Duration::from_millis(300),
         ..ServerConfig::default()
     };
     let (handle, _client, _slot) = start_server(config);
