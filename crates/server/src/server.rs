@@ -1168,9 +1168,10 @@ fn stream_synth(
 
 /// A stream's stage times and throughput counters. They accumulate locally
 /// per chunk and reach the shared metrics once, when the stream ends —
-/// finished, timed out, cut off by a failed write or unwound by a panic
-/// alike — together with the `privbayes_active_streams` decrement, so the
-/// per-chunk path pays no contention.
+/// finished, timed out or cut off by a failed write alike — together with
+/// the `privbayes_active_streams` decrement, so the per-chunk path pays no
+/// contention. A stream unwound by a panic records its counters and the
+/// decrement but no stage.
 ///
 /// `sample` sums every chunk's sampling time and `write` every chunk's
 /// render time plus the socket writes, whichever thread did the work: the
@@ -1194,8 +1195,12 @@ impl<'c, 'm> StreamRecord<'c, 'm> {
 impl Drop for StreamRecord<'_, '_> {
     fn drop(&mut self) {
         let metrics = self.ctx.metrics;
-        self.ctx.observe_stage("sample", self.sample);
-        self.ctx.observe_stage("write", self.write);
+        // A stage histogram is found under the registry's lock, which panics
+        // once poisoned, and a panic while unwinding aborts the process.
+        if !std::thread::panicking() {
+            self.ctx.observe_stage("sample", self.sample);
+            self.ctx.observe_stage("write", self.write);
+        }
         metrics.rows_streamed.add(self.rows);
         metrics.bytes_streamed.add(self.bytes);
         metrics.active_streams.sub(1);
