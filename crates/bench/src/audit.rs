@@ -51,6 +51,8 @@ use privbayes_marginals::average_workload_tvd;
 use privbayes_model::ReleasedModel;
 use privbayes_synth::{fit_method, FitSettings, Method};
 
+use crate::{per_rep, rep_seed};
+
 /// Per-conditional probability floor for log-likelihood scores. Released
 /// conditionals contain exact zeros (negative noisy cells clamp to 0), and
 /// on high-dimensional schemas *some* factor of an outlier tuple is zero in
@@ -336,38 +338,6 @@ fn calibrate_rule(cal_in: &[f64], cal_out: &[f64]) -> AttackRule {
     best
 }
 
-/// Derives the repetition seed `r` from the base seed (same splitmix-style
-/// spread as [`crate::mean_over_reps`]).
-fn seed_of(base_seed: u64, r: usize) -> u64 {
-    base_seed.wrapping_add(r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Runs `f` once per repetition seed across scoped worker threads and
-/// collects results in repetition order.
-fn per_rep_scores<F>(reps: usize, base_seed: u64, f: F) -> Result<Vec<(f64, f64)>, AuditError>
-where
-    F: Fn(u64) -> Result<(f64, f64), AuditError> + Sync,
-{
-    let workers =
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(reps).max(1);
-    let block = reps.div_ceil(workers);
-    let per_worker: Vec<Vec<Result<(f64, f64), AuditError>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..reps)
-            .step_by(block)
-            .map(|start| {
-                let f = &f;
-                scope.spawn(move || {
-                    (start..(start + block).min(reps))
-                        .map(|r| f(seed_of(base_seed, r)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("audit worker panicked")).collect()
-    });
-    per_worker.into_iter().flatten().collect()
-}
-
 /// Runs the full membership-inference audit for one fitter at one budget.
 ///
 /// `fitter(data, seed)` must return the released model plus the budget it
@@ -391,14 +361,16 @@ where
 {
     assert!(cfg.reps >= 4 && cfg.reps.is_multiple_of(2), "audit reps must be even and ≥ 4");
     let worlds = neighbor_worlds(base);
-    let scores = per_rep_scores(cfg.reps, cfg.base_seed, |seed| {
+    let scores = per_rep(cfg.reps, cfg.base_seed, |seed| {
         let (model_in, _) = fitter(&worlds.include, seed)?;
         let (model_out, _) = fitter(&worlds.exclude, seed)?;
         Ok((
             log_model_prob(&model_in, &worlds.target, cfg.cell_cap)?,
             log_model_prob(&model_out, &worlds.target, cfg.cell_cap)?,
         ))
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, AuditError>>()?;
 
     let m = cfg.eval_reps();
     let (cal, eval) = scores.split_at(cfg.reps - m);
@@ -411,7 +383,7 @@ where
 
     // Utility of the same configuration, measured once on the exclude world
     // at the first repetition seed.
-    let (utility_model, epsilon_spent) = fitter(&worlds.exclude, seed_of(cfg.base_seed, 0))?;
+    let (utility_model, epsilon_spent) = fitter(&worlds.exclude, rep_seed(cfg.base_seed, 0))?;
     let synthetic = utility_model
         .sample(base.n(), &mut sample_rng(cfg.base_seed))
         .map_err(|e| AuditError(e.to_string()))?;

@@ -33,12 +33,9 @@ pub const BETAS: [f64; 8] = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9];
 /// The θ grid of Figure 10.
 pub const THETAS: [f64; 8] = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0];
 
-/// Runs `f` for `reps` seeds in parallel and averages the results.
-///
-/// Workers are capped at [`std::thread::available_parallelism`] (each handles
-/// a contiguous block of repetitions) and results flow back through the
-/// scoped-join return values, so no shared mutable state is needed. The mean
-/// is accumulated in repetition order, independent of the worker count.
+/// Runs `f` for `reps` seeds in parallel and averages the results. The
+/// mean is accumulated in repetition order, independent of the worker
+/// count.
 ///
 /// # Panics
 /// Panics if `reps == 0` or a worker panics.
@@ -47,26 +44,45 @@ where
     F: Fn(u64) -> f64 + Sync,
 {
     assert!(reps > 0, "need at least one repetition");
-    let seed_of = |r: usize| base_seed.wrapping_add(r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    per_rep(reps, base_seed, f).iter().sum::<f64>() / reps as f64
+}
+
+/// The seed of repetition `r`: a splitmix-style spread of the base seed.
+pub(crate) fn rep_seed(base_seed: u64, r: usize) -> u64 {
+    base_seed.wrapping_add(r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Runs `f` once per repetition seed and returns the results in
+/// repetition order, whatever the worker count.
+///
+/// Workers are capped at [`std::thread::available_parallelism`], each
+/// handles a contiguous block of repetitions, and results flow back through
+/// the scoped-join return values, so no shared mutable state is needed.
+///
+/// # Panics
+/// Panics if a worker panics.
+pub(crate) fn per_rep<T, F>(reps: usize, base_seed: u64, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+{
     let workers =
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(reps).max(1);
-    if workers == 1 {
-        return (0..reps).map(|r| f(seed_of(r))).sum::<f64>() / reps as f64;
-    }
     let block = reps.div_ceil(workers);
-    let per_worker: Vec<Vec<f64>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..reps)
             .step_by(block)
             .map(|start| {
                 let f = &f;
                 scope.spawn(move || {
-                    (start..(start + block).min(reps)).map(|r| f(seed_of(r))).collect::<Vec<f64>>()
+                    (start..(start + block).min(reps))
+                        .map(|r| f(rep_seed(base_seed, r)))
+                        .collect::<Vec<T>>()
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("experiment worker panicked")).collect()
-    });
-    per_worker.iter().flatten().sum::<f64>() / reps as f64
+        handles.into_iter().flat_map(|h| h.join().expect("repetition worker panicked")).collect()
+    })
 }
 
 #[cfg(test)]

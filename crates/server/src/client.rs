@@ -101,10 +101,10 @@ impl RetryPolicy {
     }
 }
 
-/// The SplitMix64 step (duplicated privately: the fault module that also
-/// carries one is compiled out of release builds, and the client's jitter
-/// must not be).
-fn splitmix64(state: &mut u64) -> u64 {
+/// The SplitMix64 step — a tiny, dependency-free PRNG good enough for
+/// retry jitter, request-id seeds and fault schedules (not for anything
+/// DP-related).
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -695,5 +695,13 @@ mod tests {
         assert_eq!(retry_after(&response), Some(Duration::from_secs(1)));
         let response = Response { code: 503, headers: vec![], body: Vec::new() };
         assert_eq!(retry_after(&response), None);
+    }
+
+    #[test]
+    fn splitmix_is_deterministic() {
+        let mut a = 42u64;
+        let mut b = 42u64;
+        assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
+        assert_ne!(splitmix64(&mut a), splitmix64(&mut a), "stream advances");
     }
 }

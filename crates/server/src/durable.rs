@@ -1,5 +1,6 @@
-//! Append-only, checksummed record logs: the storage under the dataset
-//! journal.
+//! The one durable write path under the dataset journal and the budget
+//! ledger: append-only, checksummed record logs ([`Log`]) and whole-file
+//! replacement ([`replace`]).
 //!
 //! A log is a file of frames, each `[u32 len][u32 crc32][payload]`, both
 //! integers little-endian, the CRC-32 taken over the payload alone, and no
@@ -21,12 +22,21 @@
 //! damaged length field that points past the end of the file cannot be
 //! told from a torn final frame, and is cut as one.
 //!
+//! A replacement (the ledger's whole-file rewrite) writes the new bytes to
+//! a sibling `.tmp` file, syncs it, renames it over the target and syncs
+//! the parent directory. Without the file sync the rename could reach the
+//! disk before the data, and without the directory sync the rename itself
+//! could be lost, so a crash or a power loss at any instant leaves the
+//! complete old file or the complete new one. Nothing reads a leftover
+//! `.tmp` file; the next replacement overwrites it.
+//!
 //! Under fault injection an [`Injected`] fault ends one write at a
-//! `PersistStep`, leaving the file as a `kill -9` at that instant would:
-//! `CrashAt(Write)` before any byte, `ShortWrite` after half the frames,
-//! `CrashAt(Sync)` after all of them but before the sync, and
-//! `CrashAt(SyncDir)` (creation only) before the directory sync. `Fail`
-//! makes the sync report an error, which takes the real rollback path.
+//! `PersistStep`, leaving the files as a `kill -9` at that instant would:
+//! `CrashAt(Write)` before any byte, `ShortWrite` after half the bytes,
+//! `CrashAt(Sync)` after all of them but before the sync, `CrashAt(Rename)`
+//! (replacement only) before the rename, and `CrashAt(SyncDir)` (creation
+//! and replacement) before the directory sync. `Fail` makes the sync
+//! report an error, which takes the real rollback path.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek as _, SeekFrom, Write as _};
@@ -38,8 +48,8 @@ use crate::fault::{Fault, PersistStep};
 /// Bytes of a frame header: the payload length, then its CRC-32.
 pub(crate) const FRAME_HEADER: usize = 8;
 
-/// The fault aimed at one log write. Release builds have no fault
-/// injection, and the type is empty there.
+/// The fault aimed at one durable write: a log write or a replacement.
+/// Release builds have no fault injection, and the type is empty there.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Injected(#[cfg(any(test, feature = "fault-injection"))] pub(crate) Option<Fault>);
 
@@ -123,21 +133,16 @@ impl Log {
     /// # Errors
     /// Any I/O error; the file is then removed.
     pub(crate) fn create(path: &Path, frames: &[u8], fault: Injected) -> io::Result<Self> {
-        #[cfg(any(test, feature = "fault-injection"))]
-        fault.before(PersistStep::Write)?;
         let file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-        let log = Self { file, len: 0, dirty: false };
-        let written = log.write_frames(frames, fault).and_then(|()| {
-            log.file.sync_all()?;
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault.before(PersistStep::SyncDir)?;
-            sync_parent(path)
+        let written = write_at(&file, 0, frames, fault).and_then(|()| {
+            file.sync_all()?;
+            sync_parent(path, fault)
         });
         match written {
-            Ok(()) => Ok(Self { len: frames.len() as u64, ..log }),
+            Ok(()) => Ok(Self { file, len: frames.len() as u64, dirty: false }),
             Err(e) => {
                 if !is_crash(&e) {
-                    let _ = log.file.set_len(0);
+                    let _ = file.set_len(0);
                     let _ = std::fs::remove_file(path);
                 }
                 Err(e)
@@ -184,9 +189,7 @@ impl Log {
             self.file.set_len(self.len)?;
             self.dirty = false;
         }
-        #[cfg(any(test, feature = "fault-injection"))]
-        fault.before(PersistStep::Write)?;
-        match self.write_frames(frames, fault).and_then(|()| self.file.sync_data()) {
+        match write_at(&self.file, self.len, frames, fault).and_then(|()| self.file.sync_data()) {
             Ok(()) => {
                 self.len += frames.len() as u64;
                 Ok(())
@@ -197,29 +200,51 @@ impl Log {
             }
         }
     }
+}
 
-    /// Writes `frames` at the committed length, then takes the injected
-    /// faults that come before their sync. Any cut is left to the caller.
-    fn write_frames(&self, frames: &[u8], fault: Injected) -> io::Result<()> {
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(self.len))?;
-        #[cfg(any(test, feature = "fault-injection"))]
-        if fault.0 == Some(Fault::ShortWrite) {
-            file.write_all(&frames[..frames.len() / 2])?;
-            return Err(io::Error::other(InjectedCrash("injected crash mid-write".into())));
-        }
-        file.write_all(frames)?;
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            fault.before(PersistStep::Sync)?;
-            if fault.0 == Some(Fault::Fail) {
-                return Err(io::Error::other("injected sync failure"));
-            }
-        }
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let _ = fault;
-        Ok(())
+/// Replaces the file at `path` with `bytes`: a sibling `.tmp` file is
+/// written and synced, renamed over `path`, and the directory synced. See
+/// the module docs.
+///
+/// # Errors
+/// `Err` when the rename did not land: `path` is as it was, and a `.tmp`
+/// file may be left. `Ok(Err)` when the rename landed but the directory
+/// sync failed: `path` holds `bytes`, though a power loss may yet undo the
+/// rename.
+pub(crate) fn replace(path: &Path, bytes: &[u8], fault: Injected) -> io::Result<io::Result<()>> {
+    let tmp = path.with_extension("tmp");
+    let file = File::create(&tmp)?;
+    write_at(&file, 0, bytes, fault)?;
+    file.sync_all()?;
+    drop(file);
+    #[cfg(any(test, feature = "fault-injection"))]
+    fault.before(PersistStep::Rename)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(sync_parent(path, fault))
+}
+
+/// Writes `bytes` into `file` at offset `at`, then takes the injected
+/// faults that come before their sync. Any cut is left to the caller.
+fn write_at(mut file: &File, at: u64, bytes: &[u8], fault: Injected) -> io::Result<()> {
+    #[cfg(any(test, feature = "fault-injection"))]
+    fault.before(PersistStep::Write)?;
+    file.seek(SeekFrom::Start(at))?;
+    #[cfg(any(test, feature = "fault-injection"))]
+    if fault.0 == Some(Fault::ShortWrite) {
+        file.write_all(&bytes[..bytes.len() / 2])?;
+        return Err(io::Error::other(InjectedCrash("injected crash mid-write".into())));
     }
+    file.write_all(bytes)?;
+    #[cfg(any(test, feature = "fault-injection"))]
+    {
+        fault.before(PersistStep::Sync)?;
+        if fault.0 == Some(Fault::Fail) {
+            return Err(io::Error::other("injected sync failure"));
+        }
+    }
+    #[cfg(not(any(test, feature = "fault-injection")))]
+    let _ = fault;
+    Ok(())
 }
 
 /// The payload of the frame at the start of `rest`, or `None` where the
@@ -243,7 +268,11 @@ fn whole_frame(rest: &[u8]) -> Result<Option<&[u8]>, String> {
 }
 
 /// Makes `path`'s directory entry durable.
-fn sync_parent(path: &Path) -> io::Result<()> {
+fn sync_parent(path: &Path, fault: Injected) -> io::Result<()> {
+    #[cfg(any(test, feature = "fault-injection"))]
+    fault.before(PersistStep::SyncDir)?;
+    #[cfg(not(any(test, feature = "fault-injection")))]
+    let _ = fault;
     #[cfg(unix)]
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         File::open(parent)?.sync_all()?;

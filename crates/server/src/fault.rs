@@ -35,11 +35,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::client::splitmix64;
+
 /// Where a fault is injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// One [`crate::BudgetLedger`] persistence attempt (one counter tick
-    /// per persist call, faults name a [`PersistStep`] inside it).
+    /// One rewrite of the [`crate::BudgetLedger`] file (one counter tick
+    /// per persist call; faults name a [`PersistStep`] inside it). It goes
+    /// through the same write, sync and directory-sync code as a
+    /// [`FaultSite::DatasetPersist`] write.
     LedgerPersist,
     /// One `read` call on a connection's socket.
     ConnRead,
@@ -76,16 +80,17 @@ impl FaultSite {
 /// A step inside a persist sequence; [`Fault::CrashAt`] aborts the sequence
 /// immediately before the named step.
 ///
-/// The ledger rewrites its whole file: it writes a sibling temp file
-/// (`Write`), `fsync`s it (`Sync`), renames it over the target (`Rename`)
-/// and `fsync`s the parent directory (`SyncDir`). A dataset-log append
-/// writes its frames at the end of the log (`Write`) and `fsync`s them
-/// (`Sync`); the append that creates a tenant's log then `fsync`s the
-/// directory (`SyncDir`). [`Fault::ShortWrite`] covers death in the middle
-/// of a write.
+/// Both persisters write through one sequence. The ledger replaces its
+/// whole file: it writes a sibling temp file (`Write`), `fsync`s it
+/// (`Sync`), renames it over the target (`Rename`) and `fsync`s the parent
+/// directory (`SyncDir`). A dataset-log append writes its frames at the
+/// end of the log (`Write`) and `fsync`s them (`Sync`); the append that
+/// creates a tenant's log then `fsync`s the directory (`SyncDir`).
+/// [`Fault::ShortWrite`] covers death in the middle of a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistStep {
-    /// Writing the ledger's temp file, or a log's frames.
+    /// Writing the ledger's temp file, or a log's frames: the file is
+    /// open and none of the bytes is written.
     Write,
     /// `fsync` of what was written.
     Sync,
@@ -99,9 +104,10 @@ pub enum PersistStep {
 /// What happens when a rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Report a clean I/O error (exercises rollback paths): the ledger
-    /// fails before writing anything, a dataset log when it syncs the
-    /// frames it has written.
+    /// Report a clean I/O error (exercises rollback paths). On persistence
+    /// the sync of the written bytes fails and the real rollback runs: a
+    /// dataset log is cut back to its committed length, and the ledger
+    /// undoes its mutation, leaving its file as it was.
     Fail,
     /// Write roughly half the bytes, then die. On the ledger this tears the
     /// temp file, on a dataset log the final frame; on a connection it
@@ -208,17 +214,6 @@ impl FaultPlan {
     pub fn sites() -> [FaultSite; 5] {
         SITES
     }
-}
-
-/// The SplitMix64 step — a tiny, dependency-free PRNG good enough for
-/// schedule sampling and retry jitter (not for anything DP-related).
-#[must_use]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A connection stream with faults injected per the plan: each `read` /
@@ -360,13 +355,5 @@ mod tests {
         let mut reader = FaultStream::new(&b"data"[..], Some(plan));
         let mut buf = [0u8; 4];
         assert!(reader.read(&mut buf).is_err(), "read reset fires on step 0");
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = 42u64;
-        let mut b = 42u64;
-        assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
-        assert_ne!(splitmix64(&mut a), splitmix64(&mut a), "stream advances");
     }
 }

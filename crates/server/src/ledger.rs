@@ -14,30 +14,30 @@
 //! restarts exactly: budgets round-trip bit-for-bit. A file in any other
 //! format is refused at startup.
 //!
-//! Persistence is crash-durable, not just atomic: the sibling temp file is
-//! `fsync`ed before the rename, and the parent directory is `fsync`ed
-//! after it, so a power loss at *any* instant leaves the file as either
-//! the complete old state or the complete new one. A charge is only
-//! reported as spent once the rename has landed — a ledger that forgets a
-//! debit would let a tenant re-spend ε and silently void the DP
-//! guarantee. The fault-injection tests kill the persist sequence at every
-//! step and prove the reloaded ledger is always pre- or post-mutation.
+//! Each rewrite is one crash-durable replacement through the `durable`
+//! module, the dataset journal's storage: a synced temp file renamed over
+//! the target, then a synced directory, so a crash or a power loss at
+//! *any* instant leaves the file as either the complete old state or the
+//! complete new one. A mutation stands once the rename has landed and is
+//! rolled back otherwise, so a charge is only reported as spent once it is
+//! on disk — a ledger that forgets a debit would let a tenant re-spend ε
+//! and silently void the DP guarantee. The fault-injection tests kill the
+//! persist sequence at every step and prove the reloaded ledger is always
+//! pre- or post-mutation.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use privbayes_dp::{DpError, PrivacyBudget};
 use privbayes_model::{budget_from_json, budget_to_json, Json};
 use privbayes_obs::{Counter, Histogram};
 
-use crate::durable::crc32;
+use crate::durable::{self, crc32, Injected};
 use crate::error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
-use crate::fault::{Fault, FaultPlan, FaultSite, PersistStep};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::registry::validate_id;
 use std::sync::Arc;
 
@@ -134,16 +134,6 @@ pub struct BudgetLedger {
     observer: Mutex<Option<LedgerObserver>>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: Mutex<Option<Arc<FaultPlan>>>,
-}
-
-/// Why a persist attempt did not complete cleanly, and whether the data
-/// nevertheless made it: once the rename has landed the new state *is* the
-/// file (a later directory-sync failure only delays durability of the
-/// directory entry), so callers keep the mutation. Before the rename,
-/// nothing reached the target and callers must roll back.
-struct PersistFailure {
-    durable: bool,
-    error: ServerError,
 }
 
 impl BudgetLedger {
@@ -260,124 +250,41 @@ impl BudgetLedger {
         .expect("budgets are finite")
     }
 
-    /// Persists under the lock so file contents always match a consistent
-    /// in-memory state. The sequence — write sibling temp file, `fsync` it,
-    /// rename over the target, `fsync` the parent directory — guarantees a
-    /// crash at any instant leaves either the old complete ledger or the
-    /// new one, *durably*: without the temp-file sync the rename can land
-    /// before the data blocks do, and without the directory sync the rename
-    /// itself can evaporate on power loss.
+    /// Rewrites the ledger file, if it has one, under the lock so its
+    /// contents always match a consistent in-memory state. `Err` means the
+    /// new state did not reach the file, and the caller must roll its
+    /// mutation back. Once the rename has landed the file *is* the new
+    /// state, so a failed directory sync after it is counted but not
+    /// returned: dropping the mutation then would un-spend recorded ε.
     ///
     /// Under fault injection, one [`FaultSite::LedgerPersist`] step is
-    /// consumed per call; a `CrashAt(step)` fault aborts immediately before
-    /// the named step, exactly as `kill -9` at that instant would.
-    fn persist(
-        &self,
-        tenants: &BTreeMap<String, PrivacyBudget>,
-        path: &Path,
-    ) -> Result<(), PersistFailure> {
+    /// consumed per call.
+    fn persist(&self, tenants: &BTreeMap<String, PrivacyBudget>) -> Result<(), ServerError> {
+        let Some(path) = &self.path else { return Ok(()) };
+        #[cfg(any(test, feature = "fault-injection"))]
+        let fault = Injected(
+            self.fault
+                .lock()
+                .expect("fault lock poisoned")
+                .as_ref()
+                .and_then(|plan| plan.take(FaultSite::LedgerPersist)),
+        );
+        #[cfg(not(any(test, feature = "fault-injection")))]
+        let fault = Injected::default();
         let started = std::time::Instant::now();
-        let result = self.persist_inner(tenants, path);
+        let result = durable::replace(path, Self::render(tenants).as_bytes(), fault);
         if let Some(obs) = self.observer.lock().expect("observer lock poisoned").as_ref() {
             obs.persist_seconds.observe(started.elapsed());
             match &result {
-                Ok(()) => obs.ok.inc(),
-                Err(f) if f.durable => obs.durable_failure.inc(),
+                Ok(Ok(())) => obs.ok.inc(),
+                Ok(Err(_)) => obs.durable_failure.inc(),
                 Err(_) => obs.rolled_back.inc(),
             }
         }
-        result
-    }
-
-    fn persist_inner(
-        &self,
-        tenants: &BTreeMap<String, PrivacyBudget>,
-        path: &Path,
-    ) -> Result<(), PersistFailure> {
-        let io_err = |e: std::io::Error| ServerError::Ledger(format!("{}: {e}", path.display()));
-        let fail = |durable: bool, error: ServerError| -> PersistFailure {
-            PersistFailure { durable, error }
-        };
-        let body = Self::render(tenants);
-        let tmp = path.with_extension("tmp");
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        let injected: Option<Fault> = self
-            .fault
-            .lock()
-            .expect("fault lock poisoned")
-            .as_ref()
-            .map(Arc::clone)
-            .and_then(|p| p.take(FaultSite::LedgerPersist));
-        #[cfg(any(test, feature = "fault-injection"))]
-        let crashed = |step: PersistStep| -> Option<PersistFailure> {
-            match injected {
-                Some(Fault::CrashAt(s)) if s == step => Some(PersistFailure {
-                    durable: step == PersistStep::SyncDir,
-                    error: ServerError::Ledger(format!("injected crash before {step:?}")),
-                }),
-                _ => None,
-            }
-        };
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            if let Some(f) = crashed(PersistStep::Write) {
-                return Err(f);
-            }
-            match injected {
-                Some(Fault::Fail) => {
-                    return Err(fail(
-                        false,
-                        ServerError::Ledger("injected persist failure".to_string()),
-                    ))
-                }
-                Some(Fault::ShortWrite) => {
-                    // Die halfway through writing the temp file: the target
-                    // is untouched, the temp file is torn garbage.
-                    let _ = std::fs::write(&tmp, &body.as_bytes()[..body.len() / 2]);
-                    return Err(fail(
-                        false,
-                        ServerError::Ledger("injected crash mid temp-file write".to_string()),
-                    ));
-                }
-                _ => {}
-            }
+        match result {
+            Ok(_) => Ok(()),
+            Err(e) => Err(ServerError::Ledger(format!("{}: {e}", path.display()))),
         }
-
-        let mut file = File::create(&tmp).map_err(|e| fail(false, io_err(e)))?;
-        file.write_all(body.as_bytes()).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(PersistStep::Sync) {
-            return Err(f);
-        }
-
-        file.sync_all().map_err(|e| fail(false, io_err(e)))?;
-        drop(file);
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(PersistStep::Rename) {
-            return Err(f);
-        }
-
-        std::fs::rename(&tmp, path).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(PersistStep::SyncDir) {
-            return Err(f);
-        }
-
-        // Make the rename itself durable. A failure here is reported but
-        // flagged durable: the file already holds the new state, so callers
-        // must keep the mutation (dropping it would un-spend recorded ε).
-        #[cfg(unix)]
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = File::open(parent).and_then(|dir| dir.sync_all()) {
-                return Err(fail(true, io_err(e)));
-            }
-        }
-        Ok(())
     }
 
     /// Registers `tenant` with a total budget of `total` ε. Re-registering
@@ -396,28 +303,11 @@ impl BudgetLedger {
             return Err(ServerError::Conflict(format!("tenant `{tenant}` is already registered")));
         }
         tenants.insert(tenant.to_string(), budget);
-        if let Some(path) = &self.path {
-            if let Err(f) = self.persist(&tenants, path) {
-                if !f.durable {
-                    tenants.remove(tenant);
-                    return Err(f.error);
-                }
-            }
+        if let Err(e) = self.persist(&tenants) {
+            tenants.remove(tenant);
+            return Err(e);
         }
         Ok(())
-    }
-
-    /// Non-consuming probe: would a charge of `epsilon` against `tenant`
-    /// succeed right now?
-    ///
-    /// # Errors
-    /// The same [`LedgerError`]s as [`BudgetLedger::charge`], without any
-    /// state change either way.
-    pub fn check(&self, tenant: &str, epsilon: f64) -> Result<(), LedgerError> {
-        let tenants = self.lock();
-        let budget =
-            tenants.get(tenant).ok_or_else(|| LedgerError::UnknownTenant(tenant.to_string()))?;
-        map_dp_error(budget.check(epsilon), tenant, budget)
     }
 
     /// Atomically debits `epsilon` from `tenant`, returning the remaining
@@ -438,15 +328,10 @@ impl BudgetLedger {
             .ok_or_else(|| LedgerError::UnknownTenant(tenant.to_string()))?;
         map_dp_error(budget.consume(epsilon), tenant, budget)?;
         let remaining = budget.remaining();
-        if let Some(path) = &self.path {
-            if let Err(f) = self.persist(&tenants, path) {
-                if !f.durable {
-                    // Never hand out budget that is not durably recorded.
-                    tenants.get_mut(tenant).expect("present above").refund(epsilon);
-                    return Err(LedgerError::Persistence(f.error.to_string()));
-                }
-                // Rename landed: the debit is on disk, keep it.
-            }
+        if let Err(e) = self.persist(&tenants) {
+            // Never hand out budget that is not durably recorded.
+            tenants.get_mut(tenant).expect("present above").refund(epsilon);
+            return Err(LedgerError::Persistence(e.to_string()));
         }
         Ok(remaining)
     }
@@ -461,12 +346,8 @@ impl BudgetLedger {
         let mut tenants = self.lock();
         if let Some(budget) = tenants.get_mut(tenant) {
             budget.refund(epsilon);
-            if let Some(path) = &self.path {
-                if let Err(f) = self.persist(&tenants, path) {
-                    if !f.durable {
-                        let _ = tenants.get_mut(tenant).expect("present above").consume(epsilon);
-                    }
-                }
+            if self.persist(&tenants).is_err() {
+                let _ = tenants.get_mut(tenant).expect("present above").consume(epsilon);
             }
         }
     }
@@ -524,8 +405,6 @@ mod tests {
         let ledger = BudgetLedger::in_memory();
         ledger.register("acme", 1.0).unwrap();
         ledger.charge("acme", 0.4).unwrap();
-        assert!(ledger.check("acme", 0.6).is_ok(), "exactly the remainder passes");
-        assert!(matches!(ledger.check("acme", 0.7), Err(LedgerError::Exhausted { .. })));
         let before = ledger.budget("acme").unwrap();
         let err = ledger.charge("acme", 0.7).unwrap_err();
         assert!(matches!(err, LedgerError::Exhausted { ref tenant, .. } if tenant == "acme"));

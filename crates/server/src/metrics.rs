@@ -22,6 +22,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use privbayes_obs::{json_escape, Counter, Gauge, Histogram, MetricKind, Registry};
 
+use crate::client::splitmix64;
 use crate::ledger::TenantBudget;
 use crate::registry::ModelEntry;
 
@@ -153,7 +154,10 @@ impl ServerMetrics {
             "privbayes_ledger_persist_seconds",
             "Wall time of ledger persist attempts (write, fsync, rename, dir sync)",
         );
-        let fit_seconds = describe_histogram("privbayes_fit_seconds", "Wall time of fit requests");
+        let fit_seconds = describe_histogram(
+            "privbayes_fit_seconds",
+            "Wall time of fits (POST /fit and ingest refits), the model load excluded",
+        );
         let alias_build_seconds = describe_histogram(
             "privbayes_alias_build_seconds",
             "Wall time compiling alias tables at model load/registration",
@@ -165,7 +169,7 @@ impl ServerMetrics {
         // A process-stable base for generated request ids: wall-clock nanos
         // folded with the pid, SplitMix64-mixed so ids from two servers
         // started in the same nanosecond still differ.
-        let seed = SystemTime::now()
+        let mut seed = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0))
             ^ (u64::from(std::process::id()) << 32);
@@ -182,7 +186,7 @@ impl ServerMetrics {
             alias_build_seconds,
             connections_reused,
             access_log: access_log.map(Mutex::new),
-            id_base: mix64(seed),
+            id_base: splitmix64(&mut seed),
             id_seq: AtomicU64::new(0),
         }
     }
@@ -377,14 +381,6 @@ pub(crate) fn render_model_generations(out: &mut String, models: &[Arc<ModelEntr
 /// Escapes a Prometheus label value (backslash, quote, newline).
 fn escape_label(value: &str) -> String {
     value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-/// SplitMix64 finalizer — spreads the id seed over the whole word.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
 use privbayes_data::csv::read_csv;
 use privbayes_model::{schema_from_json, seed_from_json, Json, ReleasedModel};
 use privbayes_synth::{
-    fit_method, fit_method_with_engine, render_chunks, Cursor, EngineStats, FitSettings,
+    fit_method, fit_method_with_engine, render_chunks, Cursor, FitSettings, FittedArtifact,
     MarginalQuery, Method, ResolvedSynth, RowRenderer, SpecError, SynthSpec,
 };
 use rand::rngs::StdRng;
@@ -1339,18 +1339,7 @@ fn parse_ingest_body(json: &Json) -> Result<(Option<RefitSpec>, BatchFormat, Str
         None => None,
         Some(v) => {
             let model_id = v.as_str().ok_or_else(|| field("model_id"))?.to_string();
-            let method = match json.get("method") {
-                None => Method::PrivBayes,
-                Some(v) => {
-                    let name = v.as_str().ok_or_else(|| field("method"))?;
-                    Method::parse(name).ok_or_else(|| {
-                        ServerError::Protocol(format!(
-                            "unknown method `{name}`; valid methods: {}",
-                            Method::names()
-                        ))
-                    })?
-                }
-            };
+            let method = parse_method(json)?;
             let epsilon =
                 json.get("epsilon").and_then(Json::as_f64).ok_or_else(|| field("epsilon"))?;
             let seed = match json.get("seed") {
@@ -1370,80 +1359,117 @@ fn parse_ingest_body(json: &Json) -> Result<(Option<RefitSpec>, BatchFormat, Str
     Ok((spec, format, text))
 }
 
-/// One background refit: debit the tenant exactly as `POST /fit` would,
-/// fit over the tenant's live engine, hot-swap the model's registry
-/// generation, and refund the debit on any failure — a failed refit never
-/// leaks budget, a successful one is charged exactly once. The fit holds
-/// the tenant's dataset lock, so same-tenant appends queue behind it and
-/// each generation covers an exact point-in-time prefix of the data.
+/// Parses the body's `method` field, `privbayes` when absent.
+fn parse_method(json: &Json) -> Result<Method, ServerError> {
+    let Some(v) = json.get("method") else { return Ok(Method::PrivBayes) };
+    let name =
+        v.as_str().ok_or_else(|| ServerError::Protocol("missing or mistyped `method`".into()))?;
+    Method::parse(name).ok_or_else(|| {
+        ServerError::Protocol(format!(
+            "unknown method `{name}`; valid methods: {}",
+            Method::names()
+        ))
+    })
+}
+
+/// One background refit: a [`charged_fit`] over the tenant's live engine
+/// that hot-swaps the model's registry generation. The fit holds the
+/// tenant's dataset lock, so same-tenant appends queue behind it and each
+/// generation covers an exact point-in-time prefix of the data.
 fn run_refit(shared: &Shared, job: &RefitJob) {
     let spec = &job.spec;
-    let spends = spec.method.spends_budget();
-    if spends {
-        if let Err(e) = shared.ledger.charge(&job.tenant, spec.epsilon) {
-            let status = match e {
-                LedgerError::Exhausted { .. } => "exhausted",
-                _ => "charge-failed",
-            };
-            shared.metrics.record_refit(status);
-            shared.store.refit_finished(&job.tenant, None);
-            return;
-        }
-    } else if shared.ledger.budget(&job.tenant).is_none() {
-        shared.metrics.record_refit("charge-failed");
-        shared.store.refit_finished(&job.tenant, None);
-        return;
-    }
     let settings = FitSettings {
         threads: shared.config.fit_threads,
         comment: format!("refit via privbayes-server ingest for tenant {}", job.tenant),
         ..FitSettings::default()
     };
-    let fit_started = Instant::now();
-    let outcome = shared.store.with_engine(&job.tenant, |engine| {
-        let before = engine.stats();
-        let fitted =
-            fit_method_with_engine(spec.method, engine, spec.epsilon, spec.seed, &settings);
-        (before, fitted)
-    });
-    shared.metrics.fit_seconds.observe(fit_started.elapsed());
-    let loaded = match outcome {
-        Some((before, Ok(fitted))) => {
-            // The tenant engine is long-lived; record only this fit's
-            // counter increments, not the cumulative engine totals.
-            let after = fitted.stats;
-            shared.metrics.record_engine(&EngineStats {
-                scans: after.scans.saturating_sub(before.scans),
-                bytes_materialized: after
-                    .bytes_materialized
-                    .saturating_sub(before.bytes_materialized),
-                subsets: after.subsets.saturating_sub(before.subsets),
-                ..after
-            });
-            // The rows the fit saw, which include any appended after the
-            // job was cut.
-            let fitted_rows = fitted.artifact.metadata.source_rows as u64;
-            let compile_started = Instant::now();
-            let loaded = shared.registry.load(&spec.model_id, fitted.artifact);
-            shared.metrics.alias_build_seconds.observe(compile_started.elapsed());
-            loaded.map(|_| fitted_rows)
-        }
-        Some((_, Err(e))) => Err(ServerError::Model(e.to_string())),
-        None => Err(ServerError::Dataset(format!("tenant `{}` vanished mid-refit", job.tenant))),
+    let target = FitTarget {
+        tenant: &job.tenant,
+        model_id: &spec.model_id,
+        method: spec.method,
+        epsilon: spec.epsilon,
     };
-    match loaded {
-        Ok(fitted_rows) => {
-            shared.metrics.record_refit("ok");
-            shared.store.refit_finished(&job.tenant, Some(fitted_rows));
+    let outcome = charged_fit(shared, &target, &mut |_| {}, || {
+        let vanished =
+            || ServerError::Dataset(format!("tenant `{}` vanished mid-refit", job.tenant));
+        shared
+            .store
+            .with_engine(&job.tenant, |engine| {
+                fit_method_with_engine(spec.method, engine, spec.epsilon, spec.seed, &settings)
+            })
+            .ok_or_else(vanished)?
+            .map_err(|e| ServerError::Model(e.to_string()))
+    });
+    let (status, fitted_rows) = match outcome {
+        // The rows the fit saw, which include any appended after the job
+        // was cut.
+        Ok(entry) => ("ok", Some(entry.artifact.metadata.source_rows as u64)),
+        Err(FitError::Refused(LedgerError::Exhausted { .. })) => ("exhausted", None),
+        Err(FitError::Refused(_)) => ("charge-failed", None),
+        Err(FitError::Failed(_)) => ("failed", None),
+    };
+    shared.metrics.record_refit(status);
+    shared.store.refit_finished(&job.tenant, fitted_rows);
+}
+
+/// Who pays for a fit, which model id its artifact loads under, and what
+/// it charges.
+struct FitTarget<'a> {
+    tenant: &'a str,
+    model_id: &'a str,
+    method: Method,
+    epsilon: f64,
+}
+
+/// Why a [`charged_fit`] loaded no model.
+enum FitError {
+    /// The ledger refused the charge, or does not know the tenant of a fit
+    /// that spends no budget: nothing was spent and no data was read.
+    Refused(LedgerError),
+    /// The fit or the registry load failed, and the charge was refunded.
+    Failed(ServerError),
+}
+
+/// The charge → fit → load sequence of `POST /fit` and the ingest refits.
+/// Debits the tenant the target's ε before `fit` reads any data (a method
+/// that spends no budget only needs a registered tenant), records the
+/// fit's engine counters, loads its artifact as the model id's next
+/// generation, and refunds the debit if the fit or the load fails: a failed
+/// fit never leaks budget, a successful one is charged exactly once.
+/// `privbayes_fit_seconds` times `fit` alone, `privbayes_alias_build_seconds`
+/// the load, and `stage` closes the request's `ledger` stage.
+fn charged_fit(
+    shared: &Shared,
+    target: &FitTarget<'_>,
+    stage: &mut dyn FnMut(&'static str),
+    fit: impl FnOnce() -> Result<FittedArtifact, ServerError>,
+) -> Result<Arc<ModelEntry>, FitError> {
+    let spends = target.method.spends_budget();
+    let charged = if spends {
+        shared.ledger.charge(target.tenant, target.epsilon).map(drop)
+    } else if shared.ledger.budget(target.tenant).is_none() {
+        Err(LedgerError::UnknownTenant(target.tenant.to_string()))
+    } else {
+        Ok(())
+    };
+    stage("ledger");
+    charged.map_err(FitError::Refused)?;
+    let fit_started = Instant::now();
+    let fitted = fit();
+    shared.metrics.fit_seconds.observe(fit_started.elapsed());
+    let loaded = fitted.and_then(|fitted| {
+        shared.metrics.record_engine(&fitted.stats);
+        let compile_started = Instant::now();
+        let loaded = shared.registry.load(target.model_id, fitted.artifact);
+        shared.metrics.alias_build_seconds.observe(compile_started.elapsed());
+        loaded.map(|(entry, _)| entry)
+    });
+    loaded.map_err(|e| {
+        if spends {
+            shared.ledger.refund(target.tenant, target.epsilon);
         }
-        Err(_) => {
-            if spends {
-                shared.ledger.refund(&job.tenant, spec.epsilon);
-            }
-            shared.metrics.record_refit("failed");
-            shared.store.refit_finished(&job.tenant, None);
-        }
-    }
+        FitError::Failed(e)
+    })
 }
 
 /// Parses a request body as UTF-8 JSON.
@@ -1463,12 +1489,11 @@ fn respond_invalid_spec(
     respond_error(out, ctx, 400, "invalid-spec", &e.to_string())
 }
 
-/// `POST /fit`: debit the tenant, fit on the uploaded table with the
-/// requested method, register the resulting model. The charge happens first
-/// (atomically), and is refunded if the input turns out to be invalid — so a
-/// rejected or failed request never leaks budget, and an over-budget request
-/// never touches the data. Methods that spend no budget (`uniform`) skip the
-/// charge entirely, but the tenant must still be registered.
+/// `POST /fit`: a [`charged_fit`] on the uploaded table with the requested
+/// method, which registers the resulting model. The charge comes first, so
+/// an over-budget request never touches the data, and a rejected or failed
+/// request never leaks budget. Methods that spend no budget (`uniform`)
+/// skip the charge, but the tenant must still be registered.
 fn fit(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
     let Call { req, deadline, ctx, .. } = call;
     let parsed = match parse_fit_body(&req.body) {
@@ -1481,46 +1506,14 @@ fn fit(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<
     if Instant::now() >= deadline {
         return respond_error(out, ctx, 408, "request-timeout", "handler deadline expired");
     }
-    let spends = parsed.method.spends_budget();
-    if spends {
-        let charged = shared.ledger.charge(&parsed.tenant, parsed.epsilon);
-        ctx.stage("ledger");
-        match charged {
-            Ok(_) => {}
-            Err(e @ LedgerError::Exhausted { .. }) => {
-                let message = e.to_string();
-                let LedgerError::Exhausted { tenant, requested, remaining } = e else {
-                    return respond_error(out, ctx, 500, "internal", &message);
-                };
-                let body = Json::object(vec![
-                    ("error", Json::String("budget-exhausted".into())),
-                    ("message", Json::String(message)),
-                    ("tenant", Json::String(tenant)),
-                    ("requested", Json::Number(requested)),
-                    ("remaining", Json::Number(remaining)),
-                ]);
-                return respond_json(out, ctx, 402, &body);
-            }
-            Err(LedgerError::UnknownTenant(t)) => {
-                return respond_error(out, ctx, 404, "tenant-not-found", &t);
-            }
-            Err(LedgerError::InvalidAmount(msg)) => {
-                return respond_error(out, ctx, 400, "bad-request", &msg);
-            }
-            Err(e @ LedgerError::Persistence(_)) => {
-                return respond_error(out, ctx, 500, "ledger-error", &e.to_string());
-            }
-        }
-    } else if shared.ledger.budget(&parsed.tenant).is_none() {
-        ctx.stage("ledger");
-        return respond_error(out, ctx, 404, "tenant-not-found", &parsed.tenant);
-    } else {
-        ctx.stage("ledger");
-    }
-    // Charged: any failure from here on refunds before reporting.
-    let fit_started = Instant::now();
-    let outcome = run_fit(shared, &parsed);
-    shared.metrics.fit_seconds.observe(fit_started.elapsed());
+    let target = FitTarget {
+        tenant: &parsed.tenant,
+        model_id: &parsed.model_id,
+        method: parsed.method,
+        epsilon: parsed.epsilon,
+    };
+    let outcome =
+        charged_fit(shared, &target, &mut |stage| ctx.stage(stage), || run_fit(shared, &parsed));
     match outcome {
         Ok(entry) => {
             let remaining = shared.ledger.budget(&parsed.tenant).map_or(0.0, |row| row.remaining());
@@ -1531,12 +1524,31 @@ fn fit(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<
             }
             respond_json(out, ctx, 201, &body)
         }
-        Err(e) => {
-            if spends {
-                shared.ledger.refund(&parsed.tenant, parsed.epsilon);
+        Err(FitError::Refused(e)) => {
+            let message = e.to_string();
+            match e {
+                LedgerError::Exhausted { tenant, requested, remaining } => {
+                    let body = Json::object(vec![
+                        ("error", Json::String("budget-exhausted".into())),
+                        ("message", Json::String(message)),
+                        ("tenant", Json::String(tenant)),
+                        ("requested", Json::Number(requested)),
+                        ("remaining", Json::Number(remaining)),
+                    ]);
+                    respond_json(out, ctx, 402, &body)
+                }
+                LedgerError::UnknownTenant(t) => {
+                    respond_error(out, ctx, 404, "tenant-not-found", &t)
+                }
+                LedgerError::InvalidAmount(msg) => {
+                    respond_error(out, ctx, 400, "bad-request", &msg)
+                }
+                LedgerError::Persistence(_) => {
+                    respond_error(out, ctx, 500, "ledger-error", &message)
+                }
             }
-            respond_error(out, ctx, 400, "fit-failed", &e.to_string())
         }
+        Err(FitError::Failed(e)) => respond_error(out, ctx, 400, "fit-failed", &e.to_string()),
     }
 }
 
@@ -1581,22 +1593,10 @@ fn parse_fit_body(body: &[u8]) -> Result<FitRequest, ServerError> {
     // never spend CPU on the DP mechanism.
     let model_id = str_field("model_id")?;
     crate::registry::validate_id(&model_id)?;
-    let method = match json.get("method") {
-        None => Method::PrivBayes,
-        Some(v) => {
-            let name = v.as_str().ok_or_else(|| field("method"))?;
-            Method::parse(name).ok_or_else(|| {
-                ServerError::Protocol(format!(
-                    "unknown method `{name}`; valid methods: {}",
-                    Method::names()
-                ))
-            })?
-        }
-    };
     Ok(FitRequest {
         tenant: str_field("tenant")?,
         model_id,
-        method,
+        method: parse_method(&json)?,
         epsilon: json.get("epsilon").and_then(Json::as_f64).ok_or_else(|| field("epsilon"))?,
         beta: opt_number("beta")?,
         theta: opt_number("theta")?,
@@ -1612,9 +1612,8 @@ fn parse_fit_body(body: &[u8]) -> Result<FitRequest, ServerError> {
     })
 }
 
-/// Fits the model with the requested method and registers it; every failure
-/// is reported (and the caller refunds).
-fn run_fit(shared: &Shared, fit: &FitRequest) -> Result<Arc<ModelEntry>, ServerError> {
+/// Decodes the uploaded table and fits it with the requested method.
+fn run_fit(shared: &Shared, fit: &FitRequest) -> Result<FittedArtifact, ServerError> {
     let schema = schema_from_json(&fit.schema).map_err(|e| ServerError::Model(e.to_string()))?;
     let data = read_csv(&schema, fit.csv.as_bytes())
         .map_err(|e| ServerError::Model(format!("csv: {e}")))?;
@@ -1638,17 +1637,8 @@ fn run_fit(shared: &Shared, fit: &FitRequest) -> Result<Arc<ModelEntry>, ServerE
             .map_err(|_| ServerError::Io("entropy source unavailable".into()))?
             .random::<u64>(),
     };
-    let fitted = fit_method(fit.method, &data, fit.epsilon, seed, &settings)
-        .map_err(|e| ServerError::Model(e.to_string()))?;
-    // The fit-phase engine counters (scans, bytes materialised, subsets
-    // walked) feed the `privbayes_engine_*` families; the registry load is the
-    // alias-compile step and is timed as such.
-    shared.metrics.record_engine(&fitted.stats);
-    let compile_started = Instant::now();
-    let loaded = shared.registry.load(&fit.model_id, fitted.artifact);
-    shared.metrics.alias_build_seconds.observe(compile_started.elapsed());
-    let (entry, _) = loaded?;
-    Ok(entry)
+    fit_method(fit.method, &data, fit.epsilon, seed, &settings)
+        .map_err(|e| ServerError::Model(e.to_string()))
 }
 
 /// A model's public metadata (no conditionals — those are the artifact).
@@ -1799,6 +1789,31 @@ mod tests {
         let response = client.ingest("acme", &body).unwrap();
         assert_eq!(response.code, 200, "{}", response.text());
         assert_eq!(store.snapshot()[0].refit.seed, u64::MAX);
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A charged fit whose table fails to decode refunds its charge in
+    /// full and registers no model.
+    #[test]
+    fn a_failed_fit_refunds_its_charge() {
+        let (_, handle, client) = serve();
+        let body = Json::object(vec![
+            ("tenant", Json::String("acme".into())),
+            ("model_id", Json::String("fitted".into())),
+            ("epsilon", Json::Number(0.5)),
+            ("seed", Json::Number(5.0)),
+            ("schema", schema_to_json(&schema())),
+            ("csv", Json::String("a,b,c\n0,0,7\n".into())),
+        ]);
+        let response = client.fit_raw(&body).unwrap();
+        assert_eq!(response.code, 400, "{}", response.text());
+        assert!(response.text().contains("fit-failed"), "{}", response.text());
+        let snapshot = client.metrics().unwrap();
+        assert_eq!(snapshot.value("privbayes_fit_seconds_count", &[]), Some(1.0), "the fit ran");
+        let tenant = client.tenant("acme").unwrap();
+        assert_eq!(tenant.get("spent").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(client.request("GET", "/models/fitted", None).unwrap().code, 404);
         client.shutdown().unwrap();
         handle.join().unwrap();
     }

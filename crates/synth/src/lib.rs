@@ -37,7 +37,7 @@
 //! [`fit_method`] documents the determinism and budget contract every
 //! method honours. Every method draws its exact marginals from a shared
 //! [`privbayes_marginals::CountEngine`]; no method re-scans the dataset's
-//! rows itself. [`FittedArtifact::stats`] exposes the engine's scan
+//! rows itself. [`FittedArtifact::stats`] exposes the fit's own engine
 //! counters for observability.
 
 use privbayes_data::encoding::EncodingKind;
@@ -259,7 +259,8 @@ pub fn fit_method(
 /// subsystem takes with its per-tenant engine. The engine's determinism
 /// contract (every answer bit-identical to a cold scan, whatever its
 /// request or append history) makes a fit through it produce the **same
-/// artifact bits** as [`fit_method`] over the engine's rows.
+/// artifact bits** as [`fit_method`] over the engine's rows, and
+/// [`FittedArtifact::stats`] counts this fit's engine work alone.
 ///
 /// # Errors
 /// As [`fit_method`].
@@ -270,7 +271,8 @@ pub fn fit_method_with_engine(
     seed: u64,
     settings: &FitSettings,
 ) -> Result<FittedArtifact, SynthError> {
-    match method {
+    let before = engine.stats();
+    let mut fitted = match method {
         Method::PrivBayes | Method::PrivBayesK => {
             methods::privbayes(method, engine, epsilon, seed, settings)
         }
@@ -279,7 +281,19 @@ pub fn fit_method_with_engine(
             methods::pairwise(method, engine, epsilon, seed, settings)
         }
         Method::Uniform => methods::uniform(engine.schema(), engine.n(), settings),
-    }
+    }?;
+    // The engine's counters run from its construction; an engine that
+    // outlives one fit (a tenant's, refitted as rows arrive) has counted
+    // every earlier fit too.
+    let after = engine.stats();
+    fitted.stats = EngineStats {
+        scans: after.scans - before.scans,
+        bytes_materialized: after.bytes_materialized - before.bytes_materialized,
+        scan_micros: after.scan_micros - before.scan_micros,
+        subsets: after.subsets - before.subsets,
+        ..EngineStats::default()
+    };
+    Ok(fitted)
 }
 
 #[cfg(test)]

@@ -42,7 +42,6 @@ fn validate(n: usize, d: usize, epsilon: f64, spends: bool) -> Result<(), SynthE
 struct Provenance<'a> {
     method: Method,
     epsilon_spent: f64,
-    stats: EngineStats,
     score: &'a str,
     encoding: &'a str,
 }
@@ -72,7 +71,7 @@ fn release(
     Ok(FittedArtifact {
         method: provenance.method,
         artifact,
-        stats: provenance.stats,
+        stats: EngineStats::default(),
         epsilon_spent: provenance.epsilon_spent,
     })
 }
@@ -117,7 +116,6 @@ pub(crate) fn privbayes(
         Provenance {
             method,
             epsilon_spent: epsilon,
-            stats: engine.stats(),
             score: ScoreKind::R.name(),
             encoding: settings.encoding.name(),
         },
@@ -169,7 +167,6 @@ pub(crate) fn mwem(
         conditionals.push(conditional_from_joint(&joint, child));
     }
     let network = BayesianNetwork::new(pairs, schema)?;
-    let stats = engine.stats();
     release(
         schema,
         engine.n(),
@@ -178,7 +175,6 @@ pub(crate) fn mwem(
         Provenance {
             method: Method::Mwem,
             epsilon_spent: epsilon,
-            stats,
             score: "-",
             encoding: EncodingKind::Vanilla.name(),
         },
@@ -207,7 +203,6 @@ pub(crate) fn pairwise(
         laplace_marginals(engine, &workload, epsilon, &mut rng)
     };
     let model = chain_from_pairs(schema, &workload, &tables)?;
-    let stats = engine.stats();
     release(
         schema,
         engine.n(),
@@ -216,7 +211,6 @@ pub(crate) fn pairwise(
         Provenance {
             method,
             epsilon_spent: epsilon,
-            stats,
             score: "-",
             encoding: EncodingKind::Vanilla.name(),
         },
@@ -285,7 +279,6 @@ pub(crate) fn uniform(
         Provenance {
             method: Method::Uniform,
             epsilon_spent: 0.0,
-            stats: EngineStats::default(),
             score: "-",
             encoding: EncodingKind::Vanilla.name(),
         },
@@ -468,5 +461,26 @@ mod tests {
         assert_eq!(stats.projections, 0, "the engine never projects: {stats:?}");
         let uniform = fit(Method::Uniform, &data, 1.0, 2).unwrap();
         assert_eq!(uniform.stats, EngineStats::default());
+    }
+
+    /// A second fit through one engine reports its own counters, not the
+    /// engine's running total.
+    #[test]
+    fn each_fit_through_one_engine_reports_its_own_counters() {
+        let engine = CountEngine::new(&dataset(400, 8));
+        let counters = || {
+            let fitted = crate::fit_method_with_engine(
+                Method::PrivBayes,
+                &engine,
+                1.0,
+                2,
+                &FitSettings::default(),
+            );
+            let stats = fitted.unwrap().stats;
+            (stats.scans, stats.subsets, stats.bytes_materialized)
+        };
+        let first = counters();
+        assert!(first.0 > 0 && first.1 > 0, "the fit scans and walks subsets: {first:?}");
+        assert_eq!(counters(), first);
     }
 }

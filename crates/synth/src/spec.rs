@@ -756,7 +756,6 @@ impl SynthSpec {
             projection: if projection.is_empty() { None } else { Some(projection) },
             evidence,
             start_row,
-            generation: self.cursor.and_then(|c| c.generation),
         })
     }
 }
@@ -777,9 +776,6 @@ pub struct ResolvedSynth {
     pub evidence: Vec<(usize, u32)>,
     /// Resume offset (0 for fresh streams).
     pub start_row: usize,
-    /// Model generation the resume cursor pinned (`None` when the request
-    /// carried no cursor or a `pbc1` token — serve the current generation).
-    pub generation: Option<u64>,
 }
 
 impl ResolvedSynth {
@@ -998,7 +994,6 @@ mod tests {
         let resolved = SynthSpec::new().with_cursor(cursor).resolve(&schema).unwrap();
         assert_eq!(resolved.seed, Some(0xDEAD_BEEF));
         assert_eq!(resolved.start_row, 4096);
-        assert_eq!(resolved.generation, None);
         let e = SynthSpec::new().with_seed(1).with_cursor(cursor).resolve(&schema).unwrap_err();
         assert!(matches!(e, SpecError::BadCursor(_)), "{e}");
     }
@@ -1018,7 +1013,6 @@ mod tests {
         let resolved = SynthSpec::new().with_cursor(cursor).resolve(&schema).unwrap();
         assert_eq!(resolved.seed, Some(5));
         assert_eq!(resolved.start_row, 100);
-        assert_eq!(resolved.generation, Some(0xA7));
     }
 
     proptest::proptest! {
