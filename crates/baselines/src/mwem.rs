@@ -16,7 +16,8 @@
 use privbayes_dp::exponential::exponential_mechanism;
 use privbayes_dp::laplace::sample_laplace;
 use privbayes_marginals::{
-    clamp_and_normalize, AlphaWayWorkload, Axis, ContingencyTable, CountEngine,
+    clamp_and_normalize, project_values, projected_cells, AlphaWayWorkload, Axis, ContingencyTable,
+    CountEngine,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -43,42 +44,6 @@ impl Default for MwemOptions {
 /// Hard cap on the materialised domain.
 pub const MAX_CELLS: usize = 1 << 26;
 
-struct Projector {
-    /// Per-attribute stride in the full-domain index.
-    full_strides: Vec<usize>,
-    dims: Vec<usize>,
-}
-
-impl Projector {
-    fn new(dims: &[usize]) -> Self {
-        let mut strides = vec![1usize; dims.len()];
-        for i in (0..dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * dims[i + 1];
-        }
-        Self { full_strides: strides, dims: dims.to_vec() }
-    }
-
-    /// Projects full-domain weights onto `subset`'s marginal.
-    fn project(&self, weights: &[f64], subset: &[usize]) -> Vec<f64> {
-        let out_cells: usize = subset.iter().map(|&a| self.dims[a]).product();
-        let mut out = vec![0.0f64; out_cells];
-        for (idx, &w) in weights.iter().enumerate() {
-            out[self.cell_of(idx, subset)] += w;
-        }
-        out
-    }
-
-    /// Marginal cell of a full-domain index.
-    #[inline]
-    fn cell_of(&self, idx: usize, subset: &[usize]) -> usize {
-        let mut cell = 0usize;
-        for &a in subset {
-            cell = cell * self.dims[a] + (idx / self.full_strides[a]) % self.dims[a];
-        }
-        cell
-    }
-}
-
 /// The full state of a finished MWEM run: the final full-domain weights plus
 /// the domain shape — everything needed to answer arbitrary marginals or to
 /// compile a sampling artifact from the learned distribution.
@@ -96,10 +61,9 @@ impl MwemFit {
     /// the final weights, clamped and normalised.
     #[must_use]
     pub fn marginal(&self, subset: &[usize]) -> ContingencyTable {
-        let projector = Projector::new(&self.dims);
         let axes: Vec<Axis> = subset.iter().map(|&a| Axis::raw(a)).collect();
         let out_dims: Vec<usize> = subset.iter().map(|&a| self.dims[a]).collect();
-        let mut vals = projector.project(&self.weights, subset);
+        let mut vals = project_values(&self.dims, &self.weights, subset);
         clamp_and_normalize(&mut vals, 1.0);
         ContingencyTable::from_parts(axes, out_dims, vals)
     }
@@ -114,6 +78,10 @@ impl MwemFit {
 /// ([`CountTable::project`](privbayes_marginals::CountTable::project));
 /// otherwise each truth is its own engine request. Either way the truths
 /// are integer counts scaled by `1/n`, bit-identical to the scan baseline.
+/// The approximation is read through the same projection walk: each round's
+/// candidate answers are [`project_values`] of the weights, and each
+/// multiplicative-weights update finds its cell's weights with
+/// [`projected_cells`].
 ///
 /// # Panics
 /// Panics if the domain exceeds [`MAX_CELLS`], `epsilon <= 0`,
@@ -134,7 +102,6 @@ pub fn mwem_fit<R: Rng + ?Sized>(
     assert!(cells <= MAX_CELLS, "domain has {cells} cells; MWEM needs a small domain");
 
     let n = engine.n() as f64;
-    let projector = Projector::new(&dims);
 
     // Exact workload answers (probability scale). A full-domain joint of at
     // most 4·n cells is cheaper to count once and project per subset than to
@@ -182,7 +149,7 @@ pub fn mwem_fit<R: Rng + ?Sized>(
         let mut cell_ids: Vec<(usize, usize)> = Vec::new();
         let mut scores: Vec<f64> = Vec::new();
         for &q in candidates {
-            let approx = projector.project(&weights, &workload.subsets()[q]);
+            let approx = project_values(&dims, &weights, &workload.subsets()[q]);
             for (cell, (a, t)) in approx.iter().zip(&truths[q]).enumerate() {
                 cell_ids.push((q, cell));
                 scores.push((a - t).abs());
@@ -202,13 +169,13 @@ pub fn mwem_fit<R: Rng + ?Sized>(
                 let subset = &workload.subsets()[q];
                 let approx_cell: f64 = weights
                     .iter()
-                    .enumerate()
-                    .filter(|(idx, _)| projector.cell_of(*idx, subset) == cell)
-                    .map(|(_, &w)| w)
+                    .zip(projected_cells(&dims, subset))
+                    .filter(|&(_, c)| c == cell)
+                    .map(|(&w, _)| w)
                     .sum();
                 let factor = ((measured - approx_cell) / 2.0).exp();
-                for (idx, w) in weights.iter_mut().enumerate() {
-                    if projector.cell_of(idx, subset) == cell {
+                for (w, c) in weights.iter_mut().zip(projected_cells(&dims, subset)) {
+                    if c == cell {
                         *w *= factor;
                     }
                 }
@@ -268,9 +235,8 @@ mod tests {
         let dims = ds.schema().domain_sizes();
         let axes: Vec<Axis> = (0..4).map(Axis::raw).collect();
         let full = ContingencyTable::from_dataset(&ds, &axes);
-        let p = Projector::new(&dims);
         let direct = ContingencyTable::from_dataset(&ds, &[Axis::raw(1), Axis::raw(3)]);
-        let projected = p.project(full.values(), &[1, 3]);
+        let projected = project_values(&dims, full.values(), &[1, 3]);
         for (a, b) in projected.iter().zip(direct.values()) {
             assert!((a - b).abs() < 1e-12);
         }

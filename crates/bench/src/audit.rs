@@ -19,11 +19,9 @@
 //!    zero signal — the null-calibration control).
 //! 3. **Likelihood-ratio score.** The attacker observes a released model
 //!    and scores membership by the model's log-probability of the target
-//!    tuple, computed through the bit-reproducible
-//!    [`privbayes::inference::theta_projection`] joint when the domain fits
-//!    under the cell cap (and the cell is positive), and through the
-//!    equivalent product of network conditionals — floored per factor, see
-//!    [`log_model_prob`] — otherwise.
+//!    tuple: the product of the tuple's network conditionals, floored per
+//!    factor (see [`log_model_prob`]). A full tuple pins every factor, so
+//!    the score enumerates nothing, whatever the domain's size.
 //! 4. **Calibrate, then evaluate.** Repetitions are split in half. The
 //!    first half *calibrates* the attack — threshold and direction chosen
 //!    to maximise TPR − FPR — and the frozen rule is *evaluated* on the
@@ -45,7 +43,6 @@
 //! Utility (α = 2 workload TVD) is measured side by side so the audit
 //! table reads as the privacy column of a method-vs-ε comparison.
 
-use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
 use privbayes_data::Dataset;
 use privbayes_marginals::average_workload_tvd;
 use privbayes_model::ReleasedModel;
@@ -83,14 +80,11 @@ pub struct AuditConfig {
     pub base_seed: u64,
     /// Failure-probability budget δ of the gate's confidence slack.
     pub delta: f64,
-    /// Cell cap for the θ-projection scorer (falls back to the direct
-    /// conditional product above it).
-    pub cell_cap: usize,
 }
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        Self { reps: 40, base_seed: 0xA0D1_7000, delta: 1e-2, cell_cap: DEFAULT_CELL_CAP }
+        Self { reps: 40, base_seed: 0xA0D1_7000, delta: 1e-2 }
     }
 }
 
@@ -231,25 +225,15 @@ pub fn neighbor_worlds(base: &Dataset) -> AuditWorlds {
 }
 
 /// The attacker's score: the released model's log-probability of the full
-/// tuple `row`, floored per conditional factor.
-///
-/// When the total domain fits under `cell_cap` and the tuple's cell is
-/// positive, the score goes through [`theta_projection`] over *all*
-/// attributes — the audit exercises the same bit-reproducible inference
-/// path the query API serves. Above the cap (or for a zero cell, where the
-/// exact value carries no gradient) the same product of network
-/// conditionals is taken directly with each factor floored at
-/// `FACTOR_FLOOR` (1e-12) — a full tuple pins every factor, so no
-/// enumeration is needed, and when no factor is floored the value matches
-/// the θ cell up to float association order.
+/// tuple `row`, the sum of the logs of the tuple's network conditionals with
+/// each factor floored at `FACTOR_FLOOR` (1e-12). A full tuple pins every
+/// factor, so nothing is enumerated. When no factor is floored, the score is
+/// the log of the tuple's [`privbayes::inference::theta_projection`] cell up
+/// to float association order.
 ///
 /// # Errors
 /// Returns [`AuditError`] if the model does not cover the schema.
-pub fn log_model_prob(
-    model: &ReleasedModel,
-    row: &[u32],
-    cell_cap: usize,
-) -> Result<f64, AuditError> {
+pub fn log_model_prob(model: &ReleasedModel, row: &[u32]) -> Result<f64, AuditError> {
     let schema = &model.schema;
     if row.len() != schema.len() {
         return Err(AuditError(format!(
@@ -257,20 +241,6 @@ pub fn log_model_prob(
             row.len(),
             schema.len()
         )));
-    }
-    let mut total_cells = 1usize;
-    for a in 0..schema.len() {
-        total_cells = total_cells.saturating_mul(schema.attribute(a).domain_size());
-    }
-    if total_cells <= cell_cap {
-        let attrs: Vec<usize> = (0..schema.len()).collect();
-        let joint = theta_projection(&model.model, schema, &attrs, cell_cap)
-            .map_err(|e| AuditError(e.to_string()))?;
-        let coords: Vec<usize> = row.iter().map(|&v| v as usize).collect();
-        let cell = joint.get(&coords);
-        if cell > 0.0 {
-            return Ok(cell.ln());
-        }
     }
     let mut log_p = 0.0f64;
     for cond in &model.model.conditionals {
@@ -365,8 +335,8 @@ where
         let (model_in, _) = fitter(&worlds.include, seed)?;
         let (model_out, _) = fitter(&worlds.exclude, seed)?;
         Ok((
-            log_model_prob(&model_in, &worlds.target, cfg.cell_cap)?,
-            log_model_prob(&model_out, &worlds.target, cfg.cell_cap)?,
+            log_model_prob(&model_in, &worlds.target)?,
+            log_model_prob(&model_out, &worlds.target)?,
         ))
     })
     .into_iter()
@@ -442,6 +412,7 @@ pub fn audit_method(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
     use privbayes_data::{Attribute, Schema};
     use privbayes_datasets::GroundTruthNetwork;
     use rand::rngs::StdRng;
@@ -510,8 +481,8 @@ mod tests {
 
     #[test]
     fn scorer_paths_agree_on_a_small_domain() {
-        // The θ-projection path and the direct conditional product must give
-        // the same probability; force the fallback with a tiny cell cap.
+        // The floored conditional product must equal the log of the tuple's
+        // cell in the θ-projection joint over every attribute.
         let base = small_data(300);
         let fitted = fit_method(
             Method::PrivBayes,
@@ -521,9 +492,16 @@ mod tests {
             &FitSettings { threads: Some(1), ..FitSettings::default() },
         )
         .unwrap();
+        let model = &fitted.artifact;
         let row = base.row(3);
-        let via_theta = log_model_prob(&fitted.artifact, &row, DEFAULT_CELL_CAP).unwrap();
-        let via_product = log_model_prob(&fitted.artifact, &row, 1).unwrap();
+        let attrs: Vec<usize> = (0..model.schema.len()).collect();
+        let joint =
+            theta_projection(&model.model, &model.schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+        let coords: Vec<usize> = row.iter().map(|&v| v as usize).collect();
+        let cell = joint.get(&coords);
+        assert!(cell > 0.0, "the tuple's θ cell is {cell}");
+        let via_theta = cell.ln();
+        let via_product = log_model_prob(model, &row).unwrap();
         assert!(
             (via_theta - via_product).abs() < 1e-9,
             "θ-projection {via_theta} vs conditional product {via_product}"

@@ -16,7 +16,7 @@
 //! the model is already differentially private (post-processing).
 
 use privbayes_data::Schema;
-use privbayes_marginals::{Axis, ContingencyTable};
+use privbayes_marginals::{project_values, projected_cells, Axis, ContingencyTable};
 
 use crate::conditionals::NoisyModel;
 use crate::error::PrivBayesError;
@@ -438,39 +438,18 @@ impl Factor {
         if cells > cell_cap {
             return Err(cap_error(cells, cell_cap));
         }
-        // Per union coordinate, the stride into each operand (0 if absent).
-        let stride_of = |f: &Factor| -> Vec<usize> {
-            let mut strides = vec![1usize; f.scope.len()];
-            for j in (0..f.scope.len().saturating_sub(1)).rev() {
-                strides[j] = strides[j + 1] * f.dims[j + 1];
-            }
-            scope
-                .iter()
-                .map(|v| f.scope.iter().position(|s| s == v).map_or(0, |p| strides[p]))
-                .collect()
-        };
-        let stride_a = stride_of(self);
-        let stride_b = stride_of(other);
-
-        let mut values = vec![0.0f64; cells];
-        let mut coords = vec![0usize; scope.len()];
-        let mut ia = 0usize;
-        let mut ib = 0usize;
-        for slot in values.iter_mut() {
-            *slot = self.values[ia] * other.values[ib];
-            // Mixed-radix increment with incremental index maintenance.
-            for j in (0..coords.len()).rev() {
-                coords[j] += 1;
-                ia += stride_a[j];
-                ib += stride_b[j];
-                if coords[j] < dims[j] {
-                    break;
-                }
-                coords[j] = 0;
-                ia -= stride_a[j] * dims[j];
-                ib -= stride_b[j] * dims[j];
-            }
-        }
+        // Each union cell's operand cells: the union walked once per operand.
+        // `self` is the union's leading axes, in order.
+        let own: Vec<usize> = (0..self.scope.len()).collect();
+        let theirs: Vec<usize> = other
+            .scope
+            .iter()
+            .map(|v| scope.iter().position(|s| s == v).expect("the union holds other's scope"))
+            .collect();
+        let values = projected_cells(&dims, &own)
+            .zip(projected_cells(&dims, &theirs))
+            .map(|(ia, ib)| self.values[ia] * other.values[ib])
+            .collect();
         Ok(Factor { scope, dims, values })
     }
 
@@ -497,20 +476,12 @@ impl Factor {
     /// Sums out one variable.
     fn sum_out(&self, var: usize) -> Factor {
         let pos = self.scope.iter().position(|&v| v == var).expect("var in scope");
-        let scope: Vec<usize> =
-            self.scope.iter().enumerate().filter(|&(j, _)| j != pos).map(|(_, &v)| v).collect();
-        let dims: Vec<usize> =
-            self.dims.iter().enumerate().filter(|&(j, _)| j != pos).map(|(_, &d)| d).collect();
-        let cells: usize = dims.iter().product();
-        let inner: usize = self.dims[pos + 1..].iter().product();
-        let var_dim = self.dims[pos];
-        let mut values = vec![0.0f64; cells];
-        for (idx, &v) in self.values.iter().enumerate() {
-            let outer = idx / (inner * var_dim);
-            let rest = idx % inner;
-            values[outer * inner + rest] += v;
+        let keep: Vec<usize> = (0..self.scope.len()).filter(|&j| j != pos).collect();
+        Factor {
+            scope: keep.iter().map(|&j| self.scope[j]).collect(),
+            dims: keep.iter().map(|&j| self.dims[j]).collect(),
+            values: project_values(&self.dims, &self.values, &keep),
         }
-        Factor { scope, dims, values }
     }
 }
 

@@ -13,7 +13,7 @@
 //!   them (inverse-variance weighted) and distributing the correction evenly
 //!   is the least-squares adjustment subject to the agreed margin.
 
-use crate::table::{Axis, ContingencyTable};
+use crate::table::{project_values, projected_cells, Axis, ContingencyTable};
 
 /// Sets negative cells to zero, then rescales the vector to sum to `target`.
 ///
@@ -99,20 +99,8 @@ fn margin_of(table: &ContingencyTable, shared: &[Axis]) -> (Vec<f64>, Vec<usize>
             table.axes().iter().position(|a| a == axis).expect("shared axis present in table")
         })
         .collect();
-    let margin_dims: Vec<usize> = positions.iter().map(|&p| table.dims()[p]).collect();
-    let margin_cells: usize = margin_dims.iter().product();
-    let mut margin = vec![0.0; margin_cells];
-    let mut cell_to_margin = vec![0usize; table.cell_count()];
-    for (idx, &v) in table.values().iter().enumerate() {
-        let coords = table.coords_of(idx);
-        let mut m = 0usize;
-        for (&p, &dim) in positions.iter().zip(&margin_dims) {
-            m = m * dim + coords[p];
-        }
-        margin[m] += v;
-        cell_to_margin[idx] = m;
-    }
-    (margin, cell_to_margin)
+    let margin = project_values(table.dims(), table.values(), &positions);
+    (margin, projected_cells(table.dims(), &positions).collect())
 }
 
 fn reconcile_pair(

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use privbayes_data::{Dataset, Schema};
 
-use crate::table::{Axis, ContingencyTable};
+use crate::table::{project_values, Axis, ContingencyTable};
 
 /// A dense joint **count** table (row-major, last axis fastest) — the integer
 /// twin of [`ContingencyTable`]. Counts are exact, so any two ways of
@@ -101,48 +101,19 @@ impl CountTable {
     }
 
     /// Projects (sums out) onto the axes at positions `keep`, in the given
-    /// order. Keeping every axis in a new order is a pure permutation.
-    /// Integer summation is exact, so a projection equals a direct count.
+    /// order, with [`project_values`]. Keeping every axis in a new order is a
+    /// pure permutation. Integer summation is exact, so a projection equals a
+    /// direct count.
     ///
     /// # Panics
     /// Panics if `keep` is empty, repeats a position, or indexes out of range.
     #[must_use]
     pub fn project(&self, keep: &[usize]) -> Self {
         assert!(!keep.is_empty(), "projection must keep at least one axis");
-        for (i, &k) in keep.iter().enumerate() {
-            assert!(k < self.axes.len(), "axis position {k} out of range");
-            assert!(!keep[..i].contains(&k), "axis position {k} repeated");
-        }
-        let out_axes: Vec<Axis> = keep.iter().map(|&k| self.axes[k]).collect();
-        let out_dims: Vec<usize> = keep.iter().map(|&k| self.dims[k]).collect();
-        let out_cells: usize = out_dims.iter().product();
-        let mut out = vec![0u64; out_cells];
-
-        let mut in_strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            in_strides[i] = in_strides[i + 1] * self.dims[i + 1];
-        }
-        let mut out_strides = vec![1usize; keep.len()];
-        for i in (0..keep.len().saturating_sub(1)).rev() {
-            out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
-        }
-        // Per input axis: the stride it contributes to the output (0 if summed out).
-        let mut contrib = vec![0usize; self.dims.len()];
-        for (o, &k) in keep.iter().enumerate() {
-            contrib[k] = out_strides[o];
-        }
-
-        for (idx, &c) in self.counts.iter().enumerate() {
-            let mut rem = idx;
-            let mut out_idx = 0usize;
-            for (i, &stride) in in_strides.iter().enumerate() {
-                let coord = rem / stride;
-                rem %= stride;
-                out_idx += coord * contrib[i];
-            }
-            out[out_idx] += c;
-        }
-        Self { axes: out_axes, dims: out_dims, counts: out }
+        let counts = project_values(&self.dims, &self.counts, keep);
+        let axes = keep.iter().map(|&k| self.axes[k]).collect();
+        let dims = keep.iter().map(|&k| self.dims[k]).collect();
+        Self { axes, dims, counts }
     }
 
     /// Writes the probability-scale cells (`count · (1/n)`) into `out`, as

@@ -42,4 +42,4 @@ pub use consistency::{clamp_and_normalize, mutual_consistency, shared_axes};
 pub use engine::{probs_into, CountEngine, CountTable, EngineStats, SubsetCounts};
 pub use metrics::{average_workload_tvd, total_variation};
 pub use query::AlphaWayWorkload;
-pub use table::{Axis, ContingencyTable};
+pub use table::{project_values, projected_cells, Axis, ContingencyTable};

@@ -1,4 +1,22 @@
 //! Joint distributions over attribute subsets as dense mixed-radix tables.
+//!
+//! Every dense table in the suite is row-major (last axis fastest), and
+//! every projection of one — [`ContingencyTable::project`], the count
+//! engine's [`CountTable::project`](crate::CountTable::project), the
+//! consistency step's shared margins, MWEM's workload answers and the
+//! variable-elimination factors of `privbayes::inference` — goes through
+//! one walk, [`projected_cells`]: for each input cell in index order, the
+//! output cell it lands in, found by one odometer step per cell.
+//! [`project_values`] sums along that walk, adding each input cell into its
+//! output cell in input index order. That order is the bit-identity
+//! condition: a float projection equals any other projection that adds
+//! the same cells in the same order, so moving a caller onto the walk
+//! changes no released value. `privbayes::inference::theta_projection`
+//! keeps its own enumeration, because its operation order is the query
+//! API's bit contract, and so do the brute-force oracles the tests compare
+//! against.
+
+use std::ops::AddAssign;
 
 use privbayes_data::{Dataset, Schema};
 
@@ -206,48 +224,17 @@ impl ContingencyTable {
     }
 
     /// Projects (sums out) onto the axes at positions `keep` (in the given
-    /// order). Summation preserves total mass.
+    /// order) with [`project_values`]. Summation preserves total mass.
     ///
     /// # Panics
     /// Panics if `keep` is empty, repeats a position, or indexes out of range.
     #[must_use]
     pub fn project(&self, keep: &[usize]) -> Self {
         assert!(!keep.is_empty(), "projection must keep at least one axis");
-        for (i, &k) in keep.iter().enumerate() {
-            assert!(k < self.axes.len(), "axis position {k} out of range");
-            assert!(!keep[..i].contains(&k), "axis position {k} repeated");
-        }
-        let out_axes: Vec<Axis> = keep.iter().map(|&k| self.axes[k]).collect();
-        let out_dims: Vec<usize> = keep.iter().map(|&k| self.dims[k]).collect();
-        let out_cells: usize = out_dims.iter().product();
-        let mut out = vec![0.0f64; out_cells];
-
-        // Precompute per-input-axis contribution to the output index.
-        let mut in_strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            in_strides[i] = in_strides[i + 1] * self.dims[i + 1];
-        }
-        let mut out_strides = vec![1usize; keep.len()];
-        for i in (0..keep.len().saturating_sub(1)).rev() {
-            out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
-        }
-        // For every input axis, the stride it contributes to the output (0 if dropped).
-        let mut contrib = vec![0usize; self.dims.len()];
-        for (o, &k) in keep.iter().enumerate() {
-            contrib[k] = out_strides[o];
-        }
-
-        for (idx, &v) in self.values.iter().enumerate() {
-            let mut rem = idx;
-            let mut out_idx = 0usize;
-            for (i, &stride) in in_strides.iter().enumerate() {
-                let c = rem / stride;
-                rem %= stride;
-                out_idx += c * contrib[i];
-            }
-            out[out_idx] += v;
-        }
-        Self { axes: out_axes, dims: out_dims, values: out }
+        let values = project_values(&self.dims, &self.values, keep);
+        let axes = keep.iter().map(|&k| self.axes[k]).collect();
+        let dims = keep.iter().map(|&k| self.dims[k]).collect();
+        Self { axes, dims, values }
     }
 
     /// Projects onto the axes identified by attribute index (level ignored),
@@ -268,6 +255,68 @@ impl ContingencyTable {
             .collect();
         self.project(&keep)
     }
+}
+
+/// For each cell of a row-major table of `dims`, in index order, the index
+/// of the cell it lands in when the table is projected onto the axes at
+/// positions `keep`. The output table is row-major over `keep` in the order
+/// given; an empty `keep` sends every cell to the one cell of the total.
+/// Each cell costs one odometer step, not a division per axis.
+///
+/// # Panics
+/// Panics if `keep` repeats a position or indexes out of range.
+pub fn projected_cells(dims: &[usize], keep: &[usize]) -> impl Iterator<Item = usize> {
+    for (i, &k) in keep.iter().enumerate() {
+        assert!(k < dims.len(), "axis position {k} out of range");
+        assert!(!keep[..i].contains(&k), "axis position {k} repeated");
+    }
+    // How far the output index moves per unit of each input axis (0 for an
+    // axis summed out).
+    let mut step = vec![0usize; dims.len()];
+    let mut stride = 1usize;
+    for &k in keep.iter().rev() {
+        step[k] = stride;
+        stride *= dims[k];
+    }
+    let dims = dims.to_vec();
+    let mut coords = vec![0usize; dims.len()];
+    let mut cell = 0usize;
+    (0..dims.iter().product::<usize>()).map(move |_| {
+        let current = cell;
+        for j in (0..dims.len()).rev() {
+            coords[j] += 1;
+            cell += step[j];
+            if coords[j] < dims[j] {
+                break;
+            }
+            coords[j] = 0;
+            cell -= step[j] * dims[j];
+        }
+        current
+    })
+}
+
+/// Sums `values`, a row-major table of `dims`, onto the axes at positions
+/// `keep` (see [`projected_cells`]). Each input cell is added into its output
+/// cell in input index order, so two projections of equal inputs are
+/// bit-identical, for floats too.
+///
+/// # Panics
+/// Panics if `values.len()` is not the product of `dims`, or as
+/// [`projected_cells`].
+#[must_use]
+pub fn project_values<T: Copy + Default + AddAssign>(
+    dims: &[usize],
+    values: &[T],
+    keep: &[usize],
+) -> Vec<T> {
+    assert_eq!(values.len(), dims.iter().product::<usize>(), "values length must match dims");
+    let cells = projected_cells(dims, keep);
+    let mut out = vec![T::default(); keep.iter().map(|&k| dims[k]).product()];
+    for (&v, cell) in values.iter().zip(cells) {
+        out[cell] += v;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -391,6 +440,27 @@ mod tests {
     }
 
     proptest! {
+        /// The projection walk equals a div/mod oracle on any table shape and
+        /// any kept subset of its axes, in any order, the empty one included.
+        #[test]
+        fn prop_projected_cells_match_div_mod(
+            dims in proptest::collection::vec(1usize..=5, 1..=4),
+            order in proptest::collection::vec(any::<u64>(), 4),
+            kept in 0usize..=4,
+        ) {
+            let mut keep: Vec<usize> = (0..dims.len()).collect();
+            keep.sort_by_key(|&p| order[p]);
+            keep.truncate(kept);
+            let cells: usize = dims.iter().product();
+            let oracle: Vec<usize> = (0..cells)
+                .map(|idx| {
+                    let coord = |k: usize| idx / dims[k + 1..].iter().product::<usize>() % dims[k];
+                    keep.iter().fold(0, |cell, &k| cell * dims[k] + coord(k))
+                })
+                .collect();
+            prop_assert_eq!(projected_cells(&dims, &keep).collect::<Vec<_>>(), oracle);
+        }
+
         /// Projection preserves total mass and never produces negatives from
         /// non-negative inputs.
         #[test]

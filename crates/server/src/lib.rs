@@ -77,7 +77,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod registry;
 pub mod server;
-pub mod stream;
 
 pub use client::{Client, RetryPolicy};
 pub use error::ServerError;
@@ -92,11 +91,12 @@ pub use ledger::{BudgetLedger, LedgerError, LedgerObserver, TenantBudget, LEDGER
 pub use metrics::{ServerMetrics, REQUEST_ID_HEADER};
 pub use registry::{GenerationLookup, ModelEntry, ModelRegistry, RETAINED_GENERATIONS};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
-pub use stream::RowFormat;
 // The metric-snapshot surface, re-exported so scrape consumers (tests, the
 // benchmark) can parse `/metrics` without a separate `privbayes-obs`
 // dependency.
 pub use privbayes_obs::{parse_text, Snapshot};
 // The typed request surface of the query API, re-exported so client code
 // can build specs without a separate `privbayes-synth` dependency.
-pub use privbayes_synth::{AttrRef, Cursor, MarginalQuery, SpecError, SynthSpec, ValueRef};
+pub use privbayes_synth::{
+    AttrRef, Cursor, MarginalQuery, RowFormat, SpecError, SynthSpec, ValueRef,
+};

@@ -31,7 +31,8 @@ use crate::registry::ModelEntry;
 pub const REQUEST_ID_HEADER: &str = "X-PrivBayes-Request-Id";
 
 /// All request stages recorded under `privbayes_stage_seconds`.
-pub const STAGES: &[&str] = &["parse", "ledger", "lookup", "journal", "append", "sample", "write"];
+pub const STAGES: &[&str] =
+    &["parse", "ledger", "fit", "lookup", "journal", "append", "sample", "write"];
 
 /// Pre-registered handles over one [`Registry`] — the process-wide metric
 /// surface of a server instance.
@@ -86,8 +87,8 @@ impl ServerMetrics {
         registry.describe(
             "privbayes_stage_seconds",
             MetricKind::Histogram,
-            "Per-request stage wall time (parse, ledger, lookup, journal, append, sample, \
-             write)",
+            "Per-request stage wall time (parse, ledger, fit, lookup, journal, append, \
+             sample, write)",
         );
         registry.describe(
             "privbayes_ledger_persist_total",

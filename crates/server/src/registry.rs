@@ -9,9 +9,9 @@
 //! never dropped by an eviction racing with it.
 //!
 //! An id names a **generation chain**, not a single model: every
-//! [`ModelRegistry::load`] under an existing id atomically swaps a new
-//! current generation in front of the old one (one `Arc` snapshot
-//! replacement — readers never observe a half-updated chain), and the most
+//! [`ModelRegistry::load`] under an existing id puts a new current
+//! generation in front of the old one under the registry's write lock
+//! (readers never observe a half-updated chain), and the most
 //! recent [`RETAINED_GENERATIONS`] stay addressable through
 //! [`ModelRegistry::get_generation`]. A stream that pinned its generation
 //! via a `pbc2` cursor therefore resumes against exactly the artifact it
@@ -83,13 +83,6 @@ impl ModelEntry {
 /// pinned-cursor lookups for them answer "evicted".
 pub const RETAINED_GENERATIONS: usize = 4;
 
-/// One id's generation chain, newest first. Immutable once published: a
-/// load builds a fresh chain and swaps the map snapshot.
-#[derive(Debug)]
-struct Chain {
-    entries: Vec<Arc<ModelEntry>>,
-}
-
 /// Outcome of a generation-pinned lookup (see
 /// [`ModelRegistry::get_generation`]).
 #[derive(Debug)]
@@ -106,21 +99,14 @@ pub enum GenerationLookup {
     Unknown,
 }
 
-/// A concurrent map from model id to its generation chain.
-///
-/// The map itself lives behind an [`Arc`] snapshot: readers clone the
-/// current snapshot pointer under a momentary read lock and then walk it
-/// with no lock held, so `GET /synth` lookups never contend with a
-/// load/evict holding the write lock mid-rebuild.
-#[derive(Debug)]
+/// A concurrent map from model id to its generation chain (newest first),
+/// behind one read-write lock. A load compiles its model before it takes
+/// the lock and holds the write lock only to put the entry in front of one
+/// chain of at most [`RETAINED_GENERATIONS`] entries; a lookup holds the
+/// read lock only to clone an [`Arc`].
+#[derive(Debug, Default)]
 pub struct ModelRegistry {
-    entries: RwLock<Arc<BTreeMap<String, Arc<Chain>>>>,
-}
-
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        Self { entries: RwLock::new(Arc::new(BTreeMap::new())) }
-    }
+    entries: RwLock<BTreeMap<String, Vec<Arc<ModelEntry>>>>,
 }
 
 impl ModelRegistry {
@@ -152,70 +138,56 @@ impl ModelRegistry {
         // two loads of one id race.
         entry.generation = GENERATION.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(entry);
-        let mut next = BTreeMap::clone(&entries);
-        let mut chain = vec![Arc::clone(&entry)];
-        if let Some(previous) = next.get(id) {
-            chain.extend(previous.entries.iter().cloned());
-        }
+        let was_new = !entries.contains_key(id);
+        let chain = entries.entry(id.to_string()).or_default();
+        chain.insert(0, Arc::clone(&entry));
         chain.truncate(RETAINED_GENERATIONS);
-        let was_new = next.insert(id.to_string(), Arc::new(Chain { entries: chain })).is_none();
-        *entries = Arc::new(next);
         Ok((entry, was_new))
-    }
-
-    /// The current map snapshot; walked lock-free by the caller.
-    fn snapshot(&self) -> Arc<BTreeMap<String, Arc<Chain>>> {
-        Arc::clone(&self.entries.read().expect("registry lock poisoned"))
     }
 
     /// The current-generation entry for `id`, if loaded. The returned
     /// [`Arc`] keeps the model alive across later evictions and reloads.
     #[must_use]
     pub fn get(&self, id: &str) -> Option<Arc<ModelEntry>> {
-        self.snapshot().get(id).and_then(|chain| chain.entries.first().cloned())
+        self.entries.read().expect("registry lock poisoned").get(id)?.first().cloned()
     }
 
     /// The entry for a specific pinned `generation` of `id` — what a
     /// `pbc2` cursor resumes against.
     #[must_use]
     pub fn get_generation(&self, id: &str, generation: u64) -> GenerationLookup {
-        let snapshot = self.snapshot();
-        let Some(chain) = snapshot.get(id) else { return GenerationLookup::Unknown };
-        match chain.entries.iter().find(|e| e.generation == generation) {
+        let entries = self.entries.read().expect("registry lock poisoned");
+        let Some(chain) = entries.get(id) else { return GenerationLookup::Unknown };
+        match chain.iter().find(|e| e.generation == generation) {
             Some(entry) => GenerationLookup::Found(Arc::clone(entry)),
-            None => GenerationLookup::Evicted {
-                newest: chain.entries.first().map_or(0, |e| e.generation),
-            },
+            None => GenerationLookup::Evicted { newest: chain.first().map_or(0, |e| e.generation) },
         }
     }
 
     /// The retained generation chain for `id`, newest first.
     #[must_use]
     pub fn generations(&self, id: &str) -> Option<Vec<Arc<ModelEntry>>> {
-        self.snapshot().get(id).map(|chain| chain.entries.clone())
+        self.entries.read().expect("registry lock poisoned").get(id).cloned()
     }
 
     /// Removes `id` — the whole chain; returns whether it was present.
     /// In-flight requests holding an entry's [`Arc`] are unaffected.
     #[must_use]
     pub fn evict(&self, id: &str) -> bool {
-        let mut entries = self.entries.write().expect("registry lock poisoned");
-        let mut next = BTreeMap::clone(&entries);
-        let was_present = next.remove(id).is_some();
-        *entries = Arc::new(next);
-        was_present
+        self.entries.write().expect("registry lock poisoned").remove(id).is_some()
     }
 
     /// The current generation of every id, sorted by id.
     #[must_use]
     pub fn list(&self) -> Vec<Arc<ModelEntry>> {
-        self.snapshot().values().filter_map(|chain| chain.entries.first().cloned()).collect()
+        let entries = self.entries.read().expect("registry lock poisoned");
+        entries.values().filter_map(|chain| chain.first().cloned()).collect()
     }
 
     /// Number of loaded model ids (not generations).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.entries.read().expect("registry lock poisoned").len()
     }
 
     /// Whether the registry is empty.

@@ -1437,7 +1437,8 @@ enum FitError {
 /// generation, and refunds the debit if the fit or the load fails: a failed
 /// fit never leaks budget, a successful one is charged exactly once.
 /// `privbayes_fit_seconds` times `fit` alone, `privbayes_alias_build_seconds`
-/// the load, and `stage` closes the request's `ledger` stage.
+/// the load, and `stage` closes the request's `ledger` stage and, once the
+/// charge passed, its `fit` stage (the fit and the load).
 fn charged_fit(
     shared: &Shared,
     target: &FitTarget<'_>,
@@ -1464,6 +1465,7 @@ fn charged_fit(
         shared.metrics.alias_build_seconds.observe(compile_started.elapsed());
         loaded.map(|(entry, _)| entry)
     });
+    stage("fit");
     loaded.map_err(|e| {
         if spends {
             shared.ledger.refund(target.tenant, target.epsilon);
@@ -1814,6 +1816,35 @@ mod tests {
         let tenant = client.tenant("acme").unwrap();
         assert_eq!(tenant.get("spent").and_then(Json::as_f64), Some(0.0));
         assert_eq!(client.request("GET", "/models/fitted", None).unwrap().code, 404);
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// `POST /fit` closes one `fit` stage around the fit and the model load,
+    /// so its `write` stage times the response alone, far below the fit.
+    #[test]
+    fn a_posted_fit_closes_one_fit_stage() {
+        let (_, handle, client) = serve();
+        let mut csv = Vec::new();
+        privbayes_data::csv::write_csv(&rows(0..20_000), &mut csv).unwrap();
+        let body = Json::object(vec![
+            ("tenant", Json::String("acme".into())),
+            ("model_id", Json::String("fitted".into())),
+            ("epsilon", Json::Number(0.5)),
+            ("seed", Json::Number(5.0)),
+            ("schema", schema_to_json(&schema())),
+            ("csv", Json::String(String::from_utf8(csv).unwrap())),
+        ]);
+        let response = client.fit_raw(&body).unwrap();
+        assert_eq!(response.code, 201, "{}", response.text());
+        let snapshot = crate::parse_text(&handle.metrics().render(&[])).unwrap();
+        let stage = |series: &str, stage: &str| snapshot.value(series, &[("stage", stage)]);
+        assert_eq!(stage("privbayes_stage_seconds_count", "fit"), Some(1.0));
+        let fit_stage = stage("privbayes_stage_seconds_sum", "fit").unwrap();
+        let write = stage("privbayes_stage_seconds_sum", "write").unwrap();
+        let fit = snapshot.value("privbayes_fit_seconds_sum", &[]).unwrap();
+        assert!(fit_stage >= fit, "the fit stage ({fit_stage} s) holds the fit ({fit} s)");
+        assert!(write * 4.0 < fit, "write stage {write} s against a {fit} s fit");
         client.shutdown().unwrap();
         handle.join().unwrap();
     }

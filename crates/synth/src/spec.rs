@@ -1113,4 +1113,46 @@ mod tests {
         let out = RowFormat::Jsonl.render(&schema, Some(&[1]), &[vec![0]]);
         assert_eq!(out, "{\"region\":\"north\"}\n");
     }
+
+    /// Two columns, one with default `v{code}` labels.
+    fn two_columns() -> Schema {
+        Schema::new(vec![
+            Attribute::binary("smoker"),
+            Attribute::categorical_labelled("region", ["north", "south"]).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn csv_matches_write_csv_bytes() {
+        let schema = two_columns();
+        let rows = vec![vec![0, 1], vec![1, 0]];
+        let data = privbayes_data::Dataset::from_rows(schema.clone(), &rows).unwrap();
+        let mut expected = Vec::new();
+        privbayes_data::csv::write_csv(&data, &mut expected).unwrap();
+        let streamed = format!(
+            "{}{}",
+            RowFormat::Csv.header(&schema, None),
+            RowFormat::Csv.render(&schema, None, &rows)
+        );
+        assert_eq!(streamed.as_bytes(), &expected[..]);
+    }
+
+    #[test]
+    fn jsonl_renders_one_object_per_row() {
+        let schema = two_columns();
+        let out = RowFormat::Jsonl.render(&schema, None, &[vec![1, 0]]);
+        // Unlabelled domains print their default `v{code}` labels, exactly
+        // as the CSV writer does.
+        assert_eq!(out, "{\"smoker\":\"v1\",\"region\":\"north\"}\n");
+        assert_eq!(RowFormat::Jsonl.header(&schema, None), "");
+    }
+
+    #[test]
+    fn projection_restricts_and_reorders_columns() {
+        let schema = two_columns();
+        assert_eq!(RowFormat::Csv.header(&schema, Some(&[1, 0])), "region,smoker\n");
+        let out = RowFormat::Csv.render(&schema, Some(&[1, 0]), &[vec![0, 1]]);
+        assert_eq!(out, "north,v1\n");
+    }
 }

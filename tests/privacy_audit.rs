@@ -9,8 +9,7 @@
 //! 2. **Monotonicity smoke** — more budget means more leakage headroom:
 //!    for `privbayes` on the Adult-shaped dataset, the measured advantage
 //!    at ε = 8 is at least the advantage at ε = 0.1 (everything is seeded,
-//!    so this is a deterministic regression check, not a flaky one). Adult's
-//!    2⁵² domain also forces the scorer down its conditional-product path.
+//!    so this is a deterministic regression check, not a flaky one).
 //! 3. **Gate trip on a broken fit** — a deliberately non-private fitter
 //!    (noise scale forced to 0 via `noisy_conditionals_general_engine`'s
 //!    `epsilon2 = None` hook) claiming a small ε must breach
@@ -23,7 +22,7 @@ use privbayes_bench::audit::{
     AuditConfig, AuditOutcome,
 };
 use privbayes_suite::core::conditionals::noisy_conditionals_general_engine;
-use privbayes_suite::core::inference::DEFAULT_CELL_CAP;
+use privbayes_suite::core::inference::{theta_projection, DEFAULT_CELL_CAP};
 use privbayes_suite::core::network::{ApPair, BayesianNetwork};
 use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::datasets::adult::adult_sized;
@@ -147,17 +146,25 @@ fn bound_gate_trips_on_a_noiseless_fit() {
 
 #[test]
 fn scorer_agrees_across_paths_and_bound_slack_are_sane() {
-    // Cross-path scorer check on a released artifact plus the two analytic
-    // helpers the gate is built from, so a regression in any of the three
-    // shows up at this tier too (not only inside the bench crate's units).
+    // The scorer against the log of the target's θ-projection cell on a
+    // released artifact, plus the two analytic helpers the gate is built
+    // from, so a regression in any of the three shows up at this tier too
+    // (not only inside the bench crate's units).
     let base = audit_base(250);
     let worlds = neighbor_worlds(&base);
     assert_eq!(worlds.include.row(0), worlds.target);
     assert_eq!(worlds.exclude.row(0), base.row(0));
 
-    let model = broken_fit(&base, 1.0, 5);
-    let full = log_model_prob(&model, &worlds.target, DEFAULT_CELL_CAP).unwrap();
-    let product = log_model_prob(&model, &worlds.target, 1).unwrap();
+    // Fitted on the include world, the exact conditionals give the target
+    // a positive cell (on the exclude world it is 0, and its log −∞).
+    let model = broken_fit(&worlds.include, 1.0, 5);
+    let attrs: Vec<usize> = (0..model.schema.len()).collect();
+    let joint = theta_projection(&model.model, &model.schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+    let coords: Vec<usize> = worlds.target.iter().map(|&v| v as usize).collect();
+    let cell = joint.get(&coords);
+    assert!(cell > 0.0, "the target's θ cell is {cell}");
+    let full = cell.ln();
+    let product = log_model_prob(&model, &worlds.target).unwrap();
     assert!((full - product).abs() < 1e-9, "θ-projection {full} vs product {product}");
 
     assert!(advantage_bound(0.0).abs() < 1e-15);
