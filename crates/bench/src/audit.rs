@@ -228,8 +228,8 @@ pub fn neighbor_worlds(base: &Dataset) -> AuditWorlds {
 /// tuple `row`, the sum of the logs of the tuple's network conditionals with
 /// each factor floored at `FACTOR_FLOOR` (1e-12). A full tuple pins every
 /// factor, so nothing is enumerated. When no factor is floored, the score is
-/// the log of the tuple's [`privbayes::inference::theta_projection`] cell up
-/// to float association order.
+/// the log of the tuple's cell in the model's full joint
+/// ([`privbayes::inference::model_marginal`]) up to float association order.
 ///
 /// # Errors
 /// Returns [`AuditError`] if the model does not cover the schema.
@@ -412,7 +412,7 @@ pub fn audit_method(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
+    use privbayes::inference::{model_marginal, DEFAULT_CELL_CAP};
     use privbayes_data::{Attribute, Schema};
     use privbayes_datasets::GroundTruthNetwork;
     use rand::rngs::StdRng;
@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn scorer_paths_agree_on_a_small_domain() {
         // The floored conditional product must equal the log of the tuple's
-        // cell in the θ-projection joint over every attribute.
+        // cell in the exact joint over every attribute.
         let base = small_data(300);
         let fitted = fit_method(
             Method::PrivBayes,
@@ -495,16 +495,15 @@ mod tests {
         let model = &fitted.artifact;
         let row = base.row(3);
         let attrs: Vec<usize> = (0..model.schema.len()).collect();
-        let joint =
-            theta_projection(&model.model, &model.schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+        let joint = model_marginal(&model.model, &model.schema, &attrs, DEFAULT_CELL_CAP).unwrap();
         let coords: Vec<usize> = row.iter().map(|&v| v as usize).collect();
         let cell = joint.get(&coords);
-        assert!(cell > 0.0, "the tuple's θ cell is {cell}");
-        let via_theta = cell.ln();
+        assert!(cell > 0.0, "the tuple's joint cell is {cell}");
+        let via_joint = cell.ln();
         let via_product = log_model_prob(model, &row).unwrap();
         assert!(
-            (via_theta - via_product).abs() < 1e-9,
-            "θ-projection {via_theta} vs conditional product {via_product}"
+            (via_joint - via_product).abs() < 1e-9,
+            "joint {via_joint} vs conditional product {via_product}"
         );
     }
 

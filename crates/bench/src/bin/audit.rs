@@ -76,10 +76,10 @@ fn parse_options() -> Options {
     opts
 }
 
-/// The audit dataset: 6 correlated binary attributes (64-cell domain, so
-/// the θ-projection scorer enumerates the exact joint) at a size small
-/// enough that thousands of shadow fits stay interactive, large enough
-/// that one tuple is not trivially visible without a privacy bug.
+/// The audit dataset: 6 correlated binary attributes (a 64-cell domain) at
+/// a size small enough that thousands of shadow fits stay interactive,
+/// large enough that one tuple is not trivially visible without a privacy
+/// bug.
 fn audit_data() -> Dataset {
     let schema =
         Schema::new((0..6).map(|i| Attribute::binary(format!("x{i}"))).collect::<Vec<_>>())
@@ -172,7 +172,7 @@ fn main() {
          \"methods\": [{}],\n  \"points\": [\n{}\n  ],\n  \"all_pass\": {}\n}}\n",
         opts.quick,
         if opts.quick { "quick" } else { "full" },
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        privbayes::resolve_threads(None),
         cfg.reps,
         cfg.delta,
         data.n(),

@@ -55,9 +55,10 @@ pub(crate) fn rep_seed(base_seed: u64, r: usize) -> u64 {
 /// Runs `f` once per repetition seed and returns the results in
 /// repetition order, whatever the worker count.
 ///
-/// Workers are capped at [`std::thread::available_parallelism`], each
-/// handles a contiguous block of repetitions, and results flow back through
-/// the scoped-join return values, so no shared mutable state is needed.
+/// Workers are capped at the machine's parallelism
+/// ([`privbayes::resolve_threads`]), each handles a contiguous block of
+/// repetitions, and results flow back through the scoped-join return
+/// values, so no shared mutable state is needed.
 ///
 /// # Panics
 /// Panics if a worker panics.
@@ -66,8 +67,7 @@ where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    let workers =
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(reps).max(1);
+    let workers = privbayes::resolve_threads(None).min(reps).max(1);
     let block = reps.div_ceil(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..reps)

@@ -612,21 +612,17 @@ pub fn reference_fourier_marginals<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Independent θ-projection oracle for the query API: computes the exact
-/// model marginal `Pr*_N[attrs]` by brute-force enumeration of the query's
-/// ancestral closure. It follows the documented operation order of
-/// `privbayes::inference::theta_projection` — closure pruning, row-major
-/// enumeration over the closure attributes ascending (last fastest),
-/// per-configuration probability product in network (conditional-list)
-/// order, accumulation in enumeration order — with intentionally different
-/// machinery (fixed-point closure sweep, flat-index decoding), so agreement
-/// is **bit-for-bit**: `tests/query_api.rs` asserts the served `/v1/query`
-/// values equal this oracle's exactly.
+/// Independent oracle for the query API: the exact model marginal
+/// `Pr*_N[attrs]` by variable elimination in the operation order that
+/// `privbayes::inference::model_conditional` documents as its bit contract,
+/// with none of the serving code (a worklist closure and div/mod cell
+/// decoding instead). `tests/query_api.rs` asserts the served `/v1/query`
+/// values equal this oracle's **bit for bit**. The name is the one the
+/// query API's earlier closure enumeration gave it.
 ///
 /// # Panics
-/// Panics on an empty/duplicated/out-of-range query or a model that does
-/// not cover the schema (the serving path rejects these with typed errors;
-/// the oracle is only ever called on valid queries).
+/// Panics on an invalid query, a model that does not cover the schema, or
+/// a query with no mass.
 #[must_use]
 pub fn reference_theta_projection(
     model: &NoisyModel,
@@ -635,80 +631,143 @@ pub fn reference_theta_projection(
 ) -> ContingencyTable {
     let d = schema.len();
     assert_eq!(model.conditionals.len(), d, "model must cover the schema");
-    assert!(!attrs.is_empty(), "empty query");
-    for (i, &a) in attrs.iter().enumerate() {
-        assert!(a < d, "attribute {a} out of range");
-        assert!(!attrs[..i].contains(&a), "attribute {a} repeated");
-    }
+    let valid = attrs.iter().enumerate().all(|(i, &a)| a < d && !attrs[..i].contains(&a));
+    assert!(valid && !attrs.is_empty(), "invalid query {attrs:?}");
 
-    // Ancestral closure by fixed-point iteration (no ordering assumption on
-    // the conditional list, unlike the serving path's single reverse sweep).
-    let mut needed = vec![false; d];
-    for &a in attrs {
-        needed[a] = true;
-    }
+    // Ancestral closure: mark an unmarked parent of a marked child until
+    // none is left (no ordering assumption on the conditional list, unlike
+    // the serving path's single reverse sweep).
+    let mut needed: Vec<bool> = (0..d).map(|a| attrs.contains(&a)).collect();
     loop {
-        let mut changed = false;
-        for cond in &model.conditionals {
-            if needed[cond.child] {
-                for axis in &cond.parents {
-                    if !needed[axis.attr] {
-                        needed[axis.attr] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
+        let parents =
+            model.conditionals.iter().filter(|c| needed[c.child]).flat_map(|c| &c.parents);
+        let Some(next) = parents.map(|p| p.attr).find(|&a| !needed[a]) else { break };
+        needed[next] = true;
     }
-    let closure: Vec<usize> = (0..d).filter(|&a| needed[a]).collect();
-    let closure_dims: Vec<usize> =
-        closure.iter().map(|&a| schema.attribute(a).domain_size()).collect();
-    let cells: usize = closure_dims.iter().product();
 
-    let out_dims: Vec<usize> = attrs.iter().map(|&a| schema.attribute(a).domain_size()).collect();
-    let mut values = vec![0.0f64; out_dims.iter().product()];
-    let mut tuple = vec![0u32; d];
-    let mut codes: Vec<usize> = Vec::new();
-    for flat in 0..cells {
-        // Decode the flat index into the closure configuration (row-major,
-        // last closure attribute fastest — the specified enumeration order).
-        let mut rest = flat;
-        for (&a, &dim) in closure.iter().zip(&closure_dims).rev() {
-            tuple[a] = (rest % dim) as u32;
-            rest /= dim;
-        }
-        let mut p = 1.0f64;
-        for cond in &model.conditionals {
-            if !needed[cond.child] {
-                continue;
-            }
-            codes.clear();
-            for axis in &cond.parents {
-                let raw = tuple[axis.attr];
-                let code = if axis.level == 0 {
-                    raw as usize
-                } else {
-                    schema
-                        .attribute(axis.attr)
-                        .taxonomy()
-                        .expect("taxonomy validated at model construction")
-                        .generalize(raw, axis.level) as usize
-                };
-                codes.push(code);
-            }
-            p *= cond.child_distribution(cond.parent_index(&codes))[tuple[cond.child] as usize];
-        }
-        let mut out_idx = 0usize;
-        for (&a, &dim) in attrs.iter().zip(&out_dims) {
-            out_idx = out_idx * dim + tuple[a] as usize;
-        }
-        values[out_idx] += p;
+    // One factor per closure pair in network order: its parents' raw codes,
+    // then its child's.
+    let mut factors = Vec::new();
+    for cond in model.conditionals.iter().filter(|c| needed[c.child]) {
+        let scope: Vec<usize> = cond.parents.iter().map(|p| p.attr).chain([cond.child]).collect();
+        let dims: Vec<usize> = scope.iter().map(|&a| schema.attribute(a).domain_size()).collect();
+        let cell = |flat| {
+            let raw = decode(flat, &dims);
+            let codes: Vec<usize> = (cond.parents.iter().zip(&raw))
+                .map(|(p, &code)| {
+                    let tree = schema.attribute(p.attr).taxonomy();
+                    tree.map_or(code, |tree| tree.generalize(code as u32, p.level) as usize)
+                })
+                .collect();
+            cond.child_distribution(cond.parent_index(&codes))[raw[scope.len() - 1]]
+        };
+        let values = (0..dims.iter().product()).map(cell).collect();
+        factors.push(OracleFactor { scope, dims, values });
     }
-    let axes: Vec<Axis> = attrs.iter().map(|&a| Axis::raw(a)).collect();
-    ContingencyTable::from_parts(axes, out_dims, values)
+
+    // Eliminate the candidate whose bucket context has the fewest cells; the
+    // strict `<` keeps the earliest of equal ones.
+    let mut candidates: Vec<usize> = (0..d).filter(|&a| needed[a] && !attrs.contains(&a)).collect();
+    while !candidates.is_empty() {
+        let cells = |i: usize| -> f64 {
+            context(&factors, candidates[i]).1.iter().map(|&n| n as f64).product()
+        };
+        let best =
+            (1..candidates.len()).fold(0, |best, i| if cells(i) < cells(best) { i } else { best });
+        let var = candidates.swap_remove(best);
+        let (scope, dims) = context(&factors, var);
+        let ones = OracleFactor { values: vec![1.0; dims.iter().product()], scope, dims };
+        let (mentioning, mut rest): (Vec<_>, Vec<_>) =
+            factors.into_iter().partition(|f| f.scope.contains(&var));
+        let bucket = mentioning.iter().fold(ones, |bucket, f| bucket.join(f));
+        let keep: Vec<usize> = bucket.scope.iter().copied().filter(|&a| a != var).collect();
+        rest.push(bucket.project(&keep));
+        factors = rest;
+    }
+
+    let unit = OracleFactor { scope: Vec::new(), dims: Vec::new(), values: vec![1.0] };
+    let mut joint = factors.iter().fold(unit, |joint, f| joint.join(f));
+    let total = joint.values.iter().fold(0.0, |sum, &v| sum + v);
+    assert!(total > 0.0, "the query has no mass");
+    for v in &mut joint.values {
+        *v /= total;
+    }
+    let answer = joint.project(attrs);
+    let axes = attrs.iter().map(|&a| Axis::raw(a)).collect();
+    ContingencyTable::from_parts(axes, answer.dims, answer.values)
+}
+
+/// A dense factor of [`reference_theta_projection`], row-major over `scope`.
+struct OracleFactor {
+    scope: Vec<usize>,
+    dims: Vec<usize>,
+    values: Vec<f64>,
+}
+
+/// The attributes that share a factor with `var`, in first-mention order,
+/// without `var`, and their dims.
+fn context(factors: &[OracleFactor], var: usize) -> (Vec<usize>, Vec<usize>) {
+    let (mut scope, mut dims) = (Vec::new(), Vec::new());
+    for f in factors.iter().filter(|f| f.scope.contains(&var)) {
+        for (&a, &dim) in f.scope.iter().zip(&f.dims) {
+            if a != var && !scope.contains(&a) {
+                scope.push(a);
+                dims.push(dim);
+            }
+        }
+    }
+    (scope, dims)
+}
+
+impl OracleFactor {
+    /// This factor's cell at the coordinates `coords` gives the attributes of
+    /// `scope`.
+    fn cell_at(&self, scope: &[usize], coords: &[usize]) -> usize {
+        let coord = |a: &usize| coords[scope.iter().position(|s| s == a).expect("in scope")];
+        self.scope.iter().zip(&self.dims).fold(0, |cell, (a, &dim)| cell * dim + coord(a))
+    }
+
+    /// The product over this factor's attributes, then `other`'s new ones.
+    fn join(&self, other: &OracleFactor) -> OracleFactor {
+        let (mut scope, mut dims) = (self.scope.clone(), self.dims.clone());
+        for (&a, &dim) in other.scope.iter().zip(&other.dims) {
+            if !self.scope.contains(&a) {
+                scope.push(a);
+                dims.push(dim);
+            }
+        }
+        let cell = |flat| {
+            let coords = decode(flat, &dims);
+            self.values[self.cell_at(&scope, &coords)]
+                * other.values[other.cell_at(&scope, &coords)]
+        };
+        let values = (0..dims.iter().product()).map(cell).collect();
+        OracleFactor { scope, dims, values }
+    }
+
+    /// The sum onto the attributes `keep`, in that order, each cell added in
+    /// index order from 0.0.
+    fn project(&self, keep: &[usize]) -> OracleFactor {
+        let position = |a: &usize| self.scope.iter().position(|s| s == a).expect("kept");
+        let dims: Vec<usize> = keep.iter().map(|a| self.dims[position(a)]).collect();
+        let values = vec![0.0; dims.iter().product()];
+        let mut out = OracleFactor { scope: keep.to_vec(), dims, values };
+        for (flat, &v) in self.values.iter().enumerate() {
+            let cell = out.cell_at(&self.scope, &decode(flat, &self.dims));
+            out.values[cell] += v;
+        }
+        out
+    }
+}
+
+/// The row-major coordinates of cell `flat` of a table of `dims`.
+fn decode(mut flat: usize, dims: &[usize]) -> Vec<usize> {
+    let mut coords = vec![0; dims.len()];
+    for (coord, &dim) in coords.iter_mut().zip(dims).rev() {
+        *coord = flat % dim;
+        flat /= dim;
+    }
+    coords
 }
 
 /// Reference row renderer: the per-cell `RowFormat::render` that predates
@@ -778,7 +837,7 @@ mod tests {
     #[test]
     fn theta_projection_oracle_is_bit_identical_to_the_serving_path() {
         use privbayes::conditionals::noisy_conditionals_general_engine;
-        use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
+        use privbayes::inference::{model_marginal, DEFAULT_CELL_CAP};
         use privbayes_marginals::CountEngine;
 
         let data = privbayes_datasets::nltcs::nltcs_sized(3, 800).data;
@@ -798,7 +857,7 @@ mod tests {
         )
         .unwrap();
         for attrs in [vec![0usize], vec![3, 1], vec![2, 5, 0]] {
-            let served = theta_projection(&model, data.schema(), &attrs, DEFAULT_CELL_CAP).unwrap();
+            let served = model_marginal(&model, data.schema(), &attrs, DEFAULT_CELL_CAP).unwrap();
             let oracle = reference_theta_projection(&model, data.schema(), &attrs);
             assert_eq!(served.dims(), oracle.dims(), "attrs {attrs:?}");
             for (i, (a, b)) in served.values().iter().zip(oracle.values()).enumerate() {

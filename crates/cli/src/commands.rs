@@ -7,7 +7,7 @@ use std::io::{BufReader, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
-use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
+use privbayes::inference::{model_marginal, DEFAULT_CELL_CAP};
 use privbayes_bench::audit::{audit_method, vacuous_verdict, AuditConfig};
 use privbayes_data::csv::{read_csv, write_csv};
 use privbayes_data::encoding::EncodingKind;
@@ -363,8 +363,7 @@ fn synth(args: &ParsedArgs) -> Result<String, CliError> {
         text.extend_from_slice(resolved.format.header(schema, projection).as_bytes());
     }
     let mut yielded = 0usize;
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let Ok(()) = render_chunks(&stream, &renderer, threads, |chunk| {
+    let Ok(()) = render_chunks(&stream, &renderer, privbayes::resolve_threads(None), |chunk| {
         yielded += chunk.rows;
         text.extend_from_slice(&chunk.bytes);
         Ok::<(), Infallible>(())
@@ -417,7 +416,7 @@ fn query(args: &ParsedArgs) -> Result<String, CliError> {
             span.mark("load");
             let attrs = q.resolve(&artifact.schema)?;
             let table =
-                theta_projection(&artifact.model, &artifact.schema, &attrs, DEFAULT_CELL_CAP)?;
+                model_marginal(&artifact.model, &artifact.schema, &attrs, DEFAULT_CELL_CAP)?;
             span.mark("project");
             let names: Vec<&str> =
                 attrs.iter().map(|&a| artifact.schema.attribute(a).name()).collect();
@@ -1341,9 +1340,16 @@ mod tests {
         let lines: Vec<&str> = out.trim().lines().collect();
         assert_eq!(lines[0], "smoker,region,probability");
         assert_eq!(lines.len(), 1 + 2 * 3, "header + 2x3 cells");
-        let total: f64 =
-            lines[1..].iter().map(|l| l.rsplit(',').next().unwrap().parse::<f64>().unwrap()).sum();
+        let printed: Vec<f64> =
+            lines[1..].iter().map(|l| l.rsplit(',').next().unwrap().parse().unwrap()).collect();
+        let total: f64 = printed.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "marginal must sum to 1, got {total}");
+        // The printed decimals read back to `model_marginal`'s exact bits.
+        let artifact = ReleasedModel::load(&model_path).unwrap();
+        let exact =
+            model_marginal(&artifact.model, &artifact.schema, &[0, 1], DEFAULT_CELL_CAP).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&printed), bits(exact.values()));
 
         fs::remove_dir_all(&dir).unwrap();
     }

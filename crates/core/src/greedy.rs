@@ -28,6 +28,7 @@
 //! network does not depend on the worker count.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use privbayes_dp::exponential::select_with_scale;
 use privbayes_marginals::{probs_into, Axis, CountEngine, CountTable, SubsetCounts};
@@ -88,11 +89,12 @@ impl GreedySettings {
     }
 }
 
-/// Resolves an optional thread override against the machine's parallelism.
-pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
-    threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        .max(1)
+/// Resolves an optional thread override against the machine's parallelism,
+/// which is read once per process: on Linux it reads cgroup files.
+pub fn resolve_threads(threads: Option<usize>) -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    let machine = || std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    threads.unwrap_or_else(|| *MACHINE.get_or_init(machine)).max(1)
 }
 
 /// The candidate scores of one greedy search, carried from round to round.

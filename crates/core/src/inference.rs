@@ -9,11 +9,15 @@
 //! non-ancestors are pruned (their conditionals integrate to one), each
 //! remaining AP pair becomes a CPT factor with the evidence sliced out, and
 //! the other attributes are summed out in a greedy
-//! smallest-intermediate-factor order. The same elimination's buckets let the
+//! smallest-intermediate-factor order. It is the suite's one exact path: it
+//! answers the query API (`POST /v1/models/{id}/query` and
+//! `privbayes-cli query`), and the same elimination's buckets let the
 //! sampler draw evidence cohorts exactly
-//! ([`crate::sampler::CompiledSampler::stream_spec`]). This removes the
-//! sampling error from query answers; the privacy cost is unchanged because
-//! the model is already differentially private (post-processing).
+//! ([`crate::sampler::CompiledSampler::stream_spec`]). Its operation order
+//! is specified (see [`model_conditional`]), so its answers are
+//! bit-reproducible. This removes the sampling error from query answers; the
+//! privacy cost is unchanged because the model is already differentially
+//! private (post-processing).
 
 use privbayes_data::Schema;
 use privbayes_marginals::{project_values, projected_cells, Axis, ContingencyTable};
@@ -29,7 +33,8 @@ pub const DEFAULT_CELL_CAP: usize = 1 << 22;
 ///
 /// Attributes appear in the returned table in the order given. Only the
 /// query's **ancestral closure** is materialised, and a query that needs an
-/// intermediate factor above `cell_cap` cells is refused.
+/// intermediate factor above `cell_cap` cells is refused. The values follow
+/// [`model_conditional`]'s operation order bit for bit.
 ///
 /// # Errors
 /// As [`model_conditional`].
@@ -55,6 +60,35 @@ pub fn model_marginal(
 /// computed from the released model, this is post-processing: no privacy
 /// budget is consumed.
 ///
+/// # Operation order
+///
+/// The order of every floating-point operation is fixed, and it is the query
+/// API's bit contract: an implementation that follows it returns a
+/// bit-identical table. `privbayes_bench::reference::reference_theta_projection`
+/// is one, written without this module's code, and the query tests compare
+/// served answers with it by `to_bits()`.
+///
+/// 1. Prune to the ancestral closure of the targets and the evidence.
+/// 2. Build one factor per closure pair, in network order (the model's
+///    conditional list), over raw parent domains, with generalised parents
+///    resolved through their taxonomies. Each factor's scope is its parents
+///    in order, then its child. Slice each evidence attribute out at its
+///    observed code.
+/// 3. Repeatedly eliminate the closure attribute, neither target nor
+///    evidence, whose bucket context has the fewest cells. The context is the
+///    first-mention union of the scopes of the factors that mention the
+///    attribute, minus the attribute itself; its size is the f64 product of
+///    its dims. Ties go to the earliest candidate in the remaining list. That
+///    list starts ascending and loses each chosen attribute by `swap_remove`.
+/// 4. The bucket is an all-ones factor over the context, joined with each
+///    mentioning factor in list order. A join's scope is the left operand's
+///    axes followed by the right operand's new axes, and each cell is
+///    left × right. The factors that do not mention the attribute keep their
+///    order, and the bucket with the attribute summed out goes last. A sum
+///    adds input cells in index order, starting from 0.0.
+/// 5. Join the survivors onto a one-cell unit, in order. Divide every cell by
+///    their index-order sum. Project onto the targets in the order given.
+///
 /// # Errors
 /// Returns [`PrivBayesError::InvalidConfig`] for an empty/duplicated/out-of-
 /// range query, evidence codes outside their domains, overlap between
@@ -78,19 +112,15 @@ pub fn model_conditional(
 }
 
 /// Greedy variable elimination over the ancestral closure of `targets` and
-/// the evidence: the one routine behind [`model_conditional`] and the
-/// sampler's evidence cohorts.
-///
-/// Each closure pair becomes a CPT factor with the evidence sliced out at its
-/// observed code; every closure attribute that is neither target nor
-/// evidence is then eliminated, smallest intermediate factor first. Returns
-/// `Pr*[targets | evidence]` (scoped within `targets`, in join order) and
-/// each eliminated attribute's **bucket** — the product of the factors that
-/// mentioned it, before the sum — in elimination order. A bucket's last
-/// (fastest) axis is its eliminated attribute; its other attributes are all
-/// eliminated later or are targets, so a bucket read as a table of
-/// conditionals is `Pr*[attribute | later attributes, evidence]` up to one
-/// normalising constant per slice.
+/// the evidence, in [`model_conditional`]'s operation order: the one
+/// routine behind [`model_conditional`] and the sampler's evidence cohorts.
+/// Returns `Pr*[targets | evidence]` (scoped within `targets`, in join
+/// order) and each eliminated attribute's **bucket** — the product of the
+/// factors that mentioned it, before the sum — in elimination order. A
+/// bucket's last (fastest) axis is its eliminated attribute; its other
+/// attributes are all eliminated later or are targets, so a bucket read as
+/// a table of conditionals is `Pr*[attribute | later attributes, evidence]`
+/// up to one normalising constant per slice.
 ///
 /// # Errors
 /// As [`model_conditional`], apart from the empty-target check (cohorts keep
@@ -205,152 +235,9 @@ pub(crate) fn eliminate_closure(
     Ok((posterior, buckets))
 }
 
-/// Computes the exact model marginal `Pr*_N[attrs]` by **θ-projection**: a
-/// direct, deterministic enumeration of the query's ancestral closure. This
-/// is the canonical algorithm behind the query API's `/v1/models/{id}/query`
-/// endpoint; [`model_marginal`] computes the same distribution faster via
-/// variable elimination but with an elimination-order-dependent floating-
-/// point summation, so only θ-projection answers are **bit-reproducible**
-/// across releases and against the independent oracle in
-/// `privbayes_bench::reference`.
-///
-/// The operation order is part of the contract (two independent
-/// implementations following it produce bit-identical tables):
-///
-/// 1. Prune to the query's **ancestral closure** (non-ancestors integrate to
-///    one and are skipped exactly).
-/// 2. Enumerate the closure's raw configurations in row-major order over the
-///    closure attributes sorted ascending by index (last attribute fastest).
-/// 3. Per configuration, multiply the conditionals `Pr*[child | parents]` in
-///    **network order** (the model's conditional list order), generalised
-///    parents resolved through their taxonomies.
-/// 4. Accumulate each configuration's probability into the output cell
-///    (query coordinates in the order given) in enumeration order.
-///
-/// # Errors
-/// Returns [`PrivBayesError::InvalidConfig`] for an empty/duplicated/out-of-
-/// range query or when the closure (or output) would exceed `cell_cap`
-/// cells, and [`PrivBayesError::InvalidNetwork`] if the model does not cover
-/// the schema.
-pub fn theta_projection(
-    model: &NoisyModel,
-    schema: &Schema,
-    attrs: &[usize],
-    cell_cap: usize,
-) -> Result<ContingencyTable, PrivBayesError> {
-    let d = schema.len();
-    if model.conditionals.len() != d {
-        return Err(PrivBayesError::InvalidNetwork(format!(
-            "model covers {} attributes, schema has {d}",
-            model.conditionals.len()
-        )));
-    }
-    if attrs.is_empty() {
-        return Err(PrivBayesError::InvalidConfig("empty query".into()));
-    }
-    for (i, &a) in attrs.iter().enumerate() {
-        if a >= d {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} out of range")));
-        }
-        if attrs[..i].contains(&a) {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} repeated")));
-        }
-    }
-
-    // Step 1: ancestral closure (parents precede children, so one reverse
-    // sweep marks every ancestor).
-    let mut needed = vec![false; d];
-    for &a in attrs {
-        needed[a] = true;
-    }
-    for cond in model.conditionals.iter().rev() {
-        if needed[cond.child] {
-            for axis in &cond.parents {
-                needed[axis.attr] = true;
-            }
-        }
-    }
-    let closure: Vec<usize> = (0..d).filter(|&a| needed[a]).collect();
-    let closure_dims: Vec<usize> =
-        closure.iter().map(|&a| schema.attribute(a).domain_size()).collect();
-    let mut closure_cells = 1usize;
-    for &dim in &closure_dims {
-        closure_cells = closure_cells.saturating_mul(dim);
-        if closure_cells > cell_cap {
-            return Err(PrivBayesError::InvalidConfig(format!(
-                "theta projection would enumerate more than {cell_cap} closure cells; \
-                 use model_marginal or sampling for this query"
-            )));
-        }
-    }
-
-    let out_dims: Vec<usize> = attrs.iter().map(|&a| schema.attribute(a).domain_size()).collect();
-    let out_cells: usize = out_dims.iter().product();
-    // The query is a subset of the closure, so its cells can't exceed the
-    // (already checked) closure cells; guard anyway for clarity.
-    if out_cells > cell_cap {
-        return Err(cap_error(out_cells, cell_cap));
-    }
-    let mut out_strides = vec![1usize; attrs.len()];
-    for i in (0..attrs.len().saturating_sub(1)).rev() {
-        out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
-    }
-
-    // Conditionals participating in the product, in network order.
-    let conds: Vec<&crate::conditionals::Conditional> =
-        model.conditionals.iter().filter(|c| needed[c.child]).collect();
-
-    // Steps 2–4: row-major mixed-radix enumeration of the closure.
-    let mut values = vec![0.0f64; out_cells];
-    let mut tuple = vec![0u32; d]; // raw codes of the current configuration
-    let mut codes: Vec<usize> = Vec::new();
-    loop {
-        // Step 3: the configuration's probability, conditionals in network
-        // order, generalised parents resolved per configuration.
-        let mut p = 1.0f64;
-        for cond in &conds {
-            codes.clear();
-            for axis in &cond.parents {
-                let raw = tuple[axis.attr];
-                let code = if axis.level == 0 {
-                    raw
-                } else {
-                    schema
-                        .attribute(axis.attr)
-                        .taxonomy()
-                        .expect("validated by BayesianNetwork::new")
-                        .generalize(raw, axis.level)
-                };
-                codes.push(code as usize);
-            }
-            let slice = cond.child_distribution(cond.parent_index(&codes));
-            p *= slice[tuple[cond.child] as usize];
-        }
-        // Step 4: accumulate into the output cell.
-        let mut out_idx = 0usize;
-        for (&a, &stride) in attrs.iter().zip(&out_strides) {
-            out_idx += tuple[a] as usize * stride;
-        }
-        values[out_idx] += p;
-
-        // Step 2's increment: last closure attribute fastest.
-        let mut carry = true;
-        for (&a, &dim) in closure.iter().zip(&closure_dims).rev() {
-            tuple[a] += 1;
-            if (tuple[a] as usize) < dim {
-                carry = false;
-                break;
-            }
-            tuple[a] = 0;
-        }
-        if carry {
-            break;
-        }
-    }
-
-    let axes: Vec<Axis> = attrs.iter().map(|&a| Axis::raw(a)).collect();
-    Ok(ContingencyTable::from_parts(axes, out_dims, values))
-}
+/// The query API's old name for [`model_marginal`], kept for the
+/// benchmark's traced stream, which still calls it.
+pub use self::model_marginal as theta_projection;
 
 /// A dense factor over raw attributes (row-major, last axis fastest).
 #[derive(Debug, Clone)]
@@ -702,41 +589,6 @@ mod tests {
             let empirical = ContingencyTable::from_dataset(&data, &axes);
             assert!(total_variation(t.values(), empirical.values()) < 1e-9, "attrs {attrs:?}");
         }
-    }
-
-    #[test]
-    fn theta_projection_agrees_with_variable_elimination() {
-        let (data, model) = chain_model();
-        for attrs in [vec![0usize], vec![2], vec![2, 0], vec![0, 1, 2]] {
-            let ve = model_marginal(&model, data.schema(), &attrs, DEFAULT_CELL_CAP).unwrap();
-            let proj = theta_projection(&model, data.schema(), &attrs, DEFAULT_CELL_CAP).unwrap();
-            assert_eq!(proj.axes(), ve.axes(), "attrs {attrs:?}");
-            assert_eq!(proj.dims(), ve.dims(), "attrs {attrs:?}");
-            let tvd = total_variation(proj.values(), ve.values());
-            assert!(tvd < 1e-12, "attrs {attrs:?}: tvd {tvd}");
-        }
-    }
-
-    #[test]
-    fn theta_projection_is_bitwise_deterministic() {
-        let (data, model) = chain_model();
-        let a = theta_projection(&model, data.schema(), &[2, 0], DEFAULT_CELL_CAP).unwrap();
-        let b = theta_projection(&model, data.schema(), &[2, 0], DEFAULT_CELL_CAP).unwrap();
-        for (x, y) in a.values().iter().zip(b.values()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn theta_projection_prunes_and_caps() {
-        let (data, model) = chain_model();
-        assert!(theta_projection(&model, data.schema(), &[], DEFAULT_CELL_CAP).is_err());
-        assert!(theta_projection(&model, data.schema(), &[0, 0], DEFAULT_CELL_CAP).is_err());
-        assert!(theta_projection(&model, data.schema(), &[9], DEFAULT_CELL_CAP).is_err());
-        // The closure of {0} is just {0} (a is a root): 2 cells pass a cap
-        // of 2, while the full joint (12 cells) would not.
-        assert!(theta_projection(&model, data.schema(), &[0], 2).is_ok());
-        assert!(theta_projection(&model, data.schema(), &[0, 1, 2], 2).is_err());
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub mod score;
 pub mod theta;
 
 pub use error::PrivBayesError;
+pub use greedy::resolve_threads;
 pub use network::{ApPair, BayesianNetwork};
 pub use pipeline::{PrivBayes, PrivBayesOptions, SynthesisResult};
 pub use sampler::{CompiledSampler, RowStream, SampleSpec, CHUNK_ROWS};

@@ -11,10 +11,9 @@
 //! output cell in input index order. That order is the bit-identity
 //! condition: a float projection equals any other projection that adds
 //! the same cells in the same order, so moving a caller onto the walk
-//! changes no released value. `privbayes::inference::theta_projection`
-//! keeps its own enumeration, because its operation order is the query
-//! API's bit contract, and so do the brute-force oracles the tests compare
-//! against.
+//! changes no released value. The oracles the tests compare against keep
+//! their own div/mod decoding, so that they share no code with the paths
+//! they check.
 
 use std::ops::AddAssign;
 

@@ -10,16 +10,14 @@
 //!   increment path.
 //! - [`Histogram`]: log-bucketed latencies (powers of two over
 //!   microseconds). One observation is one atomic bucket increment plus an
-//!   atomic sum/count update; p50/p95/p99 are derived from the buckets at
-//!   read time, never tracked online.
+//!   atomic sum/count update; the exposition renders the cumulative
+//!   buckets, and no percentile is tracked online.
 //! - [`Registry`]: a named, label-aware family store rendering
 //!   [Prometheus text exposition format v0.0.4][prom]. Handle lookup takes
 //!   an uncontended `RwLock` read; hot loops clone the `Arc` handle once
 //!   and then touch only atomics.
 //! - [`Span`]: request-scoped stage timing over [`std::time::Instant`]
 //!   (monotonic, cheap), feeding per-stage histograms.
-//! - [`json_escape`]: string escaping for the structured (JSON-line) access
-//!   log the server writes.
 //! - [`parse_text`] / [`Snapshot`]: the matching exposition parser, used by
 //!   the bundled client (`Client::metrics`), the tests and the benchmark
 //!   (`perfbench/`) to assert on counter deltas.
@@ -30,10 +28,8 @@
 //!
 //! [prom]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
-mod log;
 mod metrics;
 mod span;
 
-pub use log::json_escape;
 pub use metrics::{parse_text, Counter, Gauge, Histogram, MetricKind, Registry, Sample, Snapshot};
 pub use span::Span;

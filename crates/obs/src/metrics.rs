@@ -65,9 +65,8 @@ const FINITE_BUCKETS: usize = 28;
 /// A log-bucketed latency histogram. Buckets are powers of two over
 /// microseconds, so one observation costs one leading-zeros computation and
 /// three relaxed atomic adds — no locks, no allocation, no online
-/// percentile state. Quantiles are derived from the buckets at read time
-/// (upper-bound estimate: the true quantile is ≤ the reported one, within
-/// one 2× bucket).
+/// percentile state. The exposition renders the cumulative buckets; a
+/// scraper derives quantiles from them.
 #[derive(Debug)]
 pub struct Histogram {
     /// `buckets[i]` counts observations in `(2^(i-1), 2^i]` µs (bucket 0 is
@@ -124,27 +123,6 @@ impl Histogram {
     #[must_use]
     pub fn sum_secs(&self) -> f64 {
         self.sum_ns.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
-    /// An upper-bound estimate of quantile `q` (0..=1) in seconds: the
-    /// upper edge of the bucket holding the q-th observation. Returns
-    /// `None` when empty, `f64::INFINITY` when the quantile falls in the
-    /// overflow bucket.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= target {
-                return Some(if i < FINITE_BUCKETS { Self::bound_secs(i) } else { f64::INFINITY });
-            }
-        }
-        Some(f64::INFINITY)
     }
 
     /// Per-bucket counts including the overflow slot (test/debug aid).
@@ -598,23 +576,6 @@ mod tests {
         assert_eq!(counts[10], 1);
         assert_eq!(counts[FINITE_BUCKETS], 1, "overflow goes to +Inf");
         assert!((h.sum_secs() - 500.001_002_501).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quantiles_are_upper_bounds() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), None, "empty histogram has no quantiles");
-        for _ in 0..90 {
-            h.observe_ns(900); // bucket 0: ≤ 1µs
-        }
-        for _ in 0..10 {
-            h.observe_ns(1_000_000_000); // 1s
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((p50 - 1e-6).abs() < 1e-12, "p50 = {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= 1.0, "p99 must cover the slow tail, got {p99}");
-        assert!(p99 < 3.0, "p99 stays within one 2x bucket, got {p99}");
     }
 
     #[test]

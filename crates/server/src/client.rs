@@ -1,6 +1,6 @@
 //! A tiny std-only client for the service — used by the integration tests,
-//! the benchmark (`perfbench/`), the `serve_and_query` example, and
-//! scripting against a running server.
+//! the CLI's remote commands, the `serve_and_query` example and scripts (the
+//! benchmark, `perfbench/`, has HTTP code of its own).
 //!
 //! # Connection reuse
 //!
@@ -543,9 +543,9 @@ impl Client {
     }
 
     /// `POST /v1/models/{id}/query` with a typed [`MarginalQuery`]; returns
-    /// the parsed answer (`attrs`, `dims`, row-major `values` — exact
-    /// θ-projection of the released model, bit-reproducible for a fixed
-    /// model).
+    /// the parsed answer (`attrs`, `dims`, row-major `values` — the exact
+    /// marginal of the released model by variable elimination,
+    /// bit-reproducible for a fixed model).
     ///
     /// # Errors
     /// Socket/protocol/status errors.

@@ -20,7 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use privbayes_obs::{json_escape, Counter, Gauge, Histogram, MetricKind, Registry};
+use privbayes_model::Json;
+use privbayes_obs::{Counter, Gauge, Histogram, MetricKind, Registry};
 
 use crate::client::splitmix64;
 use crate::ledger::TenantBudget;
@@ -289,15 +290,18 @@ impl ServerMetrics {
             return;
         };
         let ts = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
-        let line = format!(
-            "{{\"ts\":{ts},\"id\":\"{}\",\"method\":\"{}\",\"path\":\"{}\",\
-             \"endpoint\":\"{endpoint}\",\"status\":{status},\"bytes\":{bytes},\
-             \"micros\":{}}}",
-            json_escape(&ctx.id),
-            json_escape(method),
-            json_escape(path),
-            elapsed.as_micros()
-        );
+        let line = Json::object(vec![
+            ("ts", Json::Number(ts as f64)),
+            ("id", Json::String(ctx.id.clone())),
+            ("method", Json::String(method.to_string())),
+            ("path", Json::String(path.to_string())),
+            ("endpoint", Json::String(endpoint.to_string())),
+            ("status", Json::Number(f64::from(status))),
+            ("bytes", Json::Number(bytes as f64)),
+            ("micros", Json::Number(elapsed.as_micros() as f64)),
+        ])
+        .to_string_compact()
+        .expect("every field is finite");
         let mut file = sink.lock().expect("access log lock poisoned");
         // Log-sink failures must never fail the request that triggered them.
         let _ = writeln!(file, "{line}");
@@ -504,5 +508,26 @@ mod tests {
         assert!(lines[0].contains("\"id\":\"req-test\""), "{}", lines[0]);
         assert!(lines[0].contains("\"status\":200"), "{}", lines[0]);
         assert!(lines[0].contains("\"bytes\":42"), "{}", lines[0]);
+    }
+
+    #[test]
+    fn escaping_covers_json_specials() {
+        // Every field goes through `Json`, so quotes, backslashes and
+        // control characters stay inside one line that reads back exactly.
+        let dir = std::env::temp_dir()
+            .join(format!("privbayes-metrics-access-escape-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("access.log");
+        let metrics = ServerMetrics::new(Some(File::create(&path).unwrap()));
+        let ctx = RequestCtx::new(&metrics, "req-escape".into());
+        let hostile = "/a\"b\\c\u{1}\n\t";
+        metrics.finish_request(&ctx, "GET", hostile, 0);
+        let log = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 1, "{log}");
+        let entry = Json::parse(lines[0]).unwrap();
+        assert_eq!(entry.get("path").and_then(Json::as_str), Some(hostile));
+        assert_eq!(entry.get("id").and_then(Json::as_str), Some("req-escape"));
     }
 }

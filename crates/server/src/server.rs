@@ -81,14 +81,13 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
+use privbayes::inference::{model_marginal, DEFAULT_CELL_CAP};
 use privbayes_data::csv::read_csv;
 use privbayes_model::{schema_from_json, seed_from_json, Json, ReleasedModel};
 use privbayes_synth::{
@@ -126,8 +125,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Worker threads used *inside* a request: candidate scoring in a fit,
     /// and the threads that sample and render a synthesis stream's chunks
-    /// (resolved once, when the server binds). `None` uses
-    /// [`std::thread::available_parallelism`]. Never changes a byte.
+    /// (resolved once, when the server binds). `None` uses the machine's
+    /// parallelism ([`privbayes::resolve_threads`]). Never changes a byte.
     pub fit_threads: Option<usize>,
     /// Upper bound on `rows` per synthesis request; larger requests get a
     /// structured 400. Bounds how long one request can hold its connection.
@@ -306,14 +305,6 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// [`std::thread::available_parallelism`], read once per process: on Linux
-/// it reads cgroup files, which took 50–100 µs, as long as the rest of
-/// [`Server::bind`].
-fn available_parallelism() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
 /// A bound-but-not-yet-running synthesis service.
 pub struct Server {
     listener: TcpListener,
@@ -365,7 +356,7 @@ impl Server {
             Some(dir) => DatasetStore::open(dir)?,
             None => DatasetStore::in_memory(),
         });
-        let stream_threads = config.fit_threads.unwrap_or_else(available_parallelism).max(1);
+        let stream_threads = privbayes::resolve_threads(config.fit_threads);
         let shared = Arc::new(Shared {
             registry,
             ledger,
@@ -1208,8 +1199,10 @@ impl Drop for StreamRecord<'_, '_> {
 }
 
 /// `POST /v1/models/{id}/query`: answer a [`MarginalQuery`] exactly from
-/// the released θ via the deterministic θ-projection — no sampling, no
-/// privacy cost (post-processing), bit-reproducible values.
+/// the released θ by [`model_marginal`]'s variable elimination — no
+/// sampling, no privacy cost (post-processing), bit-reproducible values.
+/// A query whose elimination needs a factor above `DEFAULT_CELL_CAP` cells
+/// is answered `400 invalid-spec`.
 ///
 /// [`MarginalQuery`]: privbayes_synth::MarginalQuery
 fn query_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Result<()> {
@@ -1227,7 +1220,7 @@ fn query_v1(shared: &Shared, call: Call<'_>, out: &mut dyn Write) -> std::io::Re
         Ok(attrs) => attrs,
         Err(e) => return respond_invalid_spec(out, ctx, &e),
     };
-    let table = match theta_projection(&entry.artifact.model, schema, &attrs, DEFAULT_CELL_CAP) {
+    let table = match model_marginal(&entry.artifact.model, schema, &attrs, DEFAULT_CELL_CAP) {
         Ok(table) => table,
         Err(e) => return respond_error(out, ctx, 400, "invalid-spec", &e.to_string()),
     };

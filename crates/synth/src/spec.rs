@@ -21,7 +21,7 @@
 //! no cursor) reproduces the legacy unconditional stream byte for byte; a
 //! [`Cursor`] resumes a stream so that `prefix + resumed == uninterrupted`
 //! exactly; [`MarginalQuery`] answers are bit-reproducible (they go through
-//! `privbayes::inference::theta_projection`, whose operation order is
+//! `privbayes::inference::model_marginal`, whose operation order is
 //! specified).
 
 use std::fmt;
@@ -793,9 +793,9 @@ impl ResolvedSynth {
 
 /// A marginal query against the released θ: the joint distribution of
 /// `attrs` under the model, answered **exactly** (no sampling, no privacy
-/// cost — pure post-processing of the released conditionals) via
-/// `privbayes::inference::theta_projection`, whose fixed operation order
-/// makes answers bit-reproducible.
+/// cost — pure post-processing of the released conditionals) by the
+/// variable elimination of `privbayes::inference::model_marginal`, whose
+/// fixed operation order makes answers bit-reproducible.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MarginalQuery {
     /// The queried attributes; the answer's axes follow this order.

@@ -793,17 +793,23 @@ fn instrumented_streaming_is_byte_identical_and_logged() {
     let body = client.synth("m", rows, seed, "csv").unwrap();
     assert_eq!(body, expected, "instrumentation must not change a single byte");
     client.health().unwrap();
+    // A path that decodes to a quote, a backslash and a control character.
+    let hostile = client.request("GET", "/nope%22%5C%01", None).unwrap();
+    assert_eq!(hostile.code, 404);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
 
-    // One JSON line per request, each parseable, with id/endpoint/status.
+    // One JSON line per request, each parseable, with id/endpoint/status;
+    // the hostile path reads back exactly.
     let log = std::fs::read_to_string(&log_path).unwrap();
     let lines: Vec<&str> = log.lines().filter(|l| !l.is_empty()).collect();
-    assert!(lines.len() >= 3, "synth + healthz + shutdown must be logged:\n{log}");
+    assert!(lines.len() >= 4, "synth + healthz + 404 + shutdown must be logged:\n{log}");
     let mut saw_synth = false;
+    let mut saw_hostile = false;
     for line in &lines {
         let entry = Json::parse(line).unwrap_or_else(|e| panic!("unparseable line {line}: {e}"));
+        saw_hostile |= entry.get("path").and_then(Json::as_str) == Some("/nope\"\\\u{1}");
         assert!(entry.get("id").and_then(Json::as_str).is_some_and(|id| !id.is_empty()));
         assert!(entry.get("endpoint").and_then(Json::as_str).is_some());
         assert!(entry.get("status").and_then(Json::as_f64).is_some());
@@ -816,6 +822,7 @@ fn instrumented_streaming_is_byte_identical_and_logged() {
         }
     }
     assert!(saw_synth, "the synth request must appear in the log:\n{log}");
+    assert!(saw_hostile, "the hostile path must read back from the log:\n{log}");
     let _ = std::fs::remove_file(&log_path);
 }
 

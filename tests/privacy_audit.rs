@@ -22,7 +22,7 @@ use privbayes_bench::audit::{
     AuditConfig, AuditOutcome,
 };
 use privbayes_suite::core::conditionals::noisy_conditionals_general_engine;
-use privbayes_suite::core::inference::{theta_projection, DEFAULT_CELL_CAP};
+use privbayes_suite::core::inference::{model_marginal, DEFAULT_CELL_CAP};
 use privbayes_suite::core::network::{ApPair, BayesianNetwork};
 use privbayes_suite::data::{Attribute, Dataset, Schema};
 use privbayes_suite::datasets::adult::adult_sized;
@@ -146,7 +146,7 @@ fn bound_gate_trips_on_a_noiseless_fit() {
 
 #[test]
 fn scorer_agrees_across_paths_and_bound_slack_are_sane() {
-    // The scorer against the log of the target's θ-projection cell on a
+    // The scorer against the log of the target's exact joint cell on a
     // released artifact, plus the two analytic helpers the gate is built
     // from, so a regression in any of the three shows up at this tier too
     // (not only inside the bench crate's units).
@@ -159,13 +159,13 @@ fn scorer_agrees_across_paths_and_bound_slack_are_sane() {
     // a positive cell (on the exclude world it is 0, and its log −∞).
     let model = broken_fit(&worlds.include, 1.0, 5);
     let attrs: Vec<usize> = (0..model.schema.len()).collect();
-    let joint = theta_projection(&model.model, &model.schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+    let joint = model_marginal(&model.model, &model.schema, &attrs, DEFAULT_CELL_CAP).unwrap();
     let coords: Vec<usize> = worlds.target.iter().map(|&v| v as usize).collect();
     let cell = joint.get(&coords);
-    assert!(cell > 0.0, "the target's θ cell is {cell}");
+    assert!(cell > 0.0, "the target's joint cell is {cell}");
     let full = cell.ln();
     let product = log_model_prob(&model, &worlds.target).unwrap();
-    assert!((full - product).abs() < 1e-9, "θ-projection {full} vs product {product}");
+    assert!((full - product).abs() < 1e-9, "joint {full} vs product {product}");
 
     assert!(advantage_bound(0.0).abs() < 1e-15);
     assert!(advantage_bound(1.0) > 0.0 && advantage_bound(1.0) < 1.0);

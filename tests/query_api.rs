@@ -4,15 +4,18 @@
 //!    evidence are cross-checked against the exact conditionals of
 //!    `privbayes::inference` on small networks (TVD below tolerance at a
 //!    fixed seed), for evidence on roots, inner attributes and leaves, and
-//!    against the θ-projection ratios `Pr[t, e] / Pr[e]`, which enumerate
-//!    the closure and share no code with the sampler's variable elimination.
+//!    against the ratios `Pr[t, e] / Pr[e]` of the independent oracle in
+//!    `privbayes_bench::reference`, which shares no code with the sampler.
 //! 2. **Projection** — projected streams are byte-equivalent to sampling
 //!    everything and dropping columns afterwards.
 //! 3. **Cursor resume** — an interrupted `/v1` stream resumed from a cursor
 //!    concatenates byte-identically to an uninterrupted one.
 //! 4. **Marginal queries** — `/v1/models/{id}/query` answers are
-//!    bit-identical to the independent θ-projection oracle in
-//!    `privbayes_bench::reference`.
+//!    bit-identical to the independent oracle in
+//!    `privbayes_bench::reference`, which follows the operation order
+//!    `model_conditional` documents, on the served fixtures, on a query far
+//!    past the cell cap of an enumeration of its closure, and on random
+//!    models.
 //! 5. **Error shape** — spec mistakes come back `400` with the structured
 //!    `invalid-spec` body; every response carries `Content-Type` and
 //!    `X-PrivBayes-Api: v1`.
@@ -23,7 +26,7 @@ use privbayes_bench::reference::reference_theta_projection;
 use privbayes_suite::core::conditionals::{
     noisy_conditionals_general_engine, Conditional, NoisyModel,
 };
-use privbayes_suite::core::inference::{model_conditional, theta_projection, DEFAULT_CELL_CAP};
+use privbayes_suite::core::inference::{model_conditional, model_marginal, DEFAULT_CELL_CAP};
 use privbayes_suite::core::network::{ApPair, BayesianNetwork};
 use privbayes_suite::core::{PrivBayesError, SampleSpec, CHUNK_ROWS};
 use privbayes_suite::data::{Attribute, Dataset, Schema, TaxonomyTree};
@@ -174,9 +177,15 @@ fn generalised_parent_model() -> (Schema, NoisyModel) {
 }
 
 fn start_server() -> (privbayes_suite::server::ServerHandle, Client) {
+    serve(vec![("m", chain_artifact(11)), ("z", zero_mass_artifact())])
+}
+
+/// A one-thread server over `models`, with a client for it.
+fn serve(models: Vec<(&str, ReleasedModel)>) -> (privbayes_suite::server::ServerHandle, Client) {
     let registry = Arc::new(ModelRegistry::new());
-    registry.load("m", chain_artifact(11)).unwrap();
-    registry.load("z", zero_mass_artifact()).unwrap();
+    for (id, artifact) in models {
+        registry.load(id, artifact).unwrap();
+    }
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig { fit_threads: Some(1), ..ServerConfig::default() },
@@ -301,10 +310,11 @@ fn zero_mass_child_evidence_is_refused() {
 }
 
 /// Draws a 100 000-row cohort on `evidence` and checks each free
-/// attribute's sampled marginal against the θ-projection ratio
-/// `Pr[t, e] / Pr[e]` (TVD < 0.01). θ-projection enumerates the closure
-/// directly and shares no code with the sampler's variable elimination.
-fn assert_cohort_matches_theta_projection(
+/// attribute's sampled marginal against the oracle's ratio
+/// `Pr[t, e] / Pr[e]` (TVD < 0.01). The oracle
+/// (`reference_theta_projection`) shares no code with the sampler's
+/// variable elimination.
+fn assert_cohort_matches_oracle_ratios(
     model: &NoisyModel,
     schema: &Schema,
     evidence: &[(usize, u32)],
@@ -321,7 +331,7 @@ fn assert_cohort_matches_theta_projection(
     for t in (0..schema.len()).filter(|&t| evidence.iter().all(|&(e, _)| e != t)) {
         let attrs: Vec<usize> =
             std::iter::once(t).chain(evidence.iter().map(|&(e, _)| e)).collect();
-        let joint = theta_projection(model, schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+        let joint = reference_theta_projection(model, schema, &attrs);
         let slice: Vec<f64> = (0..schema.attribute(t).domain_size())
             .map(|v| {
                 let coords: Vec<usize> =
@@ -341,12 +351,12 @@ fn assert_cohort_matches_theta_projection(
 fn cohorts_match_theta_projection_ratios() {
     let artifact = chain_artifact(5);
     let (model, schema) = (&artifact.model, &artifact.schema);
-    assert_cohort_matches_theta_projection(model, schema, &[(2, 2)], 1); // leaf
-    assert_cohort_matches_theta_projection(model, schema, &[(1, 0)], 2); // inner
-    assert_cohort_matches_theta_projection(model, schema, &[(1, 1), (2, 0)], 3); // two attributes
+    assert_cohort_matches_oracle_ratios(model, schema, &[(2, 2)], 1); // leaf
+    assert_cohort_matches_oracle_ratios(model, schema, &[(1, 0)], 2); // inner
+    assert_cohort_matches_oracle_ratios(model, schema, &[(1, 1), (2, 0)], 3); // two attributes
     let (schema, model) = generalised_parent_model();
-    assert_cohort_matches_theta_projection(&model, &schema, &[(2, 1)], 4); // leaf
-    assert_cohort_matches_theta_projection(&model, &schema, &[(1, 0)], 5); // generalised child
+    assert_cohort_matches_oracle_ratios(&model, &schema, &[(2, 1)], 4); // leaf
+    assert_cohort_matches_oracle_ratios(&model, &schema, &[(1, 0)], 5); // generalised child
 }
 
 #[test]
@@ -474,6 +484,151 @@ fn v1_marginal_answers_are_bit_identical_to_the_oracle() {
     }
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// A hand-built chain `c0 → c1 → … → c11` of four-valued attributes with
+/// seeded conditionals. The last attribute's ancestral closure is the whole
+/// chain: 4^12 ≈ 16.8M cells, four times `DEFAULT_CELL_CAP`.
+fn long_chain_artifact() -> ReleasedModel {
+    const LEN: usize = 12;
+    let schema = Schema::new(
+        (0..LEN).map(|i| Attribute::categorical(format!("c{i}"), 4).unwrap()).collect(),
+    )
+    .unwrap();
+    let pairs = (0..LEN).map(|i| ApPair::new(i, i.checked_sub(1).into_iter().collect())).collect();
+    let network = BayesianNetwork::new(pairs, &schema).unwrap();
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut conditionals = Vec::new();
+    for child in 0..LEN {
+        let parents: Vec<Axis> = child.checked_sub(1).map(Axis::raw).into_iter().collect();
+        let mut probs = Vec::new();
+        for _ in 0..4usize.pow(parents.len() as u32) {
+            let weights: Vec<f64> = (0..4).map(|_| rng.random::<f64>() + 0.05).collect();
+            let total: f64 = weights.iter().sum();
+            probs.extend(weights.iter().map(|w| w / total));
+        }
+        let parent_dims = vec![4; parents.len()];
+        conditionals.push(Conditional { child, parents, parent_dims, child_dim: 4, probs });
+    }
+    ReleasedModel::new(
+        ModelMetadata {
+            method: "privbayes".into(),
+            epsilon: 1.0,
+            beta: 0.3,
+            theta: 4.0,
+            score: "R".into(),
+            encoding: "vanilla".into(),
+            source_rows: 100,
+            comment: "long chain fixture".into(),
+        },
+        schema,
+        NoisyModel { network, conditionals },
+    )
+    .unwrap()
+}
+
+#[test]
+fn queries_past_an_enumerated_closure_cap_are_answered() {
+    let artifact = long_chain_artifact();
+    assert!(4usize.pow(12) > DEFAULT_CELL_CAP, "the closure must outgrow the cap");
+    let (handle, client) = serve(vec![("chain", artifact.clone())]);
+    let response = client
+        .request(
+            "POST",
+            "/v1/models/chain/query",
+            Some(("application/json", br#"{"attrs": ["c11"]}"# as &[u8])),
+        )
+        .unwrap();
+    assert_eq!(response.code, 200, "{}", response.text());
+    let answer = Json::parse(&response.text()).unwrap();
+    let served: Vec<f64> = answer
+        .get("values")
+        .and_then(Json::as_array)
+        .expect("values array")
+        .iter()
+        .map(|v| v.as_f64().unwrap())
+        .collect();
+    let oracle = reference_theta_projection(&artifact.model, &artifact.schema, &[11]);
+    assert_eq!(served.len(), 4);
+    for (i, (a, b)) in served.iter().zip(oracle.values()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "cell {i}: served {a} vs oracle {b}");
+    }
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A random model for the oracle property: 2–7 attributes with domains of
+/// 1–4 (those of 3 or 4 values carry a one-level taxonomy), listed in a
+/// shuffled network order, each with up to three earlier parents, some
+/// generalised; its conditionals are fit with noise on 200 random rows.
+fn random_inference_model(rng: &mut StdRng) -> (Schema, NoisyModel) {
+    let d = rng.random_range(2..8usize);
+    let attributes = (0..d)
+        .map(|i| {
+            let size = rng.random_range(1..5usize);
+            let attr = Attribute::categorical(format!("a{i}"), size).unwrap();
+            if size >= 3 {
+                attr.with_taxonomy(TaxonomyTree::balanced_binary(size).unwrap()).unwrap()
+            } else {
+                attr
+            }
+        })
+        .collect();
+    let schema = Schema::new(attributes).unwrap();
+    let mut order: Vec<usize> = (0..d).collect();
+    for j in (1..d).rev() {
+        order.swap(j, rng.random_range(0..=j));
+    }
+    let pairs = (0..d)
+        .map(|k| {
+            let mut earlier = order[..k].to_vec();
+            for j in (1..earlier.len()).rev() {
+                earlier.swap(j, rng.random_range(0..=j));
+            }
+            earlier.truncate(rng.random_range(0..=k.min(3)));
+            let parents = earlier
+                .into_iter()
+                .map(|attr| {
+                    let generalised = schema.attribute(attr).taxonomy().is_some() && rng.random();
+                    Axis { attr, level: usize::from(generalised) }
+                })
+                .collect();
+            ApPair::generalized(order[k], parents)
+        })
+        .collect();
+    let network = BayesianNetwork::new(pairs, &schema).unwrap();
+    let rows: Vec<Vec<u32>> = (0..200)
+        .map(|_| {
+            (0..d).map(|a| rng.random_range(0..schema.attribute(a).domain_size() as u32)).collect()
+        })
+        .collect();
+    let data = Dataset::from_rows(schema, &rows).unwrap();
+    let engine = CountEngine::new(&data);
+    let model = noisy_conditionals_general_engine(&engine, &network, Some(1.0), rng).unwrap();
+    (data.schema().clone(), model)
+}
+
+proptest::proptest! {
+    /// The oracle and `model_marginal` agree bit for bit on random models and
+    /// random queries of 1–3 attributes in random order.
+    #[test]
+    fn prop_oracle_is_bit_identical_to_model_marginal(case in proptest::prelude::any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(case);
+        let (schema, model) = random_inference_model(&mut rng);
+        for _ in 0..8 {
+            let mut attrs: Vec<usize> = (0..schema.len()).collect();
+            for j in (1..attrs.len()).rev() {
+                attrs.swap(j, rng.random_range(0..=j));
+            }
+            attrs.truncate(rng.random_range(1..=schema.len().min(3)));
+            let served = model_marginal(&model, &schema, &attrs, DEFAULT_CELL_CAP).unwrap();
+            let oracle = reference_theta_projection(&model, &schema, &attrs);
+            proptest::prop_assert_eq!(served.dims(), oracle.dims());
+            for (a, b) in served.values().iter().zip(oracle.values()) {
+                proptest::prop_assert_eq!(a.to_bits(), b.to_bits(), "attrs {:?}", attrs);
+            }
+        }
+    }
 }
 
 #[test]
